@@ -102,7 +102,10 @@ def _advance_rk4_jit(w, phi, nsteps, dt, h, q, sfi, hs, hs_sum, vol_limit):
     return nsteps, True
 
 
-def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
+def flux_potential(w, h, sfi, hs, hs_sum):
+    """(e2w, g, u0) on raw arrays: g = e^{2w} - 1 + lap_round w, which is
+    (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux, zero at
+    the first node."""
     e2w = np.exp(2.0 * w)
     flx = sfi * np.diff(w) / h
     lap = np.empty_like(w)
@@ -111,11 +114,16 @@ def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
     lap[-1] = -flx[-1]
     lap /= hs
     g = e2w - 1.0 + lap
-    fw = 0.5 * g / e2w
     s = 2.0 * g * hs
     s -= (s.sum() / hs_sum) * hs
     flux = np.cumsum(s)[:-1]
     u0 = np.concatenate(([0.0], np.cumsum(h * flux / sfi)))
+    return e2w, g, u0
+
+
+def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
+    e2w, g, u0 = flux_potential(w, h, sfi, hs, hs_sum)
+    fw = 0.5 * g / e2w
     emu = np.exp(-u0)
     vol = np.sum(e2w * q)
     m = np.sum(emu * e2w * q) / vol

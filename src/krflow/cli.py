@@ -10,15 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .flow import StepReject
-from .harness import (EXIT_CONFIG, EXIT_NUMERICAL, ConfigError, load_spec,
-                      run_scenario, spectrum_dump, state_at, sweep_epsilon)
+from .harness import (EXIT_CONFIG, EXIT_NUMERICAL, NUMERICAL_ERRORS,
+                      ConfigError, load_spec, run_scenario, spectrum_dump,
+                      state_at, sweep_epsilon)
 from .monitors import check_c0_vs_Y, check_weighted_poincare
-from .potential import NormalizationFail, VolumeMismatch
-from .spectral import BandAmbiguity, SolveFail
-
-NUMERICAL_ERRORS = (VolumeMismatch, NormalizationFail, SolveFail,
-                    BandAmbiguity, StepReject)
 
 
 def build_parser() -> argparse.ArgumentParser:

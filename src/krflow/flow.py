@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import spectral
 from ._kernels import advance_rk4
@@ -38,39 +37,26 @@ class StepReject(Exception):
     """A step left the normalized class beyond tolerance; halve dt."""
 
 
-SCHEMES = ("rk4", "semi_implicit")
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Integrator controls.
 
-    dt_init None means the explicit stability default
-    0.25 h^2 min(e^{2w}); an explicit dt_init above that bound is
-    rejected for the rk4 scheme.  resolve_u_every_step is part of the
-    contract and fixed true.
+    The scheme is classical RK4.  dt_init None means the explicit
+    stability default 0.25 h^2 min(e^{2w}); an explicit dt_init above that
+    bound is rejected.
     """
 
     t_end: float = 5.0
     dt_init: float | None = None
-    scheme: str = "rk4"
     vol_tol: float = 1e-8
     class_tol: float = 1e-6
     potential_tol: float = 1e-9
-    resolve_u_every_step: bool = True
     record_dt: float = 0.01
     m_max: int = 2
     k_per_mode: int = 5
     band_tol: float | None = None
-    track_phi: bool = True
     early_stop: float = 1e-12
     max_halvings: int = 12
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.resolve_u_every_step:
-            raise ValueError("resolve_u_every_step is fixed true")
 
 
 @dataclass(frozen=True)
@@ -85,6 +71,7 @@ class FlowState:
     phi: ScalarField
     lambda_g: float | None
     holo_band: list[float] | None
+    class_residual: float  # check_kahler_class, computed once
     initial: ConformalMetric | None = None
 
 
@@ -99,9 +86,6 @@ class Trajectory:
     def times(self):
         return np.array([s.t for s in self.states])
 
-    def series(self, fn):
-        return np.array([fn(s) for s in self.states])
-
 
 def stability_dt(metric: ConformalMetric) -> float:
     """Explicit-scheme bound 0.25 h^2 min(e^{2w})."""
@@ -114,11 +98,9 @@ def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
 
 
 def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
-               config: FlowConfig, initial: ConformalMetric | None,
+               config: FlowConfig, initial: ConformalMetric,
                with_spectrum: bool = True) -> FlowState:
-    grid = initial.grid if initial is not None else None
-    if grid is None:
-        raise ValueError("make_state needs the initial metric for its grid")
+    grid = initial.grid
     metric = ConformalMetric(grid=grid, w=w.copy())
     u = solve_ricci_potential(metric, tol=config.potential_tol)
     lam_g = None
@@ -128,16 +110,15 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
                                           k_per_mode=config.k_per_mode)
         lam_g, band = spectral.lambda_second(spec, config.band_tol)
     funcs = functional_bundle(u, metric, lambda_g=lam_g)
-    state = FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
-                      phi=ScalarField(grid=grid, values=phi.copy()),
-                      lambda_g=lam_g, holo_band=band, initial=initial)
-    if initial is not None and config.track_phi:
-        res = check_kahler_class(state)
-        if res > config.class_tol:
-            raise StepReject(
-                f"class identity residual {res:.3e} over {config.class_tol:.0e}"
-                f" at t = {t:.6g}")
-    return state
+    phi = phi.copy()
+    res = _class_residual(metric.w, initial.w, phi, grid)
+    if res > config.class_tol:
+        raise StepReject(
+            f"class identity residual {res:.3e} over {config.class_tol:.0e}"
+            f" at t = {t:.6g}")
+    return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
+                     phi=ScalarField(grid=grid, values=phi), lambda_g=lam_g,
+                     holo_band=band, class_residual=res, initial=initial)
 
 
 def initial_state(metric: ConformalMetric, config: FlowConfig,
@@ -164,40 +145,8 @@ def step(state: FlowState, dt: float, config: FlowConfig | None = None,
                         config.vol_tol * ROUND_VOLUME)
     if not ok:
         raise StepReject(f"volume drifted beyond tolerance at t = {state.t:.6g}")
-    initial = state.initial if state.initial is not None else state.metric
-    return make_state(w, phi, state.t + dt, dt, config, initial,
+    return make_state(w, phi, state.t + dt, dt, config, state.initial,
                       with_spectrum=with_spectrum)
-
-
-def _advance_semi_implicit(w, phi, nsteps, dt, grid, vol_limit, config):
-    """Backward Euler on the linearized diffusion; first order in time."""
-    from .potential import solve_u_values
-
-    n = grid.n_nodes
-    h = grid.h
-    sfi = grid.sin_flux[1:-1]
-    sn = grid.sin_nodes
-    lower = np.concatenate(([0.0], sfi)) / (h * h * sn)
-    upper = np.concatenate((sfi, [0.0])) / (h * h * sn)
-    center = -(np.concatenate(([0.0], sfi)) + np.concatenate((sfi, [0.0]))) / (h * h * sn)
-    for s in range(nsteps):
-        e2w = np.exp(2.0 * w)
-        vol = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
-        if abs(vol - ROUND_VOLUME) > vol_limit:
-            return s, False
-        em = 1.0 / e2w
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -0.5 * dt * em[:-1] * upper[:-1]
-        ab[1] = 1.0 - 0.5 * dt * em * center
-        ab[2, :-1] = -0.5 * dt * em[1:] * lower[1:]
-        rhs = w + 0.5 * dt * (1.0 - em)
-        w[:] = solve_banded((1, 1), ab, rhs)
-        uv, _, _, _ = solve_u_values(grid, w)
-        e2w = np.exp(2.0 * w)
-        vol = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
-        a = 2.0 * np.pi * np.sum(uv * np.exp(-uv) * e2w * grid.quad_weights) / vol
-        phi += dt * (uv - a)
-    return nsteps, True
 
 
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
@@ -216,7 +165,7 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
         return traj
     grid = initial.grid
     dt_cap = config.dt_init if config.dt_init is not None else stability_dt(initial)
-    if config.scheme == "rk4" and dt_cap > stability_dt(initial) * (1 + 1e-12):
+    if dt_cap > stability_dt(initial) * (1 + 1e-12):
         raise ValueError(
             f"dt_init = {dt_cap:.3e} over the explicit stability bound "
             f"{stability_dt(initial):.3e}")
@@ -231,11 +180,7 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
         dt_seg = (t_next - t) / nst
         w_try = w.copy()
         phi_try = phi.copy()
-        if config.scheme == "rk4":
-            done, ok = advance_rk4(w_try, phi_try, nst, dt_seg, grid, vol_limit)
-        else:
-            done, ok = _advance_semi_implicit(w_try, phi_try, nst, dt_seg,
-                                              grid, vol_limit, config)
+        done, ok = advance_rk4(w_try, phi_try, nst, dt_seg, grid, vol_limit)
         if not ok:
             halvings += 1
             if halvings > config.max_halvings:
@@ -278,31 +223,35 @@ def check_kahler_class(state: FlowState) -> float:
     """
     if state.initial is None:
         raise ValueError("state carries no initial metric; not from a run")
-    lhs = np.exp(2.0 * state.metric.w)
-    rhs = np.exp(2.0 * state.initial.w) + 0.5 * laplace_round(
-        state.metric.grid, state.phi.values)
+    return _class_residual(state.metric.w, state.initial.w, state.phi.values,
+                           state.metric.grid)
+
+
+def _class_residual(w, w0, phi, grid) -> float:
+    lhs = np.exp(2.0 * w)
+    rhs = np.exp(2.0 * w0) + 0.5 * laplace_round(grid, phi)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def log_det_bookkeeping(state: FlowState,
-                        initial: ConformalMetric) -> tuple[ScalarField, float]:
+                        state0: FlowState) -> tuple[ScalarField, float]:
     """Volume-form ratio F = log det g(t) / det g(0) and its constant c(t).
 
-    In the conformal gauge F = 2 (w(t) - w(0)); c(t) normalizes the
+    state0 is the recorded t = 0 state, which carries g(0) and u(0).  In
+    the conformal gauge F = 2 (w(t) - w(0)); c(t) normalizes the
     potential bookkeeping through
     e^{c(t)} = (1/V) integral e^{-phi - u(0)} dv_0.
     """
+    initial = state0.metric
     f = 2.0 * (state.metric.w - initial.w)
-    u0 = solve_ricci_potential(initial).u.values
     vol0 = volume(initial)
     c = math.log(weighted_integral(
-        np.exp(-state.phi.values - u0), initial) / vol0)
+        np.exp(-state.phi.values - state0.u.values), initial) / vol0)
     return ScalarField(grid=state.metric.grid, values=f), float(c)
 
 
-def log_det_residual(state: FlowState, initial: ConformalMetric) -> float:
+def log_det_residual(state: FlowState, state0: FlowState) -> float:
     """Sup-norm residual of F = u(t) - u(0) - phi(t) - c(t)."""
-    f, c = log_det_bookkeeping(state, initial)
-    u0 = solve_ricci_potential(initial).u.values
-    rhs = state.u.values - u0 - state.phi.values - c
+    f, c = log_det_bookkeeping(state, state0)
+    rhs = state.u.values - state0.u.values - state.phi.values - c
     return float(np.max(np.abs(f.values - rhs)))

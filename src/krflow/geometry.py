@@ -79,15 +79,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ConformalMetric:
-    """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere.
-
-    complex_dim is carried for formula generality; the testbed fixes it
-    to 1 and the operators assume it.
-    """
+    """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere
+    (complex dimension one)."""
 
     grid: Grid
     w: np.ndarray
-    complex_dim: int = 1
 
     def __post_init__(self):
         if np.shape(self.w) != (self.grid.n_nodes,):
@@ -194,8 +190,7 @@ def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
     Exact in one step: the volume is linear in e^{2w}.
     """
     c = 0.5 * np.log(ROUND_VOLUME / volume(metric))
-    return ConformalMetric(grid=metric.grid, w=metric.w + c,
-                           complex_dim=metric.complex_dim)
+    return ConformalMetric(grid=metric.grid, w=metric.w + c)
 
 
 def _nodal(f, grid: Grid) -> np.ndarray:
@@ -223,8 +218,10 @@ def grad_norm_sq(f, metric: ConformalMetric) -> ScalarField:
     return ScalarField(grid=g, values=0.5 * np.exp(-2.0 * metric.w) * fp ** 2)
 
 
-def sup_norm(field: ScalarField) -> float:
-    return float(np.max(np.abs(field.values)))
+def measured_calabi(metric: ConformalMetric) -> float:
+    """(1/V) integral (K - 1)^2 dv, the scalar-curvature energy datum."""
+    k = gaussian_curvature(metric).values
+    return weighted_integral((k - 1.0) ** 2, metric) / volume(metric)
 
 
 def grad_c0_norm(f, metric: ConformalMetric) -> float:

@@ -20,10 +20,10 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import __version__
-from .flow import FlowConfig, StepReject, Trajectory, check_kahler_class, run
+from .flow import FlowConfig, StepReject, Trajectory, run
 from .geometry import (ConformalMetric, Grid, conformal_metric, curvature_bounds,
-                       diameter, make_grid, normalize_volume, round_metric,
-                       volume, weighted_integral, gaussian_curvature)
+                       diameter, make_grid, measured_calabi, normalize_volume,
+                       round_metric, volume)
 from .monitors import (ALL_CHECKS, FAIL, CheckReport, TrajectoryReport,
                        evaluate_trajectory)
 from .potential import VolumeMismatch, NormalizationFail
@@ -33,6 +33,11 @@ from .spectral import (BandAmbiguity, SolveFail, lambda_second,
 
 class ConfigError(Exception):
     """Malformed experiment spec; carries the offending line or key."""
+
+
+# failures of the numerics, reported with exit code 3
+NUMERICAL_ERRORS = (VolumeMismatch, NormalizationFail, SolveFail,
+                    BandAmbiguity, StepReject)
 
 
 SCENARIOS = ("round", "legendre_bump", "multi_mode", "custom_w")
@@ -128,12 +133,6 @@ def custom_w(grid: Grid, path: str) -> ConformalMetric:
     return conformal_metric(grid, vals)
 
 
-def measured_calabi(metric: ConformalMetric) -> float:
-    """(1/V) integral (K - 1)^2 dv, the scalar-curvature energy datum."""
-    k = gaussian_curvature(metric).values
-    return weighted_integral((k - 1.0) ** 2, metric) / volume(metric)
-
-
 def legendre_bump_for_calabi(grid: Grid, l: int,
                              eps_calabi: float) -> ConformalMetric:
     """Bump whose measured curvature energy equals eps_calabi exactly.
@@ -178,9 +177,9 @@ def initial_metric(spec: ExperimentSpec, grid: Grid | None = None
 # ---------------------------------------------------------------------------
 
 _FLOW_KEYS = {
-    "t_end": float, "dt_init": float, "scheme": str, "vol_tol": float,
+    "t_end": float, "dt_init": float, "vol_tol": float,
     "class_tol": float, "potential_tol": float, "record_dt": float,
-    "m_max": int, "k_per_mode": int, "band_tol": float, "track_phi": bool,
+    "m_max": int, "k_per_mode": int, "band_tol": float,
     "early_stop": float, "max_halvings": int,
 }
 _SCENARIO_KEYS = {"l": int, "eps": float, "seed": int, "decay_rate": float,
@@ -368,7 +367,7 @@ def _timeseries_rows(traj: Trajectory):
             s.funcs.c0_u_minus_a, s.funcs.grad_u_c0,
             s.lambda_g if s.lambda_g is not None else math.nan,
             min(band), max(band),
-            check_kahler_class(s) if s.initial is not None else math.nan,
+            s.class_residual,
             float(np.max(np.abs(s.phi.values)))))
     return rows
 
@@ -394,9 +393,7 @@ def _report_block(check: CheckReport) -> str:
 
 def aggregate_exit_code(report: TrajectoryReport | None,
                         error: str | None) -> int:
-    if error is not None:
-        return EXIT_NUMERICAL
-    if report is None:
+    if error is not None or report is None:
         return EXIT_NUMERICAL
     if any(c.verdict == FAIL for c in report.checks):
         return EXIT_FAIL
@@ -454,8 +451,7 @@ def run_scenario(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
         traj = run(spec.flow, metric)
         params = spec.monitor_dict()
         report = evaluate_trajectory(traj, spec.checks, params)
-    except (VolumeMismatch, NormalizationFail, SolveFail, BandAmbiguity,
-            StepReject) as exc:
+    except NUMERICAL_ERRORS as exc:
         error = f"{type(exc).__name__}: {exc}"
         code = write_report(report_path, spec, None, None, error=error)
         return RunArtifacts(output_dir=out, timeseries_path=None,
@@ -496,7 +492,6 @@ def _run_sweep_point(args):
         report = evaluate_trajectory(traj, point.checks, point.monitor_dict())
         write_timeseries(Path(out_dir) / "timeseries.csv", traj)
         code = write_report(Path(out_dir) / "report.txt", point, traj, report)
-        t0 = float(point.monitor_dict().get("t0", 0.1))
         short = next((c for c in report.checks if c.check_id == "short_time"),
                      None)
         grad_t0 = short.aux["grad_c0_at_t0"] if short else math.nan
@@ -504,8 +499,7 @@ def _run_sweep_point(args):
                "ratio": grad_t0 / eps_cal ** 0.25 if eps_cal > 0 else math.nan,
                "K_eff": report.constants.get("K_eff_max", math.nan),
                "exit_code": code, "error": ""}
-    except (VolumeMismatch, NormalizationFail, SolveFail, BandAmbiguity,
-            StepReject, ConfigError) as exc:
+    except NUMERICAL_ERRORS + (ConfigError,) as exc:
         error = f"{type(exc).__name__}: {exc}"
         write_report(Path(out_dir) / "report.txt", point, None, None,
                      error=error)
@@ -518,6 +512,11 @@ def _run_sweep_point(args):
 def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
     """One run per sweep value with failures isolated, plus the aggregate
     regression of log |grad u|(t0) against log eps_Calabi."""
+    raw_workers = os.environ.get("KRFLOW_WORKERS", "1")
+    if not raw_workers.strip().isdecimal() or int(raw_workers) < 1:
+        raise ConfigError(f"KRFLOW_WORKERS = {raw_workers!r} is not a "
+                          "positive integer")
+    workers = int(raw_workers)
     if not spec.sweep:
         raise ConfigError("sweep requested but [sweep] eps is empty")
     out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
@@ -527,7 +526,6 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
         sub = out / f"point_{i:02d}"
         sub.mkdir(parents=True, exist_ok=True)
         jobs.append((spec, float(value), spec.sweep_target, str(sub)))
-    workers = int(os.environ.get("KRFLOW_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .flow import FlowState, Trajectory, check_kahler_class, log_det_residual
-from .geometry import (dtheta, gaussian_curvature, grad_norm_sq,
-                       laplace_round, noncollapsing_kappa, volume,
-                       weighted_integral)
-from .potential import (complex_hessian_norms, delta_prime, hessian_t20)
+from .flow import FlowState, Trajectory, log_det_residual
+from .geometry import (diameter, dtheta, gaussian_curvature, grad_norm_sq,
+                       laplace_round, measured_calabi, noncollapsing_kappa,
+                       volume, weighted_integral)
+from .potential import complex_hessian_norms, gap_delta_prime, hessian_t20
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -86,12 +86,16 @@ def _inequality_verdict(gate: bool, margin: float, tol: float) -> str:
 
 
 def _state_delta_prime(state: FlowState, delta_measured: float | None) -> float:
-    gap = state.lambda_g - 1.0 if state.lambda_g is not None else None
-    if delta_measured is not None:
-        gap = delta_measured if gap is None else min(delta_measured, gap)
-    if gap is None:
+    dp = gap_delta_prime(state.lambda_g, delta_measured, state.funcs.osc_u)
+    if dp is None:
         raise ValueError("no spectral gap available; pass delta_measured")
-    return delta_prime(max(gap, 0.0), state.funcs.osc_u)
+    return dp
+
+
+def _equivalence_ratio(w, w0) -> float:
+    """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}."""
+    ratio = np.exp(2.0 * (w - w0))
+    return float(max(ratio.max(), (1.0 / ratio).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +242,35 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     u0_c0 = float(np.max(np.abs(s0.u.values)))
     phi_meas = []
     min_trace = np.inf
-    alpha = []
     run_sup = 0.0
     for s in states:
-        ratio = np.exp(2.0 * (s.metric.w - w0))
-        phi_meas.append(max(ratio.max(), (1.0 / ratio).max()))
-        trace = 1.0 + 0.5 * np.exp(-2.0 * w0) * laplace_round(
-            grid, s.phi.values)
-        min_trace = min(min_trace, float(trace.min()))
+        phi_meas.append(_equivalence_ratio(s.metric.w, w0))
+        min_trace = min(min_trace, _min_trace(w0, s.phi.values, grid))
         here = (float(np.max(np.abs(s.phi.values))) + u0_c0
                 + float(np.max(np.abs(s.u.values))))
         run_sup = max(run_sup, here)
-        alpha.append(run_sup)
-    margin = min_trace
-    gate = True
     verdict = REPORT_ONLY if min_trace > 0.0 else FAIL
     return CheckReport(
         check_id="c2_estimate",
         statement="n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
-        gate_satisfied=gate, margin=float(margin), tolerance=0.0,
+        gate_satisfied=True, margin=float(min_trace), tolerance=0.0,
         verdict=verdict,
         aux={"phi_meas_max": float(max(phi_meas)),
              "min_trace": float(min_trace),
-             "alpha_final": float(alpha[-1]),
+             "alpha_final": float(run_sup),
              "phi_meas_final": float(phi_meas[-1])})
+
+
+def _min_trace(w, phi, grid) -> float:
+    """Min of the complex trace 1 + (1/2) e^{-2w} lap_round phi."""
+    trace = 1.0 + 0.5 * np.exp(-2.0 * w) * laplace_round(grid, phi)
+    return float(trace.min())
 
 
 def synthetic_trace_positivity(state: FlowState, phi_values) -> float:
     """Min of 1 + lap_{c,0} phi for an arbitrary phi profile (failure path)."""
-    grid = state.metric.grid
-    trace = 1.0 + 0.5 * np.exp(-2.0 * state.metric.w) * laplace_round(
-        grid, np.asarray(phi_values, dtype=float))
-    return float(trace.min())
+    return _min_trace(state.metric.w, np.asarray(phi_values, dtype=float),
+                      state.metric.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +320,9 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
     def formula_at(i):
         s = states[i]
         metric = s.metric
-        grid = metric.grid
         vol = volume(metric)
         psi = vecs[i] * math.sqrt(vol) * normalization_scale
-        parity = 1 if mode % 2 == 0 else -1
-        rp = dtheta(grid, psi, parity=parity)
-        gb = 0.5 * np.exp(-2.0 * metric.w) * rp ** 2
-        if mode != 0:
-            gb = gb + 0.5 * np.exp(-2.0 * metric.w) * (
-                mode * psi / grid.sin_nodes) ** 2
+        gb = spectral.dbar_sq(metric, psi, mode)
         one_minus_k = 1.0 - gaussian_curvature(metric).values
         uma = s.u.values - s.funcs.a
         emu = np.exp(-s.u.values)
@@ -630,8 +625,7 @@ def bootstrap_tracker(traj: Trajectory, phi0: float, delta: float,
     max_phi = 1.0
     min_lam = np.inf
     for s in states:
-        ratio = np.exp(2.0 * (s.metric.w - w0))
-        phi_meas = float(max(ratio.max(), (1.0 / ratio).max()))
+        phi_meas = _equivalence_ratio(s.metric.w, w0)
         max_phi = max(max_phi, phi_meas)
         max_grad = max(max_grad, s.funcs.grad_u_c0)
         lam = s.lambda_g if s.lambda_g is not None else np.inf
@@ -677,9 +671,7 @@ def check_short_time(traj: Trajectory, curvature_bound: float,
     states = traj.states
     s0 = states[0]
     if epsilon_calabi is None:
-        k0 = gaussian_curvature(s0.metric).values
-        epsilon_calabi = weighted_integral(
-            (k0 - 1.0) ** 2, s0.metric) / volume(s0.metric)
+        epsilon_calabi = measured_calabi(s0.metric)
     if delta is None:
         delta = (s0.lambda_g - 1.0) if s0.lambda_g is not None else 0.0
     cap = 2.0 * curvature_bound
@@ -709,7 +701,6 @@ def check_short_time(traj: Trajectory, curvature_bound: float,
     if first_exceed is not None:
         aux["curvature_exceed_t"] = float(first_exceed)
     if diameter_bound is not None:
-        from .geometry import diameter
         diam_max = max(diameter(s.metric) for s in states)
         aux["diam_max"] = float(diam_max)
         aux["diam_bound_ok"] = float(diam_max <= diameter_bound)
@@ -772,25 +763,13 @@ TRAJECTORY_CHECKS = ("y_decay", "c2_estimate", "z_derivative",
 ALL_CHECKS = STATE_CHECKS + TRAJECTORY_CHECKS
 
 
-def _check_kahler_series(traj: Trajectory, class_tol: float) -> CheckReport:
-    resid = max(check_kahler_class(s) for s in traj.states)
-    margin = class_tol - resid
-    return CheckReport(
-        check_id="kahler_class",
-        statement="e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
-        gate_satisfied=True, margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(True, margin, 0.0),
-        aux={"max_residual": float(resid)})
-
-
-def _check_log_det(traj: Trajectory, tol: float) -> CheckReport:
-    initial = traj.states[0].metric
-    resid = max(log_det_residual(s, initial) for s in traj.states)
+def _identity_check(check_id: str, statement: str, resid: float,
+                    tol: float) -> CheckReport:
+    """Verdict on the worst residual of an identity along the run."""
     margin = tol - resid
     return CheckReport(
-        check_id="log_det",
-        statement="log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
-        gate_satisfied=True, margin=float(margin), tolerance=0.0,
+        check_id=check_id, statement=statement, gate_satisfied=True,
+        margin=float(margin), tolerance=0.0,
         verdict=_inequality_verdict(True, margin, 0.0),
         aux={"max_residual": float(resid)})
 
@@ -807,7 +786,11 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
     p = dict(params or {})
     report = TrajectoryReport()
     rho = p.get("rho", 0.5)
+    mid = traj.states[len(traj.states) // 2]
+    mid_spec = None  # one weighted spectrum shared by the mid-state checks
     for check in checks:
+        if check in ("bochner", "gradient_estimate") and mid_spec is None:
+            mid_spec = spectral.weighted_spectrum(mid.metric, mid.u)
         if check == "weighted_poincare":
             reports = [check_weighted_poincare(
                 s, delta_measured=p.get("delta_measured")) for s in traj.states]
@@ -856,24 +839,25 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
                 t0=p.get("t0", 0.1), delta=p.get("delta"),
                 diameter_bound=p.get("D")))
         elif check == "kahler_class":
-            report.checks.append(_check_kahler_series(
-                traj, p.get("class_tol", 1e-6)))
+            report.checks.append(_identity_check(
+                "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
+                max(s.class_residual for s in traj.states),
+                p.get("class_tol", 1e-6)))
         elif check == "log_det":
-            report.checks.append(_check_log_det(
-                traj, p.get("log_det_tol", 1e-6)))
+            report.checks.append(_identity_check(
+                "log_det",
+                "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
+                max(log_det_residual(s, traj.states[0]) for s in traj.states),
+                p.get("log_det_tol", 1e-6)))
         elif check == "bochner":
-            mid = traj.states[len(traj.states) // 2]
-            spec = spectral.weighted_spectrum(mid.metric, mid.u)
-            idx = _entry_index(spec, 0, int(p.get("branch_index", 2)))
+            idx = _entry_index(mid_spec, 0, int(p.get("branch_index", 2)))
             report.checks.append(check_bochner(mid, spectral.eigen_data(
-                spec, idx)))
+                mid_spec, idx)))
         elif check == "gradient_estimate":
-            mid = traj.states[len(traj.states) // 2]
-            spec = spectral.weighted_spectrum(mid.metric, mid.u)
             c_s = spectral.sobolev_constant_estimate(mid.metric)
             c_eff = 0.0
             picked = None
-            for eig in spectral.band_eigen_data(spec,
+            for eig in spectral.band_eigen_data(mid_spec,
                                                 p.get("band_tol")):
                 r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
                 if r.aux["C_eff"] >= c_eff:

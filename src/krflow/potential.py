@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import flux_potential
 from .geometry import (ConformalMetric, ScalarField, ROUND_VOLUME, dtheta,
                        grad_c0_norm, grad_norm_sq, laplace_round, volume,
                        weighted_integral)
@@ -64,34 +65,24 @@ class FunctionalBundle:
     delta_prime_0: float
 
 
-def solve_u_values(grid, w: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+def solve_u_values(grid, w: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Core double-quadrature solve on raw arrays.
 
-    Returns (u, norm_const, pde_residual, norm_residual).  The right-hand
+    Returns (u, norm_const, pde_residual).  The right-hand
     side is projected onto the discrete solvability constraint before
     integrating; the reported residual is measured against the unprojected
     equation, so any volume defect shows up honestly.
     """
-    h = grid.h
-    hs = h * grid.sin_nodes
-    e2w = np.exp(2.0 * w)
-    lap_w = laplace_round(grid, w)
-    # 2 (1 - K) e^{2w} = 2 (e^{2w} - 1 + lap w)
-    rhs = 2.0 * (e2w - 1.0 + lap_w)
-    s = rhs * hs
-    mu = s.sum() / hs.sum()
-    flux = np.cumsum(s - mu * hs)[:-1]
-    du = h * flux / grid.sin_flux[1:-1]
-    u0 = np.concatenate(([0.0], np.cumsum(du)))
+    hs = grid.h * grid.sin_nodes
+    e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
+    rhs = 2.0 * g  # 2 (1 - K) e^{2w}
     vol = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
     mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol
     c = math.log(mean)
     u = u0 + c
     pde_res = float(np.max(np.abs(
         laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
-    norm_res = abs(
-        2.0 * np.pi * np.sum(np.exp(-u) * e2w * grid.quad_weights) / vol - 1.0)
-    return u, c, pde_res, norm_res
+    return u, c, pde_res
 
 
 def normalization_constant_bisect(u0: np.ndarray, metric: ConformalMetric,
@@ -136,7 +127,7 @@ def solve_ricci_potential(metric: ConformalMetric, tol: float = 1e-9,
         raise VolumeMismatch(
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
-    u, c, pde_res, _ = solve_u_values(metric.grid, metric.w)
+    u, c, pde_res = solve_u_values(metric.grid, metric.w)
     if initial_shift != 0.0:
         shifted = u + initial_shift
         mean = weighted_integral(np.exp(-shifted), metric) / vol
@@ -151,29 +142,28 @@ def solve_ricci_potential(metric: ConformalMetric, tol: float = 1e-9,
                           norm_residual=norm_res)
 
 
-def _values(u) -> np.ndarray:
-    if isinstance(u, RicciPotential):
-        return u.u.values
-    if isinstance(u, ScalarField):
+def values_of(u) -> np.ndarray:
+    """Nodal values of a RicciPotential, a ScalarField or an array."""
+    if isinstance(u, (RicciPotential, ScalarField)):
         return u.values
     return np.asarray(u, dtype=float)
 
 
 def average_a(u, metric: ConformalMetric) -> float:
     """Weighted average a = (1/V) integral u e^{-u} dv; Jensen gives a <= 0."""
-    uv = _values(u)
+    uv = values_of(u)
     return weighted_integral(uv * np.exp(-uv), metric) / volume(metric)
 
 
 def functional_Y(u, a: float, metric: ConformalMetric) -> float:
     """Y = (1/V) integral (u - a)^2 e^{-u} dv, the Lyapunov functional."""
-    uv = _values(u)
+    uv = values_of(u)
     return weighted_integral((uv - a) ** 2 * np.exp(-uv), metric) / volume(metric)
 
 
 def functional_Z(u, metric: ConformalMetric) -> float:
     """Z = (1/V) integral |grad u|^2 e^{-u} dv (complex gradient norm)."""
-    uv = _values(u)
+    uv = values_of(u)
     gsq = grad_norm_sq(uv, metric).values
     return weighted_integral(gsq * np.exp(-uv), metric) / volume(metric)
 
@@ -194,22 +184,18 @@ def futaki_integrals(u, metric: ConformalMetric) -> tuple[float, float, float]:
     """Futaki pairings integral X(u) dv over a holomorphic basis.
 
     Components: the rotation field (X(u) vanishes pointwise for
-    axisymmetric data), the meridian dilation field whose potential is the
-    axial degree-1 harmonic (X(u) = (1/2) sin(theta) u'; the quadrature is
-    nontrivial and the integral vanishes only by the character identity),
-    and the off-axis gradient pair (killed exactly by the azimuthal
-    integral of e^{i phi}; the vanishing analytic factor is kept explicit).
+    axisymmetric data, so its pairing is exactly 0), the meridian dilation
+    field whose potential is the axial degree-1 harmonic
+    (X(u) = (1/2) sin(theta) u'; the quadrature is nontrivial and the
+    integral vanishes only by the character identity), and the off-axis
+    gradient pair (its profile integral is multiplied by the azimuthal
+    average (1/2pi) integral_0^{2pi} e^{i phi} d phi = 0, so its pairing
+    is exactly 0 too).
     """
     g = metric.grid
-    uv = _values(u)
-    up = dtheta(g, uv)
-    rotation = weighted_integral(np.zeros_like(uv), metric)
+    up = dtheta(g, values_of(u))
     dilation = weighted_integral(0.5 * g.sin_nodes * up, metric)
-    # profile integral of the off-axis field times its azimuthal average
-    azimuthal_factor = 0.0  # (1/2pi) integral_0^{2pi} e^{i phi} d phi
-    offaxis = azimuthal_factor * weighted_integral(
-        0.5 * (1.0 + g.cos_nodes) * up, metric)
-    return float(rotation), float(dilation), float(offaxis)
+    return 0.0, float(dilation), 0.0
 
 
 def complex_hessian_norms(u, metric: ConformalMetric) -> tuple[ScalarField, ScalarField]:
@@ -222,29 +208,32 @@ def complex_hessian_norms(u, metric: ConformalMetric) -> tuple[ScalarField, Scal
     (complex Laplacian)^2 <= n |mixed|^2 is equality here.
     """
     g = metric.grid
-    uv = _values(u)
-    e2w = np.exp(2.0 * metric.w)
-    lap_c = 0.5 * laplace_round(g, uv) / e2w
-    mixed = lap_c ** 2
-    up = dtheta(g, uv)
-    wp = dtheta(g, metric.w)
-    cot = g.cos_nodes / g.sin_nodes
-    # u'' from the flux Laplacian: u'' = lap_round u - cot u'
-    upp = laplace_round(g, uv) - cot * up
-    t20 = 0.5 * (upp - (2.0 * wp + cot) * up) / e2w
-    pure = t20 ** 2
+    uv = values_of(u)
+    mixed = (0.5 * laplace_round(g, uv) / np.exp(2.0 * metric.w)) ** 2
+    pure = hessian_t20(uv, metric) ** 2
     return (ScalarField(grid=g, values=mixed), ScalarField(grid=g, values=pure))
 
 
 def hessian_t20(u, metric: ConformalMetric) -> np.ndarray:
     """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2."""
     g = metric.grid
-    uv = _values(u)
+    uv = values_of(u)
     up = dtheta(g, uv)
     wp = dtheta(g, metric.w)
     cot = g.cos_nodes / g.sin_nodes
+    # u'' from the flux Laplacian: u'' = lap_round u - cot u'
     upp = laplace_round(g, uv) - cot * up
     return 0.5 * (upp - (2.0 * wp + cot) * up) / np.exp(2.0 * metric.w)
+
+
+def gap_delta_prime(lambda_g: float | None, delta_measured: float | None,
+                    osc: float) -> float | None:
+    """delta_prime of the gap min(delta_measured, lambda_g - 1), clipped at
+    0, with whichever of the two is known; None when neither is."""
+    gap = None if lambda_g is None else lambda_g - 1.0
+    if delta_measured is not None:
+        gap = delta_measured if gap is None else min(delta_measured, gap)
+    return None if gap is None else delta_prime(max(gap, 0.0), osc)
 
 
 def functional_bundle(u, metric: ConformalMetric,
@@ -255,20 +244,14 @@ def functional_bundle(u, metric: ConformalMetric,
     delta_prime_0 follows the monotonicity remark: the gap argument is
     min(delta_measured, lambda_g - 1) when both are known, clipped at 0.
     """
-    uv = _values(u)
+    uv = values_of(u)
     a = average_a(uv, metric)
     y = functional_Y(uv, a, metric)
     z = functional_Z(uv, metric)
     osc = float(uv.max() - uv.min())
     c0 = float(np.max(np.abs(uv - a)))
     gc0 = grad_c0_norm(uv, metric)
-    dp0 = 0.0
-    gap = None
-    if lambda_g is not None:
-        gap = lambda_g - 1.0
-    if delta_measured is not None:
-        gap = delta_measured if gap is None else min(delta_measured, gap)
-    if gap is not None:
-        dp0 = delta_prime(max(gap, 0.0), osc)
+    dp0 = gap_delta_prime(lambda_g, delta_measured, osc)
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
-                            grad_u_c0=gc0, delta_prime_0=dp0)
+                            grad_u_c0=gc0,
+                            delta_prime_0=0.0 if dp0 is None else dp0)

@@ -35,6 +35,7 @@ from scipy.linalg import eig_banded
 
 from .geometry import (ConformalMetric, Grid, ScalarField, dtheta,
                        grad_norm_sq, volume, weighted_integral)
+from .potential import values_of
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
@@ -92,13 +93,7 @@ class EigenData:
 
 
 def _u_array(u, n):
-    if u is None:
-        return np.zeros(n)
-    if hasattr(u, "values"):
-        return np.asarray(u.values, dtype=float)
-    if hasattr(u, "u"):
-        return np.asarray(u.u.values, dtype=float)
-    return np.asarray(u, dtype=float)
+    return np.zeros(n) if u is None else values_of(u)
 
 
 def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
@@ -263,25 +258,30 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
     return lam_g, band
 
 
+def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
+    """|dbar psi|^2 = (1/2) e^{-2w} (R'^2 + m^2 R^2 / sin^2) of the mode-m
+    profile R = psi."""
+    g = metric.grid
+    rp = dtheta(g, psi, parity=1 if m % 2 == 0 else -1)
+    gb = 0.5 * np.exp(-2.0 * metric.w) * rp ** 2
+    if m != 0:
+        gb = gb + 0.5 * np.exp(-2.0 * metric.w) * (m * psi / g.sin_nodes) ** 2
+    return gb
+
+
 def eigen_data(spectrum: Spectrum, index: int) -> EigenData:
     """Normalized eigenpair with its |dbar psi|^2 field.
 
-    Normalization: (1/V) integral |psi|^2 e^{-u} dv = 1.  The gradient
-    field is (1/2) e^{-2w} (R'^2 + m^2 R^2 / sin^2); its weighted mean
-    reproduces the eigenvalue through integration by parts.
+    Normalization: (1/V) integral |psi|^2 e^{-u} dv = 1.  The weighted
+    mean of the dbar_sq field reproduces the eigenvalue through
+    integration by parts.
     """
     entry = spectrum.entries[index]
     g = spectrum.grid
     metric = spectrum.metric
-    vol = volume(metric)
     # solver vectors are B-orthonormal; the stated normalization needs V
-    psi = entry.vector * np.sqrt(vol)
-    parity = 1 if entry.m % 2 == 0 else -1
-    rp = dtheta(g, psi, parity=parity)
-    gb = 0.5 * np.exp(-2.0 * metric.w) * rp ** 2
-    if entry.m != 0:
-        gb = gb + 0.5 * np.exp(-2.0 * metric.w) * (
-            entry.m * psi / g.sin_nodes) ** 2
+    psi = entry.vector * np.sqrt(volume(metric))
+    gb = dbar_sq(metric, psi, entry.m)
     prob = assemble_mode_problem(metric, spectrum.u_values, entry.m)
     res = rayleigh_residual(prob, entry.eigenvalue, entry.vector)
     return EigenData(m=entry.m, lam=entry.eigenvalue,

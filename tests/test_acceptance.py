@@ -161,11 +161,10 @@ def test_05_identity_suite(ladder_runs):
               "eigen_derivative": [], "gradnorm": []}
     for n, _, _ in LADDER:
         traj = ladder_runs[n]
-        initial = traj.states[0].metric
         resids["kahler_class"].append(
             max(check_kahler_class(s) for s in traj.states))
         resids["log_det"].append(
-            max(log_det_residual(s, initial) for s in traj.states))
+            max(log_det_residual(s, traj.states[0]) for s in traj.states))
         mid = traj.states[len(traj.states) // 2]
         spec = weighted_spectrum(mid.metric, mid.u)
         idx = next(i for i, e in enumerate(spec.entries)

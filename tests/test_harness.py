@@ -55,12 +55,18 @@ class TestConfig:
         text = (
             "scenario = legendre_bump\ngrid_n = 192\noutput_dir = artifacts\n"
             "[scenario]\nl = 3\neps = 0.002\n"
-            "[flow]\nt_end = 2.5\nrecord_dt = 0.02\nscheme = semi_implicit\n"
-            "dt_init = 1e-4\n"
+            "[flow]\nt_end = 2.5\nrecord_dt = 0.02\ndt_init = 1e-4\n"
             "[monitors]\nchecks = y_decay, kahler_class\nrho = 0.4\n"
             "[sweep]\neps = 1e-4, 1e-3\ntarget = calabi\n")
         spec = loads(text)
         assert loads(dumps(spec)) == spec
+
+    def test_removed_flow_keys_rejected(self):
+        # RK4 is the only scheme and the class-identity guard is always on
+        with pytest.raises(ConfigError, match="scheme"):
+            loads(MINIMAL + "[flow]\nscheme = rk4\n")
+        with pytest.raises(ConfigError, match="track_phi"):
+            loads(MINIMAL + "[flow]\ntrack_phi = false\n")
 
     def test_default_spec_roundtrip(self):
         spec = ExperimentSpec()
@@ -244,6 +250,25 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         path = self.write_spec(tmp_path, "grid_n = banana\n")
         assert main(["run", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("workers", ["two", "0"])
+    def test_bad_worker_count_exit_two(self, tmp_path, monkeypatch, workers):
+        import krflow.harness
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(krflow.harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("KRFLOW_WORKERS", workers)
+        path = self.write_spec(
+            tmp_path,
+            "scenario = legendre_bump\ngrid_n = 64\n"
+            f"output_dir = {tmp_path / 'sw'}\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+            "[monitors]\nchecks = short_time\n"
+            "[sweep]\neps = 1e-3, 1e-2\n")
+        assert main(["sweep", path]) == EXIT_CONFIG
+        assert not (tmp_path / "sw").exists()
 
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
