@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (EXIT_CONFIG, EXIT_NUMERICAL, NUMERICAL_ERRORS,
-                      ConfigError, load_spec, run_scenario, spectrum_dump,
-                      state_at, sweep_epsilon)
+from .harness import (CONFIG_ERRORS, EXIT_CONFIG, EXIT_NUMERICAL,
+                      NUMERICAL_ERRORS, load_spec, run_scenario,
+                      spectrum_dump, state_at, sweep_epsilon)
 from .monitors import check_c0_vs_Y, check_weighted_poincare
 
 
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
                 "spectrum": _cmd_spectrum}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERICAL_ERRORS as exc:

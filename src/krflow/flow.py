@@ -37,6 +37,10 @@ class StepReject(Exception):
     """A step left the normalized class beyond tolerance; halve dt."""
 
 
+class StabilityBoundError(ValueError):
+    """A requested dt lies over the explicit stability bound."""
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Integrator controls.
@@ -73,6 +77,8 @@ class FlowState:
     holo_band: list[float] | None
     class_residual: float  # check_kahler_class, computed once
     initial: ConformalMetric | None = None
+    # merged (eigenvalue, m) pairs of the weighted spectrum, without vectors
+    spectrum: np.ndarray | None = None
 
 
 @dataclass
@@ -105,10 +111,12 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     u = solve_ricci_potential(metric, tol=config.potential_tol)
     lam_g = None
     band = None
+    pairs = None
     if with_spectrum:
         spec = spectral.weighted_spectrum(metric, u, m_max=config.m_max,
                                           k_per_mode=config.k_per_mode)
         lam_g, band = spectral.lambda_second(spec, config.band_tol)
+        pairs = spectral.eigen_pairs(spec)
     funcs = functional_bundle(u, metric, lambda_g=lam_g)
     phi = phi.copy()
     res = _class_residual(metric.w, initial.w, phi, grid)
@@ -118,7 +126,8 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
             f" at t = {t:.6g}")
     return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
                      phi=ScalarField(grid=grid, values=phi), lambda_g=lam_g,
-                     holo_band=band, class_residual=res, initial=initial)
+                     holo_band=band, class_residual=res, initial=initial,
+                     spectrum=pairs)
 
 
 def initial_state(metric: ConformalMetric, config: FlowConfig,
@@ -138,7 +147,8 @@ def step(state: FlowState, dt: float, config: FlowConfig | None = None,
     config = config or FlowConfig()
     bound = stability_dt(state.metric)
     if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3e} over the stability bound {bound:.3e}")
+        raise StabilityBoundError(
+            f"dt = {dt:.3e} over the stability bound {bound:.3e}")
     w = state.metric.w.copy()
     phi = state.phi.values.copy()
     _, ok = advance_rk4(w, phi, 1, dt, state.metric.grid,
@@ -166,7 +176,7 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     grid = initial.grid
     dt_cap = config.dt_init if config.dt_init is not None else stability_dt(initial)
     if dt_cap > stability_dt(initial) * (1 + 1e-12):
-        raise ValueError(
+        raise StabilityBoundError(
             f"dt_init = {dt_cap:.3e} over the explicit stability bound "
             f"{stability_dt(initial):.3e}")
     vol_limit = config.vol_tol * ROUND_VOLUME

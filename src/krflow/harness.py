@@ -20,24 +20,28 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import __version__
-from .flow import FlowConfig, StepReject, Trajectory, run
-from .geometry import (ConformalMetric, Grid, conformal_metric, curvature_bounds,
-                       diameter, make_grid, measured_calabi, normalize_volume,
-                       round_metric, volume)
-from .monitors import (ALL_CHECKS, FAIL, CheckReport, TrajectoryReport,
-                       evaluate_trajectory)
+from .flow import (FlowConfig, StabilityBoundError, StepReject, Trajectory,
+                   run)
+from .geometry import (MIN_NODES, ConformalMetric, Grid, conformal_metric,
+                       curvature_bounds, diameter, make_grid, measured_calabi,
+                       normalize_volume, round_metric, volume)
+from .monitors import (ALL_CHECKS, FAIL, BranchCrossing, CheckReport,
+                       TrajectoryReport, evaluate_trajectory)
 from .potential import VolumeMismatch, NormalizationFail
-from .spectral import (BandAmbiguity, SolveFail, lambda_second,
-                       weighted_spectrum)
+from .spectral import BandAmbiguity, SolveFail
 
 
 class ConfigError(Exception):
     """Malformed experiment spec; carries the offending line or key."""
 
 
+# configuration mistakes, reported with exit code 2; a dt_init over the
+# stability bound shows only once the initial metric is known
+CONFIG_ERRORS = (ConfigError, StabilityBoundError)
+
 # failures of the numerics, reported with exit code 3
 NUMERICAL_ERRORS = (VolumeMismatch, NormalizationFail, SolveFail,
-                    BandAmbiguity, StepReject)
+                    BandAmbiguity, StepReject, BranchCrossing)
 
 
 SCENARIOS = ("round", "legendre_bump", "multi_mode", "custom_w")
@@ -302,6 +306,9 @@ def loads(text: str) -> ExperimentSpec:
     if spec.scenario == "legendre_bump" and int(
             spec.scenario_dict().get("l", 2)) < 2:
         raise ConfigError("legendre_bump needs l >= 2")
+    if spec.grid_n < MIN_NODES:
+        raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
+                          f"{MIN_NODES}")
     return spec
 
 
@@ -499,7 +506,7 @@ def _run_sweep_point(args):
                "ratio": grad_t0 / eps_cal ** 0.25 if eps_cal > 0 else math.nan,
                "K_eff": report.constants.get("K_eff_max", math.nan),
                "exit_code": code, "error": ""}
-    except NUMERICAL_ERRORS + (ConfigError,) as exc:
+    except NUMERICAL_ERRORS + CONFIG_ERRORS as exc:
         error = f"{type(exc).__name__}: {exc}"
         write_report(Path(out_dir) / "report.txt", point, None, None,
                      error=error)
@@ -577,13 +584,11 @@ def state_at(spec: ExperimentSpec, t: float):
 
 
 def spectrum_dump(spec: ExperimentSpec, t: float) -> str:
+    """The merged spectrum that the flow solved for the state nearest t."""
     state = state_at(spec, t)
-    sp = weighted_spectrum(state.metric, state.u, m_max=spec.flow.m_max,
-                           k_per_mode=spec.flow.k_per_mode)
-    lam_g, band = lambda_second(sp, spec.flow.band_tol)
     lines = ["index,eigenvalue,mode"]
-    for i, en in enumerate(sp.entries):
-        lines.append(f"{i},{repr(en.eigenvalue)},{en.m}")
-    lines.append(f"# lambda_g = {repr(lam_g)}")
-    lines.append("# holo_band = " + ", ".join(repr(b) for b in band))
+    for i, (lam, m) in enumerate(state.spectrum):
+        lines.append(f"{i},{repr(float(lam))},{m}")
+    lines.append(f"# lambda_g = {repr(state.lambda_g)}")
+    lines.append("# holo_band = " + ", ".join(repr(b) for b in state.holo_band))
     return "\n".join(lines) + "\n"

@@ -369,24 +369,39 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
 # evolution of |grad u|^2
 # ---------------------------------------------------------------------------
 
-def _gradsq_rhs(state: FlowState):
+def _hessian_terms(traj: Trajectory, with_fields: bool):
+    """One complex_hessian_norms call per state, reduced at once to what
+    the two Hessian checks keep: the mixed-Hessian means of
+    check_Z_derivative and, when with_fields, the (|grad u|^2, right-hand
+    side) field pairs of check_gradnorm_evolution."""
+    means, fields = [], []
+    for s in traj.states:
+        mixed, pure = complex_hessian_norms(s.u.values, s.metric)
+        means.append(_hessian_l2(s, mixed))
+        if with_fields:
+            fields.append(_gradsq_rhs(s, mixed, pure))
+    return np.array(means), fields
+
+
+def _gradsq_rhs(state: FlowState, mixed, pure):
     """lap_c f - |pure|^2 - |mixed|^2 + f with f = |grad u|^2."""
     metric = state.metric
     grid = metric.grid
     f = grad_norm_sq(state.u.values, metric).values
     lap_c_f = 0.5 * np.exp(-2.0 * metric.w) * laplace_round(grid, f)
-    mixed, pure = complex_hessian_norms(state.u.values, metric)
     return f, lap_c_f - pure.values - mixed.values + f
 
 
 def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
-                             edge: int = 2) -> CheckReport:
+                             edge: int = 2, fields=None) -> CheckReport:
     """Pointwise residual of d/dt |grad u|^2 = lap|grad u|^2 - |pure Hess|^2
     - |mixed Hess|^2 + |grad u|^2, plus the short-time amplification bound
     |grad u|(t) <= e |grad u|(0) for t <= 2.
 
     The sup runs over interior nodes (edge nodes dropped: the composed
     third-derivative stencils lose an order against the pole ghosts).
+    fields, as _hessian_terms returns them, are computed here unless the
+    caller already has them.
     """
     statement = "d/dt |grad u|^2 = lap |grad u|^2 - |DDu|^2 - |DDbar u|^2 + |grad u|^2"
     states = traj.states
@@ -397,7 +412,8 @@ def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
             verdict=GATE_NOT_MET, aux={"n_states": float(len(states))})
     grid = states[0].metric.grid
     ts = np.array([s.t for s in states])
-    fields = [_gradsq_rhs(s) for s in states]
+    if fields is None:
+        fields = _hessian_terms(traj, True)[1]
     rec = float(np.max(np.diff(ts)))
     worst = 0.0
     scale = 1e-10
@@ -429,24 +445,26 @@ def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
 # Z derivative and space-time Hessian accumulation
 # ---------------------------------------------------------------------------
 
-def _hessian_l2(state: FlowState) -> float:
+def _hessian_l2(state: FlowState, mixed) -> float:
     """(1/V) int |mixed Hessian of u|^2 e^-u dv."""
     metric = state.metric
-    mixed, _ = complex_hessian_norms(state.u.values, metric)
     return weighted_integral(mixed.values * np.exp(-state.u.values),
                              metric) / volume(metric)
 
 
 def check_Z_derivative(traj: Trajectory,
                        delta_measured: float | None = None,
-                       tolerance: float = 0.0) -> CheckReport:
+                       tolerance: float = 0.0,
+                       hessian_means=None) -> CheckReport:
     """dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv in the small regime.
 
     Gate per state: |u-a| <= min(1/4, d0'/8) (the bootstrap smallness) and
     (3/2)|grad u|^2 + |u-a| <= 1 (the explicit sufficiency for the
     absorption step in the derivation).  aux accumulates the space-time
     Hessian integral over unit windows and its effective constant against
-    exp(-d0' t / 2) times the initial gradient bound.
+    exp(-d0' t / 2) times the initial gradient bound.  hessian_means, as
+    _hessian_terms returns them, are computed here unless the caller
+    already has them.
     """
     statement = "dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv"
     states = traj.states
@@ -465,7 +483,8 @@ def check_Z_derivative(traj: Trajectory,
 
     ts = np.array([s.t for s in states])
     zs = np.array([s.funcs.Z for s in states])
-    hess = np.array([_hessian_l2(s) for s in states])
+    hess = (hessian_means if hessian_means is not None
+            else _hessian_terms(traj, False)[0])
     margin = np.inf
     any_gate = False
     for i in range(1, len(states) - 1):
@@ -788,9 +807,13 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
     rho = p.get("rho", 0.5)
     mid = traj.states[len(traj.states) // 2]
     mid_spec = None  # one weighted spectrum shared by the mid-state checks
+    hessian_terms = None  # [means, fields]: one Hessian pass, two checks
     for check in checks:
         if check in ("bochner", "gradient_estimate") and mid_spec is None:
             mid_spec = spectral.weighted_spectrum(mid.metric, mid.u)
+        if (check in ("z_derivative", "gradnorm_evolution")
+                and hessian_terms is None):
+            hessian_terms = list(_hessian_terms(traj, True))
         if check == "weighted_poincare":
             reports = [check_weighted_poincare(
                 s, delta_measured=p.get("delta_measured")) for s in traj.states]
@@ -822,9 +845,12 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
             report.checks.append(check_c2_estimate(traj))
         elif check == "z_derivative":
             report.checks.append(check_Z_derivative(
-                traj, delta_measured=p.get("delta_measured")))
+                traj, delta_measured=p.get("delta_measured"),
+                hessian_means=hessian_terms[0]))
         elif check == "gradnorm_evolution":
-            report.checks.append(check_gradnorm_evolution(traj))
+            report.checks.append(check_gradnorm_evolution(
+                traj, fields=hessian_terms[1]))
+            hessian_terms[1] = None  # not held through the later checks
         elif check == "eigenvalue_derivative":
             report.checks.append(check_eigenvalue_derivative(
                 traj, mode=int(p.get("branch_mode", 0)),

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, ScalarField, dtheta,
                        grad_norm_sq, volume, weighted_integral)
@@ -40,6 +40,8 @@ from .potential import values_of
 STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
 BANDWIDTH = 3
+# the bisection tolerance scipy's eig_banded passes to ?sbevx
+_ABSTOL = 2.0 * dlamch("s")
 
 
 class SolveFail(Exception):
@@ -154,40 +156,74 @@ def assemble_mode_problem(metric: ConformalMetric, u, m: int) -> ModeProblem:
 def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal.
 
-    Reduction B^{-1/2} A B^{-1/2} preserves the bandwidth; the LAPACK
-    expert driver behind eig_banded locates eigenvalues by Sturm
-    bisection, which keeps the spectrum real and refinement monotone.
-    Returned vectors are B-orthonormal.
+    Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
+    eigenvalues come from the LAPACK expert driver ?sbevx without vectors:
+    a band-to-tridiagonal reduction that never forms its orthogonal factor
+    (O(n^2 bw) flops, O(n bw) memory), then Sturm bisection, which keeps
+    the spectrum real and refinement monotone.  The eigenvectors come from
+    banded inverse iteration, O(k n bw^2): the k shifted matrices
+    C - lam_i I sit block-diagonally in one general band matrix, so one LU
+    factorization and two solve sweeps (each block normalized after each
+    sweep) serve all k pairs.  No step builds an n x n matrix.  The start
+    vector is deterministic and not symmetric about the equator, so
+    odd-parity eigenvectors of equator-symmetric metrics are not left to
+    rounding noise.  Returned vectors are B-orthonormal.
     """
     n = problem.mass.size
     binv = 1.0 / np.sqrt(problem.mass)
+    left = problem.bands * binv
     band = np.zeros((BANDWIDTH + 1, n))
     for kk in range(BANDWIDTH + 1):
-        scaled = problem.bands[kk, :n - kk] * binv[:n - kk] * binv[kk:]
-        band[BANDWIDTH - kk, kk:] = scaled
-    try:
-        vals, vecs = eig_banded(band, lower=False, select="i",
-                                select_range=(0, k - 1))
-    except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
-        raise SolveFail(f"mode {problem.m} eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+        band[BANDWIDTH - kk, kk:] = left[kk, :n - kk] * binv[kk:]
+    w, _, found, _, info = dsbevx(band, 0.0, 0.0, 1, k, compute_v=0,
+                                  range=2, lower=0, abstol=_ABSTOL,
+                                  overwrite_ab=0)
+    if info != 0 or found < k:
+        raise SolveFail(f"mode {problem.m} bisection returned {found} of {k}"
+                        f" eigenvalues (info = {info})")
+    vals = w[:k]
+    if not np.isfinite(vals).all():
         raise SolveFail(f"mode {problem.m} produced non-finite eigenvalues")
-    return vals, vecs * binv[:, None]
+    # general band storage, ab[2 bw + i - j, j] = (C - lam I)[i, j], with
+    # bw spare rows on top for the pivoting fill; the upper rows of `band`
+    # start with zeros, which are the cuts between blocks
+    kl = BANDWIDTH
+    ab = np.zeros((3 * kl + 1, k, n))
+    ab[kl:2 * kl + 1] = band[:, None, :]
+    for kk in range(1, kl + 1):
+        ab[2 * kl + kk, :, :n - kk] = band[kl - kk, kk:]
+    ab[2 * kl] -= vals[:, None]
+    lu, piv, info = dgbtrf(ab.reshape(3 * kl + 1, k * n), kl, kl,
+                           overwrite_ab=1)
+    if info != 0:
+        raise SolveFail(f"mode {problem.m} inverse iteration met a zero "
+                        f"pivot (info = {info})")
+    x = np.empty((k, n))
+    x[:] = 1.0 + np.arange(n) / n
+    for _ in range(2):
+        x, info = dgbtrs(lu, kl, kl, x.reshape(k * n), piv, overwrite_b=1)
+        x = x.reshape(k, n)
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    return vals, x.T * binv[:, None]
 
 
 def apply_stiffness(problem: ModeProblem, vec: np.ndarray) -> np.ndarray:
-    out = problem.bands[0] * vec
-    n = vec.size
+    """A v for one vector or for an (n, k) block of column vectors."""
+    bands = problem.bands if vec.ndim == 1 else problem.bands[:, :, None]
+    out = bands[0] * vec
+    n = vec.shape[0]
     for kk in range(1, BANDWIDTH + 1):
-        out[:n - kk] += problem.bands[kk, :n - kk] * vec[kk:]
-        out[kk:] += problem.bands[kk, :n - kk] * vec[:n - kk]
+        out[:n - kk] += bands[kk, :n - kk] * vec[kk:]
+        out[kk:] += bands[kk, :n - kk] * vec[:n - kk]
     return out
 
 
-def rayleigh_residual(problem: ModeProblem, lam: float, vec: np.ndarray) -> float:
-    """|| A v - lam B v || in the B^{-1} norm for a B-normalized vector."""
-    r = apply_stiffness(problem, vec) - lam * problem.mass * vec
-    return float(np.sqrt(np.sum(r * r / problem.mass)))
+def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
+    """|| A v - lam B v || in the B^{-1} norm for a B-normalized vector;
+    for an (n, k) block with k eigenvalues lam, one residual per column."""
+    mass = problem.mass if vec.ndim == 1 else problem.mass[:, None]
+    r = apply_stiffness(problem, vec) - lam * mass * vec
+    return np.sqrt(np.sum(r * r / mass, axis=0))
 
 
 def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
@@ -196,7 +232,8 @@ def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
     """Lowest k_per_mode eigenpairs for every mode m = 0..m_max, merged.
 
     Eigenvalues of modes m > 0 are counted twice in the merged list.
-    Each returned pair is checked against its Rayleigh residual.
+    Each returned pair is checked against its Rayleigh residual; a NaN
+    residual fails the check.
     """
     if m_max < 2 or k_per_mode < 3:
         raise ValueError("need m_max >= 2 and k_per_mode >= 3")
@@ -206,11 +243,13 @@ def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
     for m in range(m_max + 1):
         prob = assemble_mode_problem(metric, uv, m)
         vals, vecs = solve_mode(prob, k_per_mode)
+        res = rayleigh_residual(prob, vals, vecs)
+        bad = ~(res <= residual_tol * np.maximum(1.0, np.abs(vals)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolveFail(
+                f"mode {m} eigenpair {i} residual {res[i]:.2e} too large")
         for i, lam in enumerate(vals):
-            res = rayleigh_residual(prob, lam, vecs[:, i])
-            if res > residual_tol * max(1.0, abs(lam)):
-                raise SolveFail(
-                    f"mode {m} eigenpair {i} residual {res:.2e} too large")
             entry = EigenEntry(eigenvalue=float(lam), m=m, vector=vecs[:, i])
             entries.append(entry)
             if m > 0:
@@ -219,6 +258,19 @@ def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
     all_sorted = np.array([en.eigenvalue for en in entries])
     return Spectrum(grid=metric.grid, metric=metric, u_values=uv,
                     entries=entries, all_sorted=all_sorted)
+
+
+# one shared dtype: a structured dtype made per call costs about 0.6 KB
+PAIR_DTYPE = np.dtype([("eigenvalue", np.float64), ("m", np.int8)])
+
+
+def eigen_pairs(spectrum: Spectrum) -> np.ndarray:
+    """The merged (eigenvalue, m) list as a structured array, without the
+    eigenvectors, small enough to keep on every flow state."""
+    pairs = np.empty(len(spectrum.entries), dtype=PAIR_DTYPE)
+    pairs["eigenvalue"] = spectrum.all_sorted
+    pairs["m"] = [en.m for en in spectrum.entries]
+    return pairs
 
 
 def default_band_tol(grid: Grid) -> float:
@@ -283,7 +335,7 @@ def eigen_data(spectrum: Spectrum, index: int) -> EigenData:
     psi = entry.vector * np.sqrt(volume(metric))
     gb = dbar_sq(metric, psi, entry.m)
     prob = assemble_mode_problem(metric, spectrum.u_values, entry.m)
-    res = rayleigh_residual(prob, entry.eigenvalue, entry.vector)
+    res = float(rayleigh_residual(prob, entry.eigenvalue, entry.vector))
     return EigenData(m=entry.m, lam=entry.eigenvalue,
                      psi=ScalarField(grid=g, values=psi),
                      grad_bar_sq=ScalarField(grid=g, values=gb),

@@ -8,7 +8,8 @@ import pytest
 from krflow.cli import main
 from krflow.flow import FlowConfig
 from krflow.geometry import make_grid, volume
-from krflow.harness import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError,
+from krflow.harness import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL, EXIT_OK,
+                            ConfigError,
                             ExperimentSpec, TIMESERIES_COLUMNS, dumps,
                             legendre_bump, legendre_bump_for_calabi,
                             load_spec, loads, measured_calabi, multi_mode,
@@ -237,6 +238,28 @@ class TestCli:
         assert out.startswith("index,eigenvalue,mode")
         assert "lambda_g" in out
 
+    def test_spectrum_dump_solves_once(self, tmp_path, capsys, monkeypatch):
+        # the dump reads the spectrum the flow solved for the state: one
+        # solve per mode m = 0..2
+        import krflow.spectral
+        from krflow.harness import state_at
+        calls = []
+        real = krflow.spectral.solve_mode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(krflow.spectral, "solve_mode", counted)
+        path = self.write_spec(tmp_path, MINIMAL)
+        assert main(["spectrum", path, "--at", "0"]) == EXIT_OK
+        assert len(calls) == 3
+        rows = capsys.readouterr().out.splitlines()[1:-2]
+        state = state_at(load_spec(path), 0.0)
+        fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
+        assert rows == [f"{i},{en.eigenvalue!r},{en.m}"
+                        for i, en in enumerate(fresh.entries)]
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_spec(
             tmp_path,
@@ -269,6 +292,30 @@ class TestCli:
             "[sweep]\neps = 1e-3, 1e-2\n")
         assert main(["sweep", path]) == EXIT_CONFIG
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("text, code", [
+        ("scenario = round\ngrid_n = 64\n", EXIT_OK),
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.2\nrecord_dt = 0.05\n"
+         "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\ndelta = 1.0\n",
+         EXIT_FAIL),
+        ("grid_n = banana\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 8\n", EXIT_CONFIG),
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
+         EXIT_CONFIG),
+        # at N = 16 the branch guard is wider than the in-mode gaps
+        ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.1\nrecord_dt = 0.05\nk_per_mode = 3\n"
+         "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
+         "branch_mode = 0\nbranch_index = 1\n", EXIT_NUMERICAL),
+    ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
+            "dt_init_over_bound", "branch_crossing"])
+    def test_exit_code_table(self, tmp_path, capsys, text, code):
+        path = self.write_spec(tmp_path,
+                               f"output_dir = {tmp_path / 'o'}\n" + text)
+        assert main(["run", path]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == EXIT_CONFIG

@@ -296,6 +296,28 @@ class TestEvaluateTrajectory:
         with pytest.raises(ValueError):
             evaluate_trajectory(p2_run_small, checks=("no_such_check",))
 
+    def test_hessian_norms_once_per_state(self, monkeypatch):
+        import krflow.monitors
+        traj = run(FlowConfig(t_end=0.2, record_dt=0.05),
+                   legendre_bump(make_grid(64), 2, 1e-3))
+        assert len(traj.states) == 5
+        alone = [check_gradnorm_evolution(traj), check_Z_derivative(traj)]
+        calls = []
+        real = krflow.monitors.complex_hessian_norms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(krflow.monitors, "complex_hessian_norms", counted)
+        # checks may be a one-pass iterable
+        rep = evaluate_trajectory(traj, checks=iter(("gradnorm_evolution",
+                                                     "z_derivative")))
+        assert len(calls) == 5
+        for shared, own in zip(rep.checks, alone):
+            assert (shared.verdict, shared.margin, shared.aux) == (
+                own.verdict, own.margin, own.aux)
+
 
 class TestFdRefinementFallback:
     def test_unresolved_transient_is_gate_not_met(self, multimode_run):

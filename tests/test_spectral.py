@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from krflow import spectral
+from krflow.cli import main
 from krflow.geometry import (conformal_metric, make_grid, normalize_volume,
                              round_metric, volume, weighted_integral)
+from krflow.harness import EXIT_NUMERICAL, legendre_bump, multi_mode
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import (BandAmbiguity, assemble_mode_problem,
-                             band_eigen_data, eigen_data, lambda_second,
-                             plain_lambda1, sobolev_constant_estimate,
-                             weighted_spectrum)
+from krflow.spectral import (BANDWIDTH, BandAmbiguity, SolveFail,
+                             assemble_mode_problem, band_eigen_data,
+                             eigen_data, lambda_second, plain_lambda1,
+                             rayleigh_residual, sobolev_constant_estimate,
+                             solve_mode, weighted_spectrum)
 
 
 def P2(x):
@@ -40,7 +45,6 @@ class TestRoundSpectrum:
     def test_mode_zero_alone(self, grid256):
         m = round_metric(grid256)
         prob = assemble_mode_problem(m, np.zeros(grid256.n_nodes), 0)
-        from krflow.spectral import solve_mode
         vals, _ = solve_mode(prob, 4)
         assert np.allclose(vals, [0.0, 1.0, 3.0, 6.0], atol=1e-3)
 
@@ -67,6 +71,114 @@ class TestRoundSpectrum:
         for m in (1, 2):
             count = sum(1 for e in spec.entries if e.m == m)
             assert count == 2 * 5  # k_per_mode entries, each twice
+
+
+ORACLE_METRICS = {
+    # equator-symmetric: its odd-parity eigenvectors must not come from
+    # rounding noise in the start vector
+    "legendre_bump": lambda g: legendre_bump(g, 2, 1e-2),
+    "multi_mode": lambda g: multi_mode(g, 7, 2.0, 5e-3),
+}
+
+
+def scaled_band(prob):
+    """Upper band storage of B^{-1/2} A B^{-1/2}, as eig_banded takes it."""
+    n = prob.mass.size
+    binv = 1.0 / np.sqrt(prob.mass)
+    band = np.zeros((BANDWIDTH + 1, n))
+    for kk in range(BANDWIDTH + 1):
+        band[BANDWIDTH - kk, kk:] = (prob.bands[kk, :n - kk] * binv[:n - kk]
+                                     * binv[kk:])
+    return band
+
+
+def dense_stiffness(prob):
+    n = prob.mass.size
+    a = np.diag(prob.bands[0])
+    for kk in range(1, BANDWIDTH + 1):
+        a += np.diag(prob.bands[kk, :n - kk], kk)
+        a += np.diag(prob.bands[kk, :n - kk], -kk)
+    return a
+
+
+class TestSolveModeOracle:
+    K = 5
+
+    @pytest.fixture(scope="class", params=sorted(ORACLE_METRICS))
+    def metric_u(self, request):
+        m = ORACLE_METRICS[request.param](make_grid(128))
+        return m, solve_ricci_potential(m).values
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_against_eig_banded_and_eigh(self, metric_u, mode):
+        metric, u = metric_u
+        prob = assemble_mode_problem(metric, u, mode)
+        vals, vecs = solve_mode(prob, self.K)
+        ref_vals = scipy.linalg.eig_banded(
+            scaled_band(prob), lower=False, select="i",
+            select_range=(0, self.K - 1), eigvals_only=True)
+        np.testing.assert_array_equal(vals, ref_vals)
+        gram = vecs.T @ (prob.mass[:, None] * vecs)
+        assert np.max(np.abs(gram - np.eye(self.K))) < 1e-12
+        _, dense = scipy.linalg.eigh(dense_stiffness(prob), np.diag(prob.mass),
+                                     subset_by_index=(0, self.K - 1))
+        for i in range(self.K):
+            flip = np.sign(np.dot(vecs[:, i], prob.mass * dense[:, i]))
+            assert np.max(np.abs(flip * vecs[:, i] - dense[:, i])) < 1e-10
+        assert np.all(rayleigh_residual(prob, vals, vecs) < 1e-10)
+
+    def test_block_residual_matches_columns(self, metric_u):
+        metric, u = metric_u
+        prob = assemble_mode_problem(metric, u, 1)
+        vals, vecs = solve_mode(prob, self.K)
+        block = rayleigh_residual(prob, vals, vecs)
+        single = [rayleigh_residual(prob, vals[i], vecs[:, i])
+                  for i in range(self.K)]
+        np.testing.assert_allclose(block, single, rtol=1e-12, atol=1e-300)
+
+
+def _wrap_output(name, patch):
+    """Wrap the LAPACK call `name` in krflow.spectral, editing its output."""
+    real = getattr(spectral, name)
+    return lambda *args, **kwargs: patch(real(*args, **kwargs))
+
+
+SOLVE_FAULTS = {
+    "bisection_info": ("dsbevx", lambda out: out[:4] + (1,)),
+    "bisection_short": ("dsbevx",
+                        lambda out: out[:2] + (out[2] - 1,) + out[3:]),
+    "zero_pivot": ("dgbtrf", lambda out: out[:2] + (3,)),
+}
+
+
+class TestSolveFail:
+    @pytest.mark.parametrize("fault", sorted(SOLVE_FAULTS))
+    def test_lapack_fault_raises_and_exits_three(self, fault, monkeypatch,
+                                                 grid64, tmp_path):
+        name, patch = SOLVE_FAULTS[fault]
+        monkeypatch.setattr(spectral, name, _wrap_output(name, patch))
+        prob = assemble_mode_problem(round_metric(grid64), None, 0)
+        with pytest.raises(SolveFail):
+            solve_mode(prob, 5)
+        self._assert_run_exits_three(tmp_path)
+
+    def test_nan_residual_fails_the_check(self, monkeypatch, grid64,
+                                          tmp_path):
+        # a NaN compares False with any tolerance; it must still fail
+        monkeypatch.setattr(
+            spectral, "rayleigh_residual",
+            lambda prob, lam, vec: np.full(vec.shape[1], np.nan))
+        with pytest.raises(SolveFail, match="residual nan"):
+            weighted_spectrum(round_metric(grid64), None)
+        self._assert_run_exits_three(tmp_path)
+
+    @staticmethod
+    def _assert_run_exits_three(tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text(f"output_dir = {tmp_path / 'o'}\n"
+                        "scenario = round\ngrid_n = 64\n")
+        assert main(["run", str(path)]) == EXIT_NUMERICAL
+        assert "SolveFail" in (tmp_path / "o" / "report.txt").read_text()
 
 
 class TestLambdaSecond:
@@ -156,7 +268,7 @@ class TestEigenData:
 
 class TestStructure:
     def test_stiffness_psd_mass_positive(self, grid128):
-        from krflow.spectral import apply_stiffness, solve_mode
+        from krflow.spectral import apply_stiffness
         m = bump(grid128, 0.1)
         u = solve_ricci_potential(m)
         for mode in (0, 1, 2):
