@@ -13,8 +13,8 @@ quadrature solve is cheap and re-solving removes normalization drift).
 
 Volume is a structural invariant: dV/dt = V - 4 pi holds exactly at the
 semi-discrete level, so a state that starts at V = 4 pi stays there to
-integrator rounding; the per-step volume check is the step-rejection
-criterion.
+integrator rounding; the per-step volume check and the class identity of
+each recorded state are the step-rejection criteria.
 """
 
 from __future__ import annotations
@@ -41,13 +41,20 @@ class StabilityBoundError(ValueError):
     """A requested dt lies over the explicit stability bound."""
 
 
+# RK4's stability interval on the negative real axis, and the share of it
+# a default step uses
+RK4_REAL_INTERVAL = 2.785
+SAFETY = 0.9
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Integrator controls.
 
-    The scheme is classical RK4.  dt_init None means the explicit
-    stability default 0.25 h^2 min(e^{2w}); an explicit dt_init above that
-    bound is rejected.
+    The scheme is classical RK4.  dt_init None means the step cap is the
+    stability bound stability_dt, recomputed from the state that opens
+    each record segment; an explicit dt_init is a fixed cap, and one above
+    the bound at t = 0 is rejected.
     """
 
     t_end: float = 5.0
@@ -94,8 +101,22 @@ class Trajectory:
 
 
 def stability_dt(metric: ConformalMetric) -> float:
-    """Explicit-scheme bound 0.25 h^2 min(e^{2w})."""
-    return float(0.25 * metric.grid.h ** 2 * np.exp(2.0 * metric.w.min()))
+    """Explicit RK4 step bound SAFETY * 2.785 / rho.
+
+    rho is the Gershgorin bound on the spectral radius of the Jacobian
+    J = diag(K) + (1/2) diag(e^{-2w}) L of dw/dt, with L the flux-form
+    laplace_round.  Row j of L has off-diagonal sum -L_jj, so row j of J
+    contributes |K_j + (1/2) e^{-2w_j} L_jj| + (1/2) e^{-2w_j} |L_jj|.
+    phi does not feed back into either velocity, so J bounds the whole
+    system.  Near the round metric this is about 1.25 h^2 e^{2 min w}.
+    """
+    grid = metric.grid
+    s = grid.sin_flux
+    half_l = (0.5 * np.exp(-2.0 * metric.w) * (s[:-1] + s[1:])
+              / (grid.h ** 2 * grid.sin_nodes))  # (1/2) e^{-2w} |L_jj|
+    k = gaussian_curvature(metric).values
+    rho = float(np.max(np.abs(k - half_l) + half_l))
+    return SAFETY * RK4_REAL_INTERVAL / rho
 
 
 def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
@@ -162,23 +183,26 @@ def step(state: FlowState, dt: float, config: FlowConfig | None = None,
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     """Integrate to t_end, recording a fully solved state every record_dt.
 
-    dt halves on step rejection and never grows back (determinism).
-    Terminates early once the potential oscillation drops under the
-    early-stop threshold.
+    Without dt_init the step cap is stability_dt of the state that opens
+    each record segment; an explicit dt_init is a fixed cap.  A segment
+    whose volume or class check fails is redone with the cap halved, and a
+    halving never grows back (determinism).  Terminates early once the
+    potential oscillation drops under the early-stop threshold.
     """
-    state0 = initial_state(initial, config)
-    traj = Trajectory(states=[state0])
-    _record_gate_transition(traj, state0)
-    if state0.funcs.c0_u_minus_a < config.early_stop:
+    if config.dt_init is not None:
+        bound = stability_dt(initial)
+        if config.dt_init > bound * (1 + 1e-12):
+            raise StabilityBoundError(
+                f"dt_init = {config.dt_init:.3e} over the explicit stability "
+                f"bound {bound:.3e}")
+    state = initial_state(initial, config)
+    traj = Trajectory(states=[state])
+    _record_gate_transition(traj, state)
+    if state.funcs.c0_u_minus_a < config.early_stop:
         traj.converged_at = 0.0
         traj.events.append(("converged", 0.0))
         return traj
     grid = initial.grid
-    dt_cap = config.dt_init if config.dt_init is not None else stability_dt(initial)
-    if dt_cap > stability_dt(initial) * (1 + 1e-12):
-        raise StabilityBoundError(
-            f"dt_init = {dt_cap:.3e} over the explicit stability bound "
-            f"{stability_dt(initial):.3e}")
     vol_limit = config.vol_tol * ROUND_VOLUME
     t = 0.0
     w = initial.w.copy()
@@ -186,23 +210,28 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     halvings = 0
     while t < config.t_end - 1e-12:
         t_next = min(t + config.record_dt, config.t_end)
+        dt_cap = (config.dt_init if config.dt_init is not None
+                  else stability_dt(state.metric)) * 0.5 ** halvings
         nst = max(1, int(math.ceil((t_next - t) / dt_cap - 1e-12)))
         dt_seg = (t_next - t) / nst
         w_try = w.copy()
         phi_try = phi.copy()
         done, ok = advance_rk4(w_try, phi_try, nst, dt_seg, grid, vol_limit)
+        if ok:
+            try:
+                new = make_state(w_try, phi_try, t_next, dt_seg, config,
+                                 initial)
+            except StepReject:
+                ok = False
         if not ok:
             halvings += 1
             if halvings > config.max_halvings:
                 raise StepReject(
-                    f"volume check kept failing after {halvings} dt halvings "
-                    f"near t = {t:.6g}")
+                    f"volume or class check kept failing after {halvings} "
+                    f"dt halvings near t = {t:.6g}")
             traj.events.append(("step_reject", t + done * dt_seg, dt_seg))
-            dt_cap = 0.5 * dt_cap
             continue
-        w, phi = w_try, phi_try
-        t = t_next
-        state = make_state(w, phi, t, dt_seg, config, initial)
+        w, phi, t, state = w_try, phi_try, t_next, new
         traj.states.append(state)
         _record_gate_transition(traj, state)
         if state.funcs.c0_u_minus_a < config.early_stop:

@@ -30,6 +30,10 @@ MIN_NODES = 16
 ROUND_VOLUME = 4.0 * np.pi
 
 
+class ScaleOutOfRange(ValueError):
+    """A non-collapsing scale rho outside (0, diam/2]."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Staggered polar grid on (0, pi) with sin-weighted quadrature."""
@@ -294,10 +298,11 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float,
     a log-spaced set in [rho/100, rho].
     """
     if rho <= 0.0:
-        raise ValueError("rho must be positive")
+        raise ScaleOutOfRange(f"rho = {rho} must be positive")
     diam = diameter(metric)
     if rho > 0.5 * diam:
-        raise ValueError(f"rho = {rho} exceeds half the diameter {diam:.6g}")
+        raise ScaleOutOfRange(
+            f"rho = {rho} exceeds half the diameter {diam:.6g}")
     vol_total = volume(metric)
     radii_set = np.geomspace(rho / 100.0, rho, n_radii)
     kappa = np.inf

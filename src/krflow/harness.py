@@ -22,9 +22,10 @@ from numpy.polynomial import legendre
 from . import __version__
 from .flow import (FlowConfig, StabilityBoundError, StepReject, Trajectory,
                    run)
-from .geometry import (MIN_NODES, ConformalMetric, Grid, conformal_metric,
-                       curvature_bounds, diameter, make_grid, measured_calabi,
-                       normalize_volume, round_metric, volume)
+from .geometry import (MIN_NODES, ConformalMetric, Grid, ScaleOutOfRange,
+                       conformal_metric, curvature_bounds, diameter,
+                       make_grid, measured_calabi, normalize_volume,
+                       round_metric, volume)
 from .monitors import (ALL_CHECKS, FAIL, BranchCrossing, CheckReport,
                        TrajectoryReport, evaluate_trajectory)
 from .potential import VolumeMismatch, NormalizationFail
@@ -36,8 +37,9 @@ class ConfigError(Exception):
 
 
 # configuration mistakes, reported with exit code 2; a dt_init over the
-# stability bound shows only once the initial metric is known
-CONFIG_ERRORS = (ConfigError, StabilityBoundError)
+# stability bound shows only once the initial metric is known, a rho over
+# half the diameter only once a state is checked
+CONFIG_ERRORS = (ConfigError, StabilityBoundError, ScaleOutOfRange)
 
 # failures of the numerics, reported with exit code 3
 NUMERICAL_ERRORS = (VolumeMismatch, NormalizationFail, SolveFail,

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from krflow.flow import (FlowConfig, StepReject, check_kahler_class,
-                         conformal_velocity, initial_state,
-                         log_det_bookkeeping, log_det_residual, run,
-                         stability_dt, step)
+from krflow import _kernels
+from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
+                         check_kahler_class, conformal_velocity,
+                         initial_state, log_det_bookkeeping,
+                         log_det_residual, run, stability_dt, step)
 from krflow.geometry import (conformal_metric, laplace_round, make_grid,
                              normalize_volume, round_metric, volume)
-from krflow.harness import legendre_bump
+from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
 
@@ -90,6 +91,29 @@ class TestStep:
         rate = -np.log(mode(state) / a0) / (nst * dt)
         assert rate == pytest.approx(2.0, rel=1e-3)
 
+    def test_class_reject_halves_and_retries(self, grid64, monkeypatch):
+        import krflow.flow
+        real = krflow.flow._class_residual
+        calls = []
+
+        def fail_once(*args):
+            # call 1 is the t = 0 state, call 2 the first segment's end
+            calls.append(1)
+            return 1.0 if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(krflow.flow, "_class_residual", fail_once)
+        m = legendre_bump(grid64, 2, 1e-3)
+        traj = run(FlowConfig(t_end=0.1, record_dt=0.05), m)
+        rejects = [e for e in traj.events if e[0] == "step_reject"]
+        assert len(rejects) == 1
+        assert rejects[0][1] == pytest.approx(0.05)
+        s0, s1, s2 = traj.states
+        assert rejects[0][2] <= stability_dt(s0.metric)
+        assert s1.dt <= 0.5 * stability_dt(s0.metric) < rejects[0][2]
+        assert s2.dt <= 0.5 * stability_dt(s1.metric)
+        assert s2.t == 0.1
+        assert max(s.class_residual for s in traj.states) < 1e-12
+
 
 def replace_vol_tol(cfg, tol):
     from dataclasses import replace
@@ -127,12 +151,60 @@ class TestRun:
         assert np.all(np.diff(ts) > 0)
 
 
+class TestStabilityBound:
+    @staticmethod
+    def jacobian(m):
+        # central differences of the w velocity of the RK4 right-hand side
+        g = m.grid
+        args = (g.h, g.quad_weights, g.sin_flux[1:-1], g.h * g.sin_nodes,
+                float(np.sum(g.h * g.sin_nodes)))
+        n = g.n_nodes
+        jac = np.empty((n, n))
+        eps = 1e-7
+        for j in range(n):
+            wp, wm = m.w.copy(), m.w.copy()
+            wp[j] += eps
+            wm[j] -= eps
+            jac[:, j] = (_kernels._rhs_numpy(wp, *args)[0]
+                         - _kernels._rhs_numpy(wm, *args)[0]) / (2 * eps)
+        return jac
+
+    @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
+    def test_gershgorin_radius_tight(self, grid64, family):
+        if family == "legendre_bump":
+            m = legendre_bump(grid64, 2, 1e-2)
+        else:
+            m = multi_mode(grid64, seed=7, decay_rate=2.0, amplitude=5e-3)
+        ev = np.linalg.eigvals(self.jacobian(m))
+        assert np.max(np.abs(ev.imag)) < 1e-8
+        rho_true = np.max(np.abs(ev))
+        rho_gersh = SAFETY * RK4_REAL_INTERVAL / stability_dt(m)
+        assert rho_true <= rho_gersh <= 1.1 * rho_true
+
+    def test_default_step_matches_fine_step(self, grid128):
+        m = legendre_bump(grid128, 2, 1e-2)
+        coarse = run(FlowConfig(t_end=0.2, record_dt=0.1), m)
+        fine = run(FlowConfig(t_end=0.2, record_dt=0.1,
+                              dt_init=stability_dt(m) / 16), m)
+        assert coarse.states[-1].t == fine.states[-1].t == 0.2
+        assert np.max(np.abs(coarse.states[-1].metric.w
+                             - fine.states[-1].metric.w)) <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["p2_run_small", "p2_run_large"])
+    def test_recorded_dt_within_bound_of_previous(self, request, fixture):
+        states = request.getfixturevalue(fixture).states
+        assert len(states) > 2
+        for prev, cur in zip(states, states[1:]):
+            assert cur.dt <= stability_dt(prev.metric)
+
+
 class TestConsistencyTriangle:
     def test_dt_e2w_equals_half_lap_u(self, grid128):
         # d/dt e^{2w} = e^{2w} (1 - K) = (1/2) lap_0 u links flow and solver
         m = legendre_bump(grid128, 2, 1e-2)
         cfg = FlowConfig()
-        dt = stability_dt(m)
+        # the former default step, so the tolerance below stays as strict
+        dt = 0.25 * grid128.h ** 2 * np.exp(2 * m.w.min())
         s0 = initial_state(m, cfg, with_spectrum=False)
         s1 = step(s0, dt, cfg)
         fd = (np.exp(2 * s1.metric.w) - np.exp(2 * s0.metric.w)) / dt

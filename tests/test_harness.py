@@ -304,13 +304,20 @@ class TestCli:
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
          EXIT_CONFIG),
+        # checked before the t = 0 state is solved, which would converge
+        ("scenario = round\ngrid_n = 64\n[flow]\ndt_init = 1.0\n",
+         EXIT_CONFIG),
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+         "[monitors]\nchecks = c0_vs_y\nrho = 5.0\n", EXIT_CONFIG),
         # at N = 16 the branch guard is wider than the in-mode gaps
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.1\nrecord_dt = 0.05\nk_per_mode = 3\n"
          "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
          "branch_mode = 0\nbranch_index = 1\n", EXIT_NUMERICAL),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
-            "dt_init_over_bound", "branch_crossing"])
+            "dt_init_over_bound", "round_dt_init_over_bound",
+            "rho_over_half_diameter", "branch_crossing"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
