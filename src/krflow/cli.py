@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .geometry import check_scale
 from .harness import (CONFIG_ERRORS, EXIT_CONFIG, EXIT_NUMERICAL,
-                      NUMERICAL_ERRORS, load_spec, run_scenario,
-                      spectrum_dump, state_at, sweep_epsilon)
-from .monitors import check_c0_vs_Y, check_weighted_poincare
+                      NUMERICAL_ERRORS, initial_metric, load_spec,
+                      run_scenario, spectrum_dump, state_at, sweep_epsilon)
+from .monitors import DEFAULT_RHO, check_c0_vs_Y, check_weighted_poincare
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,12 +52,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = load_spec(args.spec)
-    state = state_at(spec, args.at)
     params = spec.monitor_dict()
+    rho = params.get("rho", DEFAULT_RHO)
+    check_scale(initial_metric(spec), rho)  # before the flow
+    state = state_at(spec, args.at)
     reports = [
         check_weighted_poincare(state,
                                 delta_measured=params.get("delta_measured")),
-        check_c0_vs_Y(state, params.get("rho", 0.5)),
+        check_c0_vs_Y(state, rho),
     ]
     worst = 0
     for rep in reports:

@@ -11,10 +11,13 @@ an exact consequence of the flow staying in a fixed cohomology class.
 The Ricci potential is re-solved from scratch at every stage (the
 quadrature solve is cheap and re-solving removes normalization drift).
 
-Volume is a structural invariant: dV/dt = V - 4 pi holds exactly at the
-semi-discrete level, so a state that starts at V = 4 pi stays there to
-integrator rounding; the per-step volume check and the class identity of
-each recorded state are the step-rejection criteria.
+Volume is a structural invariant of the semi-discrete flow: dV/dt =
+V - 4 pi holds exactly, so a state that starts at V = 4 pi stays there.
+RK4 keeps it only up to its time error (after 20 default steps from
+legendre_bump(l, 0.01), l = 2..6: |V - 4 pi| up to 1.0e-5 at n = 16 and
+5.3e-11 at n = 64), which the per-step volume check catches; that check
+and the class identity of each recorded state are the step-rejection
+criteria.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import legendre
 
 MIN_NODES = 16
 ROUND_VOLUME = 4.0 * np.pi
@@ -135,9 +136,28 @@ def round_metric(grid: Grid) -> ConformalMetric:
     return ConformalMetric(grid=grid, w=np.zeros(grid.n_nodes))
 
 
+def legendre_profile(grid: Grid, l: int, amplitude: float) -> np.ndarray:
+    """amplitude * P_l(cos theta) at the nodes."""
+    c = np.zeros(l + 1)
+    c[l] = 1.0
+    return amplitude * legendre.legval(grid.cos_nodes, c)
+
+
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
+
+def flux_laplacian(f, h, sin_flux_interior, hs):
+    """laplace_round on raw arrays: sin(theta) at the n - 1 interior flux
+    points (the pole fluxes are zero) and hs = h sin(theta_j)."""
+    flux = sin_flux_interior * np.diff(f) / h
+    out = np.empty_like(f)
+    out[0] = flux[0]
+    out[1:-1] = np.diff(flux)
+    out[-1] = -flux[-1]
+    out /= hs
+    return out
+
 
 def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Flux-form round-sphere Laplace-Beltrami (1/sin) d/dtheta (sin d/dtheta).
@@ -147,14 +167,8 @@ def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     h*sin(theta_j), hence against the quadrature weights, telescopes to
     zero exactly.
     """
-    f = np.asarray(values, dtype=float)
-    flux = grid.sin_flux[1:-1] * np.diff(f) / grid.h
-    out = np.empty_like(f)
-    out[0] = flux[0]
-    out[1:-1] = np.diff(flux)
-    out[-1] = -flux[-1]
-    out /= grid.h * grid.sin_nodes
-    return out
+    return flux_laplacian(np.asarray(values, dtype=float), grid.h,
+                          grid.sin_flux[1:-1], grid.h * grid.sin_nodes)
 
 
 def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
@@ -288,6 +302,16 @@ def _ball_volume(profile, r: float) -> float:
     return float(cum_vol[j] + partial)
 
 
+def check_scale(metric: ConformalMetric, rho: float) -> None:
+    """Raise ScaleOutOfRange unless 0 < rho <= diam/2."""
+    if rho <= 0.0:
+        raise ScaleOutOfRange(f"rho = {rho} must be positive")
+    diam = diameter(metric)
+    if rho > 0.5 * diam:
+        raise ScaleOutOfRange(
+            f"rho = {rho} exceeds half the diameter {diam:.6g}")
+
+
 def noncollapsing_kappa(metric: ConformalMetric, rho: float,
                         n_radii: int = 48) -> float:
     """Worst pole-centered volume ratio Vol(B(r)) / (V r^2) over r <= rho.
@@ -297,12 +321,7 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float,
     families place the extrema of the Ricci potential there.  r runs over
     a log-spaced set in [rho/100, rho].
     """
-    if rho <= 0.0:
-        raise ScaleOutOfRange(f"rho = {rho} must be positive")
-    diam = diameter(metric)
-    if rho > 0.5 * diam:
-        raise ScaleOutOfRange(
-            f"rho = {rho} exceeds half the diameter {diam:.6g}")
+    check_scale(metric, rho)
     vol_total = volume(metric)
     radii_set = np.geomspace(rho / 100.0, rho, n_radii)
     kappa = np.inf

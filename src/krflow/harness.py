@@ -17,17 +17,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from . import __version__
 from .flow import (FlowConfig, StabilityBoundError, StepReject, Trajectory,
-                   run)
+                   initial_state, run)
 from .geometry import (MIN_NODES, ConformalMetric, Grid, ScaleOutOfRange,
-                       conformal_metric, curvature_bounds, diameter,
-                       make_grid, measured_calabi, normalize_volume,
-                       round_metric, volume)
-from .monitors import (ALL_CHECKS, FAIL, BranchCrossing, CheckReport,
-                       TrajectoryReport, evaluate_trajectory)
+                       check_scale, conformal_metric, curvature_bounds,
+                       diameter, legendre_profile, make_grid,
+                       measured_calabi, normalize_volume, round_metric,
+                       volume)
+from .monitors import (ALL_CHECKS, DEFAULT_RHO, FAIL, BranchCrossing,
+                       CheckReport, TrajectoryReport, evaluate_trajectory)
 from .potential import VolumeMismatch, NormalizationFail
 from .spectral import BandAmbiguity, SolveFail
 
@@ -37,8 +37,8 @@ class ConfigError(Exception):
 
 
 # configuration mistakes, reported with exit code 2; a dt_init over the
-# stability bound shows only once the initial metric is known, a rho over
-# half the diameter only once a state is checked
+# stability bound or a rho over half the diameter shows only once the
+# initial metric is known
 CONFIG_ERRORS = (ConfigError, StabilityBoundError, ScaleOutOfRange)
 
 # failures of the numerics, reported with exit code 3
@@ -94,12 +94,6 @@ class RunArtifacts:
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
-
-def legendre_profile(grid: Grid, l: int, amplitude: float) -> np.ndarray:
-    c = np.zeros(l + 1)
-    c[l] = 1.0
-    return amplitude * legendre.legval(grid.cos_nodes, c)
-
 
 def legendre_bump(grid: Grid, l: int, eps: float) -> ConformalMetric:
     """w = eps P_l(cos theta), shifted to exact volume 4 pi; needs l >= 2
@@ -201,12 +195,6 @@ _MONITOR_KEYS = {"rho": float, "curvature_bound": float, "phi0": float,
 def _parse_scalar(raw: str, typ, key: str, lineno: int):
     raw = raw.strip()
     try:
-        if typ is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if typ is float and raw.lower() in ("auto", "none"):
             return None
         return typ(raw)
@@ -400,20 +388,18 @@ def _report_block(check: CheckReport) -> str:
     return "\n".join(lines)
 
 
-def aggregate_exit_code(report: TrajectoryReport | None,
-                        error: str | None) -> int:
-    if error is not None or report is None:
-        return EXIT_NUMERICAL
-    if any(c.verdict == FAIL for c in report.checks):
-        return EXIT_FAIL
-    return EXIT_OK
-
-
 def write_report(path: Path, spec: ExperimentSpec,
                  traj: Trajectory | None, report: TrajectoryReport | None,
-                 error: str | None = None) -> int:
+                 error: str | None = None,
+                 error_code: int = EXIT_NUMERICAL) -> int:
+    """Write report.txt; the exit code is error_code when the run ended in
+    an error, else 1 if a check failed and 0 if none did."""
     spec_text = dumps(spec)
-    code = aggregate_exit_code(report, error)
+    if error is not None or report is None:
+        code = error_code
+    else:
+        code = EXIT_FAIL if any(c.verdict == FAIL
+                                for c in report.checks) else EXIT_OK
     blocks = ["[provenance]",
               f"code_version = {__version__}",
               f"spec_sha256 = {hashlib.sha256(spec_text.encode()).hexdigest()}",
@@ -444,9 +430,11 @@ def write_report(path: Path, spec: ExperimentSpec,
     return code
 
 
-def run_scenario(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
+def run_scenario(spec: ExperimentSpec, base_dir=None,
+                 metric: ConformalMetric | None = None) -> RunArtifacts:
     """Execute one scenario end to end and write its artifacts.
 
+    metric, when given, is the t=0 metric in place of the scenario's.
     Numerical failures (volume mismatch, eigensolver trouble, band
     ambiguity, step rejection cascades) land in the report with a nonzero
     exit code instead of propagating.
@@ -456,10 +444,12 @@ def run_scenario(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
     report_path = out / "report.txt"
     ts_path = out / "timeseries.csv"
     try:
-        metric = initial_metric(spec)
+        if metric is None:
+            metric = initial_metric(spec)
+        if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
+            check_scale(metric, spec.monitor_dict().get("rho", DEFAULT_RHO))
         traj = run(spec.flow, metric)
-        params = spec.monitor_dict()
-        report = evaluate_trajectory(traj, spec.checks, params)
+        report = evaluate_trajectory(traj, spec.checks, spec.monitor_dict())
     except NUMERICAL_ERRORS as exc:
         error = f"{type(exc).__name__}: {exc}"
         code = write_report(report_path, spec, None, None, error=error)
@@ -487,35 +477,35 @@ def _sweep_point_spec(spec: ExperimentSpec, value: float) -> ExperimentSpec:
 
 
 def _run_sweep_point(args):
+    """run_scenario for one sweep value; a config error lands in the point's
+    report with exit code 2 instead of propagating."""
     spec, value, target, out_dir = args
     point = _sweep_point_spec(spec, value)
-    grid = make_grid(point.grid_n)
-    l = int(point.scenario_dict().get("l", 2))
+    failed = {"eps": value, "eps_calabi": math.nan, "grad_c0_at_t0": math.nan,
+              "ratio": math.nan, "K_eff": math.nan}
+    if target == "calabi":
+        metric = legendre_bump_for_calabi(
+            make_grid(point.grid_n), int(point.scenario_dict().get("l", 2)),
+            value)
+    else:
+        metric = initial_metric(point)
     try:
-        if target == "calabi":
-            metric = legendre_bump_for_calabi(grid, l, value)
-        else:
-            metric = legendre_bump(grid, l, float(value))
-        eps_cal = measured_calabi(metric)
-        traj = run(point.flow, metric)
-        report = evaluate_trajectory(traj, point.checks, point.monitor_dict())
-        write_timeseries(Path(out_dir) / "timeseries.csv", traj)
-        code = write_report(Path(out_dir) / "report.txt", point, traj, report)
-        short = next((c for c in report.checks if c.check_id == "short_time"),
-                     None)
-        grad_t0 = short.aux["grad_c0_at_t0"] if short else math.nan
-        row = {"eps": value, "eps_calabi": eps_cal, "grad_c0_at_t0": grad_t0,
-               "ratio": grad_t0 / eps_cal ** 0.25 if eps_cal > 0 else math.nan,
-               "K_eff": report.constants.get("K_eff_max", math.nan),
-               "exit_code": code, "error": ""}
-    except NUMERICAL_ERRORS + CONFIG_ERRORS as exc:
+        art = run_scenario(point, out_dir, metric)
+    except CONFIG_ERRORS as exc:
         error = f"{type(exc).__name__}: {exc}"
-        write_report(Path(out_dir) / "report.txt", point, None, None,
-                     error=error)
-        row = {"eps": value, "eps_calabi": math.nan,
-               "grad_c0_at_t0": math.nan, "ratio": math.nan,
-               "K_eff": math.nan, "exit_code": EXIT_NUMERICAL, "error": error}
-    return row
+        code = write_report(Path(out_dir) / "report.txt", point, None, None,
+                            error=error, error_code=EXIT_CONFIG)
+        return {**failed, "exit_code": code, "error": error}
+    if art.error is not None:
+        return {**failed, "exit_code": art.exit_code, "error": art.error}
+    eps_cal = measured_calabi(metric)
+    short = next((c for c in art.report.checks if c.check_id == "short_time"),
+                 None)
+    grad_t0 = short.aux["grad_c0_at_t0"] if short else math.nan
+    return {"eps": value, "eps_calabi": eps_cal, "grad_c0_at_t0": grad_t0,
+            "ratio": grad_t0 / eps_cal ** 0.25 if eps_cal > 0 else math.nan,
+            "K_eff": art.report.constants.get("K_eff_max", math.nan),
+            "exit_code": art.exit_code, "error": ""}
 
 
 def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
@@ -578,7 +568,6 @@ def state_at(spec: ExperimentSpec, t: float):
     metric = initial_metric(spec)
     cfg = replace(spec.flow, t_end=max(t, 0.0))
     if t <= 0.0:
-        from .flow import initial_state
         return initial_state(metric, cfg)
     traj = run(cfg, metric)
     ts = traj.times()

@@ -32,6 +32,9 @@ FAIL = "FAIL"
 GATE_NOT_MET = "GATE_NOT_MET"
 REPORT_ONLY = "REPORT_ONLY"
 
+# the c0_vs_y non-collapsing scale when a spec sets no rho
+DEFAULT_RHO = 0.5
+
 
 class BranchCrossing(Exception):
     """Two in-mode eigenvalues got too close to track a branch."""
@@ -79,10 +82,15 @@ class TrajectoryReport:
                    key=lambda v: order[v], default=PASS)
 
 
-def _inequality_verdict(gate: bool, margin: float, tol: float) -> str:
-    if not gate:
-        return GATE_NOT_MET
+def _inequality_verdict(margin: float, tol: float) -> str:
     return PASS if margin >= -tol else FAIL
+
+
+def _gate_not_met(check_id: str, statement: str, aux: dict,
+                  tolerance: float = 0.0) -> CheckReport:
+    return CheckReport(check_id=check_id, statement=statement,
+                       gate_satisfied=False, margin=None, tolerance=tolerance,
+                       verdict=GATE_NOT_MET, aux=aux)
 
 
 def _state_delta_prime(state: FlowState, delta_measured: float | None) -> float:
@@ -119,7 +127,7 @@ def check_weighted_poincare(state: FlowState,
         check_id="weighted_poincare",
         statement="int |grad u|^2 e^-u dv >= (1 + d') int (u-a)^2 e^-u dv",
         gate_satisfied=True, margin=float(margin), tolerance=tolerance,
-        verdict=_inequality_verdict(True, margin, tolerance),
+        verdict=_inequality_verdict(margin, tolerance),
         aux={"delta_prime": dp, "Y": state.funcs.Y, "Z": state.funcs.Z})
 
 
@@ -160,11 +168,10 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
             break
         prefix.append(s)
     if not prefix:
-        return CheckReport(
-            check_id="y_decay", statement=statement, gate_satisfied=False,
-            margin=None, tolerance=tolerance_rel * y0, verdict=GATE_NOT_MET,
-            aux={"delta_prime_0": dp0, "gate_cap": gate_cap,
-                 "c0_at_start": s0.funcs.c0_u_minus_a})
+        return _gate_not_met(
+            "y_decay", statement, {"delta_prime_0": dp0, "gate_cap": gate_cap,
+                                   "c0_at_start": s0.funcs.c0_u_minus_a},
+            tolerance_rel * y0)
     ts = np.array([s.t for s in prefix])
     ys = np.array([s.funcs.Y for s in prefix])
     margin = float(np.min(np.exp(-dp0 * ts) * y0 - ys))
@@ -180,7 +187,7 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
     return CheckReport(
         check_id="y_decay", statement=statement, gate_satisfied=True,
         margin=margin, tolerance=tol,
-        verdict=_inequality_verdict(True, margin, tol),
+        verdict=_inequality_verdict(margin, tol),
         aux={"fitted_rate": rate, "delta_prime_0": dp0,
              "gate_prefix_end": float(ts[-1]),
              "diff_ineq_residual_max": float(worst_resid)})
@@ -203,11 +210,9 @@ def check_c0_vs_Y(state: FlowState, rho: float,
     f = state.funcs
     gate = f.grad_u_c0 <= 1.0 and f.c0_u_minus_a <= 2.0 * rho
     if not gate:
-        return CheckReport(
-            check_id="c0_vs_y", statement=statement, gate_satisfied=False,
-            margin=None, tolerance=0.0, verdict=GATE_NOT_MET,
-            aux={"grad_u_c0": f.grad_u_c0, "c0_u_minus_a": f.c0_u_minus_a,
-                 "rho": rho})
+        return _gate_not_met("c0_vs_y", statement, {
+            "grad_u_c0": f.grad_u_c0, "c0_u_minus_a": f.c0_u_minus_a,
+            "rho": rho})
     if f.Y < y_floor:
         return CheckReport(
             check_id="c0_vs_y", statement=statement, gate_satisfied=True,
@@ -305,10 +310,8 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
     statement = "d lambda/dt = (1/V) int [-(1-K)|dbar psi|^2 + (lam |psi|^2 - |dbar psi|^2)(u-a)] e^-u dv"
     states = traj.states
     if len(states) < 3:
-        return CheckReport(
-            check_id="eigenvalue_derivative", statement=statement,
-            gate_satisfied=False, margin=None, tolerance=0.0,
-            verdict=GATE_NOT_MET, aux={"n_states": float(len(states))})
+        return _gate_not_met("eigenvalue_derivative", statement,
+                             {"n_states": float(len(states))})
     lams = []
     vecs = []
     for s in states:
@@ -346,7 +349,7 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
     aux = {"max_rel_mismatch": float(worst), "worst_t": float(ts[worst_i]),
            "branch_mode": float(mode), "branch_index": float(index),
            "lambda_at_start": float(lams[0])}
-    verdict = _inequality_verdict(True, margin, 0.0)
+    verdict = _inequality_verdict(margin, 0.0)
     if verdict == FAIL and 2 <= worst_i <= len(states) - 3:
         # spacing-refinement probe: a mismatch that grows ~4x when the
         # stencil widens is centered-difference error, not an identity
@@ -355,10 +358,7 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
         aux["wide_spacing_mismatch"] = float(wide)
         if wide >= 3.0 * worst:
             aux["fd_limited"] = 1.0
-            return CheckReport(
-                check_id="eigenvalue_derivative", statement=statement,
-                gate_satisfied=False, margin=None, tolerance=0.0,
-                verdict=GATE_NOT_MET, aux=aux)
+            return _gate_not_met("eigenvalue_derivative", statement, aux)
     return CheckReport(
         check_id="eigenvalue_derivative", statement=statement,
         gate_satisfied=True, margin=float(margin), tolerance=0.0,
@@ -406,10 +406,8 @@ def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
     statement = "d/dt |grad u|^2 = lap |grad u|^2 - |DDu|^2 - |DDbar u|^2 + |grad u|^2"
     states = traj.states
     if len(states) < 3:
-        return CheckReport(
-            check_id="gradnorm_evolution", statement=statement,
-            gate_satisfied=False, margin=None, tolerance=0.0,
-            verdict=GATE_NOT_MET, aux={"n_states": float(len(states))})
+        return _gate_not_met("gradnorm_evolution", statement,
+                             {"n_states": float(len(states))})
     grid = states[0].metric.grid
     ts = np.array([s.t for s in states])
     if fields is None:
@@ -428,7 +426,7 @@ def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
     amp_max = max(s.funcs.grad_u_c0 for s in states if s.t <= 2.0)
     amplification = amp_max / amp0 if amp0 > 0 else 1.0
     margin = tol - worst
-    verdict = _inequality_verdict(True, margin, 0.0)
+    verdict = _inequality_verdict(margin, 0.0)
     if amplification > math.e:
         verdict = FAIL
         margin = -max(worst, amplification - math.e)
@@ -495,12 +493,10 @@ def check_Z_derivative(traj: Trajectory,
         dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
         margin = min(margin, 2.0 * zs[i] - 0.5 * hess[i] - dz)
     if not any_gate:
-        return CheckReport(
-            check_id="z_derivative", statement=statement,
-            gate_satisfied=False, margin=None, tolerance=tolerance,
-            verdict=GATE_NOT_MET,
-            aux={"delta_prime_0": dp0, "gate_cap": cap,
-                 "c0_at_start": s0.funcs.c0_u_minus_a})
+        return _gate_not_met(
+            "z_derivative", statement, {"delta_prime_0": dp0, "gate_cap": cap,
+                                        "c0_at_start": s0.funcs.c0_u_minus_a},
+            tolerance)
     # space-time accumulation over unit windows, trapezoid in t
     eps0 = s0.funcs.grad_u_c0
     c8_eff = 0.0
@@ -519,7 +515,7 @@ def check_Z_derivative(traj: Trajectory,
     return CheckReport(
         check_id="z_derivative", statement=statement, gate_satisfied=True,
         margin=float(margin), tolerance=tolerance,
-        verdict=_inequality_verdict(True, margin, tolerance),
+        verdict=_inequality_verdict(margin, tolerance),
         aux={"delta_prime_0": dp0,
              "hessian_spacetime_total": float(total),
              "C8_eff": float(c8_eff)})
@@ -578,7 +574,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData,
     return CheckReport(
         check_id="bochner", statement=statement, gate_satisfied=True,
         margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(True, margin, 0.0),
+        verdict=_inequality_verdict(margin, 0.0),
         aux={"residual": resid, "scale": scale, "lambda": lam,
              "schwarz_margin_min": schwarz_margin})
 
@@ -789,7 +785,7 @@ def _identity_check(check_id: str, statement: str, resid: float,
     return CheckReport(
         check_id=check_id, statement=statement, gate_satisfied=True,
         margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(True, margin, 0.0),
+        verdict=_inequality_verdict(margin, 0.0),
         aux={"max_residual": float(resid)})
 
 
@@ -804,7 +800,7 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
     """
     p = dict(params or {})
     report = TrajectoryReport()
-    rho = p.get("rho", 0.5)
+    rho = p.get("rho", DEFAULT_RHO)
     mid = traj.states[len(traj.states) // 2]
     mid_spec = None  # one weighted spectrum shared by the mid-state checks
     hessian_terms = None  # [means, fields]: one Hessian pass, two checks

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, ScalarField, dtheta,
-                       grad_norm_sq, volume, weighted_integral)
+                       grad_norm_sq, legendre_profile, volume,
+                       weighted_integral)
 from .potential import values_of
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
@@ -370,14 +371,9 @@ def plain_lambda1(metric: ConformalMetric, m_max: int = 2,
 
 def _probe_family(grid: Grid) -> list[np.ndarray]:
     """Constants, low harmonics, and pole bumps at three widths."""
-    from numpy.polynomial import legendre
-
     th = grid.theta_nodes
     probes = [np.ones(grid.n_nodes)]
-    for l in range(1, 5):
-        c = np.zeros(l + 1)
-        c[l] = 1.0
-        probes.append(legendre.legval(np.cos(th), c))
+    probes += [legendre_profile(grid, l, 1.0) for l in range(1, 5)]
     for width in (0.25, 0.5, 1.0):
         probes.append(np.exp(-(th / width) ** 2))
         probes.append(np.exp(-((np.pi - th) / width) ** 2))

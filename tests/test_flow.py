@@ -270,29 +270,6 @@ class TestLogDet:
         assert calls == []
 
 
-class TestKernelFallback:
-    def test_numpy_path_matches_jit(self, grid64, monkeypatch):
-        # the pure-numpy twin implements the same algorithm; summation
-        # order differs, so agreement is to rounding accumulation.  Without
-        # numba the loop kernel runs uncompiled as plain Python, so the
-        # comparison is between the two algorithms in either environment.
-        import krflow._kernels as kern
-        m = legendre_bump(grid64, 2, 1e-3)
-        dt = stability_dt(m)
-
-        def advance(w, phi):
-            return kern.advance_rk4(w, phi, 50, dt, grid64, 1e-4)
-
-        monkeypatch.setattr(kern, "HAVE_NUMBA", True)
-        w_jit, phi_jit = m.w.copy(), np.zeros(grid64.n_nodes)
-        advance(w_jit, phi_jit)
-        monkeypatch.setattr(kern, "HAVE_NUMBA", False)
-        w_np, phi_np = m.w.copy(), np.zeros(grid64.n_nodes)
-        advance(w_np, phi_np)
-        assert np.max(np.abs(w_jit - w_np)) < 1e-13
-        assert np.max(np.abs(phi_jit - phi_np)) < 1e-13
-
-
 class TestGateEvents:
     def test_decay_gate_recorded(self, p2_run_small):
         gate_events = [e for e in p2_run_small.events if e[0] == "decay_gate"]

@@ -293,6 +293,45 @@ class TestCli:
         assert main(["sweep", path]) == EXIT_CONFIG
         assert not (tmp_path / "sw").exists()
 
+    def test_sweep_config_error_exit_two(self, tmp_path, monkeypatch):
+        # the same dt_init that makes `krflow run` exit 2 must make every
+        # sweep point, its report and the sweep exit 2, not 3
+        monkeypatch.delenv("KRFLOW_WORKERS", raising=False)
+        path = self.write_spec(
+            tmp_path,
+            "scenario = legendre_bump\ngrid_n = 32\n"
+            f"output_dir = {tmp_path / 'sw'}\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n"
+            "[monitors]\nchecks = short_time\n"
+            "[sweep]\neps = 1e-3, 2e-3\n")
+        assert main(["sweep", path]) == EXIT_CONFIG
+        summary = (tmp_path / "sw" / "sweep_summary.csv").read_text()
+        assert [l.split(",")[-1] for l in summary.splitlines()[1:]] == [
+            str(EXIT_CONFIG)] * 2
+        for i in range(2):
+            report = (tmp_path / "sw" / f"point_{i:02d}" / "report.txt")
+            assert f"exit_code = {EXIT_CONFIG}" in report.read_text()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep"], ["check", "--at", "0.05"]],
+        ids=["run", "sweep", "check"])
+    def test_rho_rejected_before_flow(self, tmp_path, monkeypatch, command):
+        import krflow.harness
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran before rho was checked")
+
+        monkeypatch.setattr(krflow.harness, "run", no_flow)
+        monkeypatch.delenv("KRFLOW_WORKERS", raising=False)
+        path = self.write_spec(
+            tmp_path,
+            "scenario = legendre_bump\ngrid_n = 64\n"
+            f"output_dir = {tmp_path / 'o'}\n[scenario]\neps = 1e-3\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+            "[monitors]\nchecks = y_decay, c0_vs_y\nrho = 5.0\n"
+            "[sweep]\neps = 1e-3\n")
+        assert main([command[0], path, *command[1:]]) == EXIT_CONFIG
+
     @pytest.mark.parametrize("text, code", [
         ("scenario = round\ngrid_n = 64\n", EXIT_OK),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
