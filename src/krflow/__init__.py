@@ -5,11 +5,11 @@ the quantitative estimates along them."""
 
 __version__ = "0.1.0"
 
-from .geometry import (ConformalMetric, Grid, ScalarField, conformal_metric,
-                       curvature_bounds, diameter, gaussian_curvature,
-                       grad_norm_sq, make_grid, noncollapsing_kappa,
-                       normalize_volume, round_metric, volume,
-                       weighted_integral)
+from .geometry import (ConformalMetric, Grid, NumericalError, ScalarField,
+                       conformal_metric, curvature_bounds, diameter,
+                       gaussian_curvature, grad_norm_sq, make_grid,
+                       noncollapsing_kappa, normalize_volume, round_metric,
+                       volume, weighted_integral)
 from .potential import (FunctionalBundle, RicciPotential, average_a,
                         complex_hessian_norms, delta_prime, functional_Y,
                         functional_Z, functional_bundle, futaki_integrals,

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .geometry import check_scale
-from .harness import (CONFIG_ERRORS, EXIT_CONFIG, EXIT_NUMERICAL,
-                      NUMERICAL_ERRORS, initial_metric, load_spec,
+from .geometry import ConfigError, NumericalError, check_scale
+from .harness import (EXIT_CONFIG, EXIT_NUMERICAL, initial_metric, load_spec,
                       run_scenario, spectrum_dump, state_at, sweep_epsilon)
 from .monitors import DEFAULT_RHO, check_c0_vs_Y, check_weighted_poincare
 
@@ -88,10 +87,10 @@ def main(argv=None) -> int:
                 "spectrum": _cmd_spectrum}
     try:
         return handlers[args.command](args)
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -29,18 +29,18 @@ import numpy as np
 
 from . import spectral
 from ._kernels import advance_rk4
-from .geometry import (ConformalMetric, ScalarField, ROUND_VOLUME,
-                       gaussian_curvature, laplace_round, volume,
-                       weighted_integral)
+from .geometry import (ConfigError, ConformalMetric, NumericalError,
+                       ScalarField, ROUND_VOLUME, gaussian_curvature,
+                       laplace_round, volume, weighted_integral)
 from .potential import (FunctionalBundle, RicciPotential, VolumeMismatch,
                         functional_bundle, solve_ricci_potential)
 
 
-class StepReject(Exception):
+class StepReject(NumericalError):
     """A step left the normalized class beyond tolerance; halve dt."""
 
 
-class StabilityBoundError(ValueError):
+class StabilityBoundError(ConfigError, ValueError):
     """A requested dt lies over the explicit stability bound."""
 
 
@@ -75,7 +75,12 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One time slice with all derived diagnostics."""
+    """One time slice with all derived diagnostics.
+
+    spectrum holds the merged (eigenvalue, m) pairs make_state solved and
+    axial_vectors the B-orthonormal eigenvectors of its m = 0 pairs, in
+    order, as (n, k) columns; both are None without with_spectrum.
+    """
 
     t: float
     dt: float
@@ -87,8 +92,15 @@ class FlowState:
     holo_band: list[float] | None
     class_residual: float  # check_kahler_class, computed once
     initial: ConformalMetric | None = None
-    # merged (eigenvalue, m) pairs of the weighted spectrum, without vectors
     spectrum: np.ndarray | None = None
+    axial_vectors: np.ndarray | None = None
+
+    def axial_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The axial eigenvalues and their eigenvector block."""
+        if self.axial_vectors is None:
+            raise ValueError(f"state at t = {self.t:.6g} carries no spectrum")
+        return (self.spectrum["eigenvalue"][self.spectrum["m"] == 0],
+                self.axial_vectors)
 
 
 @dataclass
@@ -133,14 +145,14 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     grid = initial.grid
     metric = ConformalMetric(grid=grid, w=w.copy())
     u = solve_ricci_potential(metric, tol=config.potential_tol)
-    lam_g = None
-    band = None
-    pairs = None
+    lam_g = band = pairs = axial = None
     if with_spectrum:
         spec = spectral.weighted_spectrum(metric, u, m_max=config.m_max,
                                           k_per_mode=config.k_per_mode)
         lam_g, band = spectral.lambda_second(spec, config.band_tol)
         pairs = spectral.eigen_pairs(spec)
+        axial = np.column_stack([en.vector for en in spec.entries
+                                 if en.m == 0])
     funcs = functional_bundle(u, metric, lambda_g=lam_g)
     phi = phi.copy()
     res = _class_residual(metric.w, initial.w, phi, grid)
@@ -151,7 +163,7 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
                      phi=ScalarField(grid=grid, values=phi), lambda_g=lam_g,
                      holo_band=band, class_residual=res, initial=initial,
-                     spectrum=pairs)
+                     spectrum=pairs, axial_vectors=axial)
 
 
 def initial_state(metric: ConformalMetric, config: FlowConfig,

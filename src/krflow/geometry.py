@@ -31,8 +31,20 @@ MIN_NODES = 16
 ROUND_VOLUME = 4.0 * np.pi
 
 
-class ScaleOutOfRange(ValueError):
+class ConfigError(Exception):
+    """A configuration mistake; every subclass exits with code 2."""
+
+
+class NumericalError(Exception):
+    """A failure of the numerics; every subclass exits with code 3."""
+
+
+class ScaleOutOfRange(ConfigError, ValueError):
     """A non-collapsing scale rho outside (0, diam/2]."""
+
+
+class IrregularPole(ConfigError, ValueError):
+    """A conformal factor that is not even across a pole."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ def conformal_metric(grid: Grid, w: np.ndarray, check_poles: bool = True,
 
     The pole check requires the extrapolated one-sided derivative of w to
     vanish within pole_tol (default 2 h (1 + osc w)), rejecting profiles
-    that are not even across a pole.
+    that are not even across a pole with IrregularPole.
     """
     w = np.asarray(w, dtype=float)
     metric = ConformalMetric(grid=grid, w=w)
@@ -126,7 +138,7 @@ def conformal_metric(grid: Grid, w: np.ndarray, check_poles: bool = True,
             pole_tol = 2.0 * grid.h * (1.0 + float(w.max() - w.min()))
         north, south = pole_slopes(grid, w)
         if abs(north) > pole_tol or abs(south) > pole_tol:
-            raise ValueError(
+            raise IrregularPole(
                 f"conformal factor irregular at a pole: slopes "
                 f"({north:.3e}, {south:.3e}) exceed {pole_tol:.3e}")
     return metric

@@ -19,31 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .flow import (FlowConfig, StabilityBoundError, StepReject, Trajectory,
-                   initial_state, run)
-from .geometry import (MIN_NODES, ConformalMetric, Grid, ScaleOutOfRange,
-                       check_scale, conformal_metric, curvature_bounds,
-                       diameter, legendre_profile, make_grid,
-                       measured_calabi, normalize_volume, round_metric,
-                       volume)
-from .monitors import (ALL_CHECKS, DEFAULT_RHO, FAIL, BranchCrossing,
-                       CheckReport, TrajectoryReport, evaluate_trajectory)
-from .potential import VolumeMismatch, NormalizationFail
-from .spectral import BandAmbiguity, SolveFail
-
-
-class ConfigError(Exception):
-    """Malformed experiment spec; carries the offending line or key."""
-
-
-# configuration mistakes, reported with exit code 2; a dt_init over the
-# stability bound or a rho over half the diameter shows only once the
-# initial metric is known
-CONFIG_ERRORS = (ConfigError, StabilityBoundError, ScaleOutOfRange)
-
-# failures of the numerics, reported with exit code 3
-NUMERICAL_ERRORS = (VolumeMismatch, NormalizationFail, SolveFail,
-                    BandAmbiguity, StepReject, BranchCrossing)
+from .flow import FlowConfig, Trajectory, initial_state, run
+from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
+                       NumericalError, check_scale, conformal_metric,
+                       curvature_bounds, diameter, legendre_profile,
+                       make_grid, measured_calabi, normalize_volume,
+                       round_metric, volume)
+from .monitors import (ALL_CHECKS, DEFAULT_RHO, FAIL, CheckReport,
+                       TrajectoryReport, evaluate_trajectory)
 
 
 SCENARIOS = ("round", "legendre_bump", "multi_mode", "custom_w")
@@ -130,6 +113,8 @@ def custom_w(grid: Grid, path: str) -> ConformalMetric:
         raise ConfigError(
             f"custom_w file {path!r} holds {vals.shape[0]} values, "
             f"grid needs {grid.n_nodes}")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"custom_w file {path!r} holds a non-finite value")
     return conformal_metric(grid, vals)
 
 
@@ -187,8 +172,8 @@ _SCENARIO_KEYS = {"l": int, "eps": float, "seed": int, "decay_rate": float,
 _MONITOR_KEYS = {"rho": float, "curvature_bound": float, "phi0": float,
                  "delta": float, "D": float, "L": float,
                  "epsilon": float, "t0": float,
-                 "delta_measured": float, "branch_mode": int,
-                 "branch_index": int, "class_tol": float,
+                 "delta_measured": float, "branch_index": int,
+                 "class_tol": float,
                  "log_det_tol": float}
 
 
@@ -299,6 +284,15 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
+    k = spec.flow.k_per_mode
+    if spec.flow.m_max < 2 or not 3 <= k <= spec.grid_n:
+        raise ConfigError("need m_max >= 2 and 3 <= k_per_mode <= grid_n")
+    # the tracked axial pair and the one above it must be among the k kept
+    index = monitors.get("branch_index", 2)
+    if not 0 <= index <= k - 2 and ("branch_index" in monitors or {
+            "eigenvalue_derivative", "bochner"} & set(spec.checks)):
+        raise ConfigError(f"branch_index = {index} is outside "
+                          f"0..k_per_mode - 2 = {k - 2}")
     return spec
 
 
@@ -341,10 +335,11 @@ def dumps(spec: ExperimentSpec) -> str:
     lines.append("checks = " + ", ".join(spec.checks))
     for k, v in spec.monitor_params:
         lines.append(f"{k} = {_fmt(v)}")
-    if spec.sweep:
+    if spec.sweep or spec.sweep_target != "amplitude":
         lines.append("")
         lines.append("[sweep]")
-        lines.append("eps = " + ", ".join(repr(v) for v in spec.sweep))
+        if spec.sweep:
+            lines.append("eps = " + ", ".join(repr(v) for v in spec.sweep))
         lines.append(f"target = {spec.sweep_target}")
     return "\n".join(lines) + "\n"
 
@@ -431,28 +426,30 @@ def write_report(path: Path, spec: ExperimentSpec,
 
 
 def run_scenario(spec: ExperimentSpec, base_dir=None,
-                 metric: ConformalMetric | None = None) -> RunArtifacts:
+                 metric_of=initial_metric) -> RunArtifacts:
     """Execute one scenario end to end and write its artifacts.
 
-    metric, when given, is the t=0 metric in place of the scenario's.
-    Numerical failures (volume mismatch, eigensolver trouble, band
-    ambiguity, step rejection cascades) land in the report with a nonzero
-    exit code instead of propagating.
+    metric_of(spec) builds the t=0 metric.  Config errors found from it
+    (an irregular pole, a dt_init over the stability bound, a bad rho)
+    and numerical failures (volume mismatch, eigensolver trouble, band
+    ambiguity, step rejection cascades) land in the report with exit code
+    2 or 3 instead of propagating.
     """
     out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.txt"
     ts_path = out / "timeseries.csv"
     try:
-        if metric is None:
-            metric = initial_metric(spec)
+        metric = metric_of(spec)
         if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
             check_scale(metric, spec.monitor_dict().get("rho", DEFAULT_RHO))
         traj = run(spec.flow, metric)
         report = evaluate_trajectory(traj, spec.checks, spec.monitor_dict())
-    except NUMERICAL_ERRORS as exc:
+    except (ConfigError, NumericalError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        code = write_report(report_path, spec, None, None, error=error)
+        code = write_report(report_path, spec, None, None, error=error,
+                            error_code=EXIT_CONFIG if isinstance(
+                                exc, ConfigError) else EXIT_NUMERICAL)
         return RunArtifacts(output_dir=out, timeseries_path=None,
                             report_path=report_path, exit_code=code,
                             error=error)
@@ -476,29 +473,25 @@ def _sweep_point_spec(spec: ExperimentSpec, value: float) -> ExperimentSpec:
                    sweep=())
 
 
+def _calabi_metric(spec: ExperimentSpec) -> ConformalMetric:
+    """t=0 metric of a calabi sweep point: eps is the curvature energy."""
+    p = spec.scenario_dict()
+    return legendre_bump_for_calabi(make_grid(spec.grid_n),
+                                    int(p.get("l", 2)), float(p["eps"]))
+
+
 def _run_sweep_point(args):
-    """run_scenario for one sweep value; a config error lands in the point's
-    report with exit code 2 instead of propagating."""
+    """run_scenario for one sweep value, reduced to its summary row."""
     spec, value, target, out_dir = args
     point = _sweep_point_spec(spec, value)
-    failed = {"eps": value, "eps_calabi": math.nan, "grad_c0_at_t0": math.nan,
-              "ratio": math.nan, "K_eff": math.nan}
-    if target == "calabi":
-        metric = legendre_bump_for_calabi(
-            make_grid(point.grid_n), int(point.scenario_dict().get("l", 2)),
-            value)
-    else:
-        metric = initial_metric(point)
-    try:
-        art = run_scenario(point, out_dir, metric)
-    except CONFIG_ERRORS as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        code = write_report(Path(out_dir) / "report.txt", point, None, None,
-                            error=error, error_code=EXIT_CONFIG)
-        return {**failed, "exit_code": code, "error": error}
+    art = run_scenario(point, out_dir, _calabi_metric if target == "calabi"
+                       else initial_metric)
     if art.error is not None:
-        return {**failed, "exit_code": art.exit_code, "error": art.error}
-    eps_cal = measured_calabi(metric)
+        return {"eps": value, "eps_calabi": math.nan,
+                "grad_c0_at_t0": math.nan, "ratio": math.nan,
+                "K_eff": math.nan, "exit_code": art.exit_code,
+                "error": art.error}
+    eps_cal = measured_calabi(art.trajectory.states[0].metric)
     short = next((c for c in art.report.checks if c.check_id == "short_time"),
                  None)
     grad_t0 = short.aux["grad_c0_at_t0"] if short else math.nan
@@ -553,8 +546,7 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
                          f"{repr(float(ratios.max() / ratios.min()))}"]
     report_path = out / "sweep_report.txt"
     report_path.write_text("\n".join(report_lines) + "\n")
-    code = EXIT_OK if all(r["exit_code"] == EXIT_OK for r in rows) else (
-        max(r["exit_code"] for r in rows))
+    code = max(r["exit_code"] for r in rows)  # EXIT_OK = 0 is the least
     return RunArtifacts(output_dir=out, timeseries_path=summary,
                         report_path=report_path, exit_code=code, rows=rows)
 

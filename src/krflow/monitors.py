@@ -22,9 +22,9 @@ import numpy as np
 
 from . import spectral
 from .flow import FlowState, Trajectory, log_det_residual
-from .geometry import (diameter, dtheta, gaussian_curvature, grad_norm_sq,
-                       laplace_round, measured_calabi, noncollapsing_kappa,
-                       volume, weighted_integral)
+from .geometry import (NumericalError, diameter, dtheta, gaussian_curvature,
+                       grad_norm_sq, laplace_round, measured_calabi,
+                       noncollapsing_kappa, volume, weighted_integral)
 from .potential import complex_hessian_norms, gap_delta_prime, hessian_t20
 
 PASS = "PASS"
@@ -36,7 +36,7 @@ REPORT_ONLY = "REPORT_ONLY"
 DEFAULT_RHO = 0.5
 
 
-class BranchCrossing(Exception):
+class BranchCrossing(NumericalError):
     """Two in-mode eigenvalues got too close to track a branch."""
 
 
@@ -282,28 +282,30 @@ def synthetic_trace_positivity(state: FlowState, phi_values) -> float:
 # eigenvalue derivative along a tracked branch
 # ---------------------------------------------------------------------------
 
-def _branch_eigs(state: FlowState, m: int, index: int):
-    prob = spectral.assemble_mode_problem(state.metric, state.u.values, m)
-    vals, vecs = spectral.solve_mode(prob, index + 2)
+def _branch_eigs(state: FlowState, index: int):
+    """The index-th axial pair that make_state solved; BranchCrossing when
+    a neighbour is within the guard."""
+    vals, vecs = state.axial_pairs()
     guard = 10.0 * spectral.default_band_tol(state.metric.grid)
     gaps = np.diff(vals)
     if np.any(gaps[max(0, index - 1):index + 1] < guard):
         raise BranchCrossing(
-            f"in-mode gap under {guard:.2e} near branch ({m}, {index}) "
+            f"in-mode gap under {guard:.2e} near axial branch {index} "
             f"at t = {state.t:.6g}")
     return float(vals[index]), vecs[:, index]
 
 
-def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
-                                index: int = 2, rel_tol: float = 1e-2,
+def check_eigenvalue_derivative(traj: Trajectory, index: int = 2,
+                                rel_tol: float = 1e-2,
                                 rel_floor: float = 1e-8,
                                 normalization_scale: float = 1.0) -> CheckReport:
-    """d lambda/dt identity along one in-mode branch.
+    """d lambda/dt identity along one axial (m = 0) branch.
 
     Compares the centered difference of the branch eigenvalue against
     (1/V) int [ -(1-K)|dbar psi|^2 + (lambda |psi|^2 - |dbar psi|^2)(u-a) ] e^-u dv
     with psi normalized to (1/V) int |psi|^2 e^-u dv = 1.  The branch is
-    (mode, in-mode index); tracking per mode avoids crossing ambiguity.
+    the index-th axial pair each state keeps (index + 2 <= k_per_mode),
+    tracked within its mode to avoid crossing ambiguity.
     normalization_scale deliberately breaks the normalization for the
     forced-failure path.
     """
@@ -315,7 +317,7 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
     lams = []
     vecs = []
     for s in states:
-        lam, vec = _branch_eigs(s, mode, index)
+        lam, vec = _branch_eigs(s, index)
         lams.append(lam)
         vecs.append(vec)
     ts = np.array([s.t for s in states])
@@ -325,7 +327,7 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
         metric = s.metric
         vol = volume(metric)
         psi = vecs[i] * math.sqrt(vol) * normalization_scale
-        gb = spectral.dbar_sq(metric, psi, mode)
+        gb = spectral.dbar_sq(metric, psi, 0)
         one_minus_k = 1.0 - gaussian_curvature(metric).values
         uma = s.u.values - s.funcs.a
         emu = np.exp(-s.u.values)
@@ -347,7 +349,7 @@ def check_eigenvalue_derivative(traj: Trajectory, mode: int = 0,
             worst_i = i
     margin = rel_tol - worst
     aux = {"max_rel_mismatch": float(worst), "worst_t": float(ts[worst_i]),
-           "branch_mode": float(mode), "branch_index": float(index),
+           "branch_index": float(index),
            "lambda_at_start": float(lams[0])}
     verdict = _inequality_verdict(margin, 0.0)
     if verdict == FAIL and 2 <= worst_i <= len(states) - 3:
@@ -757,19 +759,6 @@ def convergence_order(hs, residuals, floor: float = 1e-11):
 # registry for the harness
 # ---------------------------------------------------------------------------
 
-def _entry_index(spec, m: int, index: int) -> int:
-    """Merged-list position of the index-th distinct eigenpair of mode m."""
-    count = -1
-    seen = None
-    for i, e in enumerate(spec.entries):
-        if e.m != m or e is seen:
-            continue
-        seen = e
-        count += 1
-        if count == index:
-            return i
-    raise IndexError(f"mode {m} has fewer than {index + 1} entries")
-
 STATE_CHECKS = ("weighted_poincare", "c0_vs_y")
 TRAJECTORY_CHECKS = ("y_decay", "c2_estimate", "z_derivative",
                      "gradnorm_evolution", "eigenvalue_derivative",
@@ -794,19 +783,18 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
     """Run a registered monitor set over a trajectory.
 
     params carries the gate constants: rho, curvature_bound, phi0, delta,
-    L, epsilon, t0, delta_measured, branch_mode, branch_index, class_tol,
+    D, L, epsilon, t0, delta_measured, branch_index, class_tol,
     log_det_tol.  Per-state checks contribute one report (worst state) and
-    a full time series.
+    a full time series.  gradient_estimate solves the middle state's
+    spectrum for the m = 1 band members, which no state keeps.
     """
     p = dict(params or {})
     report = TrajectoryReport()
     rho = p.get("rho", DEFAULT_RHO)
+    index = int(p.get("branch_index", 2))
     mid = traj.states[len(traj.states) // 2]
-    mid_spec = None  # one weighted spectrum shared by the mid-state checks
     hessian_terms = None  # [means, fields]: one Hessian pass, two checks
     for check in checks:
-        if check in ("bochner", "gradient_estimate") and mid_spec is None:
-            mid_spec = spectral.weighted_spectrum(mid.metric, mid.u)
         if (check in ("z_derivative", "gradnorm_evolution")
                 and hessian_terms is None):
             hessian_terms = list(_hessian_terms(traj, True))
@@ -848,9 +836,7 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
                 traj, fields=hessian_terms[1]))
             hessian_terms[1] = None  # not held through the later checks
         elif check == "eigenvalue_derivative":
-            report.checks.append(check_eigenvalue_derivative(
-                traj, mode=int(p.get("branch_mode", 0)),
-                index=int(p.get("branch_index", 2))))
+            report.checks.append(check_eigenvalue_derivative(traj, index))
         elif check == "bootstrap":
             report.checks.append(bootstrap_tracker(
                 traj, phi0=p.get("phi0", 4.0), delta=p.get("delta", 1.0),
@@ -872,15 +858,15 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
                 max(log_det_residual(s, traj.states[0]) for s in traj.states),
                 p.get("log_det_tol", 1e-6)))
         elif check == "bochner":
-            idx = _entry_index(mid_spec, 0, int(p.get("branch_index", 2)))
-            report.checks.append(check_bochner(mid, spectral.eigen_data(
-                mid_spec, idx)))
+            vals, vecs = mid.axial_pairs()
+            report.checks.append(check_bochner(mid, spectral.pair_data(
+                mid.metric, mid.u, 0, float(vals[index]), vecs[:, index])))
         elif check == "gradient_estimate":
             c_s = spectral.sobolev_constant_estimate(mid.metric)
             c_eff = 0.0
             picked = None
-            for eig in spectral.band_eigen_data(mid_spec,
-                                                p.get("band_tol")):
+            mid_spec = spectral.weighted_spectrum(mid.metric, mid.u)
+            for eig in spectral.band_eigen_data(mid_spec):
                 r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
                 if r.aux["C_eff"] >= c_eff:
                     c_eff = r.aux["C_eff"]

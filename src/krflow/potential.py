@@ -17,19 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import flux_potential
-from .geometry import (ConformalMetric, ScalarField, ROUND_VOLUME, dtheta,
-                       grad_c0_norm, grad_norm_sq, laplace_round, volume,
-                       weighted_integral)
+from .geometry import (ConformalMetric, NumericalError, ScalarField,
+                       ROUND_VOLUME, dtheta, grad_c0_norm, grad_norm_sq,
+                       laplace_round, volume, weighted_integral)
 
 
-class VolumeMismatch(Exception):
+class VolumeMismatch(NumericalError):
     """The metric's volume is off 4*pi: the trace equation has no solution.
 
     Signals that a metric left the normalized class.
     """
 
 
-class NormalizationFail(Exception):
+class NormalizationFail(NumericalError):
     """The normalization constant could not be bracketed (cannot occur for
     finite input; kept as a loud assertion)."""
 
@@ -114,13 +114,12 @@ def normalization_constant_bisect(u0: np.ndarray, metric: ConformalMetric,
     return 0.5 * (lo + hi)
 
 
-def solve_ricci_potential(metric: ConformalMetric, tol: float = 1e-9,
-                          initial_shift: float = 0.0) -> RicciPotential:
+def solve_ricci_potential(metric: ConformalMetric,
+                          tol: float = 1e-9) -> RicciPotential:
     """Solve the potential problem for one metric.
 
     Raises VolumeMismatch when |V - 4 pi| > 10 tol * 4 pi, the discrete
-    solvability obstruction.  initial_shift perturbs the pre-normalization
-    potential; the result must not depend on it (self-consistency knob).
+    solvability obstruction.
     """
     vol = volume(metric)
     if abs(vol - ROUND_VOLUME) > 10.0 * tol * ROUND_VOLUME:
@@ -128,12 +127,6 @@ def solve_ricci_potential(metric: ConformalMetric, tol: float = 1e-9,
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
     u, c, pde_res = solve_u_values(metric.grid, metric.w)
-    if initial_shift != 0.0:
-        shifted = u + initial_shift
-        mean = weighted_integral(np.exp(-shifted), metric) / vol
-        correction = math.log(mean)
-        u = shifted + correction
-        c += initial_shift + correction
     norm_res = abs(weighted_integral(np.exp(-u), metric) / vol - 1.0)
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")

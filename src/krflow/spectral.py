@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
-from .geometry import (ConformalMetric, Grid, ScalarField, dtheta,
-                       grad_norm_sq, legendre_profile, volume,
+from .geometry import (ConformalMetric, Grid, NumericalError, ScalarField,
+                       dtheta, grad_norm_sq, legendre_profile, volume,
                        weighted_integral)
 from .potential import values_of
 
@@ -45,11 +45,11 @@ BANDWIDTH = 3
 _ABSTOL = 2.0 * dlamch("s")
 
 
-class SolveFail(Exception):
+class SolveFail(NumericalError):
     """Eigensolver did not converge (ill-conditioned mass, unresolved u)."""
 
 
-class BandAmbiguity(Exception):
+class BandAmbiguity(NumericalError):
     """The holomorphic band near 1 is not cleanly resolved; refine."""
 
 
@@ -77,7 +77,6 @@ class EigenEntry:
 class Spectrum:
     """Merged spectrum; modes m > 0 enter twice (m and -m coincide)."""
 
-    grid: Grid
     metric: ConformalMetric
     u_values: np.ndarray
     entries: list[EigenEntry]
@@ -257,8 +256,8 @@ def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
                 entries.append(entry)
     entries.sort(key=lambda en: en.eigenvalue)
     all_sorted = np.array([en.eigenvalue for en in entries])
-    return Spectrum(grid=metric.grid, metric=metric, u_values=uv,
-                    entries=entries, all_sorted=all_sorted)
+    return Spectrum(metric=metric, u_values=uv, entries=entries,
+                    all_sorted=all_sorted)
 
 
 # one shared dtype: a structured dtype made per call costs about 0.6 KB
@@ -289,7 +288,7 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
     refusal path that tells the caller to refine.
     """
     if band_tol is None:
-        band_tol = default_band_tol(spectrum.grid)
+        band_tol = default_band_tol(spectrum.metric.grid)
     vals = spectrum.all_sorted
     band = [float(v) for v in vals if abs(v - 1.0) <= band_tol]
     if len(band) != 3:
@@ -323,22 +322,28 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
 
 
 def eigen_data(spectrum: Spectrum, index: int) -> EigenData:
-    """Normalized eigenpair with its |dbar psi|^2 field.
+    """EigenData of the index-th entry of the merged spectrum."""
+    entry = spectrum.entries[index]
+    return pair_data(spectrum.metric, spectrum.u_values, entry.m,
+                     entry.eigenvalue, entry.vector)
+
+
+def pair_data(metric: ConformalMetric, u, m: int, lam: float,
+              vector: np.ndarray) -> EigenData:
+    """Normalized eigenpair with its |dbar psi|^2 field, from one
+    B-orthonormal solver pair of mode m on (metric, u).
 
     Normalization: (1/V) integral |psi|^2 e^{-u} dv = 1.  The weighted
     mean of the dbar_sq field reproduces the eigenvalue through
     integration by parts.
     """
-    entry = spectrum.entries[index]
-    g = spectrum.grid
-    metric = spectrum.metric
+    g = metric.grid
     # solver vectors are B-orthonormal; the stated normalization needs V
-    psi = entry.vector * np.sqrt(volume(metric))
-    gb = dbar_sq(metric, psi, entry.m)
-    prob = assemble_mode_problem(metric, spectrum.u_values, entry.m)
-    res = float(rayleigh_residual(prob, entry.eigenvalue, entry.vector))
-    return EigenData(m=entry.m, lam=entry.eigenvalue,
-                     psi=ScalarField(grid=g, values=psi),
+    psi = vector * np.sqrt(volume(metric))
+    gb = dbar_sq(metric, psi, m)
+    prob = assemble_mode_problem(metric, u, m)
+    res = float(rayleigh_residual(prob, lam, vector))
+    return EigenData(m=m, lam=lam, psi=ScalarField(grid=g, values=psi),
                      grad_bar_sq=ScalarField(grid=g, values=gb),
                      rayleigh_residual=res)
 
@@ -347,7 +352,7 @@ def band_eigen_data(spectrum: Spectrum, band_tol: float | None = None
                     ) -> list[EigenData]:
     """EigenData for the three holomorphic-band members."""
     if band_tol is None:
-        band_tol = default_band_tol(spectrum.grid)
+        band_tol = default_band_tol(spectrum.metric.grid)
     out = []
     for i, en in enumerate(spectrum.entries):
         if abs(en.eigenvalue - 1.0) <= band_tol:

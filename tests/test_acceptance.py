@@ -172,7 +172,7 @@ def test_05_identity_suite(ladder_runs):
         resids["bochner"].append(
             check_bochner(mid, eigen_data(spec, idx)).aux["residual"])
         resids["eigen_derivative"].append(
-            check_eigenvalue_derivative(traj, 0, 2).aux["max_rel_mismatch"])
+            check_eigenvalue_derivative(traj, index=2).aux["max_rel_mismatch"])
         resids["gradnorm"].append(
             check_gradnorm_evolution(traj).aux["max_residual"])
     ok = True
@@ -186,7 +186,7 @@ def test_05_identity_suite(ladder_runs):
 
 
 def test_06_eigenvalue_derivative(ladder_runs):
-    rep = check_eigenvalue_derivative(ladder_runs[256], mode=0, index=2)
+    rep = check_eigenvalue_derivative(ladder_runs[256], index=2)
     mism = rep.aux["max_rel_mismatch"]
     verdict(6, "eigenvalue-derivative", rep.verdict == PASS and mism <= 1e-2,
             f"max relative mismatch {mism:.2e} on the axial branch near 3")

@@ -62,6 +62,23 @@ class TestConfig:
         spec = loads(text)
         assert loads(dumps(spec)) == spec
 
+    def test_branch_index_range(self):
+        base = ("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 4\n"
+                "[monitors]\nchecks = eigenvalue_derivative\n")
+        for index in (0, 2):
+            spec = loads(base + f"branch_index = {index}\n")
+            assert spec.monitor_dict()["branch_index"] == index
+        for index in (-1, 3):
+            with pytest.raises(ConfigError, match="branch_index"):
+                loads(base + f"branch_index = {index}\n")
+        # the default index 2 needs k_per_mode >= 4 only when a check
+        # reads the branch
+        loads("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 3\n"
+              "[monitors]\nchecks = y_decay\n")
+        with pytest.raises(ConfigError, match="branch_index"):
+            loads("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 3\n"
+                  "[monitors]\nchecks = bochner\n")
+
     def test_removed_flow_keys_rejected(self):
         # RK4 is the only scheme and the class-identity guard is always on
         with pytest.raises(ConfigError, match="scheme"):
@@ -353,15 +370,62 @@ class TestCli:
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.1\nrecord_dt = 0.05\nk_per_mode = 3\n"
          "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
-         "branch_mode = 0\nbranch_index = 1\n", EXIT_NUMERICAL),
+         "branch_index = 1\n", EXIT_NUMERICAL),
+        # the pole check rejects 0.5 P_6 at N = 16
+        ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
+         "eps = 0.5\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 64\n[flow]\nm_max = 1\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 2\n",
+         EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 16\n[flow]\nk_per_mode = 17\n",
+         EXIT_CONFIG),
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+         "[monitors]\nchecks = bochner\nbranch_index = 7\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 64\n[monitors]\n"
+         "checks = eigenvalue_derivative\nbranch_mode = 0\n", EXIT_CONFIG),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
-            "rho_over_half_diameter", "branch_crossing"])
+            "rho_over_half_diameter", "branch_crossing", "irregular_pole",
+            "m_max_below_two", "k_per_mode_below_three",
+            "k_per_mode_over_grid_n",
+            "branch_index_over_k", "branch_mode_removed"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
         assert main(["run", path]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
+         "StabilityBoundError"),
+        ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
+         "eps = 0.5\n", "IrregularPole"),
+    ], ids=["dt_init_over_bound", "irregular_pole"])
+    def test_config_error_writes_report(self, tmp_path, text, error):
+        # a config error found from the initial metric still leaves a
+        # report that names it and carries exit code 2
+        out = tmp_path / "o"
+        path = self.write_spec(tmp_path, f"output_dir = {out}\n" + text)
+        assert main(["run", path]) == EXIT_CONFIG
+        report = (out / "report.txt").read_text()
+        assert f"exit_code = {EXIT_CONFIG}" in report
+        assert f"error = {error}: " in report
+        assert not (out / "timeseries.csv").exists()
+
+    def test_non_finite_custom_w_exit_two(self, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        w = np.zeros(16)
+        w[3] = np.nan
+        np.savetxt(wfile, w)
+        out = tmp_path / "o"
+        path = self.write_spec(
+            tmp_path, f"scenario = custom_w\ngrid_n = 16\noutput_dir = {out}\n"
+            f"[scenario]\nfile = {wfile}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert "non-finite" in (out / "report.txt").read_text()
 
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == EXIT_CONFIG

@@ -116,13 +116,13 @@ class TestEigenvalueDerivative:
         assert rep.verdict == GATE_NOT_MET
 
     def test_bump_branch_identity(self, p2_run_small):
-        rep = check_eigenvalue_derivative(p2_run_small, mode=0, index=2)
+        rep = check_eigenvalue_derivative(p2_run_small, index=2)
         assert rep.verdict == PASS
         assert rep.aux["max_rel_mismatch"] < 1e-2
         assert rep.aux["lambda_at_start"] == pytest.approx(3.0, abs=0.05)
 
     def test_broken_normalization_fails(self, p2_run_small):
-        rep = check_eigenvalue_derivative(p2_run_small, mode=0, index=2,
+        rep = check_eigenvalue_derivative(p2_run_small, index=2,
                                           normalization_scale=1.5)
         assert rep.verdict == FAIL
 
@@ -132,7 +132,7 @@ class TestEigenvalueDerivative:
                               k_per_mode=3, band_tol=0.5),
                    legendre_bump(make_grid(16), 2, 1e-3))
         with pytest.raises(BranchCrossing):
-            check_eigenvalue_derivative(traj, mode=0, index=1)
+            check_eigenvalue_derivative(traj, index=1)
 
 
 class TestGradnormEvolution:
@@ -296,6 +296,34 @@ class TestEvaluateTrajectory:
         with pytest.raises(ValueError):
             evaluate_trajectory(p2_run_small, checks=("no_such_check",))
 
+    def test_branch_read_from_states(self, p2_run_small, monkeypatch):
+        # eigenvalue_derivative and bochner read the axial pairs make_state
+        # solved: no eigensolve, and the same pairs a fresh solve gives
+        import krflow.spectral
+        states = p2_run_small.states
+        mid = states[len(states) // 2]
+        spec = weighted_spectrum(mid.metric, mid.u)
+        idx = next(i for i, e in enumerate(spec.entries)
+                   if e.m == 0 and abs(e.eigenvalue - 3.0) < 0.1)
+        own = check_bochner(mid, eigen_data(spec, idx))
+        start = weighted_spectrum(states[0].metric, states[0].u)
+        lam0 = [e.eigenvalue for e in start.entries if e.m == 0][2]
+        calls = []
+        real = krflow.spectral.solve_mode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(krflow.spectral, "solve_mode", counted)
+        rep = evaluate_trajectory(p2_run_small, checks=(
+            "eigenvalue_derivative", "bochner"))
+        assert calls == []
+        derivative, bochner = rep.checks
+        assert derivative.aux["lambda_at_start"] == lam0
+        assert (bochner.verdict, bochner.margin, bochner.aux) == (
+            own.verdict, own.margin, own.aux)
+
     def test_hessian_norms_once_per_state(self, monkeypatch):
         import krflow.monitors
         traj = run(FlowConfig(t_end=0.2, record_dt=0.05),
@@ -324,7 +352,7 @@ class TestFdRefinementFallback:
         # the multi-harmonic profile carries transients the 0.05 recording
         # cadence cannot difference; the spacing probe must classify the
         # mismatch as unresolved rather than as an identity violation
-        rep = check_eigenvalue_derivative(multimode_run, mode=0, index=2)
+        rep = check_eigenvalue_derivative(multimode_run, index=2)
         assert rep.verdict == GATE_NOT_MET
         assert rep.aux.get("fd_limited") == 1.0
         assert rep.aux["wide_spacing_mismatch"] > rep.aux["max_rel_mismatch"]

@@ -53,12 +53,6 @@ class TestSolve:
         assert u.pde_residual < 1e-11
         assert u.norm_residual < 1e-13
 
-    def test_self_consistency_under_shift(self, grid128):
-        m = bump(grid128, 1e-2)
-        u0 = solve_ricci_potential(m)
-        u1 = solve_ricci_potential(m, initial_shift=0.37)
-        assert np.max(np.abs(u0.values - u1.values)) < 1e-13
-
     def test_bisection_agrees_with_closed_form(self, grid128):
         m = bump(grid128, 1e-2)
         u = solve_ricci_potential(m)
