@@ -13,7 +13,7 @@ import sys
 from .geometry import ConfigError, NumericalError, check_scale
 from .harness import (EXIT_CONFIG, EXIT_NUMERICAL, initial_metric, load_spec,
                       run_scenario, spectrum_dump, state_at, sweep_epsilon)
-from .monitors import DEFAULT_RHO, check_c0_vs_Y, check_weighted_poincare
+from .monitors import check_c0_vs_Y, check_weighted_poincare
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,14 +52,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     spec = load_spec(args.spec)
     params = spec.monitor_dict()
-    rho = params.get("rho", DEFAULT_RHO)
-    check_scale(initial_metric(spec), rho)  # before the flow
+    check_scale(initial_metric(spec), params["rho"])  # before the flow
     state = state_at(spec, args.at)
-    reports = [
-        check_weighted_poincare(state,
-                                delta_measured=params.get("delta_measured")),
-        check_c0_vs_Y(state, rho),
-    ]
+    reports = [check_weighted_poincare(state, params["delta_measured"]),
+               check_c0_vs_Y(state, params["rho"])]
     worst = 0
     for rep in reports:
         print(f"{rep.check_id}: {rep.verdict} margin="

@@ -256,10 +256,13 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     return traj
 
 
+def decay_cap(delta_prime: float) -> float:
+    """The bound min(1/4, d'/8) of the canonical smallness gate on |u - a|."""
+    return min(0.25, delta_prime / 8.0)
+
+
 def _decay_gate(state: FlowState) -> bool:
-    """The canonical smallness gate |u - a| <= min(1/4, d'/8)."""
-    cap = min(0.25, state.funcs.delta_prime_0 / 8.0)
-    return state.funcs.c0_u_minus_a <= cap
+    return state.funcs.c0_u_minus_a <= decay_cap(state.funcs.delta_prime_0)
 
 
 def _record_gate_transition(traj: Trajectory, state: FlowState) -> None:

@@ -29,6 +29,7 @@ from numpy.polynomial import legendre
 
 MIN_NODES = 16
 ROUND_VOLUME = 4.0 * np.pi
+N_RADII = 48  # ball radii per pole in noncollapsing_kappa
 
 
 class ConfigError(Exception):
@@ -279,41 +280,6 @@ def curvature_bounds(metric: ConformalMetric) -> tuple[float, float]:
     return float(k.min()), float(k.max())
 
 
-def _pole_ball_profile(metric: ConformalMetric, south: bool):
-    """Radial arclength to the flux angles and per-cell data from one pole."""
-    g = metric.grid
-    ew = np.exp(metric.w)
-    e2w = np.exp(2.0 * metric.w)
-    cell_len = ew * g.h
-    flux_angles = np.arange(g.n_nodes + 1) * g.h  # measured from the pole
-    if south:
-        e2w = e2w[::-1]
-        cell_len = cell_len[::-1]
-        ew = ew[::-1]
-    radii = np.concatenate(([0.0], np.cumsum(cell_len)))
-    cum_vol = np.concatenate(
-        ([0.0], np.cumsum(2.0 * np.pi * e2w * g.quad_weights)))
-    return radii, flux_angles, cum_vol, ew, e2w
-
-
-def _ball_volume(profile, r: float) -> float:
-    """Volume of the pole-centered ball of radius r.
-
-    Full cells use the exact sin-integral weights; the partial cell is
-    integrated in angle up to the inverted arclength, which keeps the
-    correct r^2 behavior for radii inside the first cell.
-    """
-    radii, flux_angles, cum_vol, ew, e2w = profile
-    if r <= 0.0:
-        return 0.0
-    if r >= radii[-1]:
-        return float(cum_vol[-1])
-    j = int(np.searchsorted(radii, r, side="right") - 1)
-    theta_r = flux_angles[j] + (r - radii[j]) / ew[j]
-    partial = 2.0 * np.pi * e2w[j] * (np.cos(flux_angles[j]) - np.cos(theta_r))
-    return float(cum_vol[j] + partial)
-
-
 def check_scale(metric: ConformalMetric, rho: float) -> None:
     """Raise ScaleOutOfRange unless 0 < rho <= diam/2."""
     if rho <= 0.0:
@@ -324,22 +290,35 @@ def check_scale(metric: ConformalMetric, rho: float) -> None:
             f"rho = {rho} exceeds half the diameter {diam:.6g}")
 
 
-def noncollapsing_kappa(metric: ConformalMetric, rho: float,
-                        n_radii: int = 48) -> float:
+def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:
     """Worst pole-centered volume ratio Vol(B(r)) / (V r^2) over r <= rho.
 
     Radial distances from a pole are exact for axisymmetric metrics, so
     the two poles are the only centers sampled; the shipped perturbation
     families place the extrema of the Ricci potential there.  r runs over
-    a log-spaced set in [rho/100, rho].
+    N_RADII log-spaced radii in [rho/100, rho].  Full cells use the exact
+    sin-integral weights; the partial cell is integrated in angle up to the
+    inverted arclength, which keeps the correct r^2 behavior for radii
+    inside the first cell.  A radius past the far pole (a thin equatorial
+    belt can make diam/2 longer than the meridian) holds the whole volume.
     """
     check_scale(metric, rho)
+    g = metric.grid
     vol_total = volume(metric)
-    radii_set = np.geomspace(rho / 100.0, rho, n_radii)
+    r = np.geomspace(rho / 100.0, rho, N_RADII)
+    flux_angles = np.arange(g.n_nodes + 1) * g.h  # measured from the pole
     kappa = np.inf
-    for south in (False, True):
-        profile = _pole_ball_profile(metric, south)
-        for r in radii_set:
-            ratio = _ball_volume(profile, r) / (vol_total * r * r)
-            kappa = min(kappa, ratio)
+    for order in (slice(None), slice(None, None, -1)):  # north, south
+        ew = np.exp(metric.w)[order]
+        e2w = np.exp(2.0 * metric.w)[order]
+        radii = np.concatenate(([0.0], np.cumsum(ew * g.h)))
+        cum_vol = np.concatenate(
+            ([0.0], np.cumsum(2.0 * np.pi * e2w * g.quad_weights)))
+        j = np.minimum(np.searchsorted(radii, r, side="right") - 1,
+                       g.n_nodes - 1)
+        theta_r = flux_angles[j] + (r - radii[j]) / ew[j]
+        partial = 2.0 * np.pi * e2w[j] * (np.cos(flux_angles[j])
+                                          - np.cos(theta_r))
+        ball = np.where(r >= radii[-1], cum_vol[-1], cum_vol[j] + partial)
+        kappa = min(kappa, float(np.min(ball / (vol_total * r * r))))
     return float(kappa)

@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        curvature_bounds, diameter, legendre_profile,
                        make_grid, measured_calabi, normalize_volume,
                        round_metric, volume)
-from .monitors import (ALL_CHECKS, DEFAULT_RHO, FAIL, CheckReport,
+from .monitors import (ALL_CHECKS, FAIL, MONITOR_PARAMS, CheckReport,
                        TrajectoryReport, evaluate_trajectory)
 
 
@@ -59,7 +59,8 @@ class ExperimentSpec:
         return dict(self.scenario_params)
 
     def monitor_dict(self):
-        return dict(self.monitor_params)
+        """Every monitor parameter: the spec's values over the defaults."""
+        return {**MONITOR_PARAMS, **dict(self.monitor_params)}
 
 
 @dataclass
@@ -161,34 +162,27 @@ def initial_metric(spec: ExperimentSpec, grid: Grid | None = None
 # config text round-trip
 # ---------------------------------------------------------------------------
 
-_FLOW_KEYS = {
-    "t_end": float, "dt_init": float, "vol_tol": float,
-    "class_tol": float, "potential_tol": float, "record_dt": float,
-    "m_max": int, "k_per_mode": int, "band_tol": float,
-    "early_stop": float, "max_halvings": int,
-}
+_FLOW_DEFAULTS = {f.name: f.default for f in fields(FlowConfig)}
 _SCENARIO_KEYS = {"l": int, "eps": float, "seed": int, "decay_rate": float,
                   "amplitude": float, "file": str}
-_MONITOR_KEYS = {"rho": float, "curvature_bound": float, "phi0": float,
-                 "delta": float, "D": float, "L": float,
-                 "epsilon": float, "t0": float,
-                 "delta_measured": float, "branch_index": int,
-                 "class_tol": float,
-                 "log_det_tol": float}
 
 
 def _parse_scalar(raw: str, typ, key: str, lineno: int):
-    raw = raw.strip()
     try:
-        if typ is float and raw.lower() in ("auto", "none"):
-            return None
         return typ(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for key {key!r}")
 
 
+def _parse_declared(raw: str, default, key: str, lineno: int):
+    """raw as the type of the key's default; auto / none only for None."""
+    if default is None and raw.lower() in ("auto", "none"):
+        return None
+    return _parse_scalar(raw, float if default is None else type(default),
+                         key, lineno)
+
+
 def _parse_sweep_values(raw: str, lineno: int) -> tuple:
-    raw = raw.strip()
     if ".." in raw:
         try:
             lo_hi, _, npts = raw.partition(":")
@@ -207,10 +201,7 @@ def _parse_sweep_values(raw: str, lineno: int) -> tuple:
 def loads(text: str) -> ExperimentSpec:
     """Parse the key = value spec format; first violation raises ConfigError."""
     section = ""
-    top: dict = {}
-    scenario: dict = {}
-    flow: dict = {}
-    monitors: dict = {}
+    top, scenario, flow, monitors = {}, {}, {}, {}
     checks = None
     sweep_vals: tuple = ()
     sweep_target = "amplitude"
@@ -244,9 +235,9 @@ def loads(text: str) -> ExperimentSpec:
                 raise ConfigError(f"line {lineno}: unknown scenario key {key!r}")
             scenario[key] = _parse_scalar(raw, _SCENARIO_KEYS[key], key, lineno)
         elif section == "flow":
-            if key not in _FLOW_KEYS:
+            if key not in _FLOW_DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown flow key {key!r}")
-            flow[key] = _parse_scalar(raw, _FLOW_KEYS[key], key, lineno)
+            flow[key] = _parse_declared(raw, _FLOW_DEFAULTS[key], key, lineno)
         elif section == "monitors":
             if key == "checks":
                 names = tuple(s.strip() for s in raw.split(",") if s.strip())
@@ -255,8 +246,9 @@ def loads(text: str) -> ExperimentSpec:
                         raise ConfigError(
                             f"line {lineno}: unknown check id {name!r}")
                 checks = names
-            elif key in _MONITOR_KEYS:
-                monitors[key] = _parse_scalar(raw, _MONITOR_KEYS[key], key, lineno)
+            elif key in MONITOR_PARAMS:
+                monitors[key] = _parse_declared(raw, MONITOR_PARAMS[key], key,
+                                                lineno)
             else:
                 raise ConfigError(f"line {lineno}: unknown monitor key {key!r}")
         elif section == "sweep":
@@ -284,11 +276,16 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
-    k = spec.flow.k_per_mode
-    if spec.flow.m_max < 2 or not 3 <= k <= spec.grid_n:
+    fc = spec.flow
+    if not fc.record_dt > 0.0:
+        raise ConfigError(f"record_dt = {fc.record_dt} must be positive")
+    if fc.dt_init is not None and not fc.dt_init > 0.0:
+        raise ConfigError(f"dt_init = {fc.dt_init} must be positive or auto")
+    k = fc.k_per_mode
+    if fc.m_max < 2 or not 3 <= k <= spec.grid_n:
         raise ConfigError("need m_max >= 2 and 3 <= k_per_mode <= grid_n")
     # the tracked axial pair and the one above it must be among the k kept
-    index = monitors.get("branch_index", 2)
+    index = spec.monitor_dict()["branch_index"]
     if not 0 <= index <= k - 2 and ("branch_index" in monitors or {
             "eigenvalue_derivative", "bochner"} & set(spec.checks)):
         raise ConfigError(f"branch_index = {index} is outside "
@@ -325,7 +322,7 @@ def dumps(spec: ExperimentSpec) -> str:
     lines.append("")
     lines.append("[flow]")
     fc = spec.flow
-    for k in sorted(_FLOW_KEYS):
+    for k in sorted(_FLOW_DEFAULTS):
         v = getattr(fc, k)
         if v is None:
             v = "auto"
@@ -442,7 +439,7 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
     try:
         metric = metric_of(spec)
         if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
-            check_scale(metric, spec.monitor_dict().get("rho", DEFAULT_RHO))
+            check_scale(metric, spec.monitor_dict()["rho"])
         traj = run(spec.flow, metric)
         report = evaluate_trajectory(traj, spec.checks, spec.monitor_dict())
     except (ConfigError, NumericalError) as exc:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import spectral
-from .flow import FlowState, Trajectory, log_det_residual
+from .flow import FlowState, Trajectory, decay_cap, log_det_residual
 from .geometry import (NumericalError, diameter, dtheta, gaussian_curvature,
                        grad_norm_sq, laplace_round, measured_calabi,
                        noncollapsing_kappa, volume, weighted_integral)
@@ -32,8 +33,32 @@ FAIL = "FAIL"
 GATE_NOT_MET = "GATE_NOT_MET"
 REPORT_ONLY = "REPORT_ONLY"
 
-# the c0_vs_y non-collapsing scale when a spec sets no rho
-DEFAULT_RHO = 0.5
+# The [monitors] parameters and their defaults.  Only a key whose default
+# is None, which its check derives from the run, takes auto in a spec.
+MONITOR_PARAMS = {
+    "rho": 0.5,              # c0_vs_y: non-collapsing scale
+    "curvature_bound": 2.0,  # short_time: doubling-time reference
+    "phi0": 4.0,             # bootstrap: metric-equivalence corridor
+    "delta": None,           # bootstrap: 1; short_time: lambda(0) - 1
+    "D": None,               # short_time: diameter budget, reported if set
+    "L": None,               # bootstrap: phi0 eps^(-1/2)
+    "epsilon": None,         # bootstrap: the initial gradient bound
+    "t0": 0.1,               # short_time: sampling point
+    "delta_measured": None,  # the gap behind d': min(delta, lambda - 1)
+    "branch_index": 2,       # eigenvalue_derivative, bochner: axial pair
+    "log_det_tol": 1e-6,     # log_det: residual bound
+}
+
+POINCARE_TOL = 1e-8      # weighted_poincare: slack of the inequality
+Y_DECAY_REL_TOL = 1e-10  # y_decay: slack relative to Y(0)
+Y_FLOOR = 1e-24          # c0_vs_y: states with Y below it are skipped
+EIGEN_REL_TOL = 1e-2     # eigenvalue_derivative: relative mismatch bound
+EIGEN_REL_FLOOR = 1e-8   # ... and the floor under |d lambda/dt|
+H2_TOL_FACTOR = 50.0     # nodewise identities: multiple of the O(h^2) scale
+GRADNORM_EDGE = 2        # gradnorm_evolution: nodes dropped at each pole
+POLE_MARGIN = 0.1        # bochner: angular width dropped at each pole
+KAHLER_CLASS_TOL = 1e-6  # kahler_class: residual bound
+GRADIENT_K = 5           # gradient_estimate: mode-1 pairs solved
 
 
 class BranchCrossing(NumericalError):
@@ -112,7 +137,6 @@ def _equivalence_ratio(w, w0) -> float:
 
 def check_weighted_poincare(state: FlowState,
                             delta_measured: float | None = None,
-                            tolerance: float = 1e-8,
                             delta_prime_value: float | None = None) -> CheckReport:
     """Z >= (1 + d') Y with d' = delta_prime(min(delta, lambda-1), osc u).
 
@@ -126,8 +150,8 @@ def check_weighted_poincare(state: FlowState,
     return CheckReport(
         check_id="weighted_poincare",
         statement="int |grad u|^2 e^-u dv >= (1 + d') int (u-a)^2 e^-u dv",
-        gate_satisfied=True, margin=float(margin), tolerance=tolerance,
-        verdict=_inequality_verdict(margin, tolerance),
+        gate_satisfied=True, margin=float(margin), tolerance=POINCARE_TOL,
+        verdict=_inequality_verdict(margin, POINCARE_TOL),
         aux={"delta_prime": dp, "Y": state.funcs.Y, "Z": state.funcs.Z})
 
 
@@ -142,8 +166,8 @@ def _fit_rate(ts, ys, floor):
     return float(-np.polyfit(ts[mask], np.log(ys[mask]), 1)[0])
 
 
-def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
-                  tolerance_rel: float = 1e-10) -> CheckReport:
+def check_Y_decay(traj: Trajectory,
+                  delta_measured: float | None = None) -> CheckReport:
     """Y(t) <= exp(-d0' t) Y(0) on the prefix where |u-a| <= min(1/4, d0'/8).
 
     d0' is computed once at t = 0.  aux carries the fitted decay rate and
@@ -161,7 +185,7 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
             aux={"fitted_rate": 0.0, "delta_prime_0": 0.0,
                  "gate_prefix_end": states[-1].t})
     dp0 = _state_delta_prime(s0, delta_measured)
-    gate_cap = min(0.25, dp0 / 8.0)
+    gate_cap = decay_cap(dp0)
     prefix = []
     for s in states:
         if s.funcs.c0_u_minus_a > gate_cap:
@@ -171,7 +195,7 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
         return _gate_not_met(
             "y_decay", statement, {"delta_prime_0": dp0, "gate_cap": gate_cap,
                                    "c0_at_start": s0.funcs.c0_u_minus_a},
-            tolerance_rel * y0)
+            Y_DECAY_REL_TOL * y0)
     ts = np.array([s.t for s in prefix])
     ys = np.array([s.funcs.Y for s in prefix])
     margin = float(np.min(np.exp(-dp0 * ts) * y0 - ys))
@@ -183,7 +207,7 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
         c0 = prefix[i].funcs.c0_u_minus_a
         bound = ((-2.0 + 2.0 * c0) * (1.0 + dp0) + (2.0 + c0)) * ys[i]
         worst_resid = max(worst_resid, dy - bound)
-    tol = tolerance_rel * y0
+    tol = Y_DECAY_REL_TOL * y0
     return CheckReport(
         check_id="y_decay", statement=statement, gate_satisfied=True,
         margin=margin, tolerance=tol,
@@ -197,14 +221,13 @@ def check_Y_decay(traj: Trajectory, delta_measured: float | None = None,
 # C0 against Y through non-collapsing
 # ---------------------------------------------------------------------------
 
-def check_c0_vs_Y(state: FlowState, rho: float,
-                  y_floor: float = 1e-24) -> CheckReport:
+def check_c0_vs_Y(state: FlowState, rho: float) -> CheckReport:
     """Effective constant in |u-a|_C0 <= K kappa^(-1/4) Y^(1/4).
 
     Gates: |grad u| <= 1 and |u-a| <= 2 rho.  The constant is existential,
     so the verdict is REPORT_ONLY; acceptance asserts boundedness and
     stability of aux.K_eff across the shipped family.  States with
-    Y below y_floor are skipped.
+    Y below Y_FLOOR are skipped.
     """
     statement = "|u-a|_C0 <= K kappa^(-1/4) Y^(1/4)"
     f = state.funcs
@@ -213,7 +236,7 @@ def check_c0_vs_Y(state: FlowState, rho: float,
         return _gate_not_met("c0_vs_y", statement, {
             "grad_u_c0": f.grad_u_c0, "c0_u_minus_a": f.c0_u_minus_a,
             "rho": rho})
-    if f.Y < y_floor:
+    if f.Y < Y_FLOOR:
         return CheckReport(
             check_id="c0_vs_y", statement=statement, gate_satisfied=True,
             margin=None, tolerance=0.0, verdict=REPORT_ONLY,
@@ -295,9 +318,8 @@ def _branch_eigs(state: FlowState, index: int):
     return float(vals[index]), vecs[:, index]
 
 
-def check_eigenvalue_derivative(traj: Trajectory, index: int = 2,
-                                rel_tol: float = 1e-2,
-                                rel_floor: float = 1e-8,
+def check_eigenvalue_derivative(traj: Trajectory,
+                                index: int = MONITOR_PARAMS["branch_index"],
                                 normalization_scale: float = 1.0) -> CheckReport:
     """d lambda/dt identity along one axial (m = 0) branch.
 
@@ -314,12 +336,7 @@ def check_eigenvalue_derivative(traj: Trajectory, index: int = 2,
     if len(states) < 3:
         return _gate_not_met("eigenvalue_derivative", statement,
                              {"n_states": float(len(states))})
-    lams = []
-    vecs = []
-    for s in states:
-        lam, vec = _branch_eigs(s, index)
-        lams.append(lam)
-        vecs.append(vec)
+    lams, vecs = zip(*(_branch_eigs(s, index) for s in states))
     ts = np.array([s.t for s in states])
 
     def formula_at(i):
@@ -338,16 +355,12 @@ def check_eigenvalue_derivative(traj: Trajectory, index: int = 2,
     def mismatch_at(i, spread):
         fd = (lams[i + spread] - lams[i - spread]) / (
             ts[i + spread] - ts[i - spread])
-        return abs(fd - formula_at(i)) / (abs(fd) + rel_floor)
+        return abs(fd - formula_at(i)) / (abs(fd) + EIGEN_REL_FLOOR)
 
-    worst = 0.0
-    worst_i = 1
-    for i in range(1, len(states) - 1):
-        mism = mismatch_at(i, 1)
-        if mism > worst:
-            worst = mism
-            worst_i = i
-    margin = rel_tol - worst
+    mism = [mismatch_at(i, 1) for i in range(1, len(states) - 1)]
+    worst_i = 1 + int(np.argmax(mism))
+    worst = mism[worst_i - 1]
+    margin = EIGEN_REL_TOL - worst
     aux = {"max_rel_mismatch": float(worst), "worst_t": float(ts[worst_i]),
            "branch_index": float(index),
            "lambda_at_start": float(lams[0])}
@@ -394,14 +407,14 @@ def _gradsq_rhs(state: FlowState, mixed, pure):
     return f, lap_c_f - pure.values - mixed.values + f
 
 
-def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
-                             edge: int = 2, fields=None) -> CheckReport:
+def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
     """Pointwise residual of d/dt |grad u|^2 = lap|grad u|^2 - |pure Hess|^2
     - |mixed Hess|^2 + |grad u|^2, plus the short-time amplification bound
     |grad u|(t) <= e |grad u|(0) for t <= 2.
 
-    The sup runs over interior nodes (edge nodes dropped: the composed
-    third-derivative stencils lose an order against the pole ghosts).
+    The sup runs over interior nodes (GRADNORM_EDGE nodes dropped at each
+    pole: the composed third-derivative stencils lose an order against the
+    pole ghosts).
     fields, as _hessian_terms returns them, are computed here unless the
     caller already has them.
     """
@@ -417,13 +430,13 @@ def check_gradnorm_evolution(traj: Trajectory, tol_factor: float = 50.0,
     rec = float(np.max(np.diff(ts)))
     worst = 0.0
     scale = 1e-10
-    sl = slice(edge, -edge if edge else None)
+    sl = slice(GRADNORM_EDGE, -GRADNORM_EDGE)
     for i in range(1, len(states) - 1):
         dfdt = (fields[i + 1][0] - fields[i - 1][0]) / (ts[i + 1] - ts[i - 1])
         resid = np.max(np.abs((dfdt - fields[i][1])[sl]))
         worst = max(worst, float(resid))
         scale = max(scale, float(np.max(np.abs(fields[i][1][sl]))))
-    tol = tol_factor * (grid.h ** 2 + rec ** 2) * scale
+    tol = H2_TOL_FACTOR * (grid.h ** 2 + rec ** 2) * scale
     amp0 = states[0].funcs.grad_u_c0
     amp_max = max(s.funcs.grad_u_c0 for s in states if s.t <= 2.0)
     amplification = amp_max / amp0 if amp0 > 0 else 1.0
@@ -454,7 +467,6 @@ def _hessian_l2(state: FlowState, mixed) -> float:
 
 def check_Z_derivative(traj: Trajectory,
                        delta_measured: float | None = None,
-                       tolerance: float = 0.0,
                        hessian_means=None) -> CheckReport:
     """dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv in the small regime.
 
@@ -472,10 +484,10 @@ def check_Z_derivative(traj: Trajectory,
     if s0.funcs.Y == 0.0 or len(states) < 3:
         return CheckReport(
             check_id="z_derivative", statement=statement, gate_satisfied=True,
-            margin=0.0, tolerance=tolerance, verdict=PASS,
+            margin=0.0, tolerance=0.0, verdict=PASS,
             aux={"hessian_spacetime_total": 0.0})
     dp0 = _state_delta_prime(s0, delta_measured)
-    cap = min(0.25, dp0 / 8.0)
+    cap = decay_cap(dp0)
 
     def gated(s):
         return (s.funcs.c0_u_minus_a <= cap
@@ -497,8 +509,7 @@ def check_Z_derivative(traj: Trajectory,
     if not any_gate:
         return _gate_not_met(
             "z_derivative", statement, {"delta_prime_0": dp0, "gate_cap": cap,
-                                        "c0_at_start": s0.funcs.c0_u_minus_a},
-            tolerance)
+                                        "c0_at_start": s0.funcs.c0_u_minus_a})
     # space-time accumulation over unit windows, trapezoid in t
     eps0 = s0.funcs.grad_u_c0
     c8_eff = 0.0
@@ -516,8 +527,8 @@ def check_Z_derivative(traj: Trajectory,
         start = stop
     return CheckReport(
         check_id="z_derivative", statement=statement, gate_satisfied=True,
-        margin=float(margin), tolerance=tolerance,
-        verdict=_inequality_verdict(margin, tolerance),
+        margin=float(margin), tolerance=0.0,
+        verdict=_inequality_verdict(margin, 0.0),
         aux={"delta_prime_0": dp0,
              "hessian_spacetime_total": float(total),
              "C8_eff": float(c8_eff)})
@@ -527,15 +538,13 @@ def check_Z_derivative(traj: Trajectory,
 # Bochner identity for |dbar psi|^2 of an eigenfunction
 # ---------------------------------------------------------------------------
 
-def check_bochner(state: FlowState, eig: spectral.EigenData,
-                  tol_factor: float = 50.0,
-                  pole_margin: float = 0.1) -> CheckReport:
+def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     """Nodewise Bochner identity for f = |dbar psi|^2, axial mode only:
 
     lap_c f = |DDpsi|^2 + (lap_c psi)^2 + (1 - 2 lam) f + (lap_c u) f
               + e^{-2w} u' psi' t20(psi)
 
-    The sup runs over theta in (pole_margin, pi - pole_margin): near the
+    The sup runs over theta in (POLE_MARGIN, pi - POLE_MARGIN): near the
     ghost folds the composed second-order quotients applied to the
     wide-stencil eigenvector lose an order against 1/sin(theta), and the
     contaminated layer is a fixed angular width, not a fixed node count.
@@ -548,7 +557,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData,
     statement = "lap f = |DDpsi|^2 + |DDbar psi|^2 + (1-2 lam) f + Hess(u) coupling"
     metric = state.metric
     grid = metric.grid
-    edge = max(4, int(math.ceil(pole_margin / grid.h)))
+    edge = max(4, int(math.ceil(POLE_MARGIN / grid.h)))
     psi = eig.psi.values
     lam = eig.lam
     e2w = np.exp(2.0 * metric.w)
@@ -566,7 +575,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData,
     resid = float(np.max(np.abs((lap_c_f - rhs)[sl])))
     # absolute floor keeps identically-zero eigenfunctions trivially green
     scale = max(float(np.max(np.abs(rhs[sl]))), 1e-10)
-    tol = tol_factor * grid.h ** 2 * scale
+    tol = H2_TOL_FACTOR * grid.h ** 2 * scale
     # post-Schwarz inequality form
     gu = grad_norm_sq(state.u.values, metric).values
     ineq_rhs = (0.5 * t20 ** 2 + lap_c_psi ** 2
@@ -616,21 +625,24 @@ def check_gradient_estimate(state: FlowState, eig: spectral.EigenData,
 # bootstrap triple and the short-time suite
 # ---------------------------------------------------------------------------
 
-def bootstrap_tracker(traj: Trajectory, phi0: float, delta: float,
-                      L: float | None = None,
+def bootstrap_tracker(traj: Trajectory,
+                      phi0: float = MONITOR_PARAMS["phi0"],
+                      delta: float | None = None, L: float | None = None,
                       epsilon: float | None = None) -> CheckReport:
     """Track the open-closed triple along the run:
 
     |grad u| < L eps,   Phi0^-1 g0 < g(t) < Phi0 g0,   lambda > 1 + delta/2.
 
-    eps defaults to the measured initial gradient bound and L to the
-    calibration Phi0 eps^{-1/2}.  aux reports the first violation time per
-    condition and whether the strengthened forms (half the gradient
-    budget, half the equivalence budget) hold, mirroring the open-closed
-    improvement.
+    delta defaults to 1, eps to the measured initial gradient bound and L
+    to the calibration Phi0 eps^{-1/2}.  aux reports the first violation
+    time per condition and whether the strengthened forms (half the
+    gradient budget, half the equivalence budget) hold, mirroring the
+    open-closed improvement.
     """
     states = traj.states
     s0 = states[0]
+    if delta is None:
+        delta = 1.0
     if epsilon is None:
         epsilon = max(s0.funcs.grad_u_c0, 1e-300)
     if L is None:
@@ -674,38 +686,33 @@ def bootstrap_tracker(traj: Trajectory, phi0: float, delta: float,
         verdict=PASS if ok else FAIL, aux=aux)
 
 
-def check_short_time(traj: Trajectory, curvature_bound: float,
-                     epsilon_calabi: float | None = None, t0: float = 0.1,
+def check_short_time(traj: Trajectory,
+                     curvature_bound: float = MONITOR_PARAMS["curvature_bound"],
+                     t0: float = MONITOR_PARAMS["t0"],
                      delta: float | None = None,
                      diameter_bound: float | None = None) -> CheckReport:
     """Short-time facts: curvature doubling time, eigenvalue dip on [0, t0],
     the scaling datum (eps_Calabi, |grad u|(t0)), and the diameter budget.
 
-    eps_Calabi defaults to the measured (1/V) int (s - n)^2 dv at t = 0;
-    delta defaults to lambda(0) - 1; the diameter budget is reported only
-    when supplied.
+    eps_Calabi is the measured (1/V) int (s - n)^2 dv at t = 0; delta
+    defaults to lambda(0) - 1; the diameter budget is reported only when
+    supplied.
     """
     states = traj.states
     s0 = states[0]
-    if epsilon_calabi is None:
-        epsilon_calabi = measured_calabi(s0.metric)
+    epsilon_calabi = measured_calabi(s0.metric)
     if delta is None:
         delta = (s0.lambda_g - 1.0) if s0.lambda_g is not None else 0.0
     cap = 2.0 * curvature_bound
     first_exceed = None
     lam_min = np.inf
-    grad_t0 = None
-    best_gap = np.inf
     for s in states:
         kmax = float(np.max(np.abs(gaussian_curvature(s.metric).values)))
         if first_exceed is None and kmax > cap:
             first_exceed = s.t
         if s.t <= t0 + 1e-12 and s.lambda_g is not None:
             lam_min = min(lam_min, s.lambda_g)
-        gap = abs(s.t - t0)
-        if gap < best_gap:
-            best_gap = gap
-            grad_t0 = s.funcs.grad_u_c0
+    grad_t0 = min(states, key=lambda s: abs(s.t - t0)).funcs.grad_u_c0
     floor = 1.0 + delta / 2.0
     aux = {"epsilon_calabi": float(epsilon_calabi),
            "lambda_min_window": float(lam_min),
@@ -756,16 +763,8 @@ def convergence_order(hs, residuals, floor: float = 1e-11):
 
 
 # ---------------------------------------------------------------------------
-# registry for the harness
+# the check table for the harness
 # ---------------------------------------------------------------------------
-
-STATE_CHECKS = ("weighted_poincare", "c0_vs_y")
-TRAJECTORY_CHECKS = ("y_decay", "c2_estimate", "z_derivative",
-                     "gradnorm_evolution", "eigenvalue_derivative",
-                     "bootstrap", "short_time", "kahler_class", "log_det",
-                     "bochner", "gradient_estimate")
-ALL_CHECKS = STATE_CHECKS + TRAJECTORY_CHECKS
-
 
 def _identity_check(check_id: str, statement: str, resid: float,
                     tol: float) -> CheckReport:
@@ -778,106 +777,124 @@ def _identity_check(check_id: str, statement: str, resid: float,
         aux={"max_residual": float(resid)})
 
 
+@dataclass
+class _Shared:
+    """What the checks of one trajectory share: the parameters, the report
+    they add to, the middle state, and one Hessian pass over all states,
+    made by the first check that needs it."""
+
+    traj: Trajectory
+    p: dict
+    mid: FlowState
+    report: TrajectoryReport = field(default_factory=TrajectoryReport)
+
+    @cached_property
+    def hessian(self) -> dict:
+        """_hessian_terms' means and fields; a check may pop the fields."""
+        means, fields = _hessian_terms(self.traj, True)
+        return {"means": means, "fields": fields}
+
+
+def _worst_poincare(sh: _Shared) -> CheckReport:
+    """The least-margin state's report, stamped with its time."""
+    states = sh.traj.states
+    reports = [check_weighted_poincare(s, sh.p["delta_measured"])
+               for s in states]
+    pos = int(np.argmin([r.margin for r in reports]))
+    reports[pos].aux["state_t"] = states[pos].t
+    return reports[pos]
+
+
+def _largest_k_eff(sh: _Shared) -> CheckReport:
+    states = sh.traj.states
+    reports = [check_c0_vs_Y(s, sh.p["rho"]) for s in states]
+    keffs = np.array([r.aux.get("K_eff", np.nan) for r in reports])
+    sh.report.series["K_eff"] = keffs
+    if np.isnan(keffs).all():
+        return reports[0]
+    pos = int(np.nanargmax(keffs))
+    reports[pos].aux["state_t"] = states[pos].t
+    sh.report.constants["K_eff_max"] = reports[pos].aux["K_eff"]
+    return reports[pos]
+
+
+def _y_decay(sh: _Shared) -> CheckReport:
+    r = check_Y_decay(sh.traj, sh.p["delta_measured"])
+    if "fitted_rate" in r.aux:
+        sh.report.rates["Y"] = r.aux["fitted_rate"]
+    return r
+
+
+def _bochner_mid(sh: _Shared) -> CheckReport:
+    mid, index = sh.mid, sh.p["branch_index"]
+    vals, vecs = mid.axial_pairs()
+    return check_bochner(mid, spectral.pair_data(
+        mid.metric, mid.u, 0, float(vals[index]), vecs[:, index]))
+
+
+def _largest_c_eff(sh: _Shared) -> CheckReport:
+    """The holomorphic-band member of the middle state with the largest
+    C_eff: m = 0 from the pairs the state keeps, m = 1 from one solve."""
+    mid = sh.mid
+    c_s = spectral.sobolev_constant_estimate(mid.metric)
+    tol = spectral.default_band_tol(mid.metric.grid)
+    reports = []
+    for m, (vals, vecs) in ((0, mid.axial_pairs()), (1, spectral.mode_pairs(
+            mid.metric, mid.u, 1, GRADIENT_K))):
+        for i in np.flatnonzero(np.abs(vals - 1.0) <= tol):
+            eig = spectral.pair_data(mid.metric, mid.u, m, float(vals[i]),
+                                     vecs[:, i])
+            reports.append(check_gradient_estimate(mid, eig, sobolev_c=c_s))
+    return max(reports, key=lambda r: r.aux["C_eff"])
+
+
+# check id -> check; the key order is ALL_CHECKS, which the default spec
+# text (and so its spec_sha256) lists
+CHECKS = {
+    "weighted_poincare": _worst_poincare,
+    "c0_vs_y": _largest_k_eff,
+    "y_decay": _y_decay,
+    "c2_estimate": lambda sh: check_c2_estimate(sh.traj),
+    "z_derivative": lambda sh: check_Z_derivative(
+        sh.traj, sh.p["delta_measured"], hessian_means=sh.hessian["means"]),
+    # popped, so the fields are not held through the later checks
+    "gradnorm_evolution": lambda sh: check_gradnorm_evolution(
+        sh.traj, fields=sh.hessian.pop("fields", None)),
+    "eigenvalue_derivative": lambda sh: check_eigenvalue_derivative(
+        sh.traj, sh.p["branch_index"]),
+    "bootstrap": lambda sh: bootstrap_tracker(
+        sh.traj, sh.p["phi0"], sh.p["delta"], sh.p["L"], sh.p["epsilon"]),
+    "short_time": lambda sh: check_short_time(
+        sh.traj, sh.p["curvature_bound"], sh.p["t0"], sh.p["delta"],
+        sh.p["D"]),
+    "kahler_class": lambda sh: _identity_check(
+        "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
+        max(s.class_residual for s in sh.traj.states), KAHLER_CLASS_TOL),
+    "log_det": lambda sh: _identity_check(
+        "log_det", "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
+        max(log_det_residual(s, sh.traj.states[0])
+            for s in sh.traj.states), sh.p["log_det_tol"]),
+    "bochner": _bochner_mid,
+    "gradient_estimate": _largest_c_eff,
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
 def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
                         params: dict | None = None) -> TrajectoryReport:
-    """Run a registered monitor set over a trajectory.
+    """Run the named checks in order; params overrides MONITOR_PARAMS.
 
-    params carries the gate constants: rho, curvature_bound, phi0, delta,
-    D, L, epsilon, t0, delta_measured, branch_index, class_tol,
-    log_det_tol.  Per-state checks contribute one report (worst state) and
-    a full time series.  gradient_estimate solves the middle state's
-    spectrum for the m = 1 band members, which no state keeps.
-    """
-    p = dict(params or {})
-    report = TrajectoryReport()
-    rho = p.get("rho", DEFAULT_RHO)
-    index = int(p.get("branch_index", 2))
-    mid = traj.states[len(traj.states) // 2]
-    hessian_terms = None  # [means, fields]: one Hessian pass, two checks
+    Each check does its work while its id is the current item of checks,
+    so a wrapper around checks can time each check."""
+    sh = _Shared(traj, {**MONITOR_PARAMS, **(params or {})},
+                 traj.states[len(traj.states) // 2])
     for check in checks:
-        if (check in ("z_derivative", "gradnorm_evolution")
-                and hessian_terms is None):
-            hessian_terms = list(_hessian_terms(traj, True))
-        if check == "weighted_poincare":
-            reports = [check_weighted_poincare(
-                s, delta_measured=p.get("delta_measured")) for s in traj.states]
-            margins = [r.margin for r in reports]
-            pos = int(np.argmin(margins))
-            worst = reports[pos]
-            worst.aux["state_t"] = traj.states[pos].t
-            report.series["weighted_poincare_margin"] = np.array(margins)
-            report.checks.append(worst)
-        elif check == "c0_vs_y":
-            reports = [check_c0_vs_Y(s, rho) for s in traj.states]
-            keffs = np.array([r.aux.get("K_eff", np.nan) for r in reports])
-            report.series["K_eff"] = keffs
-            pick = None
-            for r, s in zip(reports, traj.states):
-                if "K_eff" in r.aux:
-                    if pick is None or r.aux["K_eff"] > pick.aux["K_eff"]:
-                        pick = r
-                        pick.aux["state_t"] = s.t
-            report.checks.append(pick if pick is not None else reports[0])
-            if pick is not None:
-                report.constants["K_eff_max"] = pick.aux["K_eff"]
-        elif check == "y_decay":
-            r = check_Y_decay(traj, delta_measured=p.get("delta_measured"))
-            report.checks.append(r)
-            if "fitted_rate" in r.aux:
-                report.rates["Y"] = r.aux["fitted_rate"]
-        elif check == "c2_estimate":
-            report.checks.append(check_c2_estimate(traj))
-        elif check == "z_derivative":
-            report.checks.append(check_Z_derivative(
-                traj, delta_measured=p.get("delta_measured"),
-                hessian_means=hessian_terms[0]))
-        elif check == "gradnorm_evolution":
-            report.checks.append(check_gradnorm_evolution(
-                traj, fields=hessian_terms[1]))
-            hessian_terms[1] = None  # not held through the later checks
-        elif check == "eigenvalue_derivative":
-            report.checks.append(check_eigenvalue_derivative(traj, index))
-        elif check == "bootstrap":
-            report.checks.append(bootstrap_tracker(
-                traj, phi0=p.get("phi0", 4.0), delta=p.get("delta", 1.0),
-                L=p.get("L"), epsilon=p.get("epsilon")))
-        elif check == "short_time":
-            report.checks.append(check_short_time(
-                traj, curvature_bound=p.get("curvature_bound", 2.0),
-                t0=p.get("t0", 0.1), delta=p.get("delta"),
-                diameter_bound=p.get("D")))
-        elif check == "kahler_class":
-            report.checks.append(_identity_check(
-                "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
-                max(s.class_residual for s in traj.states),
-                p.get("class_tol", 1e-6)))
-        elif check == "log_det":
-            report.checks.append(_identity_check(
-                "log_det",
-                "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
-                max(log_det_residual(s, traj.states[0]) for s in traj.states),
-                p.get("log_det_tol", 1e-6)))
-        elif check == "bochner":
-            vals, vecs = mid.axial_pairs()
-            report.checks.append(check_bochner(mid, spectral.pair_data(
-                mid.metric, mid.u, 0, float(vals[index]), vecs[:, index])))
-        elif check == "gradient_estimate":
-            c_s = spectral.sobolev_constant_estimate(mid.metric)
-            c_eff = 0.0
-            picked = None
-            mid_spec = spectral.weighted_spectrum(mid.metric, mid.u)
-            for eig in spectral.band_eigen_data(mid_spec):
-                r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
-                if r.aux["C_eff"] >= c_eff:
-                    c_eff = r.aux["C_eff"]
-                    picked = r
-            report.checks.append(picked)
-            report.constants["C_eff_max"] = c_eff
-        else:
+        if check not in CHECKS:
             raise ValueError(f"unknown check id {check!r}")
+        sh.report.checks.append(CHECKS[check](sh))
     # convergence-rate bookkeeping for the exponential tail
     c0s = np.array([s.funcs.c0_u_minus_a for s in traj.states])
     ts = traj.times()
     if len(ts) > 3 and c0s[0] > 0:
-        report.rates["c0_u_minus_a"] = _fit_rate(ts, c0s, c0s[0] * 1e-9)
-    return report
+        sh.report.rates["c0_u_minus_a"] = _fit_rate(ts, c0s, c0s[0] * 1e-9)
+    return sh.report

@@ -43,6 +43,7 @@ STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
 BANDWIDTH = 3
 # the bisection tolerance scipy's eig_banded passes to ?sbevx
 _ABSTOL = 2.0 * dlamch("s")
+RESIDUAL_TOL = 1e-7  # accepted Rayleigh residual, relative to max(1, |lam|)
 
 
 class SolveFail(NumericalError):
@@ -226,14 +227,27 @@ def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
     return np.sqrt(np.sum(r * r / mass, axis=0))
 
 
+def mode_pairs(metric: ConformalMetric, u, m: int, k: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """solve_mode's lowest k pairs of mode m on (metric, u), each checked
+    against its Rayleigh residual; a NaN residual fails the check."""
+    prob = assemble_mode_problem(metric, u, m)
+    vals, vecs = solve_mode(prob, k)
+    res = rayleigh_residual(prob, vals, vecs)
+    bad = ~(res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolveFail(
+            f"mode {m} eigenpair {i} residual {res[i]:.2e} too large")
+    return vals, vecs
+
+
 def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
-                      k_per_mode: int = 5,
-                      residual_tol: float = 1e-7) -> Spectrum:
-    """Lowest k_per_mode eigenpairs for every mode m = 0..m_max, merged.
+                      k_per_mode: int = 5) -> Spectrum:
+    """Lowest k_per_mode checked eigenpairs (mode_pairs) for every mode
+    m = 0..m_max, merged.
 
     Eigenvalues of modes m > 0 are counted twice in the merged list.
-    Each returned pair is checked against its Rayleigh residual; a NaN
-    residual fails the check.
     """
     if m_max < 2 or k_per_mode < 3:
         raise ValueError("need m_max >= 2 and k_per_mode >= 3")
@@ -241,14 +255,7 @@ def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
     uv = _u_array(u, n)
     entries = []
     for m in range(m_max + 1):
-        prob = assemble_mode_problem(metric, uv, m)
-        vals, vecs = solve_mode(prob, k_per_mode)
-        res = rayleigh_residual(prob, vals, vecs)
-        bad = ~(res <= residual_tol * np.maximum(1.0, np.abs(vals)))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SolveFail(
-                f"mode {m} eigenpair {i} residual {res[i]:.2e} too large")
+        vals, vecs = mode_pairs(metric, uv, m, k_per_mode)
         for i, lam in enumerate(vals):
             entry = EigenEntry(eigenvalue=float(lam), m=m, vector=vecs[:, i])
             entries.append(entry)

@@ -248,7 +248,7 @@ def test_09_weighted_poincare_everywhere(family_runs, multimode256):
     count = 0
     for traj in trajs:
         for s in traj.states:
-            rep = check_weighted_poincare(s, tolerance=1e-8)
+            rep = check_weighted_poincare(s)
             assert rep.verdict == PASS
             worst = min(worst, rep.margin)
             count += 1

@@ -211,7 +211,46 @@ class TestDiameter:
         assert diameter(m) == pytest.approx(belt_oracle, rel=1e-6)
 
 
+def kappa_by_loop(metric, rho, n_radii=48):
+    """noncollapsing_kappa one radius and one pole at a time: the scalar
+    reference for the vectorized ball volumes."""
+    g = metric.grid
+    vol_total = volume(metric)
+    flux_angles = np.arange(g.n_nodes + 1) * g.h
+    kappa = np.inf
+    for south in (False, True):
+        ew = np.exp(metric.w)
+        e2w = np.exp(2.0 * metric.w)
+        if south:
+            ew, e2w = ew[::-1], e2w[::-1]
+        radii = np.concatenate(([0.0], np.cumsum(ew * g.h)))
+        cum_vol = np.concatenate(
+            ([0.0], np.cumsum(2.0 * np.pi * e2w * g.quad_weights)))
+        for r in np.geomspace(rho / 100.0, rho, n_radii):
+            if r >= radii[-1]:
+                ball = cum_vol[-1]
+            else:
+                j = int(np.searchsorted(radii, r, side="right") - 1)
+                theta_r = flux_angles[j] + (r - radii[j]) / ew[j]
+                ball = cum_vol[j] + 2.0 * np.pi * e2w[j] * (
+                    np.cos(flux_angles[j]) - np.cos(theta_r))
+            kappa = min(kappa, ball / (vol_total * r * r))
+    return float(kappa)
+
+
 class TestNonCollapsing:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("amp", [-3.0, -0.1, 0.1, 0.4])
+    def test_equals_scalar_loop(self, n, amp):
+        g = make_grid(n)
+        m = normalize_volume(conformal_metric(g, amp * P2(g.cos_nodes)))
+        half = 0.5 * diameter(m)
+        if amp == -3.0:
+            # a thin belt: radii past the far pole hold the whole volume
+            assert half > np.sum(np.exp(m.w)) * g.h
+        for rho in (0.1, 0.5, half):
+            assert noncollapsing_kappa(m, rho) == kappa_by_loop(m, rho)
+
     def test_round_rho_one_closed_form(self, grid256):
         # cap volume 2 pi (1 - cos r): worst ratio at r = rho = 1
         val = noncollapsing_kappa(round_metric(grid256), 1.0)

@@ -1,5 +1,7 @@
 """Config round-trip, presets, artifacts, sweep isolation, CLI surface."""
 
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -14,8 +16,16 @@ from krflow.harness import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL, EXIT_OK,
                             legendre_bump, legendre_bump_for_calabi,
                             load_spec, loads, measured_calabi, multi_mode,
                             run_scenario, sweep_epsilon)
+from krflow.monitors import ALL_CHECKS, MONITOR_PARAMS
 
 MINIMAL = "scenario = round\ngrid_n = 128\n"
+BUMP64 = "scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
+# each hung, crashed or exited 3 before loads checked it
+TIME_CONTROL_MISTAKES = (
+    "[flow]\nrecord_dt = 0\n", "[flow]\nrecord_dt = -0.01\n",
+    "[flow]\nrecord_dt = auto\n", "[flow]\nt_end = auto\n",
+    "[flow]\ndt_init = 0\n", "[flow]\ndt_init = -0.01\n",
+    "[flow]\nvol_tol = auto\n", "[monitors]\nrho = auto\n")
 
 
 class TestConfig:
@@ -78,6 +88,50 @@ class TestConfig:
         with pytest.raises(ConfigError, match="branch_index"):
             loads("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 3\n"
                   "[monitors]\nchecks = bochner\n")
+
+    def test_check_order_pinned(self):
+        # the default spec text, and so every default run's spec_sha256,
+        # lists the checks in this order
+        assert ALL_CHECKS == (
+            "weighted_poincare", "c0_vs_y", "y_decay", "c2_estimate",
+            "z_derivative", "gradnorm_evolution", "eigenvalue_derivative",
+            "bootstrap", "short_time", "kahler_class", "log_det", "bochner",
+            "gradient_estimate")
+        text = dumps(ExperimentSpec())
+        assert "checks = " + ", ".join(ALL_CHECKS) + "\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7c9cb79afa4a45c3fc0ab49af767b684a217616ea4295e4ed17c3198006f519a")
+
+    def test_monitor_keys_are_the_parameter_table(self):
+        # loads takes exactly the table's keys; class_tol is a flow key only
+        candidates = set(MONITOR_PARAMS) | {
+            "class_tol", "branch_mode", "tolerance", "tolerance_rel",
+            "rel_tol", "tol_factor", "y_floor", "pole_margin", "n_radii",
+            "epsilon_calabi", "t_end", "eps"}
+        accepted = set()
+        for key in candidates:
+            try:
+                spec = loads(MINIMAL + f"[monitors]\n{key} = 1\n")
+            except ConfigError:
+                continue
+            accepted.add(key)
+            assert spec.monitor_params == ((key, 1),)
+            assert loads(dumps(spec)) == spec
+        assert accepted == set(MONITOR_PARAMS)
+
+    def test_auto_only_where_the_default_is_none(self):
+        def takes_auto(section, key):
+            try:
+                loads(MINIMAL + f"[{section}]\n{key} = auto\n")
+            except ConfigError:
+                return False
+            return True
+
+        flow_keys = [f.name for f in dataclasses.fields(FlowConfig)]
+        assert {k for k in flow_keys if takes_auto("flow", k)} == {
+            "dt_init", "band_tol"}
+        assert {k for k in MONITOR_PARAMS if takes_auto("monitors", k)} == {
+            "delta", "D", "L", "epsilon", "delta_measured"}
 
     def test_removed_flow_keys_rejected(self):
         # RK4 is the only scheme and the class-identity guard is always on
@@ -384,12 +438,17 @@ class TestCli:
          "[monitors]\nchecks = bochner\nbranch_index = 7\n", EXIT_CONFIG),
         ("scenario = round\ngrid_n = 64\n[monitors]\n"
          "checks = eigenvalue_derivative\nbranch_mode = 0\n", EXIT_CONFIG),
+        # time controls, and auto for a key whose default is not auto
+        *((BUMP64 + line, EXIT_CONFIG) for line in TIME_CONTROL_MISTAKES),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
             "m_max_below_two", "k_per_mode_below_three",
             "k_per_mode_over_grid_n",
-            "branch_index_over_k", "branch_mode_removed"])
+            "branch_index_over_k", "branch_mode_removed",
+            "record_dt_zero", "record_dt_negative", "record_dt_auto",
+            "t_end_auto", "dt_init_zero", "dt_init_negative",
+            "vol_tol_auto", "rho_auto"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)

@@ -20,7 +20,8 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              evaluate_trajectory, synthetic_trace_positivity)
 from krflow.geometry import ScalarField
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import band_eigen_data, eigen_data, weighted_spectrum
+from krflow.spectral import (band_eigen_data, eigen_data,
+                             sobolev_constant_estimate, weighted_spectrum)
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +324,48 @@ class TestEvaluateTrajectory:
         assert derivative.aux["lambda_at_start"] == lam0
         assert (bochner.verdict, bochner.margin, bochner.aux) == (
             own.verdict, own.margin, own.aux)
+
+    def test_gradient_estimate_solves_mode_one_only(self, p2_run_small,
+                                                    monkeypatch):
+        # the m = 0 band member is read from the middle state, so the
+        # check makes one solve; its report is the full-spectrum one's
+        import krflow.spectral
+        states = p2_run_small.states
+        mid = states[len(states) // 2]
+        c_s = sobolev_constant_estimate(mid.metric)
+        c_eff, full = 0.0, None
+        for eig in band_eigen_data(weighted_spectrum(mid.metric, mid.u)):
+            r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
+            if r.aux["C_eff"] >= c_eff:
+                c_eff, full = r.aux["C_eff"], r
+        calls = []
+        real = krflow.spectral.solve_mode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(krflow.spectral, "solve_mode", counted)
+        (own,) = evaluate_trajectory(p2_run_small,
+                                     ("gradient_estimate",)).checks
+        assert len(calls) == 1
+        assert (own.verdict, own.statement, own.aux) == (
+            full.verdict, full.statement, full.aux)
+
+    def test_delta_defaults_per_check(self, p2_run_small):
+        # with delta unset, bootstrap's floor uses delta = 1 and
+        # short_time's uses lambda(0) - 1
+        boot, short = evaluate_trajectory(
+            p2_run_small, ("bootstrap", "short_time"), {}).checks
+        lam0 = p2_run_small.states[0].lambda_g
+        direct = (bootstrap_tracker(p2_run_small, phi0=4.0, delta=1.0),
+                  check_short_time(p2_run_small, curvature_bound=2.0,
+                                   t0=0.1, delta=lam0 - 1.0))
+        for shared, own in zip((boot, short), direct):
+            assert (shared.verdict, shared.margin, shared.aux) == (
+                own.verdict, own.margin, own.aux)
+        assert short.aux["lambda_floor"] == 1.0 + (lam0 - 1.0) / 2.0
+        assert lam0 - 1.0 != 1.0
 
     def test_hessian_norms_once_per_state(self, monkeypatch):
         import krflow.monitors

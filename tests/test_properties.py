@@ -66,27 +66,29 @@ def test_potential_pde_residual(profile):
     assert solve_ricci_potential(m).pde_residual < 5e-9
 
 
-# spec values as loads can produce them: "auto" / "none" read as None for
-# every float key, and text values carry no surrounding blanks
+# valid spec values as loads can produce them: "auto" / "none" read as
+# None only for the keys whose default is None, the time steps are
+# positive, and text values carry no surrounding blanks
 real = st.floats(allow_nan=False)
 real_or_none = st.none() | real
+positive = st.floats(min_value=0.0, exclude_min=True)
 word = st.text(st.sampled_from(string.ascii_letters + string.digits
                                + string.punctuation))
-SCENARIO_VALUES = {"l": st.integers(2, 10), "eps": real_or_none,
-                   "seed": st.integers(), "decay_rate": real_or_none,
-                   "amplitude": real_or_none, "file": word}
-MONITOR_FLOATS = ("rho", "curvature_bound", "phi0", "delta", "D", "L",
-                  "epsilon", "t0", "delta_measured", "class_tol",
-                  "log_det_tol")
-FLOW_FLOATS = ("t_end", "dt_init", "vol_tol", "class_tol", "potential_tol",
-               "record_dt", "band_tol", "early_stop")
+SCENARIO_VALUES = {"l": st.integers(2, 10), "eps": real,
+                   "seed": st.integers(), "decay_rate": real,
+                   "amplitude": real, "file": word}
+MONITOR_FLOATS = ("rho", "curvature_bound", "phi0", "t0", "log_det_tol")
+MONITOR_AUTO = ("delta", "D", "L", "epsilon", "delta_measured")
+FLOW_FLOATS = ("t_end", "vol_tol", "class_tol", "potential_tol",
+               "early_stop")
 
 
 @st.composite
 def specs(draw):
     checks = tuple(draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=4)))
-    monitors = draw(st.fixed_dictionaries(
-        {}, optional={k: real_or_none for k in MONITOR_FLOATS}))
+    monitors = draw(st.fixed_dictionaries({}, optional={
+        **{k: real for k in MONITOR_FLOATS},
+        **{k: real_or_none for k in MONITOR_AUTO}}))
     reads_branch = bool({"eigenvalue_derivative", "bochner"} & set(checks))
     with_index = draw(st.booleans())
     # the default branch index 2 needs k_per_mode >= 4
@@ -95,7 +97,10 @@ def specs(draw):
         monitors["branch_index"] = draw(st.integers(0, k - 2))
     flow = FlowConfig(m_max=draw(st.integers(2, 6)), k_per_mode=k,
                       max_halvings=draw(st.integers()),
-                      **{f: draw(real_or_none) for f in FLOW_FLOATS})
+                      record_dt=draw(positive),
+                      dt_init=draw(st.none() | positive),
+                      band_tol=draw(real_or_none),
+                      **{f: draw(real) for f in FLOW_FLOATS})
     scenario = draw(st.fixed_dictionaries({}, optional=SCENARIO_VALUES))
     return ExperimentSpec(
         scenario=draw(st.sampled_from(SCENARIOS)),
