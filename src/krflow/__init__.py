@@ -18,7 +18,7 @@ from .spectral import (BandAmbiguity, EigenData, ModeProblem, SolveFail,
                        Spectrum, eigen_data, lambda_second, plain_lambda1,
                        sobolev_constant_estimate, weighted_spectrum)
 from .flow import (FlowConfig, FlowState, StepReject, Trajectory,
-                   check_kahler_class, log_det_bookkeeping, run, step)
+                   log_det_bookkeeping, run)
 from .monitors import (CheckReport, TrajectoryReport, evaluate_trajectory,
                        convergence_order)
 from .harness import (ConfigError, ExperimentSpec, RunArtifacts, dumps,

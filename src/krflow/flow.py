@@ -77,9 +77,10 @@ class FlowConfig:
 class FlowState:
     """One time slice with all derived diagnostics.
 
-    spectrum holds the merged (eigenvalue, m) pairs make_state solved and
-    axial_vectors the B-orthonormal eigenvectors of its m = 0 pairs, in
-    order, as (n, k) columns; both are None without with_spectrum.
+    spectrum holds the per-mode eigenvalues make_state solved (Spectrum.vals,
+    row m ascending) and axial_vectors the B-orthonormal eigenvectors of
+    row 0, in order, as (n, k) columns.  class_residual is the sup-norm
+    residual of the class identity against the initial metric.
     """
 
     t: float
@@ -88,19 +89,16 @@ class FlowState:
     u: RicciPotential
     funcs: FunctionalBundle
     phi: ScalarField
-    lambda_g: float | None
-    holo_band: list[float] | None
-    class_residual: float  # check_kahler_class, computed once
-    initial: ConformalMetric | None = None
-    spectrum: np.ndarray | None = None
-    axial_vectors: np.ndarray | None = None
+    lambda_g: float
+    holo_band: list[float]
+    class_residual: float
+    initial: ConformalMetric
+    spectrum: np.ndarray
+    axial_vectors: np.ndarray
 
     def axial_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The axial eigenvalues and their eigenvector block."""
-        if self.axial_vectors is None:
-            raise ValueError(f"state at t = {self.t:.6g} carries no spectrum")
-        return (self.spectrum["eigenvalue"][self.spectrum["m"] == 0],
-                self.axial_vectors)
+        return self.spectrum[0], self.axial_vectors
 
 
 @dataclass
@@ -140,19 +138,15 @@ def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
 
 
 def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
-               config: FlowConfig, initial: ConformalMetric,
-               with_spectrum: bool = True) -> FlowState:
+               config: FlowConfig, initial: ConformalMetric) -> FlowState:
+    """Solve the potential and the weighted spectrum of (w, phi) at t, and
+    check the class identity against the initial metric (StepReject)."""
     grid = initial.grid
     metric = ConformalMetric(grid=grid, w=w.copy())
     u = solve_ricci_potential(metric, tol=config.potential_tol)
-    lam_g = band = pairs = axial = None
-    if with_spectrum:
-        spec = spectral.weighted_spectrum(metric, u, m_max=config.m_max,
-                                          k_per_mode=config.k_per_mode)
-        lam_g, band = spectral.lambda_second(spec, config.band_tol)
-        pairs = spectral.eigen_pairs(spec)
-        axial = np.column_stack([en.vector for en in spec.entries
-                                 if en.m == 0])
+    spec = spectral.weighted_spectrum(metric, u, m_max=config.m_max,
+                                      k_per_mode=config.k_per_mode)
+    lam_g, band = spectral.lambda_second(spec, config.band_tol)
     funcs = functional_bundle(u, metric, lambda_g=lam_g)
     phi = phi.copy()
     res = _class_residual(metric.w, initial.w, phi, grid)
@@ -163,36 +157,17 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
                      phi=ScalarField(grid=grid, values=phi), lambda_g=lam_g,
                      holo_band=band, class_residual=res, initial=initial,
-                     spectrum=pairs, axial_vectors=axial)
+                     spectrum=spec.vals, axial_vectors=spec.vecs[0])
 
 
-def initial_state(metric: ConformalMetric, config: FlowConfig,
-                  with_spectrum: bool = True) -> FlowState:
+def initial_state(metric: ConformalMetric, config: FlowConfig) -> FlowState:
     vol = volume(metric)
     if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
         raise VolumeMismatch(
             f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
             " rescale before flowing")
     return make_state(metric.w, np.zeros(metric.grid.n_nodes), 0.0, 0.0,
-                      config, initial=metric, with_spectrum=with_spectrum)
-
-
-def step(state: FlowState, dt: float, config: FlowConfig | None = None,
-         with_spectrum: bool = False) -> FlowState:
-    """One explicit RK4 step; raises StepReject on the volume check."""
-    config = config or FlowConfig()
-    bound = stability_dt(state.metric)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityBoundError(
-            f"dt = {dt:.3e} over the stability bound {bound:.3e}")
-    w = state.metric.w.copy()
-    phi = state.phi.values.copy()
-    _, ok = advance_rk4(w, phi, 1, dt, state.metric.grid,
-                        config.vol_tol * ROUND_VOLUME)
-    if not ok:
-        raise StepReject(f"volume drifted beyond tolerance at t = {state.t:.6g}")
-    return make_state(w, phi, state.t + dt, dt, config, state.initial,
-                      with_spectrum=with_spectrum)
+                      config, initial=metric)
 
 
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
@@ -272,19 +247,12 @@ def _record_gate_transition(traj: Trajectory, state: FlowState) -> None:
         traj.events.append(("decay_gate", state.t, "on" if now else "off"))
 
 
-def check_kahler_class(state: FlowState) -> float:
+def _class_residual(w, w0, phi, grid) -> float:
     """Sup-norm residual of e^{2w(t)} = e^{2w(0)} + (1/2) lap_round phi.
 
     The two sides are advanced by independent right-hand sides, so this is
     the integrator's principal cross-check.
     """
-    if state.initial is None:
-        raise ValueError("state carries no initial metric; not from a run")
-    return _class_residual(state.metric.w, state.initial.w, state.phi.values,
-                           state.metric.grid)
-
-
-def _class_residual(w, w0, phi, grid) -> float:
     lhs = np.exp(2.0 * w)
     rhs = np.exp(2.0 * w0) + 0.5 * laplace_round(grid, phi)
     return float(np.max(np.abs(lhs - rhs)))

@@ -281,13 +281,12 @@ def curvature_bounds(metric: ConformalMetric) -> tuple[float, float]:
 
 
 def check_scale(metric: ConformalMetric, rho: float) -> None:
-    """Raise ScaleOutOfRange unless 0 < rho <= diam/2."""
-    if rho <= 0.0:
-        raise ScaleOutOfRange(f"rho = {rho} must be positive")
+    """Raise ScaleOutOfRange unless 0 < rho <= diam/2 (a NaN rho fails)."""
     diam = diameter(metric)
-    if rho > 0.5 * diam:
+    if not 0.0 < rho <= 0.5 * diam:
         raise ScaleOutOfRange(
-            f"rho = {rho} exceeds half the diameter {diam:.6g}")
+            f"rho = {rho} must lie in (0, {0.5 * diam:.6g}], half the "
+            "diameter")
 
 
 def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .flow import FlowConfig, Trajectory, initial_state, run
 from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        NumericalError, check_scale, conformal_metric,
@@ -277,10 +277,13 @@ def loads(text: str) -> ExperimentSpec:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
     fc = spec.flow
-    if not fc.record_dt > 0.0:
-        raise ConfigError(f"record_dt = {fc.record_dt} must be positive")
-    if fc.dt_init is not None and not fc.dt_init > 0.0:
-        raise ConfigError(f"dt_init = {fc.dt_init} must be positive or auto")
+    if not 0.0 <= fc.t_end < math.inf:
+        raise ConfigError(f"t_end = {fc.t_end} must be finite and >= 0")
+    for key in ("record_dt", "dt_init", "vol_tol", "class_tol",
+                "potential_tol", "band_tol"):
+        value = getattr(fc, key)  # None only for an auto dt_init, band_tol
+        if value is not None and not value > 0.0:
+            raise ConfigError(f"{key} = {value} must be positive")
     k = fc.k_per_mode
     if fc.m_max < 2 or not 3 <= k <= spec.grid_n:
         raise ConfigError("need m_max >= 2 and 3 <= k_per_mode <= grid_n")
@@ -349,13 +352,11 @@ def _timeseries_rows(traj: Trajectory):
     rows = []
     for s in traj.states:
         kmin, kmax = curvature_bounds(s.metric)
-        band = s.holo_band or [math.nan]
         rows.append((
             s.t, s.dt, volume(s.metric), diameter(s.metric), kmin, kmax,
             s.funcs.a, s.funcs.Y, s.funcs.Z, s.funcs.osc_u,
-            s.funcs.c0_u_minus_a, s.funcs.grad_u_c0,
-            s.lambda_g if s.lambda_g is not None else math.nan,
-            min(band), max(band),
+            s.funcs.c0_u_minus_a, s.funcs.grad_u_c0, s.lambda_g,
+            min(s.holo_band), max(s.holo_band),
             s.class_residual,
             float(np.max(np.abs(s.phi.values)))))
     return rows
@@ -554,6 +555,8 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
 
 def state_at(spec: ExperimentSpec, t: float):
     """Flow the scenario to time t and return the recorded state nearest t."""
+    if not math.isfinite(t):
+        raise ConfigError(f"t = {t} must be finite")
     metric = initial_metric(spec)
     cfg = replace(spec.flow, t_end=max(t, 0.0))
     if t <= 0.0:
@@ -567,7 +570,8 @@ def spectrum_dump(spec: ExperimentSpec, t: float) -> str:
     """The merged spectrum that the flow solved for the state nearest t."""
     state = state_at(spec, t)
     lines = ["index,eigenvalue,mode"]
-    for i, (lam, m) in enumerate(state.spectrum):
+    lams, modes = spectral.merged_spectrum(state.spectrum)
+    for i, (lam, m) in enumerate(zip(lams, modes)):
         lines.append(f"{i},{repr(float(lam))},{m}")
     lines.append(f"# lambda_g = {repr(state.lambda_g)}")
     lines.append("# holo_band = " + ", ".join(repr(b) for b in state.holo_band))

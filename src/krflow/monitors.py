@@ -119,10 +119,7 @@ def _gate_not_met(check_id: str, statement: str, aux: dict,
 
 
 def _state_delta_prime(state: FlowState, delta_measured: float | None) -> float:
-    dp = gap_delta_prime(state.lambda_g, delta_measured, state.funcs.osc_u)
-    if dp is None:
-        raise ValueError("no spectral gap available; pass delta_measured")
-    return dp
+    return gap_delta_prime(state.lambda_g, delta_measured, state.funcs.osc_u)
 
 
 def _equivalence_ratio(w, w0) -> float:
@@ -657,13 +654,12 @@ def bootstrap_tracker(traj: Trajectory,
         phi_meas = _equivalence_ratio(s.metric.w, w0)
         max_phi = max(max_phi, phi_meas)
         max_grad = max(max_grad, s.funcs.grad_u_c0)
-        lam = s.lambda_g if s.lambda_g is not None else np.inf
-        min_lam = min(min_lam, lam)
+        min_lam = min(min_lam, s.lambda_g)
         if first_grad is None and s.funcs.grad_u_c0 >= grad_budget:
             first_grad = s.t
         if first_equiv is None and phi_meas >= phi0:
             first_equiv = s.t
-        if first_eig is None and lam <= 1.0 + delta / 2.0:
+        if first_eig is None and s.lambda_g <= 1.0 + delta / 2.0:
             first_eig = s.t
     ok = first_grad is None and first_equiv is None and first_eig is None
     margin = min((grad_budget - max_grad) / grad_budget,
@@ -702,7 +698,7 @@ def check_short_time(traj: Trajectory,
     s0 = states[0]
     epsilon_calabi = measured_calabi(s0.metric)
     if delta is None:
-        delta = (s0.lambda_g - 1.0) if s0.lambda_g is not None else 0.0
+        delta = s0.lambda_g - 1.0
     cap = 2.0 * curvature_bound
     first_exceed = None
     lam_min = np.inf
@@ -710,7 +706,7 @@ def check_short_time(traj: Trajectory,
         kmax = float(np.max(np.abs(gaussian_curvature(s.metric).values)))
         if first_exceed is None and kmax > cap:
             first_exceed = s.t
-        if s.t <= t0 + 1e-12 and s.lambda_g is not None:
+        if s.t <= t0 + 1e-12:
             lam_min = min(lam_min, s.lambda_g)
     grad_t0 = min(states, key=lambda s: abs(s.t - t0)).funcs.grad_u_c0
     floor = 1.0 + delta / 2.0

@@ -219,23 +219,23 @@ def hessian_t20(u, metric: ConformalMetric) -> np.ndarray:
     return 0.5 * (upp - (2.0 * wp + cot) * up) / np.exp(2.0 * metric.w)
 
 
-def gap_delta_prime(lambda_g: float | None, delta_measured: float | None,
-                    osc: float) -> float | None:
-    """delta_prime of the gap min(delta_measured, lambda_g - 1), clipped at
-    0, with whichever of the two is known; None when neither is."""
-    gap = None if lambda_g is None else lambda_g - 1.0
+def gap_delta_prime(lambda_g: float, delta_measured: float | None,
+                    osc: float) -> float:
+    """delta_prime of the gap lambda_g - 1, or of min(delta_measured,
+    lambda_g - 1) when delta_measured is given, clipped at 0."""
+    gap = lambda_g - 1.0
     if delta_measured is not None:
-        gap = delta_measured if gap is None else min(delta_measured, gap)
-    return None if gap is None else delta_prime(max(gap, 0.0), osc)
+        gap = min(delta_measured, gap)
+    return delta_prime(max(gap, 0.0), osc)
 
 
-def functional_bundle(u, metric: ConformalMetric,
-                      lambda_g: float | None = None,
+def functional_bundle(u, metric: ConformalMetric, lambda_g: float,
                       delta_measured: float | None = None) -> FunctionalBundle:
     """Assemble every scalar functional of a solved state.
 
     delta_prime_0 follows the monotonicity remark: the gap argument is
-    min(delta_measured, lambda_g - 1) when both are known, clipped at 0.
+    min(delta_measured, lambda_g - 1) when delta_measured is given,
+    clipped at 0.
     """
     uv = values_of(u)
     a = average_a(uv, metric)
@@ -246,5 +246,4 @@ def functional_bundle(u, metric: ConformalMetric,
     gc0 = grad_c0_norm(uv, metric)
     dp0 = gap_delta_prime(lambda_g, delta_measured, osc)
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
-                            grad_u_c0=gc0,
-                            delta_prime_0=0.0 if dp0 is None else dp0)
+                            grad_u_c0=gc0, delta_prime_0=dp0)

@@ -28,7 +28,7 @@ above that band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
@@ -68,20 +68,16 @@ class ModeProblem:
 
 
 @dataclass(frozen=True)
-class EigenEntry:
-    eigenvalue: float
-    m: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """Merged spectrum; modes m > 0 enter twice (m and -m coincide)."""
+    """Lowest pairs per mode m = 0..m_max, as mode_pairs solved them: vals
+    has shape (m_max + 1, k), each row ascending, and vecs[m] is mode m's
+    (n, k) block of B-orthonormal eigenvectors.  A mode m > 0 stands for
+    m and -m, which coincide."""
 
     metric: ConformalMetric
     u_values: np.ndarray
-    entries: list[EigenEntry]
-    all_sorted: np.ndarray = field(default=None)
+    vals: np.ndarray
+    vecs: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -245,39 +241,25 @@ def mode_pairs(metric: ConformalMetric, u, m: int, k: int
 def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
                       k_per_mode: int = 5) -> Spectrum:
     """Lowest k_per_mode checked eigenpairs (mode_pairs) for every mode
-    m = 0..m_max, merged.
-
-    Eigenvalues of modes m > 0 are counted twice in the merged list.
-    """
+    m = 0..m_max."""
     if m_max < 2 or k_per_mode < 3:
         raise ValueError("need m_max >= 2 and k_per_mode >= 3")
-    n = metric.grid.n_nodes
-    uv = _u_array(u, n)
-    entries = []
-    for m in range(m_max + 1):
-        vals, vecs = mode_pairs(metric, uv, m, k_per_mode)
-        for i, lam in enumerate(vals):
-            entry = EigenEntry(eigenvalue=float(lam), m=m, vector=vecs[:, i])
-            entries.append(entry)
-            if m > 0:
-                entries.append(entry)
-    entries.sort(key=lambda en: en.eigenvalue)
-    all_sorted = np.array([en.eigenvalue for en in entries])
-    return Spectrum(metric=metric, u_values=uv, entries=entries,
-                    all_sorted=all_sorted)
+    uv = _u_array(u, metric.grid.n_nodes)
+    vals, vecs = zip(*(mode_pairs(metric, uv, m, k_per_mode)
+                       for m in range(m_max + 1)))
+    return Spectrum(metric=metric, u_values=uv, vals=np.array(vals),
+                    vecs=vecs)
 
 
-# one shared dtype: a structured dtype made per call costs about 0.6 KB
-PAIR_DTYPE = np.dtype([("eigenvalue", np.float64), ("m", np.int8)])
-
-
-def eigen_pairs(spectrum: Spectrum) -> np.ndarray:
-    """The merged (eigenvalue, m) list as a structured array, without the
-    eigenvectors, small enough to keep on every flow state."""
-    pairs = np.empty(len(spectrum.entries), dtype=PAIR_DTYPE)
-    pairs["eigenvalue"] = spectrum.all_sorted
-    pairs["m"] = [en.m for en in spectrum.entries]
-    return pairs
+def merged_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The merged spectrum of per-mode rows vals[m]: (eigenvalues, modes),
+    ascending, with each m > 0 row entered twice (m and -m coincide); ties
+    keep the order mode by mode."""
+    k = vals.shape[1]
+    modes = np.repeat(np.arange(len(vals)), [k] + [2 * k] * (len(vals) - 1))
+    lams = np.concatenate([vals[0], *(np.repeat(row, 2) for row in vals[1:])])
+    order = np.argsort(lams, kind="stable")
+    return lams[order], modes[order]
 
 
 def default_band_tol(grid: Grid) -> float:
@@ -296,7 +278,7 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
     """
     if band_tol is None:
         band_tol = default_band_tol(spectrum.metric.grid)
-    vals = spectrum.all_sorted
+    vals = merged_spectrum(spectrum.vals)[0]
     band = [float(v) for v in vals if abs(v - 1.0) <= band_tol]
     if len(band) != 3:
         raise BandAmbiguity(
@@ -328,11 +310,10 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
     return gb
 
 
-def eigen_data(spectrum: Spectrum, index: int) -> EigenData:
-    """EigenData of the index-th entry of the merged spectrum."""
-    entry = spectrum.entries[index]
-    return pair_data(spectrum.metric, spectrum.u_values, entry.m,
-                     entry.eigenvalue, entry.vector)
+def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
+    """EigenData of the i-th pair of mode m."""
+    return pair_data(spectrum.metric, spectrum.u_values, m,
+                     float(spectrum.vals[m, i]), spectrum.vecs[m][:, i])
 
 
 def pair_data(metric: ConformalMetric, u, m: int, lam: float,
@@ -357,13 +338,14 @@ def pair_data(metric: ConformalMetric, u, m: int, lam: float,
 
 def band_eigen_data(spectrum: Spectrum, band_tol: float | None = None
                     ) -> list[EigenData]:
-    """EigenData for the three holomorphic-band members."""
+    """EigenData for the holomorphic-band members, mode by mode; a pair
+    of mode m > 0 enters twice, as in the merged spectrum."""
     if band_tol is None:
         band_tol = default_band_tol(spectrum.metric.grid)
     out = []
-    for i, en in enumerate(spectrum.entries):
-        if abs(en.eigenvalue - 1.0) <= band_tol:
-            out.append(eigen_data(spectrum, i))
+    for m, row in enumerate(spectrum.vals):
+        for i in np.flatnonzero(np.abs(row - 1.0) <= band_tol):
+            out += [eigen_data(spectrum, m, i)] * (1 if m == 0 else 2)
     return out
 
 
@@ -371,7 +353,7 @@ def plain_lambda1(metric: ConformalMetric, m_max: int = 2,
                   k_per_mode: int = 4) -> float:
     """First positive eigenvalue of the unweighted complex Laplacian."""
     spec = weighted_spectrum(metric, None, m_max=m_max, k_per_mode=k_per_mode)
-    vals = spec.all_sorted
+    vals = merged_spectrum(spec.vals)[0]
     zero_scale = max(abs(vals[0]), 1e-12)
     positive = vals[vals > 100.0 * zero_scale + 1e-10]
     return float(positive[0])

@@ -26,6 +26,13 @@ TIME_CONTROL_MISTAKES = (
     "[flow]\nrecord_dt = auto\n", "[flow]\nt_end = auto\n",
     "[flow]\ndt_init = 0\n", "[flow]\ndt_init = -0.01\n",
     "[flow]\nvol_tol = auto\n", "[monitors]\nrho = auto\n")
+# values the run cannot use: each exited 0 or 3 before loads (or, for rho,
+# check_scale) caught it
+VALUE_MISTAKES = (
+    "[flow]\nt_end = -1\n", "[flow]\nt_end = nan\n", "[flow]\nt_end = inf\n",
+    "[flow]\nvol_tol = -1e-8\n", "[flow]\nclass_tol = -1\n",
+    "[flow]\npotential_tol = 0\n", "[flow]\nband_tol = -1\n",
+    "[monitors]\nrho = nan\n")
 
 
 class TestConfig:
@@ -328,8 +335,26 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()[1:-2]
         state = state_at(load_spec(path), 0.0)
         fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
-        assert rows == [f"{i},{en.eigenvalue!r},{en.m}"
-                        for i, en in enumerate(fresh.entries)]
+        # modes m > 0 twice, stably sorted from the mode-by-mode order
+        pairs = sorted(((float(lam), m) for m, row in enumerate(fresh.vals)
+                        for lam in row for _ in range(1 if m == 0 else 2)),
+                       key=lambda pair: pair[0])
+        assert rows == [f"{i},{lam!r},{m}"
+                        for i, (lam, m) in enumerate(pairs)]
+
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    def test_non_finite_at_exit_two(self, tmp_path, capsys, monkeypatch,
+                                    command):
+        import krflow.harness
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran to a non-finite time")
+
+        monkeypatch.setattr(krflow.harness, "run", no_flow)
+        path = self.write_spec(tmp_path, BUMP64)
+        for at in ("nan", "inf", "-inf"):
+            assert main([command, path, "--at", at]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_spec(
@@ -440,6 +465,7 @@ class TestCli:
          "checks = eigenvalue_derivative\nbranch_mode = 0\n", EXIT_CONFIG),
         # time controls, and auto for a key whose default is not auto
         *((BUMP64 + line, EXIT_CONFIG) for line in TIME_CONTROL_MISTAKES),
+        *((BUMP64 + line, EXIT_CONFIG) for line in VALUE_MISTAKES),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -448,7 +474,9 @@ class TestCli:
             "branch_index_over_k", "branch_mode_removed",
             "record_dt_zero", "record_dt_negative", "record_dt_auto",
             "t_end_auto", "dt_init_zero", "dt_init_negative",
-            "vol_tol_auto", "rho_auto"])
+            "vol_tol_auto", "rho_auto", "t_end_negative", "t_end_nan",
+            "t_end_inf", "vol_tol_negative", "class_tol_negative",
+            "potential_tol_zero", "band_tol_negative", "rho_nan"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)

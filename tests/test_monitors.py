@@ -24,6 +24,12 @@ from krflow.spectral import (band_eigen_data, eigen_data,
                              sobolev_constant_estimate, weighted_spectrum)
 
 
+def axial_near(spec, lam, tol):
+    """EigenData of the lowest axial pair within tol of lam."""
+    i = int(np.flatnonzero(np.abs(spec.vals[0] - lam) < tol)[0])
+    return eigen_data(spec, 0, i)
+
+
 @pytest.fixture(scope="module")
 def round_traj():
     return run(FlowConfig(t_end=1.0), round_metric(make_grid(128)))
@@ -168,9 +174,7 @@ class TestBochner:
     def test_round_p2_eigenfunction(self, round_traj):
         s = round_traj.states[0]
         spec = weighted_spectrum(s.metric, s.u)
-        idx = next(i for i, e in enumerate(spec.entries)
-                   if e.m == 0 and abs(e.eigenvalue - 3.0) < 1e-2)
-        rep = check_bochner(s, eigen_data(spec, idx))
+        rep = check_bochner(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == PASS
         # inequality margin dips only by the identity's own h^2 error
         h2 = s.metric.grid.h ** 2
@@ -179,7 +183,7 @@ class TestBochner:
     def test_constant_eigenfunction_all_zero(self, round_traj):
         s = round_traj.states[0]
         spec = weighted_spectrum(s.metric, s.u)
-        rep = check_bochner(s, eigen_data(spec, 0))
+        rep = check_bochner(s, eigen_data(spec, 0, 0))
         assert rep.verdict == PASS
         assert rep.aux["residual"] < 1e-10
 
@@ -190,27 +194,22 @@ class TestBochner:
             traj = run(FlowConfig(t_end=0.0), m)
             s = traj.states[0]
             spec = weighted_spectrum(s.metric, s.u)
-            idx = next(i for i, e in enumerate(spec.entries)
-                       if e.m == 0 and abs(e.eigenvalue - 3.0) < 0.1)
-            rep = check_bochner(s, eigen_data(spec, idx))
+            rep = check_bochner(s, axial_near(spec, 3.0, 0.1))
             resids.append(rep.aux["residual"])
         assert resids[0] / resids[1] == pytest.approx(4.0, abs=1.2)
 
     def test_nonaxial_mode_rejected(self, round_traj):
         s = round_traj.states[0]
         spec = weighted_spectrum(s.metric, s.u)
-        idx = next(i for i, e in enumerate(spec.entries) if e.m == 1)
         with pytest.raises(ValueError, match="axial"):
-            check_bochner(s, eigen_data(spec, idx))
+            check_bochner(s, eigen_data(spec, 1, 0))
 
 
 class TestGradientEstimate:
     def test_round_lambda3(self, round_traj):
         s = round_traj.states[0]
         spec = weighted_spectrum(s.metric, s.u)
-        idx = next(i for i, e in enumerate(spec.entries)
-                   if e.m == 0 and abs(e.eigenvalue - 3.0) < 1e-2)
-        rep = check_gradient_estimate(s, eigen_data(spec, idx))
+        rep = check_gradient_estimate(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == REPORT_ONLY
         assert rep.aux["sup_grad_bar"] == pytest.approx(2.3717, abs=2e-3)
         assert rep.aux["max_u"] == 0.0
@@ -304,11 +303,9 @@ class TestEvaluateTrajectory:
         states = p2_run_small.states
         mid = states[len(states) // 2]
         spec = weighted_spectrum(mid.metric, mid.u)
-        idx = next(i for i, e in enumerate(spec.entries)
-                   if e.m == 0 and abs(e.eigenvalue - 3.0) < 0.1)
-        own = check_bochner(mid, eigen_data(spec, idx))
+        own = check_bochner(mid, axial_near(spec, 3.0, 0.1))
         start = weighted_spectrum(states[0].metric, states[0].u)
-        lam0 = [e.eigenvalue for e in start.entries if e.m == 0][2]
+        lam0 = start.vals[0, 2]
         calls = []
         real = krflow.spectral.solve_mode
 

@@ -1,11 +1,15 @@
-"""Property tests: the shared flux Laplacian on random even profiles, and
-the spec text round trip.
+"""Property tests: the shared flux Laplacian, the volume normalization and
+the spectrum's conformal scaling on random even profiles, and the spec
+text round trip.
 
 Profiles are w = sum_{l=2..6} a_l P_l(cos theta), |a_l| <= 0.5, shifted to
 volume 4 pi, on grids of 16 to 512 nodes.  Over 2000 derandomized
 examples the largest values seen were 6.9e-17 for the telescoping sum
-(scaled by max|w| / h^2), 8.9e-15 for the Gauss-Bonnet defect and 9.9e-11
-for the potential's PDE residual; each bound below is 14-50x of those.
+(scaled by max|w| / h^2), 8.9e-15 for the Gauss-Bonnet defect, 9.9e-11
+for the potential's PDE residual, 8.9e-15 for |V - 4 pi| after
+normalize_volume and 8.2e-11 for the constant-shift scaling of the
+spectrum (relative to max(1, |lambda|), shifts |c| <= 1); each bound
+below is 14-50x of those.
 """
 
 import string
@@ -17,11 +21,12 @@ from numpy.polynomial import legendre
 from krflow.flow import FlowConfig
 from krflow.geometry import (ROUND_VOLUME, conformal_metric, flux_laplacian,
                              gaussian_curvature, laplace_round, make_grid,
-                             normalize_volume, weighted_integral)
+                             normalize_volume, volume, weighted_integral)
 from krflow.harness import (SCENARIOS, SWEEP_TARGETS, ExperimentSpec, dumps,
                             loads)
 from krflow.monitors import ALL_CHECKS
 from krflow.potential import solve_ricci_potential
+from krflow.spectral import weighted_spectrum
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -66,9 +71,27 @@ def test_potential_pde_residual(profile):
     assert solve_ricci_potential(m).pde_residual < 5e-9
 
 
+@PROPERTY
+@given(profiles)
+def test_volume_normalization_exact(profile):
+    assert abs(volume(even_metric(profile)) - ROUND_VOLUME) < 2e-13
+
+
+@PROPERTY
+@given(profiles, st.floats(-1.0, 1.0))
+def test_spectrum_constant_shift_scaling(profile, c):
+    # w + c scales the mass by e^{2c} and leaves the stiffness alone
+    m = even_metric(profile)
+    shifted = conformal_metric(m.grid, m.w + c, check_poles=False)
+    expected = np.exp(-2.0 * c) * weighted_spectrum(m, None).vals
+    err = np.abs(weighted_spectrum(shifted, None).vals - expected)
+    assert np.max(err / np.maximum(1.0, np.abs(expected))) < 2e-9
+
+
 # valid spec values as loads can produce them: "auto" / "none" read as
-# None only for the keys whose default is None, the time steps are
-# positive, and text values carry no surrounding blanks
+# None only for the keys whose default is None, the time steps and the
+# tolerances are positive, t_end is finite and >= 0, and text values
+# carry no surrounding blanks
 real = st.floats(allow_nan=False)
 real_or_none = st.none() | real
 positive = st.floats(min_value=0.0, exclude_min=True)
@@ -79,8 +102,7 @@ SCENARIO_VALUES = {"l": st.integers(2, 10), "eps": real,
                    "amplitude": real, "file": word}
 MONITOR_FLOATS = ("rho", "curvature_bound", "phi0", "t0", "log_det_tol")
 MONITOR_AUTO = ("delta", "D", "L", "epsilon", "delta_measured")
-FLOW_FLOATS = ("t_end", "vol_tol", "class_tol", "potential_tol",
-               "early_stop")
+FLOW_TOLS = ("vol_tol", "class_tol", "potential_tol")
 
 
 @st.composite
@@ -99,8 +121,10 @@ def specs(draw):
                       max_halvings=draw(st.integers()),
                       record_dt=draw(positive),
                       dt_init=draw(st.none() | positive),
-                      band_tol=draw(real_or_none),
-                      **{f: draw(real) for f in FLOW_FLOATS})
+                      band_tol=draw(st.none() | positive),
+                      t_end=draw(st.floats(0.0, allow_infinity=False)),
+                      early_stop=draw(real),
+                      **{f: draw(positive) for f in FLOW_TOLS})
     scenario = draw(st.fixed_dictionaries({}, optional=SCENARIO_VALUES))
     return ExperimentSpec(
         scenario=draw(st.sampled_from(SCENARIOS)),

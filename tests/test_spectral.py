@@ -12,9 +12,10 @@ from krflow.harness import EXIT_NUMERICAL, legendre_bump, multi_mode
 from krflow.potential import solve_ricci_potential
 from krflow.spectral import (BANDWIDTH, BandAmbiguity, SolveFail,
                              assemble_mode_problem, band_eigen_data,
-                             eigen_data, lambda_second, plain_lambda1,
-                             rayleigh_residual, sobolev_constant_estimate,
-                             solve_mode, weighted_spectrum)
+                             eigen_data, lambda_second, merged_spectrum,
+                             plain_lambda1, rayleigh_residual,
+                             sobolev_constant_estimate, solve_mode,
+                             weighted_spectrum)
 
 
 def P2(x):
@@ -40,7 +41,8 @@ class TestRoundSpectrum:
         m = round_metric(grid256)
         spec = weighted_spectrum(m, solve_ricci_potential(m))
         exact = spherical_eigs(10)
-        assert np.max(np.abs(spec.all_sorted[:10] - exact)) < 1e-3
+        vals = merged_spectrum(spec.vals)[0]
+        assert np.max(np.abs(vals[:10] - exact)) < 1e-3
 
     def test_mode_zero_alone(self, grid256):
         m = round_metric(grid256)
@@ -53,23 +55,23 @@ class TestRoundSpectrum:
         # conformal scaling predicts: every eigenvalue picks up e^{-2c}
         c = 0.2
         m = conformal_metric(grid128, np.full(grid128.n_nodes, c))
-        spec = weighted_spectrum(m, None)
+        vals = merged_spectrum(weighted_spectrum(m, None).vals)[0]
         m0 = round_metric(grid128)
-        spec0 = weighted_spectrum(m0, None)
-        assert np.allclose(spec.all_sorted,
-                           np.exp(-2 * c) * spec0.all_sorted, rtol=1e-12)
-        assert abs(spec.all_sorted[1] - 1.0) > 0.2
+        vals0 = merged_spectrum(weighted_spectrum(m0, None).vals)[0]
+        assert np.allclose(vals, np.exp(-2 * c) * vals0, rtol=1e-12)
+        assert abs(vals[1] - 1.0) > 0.2
 
     def test_zero_mode_and_positivity(self, grid128):
         m = round_metric(grid128)
-        spec = weighted_spectrum(m, None)
-        assert abs(spec.all_sorted[0]) < 1e-10
-        assert spec.all_sorted[1] > 1.0 - 1e-3
+        vals = merged_spectrum(weighted_spectrum(m, None).vals)[0]
+        assert abs(vals[0]) < 1e-10
+        assert vals[1] > 1.0 - 1e-3
 
     def test_plus_minus_m_doubling(self, grid128):
         spec = weighted_spectrum(round_metric(grid128), None)
+        modes = merged_spectrum(spec.vals)[1]
         for m in (1, 2):
-            count = sum(1 for e in spec.entries if e.m == m)
+            count = np.count_nonzero(modes == m)
             assert count == 2 * 5  # k_per_mode entries, each twice
 
 
@@ -223,11 +225,9 @@ class TestEigenData:
         # lambda = 3 axial eigenfunction is sqrt(5) P2 up to sign
         m = round_metric(grid256)
         spec = weighted_spectrum(m, solve_ricci_potential(m))
-        idx = int(np.argmin(np.abs(spec.all_sorted - 3.0)))
         # find the axial lambda = 3 entry
-        idx = next(i for i, e in enumerate(spec.entries)
-                   if e.m == 0 and abs(e.eigenvalue - 3.0) < 1e-2)
-        eig = eigen_data(spec, idx)
+        i = int(np.flatnonzero(np.abs(spec.vals[0] - 3.0) < 1e-2)[0])
+        eig = eigen_data(spec, 0, i)
         exact = np.sqrt(5) * P2(grid256.cos_nodes)
         flip = np.sign(np.dot(eig.psi.values, exact))
         assert np.max(np.abs(flip * eig.psi.values - exact)) < 5e-3
@@ -238,8 +238,8 @@ class TestEigenData:
         m = bump(grid128, 1e-2)
         u = solve_ricci_potential(m)
         spec = weighted_spectrum(m, u)
-        for idx in (1, 4, 6):
-            eig = eigen_data(spec, idx)
+        for m_i in ((0, 1), (0, 2), (1, 1)):
+            eig = eigen_data(spec, *m_i)
             norm = weighted_integral(
                 eig.psi.values ** 2 * np.exp(-u.values), m) / volume(m)
             assert norm == pytest.approx(1.0, rel=1e-12)
@@ -252,7 +252,7 @@ class TestEigenData:
     def test_constant_eigenfunction_zero_gradient(self, grid128):
         m = round_metric(grid128)
         spec = weighted_spectrum(m, None)
-        eig = eigen_data(spec, 0)
+        eig = eigen_data(spec, 0, 0)
         assert eig.lam == pytest.approx(0.0, abs=1e-10)
         assert np.max(eig.grad_bar_sq.values) < 1e-10
 
@@ -287,7 +287,8 @@ class TestStructure:
         vals = {n: None for n in (128, 256, 512)}
         for n in vals:
             m = round_metric(make_grid(n))
-            vals[n] = weighted_spectrum(m, None).all_sorted[:10]
+            spec = weighted_spectrum(m, None)
+            vals[n] = merged_spectrum(spec.vals)[0][:10]
         exact = spherical_eigs(10)
         for i in (1, 4, 9):
             r = (vals[128][i] - exact[i]) / (vals[256][i] - exact[i])
