@@ -3,6 +3,14 @@ two-sphere: axisymmetric metrics, their Ricci potentials, weighted
 Laplacian spectra, flow trajectories, and the monitor suite that checks
 the quantitative estimates along them."""
 
+import os
+
+# One BLAS thread unless the caller set a count: the banded eigensolves and
+# the O(n) flow kernels lose time to a second thread.  This must run before
+# numpy loads its BLAS, and a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .geometry import (ConformalMetric, Grid, NumericalError, ScalarField,

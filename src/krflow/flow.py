@@ -10,6 +10,9 @@ to cross-check the integrator through the class identity
 an exact consequence of the flow staying in a fixed cohomology class.
 The Ricci potential is re-solved from scratch at every stage (the
 quadrature solve is cheap and re-solving removes normalization drift).
+The stage velocity of phi is u - a = u0 - <u0>_r, with u0 the potential
+zero at the first node and <.>_r the mean weighted by r = e^{-u0} e^{2w}:
+the normalization constant of u cancels (see _kernels).
 
 Volume is a structural invariant of the semi-discrete flow: dV/dt =
 V - 4 pi holds exactly, so a state that starts at V = 4 pi stays there.

@@ -163,11 +163,12 @@ def legendre_profile(grid: Grid, l: int, amplitude: float) -> np.ndarray:
 def flux_laplacian(f, h, sin_flux_interior, hs):
     """laplace_round on raw arrays: sin(theta) at the n - 1 interior flux
     points (the pole fluxes are zero) and hs = h sin(theta_j)."""
-    flux = sin_flux_interior * np.diff(f) / h
-    out = np.empty_like(f)
-    out[0] = flux[0]
-    out[1:-1] = np.diff(flux)
-    out[-1] = -flux[-1]
+    flux = np.zeros(f.shape[0] + 1)  # the two pole fluxes stay zero
+    inner = flux[1:-1]
+    np.subtract(f[1:], f[:-1], out=inner)
+    np.multiply(sin_flux_interior, inner, out=inner)
+    inner /= h
+    out = np.subtract(flux[1:], flux[:-1])
     out /= hs
     return out
 

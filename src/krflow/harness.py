@@ -555,11 +555,11 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
 
 def state_at(spec: ExperimentSpec, t: float):
     """Flow the scenario to time t and return the recorded state nearest t."""
-    if not math.isfinite(t):
-        raise ConfigError(f"t = {t} must be finite")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"t = {t} must be finite and >= 0")
     metric = initial_metric(spec)
-    cfg = replace(spec.flow, t_end=max(t, 0.0))
-    if t <= 0.0:
+    cfg = replace(spec.flow, t_end=t)
+    if t == 0.0:
         return initial_state(metric, cfg)
     traj = run(cfg, metric)
     ts = traj.times()

@@ -8,8 +8,8 @@ from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig,
                          StabilityBoundError, conformal_velocity,
                          log_det_bookkeeping, log_det_residual, run,
                          stability_dt)
-from krflow.geometry import (conformal_metric, laplace_round, make_grid,
-                             normalize_volume, round_metric, volume)
+from krflow.geometry import (conformal_metric, flux_laplacian, laplace_round,
+                             make_grid, normalize_volume, round_metric, volume)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
@@ -191,6 +191,93 @@ class TestStabilityBound:
         assert len(states) > 2
         for prev, cur in zip(states, states[1:]):
             assert cur.dt <= stability_dt(prev.metric)
+
+
+def flux_laplacian_ref(f, h, sfi, hs):
+    flux = sfi * np.diff(f) / h
+    out = np.empty_like(f)
+    out[0] = flux[0]
+    out[1:-1] = np.diff(flux)
+    out[-1] = -flux[-1]
+    out /= hs
+    return out
+
+
+def flux_potential_ref(w, h, sfi, hs, hs_sum):
+    e2w = np.exp(2.0 * w)
+    g = e2w - 1.0 + flux_laplacian_ref(w, h, sfi, hs)
+    s = 2.0 * g * hs
+    s -= (s.sum() / hs_sum) * hs
+    flux = np.cumsum(s)[:-1]
+    u0 = np.concatenate(([0.0], np.cumsum(h * flux / sfi)))
+    return e2w, g, u0
+
+
+def rhs_ref(w, h, q, sfi, hs, hs_sum):
+    # phi's velocity u - a spelled out: u = u0 + log m, a its e^{-u} mean
+    e2w, g, u0 = flux_potential_ref(w, h, sfi, hs, hs_sum)
+    fw = 0.5 * g / e2w
+    emu = np.exp(-u0)
+    vol = np.sum(e2w * q)
+    m = np.sum(emu * e2w * q) / vol
+    logm = np.log(m)
+    a = np.sum((u0 + logm) * emu * e2w * q) / (vol * m)
+    fp = u0 + logm - a
+    return fw, fp, 2 * np.pi * vol
+
+
+def rk4_ref(w, phi, nsteps, dt, args):
+    for _ in range(nsteps):
+        k1w, k1p, _ = rhs_ref(w, *args)
+        k2w, k2p, _ = rhs_ref(w + 0.5 * dt * k1w, *args)
+        k3w, k3p, _ = rhs_ref(w + 0.5 * dt * k2w, *args)
+        k4w, k4p, _ = rhs_ref(w + dt * k3w, *args)
+        w += (dt / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
+        phi += (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
+
+
+def family_metric(family, n):
+    g = make_grid(n)
+    if family == "legendre_bump":
+        return legendre_bump(g, 2, 1e-2)
+    return multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-3)
+
+
+def kernel_args(grid):
+    hs = grid.h * grid.sin_nodes
+    return (grid.h, grid.quad_weights, grid.sin_flux[1:-1], hs,
+            float(np.sum(hs)))
+
+
+class TestKernelOracle:
+    """The in-place kernels against their plain numpy spelling above."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
+    def test_stencils_bit_identical(self, family, n):
+        m = family_metric(family, n)
+        h, _, sfi, hs, hs_sum = kernel_args(m.grid)
+        assert np.array_equal(flux_laplacian(m.w, h, sfi, hs),
+                              flux_laplacian_ref(m.w, h, sfi, hs))
+        for got, ref in zip(_kernels.flux_potential(m.w, h, sfi, hs, hs_sum),
+                            flux_potential_ref(m.w, h, sfi, hs, hs_sum)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
+    def test_rk4_w_bit_identical_phi_at_rounding(self, family, n):
+        m = family_metric(family, n)
+        dt = stability_dt(m)
+        w, phi = m.w.copy(), np.zeros(m.grid.n_nodes)
+        assert _kernels.advance_rk4(w, phi, 50, dt, m.grid,
+                                    1e-10 * 4 * np.pi) == (50, True)
+        w_ref, phi_ref = m.w.copy(), np.zeros(m.grid.n_nodes)
+        rk4_ref(w_ref, phi_ref, 50, dt, kernel_args(m.grid))
+        assert np.array_equal(w, w_ref)
+        # u - a = u0 - <u0>_r drops log m and the second normalization, so
+        # phi moves at rounding level: the largest |dphi| over these four
+        # cases was 2.2e-19 (max |phi| 1.7e-3); the bound is 20x that
+        assert np.max(np.abs(phi - phi_ref)) <= 4e-18
 
 
 class TestConsistencyTriangle:

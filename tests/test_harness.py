@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,11 +351,12 @@ class TestCli:
         import krflow.harness
 
         def no_flow(*args, **kwargs):
-            raise AssertionError("the flow ran to a non-finite time")
+            raise AssertionError("the flow ran to a bad time")
 
         monkeypatch.setattr(krflow.harness, "run", no_flow)
         path = self.write_spec(tmp_path, BUMP64)
-        for at in ("nan", "inf", "-inf"):
+        # a negative flow time is a usage mistake too, not the t = 0 state
+        for at in ("nan", "inf", "-inf", "-1", "-0.01"):
             assert main([command, path, "--at", at]) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
 
@@ -540,3 +544,27 @@ class TestDiameterBudget:
         text = art.report_path.read_text()
         assert "aux.diam_max" in text
         assert "aux.diam_bound_ok = 1.0" in text
+
+
+class TestBlasThreads:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def child_env(self, **set_vars):
+        # a fresh interpreter, since numpy reads these when its BLAS loads
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env.update(set_vars)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import os, krflow; print(' '.join(os.environ[v] for v in "
+                f"{self.BLAS_VARS!r}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        return out.stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self.child_env() == ["1", "1", "1"]
+
+    def test_caller_setting_wins(self):
+        assert self.child_env(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
