@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-from .geometry import (ConformalMetric, Grid, NumericalError, ScalarField,
+from .geometry import (ConformalMetric, Grid, NumericalError,
                        conformal_metric, curvature_bounds, diameter,
                        gaussian_curvature, grad_norm_sq, make_grid,
                        noncollapsing_kappa, normalize_volume, round_metric,

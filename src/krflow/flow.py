@@ -33,8 +33,8 @@ import numpy as np
 from . import spectral
 from ._kernels import advance_rk4
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
-                       ScalarField, ROUND_VOLUME, gaussian_curvature,
-                       laplace_round, volume, weighted_integral)
+                       ROUND_VOLUME, gaussian_curvature, laplace_round,
+                       volume, weighted_integral)
 from .potential import (FunctionalBundle, RicciPotential, VolumeMismatch,
                         functional_bundle, solve_ricci_potential)
 
@@ -91,11 +91,10 @@ class FlowState:
     metric: ConformalMetric
     u: RicciPotential
     funcs: FunctionalBundle
-    phi: ScalarField
+    phi: np.ndarray
     lambda_g: float
     holo_band: list[float]
     class_residual: float
-    initial: ConformalMetric
     spectrum: np.ndarray
     axial_vectors: np.ndarray
 
@@ -130,14 +129,14 @@ def stability_dt(metric: ConformalMetric) -> float:
     s = grid.sin_flux
     half_l = (0.5 * np.exp(-2.0 * metric.w) * (s[:-1] + s[1:])
               / (grid.h ** 2 * grid.sin_nodes))  # (1/2) e^{-2w} |L_jj|
-    k = gaussian_curvature(metric).values
+    k = gaussian_curvature(metric)
     rho = float(np.max(np.abs(k - half_l) + half_l))
     return SAFETY * RK4_REAL_INTERVAL / rho
 
 
 def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
     """dw/dt = (1/2)(1 - K) of the normalized flow."""
-    return 0.5 * (1.0 - gaussian_curvature(metric).values)
+    return 0.5 * (1.0 - gaussian_curvature(metric))
 
 
 def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
@@ -147,10 +146,10 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     grid = initial.grid
     metric = ConformalMetric(grid=grid, w=w.copy())
     u = solve_ricci_potential(metric, tol=config.potential_tol)
-    spec = spectral.weighted_spectrum(metric, u, m_max=config.m_max,
+    spec = spectral.weighted_spectrum(metric, u.values, m_max=config.m_max,
                                       k_per_mode=config.k_per_mode)
     lam_g, band = spectral.lambda_second(spec, config.band_tol)
-    funcs = functional_bundle(u, metric, lambda_g=lam_g)
+    funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
     phi = phi.copy()
     res = _class_residual(metric.w, initial.w, phi, grid)
     if res > config.class_tol:
@@ -158,9 +157,9 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
             f"class identity residual {res:.3e} over {config.class_tol:.0e}"
             f" at t = {t:.6g}")
     return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
-                     phi=ScalarField(grid=grid, values=phi), lambda_g=lam_g,
-                     holo_band=band, class_residual=res, initial=initial,
-                     spectrum=spec.vals, axial_vectors=spec.vecs[0])
+                     phi=phi, lambda_g=lam_g, holo_band=band,
+                     class_residual=res, spectrum=spec.vals,
+                     axial_vectors=spec.vecs[0])
 
 
 def initial_state(metric: ConformalMetric, config: FlowConfig) -> FlowState:
@@ -262,7 +261,7 @@ def _class_residual(w, w0, phi, grid) -> float:
 
 
 def log_det_bookkeeping(state: FlowState,
-                        state0: FlowState) -> tuple[ScalarField, float]:
+                        state0: FlowState) -> tuple[np.ndarray, float]:
     """Volume-form ratio F = log det g(t) / det g(0) and its constant c(t).
 
     state0 is the recorded t = 0 state, which carries g(0) and u(0).  In
@@ -274,12 +273,12 @@ def log_det_bookkeeping(state: FlowState,
     f = 2.0 * (state.metric.w - initial.w)
     vol0 = volume(initial)
     c = math.log(weighted_integral(
-        np.exp(-state.phi.values - state0.u.values), initial) / vol0)
-    return ScalarField(grid=state.metric.grid, values=f), float(c)
+        np.exp(-state.phi - state0.u.values), initial) / vol0)
+    return f, float(c)
 
 
 def log_det_residual(state: FlowState, state0: FlowState) -> float:
     """Sup-norm residual of F = u(t) - u(0) - phi(t) - c(t)."""
     f, c = log_det_bookkeeping(state, state0)
-    rhs = state.u.values - state0.u.values - state.phi.values - c
-    return float(np.max(np.abs(f.values - rhs)))
+    rhs = state.u.values - state0.u.values - state.phi - c
+    return float(np.max(np.abs(f - rhs)))

@@ -84,18 +84,6 @@ def make_grid(n_nodes: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar sampled at the grid nodes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.values) != (self.grid.n_nodes,):
-            raise ValueError("field length does not match grid")
-
-
-@dataclass(frozen=True)
 class ConformalMetric:
     """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere
     (complex dimension one)."""
@@ -124,24 +112,23 @@ def pole_slopes(grid: Grid, values: np.ndarray) -> tuple[float, float]:
     return north, south
 
 
-def conformal_metric(grid: Grid, w: np.ndarray, check_poles: bool = True,
-                     pole_tol: float | None = None) -> ConformalMetric:
-    """Validated constructor for ConformalMetric.
+def conformal_metric(grid: Grid, w: np.ndarray) -> ConformalMetric:
+    """ConformalMetric of a profile from outside, checked at the poles.
 
-    The pole check requires the extrapolated one-sided derivative of w to
-    vanish within pole_tol (default 2 h (1 + osc w)), rejecting profiles
-    that are not even across a pole with IrregularPole.
+    The extrapolated one-sided derivative of w must vanish within
+    2 h (1 + osc w); a profile that is not even across a pole raises
+    IrregularPole.  The test is coarse: it can reject a smooth even
+    profile of high degree on a coarse grid, so profiles even by
+    construction build ConformalMetric directly.
     """
     w = np.asarray(w, dtype=float)
     metric = ConformalMetric(grid=grid, w=w)
-    if check_poles:
-        if pole_tol is None:
-            pole_tol = 2.0 * grid.h * (1.0 + float(w.max() - w.min()))
-        north, south = pole_slopes(grid, w)
-        if abs(north) > pole_tol or abs(south) > pole_tol:
-            raise IrregularPole(
-                f"conformal factor irregular at a pole: slopes "
-                f"({north:.3e}, {south:.3e}) exceed {pole_tol:.3e}")
+    tol = 2.0 * grid.h * (1.0 + float(w.max() - w.min()))
+    north, south = pole_slopes(grid, w)
+    if abs(north) > tol or abs(south) > tol:
+        raise IrregularPole(
+            f"conformal factor irregular at a pole: slopes "
+            f"({north:.3e}, {south:.3e}) exceed {tol:.3e}")
     return metric
 
 
@@ -203,11 +190,10 @@ def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
 # curvature, measure, distances
 # ---------------------------------------------------------------------------
 
-def gaussian_curvature(metric: ConformalMetric) -> ScalarField:
+def gaussian_curvature(metric: ConformalMetric) -> np.ndarray:
     """K = e^{-2w} (1 - lap_round w); equals the scalar curvature here."""
-    g = metric.grid
-    k = np.exp(-2.0 * metric.w) * (1.0 - laplace_round(g, metric.w))
-    return ScalarField(grid=g, values=k)
+    lap = laplace_round(metric.grid, metric.w)
+    return np.exp(-2.0 * metric.w) * (1.0 - lap)
 
 
 def volume(metric: ConformalMetric) -> float:
@@ -225,40 +211,27 @@ def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
     return ConformalMetric(grid=metric.grid, w=metric.w + c)
 
 
-def _nodal(f, grid: Grid) -> np.ndarray:
-    """Extract nodal values, insisting on a shared grid for fields."""
-    if isinstance(f, ScalarField):
-        if f.grid.n_nodes != grid.n_nodes:
-            raise ValueError("field and metric live on different grids")
-        return f.values
-    return np.asarray(f, dtype=float)
-
-
-def weighted_integral(f, metric: ConformalMetric, weight=None) -> float:
-    """integral f * weight dv_g by grid quadrature; weight None means 1."""
+def weighted_integral(f: np.ndarray, metric: ConformalMetric) -> float:
+    """integral f dv_g of nodal values f by grid quadrature."""
     g = metric.grid
-    fv = _nodal(f, g)
-    wv = _nodal(weight, g) if weight is not None else 1.0
-    integrand = fv * wv * np.exp(2.0 * metric.w) * g.quad_weights
-    return float(2.0 * np.pi * np.sum(integrand))
+    return float(2.0 * np.pi * np.sum(f * np.exp(2.0 * metric.w)
+                                      * g.quad_weights))
 
 
-def grad_norm_sq(f, metric: ConformalMetric) -> ScalarField:
+def grad_norm_sq(f: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     """Complex gradient-norm square |grad f|^2 = (1/2) e^{-2w} (f')^2."""
-    g = metric.grid
-    fp = dtheta(g, _nodal(f, g))
-    return ScalarField(grid=g, values=0.5 * np.exp(-2.0 * metric.w) * fp ** 2)
+    return 0.5 * np.exp(-2.0 * metric.w) * dtheta(metric.grid, f) ** 2
 
 
 def measured_calabi(metric: ConformalMetric) -> float:
     """(1/V) integral (K - 1)^2 dv, the scalar-curvature energy datum."""
-    k = gaussian_curvature(metric).values
+    k = gaussian_curvature(metric)
     return weighted_integral((k - 1.0) ** 2, metric) / volume(metric)
 
 
-def grad_c0_norm(f, metric: ConformalMetric) -> float:
+def grad_c0_norm(f: np.ndarray, metric: ConformalMetric) -> float:
     """C0 norm of the complex gradient: sqrt of the max of |grad f|^2."""
-    return float(np.sqrt(np.max(grad_norm_sq(f, metric).values)))
+    return float(np.sqrt(np.max(grad_norm_sq(f, metric))))
 
 
 def diameter(metric: ConformalMetric) -> float:
@@ -277,7 +250,7 @@ def diameter(metric: ConformalMetric) -> float:
 
 
 def curvature_bounds(metric: ConformalMetric) -> tuple[float, float]:
-    k = gaussian_curvature(metric).values
+    k = gaussian_curvature(metric)
     return float(k.min()), float(k.max())
 
 

@@ -81,23 +81,25 @@ class RunArtifacts:
 
 def legendre_bump(grid: Grid, l: int, eps: float) -> ConformalMetric:
     """w = eps P_l(cos theta), shifted to exact volume 4 pi; needs l >= 2
-    (degree-one bumps are first-order trivial reparametrizations)."""
+    (degree-one bumps are first-order trivial reparametrizations).
+    P_l(cos theta) is even across both poles, so no pole check runs."""
     if l < 2:
         raise ConfigError(f"legendre_bump needs l >= 2, got l = {l}")
-    metric = conformal_metric(grid, legendre_profile(grid, l, eps))
-    return normalize_volume(metric)
+    return normalize_volume(ConformalMetric(
+        grid=grid, w=legendre_profile(grid, l, eps)))
 
 
 def multi_mode(grid: Grid, seed: int, decay_rate: float,
                amplitude: float) -> ConformalMetric:
     """Deterministic multi-harmonic profile sum_{l=2..6} a_l P_l(cos theta)
-    with a_l = amplitude * r_l * l^-decay_rate, r_l uniform from the seed."""
+    with a_l = amplitude * r_l * l^-decay_rate, r_l uniform from the seed;
+    even across both poles like legendre_bump."""
     rng = np.random.default_rng(seed)
     r = rng.uniform(-1.0, 1.0, size=5)
     w = np.zeros(grid.n_nodes)
     for i, l in enumerate(range(2, 7)):
         w += legendre_profile(grid, l, amplitude * r[i] * l ** (-decay_rate))
-    return normalize_volume(conformal_metric(grid, w))
+    return normalize_volume(ConformalMetric(grid=grid, w=w))
 
 
 def custom_w(grid: Grid, path: str) -> ConformalMetric:
@@ -358,7 +360,7 @@ def _timeseries_rows(traj: Trajectory):
             s.funcs.c0_u_minus_a, s.funcs.grad_u_c0, s.lambda_g,
             min(s.holo_band), max(s.holo_band),
             s.class_residual,
-            float(np.max(np.abs(s.phi.values)))))
+            float(np.max(np.abs(s.phi)))))
     return rows
 
 
@@ -427,31 +429,36 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
                  metric_of=initial_metric) -> RunArtifacts:
     """Execute one scenario end to end and write its artifacts.
 
-    metric_of(spec) builds the t=0 metric.  Config errors found from it
-    (an irregular pole, a dt_init over the stability bound, a bad rho)
-    and numerical failures (volume mismatch, eigensolver trouble, band
-    ambiguity, step rejection cascades) land in the report with exit code
-    2 or 3 instead of propagating.
+    metric_of(spec) builds the t=0 metric.  Config errors (an irregular
+    pole in a custom_w profile, a dt_init over the stability bound, a bad
+    rho) and numerical failures (volume mismatch, eigensolver trouble,
+    band ambiguity, step rejection cascades) land in the report with exit
+    code 2 or 3 instead of propagating.  timeseries.csv is written as soon
+    as the flow returns, so an error from the checks (a rho that a later
+    state breaks) keeps it, and the report keeps the trajectory's
+    provenance.
     """
     out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.txt"
     ts_path = out / "timeseries.csv"
+    traj = None
     try:
         metric = metric_of(spec)
         if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
             check_scale(metric, spec.monitor_dict()["rho"])
         traj = run(spec.flow, metric)
+        write_timeseries(ts_path, traj)
         report = evaluate_trajectory(traj, spec.checks, spec.monitor_dict())
     except (ConfigError, NumericalError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        code = write_report(report_path, spec, None, None, error=error,
+        code = write_report(report_path, spec, traj, None, error=error,
                             error_code=EXIT_CONFIG if isinstance(
                                 exc, ConfigError) else EXIT_NUMERICAL)
-        return RunArtifacts(output_dir=out, timeseries_path=None,
-                            report_path=report_path, exit_code=code,
-                            error=error)
-    write_timeseries(ts_path, traj)
+        return RunArtifacts(
+            output_dir=out, report_path=report_path, exit_code=code,
+            timeseries_path=ts_path if traj is not None else None,
+            trajectory=traj, error=error)
     code = write_report(report_path, spec, traj, report)
     return RunArtifacts(output_dir=out, timeseries_path=ts_path,
                         report_path=report_path, exit_code=code,

@@ -270,8 +270,8 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     run_sup = 0.0
     for s in states:
         phi_meas.append(_equivalence_ratio(s.metric.w, w0))
-        min_trace = min(min_trace, _min_trace(w0, s.phi.values, grid))
-        here = (float(np.max(np.abs(s.phi.values))) + u0_c0
+        min_trace = min(min_trace, _min_trace(w0, s.phi, grid))
+        here = (float(np.max(np.abs(s.phi))) + u0_c0
                 + float(np.max(np.abs(s.u.values))))
         run_sup = max(run_sup, here)
     verdict = REPORT_ONLY if min_trace > 0.0 else FAIL
@@ -342,7 +342,7 @@ def check_eigenvalue_derivative(traj: Trajectory,
         vol = volume(metric)
         psi = vecs[i] * math.sqrt(vol) * normalization_scale
         gb = spectral.dbar_sq(metric, psi, 0)
-        one_minus_k = 1.0 - gaussian_curvature(metric).values
+        one_minus_k = 1.0 - gaussian_curvature(metric)
         uma = s.u.values - s.funcs.a
         emu = np.exp(-s.u.values)
         integrand = (-one_minus_k * gb
@@ -399,9 +399,9 @@ def _gradsq_rhs(state: FlowState, mixed, pure):
     """lap_c f - |pure|^2 - |mixed|^2 + f with f = |grad u|^2."""
     metric = state.metric
     grid = metric.grid
-    f = grad_norm_sq(state.u.values, metric).values
+    f = grad_norm_sq(state.u.values, metric)
     lap_c_f = 0.5 * np.exp(-2.0 * metric.w) * laplace_round(grid, f)
-    return f, lap_c_f - pure.values - mixed.values + f
+    return f, lap_c_f - pure - mixed + f
 
 
 def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
@@ -458,7 +458,7 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
 def _hessian_l2(state: FlowState, mixed) -> float:
     """(1/V) int |mixed Hessian of u|^2 e^-u dv."""
     metric = state.metric
-    return weighted_integral(mixed.values * np.exp(-state.u.values),
+    return weighted_integral(mixed * np.exp(-state.u.values),
                              metric) / volume(metric)
 
 
@@ -555,10 +555,10 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     metric = state.metric
     grid = metric.grid
     edge = max(4, int(math.ceil(POLE_MARGIN / grid.h)))
-    psi = eig.psi.values
+    psi = eig.psi
     lam = eig.lam
     e2w = np.exp(2.0 * metric.w)
-    f = eig.grad_bar_sq.values
+    f = eig.grad_bar_sq
     lap_c_f = 0.5 * laplace_round(grid, f) / e2w
     lap_c_psi = 0.5 * laplace_round(grid, psi) / e2w
     t20 = hessian_t20(psi, metric)
@@ -574,7 +574,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     scale = max(float(np.max(np.abs(rhs[sl]))), 1e-10)
     tol = H2_TOL_FACTOR * grid.h ** 2 * scale
     # post-Schwarz inequality form
-    gu = grad_norm_sq(state.u.values, metric).values
+    gu = grad_norm_sq(state.u.values, metric)
     ineq_rhs = (0.5 * t20 ** 2 + lap_c_psi ** 2
                 + (1.0 - 2.0 * lam - gu) * f + lap_c_u * f)
     schwarz_margin = float(np.min((lap_c_f - ineq_rhs)[sl]))
@@ -602,7 +602,7 @@ def check_gradient_estimate(state: FlowState, eig: spectral.EigenData,
     """
     if sobolev_c is None:
         sobolev_c = spectral.sobolev_constant_estimate(state.metric)
-    sup_grad = float(np.sqrt(np.max(eig.grad_bar_sq.values)))
+    sup_grad = float(np.sqrt(np.max(eig.grad_bar_sq)))
     max_u = float(np.max(state.u.values))
     lam = max(eig.lam, 1e-300)
     base = state.funcs.grad_u_c0 ** 2 + lam
@@ -703,7 +703,7 @@ def check_short_time(traj: Trajectory,
     first_exceed = None
     lam_min = np.inf
     for s in states:
-        kmax = float(np.max(np.abs(gaussian_curvature(s.metric).values)))
+        kmax = float(np.max(np.abs(gaussian_curvature(s.metric))))
         if first_exceed is None and kmax > cap:
             first_exceed = s.t
         if s.t <= t0 + 1e-12:
@@ -825,7 +825,7 @@ def _bochner_mid(sh: _Shared) -> CheckReport:
     mid, index = sh.mid, sh.p["branch_index"]
     vals, vecs = mid.axial_pairs()
     return check_bochner(mid, spectral.pair_data(
-        mid.metric, mid.u, 0, float(vals[index]), vecs[:, index]))
+        mid.metric, mid.u.values, 0, float(vals[index]), vecs[:, index]))
 
 
 def _largest_c_eff(sh: _Shared) -> CheckReport:
@@ -836,10 +836,10 @@ def _largest_c_eff(sh: _Shared) -> CheckReport:
     tol = spectral.default_band_tol(mid.metric.grid)
     reports = []
     for m, (vals, vecs) in ((0, mid.axial_pairs()), (1, spectral.mode_pairs(
-            mid.metric, mid.u, 1, GRADIENT_K))):
+            mid.metric, mid.u.values, 1, GRADIENT_K))):
         for i in np.flatnonzero(np.abs(vals - 1.0) <= tol):
-            eig = spectral.pair_data(mid.metric, mid.u, m, float(vals[i]),
-                                     vecs[:, i])
+            eig = spectral.pair_data(mid.metric, mid.u.values, m,
+                                     float(vals[i]), vecs[:, i])
             reports.append(check_gradient_estimate(mid, eig, sobolev_c=c_s))
     return max(reports, key=lambda r: r.aux["C_eff"])
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import flux_potential
-from .geometry import (ConformalMetric, NumericalError, ScalarField,
-                       ROUND_VOLUME, dtheta, grad_c0_norm, grad_norm_sq,
-                       laplace_round, volume, weighted_integral)
+from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME, dtheta,
+                       grad_c0_norm, grad_norm_sq, laplace_round, volume,
+                       weighted_integral)
 
 
 class VolumeMismatch(NumericalError):
@@ -40,16 +40,12 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class RicciPotential:
-    """Solved potential with its normalization constant and residuals."""
+    """Solved potential: nodal values, normalization constant, residuals."""
 
-    u: ScalarField
+    values: np.ndarray
     norm_const: float
     pde_residual: float
     norm_residual: float
-
-    @property
-    def values(self):
-        return self.u.values
 
 
 @dataclass(frozen=True)
@@ -130,35 +126,25 @@ def solve_ricci_potential(metric: ConformalMetric,
     norm_res = abs(weighted_integral(np.exp(-u), metric) / vol - 1.0)
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")
-    field = ScalarField(grid=metric.grid, values=u)
-    return RicciPotential(u=field, norm_const=c, pde_residual=pde_res,
+    return RicciPotential(values=u, norm_const=c, pde_residual=pde_res,
                           norm_residual=norm_res)
 
 
-def values_of(u) -> np.ndarray:
-    """Nodal values of a RicciPotential, a ScalarField or an array."""
-    if isinstance(u, (RicciPotential, ScalarField)):
-        return u.values
-    return np.asarray(u, dtype=float)
-
-
-def average_a(u, metric: ConformalMetric) -> float:
+def average_a(u: np.ndarray, metric: ConformalMetric) -> float:
     """Weighted average a = (1/V) integral u e^{-u} dv; Jensen gives a <= 0."""
-    uv = values_of(u)
-    return weighted_integral(uv * np.exp(-uv), metric) / volume(metric)
+    return weighted_integral(u * np.exp(-u), metric) / volume(metric)
 
 
-def functional_Y(u, a: float, metric: ConformalMetric) -> float:
+def functional_Y(u: np.ndarray, a: float, metric: ConformalMetric) -> float:
     """Y = (1/V) integral (u - a)^2 e^{-u} dv, the Lyapunov functional."""
-    uv = values_of(u)
-    return weighted_integral((uv - a) ** 2 * np.exp(-uv), metric) / volume(metric)
+    return weighted_integral((u - a) ** 2 * np.exp(-u),
+                             metric) / volume(metric)
 
 
-def functional_Z(u, metric: ConformalMetric) -> float:
+def functional_Z(u: np.ndarray, metric: ConformalMetric) -> float:
     """Z = (1/V) integral |grad u|^2 e^{-u} dv (complex gradient norm)."""
-    uv = values_of(u)
-    gsq = grad_norm_sq(uv, metric).values
-    return weighted_integral(gsq * np.exp(-uv), metric) / volume(metric)
+    return weighted_integral(grad_norm_sq(u, metric) * np.exp(-u),
+                             metric) / volume(metric)
 
 
 def delta_prime(a: float, s: float) -> float:
@@ -173,7 +159,8 @@ def delta_prime(a: float, s: float) -> float:
     return a / (1.0 + es + a * es)
 
 
-def futaki_integrals(u, metric: ConformalMetric) -> tuple[float, float, float]:
+def futaki_integrals(u: np.ndarray,
+                     metric: ConformalMetric) -> tuple[float, float, float]:
     """Futaki pairings integral X(u) dv over a holomorphic basis.
 
     Components: the rotation field (X(u) vanishes pointwise for
@@ -186,12 +173,13 @@ def futaki_integrals(u, metric: ConformalMetric) -> tuple[float, float, float]:
     is exactly 0 too).
     """
     g = metric.grid
-    up = dtheta(g, values_of(u))
+    up = dtheta(g, u)
     dilation = weighted_integral(0.5 * g.sin_nodes * up, metric)
     return 0.0, float(dilation), 0.0
 
 
-def complex_hessian_norms(u, metric: ConformalMetric) -> tuple[ScalarField, ScalarField]:
+def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise |mixed Hessian|^2 and |(2,0) Hessian|^2 of a scalar.
 
     In complex dimension one the mixed part is the complex Laplacian
@@ -200,22 +188,18 @@ def complex_hessian_norms(u, metric: ConformalMetric) -> tuple[ScalarField, Scal
     (1/4) e^{-4w} (u'' - (2 w' + cot) u')^2.  The bound
     (complex Laplacian)^2 <= n |mixed|^2 is equality here.
     """
-    g = metric.grid
-    uv = values_of(u)
-    mixed = (0.5 * laplace_round(g, uv) / np.exp(2.0 * metric.w)) ** 2
-    pure = hessian_t20(uv, metric) ** 2
-    return (ScalarField(grid=g, values=mixed), ScalarField(grid=g, values=pure))
+    mixed = (0.5 * laplace_round(metric.grid, u) / np.exp(2.0 * metric.w)) ** 2
+    return mixed, hessian_t20(u, metric) ** 2
 
 
-def hessian_t20(u, metric: ConformalMetric) -> np.ndarray:
+def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2."""
     g = metric.grid
-    uv = values_of(u)
-    up = dtheta(g, uv)
+    up = dtheta(g, u)
     wp = dtheta(g, metric.w)
     cot = g.cos_nodes / g.sin_nodes
     # u'' from the flux Laplacian: u'' = lap_round u - cot u'
-    upp = laplace_round(g, uv) - cot * up
+    upp = laplace_round(g, u) - cot * up
     return 0.5 * (upp - (2.0 * wp + cot) * up) / np.exp(2.0 * metric.w)
 
 
@@ -229,7 +213,7 @@ def gap_delta_prime(lambda_g: float, delta_measured: float | None,
     return delta_prime(max(gap, 0.0), osc)
 
 
-def functional_bundle(u, metric: ConformalMetric, lambda_g: float,
+def functional_bundle(u: np.ndarray, metric: ConformalMetric, lambda_g: float,
                       delta_measured: float | None = None) -> FunctionalBundle:
     """Assemble every scalar functional of a solved state.
 
@@ -237,13 +221,12 @@ def functional_bundle(u, metric: ConformalMetric, lambda_g: float,
     min(delta_measured, lambda_g - 1) when delta_measured is given,
     clipped at 0.
     """
-    uv = values_of(u)
-    a = average_a(uv, metric)
-    y = functional_Y(uv, a, metric)
-    z = functional_Z(uv, metric)
-    osc = float(uv.max() - uv.min())
-    c0 = float(np.max(np.abs(uv - a)))
-    gc0 = grad_c0_norm(uv, metric)
+    a = average_a(u, metric)
+    y = functional_Y(u, a, metric)
+    z = functional_Z(u, metric)
+    osc = float(u.max() - u.min())
+    c0 = float(np.max(np.abs(u - a)))
+    gc0 = grad_c0_norm(u, metric)
     dp0 = gap_delta_prime(lambda_g, delta_measured, osc)
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
                             grad_u_c0=gc0, delta_prime_0=dp0)

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
-from .geometry import (ConformalMetric, Grid, NumericalError, ScalarField,
-                       dtheta, grad_norm_sq, legendre_profile, volume,
+from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
+                       grad_norm_sq, legendre_profile, volume,
                        weighted_integral)
-from .potential import values_of
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
@@ -72,10 +71,10 @@ class Spectrum:
     """Lowest pairs per mode m = 0..m_max, as mode_pairs solved them: vals
     has shape (m_max + 1, k), each row ascending, and vecs[m] is mode m's
     (n, k) block of B-orthonormal eigenvectors.  A mode m > 0 stands for
-    m and -m, which coincide."""
+    m and -m, which coincide.  u_values None is the unweighted case."""
 
     metric: ConformalMetric
-    u_values: np.ndarray
+    u_values: np.ndarray | None
     vals: np.ndarray
     vecs: tuple[np.ndarray, ...]
 
@@ -86,13 +85,9 @@ class EigenData:
 
     m: int
     lam: float
-    psi: ScalarField
-    grad_bar_sq: ScalarField
+    psi: np.ndarray
+    grad_bar_sq: np.ndarray
     rayleigh_residual: float
-
-
-def _u_array(u, n):
-    return np.zeros(n) if u is None else values_of(u)
 
 
 def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
@@ -107,8 +102,10 @@ def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
     return idx, sign
 
 
-def assemble_mode_problem(metric: ConformalMetric, u, m: int) -> ModeProblem:
-    """Stiffness bands and mass diagonal for Fourier mode m >= 0.
+def assemble_mode_problem(metric: ConformalMetric, u: np.ndarray | None,
+                          m: int) -> ModeProblem:
+    """Stiffness bands and mass diagonal for Fourier mode m >= 0 on the
+    nodal potential u, None for the unweighted operator.
 
     The derivative part of the form is sum over interior flux points of
     C_f (D R)_f^2 with the four-node flux quotient D; only the first and
@@ -117,9 +114,8 @@ def assemble_mode_problem(metric: ConformalMetric, u, m: int) -> ModeProblem:
     """
     g = metric.grid
     n = g.n_nodes
-    uv = _u_array(u, n)
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
-    e = np.exp(-uv)
+    e = np.ones(n) if u is None else np.exp(-u)
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
@@ -223,7 +219,7 @@ def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
     return np.sqrt(np.sum(r * r / mass, axis=0))
 
 
-def mode_pairs(metric: ConformalMetric, u, m: int, k: int
+def mode_pairs(metric: ConformalMetric, u: np.ndarray | None, m: int, k: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """solve_mode's lowest k pairs of mode m on (metric, u), each checked
     against its Rayleigh residual; a NaN residual fails the check."""
@@ -238,16 +234,15 @@ def mode_pairs(metric: ConformalMetric, u, m: int, k: int
     return vals, vecs
 
 
-def weighted_spectrum(metric: ConformalMetric, u, m_max: int = 2,
-                      k_per_mode: int = 5) -> Spectrum:
+def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
+                      m_max: int = 2, k_per_mode: int = 5) -> Spectrum:
     """Lowest k_per_mode checked eigenpairs (mode_pairs) for every mode
     m = 0..m_max."""
     if m_max < 2 or k_per_mode < 3:
         raise ValueError("need m_max >= 2 and k_per_mode >= 3")
-    uv = _u_array(u, metric.grid.n_nodes)
-    vals, vecs = zip(*(mode_pairs(metric, uv, m, k_per_mode)
+    vals, vecs = zip(*(mode_pairs(metric, u, m, k_per_mode)
                        for m in range(m_max + 1)))
-    return Spectrum(metric=metric, u_values=uv, vals=np.array(vals),
+    return Spectrum(metric=metric, u_values=u, vals=np.array(vals),
                     vecs=vecs)
 
 
@@ -316,8 +311,8 @@ def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
                      float(spectrum.vals[m, i]), spectrum.vecs[m][:, i])
 
 
-def pair_data(metric: ConformalMetric, u, m: int, lam: float,
-              vector: np.ndarray) -> EigenData:
+def pair_data(metric: ConformalMetric, u: np.ndarray | None, m: int,
+              lam: float, vector: np.ndarray) -> EigenData:
     """Normalized eigenpair with its |dbar psi|^2 field, from one
     B-orthonormal solver pair of mode m on (metric, u).
 
@@ -325,14 +320,12 @@ def pair_data(metric: ConformalMetric, u, m: int, lam: float,
     mean of the dbar_sq field reproduces the eigenvalue through
     integration by parts.
     """
-    g = metric.grid
     # solver vectors are B-orthonormal; the stated normalization needs V
     psi = vector * np.sqrt(volume(metric))
     gb = dbar_sq(metric, psi, m)
     prob = assemble_mode_problem(metric, u, m)
     res = float(rayleigh_residual(prob, lam, vector))
-    return EigenData(m=m, lam=lam, psi=ScalarField(grid=g, values=psi),
-                     grad_bar_sq=ScalarField(grid=g, values=gb),
+    return EigenData(m=m, lam=lam, psi=psi, grad_bar_sq=gb,
                      rayleigh_residual=res)
 
 

@@ -168,7 +168,7 @@ def test_05_identity_suite(ladder_runs):
         resids["log_det"].append(
             max(log_det_residual(s, traj.states[0]) for s in traj.states))
         mid = traj.states[len(traj.states) // 2]
-        spec = weighted_spectrum(mid.metric, mid.u)
+        spec = weighted_spectrum(mid.metric, mid.u.values)
         i = int(np.flatnonzero(np.abs(spec.vals[0] - 3.0) < 0.1)[0])
         resids["bochner"].append(
             check_bochner(mid, eigen_data(spec, 0, i)).aux["residual"])
@@ -264,18 +264,18 @@ def test_10_futaki_vanishing(family_runs, multimode256):
         s = traj.states[0]
         h2 = 10 * s.metric.grid.h ** 2
         worst_rel = max(worst_rel, max(
-            abs(v) for v in futaki_integrals(s.u, s.metric)) / h2)
+            abs(v) for v in futaki_integrals(s.u.values, s.metric)) / h2)
     for s in (multimode256.states[0], multimode256.states[-1]):
         h2 = 10 * s.metric.grid.h ** 2
         worst_rel = max(worst_rel, max(
-            abs(v) for v in futaki_integrals(s.u, s.metric)) / h2)
+            abs(v) for v in futaki_integrals(s.u.values, s.metric)) / h2)
     # parity-breaking profile: the dilation pairing shrinks at second order
     vals = []
     for n in (128, 256, 512):
         g = make_grid(n)
         m = multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-3)
         from krflow.potential import solve_ricci_potential
-        vals.append(futaki_integrals(solve_ricci_potential(m), m)[1])
+        vals.append(futaki_integrals(solve_ricci_potential(m).values, m)[1])
     r1, r2 = vals[0] / vals[1], vals[1] / vals[2]
     richardson_ok = 3.0 < r1 < 5.0 and 3.0 < r2 < 5.0
     verdict(10, "futaki-vanishing", worst_rel <= 1.0 and richardson_ok,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from krflow.geometry import (ConformalMetric, ScalarField, conformal_metric,
+from krflow.geometry import (ConformalMetric, conformal_metric,
                              curvature_bounds, diameter, dtheta,
                              gaussian_curvature, grad_c0_norm, grad_norm_sq,
                              laplace_round, make_grid, noncollapsing_kappa,
@@ -69,13 +69,13 @@ class TestConformalMetric:
 
 class TestCurvature:
     def test_round_is_one(self, grid128):
-        k = gaussian_curvature(round_metric(grid128)).values
+        k = gaussian_curvature(round_metric(grid128))
         assert np.max(np.abs(k - 1.0)) < 1e-13
 
     def test_constant_shift_scales(self, grid128):
         c = 0.3
         m = conformal_metric(grid128, np.full(grid128.n_nodes, c))
-        k = gaussian_curvature(m).values
+        k = gaussian_curvature(m)
         assert np.max(np.abs(k - np.exp(-2 * c))) < 1e-13
 
     def test_cos_profile_closed_form(self):
@@ -87,7 +87,7 @@ class TestCurvature:
             x = g.cos_nodes
             m = conformal_metric(g, eps * x)
             exact = np.exp(-2 * eps * x) * (1 + 2 * eps * x)
-            errs.append(np.max(np.abs(gaussian_curvature(m).values - exact)))
+            errs.append(np.max(np.abs(gaussian_curvature(m) - exact)))
         assert errs[0] < 20 * (np.pi / 128) ** 2
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
@@ -156,30 +156,23 @@ class TestWeightedIntegral:
         val = weighted_integral(P2(grid256.cos_nodes) ** 2, m)
         assert val == pytest.approx(FOUR_PI / 5, rel=1e-4)
 
-    def test_weight_argument(self, grid128):
-        m = round_metric(grid128)
-        f = ScalarField(grid=grid128, values=grid128.cos_nodes)
-        wgt = ScalarField(grid=grid128, values=grid128.cos_nodes)
-        val = weighted_integral(f, m, wgt)
-        assert val == pytest.approx(FOUR_PI / 3, rel=1e-4)
-
 
 class TestGradNorm:
     def test_constant_is_zero(self, grid128):
         m = round_metric(grid128)
-        g = grad_norm_sq(np.ones(grid128.n_nodes), m).values
+        g = grad_norm_sq(np.ones(grid128.n_nodes), m)
         assert np.max(np.abs(g)) == 0.0
 
     def test_cos_closed_form(self, grid128):
         m = round_metric(grid128)
-        g = grad_norm_sq(grid128.cos_nodes, m).values
+        g = grad_norm_sq(grid128.cos_nodes, m)
         exact = 0.5 * np.sin(grid128.theta_nodes) ** 2
         assert np.max(np.abs(g - exact)) < 5 * grid128.h ** 2
 
     def test_p2_max_value(self, grid256):
         # |grad P2|^2 = (1/2)(3 sin cos)^2, max 9/8 at theta = pi/4
         m = round_metric(grid256)
-        g = grad_norm_sq(P2(grid256.cos_nodes), m).values
+        g = grad_norm_sq(P2(grid256.cos_nodes), m)
         assert np.max(g) == pytest.approx(1.125, abs=1e-3)
         assert grad_c0_norm(P2(grid256.cos_nodes), m) == \
             pytest.approx(np.sqrt(1.125), abs=1e-3)
@@ -292,8 +285,8 @@ class TestScalingCovariance:
                                                 rel=1e-14)
         assert diameter(shifted) == pytest.approx(np.exp(c) * diameter(base),
                                                   rel=1e-12)
-        k0 = gaussian_curvature(base).values
-        k1 = gaussian_curvature(shifted).values
+        k0 = gaussian_curvature(base)
+        k1 = gaussian_curvature(shifted)
         assert np.max(np.abs(k1 - np.exp(-2 * c) * k0)) < 1e-13
 
 

@@ -36,6 +36,9 @@ VALUE_MISTAKES = (
     "[flow]\nvol_tol = -1e-8\n", "[flow]\nclass_tol = -1\n",
     "[flow]\npotential_tol = 0\n", "[flow]\nband_tol = -1\n",
     "[monitors]\nrho = nan\n")
+# w = 0.5 theta at grid_n = 64: pole slopes of 0.5 against a tolerance of
+# 0.25, so the custom_w pole check must reject it
+TILTED_W = "scenario = custom_w\ngrid_n = 64\n[scenario]\nfile = {tilted_w}\n"
 
 
 class TestConfig:
@@ -293,6 +296,11 @@ class TestSweep:
 
 class TestCli:
     def write_spec(self, tmp_path, text):
+        """The spec file, with {tilted_w} naming a TILTED_W profile file."""
+        if "{tilted_w}" in text:
+            wfile = tmp_path / "tilted_w.txt"
+            np.savetxt(wfile, 0.5 * make_grid(64).theta_nodes)
+            text = text.replace("{tilted_w}", str(wfile))
         path = tmp_path / "spec.cfg"
         path.write_text(text)
         return str(path)
@@ -337,7 +345,7 @@ class TestCli:
         assert len(calls) == 3
         rows = capsys.readouterr().out.splitlines()[1:-2]
         state = state_at(load_spec(path), 0.0)
-        fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
+        fresh = krflow.spectral.weighted_spectrum(state.metric, state.u.values)
         # modes m > 0 twice, stably sorted from the mode-by-mode order
         pairs = sorted(((float(lam), m) for m, row in enumerate(fresh.vals)
                         for lam in row for _ in range(1 if m == 0 else 2)),
@@ -454,9 +462,11 @@ class TestCli:
          "[flow]\nt_end = 0.1\nrecord_dt = 0.05\nk_per_mode = 3\n"
          "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
          "branch_index = 1\n", EXIT_NUMERICAL),
-        # the pole check rejects 0.5 P_6 at N = 16
+        (TILTED_W, EXIT_CONFIG),
+        # 0.5 P_6 is even, so no pole check rejects it; N = 16 cannot
+        # resolve its holomorphic band
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
-         "eps = 0.5\n", EXIT_CONFIG),
+         "eps = 0.5\n", EXIT_NUMERICAL),
         ("scenario = round\ngrid_n = 64\n[flow]\nm_max = 1\n", EXIT_CONFIG),
         ("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 2\n",
          EXIT_CONFIG),
@@ -473,6 +483,7 @@ class TestCli:
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
+            "even_preset_unresolved",
             "m_max_below_two", "k_per_mode_below_three",
             "k_per_mode_over_grid_n",
             "branch_index_over_k", "branch_mode_removed",
@@ -491,8 +502,7 @@ class TestCli:
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
          "StabilityBoundError"),
-        ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
-         "eps = 0.5\n", "IrregularPole"),
+        (TILTED_W, "IrregularPole"),
     ], ids=["dt_init_over_bound", "irregular_pole"])
     def test_config_error_writes_report(self, tmp_path, text, error):
         # a config error found from the initial metric still leaves a
@@ -504,6 +514,24 @@ class TestCli:
         assert f"exit_code = {EXIT_CONFIG}" in report
         assert f"error = {error}: " in report
         assert not (out / "timeseries.csv").exists()
+
+    def test_rho_broken_by_later_state_keeps_timeseries(self, tmp_path):
+        # rho = 1.62 is under diam/2 = 1.682 at t = 0 but over it later,
+        # so the error comes from the checks, after the whole flow
+        out = tmp_path / "o"
+        path = self.write_spec(
+            tmp_path, f"output_dir = {out}\n"
+            "scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 0.3\n"
+            "[flow]\nt_end = 2\nrecord_dt = 0.05\n"
+            "[monitors]\nchecks = c0_vs_y\nrho = 1.62\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        report = (out / "report.txt").read_text()
+        assert f"exit_code = {EXIT_CONFIG}" in report
+        assert "error = ScaleOutOfRange: " in report
+        n_states = int(report.split("n_states = ")[1].split("\n")[0])
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert len(rows) == n_states > 1
+        assert float(rows[-1].split(",")[0]) == 2.0
 
     def test_non_finite_custom_w_exit_two(self, tmp_path, capsys):
         wfile = tmp_path / "w.txt"

@@ -18,7 +18,6 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              check_weighted_poincare, check_Y_decay,
                              check_Z_derivative, convergence_order,
                              evaluate_trajectory, synthetic_trace_positivity)
-from krflow.geometry import ScalarField
 from krflow.potential import solve_ricci_potential
 from krflow.spectral import (band_eigen_data, eigen_data,
                              sobolev_constant_estimate, weighted_spectrum)
@@ -110,7 +109,7 @@ class TestC2Estimate:
         grid = s.metric.grid
         bad_phi = 3.0 * grid.cos_nodes  # 1 + lap_c phi = 1 - 3 cos < 0
         assert synthetic_trace_positivity(s, bad_phi) < 0
-        doctored = replace(s, phi=ScalarField(grid=grid, values=bad_phi))
+        doctored = replace(s, phi=bad_phi)
         fake = replace(p2_run_small, states=[p2_run_small.states[0], doctored])
         rep = check_c2_estimate(fake)
         assert rep.verdict == FAIL
@@ -173,7 +172,7 @@ class TestZDerivative:
 class TestBochner:
     def test_round_p2_eigenfunction(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u)
+        spec = weighted_spectrum(s.metric, s.u.values)
         rep = check_bochner(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == PASS
         # inequality margin dips only by the identity's own h^2 error
@@ -182,7 +181,7 @@ class TestBochner:
 
     def test_constant_eigenfunction_all_zero(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u)
+        spec = weighted_spectrum(s.metric, s.u.values)
         rep = check_bochner(s, eigen_data(spec, 0, 0))
         assert rep.verdict == PASS
         assert rep.aux["residual"] < 1e-10
@@ -193,14 +192,14 @@ class TestBochner:
             m = legendre_bump(make_grid(n), 2, 1e-2)
             traj = run(FlowConfig(t_end=0.0), m)
             s = traj.states[0]
-            spec = weighted_spectrum(s.metric, s.u)
+            spec = weighted_spectrum(s.metric, s.u.values)
             rep = check_bochner(s, axial_near(spec, 3.0, 0.1))
             resids.append(rep.aux["residual"])
         assert resids[0] / resids[1] == pytest.approx(4.0, abs=1.2)
 
     def test_nonaxial_mode_rejected(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u)
+        spec = weighted_spectrum(s.metric, s.u.values)
         with pytest.raises(ValueError, match="axial"):
             check_bochner(s, eigen_data(spec, 1, 0))
 
@@ -208,7 +207,7 @@ class TestBochner:
 class TestGradientEstimate:
     def test_round_lambda3(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u)
+        spec = weighted_spectrum(s.metric, s.u.values)
         rep = check_gradient_estimate(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == REPORT_ONLY
         assert rep.aux["sup_grad_bar"] == pytest.approx(2.3717, abs=2e-3)
@@ -218,7 +217,7 @@ class TestGradientEstimate:
     def test_band_consistency(self, round_traj):
         # three band eigenfunctions see the same effective constant
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u)
+        spec = weighted_spectrum(s.metric, s.u.values)
         c_effs = [check_gradient_estimate(s, e).aux["C_eff"]
                   for e in band_eigen_data(spec)]
         assert max(c_effs) / min(c_effs) < 1.05
@@ -302,9 +301,9 @@ class TestEvaluateTrajectory:
         import krflow.spectral
         states = p2_run_small.states
         mid = states[len(states) // 2]
-        spec = weighted_spectrum(mid.metric, mid.u)
+        spec = weighted_spectrum(mid.metric, mid.u.values)
         own = check_bochner(mid, axial_near(spec, 3.0, 0.1))
-        start = weighted_spectrum(states[0].metric, states[0].u)
+        start = weighted_spectrum(states[0].metric, states[0].u.values)
         lam0 = start.vals[0, 2]
         calls = []
         real = krflow.spectral.solve_mode
@@ -331,7 +330,8 @@ class TestEvaluateTrajectory:
         mid = states[len(states) // 2]
         c_s = sobolev_constant_estimate(mid.metric)
         c_eff, full = 0.0, None
-        for eig in band_eigen_data(weighted_spectrum(mid.metric, mid.u)):
+        spec = weighted_spectrum(mid.metric, mid.u.values)
+        for eig in band_eigen_data(spec):
             r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
             if r.aux["C_eff"] >= c_eff:
                 c_eff, full = r.aux["C_eff"], r

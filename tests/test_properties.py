@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import legendre
 
 from krflow.flow import FlowConfig
-from krflow.geometry import (ROUND_VOLUME, conformal_metric, flux_laplacian,
+from krflow.geometry import (ROUND_VOLUME, ConformalMetric, flux_laplacian,
                              gaussian_curvature, laplace_round, make_grid,
                              normalize_volume, volume, weighted_integral)
 from krflow.harness import (SCENARIOS, SWEEP_TARGETS, ExperimentSpec, dumps,
@@ -40,7 +40,7 @@ def even_metric(profile):
     grid = make_grid(n)
     w = legendre.legval(grid.cos_nodes, [0.0, 0.0, *amps])
     # even by construction; the pole-slope test is too coarse at n = 16
-    return normalize_volume(conformal_metric(grid, w, check_poles=False))
+    return normalize_volume(ConformalMetric(grid=grid, w=w))
 
 
 @PROPERTY
@@ -82,7 +82,7 @@ def test_volume_normalization_exact(profile):
 def test_spectrum_constant_shift_scaling(profile, c):
     # w + c scales the mass by e^{2c} and leaves the stiffness alone
     m = even_metric(profile)
-    shifted = conformal_metric(m.grid, m.w + c, check_poles=False)
+    shifted = ConformalMetric(grid=m.grid, w=m.w + c)
     expected = np.exp(-2.0 * c) * weighted_spectrum(m, None).vals
     err = np.abs(weighted_spectrum(shifted, None).vals - expected)
     assert np.max(err / np.maximum(1.0, np.abs(expected))) < 2e-9
