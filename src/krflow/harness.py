@@ -29,7 +29,6 @@ from .monitors import (ALL_CHECKS, FAIL, MONITOR_PARAMS, CheckReport,
                        TrajectoryReport, evaluate_trajectory)
 
 
-SCENARIOS = ("round", "legendre_bump", "multi_mode", "custom_w")
 SWEEP_TARGETS = ("amplitude", "calabi")
 
 TIMESERIES_COLUMNS = (
@@ -55,9 +54,6 @@ class ExperimentSpec:
     sweep_target: str = "amplitude"
     output_dir: str = "out"
 
-    def scenario_dict(self):
-        return dict(self.scenario_params)
-
     def monitor_dict(self):
         """Every monitor parameter: the spec's values over the defaults."""
         return {**MONITOR_PARAMS, **dict(self.monitor_params)}
@@ -79,85 +75,113 @@ class RunArtifacts:
 # presets
 # ---------------------------------------------------------------------------
 
+def _even_preset(grid: Grid, w: np.ndarray, what: str) -> ConformalMetric:
+    """w, a sum of P_l(cos theta) and so even at both poles (no pole check),
+    shifted to volume 4 pi; a w or volume that is not finite is an error."""
+    if np.isfinite(w).all():
+        metric = ConformalMetric(grid=grid, w=w)
+        with np.errstate(over="ignore"):
+            if 0.0 < volume(metric) < math.inf:
+                return normalize_volume(metric)
+    raise ConfigError(f"{what} gives no finite metric")
+
+
 def legendre_bump(grid: Grid, l: int, eps: float) -> ConformalMetric:
-    """w = eps P_l(cos theta), shifted to exact volume 4 pi; needs l >= 2
-    (degree-one bumps are first-order trivial reparametrizations).
-    P_l(cos theta) is even across both poles, so no pole check runs."""
-    if l < 2:
-        raise ConfigError(f"legendre_bump needs l >= 2, got l = {l}")
-    return normalize_volume(ConformalMetric(
-        grid=grid, w=legendre_profile(grid, l, eps)))
+    """w = eps P_l(cos theta), shifted to exact volume 4 pi.  A spec needs
+    l >= 2 (degree-one bumps are first-order trivial reparametrizations),
+    which loads checks."""
+    return _even_preset(grid, legendre_profile(grid, l, eps),
+                        f"legendre_bump l = {l}, eps = {eps}")
 
 
 def multi_mode(grid: Grid, seed: int, decay_rate: float,
                amplitude: float) -> ConformalMetric:
     """Deterministic multi-harmonic profile sum_{l=2..6} a_l P_l(cos theta)
-    with a_l = amplitude * r_l * l^-decay_rate, r_l uniform from the seed;
-    even across both poles like legendre_bump."""
+    with a_l = amplitude * r_l * l^-decay_rate, r_l uniform from the seed."""
+    if seed < 0:
+        raise ConfigError(f"multi_mode needs seed >= 0, got seed = {seed}")
     rng = np.random.default_rng(seed)
     r = rng.uniform(-1.0, 1.0, size=5)
+    what = f"multi_mode decay_rate = {decay_rate}, amplitude = {amplitude}"
     w = np.zeros(grid.n_nodes)
-    for i, l in enumerate(range(2, 7)):
-        w += legendre_profile(grid, l, amplitude * r[i] * l ** (-decay_rate))
-    return normalize_volume(ConformalMetric(grid=grid, w=w))
+    try:
+        for i, l in enumerate(range(2, 7)):
+            w += legendre_profile(grid, l, amplitude * r[i] * l ** -decay_rate)
+    except OverflowError:  # l ** -decay_rate, for a very negative decay_rate
+        raise ConfigError(f"{what} gives no finite metric")
+    return _even_preset(grid, w, what)
 
 
-def custom_w(grid: Grid, path: str) -> ConformalMetric:
+def custom_w(grid: Grid, file: str) -> ConformalMetric:
     """Nodal conformal factor from a text file, one value per line.
 
     No volume rescaling: the run precondition is the caller's problem,
     which is exactly what the volume-violation error path exercises.
     """
     try:
-        vals = np.loadtxt(path, dtype=float, ndmin=1)
+        vals = np.loadtxt(file, dtype=float, ndmin=1)
     except OSError as exc:
-        raise ConfigError(f"cannot read custom_w file {path!r}: {exc}")
+        raise ConfigError(f"cannot read custom_w file {file!r}: {exc}")
     if vals.shape != (grid.n_nodes,):
         raise ConfigError(
-            f"custom_w file {path!r} holds {vals.shape[0]} values, "
+            f"custom_w file {file!r} holds {vals.shape[0]} values, "
             f"grid needs {grid.n_nodes}")
     if not np.isfinite(vals).all():
-        raise ConfigError(f"custom_w file {path!r} holds a non-finite value")
+        raise ConfigError(f"custom_w file {file!r} holds a non-finite value")
     return conformal_metric(grid, vals)
 
 
-def legendre_bump_for_calabi(grid: Grid, l: int,
-                             eps_calabi: float) -> ConformalMetric:
-    """Bump whose measured curvature energy equals eps_calabi exactly.
+def legendre_bump_for_calabi(grid: Grid, l: int, eps: float
+                             ) -> ConformalMetric:
+    """Bump whose measured curvature energy equals eps exactly.
 
     The amplitude solves measured_calabi(w) = target by a multiplicative
     secant from the linearized seed; the oblate orientation (negative
-    amplitude) is used, see the scaling-sweep notes in the README.
+    amplitude) is used, see the scaling-sweep notes in the README.  A
+    target that no bump on the grid reaches is a config mistake.
     """
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"calabi target eps = {eps} must be positive and "
+                          "finite")
     lin = (l * (l + 1) - 2.0) ** 2 / (2.0 * l + 1.0)
-    amp = -math.sqrt(eps_calabi / lin)
+    amp = -math.sqrt(eps / lin)
     for _ in range(40):
         got = measured_calabi(legendre_bump(grid, l, amp))
-        factor = math.sqrt(eps_calabi / got)
+        if not 0.0 < got < math.inf:
+            raise ConfigError(f"no legendre_bump l = {l} on this grid has "
+                              f"curvature energy {eps}")
+        factor = math.sqrt(eps / got)
         amp *= factor
         if abs(factor - 1.0) < 1e-13:
             break
     return legendre_bump(grid, l, amp)
 
 
+# scenario -> (preset, {key: default}).  The preset takes the grid and the
+# keys as arguments; a spec value is parsed as the type of its default, and
+# a key whose entry is a type has no default, so the spec must set it.
+SCENARIOS = {
+    "round": (round_metric, {}),
+    "legendre_bump": (legendre_bump, {"l": 2, "eps": 1e-3}),
+    "multi_mode": (multi_mode, {"seed": 7, "decay_rate": 2.0,
+                                "amplitude": 5e-3}),
+    "custom_w": (custom_w, {"file": str}),
+}
+
+
+def _preset_args(spec: ExperimentSpec) -> dict:
+    """The preset's arguments: the spec's values over the table's defaults."""
+    args = {**SCENARIOS[spec.scenario][1], **dict(spec.scenario_params)}
+    for key, value in args.items():
+        if isinstance(value, type):
+            raise ConfigError(f"{spec.scenario} scenario needs {key} = <path>")
+    return args
+
+
 def initial_metric(spec: ExperimentSpec, grid: Grid | None = None
                    ) -> ConformalMetric:
-    grid = grid or make_grid(spec.grid_n)
-    params = spec.scenario_dict()
-    if spec.scenario == "round":
-        return round_metric(grid)
-    if spec.scenario == "legendre_bump":
-        return legendre_bump(grid, int(params.get("l", 2)),
-                             float(params.get("eps", 1e-3)))
-    if spec.scenario == "multi_mode":
-        return multi_mode(grid, int(params.get("seed", 7)),
-                          float(params.get("decay_rate", 2.0)),
-                          float(params.get("amplitude", 5e-3)))
-    if spec.scenario == "custom_w":
-        if "file" not in params:
-            raise ConfigError("custom_w scenario needs file = <path>")
-        return custom_w(grid, str(params["file"]))
-    raise ConfigError(f"unknown scenario {spec.scenario!r}")
+    args = _preset_args(spec)
+    return SCENARIOS[spec.scenario][0](grid or make_grid(spec.grid_n), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +189,19 @@ def initial_metric(spec: ExperimentSpec, grid: Grid | None = None
 # ---------------------------------------------------------------------------
 
 _FLOW_DEFAULTS = {f.name: f.default for f in fields(FlowConfig)}
-_SCENARIO_KEYS = {"l": int, "eps": float, "seed": int, "decay_rate": float,
-                  "amplitude": float, "file": str}
 
 
-def _parse_scalar(raw: str, typ, key: str, lineno: int):
+def _parse_declared(raw: str, default, key: str, lineno: int):
+    """raw as the type of the key's default, or as the default itself when
+    that is a type (a key with no default); auto / none only for None."""
+    if default is None and raw.lower() in ("auto", "none"):
+        return None
+    typ = (float if default is None else
+           default if isinstance(default, type) else type(default))
     try:
         return typ(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for key {key!r}")
-
-
-def _parse_declared(raw: str, default, key: str, lineno: int):
-    """raw as the type of the key's default; auto / none only for None."""
-    if default is None and raw.lower() in ("auto", "none"):
-        return None
-    return _parse_scalar(raw, float if default is None else type(default),
-                         key, lineno)
 
 
 def _parse_sweep_values(raw: str, lineno: int) -> tuple:
@@ -203,10 +223,8 @@ def _parse_sweep_values(raw: str, lineno: int) -> tuple:
 def loads(text: str) -> ExperimentSpec:
     """Parse the key = value spec format; first violation raises ConfigError."""
     section = ""
-    top, scenario, flow, monitors = {}, {}, {}, {}
-    checks = None
-    sweep_vals: tuple = ()
-    sweep_target = "amplitude"
+    # given: the ExperimentSpec fields the text sets; the rest are defaults
+    given, scenario, flow, monitors = {}, {}, {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -222,20 +240,22 @@ def loads(text: str) -> ExperimentSpec:
         key = key.strip()
         raw = raw.strip()
         if section == "":
-            if key == "scenario":
-                if raw not in SCENARIOS:
-                    raise ConfigError(f"line {lineno}: unknown scenario {raw!r}")
-                top["scenario"] = raw
-            elif key == "grid_n":
-                top["grid_n"] = _parse_scalar(raw, int, key, lineno)
-            elif key == "output_dir":
-                top["output_dir"] = raw
-            else:
+            if key not in ("scenario", "grid_n", "output_dir"):
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key == "scenario" and raw not in SCENARIOS:
+                raise ConfigError(f"line {lineno}: unknown scenario {raw!r}")
+            given[key] = _parse_declared(raw, getattr(ExperimentSpec, key),
+                                         key, lineno)
         elif section == "scenario":
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"line {lineno}: unknown scenario key {key!r}")
-            scenario[key] = _parse_scalar(raw, _SCENARIO_KEYS[key], key, lineno)
+            # top-level keys come before any section: the scenario is known
+            name = given.get("scenario", ExperimentSpec.scenario)
+            defaults = SCENARIOS[name][1]
+            if key not in defaults:
+                raise ConfigError(f"line {lineno}: scenario {name!r} takes "
+                                  f"no key {key!r}")
+            scenario[key] = _parse_declared(raw, defaults[key], key, lineno)
+            if key == "l" and scenario[key] < 2:
+                raise ConfigError(f"line {lineno}: legendre_bump needs l >= 2")
         elif section == "flow":
             if key not in _FLOW_DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown flow key {key!r}")
@@ -247,7 +267,7 @@ def loads(text: str) -> ExperimentSpec:
                     if name not in ALL_CHECKS:
                         raise ConfigError(
                             f"line {lineno}: unknown check id {name!r}")
-                checks = names
+                given["checks"] = names
             elif key in MONITOR_PARAMS:
                 monitors[key] = _parse_declared(raw, MONITOR_PARAMS[key], key,
                                                 lineno)
@@ -255,26 +275,17 @@ def loads(text: str) -> ExperimentSpec:
                 raise ConfigError(f"line {lineno}: unknown monitor key {key!r}")
         elif section == "sweep":
             if key == "eps":
-                sweep_vals = _parse_sweep_values(raw, lineno)
+                given["sweep"] = _parse_sweep_values(raw, lineno)
             elif key == "target":
                 if raw not in SWEEP_TARGETS:
                     raise ConfigError(f"line {lineno}: unknown sweep target {raw!r}")
-                sweep_target = raw
+                given["sweep_target"] = raw
             else:
                 raise ConfigError(f"line {lineno}: unknown sweep key {key!r}")
     spec = ExperimentSpec(
-        scenario=top.get("scenario", "round"),
-        scenario_params=tuple(sorted(scenario.items())),
-        grid_n=top.get("grid_n", 256),
+        **given, scenario_params=tuple(sorted(scenario.items())),
         flow=FlowConfig(**flow),
-        checks=checks if checks is not None else ALL_CHECKS,
-        monitor_params=tuple(sorted(monitors.items())),
-        sweep=sweep_vals,
-        sweep_target=sweep_target,
-        output_dir=top.get("output_dir", "out"))
-    if spec.scenario == "legendre_bump" and int(
-            spec.scenario_dict().get("l", 2)) < 2:
-        raise ConfigError("legendre_bump needs l >= 2")
+        monitor_params=tuple(sorted(monitors.items())))
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
@@ -337,7 +348,7 @@ def dumps(spec: ExperimentSpec) -> str:
     lines.append("checks = " + ", ".join(spec.checks))
     for k, v in spec.monitor_params:
         lines.append(f"{k} = {_fmt(v)}")
-    if spec.sweep or spec.sweep_target != "amplitude":
+    if spec.sweep or spec.sweep_target != ExperimentSpec.sweep_target:
         lines.append("")
         lines.append("[sweep]")
         if spec.sweep:
@@ -469,40 +480,30 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_point_spec(spec: ExperimentSpec, value: float) -> ExperimentSpec:
-    params = spec.scenario_dict()
-    if spec.scenario != "legendre_bump":
-        raise ConfigError("sweeps are defined for the legendre_bump scenario")
-    params["eps"] = value
-    return replace(spec, scenario_params=tuple(sorted(params.items())),
-                   sweep=())
-
-
 def _calabi_metric(spec: ExperimentSpec) -> ConformalMetric:
     """t=0 metric of a calabi sweep point: eps is the curvature energy."""
-    p = spec.scenario_dict()
     return legendre_bump_for_calabi(make_grid(spec.grid_n),
-                                    int(p.get("l", 2)), float(p["eps"]))
+                                    **_preset_args(spec))
 
 
 def _run_sweep_point(args):
     """run_scenario for one sweep value, reduced to its summary row."""
-    spec, value, target, out_dir = args
-    point = _sweep_point_spec(spec, value)
-    art = run_scenario(point, out_dir, _calabi_metric if target == "calabi"
-                       else initial_metric)
+    spec, value, out_dir = args
+    point = replace(spec, sweep=(), scenario_params=tuple(sorted(
+        dict(spec.scenario_params, eps=value).items())))
+    art = run_scenario(point, out_dir, _calabi_metric
+                       if spec.sweep_target == "calabi" else initial_metric)
     if art.error is not None:
         return {"eps": value, "eps_calabi": math.nan,
                 "grad_c0_at_t0": math.nan, "ratio": math.nan,
                 "K_eff": math.nan, "exit_code": art.exit_code,
                 "error": art.error}
     eps_cal = measured_calabi(art.trajectory.states[0].metric)
-    short = next((c for c in art.report.checks if c.check_id == "short_time"),
-                 None)
-    grad_t0 = short.aux["grad_c0_at_t0"] if short else math.nan
+    aux = {c.check_id: c.aux for c in art.report.checks}
+    grad_t0 = aux.get("short_time", {}).get("grad_c0_at_t0", math.nan)
     return {"eps": value, "eps_calabi": eps_cal, "grad_c0_at_t0": grad_t0,
             "ratio": grad_t0 / eps_cal ** 0.25 if eps_cal > 0 else math.nan,
-            "K_eff": art.report.constants.get("K_eff_max", math.nan),
+            "K_eff": aux.get("c0_vs_y", {}).get("K_eff", math.nan),
             "exit_code": art.exit_code, "error": ""}
 
 
@@ -516,13 +517,15 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
     workers = int(raw_workers)
     if not spec.sweep:
         raise ConfigError("sweep requested but [sweep] eps is empty")
+    if spec.scenario != "legendre_bump":
+        raise ConfigError("sweeps are defined for the legendre_bump scenario")
     out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = []
     for i, value in enumerate(spec.sweep):
         sub = out / f"point_{i:02d}"
         sub.mkdir(parents=True, exist_ok=True)
-        jobs.append((spec, float(value), spec.sweep_target, str(sub)))
+        jobs.append((spec, float(value), str(sub)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))

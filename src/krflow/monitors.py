@@ -91,12 +91,10 @@ class CheckReport:
 
 @dataclass
 class TrajectoryReport:
-    """All reports for one trajectory plus per-check time series."""
+    """The check reports of one trajectory and its fitted decay rates."""
 
     checks: list[CheckReport] = field(default_factory=list)
-    series: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
 
     def verdicts(self):
         return {c.check_id: c.verdict for c in self.checks}
@@ -805,12 +803,10 @@ def _largest_k_eff(sh: _Shared) -> CheckReport:
     states = sh.traj.states
     reports = [check_c0_vs_Y(s, sh.p["rho"]) for s in states]
     keffs = np.array([r.aux.get("K_eff", np.nan) for r in reports])
-    sh.report.series["K_eff"] = keffs
     if np.isnan(keffs).all():
         return reports[0]
     pos = int(np.nanargmax(keffs))
     reports[pos].aux["state_t"] = states[pos].t
-    sh.report.constants["K_eff_max"] = reports[pos].aux["K_eff"]
     return reports[pos]
 
 

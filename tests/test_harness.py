@@ -165,6 +165,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_spec(tmp_path / "nope.cfg")
 
+    def test_readme_spec_example_loads(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Spec format")[1].split("```\n")[1]
+        spec = loads(block)
+        assert spec.scenario == "legendre_bump"
+        assert spec.scenario_params == (("eps", 1e-3), ("l", 2))
+        assert spec.checks == ALL_CHECKS
+        assert spec.sweep_target == "calabi" and len(spec.sweep) == 9
+
 
 class TestPresets:
     def test_legendre_bump_normalized(self, grid128):
@@ -184,6 +193,13 @@ class TestPresets:
             assert measured_calabi(m) == pytest.approx(target, rel=1e-10)
             # the oblate orientation: poles contract
             assert m.w[0] < m.w[grid128.n_nodes // 2]
+
+    def test_calabi_target_out_of_reach(self, grid128):
+        # not positive, not finite, or below what the grid resolves: the
+        # curvature energy of a 1e-20 bump rounds to zero
+        for target in (0.0, -1e-3, np.nan, np.inf, 1e-40):
+            with pytest.raises(ConfigError):
+                legendre_bump_for_calabi(grid128, 2, target)
 
     def test_custom_w_length_mismatch(self, tmp_path, grid128):
         path = tmp_path / "w.txt"
@@ -241,6 +257,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_epsilon(loads(MINIMAL))
 
+    def test_sweep_needs_legendre_bump(self, tmp_path):
+        # rejected once, before any point directory is made
+        with pytest.raises(ConfigError, match="legendre_bump"):
+            sweep_epsilon(loads(MINIMAL + "[sweep]\neps = 1e-3\n"),
+                          base_dir=tmp_path / "sw")
+        assert not (tmp_path / "sw").exists()
+
     def test_small_sweep_with_regression(self, tmp_path):
         spec = loads(
             "scenario = legendre_bump\ngrid_n = 64\n"
@@ -281,6 +304,21 @@ class TestSweep:
         codes = [r["exit_code"] for r in art.rows]
         assert codes.count(EXIT_OK) == 2
         assert sum(1 for r in art.rows if r["error"]) == 1
+
+    def test_calabi_target_zero_isolated(self, tmp_path):
+        # no bump has curvature energy 0: that point is a config error
+        # (exit 2 in its row), and the other points still run
+        spec = loads(
+            "scenario = legendre_bump\ngrid_n = 32\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+            "[monitors]\nchecks = short_time\n"
+            "[sweep]\neps = 1e-4, 0, 1e-3\ntarget = calabi\n")
+        art = sweep_epsilon(spec, base_dir=tmp_path / "sw")
+        assert art.exit_code == EXIT_CONFIG
+        assert [r["exit_code"] for r in art.rows] == [
+            EXIT_OK, EXIT_CONFIG, EXIT_OK]
+        assert art.rows[1]["error"].startswith("ConfigError: ")
+        assert np.isfinite(art.rows[2]["grad_c0_at_t0"])
 
     def test_worker_env_parallel_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KRFLOW_WORKERS", "2")
@@ -480,6 +518,26 @@ class TestCli:
         # time controls, and auto for a key whose default is not auto
         *((BUMP64 + line, EXIT_CONFIG) for line in TIME_CONTROL_MISTAKES),
         *((BUMP64 + line, EXIT_CONFIG) for line in VALUE_MISTAKES),
+        # a [scenario] key its scenario does not take; each ran on the
+        # defaults before
+        ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\n"
+         "amplitude = 0.1\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 64\n[scenario]\neps = 0.3\n",
+         EXIT_CONFIG),
+        ("scenario = multi_mode\ngrid_n = 64\n[scenario]\nl = 3\n",
+         EXIT_CONFIG),
+        # a preset parameter that gives no finite metric (1e3: the volume
+        # overflows); each was a traceback
+        ("scenario = legendre_bump\ngrid_n = 32\n[scenario]\neps = nan\n",
+         EXIT_CONFIG),
+        ("scenario = legendre_bump\ngrid_n = 32\n[scenario]\neps = 1e3\n",
+         EXIT_CONFIG),
+        ("scenario = multi_mode\ngrid_n = 32\n[scenario]\n"
+         "amplitude = nan\n", EXIT_CONFIG),
+        ("scenario = multi_mode\ngrid_n = 32\n[scenario]\n"
+         "decay_rate = -1000\n", EXIT_CONFIG),
+        ("scenario = multi_mode\ngrid_n = 32\n[scenario]\nseed = -1\n",
+         EXIT_CONFIG),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -491,7 +549,11 @@ class TestCli:
             "t_end_auto", "dt_init_zero", "dt_init_negative",
             "vol_tol_auto", "rho_auto", "t_end_negative", "t_end_nan",
             "t_end_inf", "vol_tol_negative", "class_tol_negative",
-            "potential_tol_zero", "band_tol_negative", "rho_nan"])
+            "potential_tol_zero", "band_tol_negative", "rho_nan",
+            "bump_takes_no_amplitude", "round_takes_no_eps",
+            "multi_mode_takes_no_l", "bump_eps_nan", "bump_eps_overflow",
+            "multi_mode_amplitude_nan", "multi_mode_decay_overflow",
+            "multi_mode_seed_negative"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)

@@ -288,7 +288,6 @@ class TestEvaluateTrajectory:
                 "eigenvalue_derivative", "bootstrap", "short_time",
                 "kahler_class", "log_det"} <= ids
         assert rep.worst() in (PASS, REPORT_ONLY)
-        assert "K_eff" in rep.series
         assert rep.rates["Y"] == pytest.approx(4.0, abs=0.1)
 
     def test_unknown_check_rejected(self, p2_run_small):
