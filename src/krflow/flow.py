@@ -51,29 +51,39 @@ class StabilityBoundError(ConfigError, ValueError):
 # a default step uses
 RK4_REAL_INTERVAL = 2.785
 SAFETY = 0.9
+# step-cap halvings after which run gives up on a failing segment
+MAX_HALVINGS = 12
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integrator controls.
+    """Integrator controls, each checked on construction (ConfigError).
 
     The scheme is classical RK4.  dt_init None means the step cap is the
     stability bound stability_dt, recomputed from the state that opens
     each record segment; an explicit dt_init is a fixed cap, and one above
-    the bound at t = 0 is rejected.
+    the bound at t = 0 is rejected.  band_tol None is the grid's
+    default_band_tol, and early_stop = 0 never stops the run early.
     """
 
     t_end: float = 5.0
     dt_init: float | None = None
     vol_tol: float = 1e-8
     class_tol: float = 1e-6
-    potential_tol: float = 1e-9
     record_dt: float = 0.01
-    m_max: int = 2
-    k_per_mode: int = 5
     band_tol: float | None = None
     early_stop: float = 1e-12
-    max_halvings: int = 12
+
+    def __post_init__(self):
+        for key in ("t_end", "early_stop"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be "
+                                  "finite and >= 0")
+        for key in ("record_dt", "dt_init", "vol_tol", "class_tol",
+                    "band_tol"):
+            value = getattr(self, key)  # None only for dt_init, band_tol
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{key} = {value} must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,9 +155,8 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     check the class identity against the initial metric (StepReject)."""
     grid = initial.grid
     metric = ConformalMetric(grid=grid, w=w.copy())
-    u = solve_ricci_potential(metric, tol=config.potential_tol)
-    spec = spectral.weighted_spectrum(metric, u.values, m_max=config.m_max,
-                                      k_per_mode=config.k_per_mode)
+    u = solve_ricci_potential(metric)
+    spec = spectral.weighted_spectrum(metric, u.values)
     lam_g, band = spectral.lambda_second(spec, config.band_tol)
     funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
     phi = phi.copy()
@@ -217,7 +226,7 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
                 ok = False
         if not ok:
             halvings += 1
-            if halvings > config.max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise StepReject(
                     f"volume or class check kept failing after {halvings} "
                     f"dt halvings near t = {t:.6g}")

@@ -289,23 +289,11 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
-    fc = spec.flow
-    if not 0.0 <= fc.t_end < math.inf:
-        raise ConfigError(f"t_end = {fc.t_end} must be finite and >= 0")
-    for key in ("record_dt", "dt_init", "vol_tol", "class_tol",
-                "potential_tol", "band_tol"):
-        value = getattr(fc, key)  # None only for an auto dt_init, band_tol
-        if value is not None and not value > 0.0:
-            raise ConfigError(f"{key} = {value} must be positive")
-    k = fc.k_per_mode
-    if fc.m_max < 2 or not 3 <= k <= spec.grid_n:
-        raise ConfigError("need m_max >= 2 and 3 <= k_per_mode <= grid_n")
-    # the tracked axial pair and the one above it must be among the k kept
+    # the tracked axial pair and the one above it must be among those kept
     index = spec.monitor_dict()["branch_index"]
-    if not 0 <= index <= k - 2 and ("branch_index" in monitors or {
-            "eigenvalue_derivative", "bochner"} & set(spec.checks)):
+    if not 0 <= index <= spectral.K_PER_MODE - 2:
         raise ConfigError(f"branch_index = {index} is outside "
-                          f"0..k_per_mode - 2 = {k - 2}")
+                          f"0..{spectral.K_PER_MODE - 2}")
     return spec
 
 

@@ -58,7 +58,6 @@ H2_TOL_FACTOR = 50.0     # nodewise identities: multiple of the O(h^2) scale
 GRADNORM_EDGE = 2        # gradnorm_evolution: nodes dropped at each pole
 POLE_MARGIN = 0.1        # bochner: angular width dropped at each pole
 KAHLER_CLASS_TOL = 1e-6  # kahler_class: residual bound
-GRADIENT_K = 5           # gradient_estimate: mode-1 pairs solved
 
 
 class BranchCrossing(NumericalError):
@@ -321,8 +320,9 @@ def check_eigenvalue_derivative(traj: Trajectory,
     Compares the centered difference of the branch eigenvalue against
     (1/V) int [ -(1-K)|dbar psi|^2 + (lambda |psi|^2 - |dbar psi|^2)(u-a) ] e^-u dv
     with psi normalized to (1/V) int |psi|^2 e^-u dv = 1.  The branch is
-    the index-th axial pair each state keeps (index + 2 <= k_per_mode),
-    tracked within its mode to avoid crossing ambiguity.
+    the index-th axial pair each state keeps (index + 2 <=
+    spectral.K_PER_MODE, so the pair above it is kept too), tracked within
+    its mode to avoid crossing ambiguity.
     normalization_scale deliberately breaks the normalization for the
     forced-failure path.
     """
@@ -832,7 +832,7 @@ def _largest_c_eff(sh: _Shared) -> CheckReport:
     tol = spectral.default_band_tol(mid.metric.grid)
     reports = []
     for m, (vals, vecs) in ((0, mid.axial_pairs()), (1, spectral.mode_pairs(
-            mid.metric, mid.u.values, 1, GRADIENT_K))):
+            mid.metric, mid.u.values, 1))):
         for i in np.flatnonzero(np.abs(vals - 1.0) <= tol):
             eig = spectral.pair_data(mid.metric, mid.u.values, m,
                                      float(vals[i]), vecs[:, i])

@@ -22,6 +22,9 @@ from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME, dtheta,
                        weighted_integral)
 
 
+VOLUME_TOL = 1e-8  # |V - 4 pi| / 4 pi past which the solve refuses
+
+
 class VolumeMismatch(NumericalError):
     """The metric's volume is off 4*pi: the trace equation has no solution.
 
@@ -61,26 +64,6 @@ class FunctionalBundle:
     delta_prime_0: float
 
 
-def solve_u_values(grid, w: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Core double-quadrature solve on raw arrays.
-
-    Returns (u, norm_const, pde_residual).  The right-hand
-    side is projected onto the discrete solvability constraint before
-    integrating; the reported residual is measured against the unprojected
-    equation, so any volume defect shows up honestly.
-    """
-    hs = grid.h * grid.sin_nodes
-    e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
-    rhs = 2.0 * g  # 2 (1 - K) e^{2w}
-    vol = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
-    mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol
-    c = math.log(mean)
-    u = u0 + c
-    pde_res = float(np.max(np.abs(
-        laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
-    return u, c, pde_res
-
-
 def normalization_constant_bisect(u0: np.ndarray, metric: ConformalMetric,
                                   xtol: float = 1e-12) -> float:
     """Bisection on the monotone map c -> (1/V) integral e^{-(u0+c)} dv - 1.
@@ -110,19 +93,29 @@ def normalization_constant_bisect(u0: np.ndarray, metric: ConformalMetric,
     return 0.5 * (lo + hi)
 
 
-def solve_ricci_potential(metric: ConformalMetric,
-                          tol: float = 1e-9) -> RicciPotential:
-    """Solve the potential problem for one metric.
+def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
+    """Solve the potential problem for one metric by double quadrature.
 
-    Raises VolumeMismatch when |V - 4 pi| > 10 tol * 4 pi, the discrete
-    solvability obstruction.
+    Raises VolumeMismatch when |V - 4 pi| > VOLUME_TOL * 4 pi, the discrete
+    solvability obstruction.  The right-hand side is projected onto the
+    solvability constraint before integrating, and the PDE residual is
+    measured against the unprojected equation, so a volume defect shows.
     """
     vol = volume(metric)
-    if abs(vol - ROUND_VOLUME) > 10.0 * tol * ROUND_VOLUME:
+    if abs(vol - ROUND_VOLUME) > VOLUME_TOL * ROUND_VOLUME:
         raise VolumeMismatch(
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
-    u, c, pde_res = solve_u_values(metric.grid, metric.w)
+    grid, w = metric.grid, metric.w
+    hs = grid.h * grid.sin_nodes
+    e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
+    rhs = 2.0 * g  # 2 (1 - K) e^{2w}
+    vol_q = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
+    mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol_q
+    c = math.log(mean)
+    u = u0 + c
+    pde_res = float(np.max(np.abs(
+        laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
     norm_res = abs(weighted_integral(np.exp(-u), metric) / vol - 1.0)
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")

@@ -43,6 +43,12 @@ BANDWIDTH = 3
 # the bisection tolerance scipy's eig_banded passes to ?sbevx
 _ABSTOL = 2.0 * dlamch("s")
 RESIDUAL_TOL = 1e-7  # accepted Rayleigh residual, relative to max(1, |lam|)
+# Fourier modes m = 0..N_MODES - 1 solved per state: the holomorphic band
+# (m = 0 and m = +-1) and lambda(g)'s l = 2 branch (m = 0, 1, 2) live in m <= 2
+N_MODES = 3
+# pairs kept per mode: 5 keeps the axial branch_index in 0..3 with the pair
+# above it, which the branch-crossing guard reads
+K_PER_MODE = 5
 
 
 class SolveFail(NumericalError):
@@ -68,10 +74,11 @@ class ModeProblem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest pairs per mode m = 0..m_max, as mode_pairs solved them: vals
-    has shape (m_max + 1, k), each row ascending, and vecs[m] is mode m's
-    (n, k) block of B-orthonormal eigenvectors.  A mode m > 0 stands for
-    m and -m, which coincide.  u_values None is the unweighted case."""
+    """Lowest pairs per mode m = 0..N_MODES - 1, as mode_pairs solved them:
+    vals has shape (N_MODES, K_PER_MODE), each row ascending, and vecs[m]
+    is mode m's (n, K_PER_MODE) block of B-orthonormal eigenvectors.  A
+    mode m > 0 stands for m and -m, which coincide.  u_values None is the
+    unweighted case."""
 
     metric: ConformalMetric
     u_values: np.ndarray | None
@@ -219,12 +226,12 @@ def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
     return np.sqrt(np.sum(r * r / mass, axis=0))
 
 
-def mode_pairs(metric: ConformalMetric, u: np.ndarray | None, m: int, k: int
+def mode_pairs(metric: ConformalMetric, u: np.ndarray | None, m: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """solve_mode's lowest k pairs of mode m on (metric, u), each checked
-    against its Rayleigh residual; a NaN residual fails the check."""
+    """solve_mode's lowest K_PER_MODE pairs of mode m on (metric, u), each
+    checked against its Rayleigh residual; a NaN residual fails the check."""
     prob = assemble_mode_problem(metric, u, m)
-    vals, vecs = solve_mode(prob, k)
+    vals, vecs = solve_mode(prob, K_PER_MODE)
     res = rayleigh_residual(prob, vals, vecs)
     bad = ~(res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))
     if bad.any():
@@ -234,14 +241,10 @@ def mode_pairs(metric: ConformalMetric, u: np.ndarray | None, m: int, k: int
     return vals, vecs
 
 
-def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
-                      m_max: int = 2, k_per_mode: int = 5) -> Spectrum:
-    """Lowest k_per_mode checked eigenpairs (mode_pairs) for every mode
-    m = 0..m_max."""
-    if m_max < 2 or k_per_mode < 3:
-        raise ValueError("need m_max >= 2 and k_per_mode >= 3")
-    vals, vecs = zip(*(mode_pairs(metric, u, m, k_per_mode)
-                       for m in range(m_max + 1)))
+def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None
+                      ) -> Spectrum:
+    """The checked eigenpairs of mode_pairs for every mode m < N_MODES."""
+    vals, vecs = zip(*(mode_pairs(metric, u, m) for m in range(N_MODES)))
     return Spectrum(metric=metric, u_values=u, vals=np.array(vals),
                     vecs=vecs)
 
@@ -342,11 +345,9 @@ def band_eigen_data(spectrum: Spectrum, band_tol: float | None = None
     return out
 
 
-def plain_lambda1(metric: ConformalMetric, m_max: int = 2,
-                  k_per_mode: int = 4) -> float:
+def plain_lambda1(metric: ConformalMetric) -> float:
     """First positive eigenvalue of the unweighted complex Laplacian."""
-    spec = weighted_spectrum(metric, None, m_max=m_max, k_per_mode=k_per_mode)
-    vals = merged_spectrum(spec.vals)[0]
+    vals = merged_spectrum(weighted_spectrum(metric, None).vals)[0]
     zero_scale = max(abs(vals[0]), 1e-12)
     positive = vals[vals > 100.0 * zero_scale + 1e-10]
     return float(positive[0])

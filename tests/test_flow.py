@@ -8,9 +8,9 @@ from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig,
                          StabilityBoundError, conformal_velocity,
                          log_det_bookkeeping, log_det_residual, run,
                          stability_dt)
-from krflow.geometry import (ConformalMetric, conformal_metric, flux_laplacian,
-                             laplace_round, make_grid, normalize_volume,
-                             round_metric, volume)
+from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
+                             flux_laplacian, laplace_round, make_grid,
+                             normalize_volume, round_metric, volume)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
@@ -46,6 +46,22 @@ class TestVelocity:
         m1 = ConformalMetric(grid=grid128, w=m.w + dt * conformal_velocity(m))
         rate = (volume(m1) - v0) / dt
         assert rate == pytest.approx(v0 - 4 * np.pi, rel=1e-6)
+
+
+class TestFlowConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"record_dt": 0.0}, {"record_dt": -0.05}, {"t_end": np.inf},
+        {"dt_init": 0.0}, {"vol_tol": np.nan}, {"band_tol": -1.0},
+        {"early_stop": np.inf}, {"early_stop": np.nan},
+        {"early_stop": -1.0}],
+        ids=["record_dt_zero", "record_dt_negative", "t_end_inf",
+             "dt_init_zero", "vol_tol_nan", "band_tol_negative",
+             "early_stop_inf", "early_stop_nan", "early_stop_negative"])
+    def test_bad_value_rejected_on_construction(self, kwargs):
+        # record_dt = 0 made run loop forever, and a negative one flowed
+        # backwards; the check is on the config, so library callers get it
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            FlowConfig(**kwargs)
 
 
 class TestFixedPoint:

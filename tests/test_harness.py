@@ -34,8 +34,14 @@ TIME_CONTROL_MISTAKES = (
 VALUE_MISTAKES = (
     "[flow]\nt_end = -1\n", "[flow]\nt_end = nan\n", "[flow]\nt_end = inf\n",
     "[flow]\nvol_tol = -1e-8\n", "[flow]\nclass_tol = -1\n",
-    "[flow]\npotential_tol = 0\n", "[flow]\nband_tol = -1\n",
-    "[monitors]\nrho = nan\n")
+    "[flow]\nband_tol = -1\n", "[monitors]\nrho = nan\n")
+# early_stop = inf stopped every run at t = 0, and nan or a negative value
+# turned the early stop off; 0 is the way to turn it off
+EARLY_STOP_MISTAKES = (
+    "[flow]\nearly_stop = inf\n", "[flow]\nearly_stop = nan\n",
+    "[flow]\nearly_stop = -1\n")
+# keys with one value in every run, now constants
+REMOVED_FLOW_KEYS = ("m_max", "k_per_mode", "potential_tol", "max_halvings")
 # w = 0.5 theta at grid_n = 64: pole slopes of 0.5 against a tolerance of
 # 0.25, so the custom_w pole check must reject it
 TILTED_W = "scenario = custom_w\ngrid_n = 64\n[scenario]\nfile = {tilted_w}\n"
@@ -86,21 +92,16 @@ class TestConfig:
         assert loads(dumps(spec)) == spec
 
     def test_branch_index_range(self):
-        base = ("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 4\n"
-                "[monitors]\nchecks = eigenvalue_derivative\n")
-        for index in (0, 2):
-            spec = loads(base + f"branch_index = {index}\n")
-            assert spec.monitor_dict()["branch_index"] == index
-        for index in (-1, 3):
-            with pytest.raises(ConfigError, match="branch_index"):
-                loads(base + f"branch_index = {index}\n")
-        # the default index 2 needs k_per_mode >= 4 only when a check
-        # reads the branch
-        loads("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 3\n"
-              "[monitors]\nchecks = y_decay\n")
-        with pytest.raises(ConfigError, match="branch_index"):
-            loads("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 3\n"
-                  "[monitors]\nchecks = bochner\n")
+        # the pair above the tracked one must be kept: 0..K_PER_MODE - 2,
+        # checked whether or not a check reads the branch
+        for checks in ("eigenvalue_derivative", "y_decay"):
+            base = f"{MINIMAL}[monitors]\nchecks = {checks}\n"
+            for index in (0, 3):
+                spec = loads(base + f"branch_index = {index}\n")
+                assert spec.monitor_dict()["branch_index"] == index
+            for index in (-1, 4):
+                with pytest.raises(ConfigError, match="branch_index"):
+                    loads(base + f"branch_index = {index}\n")
 
     def test_check_order_pinned(self):
         # the default spec text, and so every default run's spec_sha256,
@@ -113,7 +114,7 @@ class TestConfig:
         text = dumps(ExperimentSpec())
         assert "checks = " + ", ".join(ALL_CHECKS) + "\n" in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7c9cb79afa4a45c3fc0ab49af767b684a217616ea4295e4ed17c3198006f519a")
+            "04749f8ac658f81ec068dea9d755de6a4a4cbc6322219753df12b33e2a4034f6")
 
     def test_monitor_keys_are_the_parameter_table(self):
         # loads takes exactly the table's keys; class_tol is a flow key only
@@ -147,11 +148,24 @@ class TestConfig:
             "delta", "D", "L", "epsilon", "delta_measured"}
 
     def test_removed_flow_keys_rejected(self):
-        # RK4 is the only scheme and the class-identity guard is always on
+        # RK4 is the only scheme and the class-identity guard is always on;
+        # the spectrum sizes, the potential's tolerance and the halving cap
+        # are constants
         with pytest.raises(ConfigError, match="scheme"):
             loads(MINIMAL + "[flow]\nscheme = rk4\n")
         with pytest.raises(ConfigError, match="track_phi"):
             loads(MINIMAL + "[flow]\ntrack_phi = false\n")
+        for key in REMOVED_FLOW_KEYS:
+            with pytest.raises(ConfigError, match=f"unknown flow key '{key}'"):
+                loads(MINIMAL + f"[flow]\n{key} = 5\n")
+
+    def test_flow_keys_pinned(self):
+        # [flow] takes exactly the fields of FlowConfig
+        keys = ("t_end", "dt_init", "vol_tol", "class_tol", "record_dt",
+                "band_tol", "early_stop")
+        assert tuple(f.name for f in dataclasses.fields(FlowConfig)) == keys
+        for key in keys:
+            loads(MINIMAL + f"[flow]\n{key} = 0.5\n")
 
     def test_default_spec_roundtrip(self):
         spec = ExperimentSpec()
@@ -221,6 +235,23 @@ class TestRunScenario:
         report = art.report_path.read_text()
         assert "verdict = PASS" in report
         assert "spec_sha256" in report
+
+    def test_report_spec_echo_round_trips(self, tmp_path):
+        # a run is reproducible from its report alone: the [spec] echo
+        # loads back to the run's spec and hashes to its spec_sha256
+        spec = loads("scenario = legendre_bump\ngrid_n = 32\n"
+                     "[scenario]\nl = 3\neps = 2e-3\n"
+                     "[flow]\nt_end = 0.05\nrecord_dt = 0.025\n"
+                     "band_tol = 0.05\nearly_stop = 0\n"
+                     "[monitors]\nchecks = y_decay, kahler_class\n"
+                     "rho = 0.4\nbranch_index = 1\n")
+        art = run_scenario(spec, base_dir=tmp_path / "run")
+        report = art.report_path.read_text()
+        echo = "".join(line[2:] + "\n" for line in
+                       report.split("\n[spec]\n")[1].splitlines())
+        assert loads(echo) == spec
+        sha = hashlib.sha256(echo.encode()).hexdigest()
+        assert f"spec_sha256 = {sha}\n" in report
 
     def test_timeseries_deterministic(self, tmp_path):
         spec = loads("scenario = legendre_bump\ngrid_n = 64\n"
@@ -497,7 +528,7 @@ class TestCli:
          "[monitors]\nchecks = c0_vs_y\nrho = 5.0\n", EXIT_CONFIG),
         # at N = 16 the branch guard is wider than the in-mode gaps
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\neps = 1e-3\n"
-         "[flow]\nt_end = 0.1\nrecord_dt = 0.05\nk_per_mode = 3\n"
+         "[flow]\nt_end = 0.1\nrecord_dt = 0.05\n"
          "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
          "branch_index = 1\n", EXIT_NUMERICAL),
         (TILTED_W, EXIT_CONFIG),
@@ -505,11 +536,8 @@ class TestCli:
         # resolve its holomorphic band
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
          "eps = 0.5\n", EXIT_NUMERICAL),
-        ("scenario = round\ngrid_n = 64\n[flow]\nm_max = 1\n", EXIT_CONFIG),
-        ("scenario = round\ngrid_n = 64\n[flow]\nk_per_mode = 2\n",
-         EXIT_CONFIG),
-        ("scenario = round\ngrid_n = 16\n[flow]\nk_per_mode = 17\n",
-         EXIT_CONFIG),
+        *((f"scenario = round\ngrid_n = 64\n[flow]\n{key} = 5\n", EXIT_CONFIG)
+          for key in REMOVED_FLOW_KEYS),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
          "[monitors]\nchecks = bochner\nbranch_index = 7\n", EXIT_CONFIG),
@@ -518,6 +546,7 @@ class TestCli:
         # time controls, and auto for a key whose default is not auto
         *((BUMP64 + line, EXIT_CONFIG) for line in TIME_CONTROL_MISTAKES),
         *((BUMP64 + line, EXIT_CONFIG) for line in VALUE_MISTAKES),
+        *((BUMP64 + line, EXIT_CONFIG) for line in EARLY_STOP_MISTAKES),
         # a [scenario] key its scenario does not take; each ran on the
         # defaults before
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\n"
@@ -542,14 +571,15 @@ class TestCli:
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
             "even_preset_unresolved",
-            "m_max_below_two", "k_per_mode_below_three",
-            "k_per_mode_over_grid_n",
-            "branch_index_over_k", "branch_mode_removed",
+            "m_max_removed", "k_per_mode_removed", "potential_tol_removed",
+            "max_halvings_removed", "branch_index_over_k",
+            "branch_mode_removed",
             "record_dt_zero", "record_dt_negative", "record_dt_auto",
             "t_end_auto", "dt_init_zero", "dt_init_negative",
             "vol_tol_auto", "rho_auto", "t_end_negative", "t_end_nan",
             "t_end_inf", "vol_tol_negative", "class_tol_negative",
-            "potential_tol_zero", "band_tol_negative", "rho_nan",
+            "band_tol_negative", "rho_nan",
+            "early_stop_inf", "early_stop_nan", "early_stop_negative",
             "bump_takes_no_amplitude", "round_takes_no_eps",
             "multi_mode_takes_no_l", "bump_eps_nan", "bump_eps_overflow",
             "multi_mode_amplitude_nan", "multi_mode_decay_overflow",

@@ -134,8 +134,7 @@ class TestEigenvalueDerivative:
 
     def test_crossing_guard_on_coarse_grid(self):
         # at N = 16 the guard width exceeds the in-mode gaps by design
-        traj = run(FlowConfig(t_end=0.1, record_dt=0.05, m_max=2,
-                              k_per_mode=3, band_tol=0.5),
+        traj = run(FlowConfig(t_end=0.1, record_dt=0.05, band_tol=0.5),
                    legendre_bump(make_grid(16), 2, 1e-3))
         with pytest.raises(BranchCrossing):
             check_eigenvalue_derivative(traj, index=1)

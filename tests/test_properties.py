@@ -26,7 +26,7 @@ from krflow.harness import (SCENARIOS, SWEEP_TARGETS, ExperimentSpec, dumps,
                             loads)
 from krflow.monitors import ALL_CHECKS
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import weighted_spectrum
+from krflow.spectral import K_PER_MODE, weighted_spectrum
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -102,7 +102,6 @@ SCENARIO_VALUES = {"l": st.integers(2, 10), "eps": real,
                    "amplitude": real, "file": word}
 MONITOR_FLOATS = ("rho", "curvature_bound", "phi0", "t0", "log_det_tol")
 MONITOR_AUTO = ("delta", "D", "L", "epsilon", "delta_measured")
-FLOW_TOLS = ("vol_tol", "class_tol", "potential_tol")
 
 
 @st.composite
@@ -110,21 +109,14 @@ def specs(draw):
     checks = tuple(draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=4)))
     monitors = draw(st.fixed_dictionaries({}, optional={
         **{k: real for k in MONITOR_FLOATS},
-        **{k: real_or_none for k in MONITOR_AUTO}}))
-    reads_branch = bool({"eigenvalue_derivative", "bochner"} & set(checks))
-    with_index = draw(st.booleans())
-    # the default branch index 2 needs k_per_mode >= 4
-    k = draw(st.integers(4 if reads_branch and not with_index else 3, 12))
-    if with_index:
-        monitors["branch_index"] = draw(st.integers(0, k - 2))
-    flow = FlowConfig(m_max=draw(st.integers(2, 6)), k_per_mode=k,
-                      max_halvings=draw(st.integers()),
-                      record_dt=draw(positive),
+        **{k: real_or_none for k in MONITOR_AUTO},
+        "branch_index": st.integers(0, K_PER_MODE - 2)}))
+    flow = FlowConfig(record_dt=draw(positive),
                       dt_init=draw(st.none() | positive),
                       band_tol=draw(st.none() | positive),
                       t_end=draw(st.floats(0.0, allow_infinity=False)),
-                      early_stop=draw(real),
-                      **{f: draw(positive) for f in FLOW_TOLS})
+                      early_stop=draw(st.floats(0.0, allow_infinity=False)),
+                      vol_tol=draw(positive), class_tol=draw(positive))
     # a scenario takes only the keys of its own table entry
     name = draw(st.sampled_from(tuple(SCENARIOS)))
     scenario = draw(st.fixed_dictionaries({}, optional={

@@ -72,7 +72,7 @@ class TestRoundSpectrum:
         modes = merged_spectrum(spec.vals)[1]
         for m in (1, 2):
             count = np.count_nonzero(modes == m)
-            assert count == 2 * 5  # k_per_mode entries, each twice
+            assert count == 2 * 5  # K_PER_MODE entries, each twice
 
 
 ORACLE_METRICS = {
