@@ -54,7 +54,7 @@ def _cmd_check(args) -> int:
     params = spec.monitor_dict()
     check_scale(initial_metric(spec), params["rho"])  # before the flow
     state = state_at(spec, args.at)
-    reports = [check_weighted_poincare(state, params["delta_measured"]),
+    reports = [check_weighted_poincare(state),
                check_c0_vs_Y(state, params["rho"])]
     worst = 0
     for rep in reports:

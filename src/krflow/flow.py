@@ -63,7 +63,8 @@ class FlowConfig:
     stability bound stability_dt, recomputed from the state that opens
     each record segment; an explicit dt_init is a fixed cap, and one above
     the bound at t = 0 is rejected.  band_tol None is the grid's
-    default_band_tol, and early_stop = 0 never stops the run early.
+    default_band_tol, and a band_tol of 1 or more would hold the zero
+    eigenvalue.  early_stop = 0 never stops the run early.
     """
 
     t_end: float = 5.0
@@ -84,6 +85,9 @@ class FlowConfig:
             value = getattr(self, key)  # None only for dt_init, band_tol
             if value is not None and not value > 0.0:
                 raise ConfigError(f"{key} = {value} must be positive")
+        if self.band_tol is not None and not self.band_tol < 1.0:
+            raise ConfigError(f"band_tol = {self.band_tol} must be < 1, "
+                              "or the band holds the zero eigenvalue")
 
 
 @dataclass(frozen=True)

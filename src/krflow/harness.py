@@ -26,7 +26,7 @@ from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        make_grid, measured_calabi, normalize_volume,
                        round_metric, volume)
 from .monitors import (ALL_CHECKS, FAIL, MONITOR_PARAMS, CheckReport,
-                       TrajectoryReport, evaluate_trajectory)
+                       TrajectoryReport, evaluate_trajectory, monitor_params)
 
 
 SWEEP_TARGETS = ("amplitude", "calabi")
@@ -55,8 +55,9 @@ class ExperimentSpec:
     output_dir: str = "out"
 
     def monitor_dict(self):
-        """Every monitor parameter: the spec's values over the defaults."""
-        return {**MONITOR_PARAMS, **dict(self.monitor_params)}
+        """Every monitor parameter: the spec's values over the defaults,
+        checked by monitors.monitor_params (ConfigError)."""
+        return monitor_params(dict(self.monitor_params))
 
 
 @dataclass
@@ -289,11 +290,7 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
-    # the tracked axial pair and the one above it must be among those kept
-    index = spec.monitor_dict()["branch_index"]
-    if not 0 <= index <= spectral.K_PER_MODE - 2:
-        raise ConfigError(f"branch_index = {index} is outside "
-                          f"0..{spectral.K_PER_MODE - 2}")
+    spec.monitor_dict()  # checks the monitor values
     return spec
 
 
@@ -443,12 +440,13 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
     ts_path = out / "timeseries.csv"
     traj = None
     try:
+        params = spec.monitor_dict()
         metric = metric_of(spec)
         if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
-            check_scale(metric, spec.monitor_dict()["rho"])
+            check_scale(metric, params["rho"])
         traj = run(spec.flow, metric)
         write_timeseries(ts_path, traj)
-        report = evaluate_trajectory(traj, spec.checks, spec.monitor_dict())
+        report = evaluate_trajectory(traj, spec.checks, params)
     except (ConfigError, NumericalError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         code = write_report(report_path, spec, traj, None, error=error,

@@ -23,30 +23,24 @@ import numpy as np
 
 from . import spectral
 from .flow import FlowState, Trajectory, decay_cap, log_det_residual
-from .geometry import (NumericalError, diameter, dtheta, gaussian_curvature,
-                       grad_norm_sq, laplace_round, measured_calabi,
-                       noncollapsing_kappa, volume, weighted_integral)
-from .potential import complex_hessian_norms, gap_delta_prime, hessian_t20
+from .geometry import (ConfigError, NumericalError, dtheta,
+                       gaussian_curvature, grad_norm_sq, laplace_round,
+                       measured_calabi, noncollapsing_kappa, volume,
+                       weighted_integral)
+from .potential import complex_hessian_norms, hessian_t20
 
 PASS = "PASS"
 FAIL = "FAIL"
 GATE_NOT_MET = "GATE_NOT_MET"
 REPORT_ONLY = "REPORT_ONLY"
 
-# The [monitors] parameters and their defaults.  Only a key whose default
-# is None, which its check derives from the run, takes auto in a spec.
+# The [monitors] parameters and their defaults; monitor_params checks them.
 MONITOR_PARAMS = {
     "rho": 0.5,              # c0_vs_y: non-collapsing scale
     "curvature_bound": 2.0,  # short_time: doubling-time reference
     "phi0": 4.0,             # bootstrap: metric-equivalence corridor
-    "delta": None,           # bootstrap: 1; short_time: lambda(0) - 1
-    "D": None,               # short_time: diameter budget, reported if set
-    "L": None,               # bootstrap: phi0 eps^(-1/2)
-    "epsilon": None,         # bootstrap: the initial gradient bound
     "t0": 0.1,               # short_time: sampling point
-    "delta_measured": None,  # the gap behind d': min(delta, lambda - 1)
     "branch_index": 2,       # eigenvalue_derivative, bochner: axial pair
-    "log_det_tol": 1e-6,     # log_det: residual bound
 }
 
 POINCARE_TOL = 1e-8      # weighted_poincare: slack of the inequality
@@ -58,6 +52,8 @@ H2_TOL_FACTOR = 50.0     # nodewise identities: multiple of the O(h^2) scale
 GRADNORM_EDGE = 2        # gradnorm_evolution: nodes dropped at each pole
 POLE_MARGIN = 0.1        # bochner: angular width dropped at each pole
 KAHLER_CLASS_TOL = 1e-6  # kahler_class: residual bound
+LOG_DET_TOL = 1e-6       # log_det: residual bound
+BOOTSTRAP_DELTA = 1.0    # bootstrap: the gap delta of the floor 1 + delta/2
 
 
 class BranchCrossing(NumericalError):
@@ -115,10 +111,6 @@ def _gate_not_met(check_id: str, statement: str, aux: dict,
                        verdict=GATE_NOT_MET, aux=aux)
 
 
-def _state_delta_prime(state: FlowState, delta_measured: float | None) -> float:
-    return gap_delta_prime(state.lambda_g, delta_measured, state.funcs.osc_u)
-
-
 def _equivalence_ratio(w, w0) -> float:
     """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}."""
     ratio = np.exp(2.0 * (w - w0))
@@ -130,16 +122,15 @@ def _equivalence_ratio(w, w0) -> float:
 # ---------------------------------------------------------------------------
 
 def check_weighted_poincare(state: FlowState,
-                            delta_measured: float | None = None,
                             delta_prime_value: float | None = None) -> CheckReport:
-    """Z >= (1 + d') Y with d' = delta_prime(min(delta, lambda-1), osc u).
+    """Z >= (1 + d') Y with d' = delta_prime(lambda - 1, osc u), the
+    state's funcs.delta_prime_0.
 
-    The sharpening argument is monotone, so feeding any gap below the
-    measured one keeps the inequality valid; delta_prime_value overrides
-    the recipe entirely (verification knob for the forced-failure path).
+    delta_prime_value overrides d' (verification knob for the
+    forced-failure path).
     """
     dp = (delta_prime_value if delta_prime_value is not None
-          else _state_delta_prime(state, delta_measured))
+          else state.funcs.delta_prime_0)
     margin = state.funcs.Z - (1.0 + dp) * state.funcs.Y
     return CheckReport(
         check_id="weighted_poincare",
@@ -160,12 +151,11 @@ def _fit_rate(ts, ys, floor):
     return float(-np.polyfit(ts[mask], np.log(ys[mask]), 1)[0])
 
 
-def check_Y_decay(traj: Trajectory,
-                  delta_measured: float | None = None) -> CheckReport:
+def check_Y_decay(traj: Trajectory) -> CheckReport:
     """Y(t) <= exp(-d0' t) Y(0) on the prefix where |u-a| <= min(1/4, d0'/8).
 
-    d0' is computed once at t = 0.  aux carries the fitted decay rate and
-    the worst pointwise residual of the differential inequality
+    d0' is the t = 0 state's funcs.delta_prime_0.  aux carries the fitted
+    decay rate and the worst pointwise residual of the differential inequality
     dY/dt <= [(-2 + 2|u-a|)(1 + d') + (2 + |u-a|)] Y behind the decay.
     """
     states = traj.states
@@ -178,7 +168,7 @@ def check_Y_decay(traj: Trajectory,
             margin=0.0, tolerance=0.0, verdict=PASS,
             aux={"fitted_rate": 0.0, "delta_prime_0": 0.0,
                  "gate_prefix_end": states[-1].t})
-    dp0 = _state_delta_prime(s0, delta_measured)
+    dp0 = s0.funcs.delta_prime_0
     gate_cap = decay_cap(dp0)
     prefix = []
     for s in states:
@@ -460,9 +450,7 @@ def _hessian_l2(state: FlowState, mixed) -> float:
                              metric) / volume(metric)
 
 
-def check_Z_derivative(traj: Trajectory,
-                       delta_measured: float | None = None,
-                       hessian_means=None) -> CheckReport:
+def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     """dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv in the small regime.
 
     Gate per state: |u-a| <= min(1/4, d0'/8) (the bootstrap smallness) and
@@ -481,7 +469,7 @@ def check_Z_derivative(traj: Trajectory,
             check_id="z_derivative", statement=statement, gate_satisfied=True,
             margin=0.0, tolerance=0.0, verdict=PASS,
             aux={"hessian_spacetime_total": 0.0})
-    dp0 = _state_delta_prime(s0, delta_measured)
+    dp0 = s0.funcs.delta_prime_0
     cap = decay_cap(dp0)
 
     def gated(s):
@@ -621,29 +609,23 @@ def check_gradient_estimate(state: FlowState, eig: spectral.EigenData,
 # ---------------------------------------------------------------------------
 
 def bootstrap_tracker(traj: Trajectory,
-                      phi0: float = MONITOR_PARAMS["phi0"],
-                      delta: float | None = None, L: float | None = None,
-                      epsilon: float | None = None) -> CheckReport:
+                      phi0: float = MONITOR_PARAMS["phi0"]) -> CheckReport:
     """Track the open-closed triple along the run:
 
     |grad u| < L eps,   Phi0^-1 g0 < g(t) < Phi0 g0,   lambda > 1 + delta/2.
 
-    delta defaults to 1, eps to the measured initial gradient bound and L
-    to the calibration Phi0 eps^{-1/2}.  aux reports the first violation
+    delta is BOOTSTRAP_DELTA, eps the measured initial gradient bound and
+    L the calibration Phi0 eps^{-1/2}.  aux reports the first violation
     time per condition and whether the strengthened forms (half the
     gradient budget, half the equivalence budget) hold, mirroring the
     open-closed improvement.
     """
     states = traj.states
     s0 = states[0]
-    if delta is None:
-        delta = 1.0
-    if epsilon is None:
-        epsilon = max(s0.funcs.grad_u_c0, 1e-300)
-    if L is None:
-        L = phi0 * epsilon ** (-0.5)
+    eps = max(s0.funcs.grad_u_c0, 1e-300)
+    calibration = phi0 * eps ** (-0.5)  # the L of |grad u| < L eps
     w0 = s0.metric.w
-    grad_budget = L * epsilon
+    grad_budget = calibration * eps
     first_grad = first_equiv = first_eig = None
     max_grad = 0.0
     max_phi = 1.0
@@ -657,13 +639,13 @@ def bootstrap_tracker(traj: Trajectory,
             first_grad = s.t
         if first_equiv is None and phi_meas >= phi0:
             first_equiv = s.t
-        if first_eig is None and s.lambda_g <= 1.0 + delta / 2.0:
+        if first_eig is None and s.lambda_g <= 1.0 + BOOTSTRAP_DELTA / 2.0:
             first_eig = s.t
     ok = first_grad is None and first_equiv is None and first_eig is None
     margin = min((grad_budget - max_grad) / grad_budget,
                  (phi0 - max_phi) / phi0,
-                 min_lam - 1.0 - delta / 2.0)
-    aux = {"L": L, "epsilon": epsilon, "grad_budget": grad_budget,
+                 min_lam - 1.0 - BOOTSTRAP_DELTA / 2.0)
+    aux = {"L": calibration, "epsilon": eps, "grad_budget": grad_budget,
            "max_grad": max_grad, "max_phi_meas": max_phi,
            "min_lambda": float(min_lam),
            "strengthened_grad": float(max_grad <= 0.5 * grad_budget),
@@ -682,21 +664,17 @@ def bootstrap_tracker(traj: Trajectory,
 
 def check_short_time(traj: Trajectory,
                      curvature_bound: float = MONITOR_PARAMS["curvature_bound"],
-                     t0: float = MONITOR_PARAMS["t0"],
-                     delta: float | None = None,
-                     diameter_bound: float | None = None) -> CheckReport:
-    """Short-time facts: curvature doubling time, eigenvalue dip on [0, t0],
-    the scaling datum (eps_Calabi, |grad u|(t0)), and the diameter budget.
+                     t0: float = MONITOR_PARAMS["t0"]) -> CheckReport:
+    """Short-time facts: curvature doubling time, eigenvalue dip on [0, t0]
+    and the scaling datum (eps_Calabi, |grad u|(t0)).
 
-    eps_Calabi is the measured (1/V) int (s - n)^2 dv at t = 0; delta
-    defaults to lambda(0) - 1; the diameter budget is reported only when
-    supplied.
+    eps_Calabi is the measured (1/V) int (s - n)^2 dv at t = 0, and delta
+    is the measured gap lambda(0) - 1.  The diameter of every state is the
+    diam column of timeseries.csv.
     """
     states = traj.states
     s0 = states[0]
     epsilon_calabi = measured_calabi(s0.metric)
-    if delta is None:
-        delta = s0.lambda_g - 1.0
     cap = 2.0 * curvature_bound
     first_exceed = None
     lam_min = np.inf
@@ -707,7 +685,7 @@ def check_short_time(traj: Trajectory,
         if s.t <= t0 + 1e-12:
             lam_min = min(lam_min, s.lambda_g)
     grad_t0 = min(states, key=lambda s: abs(s.t - t0)).funcs.grad_u_c0
-    floor = 1.0 + delta / 2.0
+    floor = 1.0 + (s0.lambda_g - 1.0) / 2.0  # delta = lambda(0) - 1
     aux = {"epsilon_calabi": float(epsilon_calabi),
            "lambda_min_window": float(lam_min),
            "lambda_floor": floor,
@@ -718,10 +696,6 @@ def check_short_time(traj: Trajectory,
            "curvature_cap": cap}
     if first_exceed is not None:
         aux["curvature_exceed_t"] = float(first_exceed)
-    if diameter_bound is not None:
-        diam_max = max(diameter(s.metric) for s in states)
-        aux["diam_max"] = float(diam_max)
-        aux["diam_bound_ok"] = float(diam_max <= diameter_bound)
     return CheckReport(
         check_id="short_time",
         statement="max|K| <= 2 Lambda up to a positive time; lambda >= 1 + delta/2 on [0, t0]",
@@ -792,8 +766,7 @@ class _Shared:
 def _worst_poincare(sh: _Shared) -> CheckReport:
     """The least-margin state's report, stamped with its time."""
     states = sh.traj.states
-    reports = [check_weighted_poincare(s, sh.p["delta_measured"])
-               for s in states]
+    reports = [check_weighted_poincare(s) for s in states]
     pos = int(np.argmin([r.margin for r in reports]))
     reports[pos].aux["state_t"] = states[pos].t
     return reports[pos]
@@ -811,7 +784,7 @@ def _largest_k_eff(sh: _Shared) -> CheckReport:
 
 
 def _y_decay(sh: _Shared) -> CheckReport:
-    r = check_Y_decay(sh.traj, sh.p["delta_measured"])
+    r = check_Y_decay(sh.traj)
     if "fitted_rate" in r.aux:
         sh.report.rates["Y"] = r.aux["fitted_rate"]
     return r
@@ -848,37 +821,55 @@ CHECKS = {
     "y_decay": _y_decay,
     "c2_estimate": lambda sh: check_c2_estimate(sh.traj),
     "z_derivative": lambda sh: check_Z_derivative(
-        sh.traj, sh.p["delta_measured"], hessian_means=sh.hessian["means"]),
+        sh.traj, hessian_means=sh.hessian["means"]),
     # popped, so the fields are not held through the later checks
     "gradnorm_evolution": lambda sh: check_gradnorm_evolution(
         sh.traj, fields=sh.hessian.pop("fields", None)),
     "eigenvalue_derivative": lambda sh: check_eigenvalue_derivative(
         sh.traj, sh.p["branch_index"]),
-    "bootstrap": lambda sh: bootstrap_tracker(
-        sh.traj, sh.p["phi0"], sh.p["delta"], sh.p["L"], sh.p["epsilon"]),
+    "bootstrap": lambda sh: bootstrap_tracker(sh.traj, sh.p["phi0"]),
     "short_time": lambda sh: check_short_time(
-        sh.traj, sh.p["curvature_bound"], sh.p["t0"], sh.p["delta"],
-        sh.p["D"]),
+        sh.traj, sh.p["curvature_bound"], sh.p["t0"]),
     "kahler_class": lambda sh: _identity_check(
         "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
         max(s.class_residual for s in sh.traj.states), KAHLER_CLASS_TOL),
     "log_det": lambda sh: _identity_check(
         "log_det", "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
         max(log_det_residual(s, sh.traj.states[0])
-            for s in sh.traj.states), sh.p["log_det_tol"]),
+            for s in sh.traj.states), LOG_DET_TOL),
     "bochner": _bochner_mid,
     "gradient_estimate": _largest_c_eff,
 }
 ALL_CHECKS = tuple(CHECKS)
 
 
+def monitor_params(params: dict | None = None) -> dict:
+    """params over MONITOR_PARAMS, each value checked (ConfigError)."""
+    p = {**MONITOR_PARAMS, **(params or {})}
+    unknown = p.keys() - MONITOR_PARAMS.keys()
+    if unknown:
+        raise ConfigError(f"unknown monitor key {min(unknown)!r}")
+    top = spectral.K_PER_MODE - 2  # the pair above the tracked one is kept
+    for key, ok, what in (
+            ("rho", 0.0 < p["rho"] < math.inf, "finite and > 0"),
+            ("curvature_bound", 0.0 < p["curvature_bound"] < math.inf,
+             "finite and > 0"),
+            ("phi0", 1.0 < p["phi0"] < math.inf, "finite and > 1"),
+            ("t0", 0.0 <= p["t0"] < math.inf, "finite and >= 0"),
+            ("branch_index", 0 <= p["branch_index"] <= top, f"in 0..{top}")):
+        if not ok:
+            raise ConfigError(f"{key} = {p[key]} must be {what}")
+    return p
+
+
 def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
                         params: dict | None = None) -> TrajectoryReport:
-    """Run the named checks in order; params overrides MONITOR_PARAMS.
+    """Run the named checks in order; params overrides MONITOR_PARAMS and
+    is checked by monitor_params.
 
     Each check does its work while its id is the current item of checks,
     so a wrapper around checks can time each check."""
-    sh = _Shared(traj, {**MONITOR_PARAMS, **(params or {})},
+    sh = _Shared(traj, monitor_params(params),
                  traj.states[len(traj.states) // 2])
     for check in checks:
         if check not in CHECKS:

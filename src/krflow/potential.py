@@ -196,23 +196,11 @@ def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     return 0.5 * (upp - (2.0 * wp + cot) * up) / np.exp(2.0 * metric.w)
 
 
-def gap_delta_prime(lambda_g: float, delta_measured: float | None,
-                    osc: float) -> float:
-    """delta_prime of the gap lambda_g - 1, or of min(delta_measured,
-    lambda_g - 1) when delta_measured is given, clipped at 0."""
-    gap = lambda_g - 1.0
-    if delta_measured is not None:
-        gap = min(delta_measured, gap)
-    return delta_prime(max(gap, 0.0), osc)
-
-
-def functional_bundle(u: np.ndarray, metric: ConformalMetric, lambda_g: float,
-                      delta_measured: float | None = None) -> FunctionalBundle:
+def functional_bundle(u: np.ndarray, metric: ConformalMetric,
+                      lambda_g: float) -> FunctionalBundle:
     """Assemble every scalar functional of a solved state.
 
-    delta_prime_0 follows the monotonicity remark: the gap argument is
-    min(delta_measured, lambda_g - 1) when delta_measured is given,
-    clipped at 0.
+    delta_prime_0 is delta_prime of the gap lambda_g - 1, clipped at 0.
     """
     a = average_a(u, metric)
     y = functional_Y(u, a, metric)
@@ -220,6 +208,6 @@ def functional_bundle(u: np.ndarray, metric: ConformalMetric, lambda_g: float,
     osc = float(u.max() - u.min())
     c0 = float(np.max(np.abs(u - a)))
     gc0 = grad_c0_norm(u, metric)
-    dp0 = gap_delta_prime(lambda_g, delta_measured, osc)
+    dp0 = delta_prime(max(lambda_g - 1.0, 0.0), osc)
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
                             grad_u_c0=gc0, delta_prime_0=dp0)

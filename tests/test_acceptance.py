@@ -304,7 +304,7 @@ def test_12_gate_semantics(tmp_path):
     rigged = check_weighted_poincare(s, delta_prime_value=s.lambda_g)
     results.append(("adversarial d'", rigged.verdict == FAIL))
     # adversarial equivalence corridor: FAIL at the first observed state
-    boot = bootstrap_tracker(small, phi0=1.0001, delta=1.0)
+    boot = bootstrap_tracker(small, phi0=1.0001)
     results.append(("phi0=1.0001", boot.verdict == FAIL
                     and boot.aux["violation_equiv"] <= small.states[1].t))
     # volume-violating input: hard error before the first step

@@ -42,9 +42,27 @@ EARLY_STOP_MISTAKES = (
     "[flow]\nearly_stop = -1\n")
 # keys with one value in every run, now constants
 REMOVED_FLOW_KEYS = ("m_max", "k_per_mode", "potential_tol", "max_halvings")
+# monitor keys that held one value in every run, now constants or measured
+# values; each line ran (some to a traceback or a false FAIL) before
+BUMP_SHORT = ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\n"
+              "eps = 1e-2\n[flow]\nt_end = 0.1\nrecord_dt = 0.05\n")
+REMOVED_MONITOR_KEYS = (
+    "delta = 1.0", "D = 4.0", "L = 1.0", "epsilon = 0",
+    "delta_measured = nan", "log_det_tol = -1")
+# monitor values the checks cannot use: each was a traceback, a false
+# bootstrap FAIL or a run that exited 0 with a nan or inf in the report
+MONITOR_VALUE_MISTAKES = (
+    "phi0 = 0", "phi0 = -1", "phi0 = 1", "phi0 = nan", "t0 = nan",
+    "t0 = -5", "curvature_bound = nan")
 # w = 0.5 theta at grid_n = 64: pole slopes of 0.5 against a tolerance of
 # 0.25, so the custom_w pole check must reject it
 TILTED_W = "scenario = custom_w\ngrid_n = 64\n[scenario]\nfile = {tilted_w}\n"
+# the volume-normalized 0.5 P_6 at grid_n = 16: even, with pole slopes of
+# 1.67 against a tolerance of 4.22 that its fourth differences widen
+P6_W = "scenario = custom_w\ngrid_n = 16\n[scenario]\nfile = {p6_w}\n"
+# the profile file each placeholder names
+PROFILES = {"tilted_w": lambda: 0.5 * make_grid(64).theta_nodes,
+            "p6_w": lambda: legendre_bump(make_grid(16), 6, 0.5).w}
 
 
 class TestConfig:
@@ -118,18 +136,20 @@ class TestConfig:
 
     def test_monitor_keys_are_the_parameter_table(self):
         # loads takes exactly the table's keys; class_tol is a flow key only
+        # (2 is a valid value of every key: phi0 must be over 1)
         candidates = set(MONITOR_PARAMS) | {
             "class_tol", "branch_mode", "tolerance", "tolerance_rel",
             "rel_tol", "tol_factor", "y_floor", "pole_margin", "n_radii",
-            "epsilon_calabi", "t_end", "eps"}
+            "epsilon_calabi", "t_end", "eps", "delta", "D", "L", "epsilon",
+            "delta_measured", "log_det_tol"}
         accepted = set()
         for key in candidates:
             try:
-                spec = loads(MINIMAL + f"[monitors]\n{key} = 1\n")
+                spec = loads(MINIMAL + f"[monitors]\n{key} = 2\n")
             except ConfigError:
                 continue
             accepted.add(key)
-            assert spec.monitor_params == ((key, 1),)
+            assert spec.monitor_params == ((key, 2),)
             assert loads(dumps(spec)) == spec
         assert accepted == set(MONITOR_PARAMS)
 
@@ -144,8 +164,7 @@ class TestConfig:
         flow_keys = [f.name for f in dataclasses.fields(FlowConfig)]
         assert {k for k in flow_keys if takes_auto("flow", k)} == {
             "dt_init", "band_tol"}
-        assert {k for k in MONITOR_PARAMS if takes_auto("monitors", k)} == {
-            "delta", "D", "L", "epsilon", "delta_measured"}
+        assert not {k for k in MONITOR_PARAMS if takes_auto("monitors", k)}
 
     def test_removed_flow_keys_rejected(self):
         # RK4 is the only scheme and the class-identity guard is always on;
@@ -276,8 +295,7 @@ class TestRunScenario:
         spec = loads("scenario = legendre_bump\ngrid_n = 64\n"
                      "[scenario]\neps = 1e-3\n"
                      "[flow]\nt_end = 0.2\nrecord_dt = 0.05\n"
-                     "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\n"
-                     "delta = 1.0\n")
+                     "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\n")
         art = run_scenario(spec, base_dir=tmp_path / "run")
         assert art.exit_code == 1
         assert "verdict = FAIL" in art.report_path.read_text()
@@ -365,11 +383,12 @@ class TestSweep:
 
 class TestCli:
     def write_spec(self, tmp_path, text):
-        """The spec file, with {tilted_w} naming a TILTED_W profile file."""
-        if "{tilted_w}" in text:
-            wfile = tmp_path / "tilted_w.txt"
-            np.savetxt(wfile, 0.5 * make_grid(64).theta_nodes)
-            text = text.replace("{tilted_w}", str(wfile))
+        """The spec file, with each PROFILES placeholder naming its file."""
+        for name, profile in PROFILES.items():
+            if "{" + name + "}" in text:
+                wfile = tmp_path / f"{name}.txt"
+                np.savetxt(wfile, profile())
+                text = text.replace("{" + name + "}", str(wfile))
         path = tmp_path / "spec.cfg"
         path.write_text(text)
         return str(path)
@@ -513,8 +532,7 @@ class TestCli:
         ("scenario = round\ngrid_n = 64\n", EXIT_OK),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.2\nrecord_dt = 0.05\n"
-         "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\ndelta = 1.0\n",
-         EXIT_FAIL),
+         "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\n", EXIT_FAIL),
         ("grid_n = banana\n", EXIT_CONFIG),
         ("scenario = round\ngrid_n = 8\n", EXIT_CONFIG),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
@@ -567,6 +585,13 @@ class TestCli:
          "decay_rate = -1000\n", EXIT_CONFIG),
         ("scenario = multi_mode\ngrid_n = 32\n[scenario]\nseed = -1\n",
          EXIT_CONFIG),
+        *((BUMP_SHORT + f"[monitors]\n{line}\n", EXIT_CONFIG)
+          for line in REMOVED_MONITOR_KEYS + MONITOR_VALUE_MISTAKES),
+        # a band that holds the zero eigenvalue: no state can pass
+        (BUMP_SHORT + "band_tol = 1\n", EXIT_CONFIG),
+        (BUMP_SHORT + "band_tol = 10\n", EXIT_CONFIG),
+        # passes the pole check now, and N = 16 cannot resolve its band
+        (P6_W, EXIT_NUMERICAL),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -583,7 +608,12 @@ class TestCli:
             "bump_takes_no_amplitude", "round_takes_no_eps",
             "multi_mode_takes_no_l", "bump_eps_nan", "bump_eps_overflow",
             "multi_mode_amplitude_nan", "multi_mode_decay_overflow",
-            "multi_mode_seed_negative"])
+            "multi_mode_seed_negative",
+            "delta_removed", "D_removed", "L_removed", "epsilon_removed",
+            "delta_measured_removed", "log_det_tol_removed",
+            "phi0_zero", "phi0_negative", "phi0_one", "phi0_nan",
+            "t0_nan", "t0_negative", "curvature_bound_nan",
+            "band_tol_one", "band_tol_ten", "custom_w_even_unresolved"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
@@ -652,18 +682,6 @@ class TestCli:
         assert main(["run", path]) == EXIT_NUMERICAL
         # the check command hits it directly
         assert main(["check", path, "--at", "0"]) == EXIT_NUMERICAL
-
-
-class TestDiameterBudget:
-    def test_short_time_reports_diameter(self, tmp_path):
-        spec = loads("scenario = legendre_bump\ngrid_n = 64\n"
-                     "[scenario]\neps = 1e-3\n"
-                     "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
-                     "[monitors]\nchecks = short_time\nD = 4.0\n")
-        art = run_scenario(spec, base_dir=tmp_path / "run")
-        text = art.report_path.read_text()
-        assert "aux.diam_max" in text
-        assert "aux.diam_bound_ok = 1.0" in text
 
 
 class TestBlasThreads:

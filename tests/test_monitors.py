@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from krflow.flow import FlowConfig, run
-from krflow.geometry import make_grid, round_metric
+from krflow.geometry import ConfigError, make_grid, round_metric
 from krflow.harness import legendre_bump
 from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              BranchCrossing, bootstrap_tracker, check_bochner,
@@ -224,11 +224,11 @@ class TestGradientEstimate:
 
 class TestBootstrap:
     def test_round_all_hold(self, round_traj):
-        rep = bootstrap_tracker(round_traj, phi0=4.0, delta=1.0)
+        rep = bootstrap_tracker(round_traj, phi0=4.0)
         assert rep.verdict == PASS
 
     def test_bump_with_calibration(self, p2_run_small):
-        rep = bootstrap_tracker(p2_run_small, phi0=4.0, delta=1.0)
+        rep = bootstrap_tracker(p2_run_small, phi0=4.0)
         assert rep.verdict == PASS
         assert rep.aux["strengthened_grad"] == 1.0
         assert rep.aux["strengthened_equiv"] == 1.0
@@ -239,7 +239,7 @@ class TestBootstrap:
     def test_adversarial_phi0_fails_immediately(self, p2_run_small):
         # the metric leaves the 1.0001-corridor within the first recorded
         # interval; at t = 0 the corridor holds with equality
-        rep = bootstrap_tracker(p2_run_small, phi0=1.0001, delta=1.0)
+        rep = bootstrap_tracker(p2_run_small, phi0=1.0001)
         assert rep.verdict == FAIL
         assert rep.aux["violation_equiv"] <= p2_run_small.states[1].t
 
@@ -292,6 +292,19 @@ class TestEvaluateTrajectory:
     def test_unknown_check_rejected(self, p2_run_small):
         with pytest.raises(ValueError):
             evaluate_trajectory(p2_run_small, checks=("no_such_check",))
+
+    @pytest.mark.parametrize("params", [
+        {"phi0": 1.0}, {"phi0": math.nan}, {"t0": -5.0},
+        {"curvature_bound": math.nan}, {"rho": 0.0}, {"branch_index": 4},
+        {"delta": 1.0}],
+        ids=["phi0_one", "phi0_nan", "t0_negative", "curvature_bound_nan",
+             "rho_zero", "branch_index_over_k", "delta_removed"])
+    def test_bad_params_rejected(self, round_traj, params):
+        # the values loads checks are checked for library callers too,
+        # before any check runs
+        with pytest.raises(ConfigError, match=next(iter(params))):
+            evaluate_trajectory(round_traj, ("bootstrap", "short_time"),
+                                params)
 
     def test_branch_read_from_states(self, p2_run_small, monkeypatch):
         # eigenvalue_derivative and bochner read the axial pairs make_state
@@ -348,14 +361,14 @@ class TestEvaluateTrajectory:
             full.verdict, full.statement, full.aux)
 
     def test_delta_defaults_per_check(self, p2_run_small):
-        # with delta unset, bootstrap's floor uses delta = 1 and
-        # short_time's uses lambda(0) - 1
+        # bootstrap's floor uses delta = 1 and short_time's the measured
+        # lambda(0) - 1
         boot, short = evaluate_trajectory(
             p2_run_small, ("bootstrap", "short_time"), {}).checks
         lam0 = p2_run_small.states[0].lambda_g
-        direct = (bootstrap_tracker(p2_run_small, phi0=4.0, delta=1.0),
+        direct = (bootstrap_tracker(p2_run_small, phi0=4.0),
                   check_short_time(p2_run_small, curvature_bound=2.0,
-                                   t0=0.1, delta=lam0 - 1.0))
+                                   t0=0.1))
         for shared, own in zip((boot, short), direct):
             assert (shared.verdict, shared.margin, shared.aux) == (
                 own.verdict, own.margin, own.aux)

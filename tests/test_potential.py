@@ -253,12 +253,3 @@ class TestBundle:
         assert b.Y >= 0 and b.Z >= 0
         assert b.c0_u_minus_a <= b.osc_u + 1e-15
         assert 0 <= b.delta_prime_0 < 1.0
-
-    def test_gap_uses_minimum(self, grid128):
-        m = bump(grid128, 1e-2)
-        u = solve_ricci_potential(m).values
-        b_big = functional_bundle(u, m, lambda_g=3.0)
-        b_min = functional_bundle(u, m, lambda_g=3.0, delta_measured=0.5)
-        assert b_min.delta_prime_0 == pytest.approx(
-            delta_prime(0.5, b_big.osc_u), rel=1e-14)
-        assert b_min.delta_prime_0 < b_big.delta_prime_0

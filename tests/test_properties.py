@@ -90,30 +90,33 @@ def test_spectrum_constant_shift_scaling(profile, c):
 
 # valid spec values as loads can produce them: "auto" / "none" read as
 # None only for the keys whose default is None, the time steps and the
-# tolerances are positive, t_end is finite and >= 0, and text values
-# carry no surrounding blanks
+# tolerances are positive, band_tol is under 1, t_end is finite and >= 0,
+# the monitor values are in the ranges monitor_params checks, and text
+# values carry no surrounding blanks
 real = st.floats(allow_nan=False)
-real_or_none = st.none() | real
 positive = st.floats(min_value=0.0, exclude_min=True)
+finite_positive = st.floats(min_value=0.0, exclude_min=True,
+                            allow_infinity=False)
 word = st.text(st.sampled_from(string.ascii_letters + string.digits
                                + string.punctuation))
 SCENARIO_VALUES = {"l": st.integers(2, 10), "eps": real,
                    "seed": st.integers(), "decay_rate": real,
                    "amplitude": real, "file": word}
-MONITOR_FLOATS = ("rho", "curvature_bound", "phi0", "t0", "log_det_tol")
-MONITOR_AUTO = ("delta", "D", "L", "epsilon", "delta_measured")
+MONITOR_VALUES = {
+    "rho": finite_positive, "curvature_bound": finite_positive,
+    "phi0": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "t0": st.floats(min_value=0.0, allow_infinity=False),
+    "branch_index": st.integers(0, K_PER_MODE - 2)}
 
 
 @st.composite
 def specs(draw):
     checks = tuple(draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=4)))
-    monitors = draw(st.fixed_dictionaries({}, optional={
-        **{k: real for k in MONITOR_FLOATS},
-        **{k: real_or_none for k in MONITOR_AUTO},
-        "branch_index": st.integers(0, K_PER_MODE - 2)}))
+    monitors = draw(st.fixed_dictionaries({}, optional=MONITOR_VALUES))
     flow = FlowConfig(record_dt=draw(positive),
                       dt_init=draw(st.none() | positive),
-                      band_tol=draw(st.none() | positive),
+                      band_tol=draw(st.none() | st.floats(
+                          0.0, 1.0, exclude_min=True, exclude_max=True)),
                       t_end=draw(st.floats(0.0, allow_infinity=False)),
                       early_stop=draw(st.floats(0.0, allow_infinity=False)),
                       vol_tol=draw(positive), class_tol=draw(positive))
