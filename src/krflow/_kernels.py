@@ -1,10 +1,19 @@
-"""The RK4 time-stepping kernel of the conformal flow, on raw arrays.
+"""The time-stepping kernels of the conformal flow, on raw arrays.
 
 One call advances (w, phi) in place by a whole recording segment, so the
 per-step work is a handful of O(n) numpy passes: the flux Laplacian, the
 Ricci potential by cumulative fluxes, and a few weighted averages.  At the
 grid sizes in use each pass costs less than its call, so the stencils
 write into their outputs in place.
+
+Two kernels share that right-hand side.  advance_rk4 is classical RK4,
+the cheapest order-4 step inside its stability bound.  advance_extrapolated
+is extrapolated linearly implicit Euler (Deuflhard 1985; Hairer & Wanner,
+Solving ODEs II, IV.9): its sub-steps solve with the tridiagonal Jacobian
+J = diag(K) + (1/2) diag(e^{-2w}) L of dw/dt, so they are stable at any
+step, and Aitken-Neville extrapolation over the sub-step counts 1..K_MAX
+buys the accuracy back.  phi does not feed back into w; it takes explicit
+sub-steps on the same stage values of w and goes through the same tableau.
 
 phi's velocity u - a needs neither log m nor a's own normalization.  With
 u = u0 + log m and a the e^{-u}-weighted mean of u, the weight e^{-u} dv is
@@ -14,14 +23,16 @@ a constant multiple of r = e^{-u0} e^{2w} q, so
 
 which changes phi at rounding level and w not at all.
 
-The semi-discrete flow conserves the volume exactly; RK4 keeps it only up
-to its time error, so every step checks |V - 4 pi| against vol_limit and
-stops early when it drifts outside, returning (steps_done, ok).
+The semi-discrete flow conserves the volume exactly; a time step keeps it
+only up to its time error, so every step checks |V - 4 pi| against
+vol_limit and stops early when it drifts outside, returning
+(steps_done, ok).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .geometry import flux_laplacian
 
@@ -30,6 +41,27 @@ HAVE_NUMBA = False
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
+# deepest extrapolation row, and the bound on max |T_jj - T_j,j-1| over
+# (w, phi) that accepts row j
+K_MAX = 7
+EXTRAP_TOL = 1e-13
+
+
+def laplacian_bands(grid):
+    """(lower, diagonal, upper) bands of the flux-form laplace_round L, a
+    grid constant: row j reaches nodes j -/+ 1 through the fluxes at j h
+    and (j + 1) h, so each row's off-diagonal sum is -L_jj."""
+    s = grid.sin_flux
+    hh = grid.h * grid.h * grid.sin_nodes
+    return s[1:-1] / hh[1:], -(s[:-1] + s[1:]) / hh, s[1:-1] / hh[:-1]
+
+
+def jacobian_bands(w, k, lap_bands):
+    """(lower, diagonal, upper) bands of J = diag(K) + (1/2) diag(e^{-2w}) L,
+    the Jacobian of dw/dt = (1/2)(1 - K) with K = e^{-2w} (1 - L w)."""
+    lo, di, up = lap_bands
+    half = 0.5 * np.exp(-2.0 * w)
+    return half[1:] * lo, k + half * di, half[:-1] * up
 
 
 def flux_potential(w, h, sfi, hs, hs_sum):
@@ -77,4 +109,55 @@ def advance_rk4(w, phi, nsteps, dt, grid, vol_limit):
         k4w, k4p, _ = _rhs_numpy(w + dt * k3w, h, q, sfi, hs, hs_sum)
         w += (dt / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
         phi += (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
+    return nsteps, True
+
+
+def advance_extrapolated(w, phi, nsteps, H, grid, vol_limit):
+    """Advance (w, phi) by nsteps extrapolated linearly implicit Euler steps
+    of size H, in place.
+
+    Row j of the tableau takes j sub-steps of H / j, each solving
+    (I - (H/j) J) dw = (H/j) f_w with J at the step's start, while phi
+    takes phi += (H/j) f_p.  Every row starts from the same f(w), so a row
+    of depth k costs 1 + sum (j - 1) right-hand sides.  T_jj is accepted at
+    the first j >= 2 within EXTRAP_TOL of T_j,j-1; a step that no row
+    settles by K_MAX fails like a volume drift, with ok False.
+    """
+    h, q = grid.h, grid.quad_weights
+    sfi, hs = grid.sin_flux[1:-1], grid.h * grid.sin_nodes
+    hs_sum = float(np.sum(hs))
+    n = w.shape[0]
+    lap = laplacian_bands(grid)
+    for s in range(nsteps):
+        fw0, fp0, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
+        if abs(vol - FOUR_PI) > vol_limit:
+            return s, False
+        lo, di, up = jacobian_bands(w, 1.0 - 2.0 * fw0, lap)
+        tab = []  # the last row of the tableau, T_j,1 .. T_j,j
+        for j in range(1, K_MAX + 1):
+            hj = H / j
+            dl, d, du, du2, ipiv, info = dgttrf(-hj * lo, 1.0 - hj * di,
+                                                -hj * up)
+            if info != 0:
+                return s, False
+            y = np.concatenate((w, phi))
+            yw, yp = y[:n], y[n:]
+            fw, fp = fw0, fp0
+            for i in range(j):
+                if i:
+                    fw, fp, _ = _rhs_numpy(yw, h, q, sfi, hs, hs_sum)
+                yw += dgttrs(dl, d, du, du2, ipiv, hj * fw)[0]
+                yp += hj * fp
+            # Aitken-Neville on the h-expansion, row j over row j - 1 in
+            # place: n_j / n_{j-k} - 1 = k / (j - k)
+            t = y
+            for k in range(1, j):
+                tab[k - 1], t = t, t + (t - tab[k - 1]) * ((j - k) / k)
+            tab.append(t)
+            if j >= 2 and np.max(np.abs(t - tab[-2])) <= EXTRAP_TOL:
+                w[:] = t[:n]
+                phi[:] = t[n:]
+                break
+        else:
+            return s, False
     return nsteps, True

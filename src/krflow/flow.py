@@ -14,13 +14,20 @@ The stage velocity of phi is u - a = u0 - <u0>_r, with u0 the potential
 zero at the first node and <.>_r the mean weighted by r = e^{-u0} e^{2w}:
 the normalization constant of u cancels (see _kernels).
 
+Each record segment has a step cap: dt_init, or record_dt without one,
+halved once per rejected segment.  A cap within RK4's stability bound
+stability_dt of the state that opens the segment takes ceil(seg / cap)
+RK4 steps, the cheapest order-4 step there; a cap above it takes as many
+extrapolated linearly implicit Euler steps, whose count does not grow
+with the grid (_kernels).
+
 Volume is a structural invariant of the semi-discrete flow: dV/dt =
 V - 4 pi holds exactly, so a state that starts at V = 4 pi stays there.
-RK4 keeps it only up to its time error (after 20 default steps from
-legendre_bump(l, 0.01), l = 2..6: |V - 4 pi| up to 1.0e-5 at n = 16 and
-5.3e-11 at n = 64), which the per-step volume check catches; that check
-and the class identity of each recorded state are the step-rejection
-criteria.
+A time step keeps it only up to its time error (after 20 default RK4
+steps from legendre_bump(l, 0.01), l = 2..6: |V - 4 pi| up to 1.0e-5 at
+n = 16 and 5.3e-11 at n = 64), which the per-step volume check catches;
+that check, an extrapolation that does not settle, and the class identity
+of each recorded state are the step-rejection criteria.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from ._kernels import advance_rk4
+from ._kernels import (advance_extrapolated, advance_rk4, jacobian_bands,
+                       laplacian_bands)
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
                        ROUND_VOLUME, gaussian_curvature, laplace_round,
                        volume, weighted_integral)
@@ -43,12 +51,8 @@ class StepReject(NumericalError):
     """A step left the normalized class beyond tolerance; halve dt."""
 
 
-class StabilityBoundError(ConfigError, ValueError):
-    """A requested dt lies over the explicit stability bound."""
-
-
 # RK4's stability interval on the negative real axis, and the share of it
-# a default step uses
+# a step cap may use and still take RK4
 RK4_REAL_INTERVAL = 2.785
 SAFETY = 0.9
 # step-cap halvings after which run gives up on a failing segment
@@ -59,12 +63,12 @@ MAX_HALVINGS = 12
 class FlowConfig:
     """Integrator controls, each checked on construction (ConfigError).
 
-    The scheme is classical RK4.  dt_init None means the step cap is the
-    stability bound stability_dt, recomputed from the state that opens
-    each record segment; an explicit dt_init is a fixed cap, and one above
-    the bound at t = 0 is rejected.  band_tol None is the grid's
-    default_band_tol, and a band_tol of 1 or more would hold the zero
-    eigenvalue.  early_stop = 0 never stops the run early.
+    dt_init is the step cap of each record segment, and None means
+    record_dt.  run takes RK4 steps under a cap within RK4's stability
+    bound stability_dt and extrapolated linearly implicit Euler steps
+    under a larger one, so any positive dt_init runs.  band_tol None is
+    the grid's default_band_tol, and a band_tol of 1 or more would hold
+    the zero eigenvalue.  early_stop = 0 never stops the run early.
     """
 
     t_end: float = 5.0
@@ -133,19 +137,17 @@ def stability_dt(metric: ConformalMetric) -> float:
     """Explicit RK4 step bound SAFETY * 2.785 / rho.
 
     rho is the Gershgorin bound on the spectral radius of the Jacobian
-    J = diag(K) + (1/2) diag(e^{-2w}) L of dw/dt, with L the flux-form
-    laplace_round.  Row j of L has off-diagonal sum -L_jj, so row j of J
-    contributes |K_j + (1/2) e^{-2w_j} L_jj| + (1/2) e^{-2w_j} |L_jj|.
-    phi does not feed back into either velocity, so J bounds the whole
-    system.  Near the round metric this is about 1.25 h^2 e^{2 min w}.
+    J = diag(K) + (1/2) diag(e^{-2w}) L of dw/dt (_kernels.jacobian_bands),
+    the matrix the extrapolated step factors.  phi does not feed back into
+    either velocity, so J bounds the whole system.  Near the round metric
+    this is about 1.25 h^2 e^{2 min w}.
     """
-    grid = metric.grid
-    s = grid.sin_flux
-    half_l = (0.5 * np.exp(-2.0 * metric.w) * (s[:-1] + s[1:])
-              / (grid.h ** 2 * grid.sin_nodes))  # (1/2) e^{-2w} |L_jj|
-    k = gaussian_curvature(metric)
-    rho = float(np.max(np.abs(k - half_l) + half_l))
-    return SAFETY * RK4_REAL_INTERVAL / rho
+    lo, di, up = jacobian_bands(metric.w, gaussian_curvature(metric),
+                                laplacian_bands(metric.grid))
+    row = np.abs(di)
+    row[1:] += lo  # the off-diagonal bands are >= 0
+    row[:-1] += up
+    return SAFETY * RK4_REAL_INTERVAL / float(np.max(row))
 
 
 def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
@@ -188,18 +190,15 @@ def initial_state(metric: ConformalMetric, config: FlowConfig) -> FlowState:
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     """Integrate to t_end, recording a fully solved state every record_dt.
 
-    Without dt_init the step cap is stability_dt of the state that opens
-    each record segment; an explicit dt_init is a fixed cap.  A segment
-    whose volume or class check fails is redone with the cap halved, and a
-    halving never grows back (determinism).  Terminates early once the
-    potential oscillation drops under the early-stop threshold.
+    Segment k ends at min(k record_dt, t_end).  Its step cap is dt_init,
+    or record_dt without one, halved once per rejection; a cap within
+    stability_dt of the state that opens the segment takes ceil(seg / cap)
+    RK4 steps, a larger one as many extrapolated steps.  A segment whose
+    volume check, extrapolation or class check fails is redone with the
+    cap halved, and a halving never grows back (determinism).  Terminates
+    early once the potential oscillation drops under the early-stop
+    threshold.
     """
-    if config.dt_init is not None:
-        bound = stability_dt(initial)
-        if config.dt_init > bound * (1 + 1e-12):
-            raise StabilityBoundError(
-                f"dt_init = {config.dt_init:.3e} over the explicit stability "
-                f"bound {bound:.3e}")
     state = initial_state(initial, config)
     traj = Trajectory(states=[state])
     _record_gate_transition(traj, state)
@@ -213,15 +212,22 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     w = initial.w.copy()
     phi = np.zeros(grid.n_nodes)
     halvings = 0
+    cap0 = config.dt_init if config.dt_init is not None else config.record_dt
     while t < config.t_end - 1e-12:
-        t_next = min(t + config.record_dt, config.t_end)
-        dt_cap = (config.dt_init if config.dt_init is not None
-                  else stability_dt(state.metric)) * 0.5 ** halvings
-        nst = max(1, int(math.ceil((t_next - t) / dt_cap - 1e-12)))
-        dt_seg = (t_next - t) / nst
+        # segment k ends at k record_dt, so t accumulates no rounding, and
+        # a full segment lasts record_dt whatever the rounding of its ends
+        k = len(traj.states)
+        t_next = min(k * config.record_dt, config.t_end)
+        seg = (config.record_dt if k * config.record_dt
+               <= config.t_end + 1e-12 else t_next - t)
+        dt_cap = cap0 * 0.5 ** halvings
+        nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
+        dt_seg = seg / nst
+        advance = (advance_rk4 if dt_cap <= stability_dt(state.metric)
+                   * (1 + 1e-12) else advance_extrapolated)
         w_try = w.copy()
         phi_try = phi.copy()
-        done, ok = advance_rk4(w_try, phi_try, nst, dt_seg, grid, vol_limit)
+        done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
         if ok:
             try:
                 new = make_state(w_try, phi_try, t_next, dt_seg, config,
@@ -232,8 +238,8 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise StepReject(
-                    f"volume or class check kept failing after {halvings} "
-                    f"dt halvings near t = {t:.6g}")
+                    f"volume, extrapolation or class check kept failing "
+                    f"after {halvings} dt halvings near t = {t:.6g}")
             traj.events.append(("step_reject", t + done * dt_seg, dt_seg))
             continue
         w, phi, t, state = w_try, phi_try, t_next, new

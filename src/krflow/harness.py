@@ -290,7 +290,10 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
-    spec.monitor_dict()  # checks the monitor values
+    params = spec.monitor_dict()  # checks the monitor values
+    if "t0" in monitors and params["t0"] > spec.flow.t_end:
+        raise ConfigError(f"t0 = {params['t0']!r} lies past t_end = "
+                          f"{spec.flow.t_end!r}: no state to sample")
     return spec
 
 
@@ -425,14 +428,15 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
                  metric_of=initial_metric) -> RunArtifacts:
     """Execute one scenario end to end and write its artifacts.
 
-    metric_of(spec) builds the t=0 metric.  Config errors (an irregular
-    pole in a custom_w profile, a dt_init over the stability bound, a bad
-    rho) and numerical failures (volume mismatch, eigensolver trouble,
-    band ambiguity, step rejection cascades) land in the report with exit
-    code 2 or 3 instead of propagating.  timeseries.csv is written as soon
-    as the flow returns, so an error from the checks (a rho that a later
-    state breaks) keeps it, and the report keeps the trajectory's
-    provenance.
+    metric_of(spec) builds the t=0 metric, and flow.run integrates it: RK4
+    under a step cap within the stability bound, extrapolated linearly
+    implicit Euler over it, so any positive dt_init runs.  Config errors
+    (an irregular pole in a custom_w profile, a bad rho) and numerical
+    failures (volume mismatch, eigensolver trouble, band ambiguity, step
+    rejection cascades) land in the report with exit code 2 or 3 instead
+    of propagating.  timeseries.csv is written as soon as the flow
+    returns, so an error from the checks (a rho that a later state
+    breaks) keeps it, and the report keeps the trajectory's provenance.
     """
     out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -669,8 +669,10 @@ def check_short_time(traj: Trajectory,
     and the scaling datum (eps_Calabi, |grad u|(t0)).
 
     eps_Calabi is the measured (1/V) int (s - n)^2 dv at t = 0, and delta
-    is the measured gap lambda(0) - 1.  The diameter of every state is the
-    diam column of timeseries.csv.
+    is the measured gap lambda(0) - 1.  |grad u|(t0) is read from the
+    recorded state nearest t0, whose time is t_sampled: a run that
+    converged early, or a t_end under the default t0, ends before t0.
+    The diameter of every state is the diam column of timeseries.csv.
     """
     states = traj.states
     s0 = states[0]
@@ -684,13 +686,15 @@ def check_short_time(traj: Trajectory,
             first_exceed = s.t
         if s.t <= t0 + 1e-12:
             lam_min = min(lam_min, s.lambda_g)
-    grad_t0 = min(states, key=lambda s: abs(s.t - t0)).funcs.grad_u_c0
+    sampled = min(states, key=lambda s: abs(s.t - t0))
+    grad_t0 = sampled.funcs.grad_u_c0
     floor = 1.0 + (s0.lambda_g - 1.0) / 2.0  # delta = lambda(0) - 1
     aux = {"epsilon_calabi": float(epsilon_calabi),
            "lambda_min_window": float(lam_min),
            "lambda_floor": floor,
            "lambda_floor_ok": float(lam_min >= floor),
            "grad_c0_at_t0": float(grad_t0),
+           "t_sampled": float(sampled.t),
            "scaling_ratio": float(grad_t0 / epsilon_calabi ** 0.25)
            if epsilon_calabi > 0 else 0.0,
            "curvature_cap": cap}

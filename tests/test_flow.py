@@ -5,12 +5,12 @@ import pytest
 
 from krflow import _kernels
 from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig,
-                         StabilityBoundError, conformal_velocity,
-                         log_det_bookkeeping, log_det_residual, run,
-                         stability_dt)
+                         conformal_velocity, log_det_bookkeeping,
+                         log_det_residual, run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
-                             flux_laplacian, laplace_round, make_grid,
-                             normalize_volume, round_metric, volume)
+                             flux_laplacian, gaussian_curvature,
+                             laplace_round, make_grid, normalize_volume,
+                             round_metric, volume)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
@@ -80,10 +80,6 @@ class TestFixedPoint:
 
 
 class TestStep:
-    def test_dt_over_stability_rejected(self, grid128):
-        with pytest.raises(StabilityBoundError, match="stability"):
-            run(FlowConfig(dt_init=1.0), round_metric(grid128))
-
     def test_volume_guard_trips(self, grid128):
         # a volume offset beyond the step tolerance (but inside the
         # solver's solvability window) must reject the step
@@ -125,9 +121,9 @@ class TestStep:
         assert len(rejects) == 1
         assert rejects[0][1] == pytest.approx(0.05)
         s0, s1, s2 = traj.states
-        assert rejects[0][2] <= stability_dt(s0.metric)
-        assert s1.dt <= 0.5 * stability_dt(s0.metric) < rejects[0][2]
-        assert s2.dt <= 0.5 * stability_dt(s1.metric)
+        # the cap record_dt, halved once, and it never grows back
+        assert rejects[0][2] == 0.05
+        assert s1.dt == s2.dt == rejects[0][2] / 2
         assert s2.t == 0.1
         assert max(s.class_residual for s in traj.states) < 1e-12
 
@@ -202,12 +198,78 @@ class TestStabilityBound:
         assert np.max(np.abs(coarse.states[-1].metric.w
                              - fine.states[-1].metric.w)) <= 1e-12
 
-    @pytest.mark.parametrize("fixture", ["p2_run_small", "p2_run_large"])
-    def test_recorded_dt_within_bound_of_previous(self, request, fixture):
-        states = request.getfixturevalue(fixture).states
-        assert len(states) > 2
-        for prev, cur in zip(states, states[1:]):
-            assert cur.dt <= stability_dt(prev.metric)
+    @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
+    def test_jacobian_bands_match_central_differences(self, grid64, family):
+        # the bands the extrapolated step factors, with K = 1 - 2 f_w as
+        # the kernel takes it, and the ones stability_dt bounds, with K
+        # from gaussian_curvature, against the dense difference quotient:
+        # off by at most 2.8e-9 on entries up to 418, and 0 off the bands
+        m = family_metric(family, 64)
+        fd = self.jacobian(m)
+        lap = _kernels.laplacian_bands(m.grid)
+        fw = _kernels._rhs_numpy(m.w, *kernel_args(m.grid))[0]
+        for k in (1.0 - 2.0 * fw, gaussian_curvature(m)):
+            lo, di, up = _kernels.jacobian_bands(m.w, k, lap)
+            banded = np.diag(di) + np.diag(lo, -1) + np.diag(up, 1)
+            assert np.max(np.abs(banded - fd)) <= 5e-8
+
+
+class TestRegime:
+    """run's choice between RK4 and the extrapolated step, per segment."""
+
+    def test_cap_within_bound_takes_rk4(self, grid64, monkeypatch):
+        import krflow.flow
+
+        def refuse(*args):
+            raise AssertionError("extrapolated step under a cap within "
+                                 "the stability bound")
+
+        monkeypatch.setattr(krflow.flow, "advance_extrapolated", refuse)
+        m = legendre_bump(grid64, 2, 1e-2)
+        rec = 1e-3
+        assert rec <= stability_dt(m)
+        traj = run(FlowConfig(t_end=0.01, record_dt=rec, early_stop=0.0), m)
+        assert len(traj.states) == 11 and traj.states[-1].t == 0.01
+        # one RK4 step of exactly record_dt per segment, bit for bit
+        w, phi = m.w.copy(), np.zeros(grid64.n_nodes)
+        for s in traj.states[1:]:
+            assert s.dt == rec
+            assert _kernels.advance_rk4(w, phi, 1, rec, grid64,
+                                        1.0) == (1, True)
+            assert np.array_equal(s.metric.w, w)
+            assert np.array_equal(s.phi, phi)
+
+    def test_cap_over_bound_takes_extrapolated(self, grid64, monkeypatch):
+        import krflow.flow
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return _kernels.advance_extrapolated(*args)
+
+        def refuse(*args):
+            raise AssertionError("RK4 under a cap over the stability bound")
+
+        monkeypatch.setattr(krflow.flow, "advance_extrapolated", counting)
+        monkeypatch.setattr(krflow.flow, "advance_rk4", refuse)
+        m = legendre_bump(grid64, 2, 1e-2)
+        traj = run(FlowConfig(t_end=0.1, record_dt=0.05), m)
+        assert calls[0] == 0.05
+        assert [s.t for s in traj.states] == [0.0, 0.05, 0.1]
+
+    def test_unsettled_tableau_halves_cap(self, grid64, monkeypatch):
+        # no row can meet a negative tolerance, so every extrapolated step
+        # fails, and the cap halves until it fits under the bound
+        monkeypatch.setattr(_kernels, "EXTRAP_TOL", -1.0)
+        m = legendre_bump(grid64, 2, 1e-2)
+        traj = run(FlowConfig(t_end=0.05, record_dt=0.05), m)
+        bound = stability_dt(m)
+        rejects = [e for e in traj.events if e[0] == "step_reject"]
+        assert rejects
+        for i, (_, t, dt) in enumerate(rejects):
+            assert t == 0.0 and dt == 0.05 * 0.5 ** i > bound
+        s1 = traj.states[-1]
+        assert s1.t == 0.05 and s1.dt == rejects[-1][2] / 2 <= bound
 
 
 def flux_laplacian_ref(f, h, sfi, hs):
@@ -295,6 +357,35 @@ class TestKernelOracle:
         # phi moves at rounding level: the largest |dphi| over these four
         # cases was 2.2e-19 (max |phi| 1.7e-3); the bound is 20x that
         assert np.max(np.abs(phi - phi_ref)) <= 4e-18
+
+
+def oracle_metric(case):
+    g = make_grid(128)
+    if case == "multi_mode":
+        return multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-3)
+    l, eps = {"bump_l2": (2, 1e-2), "bump_l6": (6, 1e-2),
+              "bump_eps_0.3": (2, 0.3)}[case]
+    return legendre_bump(g, l, eps)
+
+
+class TestExtrapolatedOracle:
+    """run over the stability bound against rk4_ref at 1/16 of it."""
+
+    @pytest.mark.parametrize("case", ["bump_l2", "bump_l6", "multi_mode",
+                                      "bump_eps_0.3"])
+    def test_matches_fine_rk4(self, case):
+        m = oracle_metric(case)
+        # eps = 0.3 moves the holomorphic band past the grid's default width
+        traj = run(FlowConfig(t_end=0.2, record_dt=0.1, early_stop=0.0,
+                              band_tol=0.5), m)
+        end = traj.states[-1]
+        assert end.t == 0.2 and end.dt > stability_dt(m)
+        nst = int(np.ceil(0.2 / (stability_dt(m) / 16)))
+        w, phi = m.w.copy(), np.zeros(m.grid.n_nodes)
+        rk4_ref(w, phi, nst, 0.2 / nst, kernel_args(m.grid))
+        # the largest |dw| over the four cases was 3.5e-14, |dphi| 1.2e-14
+        assert np.max(np.abs(end.metric.w - w)) <= 1e-12
+        assert np.max(np.abs(end.phi - phi)) <= 1e-12
 
 
 class TestConsistencyTriangle:

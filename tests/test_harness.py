@@ -134,6 +134,14 @@ class TestConfig:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "04749f8ac658f81ec068dea9d755de6a4a4cbc6322219753df12b33e2a4034f6")
 
+    def test_t0_past_t_end_names_both(self):
+        with pytest.raises(ConfigError, match=r"t0 = 100.0 .* t_end = 0.1"):
+            loads(BUMP_SHORT + "[monitors]\nt0 = 100\n")
+        # the default t0 = 0.1 is not the spec's choice: t_sampled says
+        # which state a shorter run read
+        assert loads(BUMP_SHORT.replace("t_end = 0.1", "t_end = 0.05"))
+        assert loads(BUMP_SHORT + "[monitors]\nt0 = 0.1\n")
+
     def test_monitor_keys_are_the_parameter_table(self):
         # loads takes exactly the table's keys; class_tol is a flow key only
         # (2 is a valid value of every key: phi0 must be over 1)
@@ -280,6 +288,23 @@ class TestRunScenario:
         a2 = run_scenario(spec, base_dir=tmp_path / "b")
         assert (a1.timeseries_path.read_bytes()
                 == a2.timeseries_path.read_bytes())
+
+    def test_dense_run_records_one_dt(self, tmp_path):
+        # the flow of the dense benchmark spec (multi_mode seed 7, 1000
+        # segments of one RK4 step): segment k ends at k record_dt, where
+        # t summed segment by segment listed 7 dt_history values
+        spec = loads("scenario = multi_mode\ngrid_n = 64\n"
+                     "[scenario]\nseed = 7\ndecay_rate = 2.0\n"
+                     "amplitude = 0.005\n[flow]\nt_end = 1.0\n"
+                     "record_dt = 0.001\nvol_tol = 1e-08\n"
+                     "class_tol = 1e-06\n"
+                     f"band_tol = {50 * (np.pi / 64) ** 2!r}\n"
+                     "[monitors]\nchecks = kahler_class\n")
+        art = run_scenario(spec, base_dir=tmp_path / "run")
+        assert art.exit_code == EXIT_OK
+        assert "\ndt_history = 0.001\n" in art.report_path.read_text()
+        ts = [s.t for s in art.trajectory.states]
+        assert ts == [k * 0.001 for k in range(1000)] + [1.0]
 
     def test_volume_violating_custom_w(self, tmp_path, grid64):
         path = tmp_path / "w.txt"
@@ -490,15 +515,16 @@ class TestCli:
         assert not (tmp_path / "sw").exists()
 
     def test_sweep_config_error_exit_two(self, tmp_path, monkeypatch):
-        # the same dt_init that makes `krflow run` exit 2 must make every
-        # sweep point, its report and the sweep exit 2, not 3
+        # the same rho over half the diameter that makes `krflow run` exit
+        # 2 must make every sweep point, its report and the sweep exit 2,
+        # not 3
         monkeypatch.delenv("KRFLOW_WORKERS", raising=False)
         path = self.write_spec(
             tmp_path,
             "scenario = legendre_bump\ngrid_n = 32\n"
             f"output_dir = {tmp_path / 'sw'}\n"
-            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n"
-            "[monitors]\nchecks = short_time\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+            "[monitors]\nchecks = short_time, c0_vs_y\nrho = 5.0\n"
             "[sweep]\neps = 1e-3, 2e-3\n")
         assert main(["sweep", path]) == EXIT_CONFIG
         summary = (tmp_path / "sw" / "sweep_summary.csv").read_text()
@@ -535,12 +561,12 @@ class TestCli:
          "[monitors]\nchecks = bootstrap\nphi0 = 1.0001\n", EXIT_FAIL),
         ("grid_n = banana\n", EXIT_CONFIG),
         ("scenario = round\ngrid_n = 8\n", EXIT_CONFIG),
+        # a step cap over RK4's stability bound takes extrapolated steps
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
-         EXIT_CONFIG),
-        # checked before the t = 0 state is solved, which would converge
+         EXIT_OK),
         ("scenario = round\ngrid_n = 64\n[flow]\ndt_init = 1.0\n",
-         EXIT_CONFIG),
+         EXIT_OK),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
          "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
          "[monitors]\nchecks = c0_vs_y\nrho = 5.0\n", EXIT_CONFIG),
@@ -592,6 +618,10 @@ class TestCli:
         (BUMP_SHORT + "band_tol = 10\n", EXIT_CONFIG),
         # passes the pole check now, and N = 16 cannot resolve its band
         (P6_W, EXIT_NUMERICAL),
+        # a short_time sampling point the run never reaches; it exited 0
+        # with the t = 0.1 state's values
+        (BUMP_SHORT + "[monitors]\nchecks = short_time\nt0 = 100\n",
+         EXIT_CONFIG),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -613,7 +643,8 @@ class TestCli:
             "delta_measured_removed", "log_det_tol_removed",
             "phi0_zero", "phi0_negative", "phi0_one", "phi0_nan",
             "t0_nan", "t0_negative", "curvature_bound_nan",
-            "band_tol_one", "band_tol_ten", "custom_w_even_unresolved"])
+            "band_tol_one", "band_tol_ten", "custom_w_even_unresolved",
+            "t0_past_t_end"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
@@ -622,10 +653,10 @@ class TestCli:
 
     @pytest.mark.parametrize("text, error", [
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
-         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\ndt_init = 1.0\n",
-         "StabilityBoundError"),
+         "[flow]\nt_end = 0.05\nrecord_dt = 0.05\n"
+         "[monitors]\nchecks = c0_vs_y\nrho = 5.0\n", "ScaleOutOfRange"),
         (TILTED_W, "IrregularPole"),
-    ], ids=["dt_init_over_bound", "irregular_pole"])
+    ], ids=["rho_over_half_diameter", "irregular_pole"])
     def test_config_error_writes_report(self, tmp_path, text, error):
         # a config error found from the initial metric still leaves a
         # report that names it and carries exit code 2

@@ -261,6 +261,14 @@ class TestShortTime:
         assert rep.aux["epsilon_calabi"] == pytest.approx(
             3.2e-6, rel=0.05)
         assert rep.aux["grad_c0_at_t0"] > 0
+        assert rep.aux["t_sampled"] == 0.1
+
+    def test_sampled_time_reported(self, p2_run_small):
+        # a t0 past the last recorded state reads that state, and says so
+        rep = check_short_time(p2_run_small, curvature_bound=2.0, t0=100.0)
+        end = p2_run_small.states[-1]
+        assert rep.aux["t_sampled"] == end.t
+        assert rep.aux["grad_c0_at_t0"] == end.funcs.grad_u_c0
 
 
 class TestConvergenceOrder:
