@@ -100,8 +100,11 @@ class FlowState:
 
     spectrum holds the per-mode eigenvalues make_state solved (Spectrum.vals,
     row m ascending) and axial_vectors the B-orthonormal eigenvectors of
-    row 0, in order, as (n, k) columns.  class_residual is the sup-norm
-    residual of the class identity against the initial metric.
+    row 0, in order, as (n, k) columns.  holo_vectors holds the columns of
+    mode 1's block in the holomorphic band (spectral.band_indices) and no
+    others, so the monitors read every band member without a solve.
+    class_residual is the sup-norm residual of the class identity against
+    the initial metric.
     """
 
     t: float
@@ -115,22 +118,46 @@ class FlowState:
     class_residual: float
     spectrum: np.ndarray
     axial_vectors: np.ndarray
+    holo_vectors: np.ndarray
 
     def axial_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The axial eigenvalues and their eigenvector block."""
         return self.spectrum[0], self.axial_vectors
 
+    def holo_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mode 1's holomorphic-band eigenvalues and their eigenvectors."""
+        vals = self.spectrum[1]
+        band = spectral.band_indices(vals, self.metric.grid)
+        return vals[band], self.holo_vectors
+
 
 @dataclass
 class Trajectory:
-    """Time-ordered flow states plus integrator events."""
+    """Time-ordered flow states plus integrator events.
+
+    eigensolves counts the mode solves of the recorded states by kind:
+    cold (no earlier state), warm (started from the previous state's
+    blocks) and fallback (a warm start refused, then solved cold)."""
 
     states: list[FlowState]
     events: list[tuple] = field(default_factory=list)
     converged_at: float | None = None
+    eigensolves: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("cold", "warm", "fallback"), 0))
 
     def times(self):
         return np.array([s.t for s in self.states])
+
+    def record(self, state: FlowState, spec: spectral.Spectrum) -> None:
+        """Append a state, count its eigensolves, and add a
+        spectrum_fallback event per mode whose warm start was refused."""
+        self.states.append(state)
+        refused = len(spec.fallbacks)
+        self.eigensolves["warm" if spec.warm else "cold"] += (
+            len(spec.vals) - refused)
+        self.eigensolves["fallback"] += refused
+        self.events += [("spectrum_fallback", state.t, m, reason)
+                        for m, reason in spec.fallbacks]
 
 
 def stability_dt(metric: ConformalMetric) -> float:
@@ -150,41 +177,32 @@ def stability_dt(metric: ConformalMetric) -> float:
     return SAFETY * RK4_REAL_INTERVAL / float(np.max(row))
 
 
-def conformal_velocity(metric: ConformalMetric) -> np.ndarray:
-    """dw/dt = (1/2)(1 - K) of the normalized flow."""
-    return 0.5 * (1.0 - gaussian_curvature(metric))
-
-
 def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
-               config: FlowConfig, initial: ConformalMetric) -> FlowState:
-    """Solve the potential and the weighted spectrum of (w, phi) at t, and
-    check the class identity against the initial metric (StepReject)."""
+               config: FlowConfig, initial: ConformalMetric, warm=None
+               ) -> tuple[FlowState, spectral.Spectrum]:
+    """Check the class identity of (w, phi) at t against the initial
+    metric (StepReject), then solve its potential and weighted spectrum;
+    warm is the previous state's Spectrum, whose eigenvector blocks start
+    the solve, or None for the cold solve.  Returns the state and its
+    Spectrum."""
     grid = initial.grid
-    metric = ConformalMetric(grid=grid, w=w.copy())
-    u = solve_ricci_potential(metric)
-    spec = spectral.weighted_spectrum(metric, u.values)
-    lam_g, band = spectral.lambda_second(spec, config.band_tol)
-    funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
-    phi = phi.copy()
-    res = _class_residual(metric.w, initial.w, phi, grid)
+    res = _class_residual(w, initial.w, phi, grid)
     if res > config.class_tol:
         raise StepReject(
             f"class identity residual {res:.3e} over {config.class_tol:.0e}"
             f" at t = {t:.6g}")
-    return FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
-                     phi=phi, lambda_g=lam_g, holo_band=band,
-                     class_residual=res, spectrum=spec.vals,
-                     axial_vectors=spec.vecs[0])
-
-
-def initial_state(metric: ConformalMetric, config: FlowConfig) -> FlowState:
-    vol = volume(metric)
-    if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
-        raise VolumeMismatch(
-            f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
-            " rescale before flowing")
-    return make_state(metric.w, np.zeros(metric.grid.n_nodes), 0.0, 0.0,
-                      config, initial=metric)
+    metric = ConformalMetric(grid=grid, w=w.copy())
+    u = solve_ricci_potential(metric)
+    spec = spectral.weighted_spectrum(metric, u.values, warm)
+    lam_g, band = spectral.lambda_second(spec, config.band_tol)
+    funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
+    # fancy indexing copies: the state keeps the band columns only
+    holo = spec.vecs[1][:, spectral.band_indices(spec.vals[1], grid)]
+    state = FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
+                      phi=phi.copy(), lambda_g=lam_g, holo_band=band,
+                      class_residual=res, spectrum=spec.vals,
+                      axial_vectors=spec.vecs[0], holo_vectors=holo)
+    return state, spec
 
 
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
@@ -195,12 +213,21 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     stability_dt of the state that opens the segment takes ceil(seg / cap)
     RK4 steps, a larger one as many extrapolated steps.  A segment whose
     volume check, extrapolation or class check fails is redone with the
-    cap halved, and a halving never grows back (determinism).  Terminates
-    early once the potential oscillation drops under the early-stop
-    threshold.
+    cap halved, and a halving never grows back (determinism).  Each state
+    after t = 0 starts its spectrum from the eigenvector blocks of the last
+    recorded state, which only run holds; a rejected segment leaves them
+    as they are.  Terminates early once the potential oscillation drops
+    under the early-stop threshold.
     """
-    state = initial_state(initial, config)
-    traj = Trajectory(states=[state])
+    vol = volume(initial)
+    if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
+        raise VolumeMismatch(
+            f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
+            " rescale before flowing")
+    state, spec = make_state(initial.w, np.zeros(initial.grid.n_nodes), 0.0,
+                             0.0, config, initial)
+    traj = Trajectory(states=[])
+    traj.record(state, spec)
     _record_gate_transition(traj, state)
     if state.funcs.c0_u_minus_a < config.early_stop:
         traj.converged_at = 0.0
@@ -230,8 +257,8 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
         done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
         if ok:
             try:
-                new = make_state(w_try, phi_try, t_next, dt_seg, config,
-                                 initial)
+                new, new_spec = make_state(w_try, phi_try, t_next, dt_seg,
+                                           config, initial, spec)
             except StepReject:
                 ok = False
         if not ok:
@@ -242,8 +269,8 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
                     f"after {halvings} dt halvings near t = {t:.6g}")
             traj.events.append(("step_reject", t + done * dt_seg, dt_seg))
             continue
-        w, phi, t, state = w_try, phi_try, t_next, new
-        traj.states.append(state)
+        w, phi, t, state, spec = w_try, phi_try, t_next, new, new_spec
+        traj.record(state, spec)
         _record_gate_transition(traj, state)
         if state.funcs.c0_u_minus_a < config.early_stop:
             traj.converged_at = t

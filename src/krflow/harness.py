@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, spectral
-from .flow import FlowConfig, Trajectory, initial_state, run
+from .flow import FlowConfig, Trajectory, run
 from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        NumericalError, check_scale, conformal_metric,
                        curvature_bounds, diameter, legendre_profile,
@@ -290,6 +290,16 @@ def loads(text: str) -> ExperimentSpec:
     if spec.grid_n < MIN_NODES:
         raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
                           f"{MIN_NODES}")
+    if spec.flow.band_tol is None:
+        # lambda(g) sits about 2 above the band at 1 and must clear the
+        # band edge by 2 band_tol
+        tol = spectral.BAND_H2 * (math.pi / spec.grid_n) ** 2
+        if 3.0 * tol >= 2.0:
+            raise ConfigError(
+                f"grid_n = {spec.grid_n}: the default band_tol "
+                f"{spectral.BAND_H2:g} h^2 = {tol:.3g} leaves no room for the "
+                "gap to lambda(g), which needs 3 band_tol < 2 (grid_n >= 28)"
+                "; set [flow] band_tol explicitly")
     params = spec.monitor_dict()  # checks the monitor values
     if "t0" in monitors and params["t0"] > spec.flow.t_end:
         raise ConfigError(f"t0 = {params['t0']!r} lies past t_end = "
@@ -404,6 +414,8 @@ def write_report(path: Path, spec: ExperimentSpec,
         dts = sorted({repr(s.dt) for s in traj.states if s.dt > 0})
         blocks.append("dt_history = " + (", ".join(dts) if dts else "none"))
         blocks.append(f"n_states = {len(traj.states)}")
+        blocks.append("eigensolves = " + ", ".join(
+            f"{kind} {count}" for kind, count in traj.eigensolves.items()))
         blocks.append(f"converged_at = "
                       f"{_fmt(traj.converged_at) if traj.converged_at is not None else 'none'}")
         for ev in traj.events:
@@ -557,11 +569,7 @@ def state_at(spec: ExperimentSpec, t: float):
     """Flow the scenario to time t and return the recorded state nearest t."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ConfigError(f"t = {t} must be finite and >= 0")
-    metric = initial_metric(spec)
-    cfg = replace(spec.flow, t_end=t)
-    if t == 0.0:
-        return initial_state(metric, cfg)
-    traj = run(cfg, metric)
+    traj = run(replace(spec.flow, t_end=t), initial_metric(spec))
     ts = traj.times()
     return traj.states[int(np.argmin(np.abs(ts - t)))]
 

@@ -279,12 +279,6 @@ def _min_trace(w, phi, grid) -> float:
     return float(trace.min())
 
 
-def synthetic_trace_positivity(state: FlowState, phi_values) -> float:
-    """Min of 1 + lap_{c,0} phi for an arbitrary phi profile (failure path)."""
-    return _min_trace(state.metric.w, np.asarray(phi_values, dtype=float),
-                      state.metric.grid)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue derivative along a tracked branch
 # ---------------------------------------------------------------------------
@@ -803,16 +797,17 @@ def _bochner_mid(sh: _Shared) -> CheckReport:
 
 def _largest_c_eff(sh: _Shared) -> CheckReport:
     """The holomorphic-band member of the middle state with the largest
-    C_eff: m = 0 from the pairs the state keeps, m = 1 from one solve."""
+    C_eff, among the m = 0 and m = 1 pairs the state keeps."""
     mid = sh.mid
     c_s = spectral.sobolev_constant_estimate(mid.metric)
-    tol = spectral.default_band_tol(mid.metric.grid)
+    vals, vecs = mid.axial_pairs()
+    axial = spectral.band_indices(vals, mid.metric.grid)
     reports = []
-    for m, (vals, vecs) in ((0, mid.axial_pairs()), (1, spectral.mode_pairs(
-            mid.metric, mid.u.values, 1))):
-        for i in np.flatnonzero(np.abs(vals - 1.0) <= tol):
+    for m, lams, block in ((0, vals[axial], vecs[:, axial]),
+                           (1, *mid.holo_pairs())):
+        for lam, vec in zip(lams, block.T):
             eig = spectral.pair_data(mid.metric, mid.u.values, m,
-                                     float(vals[i]), vecs[:, i])
+                                     float(lam), vec)
             reports.append(check_gradient_estimate(mid, eig, sobolev_c=c_s))
     return max(reports, key=lambda r: r.aux["C_eff"])
 

@@ -64,35 +64,6 @@ class FunctionalBundle:
     delta_prime_0: float
 
 
-def normalization_constant_bisect(u0: np.ndarray, metric: ConformalMetric,
-                                  xtol: float = 1e-12) -> float:
-    """Bisection on the monotone map c -> (1/V) integral e^{-(u0+c)} dv - 1.
-
-    The closed form log((1/V) integral e^{-u0} dv) is what the solver uses;
-    this routine exists as the independent cross-check of that shortcut.
-    The root always lies in [-max|u0|, max|u0|].
-    """
-    vol = volume(metric)
-
-    def excess(c):
-        return weighted_integral(np.exp(-(u0 + c)), metric) / vol - 1.0
-
-    b = float(np.max(np.abs(u0)))
-    if b == 0.0 or excess(-b) * excess(b) > 0.0:
-        # constant u0 up to rounding; the map is already centered
-        return math.log(weighted_integral(np.exp(-u0), metric) / vol)
-    lo, hi = -b, b
-    if excess(lo) < 0:
-        raise NormalizationFail("monotone map not bracketed")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     """Solve the potential problem for one metric by double quadrature.
 

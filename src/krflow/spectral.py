@@ -17,8 +17,25 @@ error, an order of magnitude above the quadrature error for the first
 ten round eigenvalues, while the wide quotient leaves only quadrature.
 The result is a symmetric positive-semidefinite banded matrix (bandwidth
 three) against a positive diagonal mass, so modes m and -m coincide by
-construction and the reduced pencil goes to a Sturm-bisection banded
-eigensolver.
+construction.
+
+weighted_spectrum solves the lowest K_PER_MODE pairs of every mode m <
+N_MODES on one assembly.  Without an earlier state it takes the cold
+solve_mode per mode: Sturm bisection on the band-reduced pencil, then
+banded inverse iteration.  Every flow state after t = 0 passes the
+previous state's Spectrum instead: all modes start from its
+B-orthonormal blocks and are solved together by one step of subspace
+iteration (Parlett, The Symmetric Eigenvalue Problem; Knyazev, SIAM J.
+Sci. Comput. 2001, for the blocked Rayleigh-Ritz form): Rayleigh-Ritz
+on the new pencil, one shifted inverse-iteration sweep at the Ritz
+values through a single banded LU over every mode and pair, then batched
+QR and Rayleigh-Ritz again.  Each step costs O(n) per pair, where the
+band-to-tridiagonal reduction of the cold solve costs O(n^2).  A guard
+checks each mode's warm pairs: the i-th eigenvector must change sign
+exactly i times (Sturm oscillation, so no lower eigenvalue was skipped),
+and every pair must pass the Rayleigh residual check of the cold solve.
+A mode that fails either falls back to the cold solve, so a warm start
+that misses an eigenvalue costs time, never a wrong lambda(g).
 
 The structural self-test of the whole package lives here: on the
 normalized class (volume 4 pi, u solved) three eigenvalues are pinned at
@@ -74,16 +91,20 @@ class ModeProblem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest pairs per mode m = 0..N_MODES - 1, as mode_pairs solved them:
-    vals has shape (N_MODES, K_PER_MODE), each row ascending, and vecs[m]
-    is mode m's (n, K_PER_MODE) block of B-orthonormal eigenvectors.  A
-    mode m > 0 stands for m and -m, which coincide.  u_values None is the
-    unweighted case."""
+    """Lowest pairs per mode m = 0..N_MODES - 1, as weighted_spectrum
+    solved them: vals has shape (N_MODES, K_PER_MODE), each row ascending,
+    and vecs[m] is mode m's (n, K_PER_MODE) block of B-orthonormal
+    eigenvectors.  A mode m > 0 stands for m and -m, which coincide.
+    u_values None is the unweighted case.  warm tells whether the solve
+    started from a previous state's blocks, and fallbacks lists (m, reason)
+    for each mode whose warm pairs were refused and solved cold."""
 
     metric: ConformalMetric
     u_values: np.ndarray | None
     vals: np.ndarray
     vecs: tuple[np.ndarray, ...]
+    warm: bool = False
+    fallbacks: tuple[tuple[int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -109,15 +130,16 @@ def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
     return idx, sign
 
 
-def assemble_mode_problem(metric: ConformalMetric, u: np.ndarray | None,
-                          m: int) -> ModeProblem:
-    """Stiffness bands and mass diagonal for Fourier mode m >= 0 on the
-    nodal potential u, None for the unweighted operator.
+def assemble_modes(metric: ConformalMetric, u: np.ndarray | None,
+                   modes=range(N_MODES)) -> list[ModeProblem]:
+    """Stiffness bands and mass diagonal for each Fourier mode m >= 0 of
+    modes on the nodal potential u, None for the unweighted operator.
 
     The derivative part of the form is sum over interior flux points of
-    C_f (D R)_f^2 with the four-node flux quotient D; only the first and
-    last flux touch ghost nodes, so the interior accumulates with plain
-    slice arithmetic.
+    C_f (D R)_f^2 with the four-node flux quotient D.  Only the first and
+    last flux touch ghost nodes, so the interior bands do not depend on m:
+    they accumulate once, with plain slice arithmetic, and each mode adds
+    the two folding fluxes of its parity and its m^2 diagonal.
     """
     g = metric.grid
     n = g.n_nodes
@@ -126,35 +148,98 @@ def assemble_mode_problem(metric: ConformalMetric, u: np.ndarray | None,
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
-    parity = 1.0 if m % 2 == 0 else -1.0
-    bands = np.zeros((BANDWIDTH + 1, n))
+    interior = np.zeros((BANDWIDTH + 1, n))
     # interior fluxes j = 2..n-2 never fold
     cint = cf[1:-1]
     for a in range(4):
         for b in range(a, 4):
             k = STENCIL_OFFSETS[b] - STENCIL_OFFSETS[a]
             lo = 2 + STENCIL_OFFSETS[a]
-            bands[k, lo:lo + n - 3] += coefs[a] * coefs[b] * cint
-    # folding fluxes j = 1 and j = n - 1
-    for j, c in ((1, cf[0]), (n - 1, cf[-1])):
-        legs = []
-        for off, wgt in zip(STENCIL_OFFSETS, coefs):
-            idx, sign = _fold(j + off, n, parity)
-            legs.append((idx, sign * wgt))
-        for a in range(4):
-            for b in range(4):
-                ia, va = legs[a]
-                ib, vb = legs[b]
-                if ia <= ib:
-                    bands[ib - ia, ia] += c * va * vb
-    if m != 0:
-        bands[0] += np.pi * m * m * e * ht / g.sin_nodes
-    mass = 2.0 * np.pi * e * np.exp(2.0 * metric.w) * g.quad_weights
-    return ModeProblem(m=m, bands=bands, mass=mass)
+            interior[k, lo:lo + n - 3] += coefs[a] * coefs[b] * cint
+    mass = _mass(metric, u)
+    folded = {}  # parity -> interior plus the folding fluxes j = 1, n - 1
+    out = []
+    for m in modes:
+        parity = 1.0 if m % 2 == 0 else -1.0
+        if parity not in folded:
+            at, terms = ([], []), []
+            for j, c in ((1, cf[0]), (n - 1, cf[-1])):
+                legs = [(*_fold(j + off, n, parity), wgt)
+                        for off, wgt in zip(STENCIL_OFFSETS, coefs)]
+                for ia, sa, wa in legs:
+                    for ib, sb, wb in legs:
+                        if ia <= ib:
+                            at[0].append(ib - ia)
+                            at[1].append(ia)
+                            terms.append(c * (sa * wa) * (sb * wb))
+            bands = interior.copy()
+            np.add.at(bands, at, terms)  # in order, as a loop of +=
+            folded[parity] = bands
+        bands = folded[parity]
+        if m != 0:
+            bands = bands.copy()
+            bands[0] += np.pi * m * m * e * ht / g.sin_nodes
+        out.append(ModeProblem(m=m, bands=bands, mass=mass))
+    return out
+
+
+def _mass(metric: ConformalMetric, u: np.ndarray | None) -> np.ndarray:
+    """The mass diagonal 2 pi e^{-u} e^{2w} of the weighted L^2 form."""
+    e = 1.0 if u is None else np.exp(-u)
+    return 2.0 * np.pi * e * np.exp(2.0 * metric.w) * metric.grid.quad_weights
+
+
+def assemble_mode_problem(metric: ConformalMetric, u: np.ndarray | None,
+                          m: int) -> ModeProblem:
+    """assemble_modes for the one mode m."""
+    return assemble_modes(metric, u, (m,))[0]
+
+
+def _reduced_bands(bands: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Bands of C = B^{-1/2} A B^{-1/2}, in the storage of bands (a stack of
+    modes or one), for the diagonal mass B."""
+    n = mass.size
+    binv = 1.0 / np.sqrt(mass)
+    c = bands * binv
+    for kk in range(BANDWIDTH + 1):
+        c[..., kk, :n - kk] *= binv[kk:]
+    return c
+
+
+def _shifted_lu(c: np.ndarray, shifts: np.ndarray):
+    """One banded LU of every C_m - shifts[m, i] I, for the reduced bands
+    c[m] and the shift rows shifts[m]: the shifted matrices sit
+    block-diagonally, mode by mode and shift by shift, in one general band
+    matrix.  Its storage is ab[2 bw + i - j, j] = (C - s I)[i, j] with bw
+    spare rows on top for the pivoting fill; each block's band ends in
+    zeros, which are the cuts between blocks.  Returns dgbtrf's
+    (lu, piv, info)."""
+    modes, k = shifts.shape
+    n = c.shape[-1]
+    kl = BANDWIDTH
+    # built transposed, so that ab is in Fortran order and dgbtrf factors
+    # it in place
+    abt = np.zeros((modes, k, n, 3 * kl + 1))
+    for kk in range(kl + 1):
+        abt[:, :, kk:, 2 * kl - kk] = c[:, None, kk, :n - kk]
+        abt[:, :, :n - kk, 2 * kl + kk] = c[:, None, kk, :n - kk]
+    abt[..., 2 * kl] -= shifts[:, :, None]
+    return dgbtrf(abt.reshape(modes * k * n, 3 * kl + 1).T, kl, kl,
+                  overwrite_ab=1)
+
+
+def _lu_solve(lu, piv, rhs: np.ndarray) -> np.ndarray:
+    """dgbtrs on the stacked LU of _shifted_lu, for rhs of shape
+    (modes, k, n), or (k, n) for one mode: one right-hand side per
+    block."""
+    x, _ = dgbtrs(lu, BANDWIDTH, BANDWIDTH, rhs.reshape(-1), piv,
+                  overwrite_b=1)
+    return x.reshape(rhs.shape)
 
 
 def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal.
+    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal:
+    the cold solve, which needs no earlier state.
 
     Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
     eigenvalues come from the LAPACK expert driver ?sbevx without vectors:
@@ -162,19 +247,24 @@ def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     (O(n^2 bw) flops, O(n bw) memory), then Sturm bisection, which keeps
     the spectrum real and refinement monotone.  The eigenvectors come from
     banded inverse iteration, O(k n bw^2): the k shifted matrices
-    C - lam_i I sit block-diagonally in one general band matrix, so one LU
-    factorization and two solve sweeps (each block normalized after each
-    sweep) serve all k pairs.  No step builds an n x n matrix.  The start
-    vector is deterministic and not symmetric about the equator, so
-    odd-parity eigenvectors of equator-symmetric metrics are not left to
-    rounding noise.  Returned vectors are B-orthonormal.
+    C - lam_i I share one LU factorization (_shifted_lu), and two solve
+    sweeps (each block normalized after each sweep) serve all k pairs.  No
+    step builds an n x n matrix.  The start vector is deterministic and not
+    symmetric about the equator, so odd-parity eigenvectors of
+    equator-symmetric metrics are not left to rounding noise.  Returned
+    vectors are B-orthonormal.
+
+    weighted_spectrum takes this path without an earlier state (a flow's
+    t = 0 state).  Later states are solved warm from the previous state's
+    blocks (_warm_pairs), and a mode whose warm pairs fail the guard
+    (_refusals: a Sturm sign-change count off, or a Rayleigh residual over
+    RESIDUAL_TOL) falls back to this path.
     """
     n = problem.mass.size
-    binv = 1.0 / np.sqrt(problem.mass)
-    left = problem.bands * binv
-    band = np.zeros((BANDWIDTH + 1, n))
+    c = _reduced_bands(problem.bands, problem.mass)
+    band = np.zeros((BANDWIDTH + 1, n))  # LAPACK upper band storage
     for kk in range(BANDWIDTH + 1):
-        band[BANDWIDTH - kk, kk:] = left[kk, :n - kk] * binv[kk:]
+        band[BANDWIDTH - kk, kk:] = c[kk, :n - kk]
     w, _, found, _, info = dsbevx(band, 0.0, 0.0, 1, k, compute_v=0,
                                   range=2, lower=0, abstol=_ABSTOL,
                                   overwrite_ab=0)
@@ -184,38 +274,36 @@ def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     vals = w[:k]
     if not np.isfinite(vals).all():
         raise SolveFail(f"mode {problem.m} produced non-finite eigenvalues")
-    # general band storage, ab[2 bw + i - j, j] = (C - lam I)[i, j], with
-    # bw spare rows on top for the pivoting fill; the upper rows of `band`
-    # start with zeros, which are the cuts between blocks
-    kl = BANDWIDTH
-    ab = np.zeros((3 * kl + 1, k, n))
-    ab[kl:2 * kl + 1] = band[:, None, :]
-    for kk in range(1, kl + 1):
-        ab[2 * kl + kk, :, :n - kk] = band[kl - kk, kk:]
-    ab[2 * kl] -= vals[:, None]
-    lu, piv, info = dgbtrf(ab.reshape(3 * kl + 1, k * n), kl, kl,
-                           overwrite_ab=1)
+    lu, piv, info = _shifted_lu(c[None], vals[None])
     if info != 0:
         raise SolveFail(f"mode {problem.m} inverse iteration met a zero "
                         f"pivot (info = {info})")
     x = np.empty((k, n))
     x[:] = 1.0 + np.arange(n) / n
     for _ in range(2):
-        x, info = dgbtrs(lu, kl, kl, x.reshape(k * n), piv, overwrite_b=1)
-        x = x.reshape(k, n)
+        x = _lu_solve(lu, piv, x)
         x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    return vals, x.T * binv[:, None]
+    return vals, x.T * (1.0 / np.sqrt(problem.mass))[:, None]
+
+
+def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric banded A in upper storage, bands[..., k, i] =
+    A[i, i + k]: x is one vector (n,), an (n, k) block of columns, or a
+    stack of blocks (modes, n, k) against a stack of bands."""
+    if x.ndim == bands.ndim - 1:
+        return _band_apply(bands, x[..., None])[..., 0]
+    b = bands[..., None]
+    n = x.shape[-2]
+    out = b[..., 0, :, :] * x
+    for kk in range(1, BANDWIDTH + 1):
+        out[..., :n - kk, :] += b[..., kk, :n - kk, :] * x[..., kk:, :]
+        out[..., kk:, :] += b[..., kk, :n - kk, :] * x[..., :n - kk, :]
+    return out
 
 
 def apply_stiffness(problem: ModeProblem, vec: np.ndarray) -> np.ndarray:
     """A v for one vector or for an (n, k) block of column vectors."""
-    bands = problem.bands if vec.ndim == 1 else problem.bands[:, :, None]
-    out = bands[0] * vec
-    n = vec.shape[0]
-    for kk in range(1, BANDWIDTH + 1):
-        out[:n - kk] += bands[kk, :n - kk] * vec[kk:]
-        out[kk:] += bands[kk, :n - kk] * vec[:n - kk]
-    return out
+    return _band_apply(problem.bands, vec)
 
 
 def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
@@ -226,27 +314,103 @@ def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
     return np.sqrt(np.sum(r * r / mass, axis=0))
 
 
-def mode_pairs(metric: ConformalMetric, u: np.ndarray | None, m: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """solve_mode's lowest K_PER_MODE pairs of mode m on (metric, u), each
-    checked against its Rayleigh residual; a NaN residual fails the check."""
-    prob = assemble_mode_problem(metric, u, m)
-    vals, vecs = solve_mode(prob, K_PER_MODE)
-    res = rayleigh_residual(prob, vals, vecs)
-    bad = ~(res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))
+def _residual_ok(res: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Which residuals are within RESIDUAL_TOL max(1, |lam|); NaN is not."""
+    return res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
+
+
+def _cold_pairs(problem: ModeProblem) -> tuple[np.ndarray, np.ndarray]:
+    """solve_mode's lowest K_PER_MODE pairs, checked against their Rayleigh
+    residuals (SolveFail)."""
+    vals, vecs = solve_mode(problem, K_PER_MODE)
+    res = rayleigh_residual(problem, vals, vecs)
+    bad = ~_residual_ok(res, vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SolveFail(
-            f"mode {m} eigenpair {i} residual {res[i]:.2e} too large")
+        raise SolveFail(f"mode {problem.m} eigenpair {i} residual "
+                        f"{res[i]:.2e} too large")
     return vals, vecs
 
 
-def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None
-                      ) -> Spectrum:
-    """The checked eigenpairs of mode_pairs for every mode m < N_MODES."""
-    vals, vecs = zip(*(mode_pairs(metric, u, m) for m in range(N_MODES)))
+def _ritz(c: np.ndarray, q: np.ndarray):
+    """Rayleigh-Ritz of the reduced bands c on the orthonormal blocks q,
+    mode by mode: the Ritz values (ascending), the Ritz vectors y and C y."""
+    cq = _band_apply(c, q)
+    theta, s = np.linalg.eigh(np.swapaxes(q, -1, -2) @ cq)
+    return theta, q @ s, cq @ s
+
+
+def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
+    """Lowest pairs of every mode by one step of subspace iteration from
+    the blocks of the previous state's Spectrum warm, all modes at once.
+
+    In that state's reduced coordinates y = B^{1/2} v its blocks are
+    orthonormal, so they go straight into Rayleigh-Ritz on the new reduced
+    pencil; one shifted inverse-iteration sweep at the Ritz values follows
+    (one banded LU over every mode and pair), then QR and Rayleigh-Ritz
+    again.  Returns (vals, vecs, residuals) stacked by mode, or None on a
+    zero pivot.  With y = B^{1/2} v, the residual || C y - lam y || is
+    rayleigh_residual's || A v - lam B v || in the B^{-1} norm.  Nothing
+    here checks that the pairs are the lowest ones: _refusals does.
+    """
+    mass = problems[0].mass  # the same for every mode
+    c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
+    before = np.sqrt(_mass(warm.metric, warm.u_values))[:, None]
+    theta, x, _ = _ritz(c, before * np.stack(warm.vecs))
+    lu, piv, info = _shifted_lu(c, theta)
+    if info != 0:
+        return None
+    z = np.swapaxes(_lu_solve(lu, piv, np.swapaxes(x, 1, 2).copy()), 1, 2)
+    vals, y, cy = _ritz(c, np.linalg.qr(z)[0])
+    res = np.sqrt(np.sum((cy - y * vals[:, None, :]) ** 2, axis=1))
+    return vals, y / np.sqrt(mass)[:, None], res
+
+
+def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
+              ) -> list[str | None]:
+    """Why the warm pairs of each mode are refused, or None: the i-th
+    eigenvector of a mode must change sign exactly i times (Sturm
+    oscillation, so no lower eigenvalue was missed), and every pair must
+    pass the Rayleigh-residual check of the cold solve."""
+    changes = np.count_nonzero(np.diff(np.signbit(vecs), axis=1), axis=1)
+    sturm = (changes == np.arange(vecs.shape[2])).all(axis=1)
+    residual = _residual_ok(res, vals).all(axis=1)
+    return [None if ok_s and ok_r else "sturm" if not ok_s else "residual"
+            for ok_s, ok_r in zip(sturm, residual)]
+
+
+def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
+                      warm: Spectrum | None = None) -> Spectrum:
+    """The checked lowest K_PER_MODE pairs of every mode m < N_MODES.
+
+    Without warm, each mode takes the cold solve_mode.  warm is the
+    previous state's Spectrum: then every mode starts from its block
+    (_warm_pairs), and a mode whose warm pairs the guard refuses
+    (_refusals) takes the cold solve instead, recorded with its reason in
+    Spectrum.fallbacks.  A missed eigenvalue therefore costs a cold solve,
+    never a wrong spectrum.
+    """
+    problems = assemble_modes(metric, u)
+    reasons = [None] * len(problems)
+    if warm is not None:
+        solved = _warm_pairs(problems, warm)
+        reasons = (["pivot"] * len(problems) if solved is None
+                   else _refusals(*solved))
+    fallbacks, pairs = [], []
+    for m, (problem, reason) in enumerate(zip(problems, reasons)):
+        if warm is None:
+            pairs.append(_cold_pairs(problem))
+        elif reason is None:
+            # a copy, so a state that keeps one mode's block does not keep
+            # the whole stack
+            pairs.append((solved[0][m], solved[1][m].copy()))
+        else:
+            fallbacks.append((m, reason))
+            pairs.append(_cold_pairs(problem))
+    vals, vecs = zip(*pairs)
     return Spectrum(metric=metric, u_values=u, vals=np.array(vals),
-                    vecs=vecs)
+                    vecs=vecs, warm=warm is not None,
+                    fallbacks=tuple(fallbacks))
 
 
 def merged_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +424,18 @@ def merged_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lams[order], modes[order]
 
 
+# the default half-width of the holomorphic band, in units of h^2
+BAND_H2 = 50.0
+
+
 def default_band_tol(grid: Grid) -> float:
-    return 50.0 * grid.h ** 2
+    return BAND_H2 * grid.h ** 2
+
+
+def band_indices(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """Indices of one mode's eigenvalues within default_band_tol of 1: the
+    mode's holomorphic-band members."""
+    return np.flatnonzero(np.abs(vals - 1.0) <= default_band_tol(grid))
 
 
 def lambda_second(spectrum: Spectrum, band_tol: float | None = None
@@ -330,19 +504,6 @@ def pair_data(metric: ConformalMetric, u: np.ndarray | None, m: int,
     res = float(rayleigh_residual(prob, lam, vector))
     return EigenData(m=m, lam=lam, psi=psi, grad_bar_sq=gb,
                      rayleigh_residual=res)
-
-
-def band_eigen_data(spectrum: Spectrum, band_tol: float | None = None
-                    ) -> list[EigenData]:
-    """EigenData for the holomorphic-band members, mode by mode; a pair
-    of mode m > 0 enters twice, as in the merged spectrum."""
-    if band_tol is None:
-        band_tol = default_band_tol(spectrum.metric.grid)
-    out = []
-    for m, row in enumerate(spectrum.vals):
-        for i in np.flatnonzero(np.abs(row - 1.0) <= band_tol):
-            out += [eigen_data(spectrum, m, i)] * (1 if m == 0 else 2)
-    return out
 
 
 def plain_lambda1(metric: ConformalMetric) -> float:

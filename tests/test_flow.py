@@ -5,8 +5,8 @@ import pytest
 
 from krflow import _kernels
 from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig,
-                         conformal_velocity, log_det_bookkeeping,
-                         log_det_residual, run, stability_dt)
+                         log_det_bookkeeping, log_det_residual, run,
+                         stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
                              flux_laplacian, gaussian_curvature,
                              laplace_round, make_grid, normalize_volume,
@@ -18,6 +18,11 @@ from krflow.potential import VolumeMismatch, solve_ricci_potential
 
 def P2(x):
     return 0.5 * (3 * x ** 2 - 1)
+
+
+def conformal_velocity(metric):
+    """dw/dt = (1/2)(1 - K) of the normalized flow."""
+    return 0.5 * (1.0 - gaussian_curvature(metric))
 
 
 def fixed_steps(metric, dt, nsteps):

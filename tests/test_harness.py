@@ -576,10 +576,10 @@ class TestCli:
          "band_tol = 0.5\n[monitors]\nchecks = eigenvalue_derivative\n"
          "branch_index = 1\n", EXIT_NUMERICAL),
         (TILTED_W, EXIT_CONFIG),
-        # 0.5 P_6 is even, so no pole check rejects it; N = 16 cannot
-        # resolve its holomorphic band
+        # N = 16 cannot resolve the holomorphic band under the default
+        # band_tol, 50 h^2 = 1.93, so loads refuses the grid; it exited 3
         ("scenario = legendre_bump\ngrid_n = 16\n[scenario]\nl = 6\n"
-         "eps = 0.5\n", EXIT_NUMERICAL),
+         "eps = 0.5\n", EXIT_CONFIG),
         *((f"scenario = round\ngrid_n = 64\n[flow]\n{key} = 5\n", EXIT_CONFIG)
           for key in REMOVED_FLOW_KEYS),
         ("scenario = legendre_bump\ngrid_n = 64\n[scenario]\neps = 1e-3\n"
@@ -616,8 +616,12 @@ class TestCli:
         # a band that holds the zero eigenvalue: no state can pass
         (BUMP_SHORT + "band_tol = 1\n", EXIT_CONFIG),
         (BUMP_SHORT + "band_tol = 10\n", EXIT_CONFIG),
-        # passes the pole check now, and N = 16 cannot resolve its band
-        (P6_W, EXIT_NUMERICAL),
+        # N = 16 under the default band_tol: refused by loads, before the
+        # pole check; it exited 3
+        (P6_W, EXIT_CONFIG),
+        # with a band_tol set, it passes the pole check and the flow runs;
+        # N = 16 cannot keep it in the normalized class
+        (P6_W + "[flow]\nband_tol = 0.5\n", EXIT_NUMERICAL),
         # a short_time sampling point the run never reaches; it exited 0
         # with the t = 0.1 state's values
         (BUMP_SHORT + "[monitors]\nchecks = short_time\nt0 = 100\n",
@@ -644,7 +648,7 @@ class TestCli:
             "phi0_zero", "phi0_negative", "phi0_one", "phi0_nan",
             "t0_nan", "t0_negative", "curvature_bound_nan",
             "band_tol_one", "band_tol_ten", "custom_w_even_unresolved",
-            "t0_past_t_end"])
+            "custom_w_even_explicit_band", "t0_past_t_end"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
@@ -694,7 +698,7 @@ class TestCli:
         out = tmp_path / "o"
         path = self.write_spec(
             tmp_path, f"scenario = custom_w\ngrid_n = 16\noutput_dir = {out}\n"
-            f"[scenario]\nfile = {wfile}\n")
+            f"[scenario]\nfile = {wfile}\n[flow]\nband_tol = 0.5\n")
         assert main(["run", path]) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
         assert "non-finite" in (out / "report.txt").read_text()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from krflow.flow import FlowConfig, run
-from krflow.geometry import ConfigError, make_grid, round_metric
+from krflow.geometry import (ConfigError, laplace_round, make_grid,
+                             round_metric)
 from krflow.harness import legendre_bump
 from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              BranchCrossing, bootstrap_tracker, check_bochner,
@@ -17,10 +18,34 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              check_gradnorm_evolution, check_short_time,
                              check_weighted_poincare, check_Y_decay,
                              check_Z_derivative, convergence_order,
-                             evaluate_trajectory, synthetic_trace_positivity)
+                             evaluate_trajectory)
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import (band_eigen_data, eigen_data,
-                             sobolev_constant_estimate, weighted_spectrum)
+from krflow.spectral import (band_indices, default_band_tol, eigen_data,
+                             pair_data, sobolev_constant_estimate,
+                             weighted_spectrum)
+
+# the warm start's bounds against a cold solve, as in test_spectral:
+# eigenvalues relative to max(1, |lam|), eigenvectors to their largest entry
+WARM_TOL = 1e-10
+WARM_VEC_TOL = 1e-9
+
+
+def band_eigen_data(spec):
+    """EigenData for the holomorphic-band members, mode by mode; a pair
+    of mode m > 0 enters twice, as in the merged spectrum."""
+    tol = default_band_tol(spec.metric.grid)
+    out = []
+    for m, row in enumerate(spec.vals):
+        for i in np.flatnonzero(np.abs(row - 1.0) <= tol):
+            out += [eigen_data(spec, m, i)] * (1 if m == 0 else 2)
+    return out
+
+
+def synthetic_trace_positivity(state, phi):
+    """Min of the complex trace 1 + (1/2) e^{-2w} lap_round phi for an
+    arbitrary phi profile (failure path)."""
+    lap = laplace_round(state.metric.grid, phi)
+    return float(np.min(1.0 + 0.5 * np.exp(-2.0 * state.metric.w) * lap))
 
 
 def axial_near(spec, lam, tol):
@@ -316,12 +341,22 @@ class TestEvaluateTrajectory:
 
     def test_branch_read_from_states(self, p2_run_small, monkeypatch):
         # eigenvalue_derivative and bochner read the axial pairs make_state
-        # solved: no eigensolve, and the same pairs a fresh solve gives
+        # solved: no eigensolve, and the report of exactly those pairs;
+        # the pairs, warm-started after t = 0, agree with a fresh cold
+        # solve within the warm start's bound
         import krflow.spectral
         states = p2_run_small.states
         mid = states[len(states) // 2]
-        spec = weighted_spectrum(mid.metric, mid.u.values)
-        own = check_bochner(mid, axial_near(spec, 3.0, 0.1))
+        vals, vecs = mid.axial_pairs()
+        i = int(np.flatnonzero(np.abs(vals - 3.0) < 0.1)[0])
+        own = check_bochner(mid, pair_data(mid.metric, mid.u.values, 0,
+                                           float(vals[i]), vecs[:, i]))
+        fresh = weighted_spectrum(mid.metric, mid.u.values)
+        assert np.max(np.abs(vals - fresh.vals[0]) / np.maximum(
+            1.0, np.abs(fresh.vals[0]))) <= WARM_TOL
+        sign = np.sign(np.sum(vecs * fresh.vecs[0], axis=0))
+        assert np.max(np.abs(vecs - sign * fresh.vecs[0])) <= (
+            WARM_VEC_TOL * np.max(np.abs(fresh.vecs[0])))
         start = weighted_spectrum(states[0].metric, states[0].u.values)
         lam0 = start.vals[0, 2]
         calls = []
@@ -340,20 +375,30 @@ class TestEvaluateTrajectory:
         assert (bochner.verdict, bochner.margin, bochner.aux) == (
             own.verdict, own.margin, own.aux)
 
-    def test_gradient_estimate_solves_mode_one_only(self, p2_run_small,
-                                                    monkeypatch):
-        # the m = 0 band member is read from the middle state, so the
-        # check makes one solve; its report is the full-spectrum one's
+    def test_gradient_estimate_solves_nothing(self, p2_run_small,
+                                              monkeypatch):
+        # the m = 0 band member is read from the middle state's axial
+        # pairs and the m = 1 member from its band vectors, so the check
+        # makes no solve; its report is the one of exactly those pairs,
+        # and the one of a fresh full spectrum within rounding
         import krflow.spectral
         states = p2_run_small.states
         mid = states[len(states) // 2]
+        grid = mid.metric.grid
         c_s = sobolev_constant_estimate(mid.metric)
-        c_eff, full = 0.0, None
-        spec = weighted_spectrum(mid.metric, mid.u.values)
-        for eig in band_eigen_data(spec):
-            r = check_gradient_estimate(mid, eig, sobolev_c=c_s)
-            if r.aux["C_eff"] >= c_eff:
-                c_eff, full = r.aux["C_eff"], r
+
+        def largest(eigs):
+            return max((check_gradient_estimate(mid, e, sobolev_c=c_s)
+                        for e in eigs), key=lambda r: r.aux["C_eff"])
+
+        vals, vecs = mid.axial_pairs()
+        held = [(0, vals[i], vecs[:, i]) for i in band_indices(vals, grid)]
+        hvals, hvecs = mid.holo_pairs()
+        held += [(1, lam, vec) for lam, vec in zip(hvals, hvecs.T)]
+        kept = largest(pair_data(mid.metric, mid.u.values, m, float(lam),
+                                 vec) for m, lam, vec in held)
+        full = largest(band_eigen_data(weighted_spectrum(mid.metric,
+                                                         mid.u.values)))
         calls = []
         real = krflow.spectral.solve_mode
 
@@ -364,9 +409,11 @@ class TestEvaluateTrajectory:
         monkeypatch.setattr(krflow.spectral, "solve_mode", counted)
         (own,) = evaluate_trajectory(p2_run_small,
                                      ("gradient_estimate",)).checks
-        assert len(calls) == 1
+        assert calls == []
         assert (own.verdict, own.statement, own.aux) == (
-            full.verdict, full.statement, full.aux)
+            kept.verdict, kept.statement, kept.aux)
+        assert (own.verdict, own.statement) == (full.verdict, full.statement)
+        assert own.aux == pytest.approx(full.aux, rel=1e-8)
 
     def test_delta_defaults_per_check(self, p2_run_small):
         # bootstrap's floor uses delta = 1 and short_time's the measured

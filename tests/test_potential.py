@@ -1,5 +1,7 @@
 """Ricci potential solve and the derived functionals."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +13,6 @@ from krflow.potential import (DomainError, VolumeMismatch, average_a,
                               complex_hessian_norms, delta_prime,
                               functional_Y, functional_Z, functional_bundle,
                               futaki_integrals, hessian_t20,
-                              normalization_constant_bisect,
                               solve_ricci_potential)
 
 
@@ -21,6 +22,30 @@ def P2(x):
 
 def P3(x):
     return 0.5 * (5 * x ** 3 - 3 * x)
+
+
+def normalization_constant_bisect(u0, metric, xtol=1e-12):
+    """Bisection on the monotone map c -> (1/V) integral e^{-(u0+c)} dv - 1,
+    the independent cross-check of the solver's closed form
+    log((1/V) integral e^{-u0} dv).  The root lies in [-max|u0|, max|u0|]."""
+    vol = volume(metric)
+
+    def excess(c):
+        return weighted_integral(np.exp(-(u0 + c)), metric) / vol - 1.0
+
+    b = float(np.max(np.abs(u0)))
+    if b == 0.0 or excess(-b) * excess(b) > 0.0:
+        # constant u0 up to rounding; the map is already centered
+        return math.log(weighted_integral(np.exp(-u0), metric) / vol)
+    lo, hi = -b, b
+    assert excess(lo) >= 0, "monotone map not bracketed"
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def bump(grid, eps, l=2):

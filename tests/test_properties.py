@@ -166,7 +166,10 @@ def specs(draw):
         k: SCENARIO_VALUES[k] for k in SCENARIOS[name][1]}))
     return ExperimentSpec(
         scenario=name, scenario_params=tuple(sorted(scenario.items())),
-        grid_n=draw(st.integers(16, 10 ** 6)), flow=flow, checks=checks,
+        # loads refuses a grid under 28 nodes without an explicit band_tol
+        grid_n=draw(st.integers(28 if flow.band_tol is None else 16,
+                                10 ** 6)),
+        flow=flow, checks=checks,
         monitor_params=tuple(sorted(monitors.items())),
         sweep=tuple(draw(st.lists(real, max_size=3))),
         sweep_target=draw(st.sampled_from(SWEEP_TARGETS)),

@@ -1,17 +1,21 @@
 """Weighted-Laplacian spectra: round oracles, pinning, band extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from krflow import spectral
 from krflow.cli import main
+from krflow.flow import FlowConfig, run
 from krflow.geometry import (conformal_metric, make_grid, normalize_volume,
                              round_metric, volume, weighted_integral)
-from krflow.harness import EXIT_NUMERICAL, legendre_bump, multi_mode
+from krflow.harness import (EXIT_NUMERICAL, ExperimentSpec, legendre_bump,
+                            multi_mode, write_report)
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import (BANDWIDTH, BandAmbiguity, SolveFail,
-                             assemble_mode_problem, band_eigen_data,
+from krflow.spectral import (BANDWIDTH, K_PER_MODE, N_MODES, BandAmbiguity,
+                             SolveFail, assemble_mode_problem, band_indices,
                              eigen_data, lambda_second, merged_spectrum,
                              plain_lambda1, rayleigh_residual,
                              sobolev_constant_estimate, solve_mode,
@@ -260,10 +264,9 @@ class TestEigenData:
         m = bump(grid128, 1e-3)
         u = solve_ricci_potential(m).values
         spec = weighted_spectrum(m, u)
-        band = band_eigen_data(spec)
-        assert len(band) == 3
-        modes = sorted(e.m for e in band)
-        assert modes == [0, 1, 1]
+        # one axial member and one m = 1 member, which stands for m = +-1
+        assert [len(band_indices(row, grid128)) for row in spec.vals] == [
+            1, 1, 0]
 
 
 class TestStructure:
@@ -295,6 +298,83 @@ class TestStructure:
             assert r == pytest.approx(4.0, abs=0.5)
             r = (vals[256][i] - exact[i]) / (vals[512][i] - exact[i])
             assert r == pytest.approx(4.0, abs=0.5)
+
+
+# warm-started eigenvalues agree with the cold solve within this share of
+# max(1, |lam|), and B-orthonormal eigenvectors within this share of their
+# largest entry
+WARM_TOL = 1e-10
+WARM_VEC_TOL = 1e-9
+
+# one trajectory per grid: the dense_n64, flow_n256 and spectrum_n1024
+# shapes of perfbench, cut short
+WARM_RUNS = {
+    64: lambda: (multi_mode(make_grid(64), seed=7, decay_rate=2.0,
+                            amplitude=5e-3),
+                 FlowConfig(t_end=0.05, record_dt=1e-3)),
+    256: lambda: (legendre_bump(make_grid(256), 2, 1e-2),
+                  FlowConfig(t_end=0.2, record_dt=0.02)),
+    1024: lambda: (legendre_bump(make_grid(1024), 3, 1e-2),
+                   FlowConfig(t_end=2e-3, record_dt=5e-4)),
+}
+
+
+def assert_same_vectors(a, b):
+    """Columns of a equal those of b up to sign, within WARM_VEC_TOL."""
+    sign = np.sign(np.sum(a * b, axis=0))
+    assert np.max(np.abs(a - sign * b)) <= WARM_VEC_TOL * np.max(np.abs(b))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n", sorted(WARM_RUNS))
+    def test_warm_matches_cold_along_trajectory(self, n):
+        metric, config = WARM_RUNS[n]()
+        traj = run(config, metric)
+        later = len(traj.states) - 1
+        assert later >= 4
+        assert traj.eigensolves == {"cold": N_MODES,
+                                    "warm": N_MODES * later, "fallback": 0}
+        for s in traj.states[1:]:
+            cold = weighted_spectrum(s.metric, s.u.values)
+            rel = np.abs(s.spectrum - cold.vals) / np.maximum(
+                1.0, np.abs(cold.vals))
+            assert np.max(rel) <= WARM_TOL
+            assert_same_vectors(s.axial_vectors, cold.vecs[0])
+            assert_same_vectors(s.holo_vectors, cold.vecs[1][
+                :, band_indices(cold.vals[1], s.metric.grid)])
+
+    def test_bad_block_falls_back_to_cold(self, monkeypatch, tmp_path):
+        # mode 0's block loses its lowest eigenvector to the sixth one: the
+        # warm pairs are the second to sixth, and the Sturm guard refuses
+        # them; the state gets the cold result and the run an event
+        metric, _ = WARM_RUNS[64]()
+        s0 = run(FlowConfig(t_end=0.0), metric).states[0]
+        start = weighted_spectrum(s0.metric, s0.u.values)
+        _, six = solve_mode(assemble_mode_problem(s0.metric, s0.u.values, 0),
+                            K_PER_MODE + 1)
+        bad = start.vecs[0].copy()
+        bad[:, 0] = six[:, K_PER_MODE]
+        real = spectral.weighted_spectrum
+
+        def spoiled(metric, u, warm=None):
+            if warm is not None:
+                np.testing.assert_array_equal(warm.vecs[0], start.vecs[0])
+                warm = replace(warm, vecs=(bad, *warm.vecs[1:]))
+            return real(metric, u, warm)
+
+        monkeypatch.setattr(spectral, "weighted_spectrum", spoiled)
+        traj = run(FlowConfig(t_end=1e-3, record_dt=1e-3), metric)
+        assert traj.eigensolves == {"cold": N_MODES, "warm": N_MODES - 1,
+                                    "fallback": 1}
+        assert ("spectrum_fallback", 1e-3, 0, "sturm") in traj.events
+        s1 = traj.states[1]
+        cold = real(s1.metric, s1.u.values)
+        np.testing.assert_array_equal(s1.spectrum[0], cold.vals[0])
+        np.testing.assert_array_equal(s1.axial_vectors, cold.vecs[0])
+        write_report(tmp_path / "report.txt", ExperimentSpec(), traj, None)
+        text = (tmp_path / "report.txt").read_text()
+        assert "\neigensolves = cold 3, warm 2, fallback 1\n" in text
+        assert "\nevent = spectrum_fallback, 0.001, 0, sturm\n" in text
 
 
 class TestPlainLambda1:
