@@ -178,7 +178,8 @@ def stability_dt(metric: ConformalMetric) -> float:
 
 
 def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
-               config: FlowConfig, initial: ConformalMetric, warm=None
+               config: FlowConfig, initial: ConformalMetric,
+               warm: spectral.Spectrum | None = None
                ) -> tuple[FlowState, spectral.Spectrum]:
     """Check the class identity of (w, phi) at t against the initial
     metric (StepReject), then solve its potential and weighted spectrum;
