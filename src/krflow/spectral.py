@@ -340,6 +340,19 @@ def _ritz(c: np.ndarray, q: np.ndarray):
     return theta, q @ s, cq @ s
 
 
+def _inverse_sweep(c: np.ndarray, shifts: np.ndarray, x: np.ndarray
+                   ) -> np.ndarray | None:
+    """Solve (C_m - shifts[m, i] I) z = x[m, :, i] for every mode m and
+    pair i through one banded LU (_shifted_lu): z stacked like x, or None
+    on a zero pivot.  The LU, the largest array of a warm solve, is freed
+    on return."""
+    lu, piv, info = _shifted_lu(c, shifts)
+    if info != 0:
+        return None
+    rhs = np.swapaxes(x, 1, 2).copy()  # one block of n per pair
+    return np.swapaxes(_lu_solve(lu, piv, rhs), 1, 2)
+
+
 def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
     """Lowest pairs of every mode by one step of subspace iteration from
     the blocks of the previous state's Spectrum warm, all modes at once.
@@ -356,11 +369,10 @@ def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
     mass = problems[0].mass  # the same for every mode
     c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
     before = np.sqrt(_mass(warm.metric, warm.u_values))[:, None]
-    theta, x, _ = _ritz(c, before * np.stack(warm.vecs))
-    lu, piv, info = _shifted_lu(c, theta)
-    if info != 0:
+    theta, x = _ritz(c, before * np.stack(warm.vecs))[:2]
+    z = _inverse_sweep(c, theta, x)
+    if z is None:
         return None
-    z = np.swapaxes(_lu_solve(lu, piv, np.swapaxes(x, 1, 2).copy()), 1, 2)
     vals, y, cy = _ritz(c, np.linalg.qr(z)[0])
     res = np.sqrt(np.sum((cy - y * vals[:, None, :]) ** 2, axis=1))
     return vals, y / np.sqrt(mass)[:, None], res
