@@ -29,7 +29,8 @@ iteration (Parlett, The Symmetric Eigenvalue Problem; Knyazev, SIAM J.
 Sci. Comput. 2001, for the blocked Rayleigh-Ritz form): Rayleigh-Ritz
 on the new pencil, one shifted inverse-iteration sweep at the Ritz
 values through a single banded LU over every mode and pair, then batched
-QR and Rayleigh-Ritz again.  Each step costs O(n) per pair, where the
+QR and Rayleigh-Ritz again; a second sweep follows only when a residual
+still fails, as after a large step between records.  Each step costs O(n) per pair, where the
 band-to-tridiagonal reduction of the cold solve costs O(n^2).  A guard
 checks each mode's warm pairs: the i-th eigenvector must change sign
 exactly i times (Sturm oscillation, so no lower eigenvalue was skipped),
@@ -66,6 +67,9 @@ N_MODES = 3
 # pairs kept per mode: 5 keeps the axial branch_index in 0..3 with the pair
 # above it, which the branch-crossing guard reads
 K_PER_MODE = 5
+# inverse-iteration sweeps a warm solve may take; the second runs only when
+# a residual fails after the first, as after a large step between records
+WARM_SWEEPS = 2
 
 
 class SolveFail(NumericalError):
@@ -361,20 +365,24 @@ def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
     orthonormal, so they go straight into Rayleigh-Ritz on the new reduced
     pencil; one shifted inverse-iteration sweep at the Ritz values follows
     (one banded LU over every mode and pair), then QR and Rayleigh-Ritz
-    again.  Returns (vals, vecs, residuals) stacked by mode, or None on a
-    zero pivot.  With y = B^{1/2} v, the residual || C y - lam y || is
+    again, and up to WARM_SWEEPS sweeps while a residual fails the check.
+    Returns (vals, vecs, residuals) stacked by mode, or None on a zero
+    pivot.  With y = B^{1/2} v, the residual || C y - lam y || is
     rayleigh_residual's || A v - lam B v || in the B^{-1} norm.  Nothing
     here checks that the pairs are the lowest ones: _refusals does.
     """
     mass = problems[0].mass  # the same for every mode
     c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
     before = np.sqrt(_mass(warm.metric, warm.u_values))[:, None]
-    theta, x = _ritz(c, before * np.stack(warm.vecs))[:2]
-    z = _inverse_sweep(c, theta, x)
-    if z is None:
-        return None
-    vals, y, cy = _ritz(c, np.linalg.qr(z)[0])
-    res = np.sqrt(np.sum((cy - y * vals[:, None, :]) ** 2, axis=1))
+    vals, y = _ritz(c, before * np.stack(warm.vecs))[:2]
+    for _ in range(WARM_SWEEPS):
+        z = _inverse_sweep(c, vals, y)
+        if z is None:
+            return None
+        vals, y, cy = _ritz(c, np.linalg.qr(z)[0])
+        res = np.sqrt(np.sum((cy - y * vals[:, None, :]) ** 2, axis=1))
+        if _residual_ok(res, vals).all():
+            break
     return vals, y / np.sqrt(mass)[:, None], res
 
 
@@ -387,7 +395,7 @@ def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
     changes = np.count_nonzero(np.diff(np.signbit(vecs), axis=1), axis=1)
     sturm = (changes == np.arange(vecs.shape[2])).all(axis=1)
     residual = _residual_ok(res, vals).all(axis=1)
-    return [None if ok_s and ok_r else "sturm" if not ok_s else "residual"
+    return ["sturm" if not ok_s else "residual" if not ok_r else None
             for ok_s, ok_r in zip(sturm, residual)]
 
 
