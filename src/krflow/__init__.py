@@ -23,7 +23,7 @@ from .potential import (FunctionalBundle, RicciPotential, average_a,
                         functional_Z, functional_bundle, futaki_integrals,
                         solve_ricci_potential, DomainError, VolumeMismatch)
 from .spectral import (BandAmbiguity, EigenData, ModeProblem, SolveFail,
-                       Spectrum, eigen_data, lambda_second, plain_lambda1,
+                       Spectrum, eigen_data, lambda_second,
                        sobolev_constant_estimate, weighted_spectrum)
 from .flow import (FlowConfig, FlowState, StepReject, Trajectory,
                    log_det_bookkeeping, run)

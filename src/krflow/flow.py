@@ -100,9 +100,11 @@ class FlowState:
 
     spectrum holds the per-mode eigenvalues make_state solved (Spectrum.vals,
     row m ascending) and axial_vectors the B-orthonormal eigenvectors of
-    row 0, in order, as (n, k) columns.  holo_vectors holds the columns of
-    mode 1's block in the holomorphic band (spectral.band_indices) and no
-    others, so the monitors read every band member without a solve.
+    row 0, in order, as (n, k) columns.  band_members is the mask of the
+    holomorphic-band members that lambda_second counted under the run's
+    band_tol, shaped like spectrum; holo_vectors holds the columns of mode
+    1's block that it marks and no others, so the monitors read every band
+    member without a solve.
     class_residual is the sup-norm residual of the class identity against
     the initial metric.
     """
@@ -117,6 +119,7 @@ class FlowState:
     holo_band: list[float]
     class_residual: float
     spectrum: np.ndarray
+    band_members: np.ndarray
     axial_vectors: np.ndarray
     holo_vectors: np.ndarray
 
@@ -126,9 +129,7 @@ class FlowState:
 
     def holo_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Mode 1's holomorphic-band eigenvalues and their eigenvectors."""
-        vals = self.spectrum[1]
-        band = spectral.band_indices(vals, self.metric.grid)
-        return vals[band], self.holo_vectors
+        return self.spectrum[1][self.band_members[1]], self.holo_vectors
 
 
 @dataclass
@@ -148,9 +149,14 @@ class Trajectory:
     def times(self):
         return np.array([s.t for s in self.states])
 
-    def record(self, state: FlowState, spec: spectral.Spectrum) -> None:
-        """Append a state, count its eigensolves, and add a
-        spectrum_fallback event per mode whose warm start was refused."""
+    def record(self, state: FlowState, spec: spectral.Spectrum,
+               early_stop: float) -> bool:
+        """Append a state, count its eigensolves and add its events: a
+        spectrum_fallback per mode whose warm start was refused, a
+        decay_gate at the first state and wherever the gate flips, and
+        converged, which sets converged_at, when |u - a| drops under
+        early_stop.  Returns whether it converged."""
+        before = _decay_gate(self.states[-1]) if self.states else None
         self.states.append(state)
         refused = len(spec.fallbacks)
         self.eigensolves["warm" if spec.warm else "cold"] += (
@@ -158,6 +164,14 @@ class Trajectory:
         self.eigensolves["fallback"] += refused
         self.events += [("spectrum_fallback", state.t, m, reason)
                         for m, reason in spec.fallbacks]
+        now = _decay_gate(state)
+        if now != before:
+            self.events.append(("decay_gate", state.t, "on" if now else "off"))
+        if state.funcs.c0_u_minus_a < early_stop:
+            self.converged_at = state.t
+            self.events.append(("converged", state.t))
+            return True
+        return False
 
 
 def stability_dt(metric: ConformalMetric) -> float:
@@ -195,14 +209,15 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     metric = ConformalMetric(grid=grid, w=w.copy())
     u = solve_ricci_potential(metric)
     spec = spectral.weighted_spectrum(metric, u.values, warm)
-    lam_g, band = spectral.lambda_second(spec, config.band_tol)
+    lam_g, band, members = spectral.lambda_second(spec, config.band_tol)
     funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
     # fancy indexing copies: the state keeps the band columns only
-    holo = spec.vecs[1][:, spectral.band_indices(spec.vals[1], grid)]
+    holo = spec.vecs[1][:, members[1]]
     state = FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
                       phi=phi.copy(), lambda_g=lam_g, holo_band=band,
                       class_residual=res, spectrum=spec.vals,
-                      axial_vectors=spec.vecs[0], holo_vectors=holo)
+                      band_members=members, axial_vectors=spec.vecs[0],
+                      holo_vectors=holo)
     return state, spec
 
 
@@ -225,58 +240,48 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
         raise VolumeMismatch(
             f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
             " rescale before flowing")
-    state, spec = make_state(initial.w, np.zeros(initial.grid.n_nodes), 0.0,
-                             0.0, config, initial)
-    traj = Trajectory(states=[])
-    traj.record(state, spec)
-    _record_gate_transition(traj, state)
-    if state.funcs.c0_u_minus_a < config.early_stop:
-        traj.converged_at = 0.0
-        traj.events.append(("converged", 0.0))
-        return traj
     grid = initial.grid
+    state, spec = make_state(initial.w, np.zeros(grid.n_nodes), 0.0, 0.0,
+                             config, initial)
+    traj = Trajectory(states=[])
     vol_limit = config.vol_tol * ROUND_VOLUME
     t = 0.0
     w = initial.w.copy()
     phi = np.zeros(grid.n_nodes)
     halvings = 0
     cap0 = config.dt_init if config.dt_init is not None else config.record_dt
-    while t < config.t_end - 1e-12:
+    # every accepted state, the t = 0 one first, is recorded here once
+    while (not traj.record(state, spec, config.early_stop)
+           and t < config.t_end - 1e-12):
         # segment k ends at k record_dt, so t accumulates no rounding, and
         # a full segment lasts record_dt whatever the rounding of its ends
         k = len(traj.states)
         t_next = min(k * config.record_dt, config.t_end)
         seg = (config.record_dt if k * config.record_dt
                <= config.t_end + 1e-12 else t_next - t)
-        dt_cap = cap0 * 0.5 ** halvings
-        nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
-        dt_seg = seg / nst
-        advance = (advance_rk4 if dt_cap <= stability_dt(state.metric)
-                   * (1 + 1e-12) else advance_extrapolated)
-        w_try = w.copy()
-        phi_try = phi.copy()
-        done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
-        if ok:
-            try:
-                new, new_spec = make_state(w_try, phi_try, t_next, dt_seg,
-                                           config, initial, spec)
-            except StepReject:
-                ok = False
-        if not ok:
+        while True:  # redo the segment, cap halved, until it passes
+            dt_cap = cap0 * 0.5 ** halvings
+            nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
+            dt_seg = seg / nst
+            advance = (advance_rk4 if dt_cap <= stability_dt(state.metric)
+                       * (1 + 1e-12) else advance_extrapolated)
+            w_try = w.copy()
+            phi_try = phi.copy()
+            done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
+            if ok:
+                try:
+                    new, new_spec = make_state(w_try, phi_try, t_next,
+                                               dt_seg, config, initial, spec)
+                    break
+                except StepReject:
+                    pass
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise StepReject(
                     f"volume, extrapolation or class check kept failing "
                     f"after {halvings} dt halvings near t = {t:.6g}")
             traj.events.append(("step_reject", t + done * dt_seg, dt_seg))
-            continue
         w, phi, t, state, spec = w_try, phi_try, t_next, new, new_spec
-        traj.record(state, spec)
-        _record_gate_transition(traj, state)
-        if state.funcs.c0_u_minus_a < config.early_stop:
-            traj.converged_at = t
-            traj.events.append(("converged", t))
-            break
     return traj
 
 
@@ -287,13 +292,6 @@ def decay_cap(delta_prime: float) -> float:
 
 def _decay_gate(state: FlowState) -> bool:
     return state.funcs.c0_u_minus_a <= decay_cap(state.funcs.delta_prime_0)
-
-
-def _record_gate_transition(traj: Trajectory, state: FlowState) -> None:
-    now = _decay_gate(state)
-    before = _decay_gate(traj.states[-2]) if len(traj.states) > 1 else None
-    if before is None or now != before:
-        traj.events.append(("decay_gate", state.t, "on" if now else "off"))
 
 
 def _class_residual(w, w0, phi, grid) -> float:

@@ -792,7 +792,7 @@ def _bochner_mid(sh: _Shared) -> CheckReport:
     mid, index = sh.mid, sh.p["branch_index"]
     vals, vecs = mid.axial_pairs()
     return check_bochner(mid, spectral.pair_data(
-        mid.metric, mid.u.values, 0, float(vals[index]), vecs[:, index]))
+        mid.metric, 0, float(vals[index]), vecs[:, index]))
 
 
 def _largest_c_eff(sh: _Shared) -> CheckReport:
@@ -801,13 +801,12 @@ def _largest_c_eff(sh: _Shared) -> CheckReport:
     mid = sh.mid
     c_s = spectral.sobolev_constant_estimate(mid.metric)
     vals, vecs = mid.axial_pairs()
-    axial = spectral.band_indices(vals, mid.metric.grid)
+    axial = mid.band_members[0]
     reports = []
     for m, lams, block in ((0, vals[axial], vecs[:, axial]),
                            (1, *mid.holo_pairs())):
         for lam, vec in zip(lams, block.T):
-            eig = spectral.pair_data(mid.metric, mid.u.values, m,
-                                     float(lam), vec)
+            eig = spectral.pair_data(mid.metric, m, float(lam), vec)
             reports.append(check_gradient_estimate(mid, eig, sobolev_c=c_s))
     return max(reports, key=lambda r: r.aux["C_eff"])
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from ._kernels import flux_potential
 from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME, dtheta,
-                       grad_c0_norm, grad_norm_sq, laplace_round, volume,
-                       weighted_integral)
+                       grad_norm_sq, laplace_round, volume, weighted_integral)
 
 
 VOLUME_TOL = 1e-8  # |V - 4 pi| / 4 pi past which the solve refuses
@@ -81,8 +80,7 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     hs = grid.h * grid.sin_nodes
     e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
     rhs = 2.0 * g  # 2 (1 - K) e^{2w}
-    vol_q = 2.0 * np.pi * np.sum(e2w * grid.quad_weights)
-    mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol_q
+    mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol
     c = math.log(mean)
     u = u0 + c
     pde_res = float(np.max(np.abs(
@@ -175,10 +173,11 @@ def functional_bundle(u: np.ndarray, metric: ConformalMetric,
     """
     a = average_a(u, metric)
     y = functional_Y(u, a, metric)
-    z = functional_Z(u, metric)
+    grad_sq = grad_norm_sq(u, metric)  # for Z and for its C0 norm
+    z = weighted_integral(grad_sq * np.exp(-u), metric) / volume(metric)
     osc = float(u.max() - u.min())
     c0 = float(np.max(np.abs(u - a)))
-    gc0 = grad_c0_norm(u, metric)
+    gc0 = float(np.sqrt(np.max(grad_sq)))
     dp0 = delta_prime(max(lambda_g - 1.0, 0.0), osc)
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
                             grad_u_c0=gc0, delta_prime_0=dp0)

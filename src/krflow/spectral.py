@@ -20,28 +20,30 @@ three) against a positive diagonal mass, so modes m and -m coincide by
 construction.
 
 weighted_spectrum solves the lowest K_PER_MODE pairs of every mode m <
-N_MODES on one assembly.  Without an earlier state it takes the cold
-solve_mode per mode: Sturm bisection on the band-reduced pencil, then
-banded inverse iteration.  Every flow state after t = 0 passes the
-previous state's Spectrum instead: all modes start from its
-B-orthonormal blocks and are solved together by one step of subspace
-iteration (Parlett, The Symmetric Eigenvalue Problem; Knyazev, SIAM J.
-Sci. Comput. 2001, for the blocked Rayleigh-Ritz form): Rayleigh-Ritz
-on the new pencil, one shifted inverse-iteration sweep at the Ritz
-values through a single banded LU over every mode and pair, then batched
-QR and Rayleigh-Ritz again; a second sweep follows only when a residual
-still fails, as after a large step between records.  Each step costs O(n) per pair, where the
-band-to-tridiagonal reduction of the cold solve costs O(n^2).  A guard
-checks each mode's warm pairs: the i-th eigenvector must change sign
-exactly i times (Sturm oscillation, so no lower eigenvalue was skipped),
-and every pair must pass the Rayleigh residual check of the cold solve.
-A mode that fails either falls back to the cold solve, so a warm start
-that misses an eigenvalue costs time, never a wrong lambda(g).
+N_MODES on one assembly.  Both of its paths end in the same refinement
+(_refine), a step of subspace iteration (Parlett, The Symmetric
+Eigenvalue Problem; Knyazev, SIAM J. Sci. Comput. 2001, for the blocked
+Rayleigh-Ritz form): one shifted inverse-iteration sweep through a single
+banded LU over every mode and pair, then QR and Rayleigh-Ritz, with each
+pair's residual computed once in reduced coordinates; a second sweep, at
+the Ritz values, follows only when a residual still fails.  They differ
+in where shifts and start blocks come from.  Without an earlier state,
+the cold solve_mode takes each mode's shifts from Sturm bisection on the
+band-reduced pencil and starts from a fixed vector.  Every flow state
+after t = 0 passes the previous state's Spectrum instead: all modes start
+from its B-orthonormal blocks, shifted at their Ritz values on the new
+pencil.  Each sweep costs O(n) per pair, where the band-to-tridiagonal
+reduction of the cold solve costs O(n^2).  A guard checks each mode's
+warm pairs: the i-th eigenvector must change sign exactly i times (Sturm
+oscillation, so no lower eigenvalue was skipped), and every residual must
+pass.  A mode that fails either falls back to the cold solve, so a warm
+start that misses an eigenvalue costs time, never a wrong lambda(g).
 
 The structural self-test of the whole package lives here: on the
 normalized class (volume 4 pi, u solved) three eigenvalues are pinned at
 1, the holomorphic band, and the "second" eigenvalue lambda(g) is read
-above that band.
+above that band.  lambda_second alone decides which pairs are band
+members, under the caller's band_tol, and returns them per mode.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ N_MODES = 3
 # pairs kept per mode: 5 keeps the axial branch_index in 0..3 with the pair
 # above it, which the branch-crossing guard reads
 K_PER_MODE = 5
-# inverse-iteration sweeps a warm solve may take; the second runs only when
+# inverse-iteration sweeps a refinement may take; the second runs only when
 # a residual fails after the first, as after a large step between records
-WARM_SWEEPS = 2
+MAX_SWEEPS = 2
 
 
 class SolveFail(NumericalError):
@@ -119,7 +121,6 @@ class EigenData:
     lam: float
     psi: np.ndarray
     grad_bar_sq: np.ndarray
-    rayleigh_residual: float
 
 
 def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
@@ -134,10 +135,10 @@ def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
     return idx, sign
 
 
-def assemble_modes(metric: ConformalMetric, u: np.ndarray | None,
-                   modes=range(N_MODES)) -> list[ModeProblem]:
-    """Stiffness bands and mass diagonal for each Fourier mode m >= 0 of
-    modes on the nodal potential u, None for the unweighted operator.
+def assemble_modes(metric: ConformalMetric,
+                   u: np.ndarray | None) -> list[ModeProblem]:
+    """Stiffness bands and mass diagonal for each Fourier mode m < N_MODES
+    on the nodal potential u, None for the unweighted operator.
 
     The derivative part of the form is sum over interior flux points of
     C_f (D R)_f^2 with the four-node flux quotient D.  Only the first and
@@ -163,7 +164,7 @@ def assemble_modes(metric: ConformalMetric, u: np.ndarray | None,
     mass = _mass(metric, u)
     folded = {}  # parity -> interior plus the folding fluxes j = 1, n - 1
     out = []
-    for m in modes:
+    for m in range(N_MODES):
         parity = 1.0 if m % 2 == 0 else -1.0
         if parity not in folded:
             at, terms = ([], []), []
@@ -191,12 +192,6 @@ def _mass(metric: ConformalMetric, u: np.ndarray | None) -> np.ndarray:
     """The mass diagonal 2 pi e^{-u} e^{2w} of the weighted L^2 form."""
     e = 1.0 if u is None else np.exp(-u)
     return 2.0 * np.pi * e * np.exp(2.0 * metric.w) * metric.grid.quad_weights
-
-
-def assemble_mode_problem(metric: ConformalMetric, u: np.ndarray | None,
-                          m: int) -> ModeProblem:
-    """assemble_modes for the one mode m."""
-    return assemble_modes(metric, u, (m,))[0]
 
 
 def _reduced_bands(bands: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -241,61 +236,10 @@ def _lu_solve(lu, piv, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(rhs.shape)
 
 
-def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal:
-    the cold solve, which needs no earlier state.
-
-    Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
-    eigenvalues come from the LAPACK expert driver ?sbevx without vectors:
-    a band-to-tridiagonal reduction that never forms its orthogonal factor
-    (O(n^2 bw) flops, O(n bw) memory), then Sturm bisection, which keeps
-    the spectrum real and refinement monotone.  The eigenvectors come from
-    banded inverse iteration, O(k n bw^2): the k shifted matrices
-    C - lam_i I share one LU factorization (_shifted_lu), and two solve
-    sweeps (each block normalized after each sweep) serve all k pairs.  No
-    step builds an n x n matrix.  The start vector is deterministic and not
-    symmetric about the equator, so odd-parity eigenvectors of
-    equator-symmetric metrics are not left to rounding noise.  Returned
-    vectors are B-orthonormal.
-
-    weighted_spectrum takes this path without an earlier state (a flow's
-    t = 0 state).  Later states are solved warm from the previous state's
-    blocks (_warm_pairs), and a mode whose warm pairs fail the guard
-    (_refusals: a Sturm sign-change count off, or a Rayleigh residual over
-    RESIDUAL_TOL) falls back to this path.
-    """
-    n = problem.mass.size
-    c = _reduced_bands(problem.bands, problem.mass)
-    band = np.zeros((BANDWIDTH + 1, n))  # LAPACK upper band storage
-    for kk in range(BANDWIDTH + 1):
-        band[BANDWIDTH - kk, kk:] = c[kk, :n - kk]
-    w, _, found, _, info = dsbevx(band, 0.0, 0.0, 1, k, compute_v=0,
-                                  range=2, lower=0, abstol=_ABSTOL,
-                                  overwrite_ab=0)
-    if info != 0 or found < k:
-        raise SolveFail(f"mode {problem.m} bisection returned {found} of {k}"
-                        f" eigenvalues (info = {info})")
-    vals = w[:k]
-    if not np.isfinite(vals).all():
-        raise SolveFail(f"mode {problem.m} produced non-finite eigenvalues")
-    lu, piv, info = _shifted_lu(c[None], vals[None])
-    if info != 0:
-        raise SolveFail(f"mode {problem.m} inverse iteration met a zero "
-                        f"pivot (info = {info})")
-    x = np.empty((k, n))
-    x[:] = 1.0 + np.arange(n) / n
-    for _ in range(2):
-        x = _lu_solve(lu, piv, x)
-        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    return vals, x.T * (1.0 / np.sqrt(problem.mass))[:, None]
-
-
 def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for the symmetric banded A in upper storage, bands[..., k, i] =
-    A[i, i + k]: x is one vector (n,), an (n, k) block of columns, or a
-    stack of blocks (modes, n, k) against a stack of bands."""
-    if x.ndim == bands.ndim - 1:
-        return _band_apply(bands, x[..., None])[..., 0]
+    A[i, i + k], on an (n, k) block of columns, or a stack of blocks
+    (modes, n, k) against a stack of bands."""
     b = bands[..., None]
     n = x.shape[-2]
     out = b[..., 0, :, :] * x
@@ -303,37 +247,6 @@ def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[..., :n - kk, :] += b[..., kk, :n - kk, :] * x[..., kk:, :]
         out[..., kk:, :] += b[..., kk, :n - kk, :] * x[..., :n - kk, :]
     return out
-
-
-def apply_stiffness(problem: ModeProblem, vec: np.ndarray) -> np.ndarray:
-    """A v for one vector or for an (n, k) block of column vectors."""
-    return _band_apply(problem.bands, vec)
-
-
-def rayleigh_residual(problem: ModeProblem, lam, vec: np.ndarray):
-    """|| A v - lam B v || in the B^{-1} norm for a B-normalized vector;
-    for an (n, k) block with k eigenvalues lam, one residual per column."""
-    mass = problem.mass if vec.ndim == 1 else problem.mass[:, None]
-    r = apply_stiffness(problem, vec) - lam * mass * vec
-    return np.sqrt(np.sum(r * r / mass, axis=0))
-
-
-def _residual_ok(res: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Which residuals are within RESIDUAL_TOL max(1, |lam|); NaN is not."""
-    return res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
-
-
-def _cold_pairs(problem: ModeProblem) -> tuple[np.ndarray, np.ndarray]:
-    """solve_mode's lowest K_PER_MODE pairs, checked against their Rayleigh
-    residuals (SolveFail)."""
-    vals, vecs = solve_mode(problem, K_PER_MODE)
-    res = rayleigh_residual(problem, vals, vecs)
-    bad = ~_residual_ok(res, vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SolveFail(f"mode {problem.m} eigenpair {i} residual "
-                        f"{res[i]:.2e} too large")
-    return vals, vecs
 
 
 def _ritz(c: np.ndarray, q: np.ndarray):
@@ -348,13 +261,99 @@ def _inverse_sweep(c: np.ndarray, shifts: np.ndarray, x: np.ndarray
                    ) -> np.ndarray | None:
     """Solve (C_m - shifts[m, i] I) z = x[m, :, i] for every mode m and
     pair i through one banded LU (_shifted_lu): z stacked like x, or None
-    on a zero pivot.  The LU, the largest array of a warm solve, is freed
-    on return."""
+    on a zero pivot.  The LU, the largest array of a solve, is freed on
+    return."""
     lu, piv, info = _shifted_lu(c, shifts)
     if info != 0:
         return None
     rhs = np.swapaxes(x, 1, 2).copy()  # one block of n per pair
     return np.swapaxes(_lu_solve(lu, piv, rhs), 1, 2)
+
+
+def rayleigh_residual(y: np.ndarray, cy: np.ndarray,
+                      vals: np.ndarray) -> np.ndarray:
+    """|| C y - lam y || per pair, for orthonormal blocks y of the reduced
+    pencil stacked (..., n, k), C y and their Ritz values (..., k).  With
+    y = B^{1/2} v this is || A v - lam B v || in the B^{-1} norm."""
+    return np.sqrt(np.sum((cy - y * vals[..., None, :]) ** 2, axis=-2))
+
+
+def _residual_ok(res: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Which residuals are within RESIDUAL_TOL max(1, |lam|); NaN is not."""
+    return res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
+
+
+def _refine(c: np.ndarray, mass: np.ndarray, shifts: np.ndarray,
+            x: np.ndarray):
+    """Pairs of the reduced bands c (modes, bw + 1, n) near the shifts
+    (modes, k), from the start blocks x (modes, n, k): one shifted
+    inverse-iteration sweep through one banded LU over every mode and
+    pair, QR and Rayleigh-Ritz, and up to MAX_SWEEPS sweeps, each at the
+    last Ritz values, while a residual fails.  Returns (vals, vecs,
+    residuals) stacked by mode, with vecs B-orthonormal for the diagonal
+    mass, or None on a zero pivot.  Nothing here checks that the pairs pass
+    or are the lowest ones: the callers do."""
+    for _ in range(MAX_SWEEPS):
+        z = _inverse_sweep(c, shifts, x)
+        if z is None:
+            return None
+        shifts, x, cx = _ritz(c, np.linalg.qr(z)[0])
+        res = rayleigh_residual(x, cx, shifts)
+        if _residual_ok(res, shifts).all():
+            break
+    return shifts, x / np.sqrt(mass)[:, None], res
+
+
+def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal:
+    the cold solve, which needs no earlier state.
+
+    Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
+    LAPACK expert driver ?sbevx without vectors supplies the shifts: a
+    band-to-tridiagonal reduction that never forms its orthogonal factor
+    (O(n^2 bw) flops, O(n bw) memory), then Sturm bisection, which cannot
+    skip an eigenvalue.  _refine, the warm solve's step, then takes the
+    pairs from a deterministic start vector, not symmetric about the
+    equator, so odd-parity eigenvectors of equator-symmetric metrics are
+    not left to rounding noise: an inverse sweep at the k shifts (one LU
+    for all of them, O(k n bw^2)), QR and Rayleigh-Ritz, whose eigenvalues
+    match the Rayleigh quotients of their own vectors more closely than
+    bisection's.  No step builds an n x n matrix.  Raises SolveFail when
+    bisection returns fewer than k values, on a zero pivot, or when a
+    residual fails RESIDUAL_TOL.  Returned vectors are B-orthonormal.
+
+    weighted_spectrum takes this path without an earlier state (a flow's
+    t = 0 state).  Later states are solved warm from the previous state's
+    blocks (_warm_pairs), and a mode whose warm pairs fail the guard
+    (_refusals: a Sturm sign-change count off, or a residual over
+    RESIDUAL_TOL) falls back to this path.
+    """
+    n = problem.mass.size
+    c = _reduced_bands(problem.bands, problem.mass)
+    band = np.zeros((BANDWIDTH + 1, n))  # LAPACK upper band storage
+    for kk in range(BANDWIDTH + 1):
+        band[BANDWIDTH - kk, kk:] = c[kk, :n - kk]
+    w, _, found, _, info = dsbevx(band, 0.0, 0.0, 1, k, compute_v=0,
+                                  range=2, lower=0, abstol=_ABSTOL,
+                                  overwrite_ab=0)
+    if info != 0 or found < k:
+        raise SolveFail(f"mode {problem.m} bisection returned {found} of {k}"
+                        f" eigenvalues (info = {info})")
+    if not np.isfinite(w[:k]).all():
+        raise SolveFail(f"mode {problem.m} produced non-finite eigenvalues")
+    x = np.empty((1, n, k))
+    x[:] = (1.0 + np.arange(n) / n)[:, None]
+    solved = _refine(c[None], problem.mass, w[None, :k], x)
+    if solved is None:
+        raise SolveFail(f"mode {problem.m} inverse iteration met a zero "
+                        "pivot")
+    vals, vecs, res = (a[0] for a in solved)
+    bad = ~_residual_ok(res, vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolveFail(f"mode {problem.m} eigenpair {i} residual "
+                        f"{res[i]:.2e} too large")
+    return vals, vecs
 
 
 def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
@@ -363,27 +362,14 @@ def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
 
     In that state's reduced coordinates y = B^{1/2} v its blocks are
     orthonormal, so they go straight into Rayleigh-Ritz on the new reduced
-    pencil; one shifted inverse-iteration sweep at the Ritz values follows
-    (one banded LU over every mode and pair), then QR and Rayleigh-Ritz
-    again, and up to WARM_SWEEPS sweeps while a residual fails the check.
-    Returns (vals, vecs, residuals) stacked by mode, or None on a zero
-    pivot.  With y = B^{1/2} v, the residual || C y - lam y || is
-    rayleigh_residual's || A v - lam B v || in the B^{-1} norm.  Nothing
-    here checks that the pairs are the lowest ones: _refusals does.
+    pencil, and _refine starts from its Ritz pairs.  Returns _refine's
+    (vals, vecs, residuals) stacked by mode, or None on a zero pivot.
     """
     mass = problems[0].mass  # the same for every mode
     c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
     before = np.sqrt(_mass(warm.metric, warm.u_values))[:, None]
     vals, y = _ritz(c, before * np.stack(warm.vecs))[:2]
-    for _ in range(WARM_SWEEPS):
-        z = _inverse_sweep(c, vals, y)
-        if z is None:
-            return None
-        vals, y, cy = _ritz(c, np.linalg.qr(z)[0])
-        res = np.sqrt(np.sum((cy - y * vals[:, None, :]) ** 2, axis=1))
-        if _residual_ok(res, vals).all():
-            break
-    return vals, y / np.sqrt(mass)[:, None], res
+    return _refine(c, mass, vals, y)
 
 
 def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
@@ -391,7 +377,7 @@ def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
     """Why the warm pairs of each mode are refused, or None: the i-th
     eigenvector of a mode must change sign exactly i times (Sturm
     oscillation, so no lower eigenvalue was missed), and every pair must
-    pass the Rayleigh-residual check of the cold solve."""
+    pass the residual check of the cold solve."""
     changes = np.count_nonzero(np.diff(np.signbit(vecs), axis=1), axis=1)
     sturm = (changes == np.arange(vecs.shape[2])).all(axis=1)
     residual = _residual_ok(res, vals).all(axis=1)
@@ -419,14 +405,14 @@ def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
     fallbacks, pairs = [], []
     for m, (problem, reason) in enumerate(zip(problems, reasons)):
         if warm is None:
-            pairs.append(_cold_pairs(problem))
+            pairs.append(solve_mode(problem, K_PER_MODE))
         elif reason is None:
             # a copy, so a state that keeps one mode's block does not keep
             # the whole stack
             pairs.append((solved[0][m], solved[1][m].copy()))
         else:
             fallbacks.append((m, reason))
-            pairs.append(_cold_pairs(problem))
+            pairs.append(solve_mode(problem, K_PER_MODE))
     vals, vecs = zip(*pairs)
     return Spectrum(metric=metric, u_values=u, vals=np.array(vals),
                     vecs=vecs, warm=warm is not None,
@@ -452,24 +438,22 @@ def default_band_tol(grid: Grid) -> float:
     return BAND_H2 * grid.h ** 2
 
 
-def band_indices(vals: np.ndarray, grid: Grid) -> np.ndarray:
-    """Indices of one mode's eigenvalues within default_band_tol of 1: the
-    mode's holomorphic-band members."""
-    return np.flatnonzero(np.abs(vals - 1.0) <= default_band_tol(grid))
-
-
 def lambda_second(spectrum: Spectrum, band_tol: float | None = None
-                  ) -> tuple[float, list[float]]:
+                  ) -> tuple[float, list[float], np.ndarray]:
     """Extract lambda(g) above the holomorphic band pinned at 1.
 
-    The band is every eigenvalue within band_tol of 1 and must contain
-    exactly three members; lambda(g) is the smallest eigenvalue strictly
-    above it, and its gap to the band edge must clear 2 band_tol.  Any
-    other violation of the expected layout raises BandAmbiguity, the
-    refusal path that tells the caller to refine.
+    The band is every eigenvalue within band_tol of 1 (None: the grid's
+    default_band_tol) and must contain exactly three members, a pair of
+    mode m > 0 counting for m and -m; lambda(g) is the smallest eigenvalue
+    strictly above it, and its gap to the band edge must clear 2 band_tol.
+    Any other violation of the expected layout raises BandAmbiguity, the
+    refusal path that tells the caller to refine.  Returns lambda(g), the
+    band's merged eigenvalues, and the members as a mask shaped like
+    spectrum.vals: the one classification every reader of the band uses.
     """
     if band_tol is None:
         band_tol = default_band_tol(spectrum.metric.grid)
+    members = np.abs(spectrum.vals - 1.0) <= band_tol
     vals = merged_spectrum(spectrum.vals)[0]
     band = [float(v) for v in vals if abs(v - 1.0) <= band_tol]
     if len(band) != 3:
@@ -488,7 +472,7 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
         raise BandAmbiguity(
             f"gap {lam_g - 1.0 - band_tol:.3e} above the band is under "
             f"2 band_tol = {2 * band_tol:.3e}")
-    return lam_g, band
+    return lam_g, band, members
 
 
 def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
@@ -504,14 +488,14 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
 
 def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
     """EigenData of the i-th pair of mode m."""
-    return pair_data(spectrum.metric, spectrum.u_values, m,
-                     float(spectrum.vals[m, i]), spectrum.vecs[m][:, i])
+    return pair_data(spectrum.metric, m, float(spectrum.vals[m, i]),
+                     spectrum.vecs[m][:, i])
 
 
-def pair_data(metric: ConformalMetric, u: np.ndarray | None, m: int,
-              lam: float, vector: np.ndarray) -> EigenData:
-    """Normalized eigenpair with its |dbar psi|^2 field, from one
-    B-orthonormal solver pair of mode m on (metric, u).
+def pair_data(metric: ConformalMetric, m: int, lam: float,
+              vector: np.ndarray) -> EigenData:
+    """Normalized eigenpair with its |dbar psi|^2 field, from one stored
+    B-orthonormal pair (lam, vector) of mode m on metric.
 
     Normalization: (1/V) integral |psi|^2 e^{-u} dv = 1.  The weighted
     mean of the dbar_sq field reproduces the eigenvalue through
@@ -519,19 +503,8 @@ def pair_data(metric: ConformalMetric, u: np.ndarray | None, m: int,
     """
     # solver vectors are B-orthonormal; the stated normalization needs V
     psi = vector * np.sqrt(volume(metric))
-    gb = dbar_sq(metric, psi, m)
-    prob = assemble_mode_problem(metric, u, m)
-    res = float(rayleigh_residual(prob, lam, vector))
-    return EigenData(m=m, lam=lam, psi=psi, grad_bar_sq=gb,
-                     rayleigh_residual=res)
-
-
-def plain_lambda1(metric: ConformalMetric) -> float:
-    """First positive eigenvalue of the unweighted complex Laplacian."""
-    vals = merged_spectrum(weighted_spectrum(metric, None).vals)[0]
-    zero_scale = max(abs(vals[0]), 1e-12)
-    positive = vals[vals > 100.0 * zero_scale + 1e-10]
-    return float(positive[0])
+    return EigenData(m=m, lam=lam, psi=psi,
+                     grad_bar_sq=dbar_sq(metric, psi, m))
 
 
 # ---------------------------------------------------------------------------

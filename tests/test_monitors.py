@@ -20,9 +20,8 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              check_Z_derivative, convergence_order,
                              evaluate_trajectory)
 from krflow.potential import solve_ricci_potential
-from krflow.spectral import (band_indices, default_band_tol, eigen_data,
-                             pair_data, sobolev_constant_estimate,
-                             weighted_spectrum)
+from krflow.spectral import (default_band_tol, eigen_data, pair_data,
+                             sobolev_constant_estimate, weighted_spectrum)
 
 # the warm start's bounds against a cold solve, as in test_spectral:
 # eigenvalues relative to max(1, |lam|), eigenvectors to their largest entry
@@ -246,6 +245,27 @@ class TestGradientEstimate:
                   for e in band_eigen_data(spec)]
         assert max(c_effs) / min(c_effs) < 1.05
 
+    def test_band_members_follow_band_tol(self):
+        # l = 2, eps 0.3: the m = 1 member sits 3.7e-2 above 1, outside the
+        # default band 50 h^2 = 3.0e-2 at N = 128 but inside band_tol 0.2;
+        # the state keeps its vector, and the check reads both members
+        metric = legendre_bump(make_grid(128), 2, 0.3)
+        traj = run(FlowConfig(t_end=0.0, band_tol=0.2), metric)
+        (s,) = traj.states
+        assert s.band_members.sum(axis=1).tolist() == [1, 1, 0]
+        assert s.holo_vectors.shape == (s.metric.grid.n_nodes, 1)
+        vals, vecs = s.axial_pairs()
+        (i,) = np.flatnonzero(s.band_members[0])
+        (lam1,), holo = s.holo_pairs()
+        assert lam1 - 1.0 > default_band_tol(s.metric.grid)
+        c_s = sobolev_constant_estimate(s.metric)
+        members = [check_gradient_estimate(s, pair_data(
+            s.metric, m, float(lam), vec), sobolev_c=c_s)
+            for m, lam, vec in ((0, vals[i], vecs[:, i]),
+                                (1, lam1, holo[:, 0]))]
+        (own,) = evaluate_trajectory(traj, ("gradient_estimate",)).checks
+        assert own.aux == max(members, key=lambda r: r.aux["C_eff"]).aux
+
 
 class TestBootstrap:
     def test_round_all_hold(self, round_traj):
@@ -349,8 +369,8 @@ class TestEvaluateTrajectory:
         mid = states[len(states) // 2]
         vals, vecs = mid.axial_pairs()
         i = int(np.flatnonzero(np.abs(vals - 3.0) < 0.1)[0])
-        own = check_bochner(mid, pair_data(mid.metric, mid.u.values, 0,
-                                           float(vals[i]), vecs[:, i]))
+        own = check_bochner(mid, pair_data(mid.metric, 0, float(vals[i]),
+                                           vecs[:, i]))
         fresh = weighted_spectrum(mid.metric, mid.u.values)
         assert np.max(np.abs(vals - fresh.vals[0]) / np.maximum(
             1.0, np.abs(fresh.vals[0]))) <= WARM_TOL
@@ -384,7 +404,6 @@ class TestEvaluateTrajectory:
         import krflow.spectral
         states = p2_run_small.states
         mid = states[len(states) // 2]
-        grid = mid.metric.grid
         c_s = sobolev_constant_estimate(mid.metric)
 
         def largest(eigs):
@@ -392,11 +411,12 @@ class TestEvaluateTrajectory:
                         for e in eigs), key=lambda r: r.aux["C_eff"])
 
         vals, vecs = mid.axial_pairs()
-        held = [(0, vals[i], vecs[:, i]) for i in band_indices(vals, grid)]
+        held = [(0, vals[i], vecs[:, i])
+                for i in np.flatnonzero(mid.band_members[0])]
         hvals, hvecs = mid.holo_pairs()
         held += [(1, lam, vec) for lam, vec in zip(hvals, hvecs.T)]
-        kept = largest(pair_data(mid.metric, mid.u.values, m, float(lam),
-                                 vec) for m, lam, vec in held)
+        kept = largest(pair_data(mid.metric, m, float(lam), vec)
+                       for m, lam, vec in held)
         full = largest(band_eigen_data(weighted_spectrum(mid.metric,
                                                          mid.u.values)))
         calls = []

@@ -264,7 +264,7 @@ class TestPoincareProperties:
         from krflow.spectral import lambda_second, weighted_spectrum
         m = bump(grid128, 1e-2)
         u = solve_ricci_potential(m).values
-        lam, _ = lambda_second(weighted_spectrum(m, u))
+        lam = lambda_second(weighted_spectrum(m, u))[0]
         b = functional_bundle(u, m, lambda_g=lam)
         dp = delta_prime(lam - 1.0, b.osc_u)
         assert b.Z >= (1.0 + dp) * b.Y - 1e-12

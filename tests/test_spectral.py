@@ -15,11 +15,10 @@ from krflow.harness import (EXIT_NUMERICAL, ExperimentSpec, legendre_bump,
                             multi_mode, write_report)
 from krflow.potential import solve_ricci_potential
 from krflow.spectral import (BANDWIDTH, K_PER_MODE, N_MODES, BandAmbiguity,
-                             SolveFail, assemble_mode_problem, band_indices,
-                             eigen_data, lambda_second, merged_spectrum,
-                             plain_lambda1, rayleigh_residual,
-                             sobolev_constant_estimate, solve_mode,
-                             weighted_spectrum)
+                             SolveFail, assemble_modes, eigen_data,
+                             lambda_second, merged_spectrum,
+                             rayleigh_residual, sobolev_constant_estimate,
+                             solve_mode, weighted_spectrum)
 
 
 def P2(x):
@@ -28,6 +27,14 @@ def P2(x):
 
 def bump(grid, eps):
     return normalize_volume(conformal_metric(grid, eps * P2(grid.cos_nodes)))
+
+
+def plain_lambda1(metric):
+    """First positive eigenvalue of the unweighted complex Laplacian."""
+    vals = merged_spectrum(weighted_spectrum(metric, None).vals)[0]
+    zero_scale = max(abs(vals[0]), 1e-12)
+    positive = vals[vals > 100.0 * zero_scale + 1e-10]
+    return float(positive[0])
 
 
 def spherical_eigs(count):
@@ -50,7 +57,7 @@ class TestRoundSpectrum:
 
     def test_mode_zero_alone(self, grid256):
         m = round_metric(grid256)
-        prob = assemble_mode_problem(m, np.zeros(grid256.n_nodes), 0)
+        prob = assemble_modes(m, np.zeros(grid256.n_nodes))[0]
         vals, _ = solve_mode(prob, 4)
         assert np.allclose(vals, [0.0, 1.0, 3.0, 6.0], atol=1e-3)
 
@@ -107,6 +114,21 @@ def dense_stiffness(prob):
     return a
 
 
+def pencil_residual(prob, lam, vecs):
+    """|| A v - lam B v || in the B^{-1} norm per column of the (n, k)
+    block vecs, with the eigenvalues lam, on the dense pencil."""
+    r = dense_stiffness(prob) @ vecs - lam * prob.mass[:, None] * vecs
+    return np.sqrt(np.sum(r * r / prob.mass[:, None], axis=0))
+
+
+def rayleigh_quotients(prob, vecs):
+    """v^T A v / v^T B v per column, summed in long double."""
+    v = vecs.astype(np.longdouble)
+    a = dense_stiffness(prob).astype(np.longdouble)
+    return (np.sum(v * (a @ v), axis=0)
+            / np.sum(prob.mass[:, None] * v * v, axis=0))
+
+
 class TestSolveModeOracle:
     K = 5
 
@@ -118,12 +140,19 @@ class TestSolveModeOracle:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_against_eig_banded_and_eigh(self, metric_u, mode):
         metric, u = metric_u
-        prob = assemble_mode_problem(metric, u, mode)
+        prob = assemble_modes(metric, u)[mode]
         vals, vecs = solve_mode(prob, self.K)
         ref_vals = scipy.linalg.eig_banded(
             scaled_band(prob), lower=False, select="i",
             select_range=(0, self.K - 1), eigvals_only=True)
-        np.testing.assert_array_equal(vals, ref_vals)
+        scale = np.maximum(1.0, np.abs(ref_vals))
+        assert np.max(np.abs(vals - ref_vals) / scale) <= 1e-12
+        # Rayleigh-Ritz values sit on their own vectors' quotients, and the
+        # constants are in mode 0's kernel exactly
+        quotients = rayleigh_quotients(prob, vecs)
+        assert np.max(np.abs(vals - quotients) / scale) <= 1e-13
+        if mode == 0:
+            assert abs(vals[0]) <= 1e-13
         gram = vecs.T @ (prob.mass[:, None] * vecs)
         assert np.max(np.abs(gram - np.eye(self.K))) < 1e-12
         _, dense = scipy.linalg.eigh(dense_stiffness(prob), np.diag(prob.mass),
@@ -131,14 +160,20 @@ class TestSolveModeOracle:
         for i in range(self.K):
             flip = np.sign(np.dot(vecs[:, i], prob.mass * dense[:, i]))
             assert np.max(np.abs(flip * vecs[:, i] - dense[:, i])) < 1e-10
-        assert np.all(rayleigh_residual(prob, vals, vecs) < 1e-10)
+        assert np.all(pencil_residual(prob, vals, vecs) < 1e-10)
 
     def test_block_residual_matches_columns(self, metric_u):
+        # the residual of a block in reduced coordinates, C applied to the
+        # whole block, against each column applied alone
         metric, u = metric_u
-        prob = assemble_mode_problem(metric, u, 1)
+        prob = assemble_modes(metric, u)[1]
         vals, vecs = solve_mode(prob, self.K)
-        block = rayleigh_residual(prob, vals, vecs)
-        single = [rayleigh_residual(prob, vals[i], vecs[:, i])
+        c = spectral._reduced_bands(prob.bands, prob.mass)
+        y = np.sqrt(prob.mass)[:, None] * vecs
+        block = rayleigh_residual(y, spectral._band_apply(c, y), vals)
+        single = [rayleigh_residual(y[:, i:i + 1],
+                                    spectral._band_apply(c, y[:, i:i + 1]),
+                                    vals[i:i + 1])[0]
                   for i in range(self.K)]
         np.testing.assert_allclose(block, single, rtol=1e-12, atol=1e-300)
 
@@ -163,7 +198,7 @@ class TestSolveFail:
                                                  grid64, tmp_path):
         name, patch = SOLVE_FAULTS[fault]
         monkeypatch.setattr(spectral, name, _wrap_output(name, patch))
-        prob = assemble_mode_problem(round_metric(grid64), None, 0)
+        prob = assemble_modes(round_metric(grid64), None)[0]
         with pytest.raises(SolveFail):
             solve_mode(prob, 5)
         self._assert_run_exits_three(tmp_path)
@@ -171,9 +206,8 @@ class TestSolveFail:
     def test_nan_residual_fails_the_check(self, monkeypatch, grid64,
                                           tmp_path):
         # a NaN compares False with any tolerance; it must still fail
-        monkeypatch.setattr(
-            spectral, "rayleigh_residual",
-            lambda prob, lam, vec: np.full(vec.shape[1], np.nan))
+        monkeypatch.setattr(spectral, "rayleigh_residual",
+                            lambda y, cy, vals: np.full(vals.shape, np.nan))
         with pytest.raises(SolveFail, match="residual nan"):
             weighted_spectrum(round_metric(grid64), None)
         self._assert_run_exits_three(tmp_path)
@@ -191,7 +225,7 @@ class TestLambdaSecond:
     def test_round(self, grid256):
         m = round_metric(grid256)
         spec = weighted_spectrum(m, solve_ricci_potential(m).values)
-        lam, band = lambda_second(spec)
+        lam, band, _ = lambda_second(spec)
         assert lam == pytest.approx(3.0, abs=1e-3)
         assert len(band) == 3
         assert np.max(np.abs(np.array(band) - 1.0)) < 1e-3
@@ -201,7 +235,7 @@ class TestLambdaSecond:
             g = make_grid(n)
             m = bump(g, 1e-3)
             spec = weighted_spectrum(m, solve_ricci_potential(m).values)
-            lam, band = lambda_second(spec)
+            lam, band, _ = lambda_second(spec)
             assert np.max(np.abs(np.array(band) - 1.0)) < 50 * g.h ** 2
             assert lam == pytest.approx(3.0, abs=0.05)
 
@@ -212,7 +246,7 @@ class TestLambdaSecond:
             g = make_grid(n)
             m = bump(g, 1e-3)
             spec = weighted_spectrum(m, solve_ricci_potential(m).values)
-            _, band = lambda_second(spec)
+            _, band, _ = lambda_second(spec)
             devs.append(abs(min(band) - 1.0))
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=1.0)
         assert devs[1] / devs[2] == pytest.approx(4.0, abs=1.0)
@@ -242,12 +276,14 @@ class TestEigenData:
         m = bump(grid128, 1e-2)
         u = solve_ricci_potential(m).values
         spec = weighted_spectrum(m, u)
-        for m_i in ((0, 1), (0, 2), (1, 1)):
-            eig = eigen_data(spec, *m_i)
+        problems = assemble_modes(m, u)
+        for mode, i in ((0, 1), (0, 2), (1, 1)):
+            eig = eigen_data(spec, mode, i)
             norm = weighted_integral(
                 eig.psi ** 2 * np.exp(-u), m) / volume(m)
             assert norm == pytest.approx(1.0, rel=1e-12)
-            assert eig.rayleigh_residual < 1e-8
+            stored = spec.vecs[mode][:, i:i + 1]
+            assert pencil_residual(problems[mode], eig.lam, stored)[0] < 1e-8
             # integration-by-parts identity at quadrature accuracy
             mean_grad = weighted_integral(
                 eig.grad_bar_sq * np.exp(-u), m) / volume(m)
@@ -265,24 +301,23 @@ class TestEigenData:
         u = solve_ricci_potential(m).values
         spec = weighted_spectrum(m, u)
         # one axial member and one m = 1 member, which stands for m = +-1
-        assert [len(band_indices(row, grid128)) for row in spec.vals] == [
-            1, 1, 0]
+        members = lambda_second(spec)[2]
+        assert members.sum(axis=1).tolist() == [1, 1, 0]
 
 
 class TestStructure:
     def test_stiffness_psd_mass_positive(self, grid128):
-        from krflow.spectral import apply_stiffness
         m = bump(grid128, 0.1)
         u = solve_ricci_potential(m).values
-        for mode in (0, 1, 2):
-            prob = assemble_mode_problem(m, u, mode)
+        for mode, prob in enumerate(assemble_modes(m, u)):
             assert np.all(prob.mass > 0)
             # the form is a sum of squares: smallest eigenvalue >= 0, and
             # the axial block annihilates constants exactly
             vals, _ = solve_mode(prob, 1)
             assert vals[0] > -1e-10
             if mode == 0:
-                av = apply_stiffness(prob, np.ones(grid128.n_nodes))
+                av = spectral._band_apply(prob.bands,
+                                          np.ones((grid128.n_nodes, 1)))
                 assert np.max(np.abs(av)) < 1e-12
 
     def test_refinement_richardson(self):
@@ -344,7 +379,7 @@ class TestWarmStart:
             assert np.max(rel) <= WARM_TOL
             assert_same_vectors(s.axial_vectors, cold.vecs[0])
             assert_same_vectors(s.holo_vectors, cold.vecs[1][
-                :, band_indices(cold.vals[1], s.metric.grid)])
+                :, lambda_second(cold)[2][1]])
 
     def test_bad_block_falls_back_to_cold(self, monkeypatch, tmp_path):
         # mode 0's block loses its lowest eigenvector to the sixth one: the
@@ -353,7 +388,7 @@ class TestWarmStart:
         metric, _ = WARM_RUNS["n64"]()
         s0 = run(FlowConfig(t_end=0.0), metric).states[0]
         start = weighted_spectrum(s0.metric, s0.u.values)
-        _, six = solve_mode(assemble_mode_problem(s0.metric, s0.u.values, 0),
+        _, six = solve_mode(assemble_modes(s0.metric, s0.u.values)[0],
                             K_PER_MODE + 1)
         bad = start.vecs[0].copy()
         bad[:, 0] = six[:, K_PER_MODE]
