@@ -25,8 +25,8 @@ which changes phi at rounding level and w not at all.
 
 The semi-discrete flow conserves the volume exactly; a time step keeps it
 only up to its time error, so every step checks |V - 4 pi| against
-vol_limit and stops early when it drifts outside, returning
-(steps_done, ok).
+vol_limit and stops early when it drifts outside or is not finite,
+returning (steps_done, ok).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def advance_rk4(w, phi, nsteps, dt, grid, vol_limit):
     hs_sum = float(np.sum(hs))
     for s in range(nsteps):
         k1w, k1p, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
-        if abs(vol - FOUR_PI) > vol_limit:
+        if not abs(vol - FOUR_PI) <= vol_limit:  # a NaN volume fails
             return s, False
         k2w, k2p, _ = _rhs_numpy(w + 0.5 * dt * k1w, h, q, sfi, hs, hs_sum)
         k3w, k3p, _ = _rhs_numpy(w + 0.5 * dt * k2w, h, q, sfi, hs, hs_sum)
@@ -130,7 +130,7 @@ def advance_extrapolated(w, phi, nsteps, H, grid, vol_limit):
     lap = laplacian_bands(grid)
     for s in range(nsteps):
         fw0, fp0, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
-        if abs(vol - FOUR_PI) > vol_limit:
+        if not abs(vol - FOUR_PI) <= vol_limit:  # a NaN volume fails
             return s, False
         lo, di, up = jacobian_bands(w, 1.0 - 2.0 * fw0, lap)
         tab = []  # the last row of the tableau, T_j,1 .. T_j,j

@@ -41,8 +41,7 @@ from . import spectral
 from ._kernels import (advance_extrapolated, advance_rk4, jacobian_bands,
                        laplacian_bands)
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
-                       ROUND_VOLUME, gaussian_curvature, laplace_round,
-                       volume, weighted_integral)
+                       ROUND_VOLUME, laplace_round, weighted_integral)
 from .potential import (FunctionalBundle, RicciPotential, VolumeMismatch,
                         functional_bundle, solve_ricci_potential)
 
@@ -183,7 +182,7 @@ def stability_dt(metric: ConformalMetric) -> float:
     either velocity, so J bounds the whole system.  Near the round metric
     this is about 1.25 h^2 e^{2 min w}.
     """
-    lo, di, up = jacobian_bands(metric.w, gaussian_curvature(metric),
+    lo, di, up = jacobian_bands(metric.w, metric.curvature,
                                 laplacian_bands(metric.grid))
     row = np.abs(di)
     row[1:] += lo  # the off-diagonal bands are >= 0
@@ -196,17 +195,17 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
                warm: spectral.Spectrum | None = None
                ) -> tuple[FlowState, spectral.Spectrum]:
     """Check the class identity of (w, phi) at t against the initial
-    metric (StepReject), then solve its potential and weighted spectrum;
-    warm is the previous state's Spectrum, whose eigenvector blocks start
-    the solve, or None for the cold solve.  Returns the state and its
-    Spectrum."""
+    metric (StepReject, a NaN residual too), then solve its potential and
+    weighted spectrum; warm is the previous state's Spectrum, whose
+    eigenvector blocks start the solve, or None for the cold solve.
+    Returns the state and its Spectrum."""
     grid = initial.grid
-    res = _class_residual(w, initial.w, phi, grid)
-    if res > config.class_tol:
+    res = _class_residual(w, initial, phi)
+    if not res <= config.class_tol:
         raise StepReject(
             f"class identity residual {res:.3e} over {config.class_tol:.0e}"
             f" at t = {t:.6g}")
-    metric = ConformalMetric(grid=grid, w=w.copy())
+    metric = ConformalMetric(grid=grid, w=w)
     u = solve_ricci_potential(metric)
     spec = spectral.weighted_spectrum(metric, u.values, warm)
     lam_g, band, members = spectral.lambda_second(spec, config.band_tol)
@@ -235,7 +234,7 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     as they are.  Terminates early once the potential oscillation drops
     under the early-stop threshold.
     """
-    vol = volume(initial)
+    vol = initial.volume
     if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
         raise VolumeMismatch(
             f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
@@ -294,14 +293,14 @@ def _decay_gate(state: FlowState) -> bool:
     return state.funcs.c0_u_minus_a <= decay_cap(state.funcs.delta_prime_0)
 
 
-def _class_residual(w, w0, phi, grid) -> float:
+def _class_residual(w, initial: ConformalMetric, phi) -> float:
     """Sup-norm residual of e^{2w(t)} = e^{2w(0)} + (1/2) lap_round phi.
 
     The two sides are advanced by independent right-hand sides, so this is
     the integrator's principal cross-check.
     """
     lhs = np.exp(2.0 * w)
-    rhs = np.exp(2.0 * w0) + 0.5 * laplace_round(grid, phi)
+    rhs = initial.e2w + 0.5 * laplace_round(initial.grid, phi)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -316,9 +315,8 @@ def log_det_bookkeeping(state: FlowState,
     """
     initial = state0.metric
     f = 2.0 * (state.metric.w - initial.w)
-    vol0 = volume(initial)
     c = math.log(weighted_integral(
-        np.exp(-state.phi - state0.u.values), initial) / vol0)
+        np.exp(-state.phi - state0.u.values), initial) / initial.volume)
     return f, float(c)
 
 

@@ -23,6 +23,7 @@ volume conservation at the semi-discrete level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -86,16 +87,39 @@ def make_grid(n_nodes: int) -> Grid:
 @dataclass(frozen=True)
 class ConformalMetric:
     """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere
-    (complex dimension one)."""
+    (complex dimension one).  w is a read-only copy of the profile given,
+    so the cached e2w, volume and curvature cannot go stale."""
 
     grid: Grid
     w: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.w) != (self.grid.n_nodes,):
+        w = np.array(self.w, dtype=float)
+        if w.shape != (self.grid.n_nodes,):
             raise ValueError("conformal factor length does not match grid")
-        if not np.all(np.isfinite(self.w)):
+        if not np.all(np.isfinite(w)):
             raise ValueError("conformal factor must be finite")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
+
+    @cached_property
+    def e2w(self) -> np.ndarray:
+        """e^{2w}, the density of dv against the round measure."""
+        e2w = np.exp(2.0 * self.w)
+        e2w.flags.writeable = False
+        return e2w
+
+    @cached_property
+    def volume(self) -> float:
+        """Total volume 2 pi * integral e^{2w} sin(theta) dtheta."""
+        return float(2.0 * np.pi * np.sum(self.e2w * self.grid.quad_weights))
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """K = e^{-2w} (1 - lap_round w); equals the scalar curvature here."""
+        k = np.exp(-2.0 * self.w) * (1.0 - laplace_round(self.grid, self.w))
+        k.flags.writeable = False
+        return k
 
 
 def pole_slopes(grid: Grid, values: np.ndarray) -> tuple[float, float]:
@@ -196,15 +220,13 @@ def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gaussian_curvature(metric: ConformalMetric) -> np.ndarray:
-    """K = e^{-2w} (1 - lap_round w); equals the scalar curvature here."""
-    lap = laplace_round(metric.grid, metric.w)
-    return np.exp(-2.0 * metric.w) * (1.0 - lap)
+    """The metric's cached curvature K = e^{-2w} (1 - lap_round w)."""
+    return metric.curvature
 
 
 def volume(metric: ConformalMetric) -> float:
-    """Total volume 2 pi * integral e^{2w} sin(theta) dtheta."""
-    g = metric.grid
-    return float(2.0 * np.pi * np.sum(np.exp(2.0 * metric.w) * g.quad_weights))
+    """The metric's cached volume 2 pi * integral e^{2w} sin(theta) dtheta."""
+    return metric.volume
 
 
 def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
@@ -212,15 +234,14 @@ def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
 
     Exact in one step: the volume is linear in e^{2w}.
     """
-    c = 0.5 * np.log(ROUND_VOLUME / volume(metric))
+    c = 0.5 * np.log(ROUND_VOLUME / metric.volume)
     return ConformalMetric(grid=metric.grid, w=metric.w + c)
 
 
 def weighted_integral(f: np.ndarray, metric: ConformalMetric) -> float:
     """integral f dv_g of nodal values f by grid quadrature."""
-    g = metric.grid
-    return float(2.0 * np.pi * np.sum(f * np.exp(2.0 * metric.w)
-                                      * g.quad_weights))
+    return float(2.0 * np.pi * np.sum(f * metric.e2w
+                                      * metric.grid.quad_weights))
 
 
 def grad_norm_sq(f: np.ndarray, metric: ConformalMetric) -> np.ndarray:
@@ -230,13 +251,8 @@ def grad_norm_sq(f: np.ndarray, metric: ConformalMetric) -> np.ndarray:
 
 def measured_calabi(metric: ConformalMetric) -> float:
     """(1/V) integral (K - 1)^2 dv, the scalar-curvature energy datum."""
-    k = gaussian_curvature(metric)
-    return weighted_integral((k - 1.0) ** 2, metric) / volume(metric)
-
-
-def grad_c0_norm(f: np.ndarray, metric: ConformalMetric) -> float:
-    """C0 norm of the complex gradient: sqrt of the max of |grad f|^2."""
-    return float(np.sqrt(np.max(grad_norm_sq(f, metric))))
+    return (weighted_integral((metric.curvature - 1.0) ** 2, metric)
+            / metric.volume)
 
 
 def diameter(metric: ConformalMetric) -> float:
@@ -255,7 +271,7 @@ def diameter(metric: ConformalMetric) -> float:
 
 
 def curvature_bounds(metric: ConformalMetric) -> tuple[float, float]:
-    k = gaussian_curvature(metric)
+    k = metric.curvature
     return float(k.min()), float(k.max())
 
 
@@ -282,13 +298,14 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:
     """
     check_scale(metric, rho)
     g = metric.grid
-    vol_total = volume(metric)
+    vol_total = metric.volume
     r = np.geomspace(rho / 100.0, rho, N_RADII)
     flux_angles = np.arange(g.n_nodes + 1) * g.h  # measured from the pole
     kappa = np.inf
+    ew_nodes = np.exp(metric.w)
     for order in (slice(None), slice(None, None, -1)):  # north, south
-        ew = np.exp(metric.w)[order]
-        e2w = np.exp(2.0 * metric.w)[order]
+        ew = ew_nodes[order]
+        e2w = metric.e2w[order]
         radii = np.concatenate(([0.0], np.cumsum(ew * g.h)))
         cum_vol = np.concatenate(
             ([0.0], np.cumsum(2.0 * np.pi * e2w * g.quad_weights)))

@@ -364,7 +364,7 @@ def _timeseries_rows(traj: Trajectory):
     for s in traj.states:
         kmin, kmax = curvature_bounds(s.metric)
         rows.append((
-            s.t, s.dt, volume(s.metric), diameter(s.metric), kmin, kmax,
+            s.t, s.dt, s.metric.volume, diameter(s.metric), kmin, kmax,
             s.funcs.a, s.funcs.Y, s.funcs.Z, s.funcs.osc_u,
             s.funcs.c0_u_minus_a, s.funcs.grad_u_c0, s.lambda_g,
             min(s.holo_band), max(s.holo_band),

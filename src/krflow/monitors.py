@@ -23,11 +23,9 @@ import numpy as np
 
 from . import spectral
 from .flow import FlowState, Trajectory, decay_cap, log_det_residual
-from .geometry import (ConfigError, NumericalError, dtheta,
-                       gaussian_curvature, grad_norm_sq, laplace_round,
-                       measured_calabi, noncollapsing_kappa, volume,
-                       weighted_integral)
-from .potential import complex_hessian_norms, hessian_t20
+from .geometry import (ConfigError, NumericalError, dtheta, grad_norm_sq,
+                       laplace_round, measured_calabi, noncollapsing_kappa)
+from .potential import complex_hessian_norms, hessian_t20, weighted_mean
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -121,16 +119,10 @@ def _equivalence_ratio(w, w0) -> float:
 # weighted Poincare with sharpening
 # ---------------------------------------------------------------------------
 
-def check_weighted_poincare(state: FlowState,
-                            delta_prime_value: float | None = None) -> CheckReport:
+def check_weighted_poincare(state: FlowState) -> CheckReport:
     """Z >= (1 + d') Y with d' = delta_prime(lambda - 1, osc u), the
-    state's funcs.delta_prime_0.
-
-    delta_prime_value overrides d' (verification knob for the
-    forced-failure path).
-    """
-    dp = (delta_prime_value if delta_prime_value is not None
-          else state.funcs.delta_prime_0)
+    state's funcs.delta_prime_0."""
+    dp = state.funcs.delta_prime_0
     margin = state.funcs.Z - (1.0 + dp) * state.funcs.Y
     return CheckReport(
         check_id="weighted_poincare",
@@ -251,13 +243,16 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     s0 = states[0]
     w0 = s0.metric.w
     grid = s0.metric.grid
+    half_inv_e2w0 = 0.5 * np.exp(-2.0 * w0)  # the same for every state
     u0_c0 = float(np.max(np.abs(s0.u.values)))
     phi_meas = []
     min_trace = np.inf
     run_sup = 0.0
     for s in states:
         phi_meas.append(_equivalence_ratio(s.metric.w, w0))
-        min_trace = min(min_trace, _min_trace(w0, s.phi, grid))
+        # the complex trace 1 + (1/2) e^{-2w0} lap_round phi
+        trace = 1.0 + half_inv_e2w0 * laplace_round(grid, s.phi)
+        min_trace = min(min_trace, float(trace.min()))
         here = (float(np.max(np.abs(s.phi))) + u0_c0
                 + float(np.max(np.abs(s.u.values))))
         run_sup = max(run_sup, here)
@@ -271,12 +266,6 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
              "min_trace": float(min_trace),
              "alpha_final": float(run_sup),
              "phi_meas_final": float(phi_meas[-1])})
-
-
-def _min_trace(w, phi, grid) -> float:
-    """Min of the complex trace 1 + (1/2) e^{-2w} lap_round phi."""
-    trace = 1.0 + 0.5 * np.exp(-2.0 * w) * laplace_round(grid, phi)
-    return float(trace.min())
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +310,13 @@ def check_eigenvalue_derivative(traj: Trajectory,
     def formula_at(i):
         s = states[i]
         metric = s.metric
-        vol = volume(metric)
-        psi = vecs[i] * math.sqrt(vol) * normalization_scale
+        psi = vecs[i] * math.sqrt(metric.volume) * normalization_scale
         gb = spectral.dbar_sq(metric, psi, 0)
-        one_minus_k = 1.0 - gaussian_curvature(metric)
+        one_minus_k = 1.0 - metric.curvature
         uma = s.u.values - s.funcs.a
-        emu = np.exp(-s.u.values)
-        integrand = (-one_minus_k * gb
-                     + (lams[i] * psi ** 2 - gb) * uma) * emu
-        return weighted_integral(integrand, metric) / vol
+        return weighted_mean(-one_minus_k * gb
+                             + (lams[i] * psi ** 2 - gb) * uma,
+                             np.exp(-s.u.values), metric)
 
     def mismatch_at(i, spread):
         fd = (lams[i + spread] - lams[i - spread]) / (
@@ -439,9 +426,7 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
 
 def _hessian_l2(state: FlowState, mixed) -> float:
     """(1/V) int |mixed Hessian of u|^2 e^-u dv."""
-    metric = state.metric
-    return weighted_integral(mixed * np.exp(-state.u.values),
-                             metric) / volume(metric)
+    return weighted_mean(mixed, np.exp(-state.u.values), state.metric)
 
 
 def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
@@ -537,7 +522,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     edge = max(4, int(math.ceil(POLE_MARGIN / grid.h)))
     psi = eig.psi
     lam = eig.lam
-    e2w = np.exp(2.0 * metric.w)
+    e2w = metric.e2w
     f = eig.grad_bar_sq
     lap_c_f = 0.5 * laplace_round(grid, f) / e2w
     lap_c_psi = 0.5 * laplace_round(grid, psi) / e2w
@@ -675,7 +660,7 @@ def check_short_time(traj: Trajectory,
     first_exceed = None
     lam_min = np.inf
     for s in states:
-        kmax = float(np.max(np.abs(gaussian_curvature(s.metric))))
+        kmax = float(np.max(np.abs(s.metric.curvature)))
         if first_exceed is None and kmax > cap:
             first_exceed = s.t
         if s.t <= t0 + 1e-12:

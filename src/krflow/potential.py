@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import flux_potential
 from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME, dtheta,
-                       grad_norm_sq, laplace_round, volume, weighted_integral)
+                       grad_norm_sq, laplace_round, weighted_integral)
 
 
 VOLUME_TOL = 1e-8  # |V - 4 pi| / 4 pi past which the solve refuses
@@ -71,7 +71,7 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     solvability constraint before integrating, and the PDE residual is
     measured against the unprojected equation, so a volume defect shows.
     """
-    vol = volume(metric)
+    vol = metric.volume
     if abs(vol - ROUND_VOLUME) > VOLUME_TOL * ROUND_VOLUME:
         raise VolumeMismatch(
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
@@ -80,33 +80,35 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     hs = grid.h * grid.sin_nodes
     e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
     rhs = 2.0 * g  # 2 (1 - K) e^{2w}
-    mean = 2.0 * np.pi * np.sum(np.exp(-u0) * e2w * grid.quad_weights) / vol
-    c = math.log(mean)
+    c = math.log(weighted_integral(np.exp(-u0), metric) / vol)
     u = u0 + c
     pde_res = float(np.max(np.abs(
         laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
-    norm_res = abs(weighted_integral(np.exp(-u), metric) / vol - 1.0)
+    norm_res = abs(weighted_mean(1.0, np.exp(-u), metric) - 1.0)
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")
     return RicciPotential(values=u, norm_const=c, pde_residual=pde_res,
                           norm_residual=norm_res)
 
 
+def weighted_mean(f, emu: np.ndarray, metric: ConformalMetric) -> float:
+    """(1/V) integral f e^{-u} dv, for f and emu = e^{-u} at the nodes."""
+    return weighted_integral(f * emu, metric) / metric.volume
+
+
 def average_a(u: np.ndarray, metric: ConformalMetric) -> float:
     """Weighted average a = (1/V) integral u e^{-u} dv; Jensen gives a <= 0."""
-    return weighted_integral(u * np.exp(-u), metric) / volume(metric)
+    return weighted_mean(u, np.exp(-u), metric)
 
 
 def functional_Y(u: np.ndarray, a: float, metric: ConformalMetric) -> float:
     """Y = (1/V) integral (u - a)^2 e^{-u} dv, the Lyapunov functional."""
-    return weighted_integral((u - a) ** 2 * np.exp(-u),
-                             metric) / volume(metric)
+    return weighted_mean((u - a) ** 2, np.exp(-u), metric)
 
 
 def functional_Z(u: np.ndarray, metric: ConformalMetric) -> float:
     """Z = (1/V) integral |grad u|^2 e^{-u} dv (complex gradient norm)."""
-    return weighted_integral(grad_norm_sq(u, metric) * np.exp(-u),
-                             metric) / volume(metric)
+    return weighted_mean(grad_norm_sq(u, metric), np.exp(-u), metric)
 
 
 def delta_prime(a: float, s: float) -> float:
@@ -150,7 +152,7 @@ def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
     (1/4) e^{-4w} (u'' - (2 w' + cot) u')^2.  The bound
     (complex Laplacian)^2 <= n |mixed|^2 is equality here.
     """
-    mixed = (0.5 * laplace_round(metric.grid, u) / np.exp(2.0 * metric.w)) ** 2
+    mixed = (0.5 * laplace_round(metric.grid, u) / metric.e2w) ** 2
     return mixed, hessian_t20(u, metric) ** 2
 
 
@@ -162,7 +164,7 @@ def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     cot = g.cos_nodes / g.sin_nodes
     # u'' from the flux Laplacian: u'' = lap_round u - cot u'
     upp = laplace_round(g, u) - cot * up
-    return 0.5 * (upp - (2.0 * wp + cot) * up) / np.exp(2.0 * metric.w)
+    return 0.5 * (upp - (2.0 * wp + cot) * up) / metric.e2w
 
 
 def functional_bundle(u: np.ndarray, metric: ConformalMetric,
@@ -171,10 +173,11 @@ def functional_bundle(u: np.ndarray, metric: ConformalMetric,
 
     delta_prime_0 is delta_prime of the gap lambda_g - 1, clipped at 0.
     """
-    a = average_a(u, metric)
-    y = functional_Y(u, a, metric)
+    emu = np.exp(-u)
+    a = weighted_mean(u, emu, metric)
+    y = weighted_mean((u - a) ** 2, emu, metric)
     grad_sq = grad_norm_sq(u, metric)  # for Z and for its C0 norm
-    z = weighted_integral(grad_sq * np.exp(-u), metric) / volume(metric)
+    z = weighted_mean(grad_sq, emu, metric)
     osc = float(u.max() - u.min())
     c0 = float(np.max(np.abs(u - a)))
     gc0 = float(np.sqrt(np.max(grad_sq)))

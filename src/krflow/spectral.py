@@ -54,8 +54,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
-                       grad_norm_sq, legendre_profile, volume,
-                       weighted_integral)
+                       grad_norm_sq, legendre_profile, weighted_integral)
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
@@ -101,12 +100,13 @@ class Spectrum:
     solved them: vals has shape (N_MODES, K_PER_MODE), each row ascending,
     and vecs[m] is mode m's (n, K_PER_MODE) block of B-orthonormal
     eigenvectors.  A mode m > 0 stands for m and -m, which coincide.
-    u_values None is the unweighted case.  warm tells whether the solve
-    started from a previous state's blocks, and fallbacks lists (m, reason)
-    for each mode whose warm pairs were refused and solved cold."""
+    mass is the diagonal of the weighted L^2 form the blocks are
+    B-orthonormal for.  warm tells whether the solve started from a
+    previous state's blocks, and fallbacks lists (m, reason) for each mode
+    whose warm pairs were refused and solved cold."""
 
     metric: ConformalMetric
-    u_values: np.ndarray | None
+    mass: np.ndarray
     vals: np.ndarray
     vecs: tuple[np.ndarray, ...]
     warm: bool = False
@@ -149,7 +149,7 @@ def assemble_modes(metric: ConformalMetric,
     g = metric.grid
     n = g.n_nodes
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
-    e = np.ones(n) if u is None else np.exp(-u)
+    e = np.ones(n) if u is None else np.exp(-u)  # for stiffness and mass
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
@@ -161,7 +161,8 @@ def assemble_modes(metric: ConformalMetric,
             k = STENCIL_OFFSETS[b] - STENCIL_OFFSETS[a]
             lo = 2 + STENCIL_OFFSETS[a]
             interior[k, lo:lo + n - 3] += coefs[a] * coefs[b] * cint
-    mass = _mass(metric, u)
+    # the mass diagonal 2 pi e^{-u} e^{2w} q of the weighted L^2 form
+    mass = 2.0 * np.pi * e * metric.e2w * g.quad_weights
     folded = {}  # parity -> interior plus the folding fluxes j = 1, n - 1
     out = []
     for m in range(N_MODES):
@@ -186,12 +187,6 @@ def assemble_modes(metric: ConformalMetric,
             bands[0] += np.pi * m * m * e * ht / g.sin_nodes
         out.append(ModeProblem(m=m, bands=bands, mass=mass))
     return out
-
-
-def _mass(metric: ConformalMetric, u: np.ndarray | None) -> np.ndarray:
-    """The mass diagonal 2 pi e^{-u} e^{2w} of the weighted L^2 form."""
-    e = 1.0 if u is None else np.exp(-u)
-    return 2.0 * np.pi * e * np.exp(2.0 * metric.w) * metric.grid.quad_weights
 
 
 def _reduced_bands(bands: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -367,7 +362,7 @@ def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
     """
     mass = problems[0].mass  # the same for every mode
     c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
-    before = np.sqrt(_mass(warm.metric, warm.u_values))[:, None]
+    before = np.sqrt(warm.mass)[:, None]
     vals, y = _ritz(c, before * np.stack(warm.vecs))[:2]
     return _refine(c, mass, vals, y)
 
@@ -414,8 +409,8 @@ def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
             fallbacks.append((m, reason))
             pairs.append(solve_mode(problem, K_PER_MODE))
     vals, vecs = zip(*pairs)
-    return Spectrum(metric=metric, u_values=u, vals=np.array(vals),
-                    vecs=vecs, warm=warm is not None,
+    return Spectrum(metric=metric, mass=problems[0].mass,
+                    vals=np.array(vals), vecs=vecs, warm=warm is not None,
                     fallbacks=tuple(fallbacks))
 
 
@@ -480,9 +475,10 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
     profile R = psi."""
     g = metric.grid
     rp = dtheta(g, psi, parity=1 if m % 2 == 0 else -1)
-    gb = 0.5 * np.exp(-2.0 * metric.w) * rp ** 2
+    half = 0.5 * np.exp(-2.0 * metric.w)
+    gb = half * rp ** 2
     if m != 0:
-        gb = gb + 0.5 * np.exp(-2.0 * metric.w) * (m * psi / g.sin_nodes) ** 2
+        gb = gb + half * (m * psi / g.sin_nodes) ** 2
     return gb
 
 
@@ -502,7 +498,7 @@ def pair_data(metric: ConformalMetric, m: int, lam: float,
     integration by parts.
     """
     # solver vectors are B-orthonormal; the stated normalization needs V
-    psi = vector * np.sqrt(volume(metric))
+    psi = vector * np.sqrt(metric.volume)
     return EigenData(m=m, lam=lam, psi=psi,
                      grad_bar_sq=dbar_sq(metric, psi, m))
 

@@ -6,6 +6,7 @@ module-scoped fixtures.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,7 +302,8 @@ def test_12_gate_semantics(tmp_path):
     small = run(FlowConfig(t_end=0.1, record_dt=0.01),
                 legendre_bump(make_grid(128), 2, 1e-2))
     s = small.states[0]
-    rigged = check_weighted_poincare(s, delta_prime_value=s.lambda_g)
+    rigged = check_weighted_poincare(
+        replace(s, funcs=replace(s.funcs, delta_prime_0=s.lambda_g)))
     results.append(("adversarial d'", rigged.verdict == FAIL))
     # adversarial equivalence corridor: FAIL at the first observed state
     boot = bootstrap_tracker(small, phi0=1.0001)

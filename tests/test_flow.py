@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from krflow import _kernels
-from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig,
-                         log_det_bookkeeping, log_det_residual, run,
-                         stability_dt)
+from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
+                         log_det_bookkeeping, log_det_residual, make_state,
+                         run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
                              flux_laplacian, gaussian_curvature,
                              laplace_round, make_grid, normalize_volume,
@@ -93,6 +93,21 @@ class TestStep:
         w, phi = off.w.copy(), np.zeros(grid128.n_nodes)
         assert _kernels.advance_rk4(w, phi, 1, stability_dt(off), grid128,
                                     1e-12 * 4 * np.pi) == (0, False)
+
+    @pytest.mark.parametrize("kernel", ["advance_rk4",
+                                        "advance_extrapolated"])
+    def test_nan_state_fails_the_step(self, grid64, kernel):
+        w, phi = np.full(grid64.n_nodes, np.nan), np.zeros(grid64.n_nodes)
+        assert getattr(_kernels, kernel)(w, phi, 2, 1e-4, grid64,
+                                         1.0) == (0, False)
+
+    def test_nan_state_fails_the_class_check(self, grid64):
+        m = legendre_bump(grid64, 2, 1e-3)
+        w = m.w.copy()
+        w[5] = np.nan
+        with pytest.raises(StepReject, match="class identity"):
+            make_state(w, np.zeros(grid64.n_nodes), 0.01, 0.01, FlowConfig(),
+                       m)
 
     def test_p2_mode_decay_rate(self, grid128):
         # linearized flow damps the quadrupole at rate 2

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from krflow.geometry import (ConformalMetric, conformal_metric,
                              curvature_bounds, diameter, dtheta,
-                             gaussian_curvature, grad_c0_norm, grad_norm_sq,
+                             gaussian_curvature, grad_norm_sq,
                              laplace_round, make_grid, noncollapsing_kappa,
                              normalize_volume, pole_slopes, round_metric,
                              volume, weighted_integral)
@@ -20,6 +20,11 @@ def P2(x):
 
 def metric_from_profile(grid, fn):
     return conformal_metric(grid, fn(grid.theta_nodes))
+
+
+def grad_c0_norm(f, metric):
+    """C0 norm of the complex gradient: sqrt of the max of |grad f|^2."""
+    return float(np.sqrt(np.max(grad_norm_sq(f, metric))))
 
 
 class TestGrid:
@@ -60,6 +65,28 @@ class TestConformalMetric:
         w[3] = np.inf
         with pytest.raises(ValueError):
             ConformalMetric(grid=grid128, w=w)
+
+    def test_w_is_a_read_only_copy(self, grid128):
+        w = 0.1 * P2(grid128.cos_nodes)
+        m = ConformalMetric(grid=grid128, w=w)
+        w[0] = 1.0  # the caller's array, not the metric's
+        assert m.w[0] == 0.1 * P2(grid128.cos_nodes[0])
+        for field in ("w", "e2w", "curvature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, field)[0] = 0.0
+
+    def test_cached_fields_equal_a_fresh_computation(self, grid128):
+        m = metric_from_profile(grid128, lambda th: 0.2 * P2(np.cos(th)))
+        w, q = m.w, grid128.quad_weights
+        e2w = np.exp(2.0 * w)
+        k = np.exp(-2.0 * w) * (1.0 - laplace_round(grid128, w))
+        assert np.array_equal(m.e2w, e2w)
+        assert m.volume == float(2.0 * np.pi * np.sum(e2w * q))
+        assert np.array_equal(m.curvature, k)
+        assert volume(m) is m.volume and gaussian_curvature(m) is m.curvature
+        f = np.cos(grid128.theta_nodes) ** 2
+        assert weighted_integral(f, m) == float(
+            2.0 * np.pi * np.sum(f * e2w * q))
 
     def test_pole_slopes_scale(self, grid128, grid256):
         for g in (grid128, grid256):

@@ -718,6 +718,55 @@ class TestCli:
         # the check command hits it directly
         assert main(["check", path, "--at", "0"]) == EXIT_NUMERICAL
 
+    def test_nan_step_exits_three(self, tmp_path, capsys, monkeypatch):
+        # every step leaves a NaN in w: each segment is rejected, halved
+        # and retried until the halvings run out, with no traceback
+        import krflow.flow
+        real = krflow.flow.advance_rk4
+
+        def poisoned(w, *args):
+            done, ok = real(w, *args)
+            w[7] = np.nan
+            return done, ok
+
+        monkeypatch.setattr(krflow.flow, "advance_rk4", poisoned)
+        out = tmp_path / "o"
+        path = self.write_spec(
+            tmp_path, f"output_dir = {out}\n{BUMP64}[flow]\n"
+            "t_end = 5e-4\nrecord_dt = 5e-4\ndt_init = 5e-4\n")
+        assert main(["run", path]) == EXIT_NUMERICAL
+        assert "Traceback" not in capsys.readouterr().err
+        assert ("error = StepReject: volume, extrapolation or class check "
+                "kept failing after 13 dt halvings"
+                in (out / "report.txt").read_text())
+
+
+class TestMeasureOnce:
+    def test_exp_calls_per_state(self, tmp_path, monkeypatch):
+        """Each recorded state evaluates its measure once: numpy.exp runs
+        at most 25 times per state outside the time-stepping kernels, with
+        every check on (50 when each functional rebuilt e^{2w} and V)."""
+        real, calls = np.exp, []
+
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] != "krflow._kernels":
+                calls.append(1)
+            return real(*args, **kwargs)
+
+        out = tmp_path / "o"
+        path = tmp_path / "spec.cfg"
+        path.write_text(
+            f"scenario = multi_mode\ngrid_n = 64\noutput_dir = {out}\n"
+            "[scenario]\nseed = 7\ndecay_rate = 2.0\namplitude = 0.005\n"
+            "[flow]\nt_end = 0.05\nrecord_dt = 0.001\n"
+            "[monitors]\nchecks = " + ", ".join(ALL_CHECKS) + "\n")
+        monkeypatch.setattr(np, "exp", counted)
+        main(["run", str(path)])
+        monkeypatch.undo()
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert len(rows) == 51
+        assert len(calls) <= 25 * len(rows)
+
 
 class TestBlasThreads:
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -75,7 +75,8 @@ class TestWeightedPoincare:
     def test_forced_failure_path(self, p2_run_small):
         s = p2_run_small.states[0]
         rigged = s.lambda_g - 1.0 + 1.0
-        rep = check_weighted_poincare(s, delta_prime_value=rigged)
+        rep = check_weighted_poincare(
+            replace(s, funcs=replace(s.funcs, delta_prime_0=rigged)))
         assert rep.verdict == FAIL
         assert rep.margin < 0
 

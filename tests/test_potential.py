@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from krflow.geometry import (conformal_metric, grad_c0_norm, make_grid,
+from krflow.geometry import (conformal_metric, grad_norm_sq, make_grid,
                              normalize_volume, round_metric, volume,
                              weighted_integral)
 from krflow.potential import (DomainError, VolumeMismatch, average_a,
@@ -22,6 +22,11 @@ def P2(x):
 
 def P3(x):
     return 0.5 * (5 * x ** 3 - 3 * x)
+
+
+def grad_c0_norm(f, metric):
+    """C0 norm of the complex gradient: sqrt of the max of |grad f|^2."""
+    return float(np.sqrt(np.max(grad_norm_sq(f, metric))))
 
 
 def normalization_constant_bisect(u0, metric, xtol=1e-12):
