@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 
 from .geometry import (ConformalMetric, Grid, NumericalError,
                        conformal_metric, curvature_bounds, diameter,
-                       gaussian_curvature, grad_norm_sq, make_grid,
-                       noncollapsing_kappa, normalize_volume, round_metric,
-                       volume, weighted_integral)
-from .potential import (FunctionalBundle, RicciPotential, average_a,
-                        complex_hessian_norms, delta_prime, functional_Y,
-                        functional_Z, functional_bundle, futaki_integrals,
-                        solve_ricci_potential, DomainError, VolumeMismatch)
+                       grad_norm_sq, make_grid, noncollapsing_kappa,
+                       normalize_volume, round_metric, weighted_integral)
+from .potential import (FunctionalBundle, RicciPotential,
+                        complex_hessian_norms, delta_prime, functional_bundle,
+                        futaki_integrals, solve_ricci_potential, DomainError,
+                        VolumeMismatch)
 from .spectral import (BandAmbiguity, EigenData, ModeProblem, SolveFail,
                        Spectrum, eigen_data, lambda_second,
                        sobolev_constant_estimate, weighted_spectrum)

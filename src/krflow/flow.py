@@ -42,8 +42,9 @@ from ._kernels import (advance_extrapolated, advance_rk4, jacobian_bands,
                        laplacian_bands)
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
                        ROUND_VOLUME, laplace_round, weighted_integral)
-from .potential import (FunctionalBundle, RicciPotential, VolumeMismatch,
-                        functional_bundle, solve_ricci_potential)
+from .potential import (VOLUME_TOL, FunctionalBundle, RicciPotential,
+                        VolumeMismatch, functional_bundle,
+                        solve_ricci_potential)
 
 
 class StepReject(NumericalError):
@@ -67,7 +68,9 @@ class FlowConfig:
     bound stability_dt and extrapolated linearly implicit Euler steps
     under a larger one, so any positive dt_init runs.  band_tol None is
     the grid's default_band_tol, and a band_tol of 1 or more would hold
-    the zero eigenvalue.  early_stop = 0 never stops the run early.
+    the zero eigenvalue.  vol_tol may not exceed potential.VOLUME_TOL,
+    past which the potential solve of every state refuses the volume.
+    early_stop = 0 never stops the run early.
     """
 
     t_end: float = 5.0
@@ -88,6 +91,10 @@ class FlowConfig:
             value = getattr(self, key)  # None only for dt_init, band_tol
             if value is not None and not value > 0.0:
                 raise ConfigError(f"{key} = {value} must be positive")
+        if self.vol_tol > VOLUME_TOL:
+            raise ConfigError(f"vol_tol = {self.vol_tol} exceeds "
+                              f"{VOLUME_TOL:g}, past which the potential "
+                              "solve refuses the volume")
         if self.band_tol is not None and not self.band_tol < 1.0:
             raise ConfigError(f"band_tol = {self.band_tol} must be < 1, "
                               "or the band holds the zero eigenvalue")
@@ -105,7 +112,8 @@ class FlowState:
     1's block that it marks and no others, so the monitors read every band
     member without a solve.
     class_residual is the sup-norm residual of the class identity against
-    the initial metric.
+    the initial metric, and phi_meas the least Phi with
+    Phi^-1 g0 <= g <= Phi g0 for that metric g0.
     """
 
     t: float
@@ -117,6 +125,7 @@ class FlowState:
     lambda_g: float
     holo_band: list[float]
     class_residual: float
+    phi_meas: float
     spectrum: np.ndarray
     band_members: np.ndarray
     axial_vectors: np.ndarray
@@ -207,14 +216,16 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
             f" at t = {t:.6g}")
     metric = ConformalMetric(grid=grid, w=w)
     u = solve_ricci_potential(metric)
-    spec = spectral.weighted_spectrum(metric, u.values, warm)
+    spec = spectral.weighted_spectrum(metric, u, warm)
     lam_g, band, members = spectral.lambda_second(spec, config.band_tol)
-    funcs = functional_bundle(u.values, metric, lambda_g=lam_g)
+    funcs = functional_bundle(u, metric, lambda_g=lam_g)
     # fancy indexing copies: the state keeps the band columns only
     holo = spec.vecs[1][:, members[1]]
     state = FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
                       phi=phi.copy(), lambda_g=lam_g, holo_band=band,
-                      class_residual=res, spectrum=spec.vals,
+                      class_residual=res,
+                      phi_meas=_equivalence_ratio(metric.w, initial.w),
+                      spectrum=spec.vals,
                       band_members=members, axial_vectors=spec.vecs[0],
                       holo_vectors=holo)
     return state, spec
@@ -302,6 +313,12 @@ def _class_residual(w, initial: ConformalMetric, phi) -> float:
     lhs = np.exp(2.0 * w)
     rhs = initial.e2w + 0.5 * laplace_round(initial.grid, phi)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _equivalence_ratio(w, w0) -> float:
+    """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}."""
+    ratio = np.exp(2.0 * (w - w0))
+    return float(max(ratio.max(), (1.0 / ratio).max()))
 
 
 def log_det_bookkeeping(state: FlowState,

@@ -88,7 +88,7 @@ def make_grid(n_nodes: int) -> Grid:
 class ConformalMetric:
     """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere
     (complex dimension one).  w is a read-only copy of the profile given,
-    so the cached e2w, volume and curvature cannot go stale."""
+    so the cached e2w, em2w, volume and curvature cannot go stale."""
 
     grid: Grid
     w: np.ndarray
@@ -110,6 +110,13 @@ class ConformalMetric:
         return e2w
 
     @cached_property
+    def em2w(self) -> np.ndarray:
+        """e^{-2w}, which turns round-sphere operators into those of g."""
+        em2w = np.exp(-2.0 * self.w)
+        em2w.flags.writeable = False
+        return em2w
+
+    @cached_property
     def volume(self) -> float:
         """Total volume 2 pi * integral e^{2w} sin(theta) dtheta."""
         return float(2.0 * np.pi * np.sum(self.e2w * self.grid.quad_weights))
@@ -117,7 +124,7 @@ class ConformalMetric:
     @cached_property
     def curvature(self) -> np.ndarray:
         """K = e^{-2w} (1 - lap_round w); equals the scalar curvature here."""
-        k = np.exp(-2.0 * self.w) * (1.0 - laplace_round(self.grid, self.w))
+        k = self.em2w * (1.0 - laplace_round(self.grid, self.w))
         k.flags.writeable = False
         return k
 
@@ -219,16 +226,6 @@ def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
 # curvature, measure, distances
 # ---------------------------------------------------------------------------
 
-def gaussian_curvature(metric: ConformalMetric) -> np.ndarray:
-    """The metric's cached curvature K = e^{-2w} (1 - lap_round w)."""
-    return metric.curvature
-
-
-def volume(metric: ConformalMetric) -> float:
-    """The metric's cached volume 2 pi * integral e^{2w} sin(theta) dtheta."""
-    return metric.volume
-
-
 def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
     """Shift w by a constant so the volume is exactly 4*pi.
 
@@ -246,7 +243,7 @@ def weighted_integral(f: np.ndarray, metric: ConformalMetric) -> float:
 
 def grad_norm_sq(f: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     """Complex gradient-norm square |grad f|^2 = (1/2) e^{-2w} (f')^2."""
-    return 0.5 * np.exp(-2.0 * metric.w) * dtheta(metric.grid, f) ** 2
+    return 0.5 * metric.em2w * dtheta(metric.grid, f) ** 2
 
 
 def measured_calabi(metric: ConformalMetric) -> float:

@@ -24,7 +24,7 @@ from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        NumericalError, check_scale, conformal_metric,
                        curvature_bounds, diameter, legendre_profile,
                        make_grid, measured_calabi, normalize_volume,
-                       round_metric, volume)
+                       round_metric)
 from .monitors import (ALL_CHECKS, FAIL, MONITOR_PARAMS, CheckReport,
                        TrajectoryReport, evaluate_trajectory, monitor_params)
 
@@ -82,7 +82,7 @@ def _even_preset(grid: Grid, w: np.ndarray, what: str) -> ConformalMetric:
     if np.isfinite(w).all():
         metric = ConformalMetric(grid=grid, w=w)
         with np.errstate(over="ignore"):
-            if 0.0 < volume(metric) < math.inf:
+            if 0.0 < metric.volume < math.inf:
                 return normalize_volume(metric)
     raise ConfigError(f"{what} gives no finite metric")
 
@@ -411,8 +411,9 @@ def write_report(path: Path, spec: ExperimentSpec,
               f"h = {repr(math.pi / spec.grid_n)}",
               f"exit_code = {code}"]
     if traj is not None:
-        dts = sorted({repr(s.dt) for s in traj.states if s.dt > 0})
-        blocks.append("dt_history = " + (", ".join(dts) if dts else "none"))
+        dts = sorted({s.dt for s in traj.states if s.dt > 0})
+        blocks.append("dt_history = "
+                      + (", ".join(map(repr, dts)) if dts else "none"))
         blocks.append(f"n_states = {len(traj.states)}")
         blocks.append("eigensolves = " + ", ".join(
             f"{kind} {count}" for kind, count in traj.eigensolves.items()))

@@ -109,12 +109,6 @@ def _gate_not_met(check_id: str, statement: str, aux: dict,
                        verdict=GATE_NOT_MET, aux=aux)
 
 
-def _equivalence_ratio(w, w0) -> float:
-    """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}."""
-    ratio = np.exp(2.0 * (w - w0))
-    return float(max(ratio.max(), (1.0 / ratio).max()))
-
-
 # ---------------------------------------------------------------------------
 # weighted Poincare with sharpening
 # ---------------------------------------------------------------------------
@@ -235,21 +229,18 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
 
     On a curve the complex trace 1 + lap_{c,0} phi equals the pointwise
     metric ratio e^{2(w - w0)}, so the trace series and the equivalence
-    constant Phi_meas are one check.  The bounding function is
-    existential, hence REPORT_ONLY; positivity of the trace is a hard
-    FAIL (the flow metric must stay a metric against g0).
+    constant Phi_meas (each state's phi_meas) are one check.  The bounding
+    function is existential, hence REPORT_ONLY; positivity of the trace is
+    a hard FAIL (the flow metric must stay a metric against g0).
     """
     states = traj.states
     s0 = states[0]
-    w0 = s0.metric.w
     grid = s0.metric.grid
-    half_inv_e2w0 = 0.5 * np.exp(-2.0 * w0)  # the same for every state
+    half_inv_e2w0 = 0.5 * s0.metric.em2w  # the same for every state
     u0_c0 = float(np.max(np.abs(s0.u.values)))
-    phi_meas = []
     min_trace = np.inf
     run_sup = 0.0
     for s in states:
-        phi_meas.append(_equivalence_ratio(s.metric.w, w0))
         # the complex trace 1 + (1/2) e^{-2w0} lap_round phi
         trace = 1.0 + half_inv_e2w0 * laplace_round(grid, s.phi)
         min_trace = min(min_trace, float(trace.min()))
@@ -262,10 +253,10 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
         statement="n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
         gate_satisfied=True, margin=float(min_trace), tolerance=0.0,
         verdict=verdict,
-        aux={"phi_meas_max": float(max(phi_meas)),
+        aux={"phi_meas_max": float(max(s.phi_meas for s in states)),
              "min_trace": float(min_trace),
              "alpha_final": float(run_sup),
-             "phi_meas_final": float(phi_meas[-1])})
+             "phi_meas_final": float(states[-1].phi_meas)})
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +277,8 @@ def _branch_eigs(state: FlowState, index: int):
 
 
 def check_eigenvalue_derivative(traj: Trajectory,
-                                index: int = MONITOR_PARAMS["branch_index"],
-                                normalization_scale: float = 1.0) -> CheckReport:
+                                index: int = MONITOR_PARAMS["branch_index"]
+                                ) -> CheckReport:
     """d lambda/dt identity along one axial (m = 0) branch.
 
     Compares the centered difference of the branch eigenvalue against
@@ -296,8 +287,6 @@ def check_eigenvalue_derivative(traj: Trajectory,
     the index-th axial pair each state keeps (index + 2 <=
     spectral.K_PER_MODE, so the pair above it is kept too), tracked within
     its mode to avoid crossing ambiguity.
-    normalization_scale deliberately breaks the normalization for the
-    forced-failure path.
     """
     statement = "d lambda/dt = (1/V) int [-(1-K)|dbar psi|^2 + (lam |psi|^2 - |dbar psi|^2)(u-a)] e^-u dv"
     states = traj.states
@@ -309,14 +298,13 @@ def check_eigenvalue_derivative(traj: Trajectory,
 
     def formula_at(i):
         s = states[i]
-        metric = s.metric
-        psi = vecs[i] * math.sqrt(metric.volume) * normalization_scale
-        gb = spectral.dbar_sq(metric, psi, 0)
-        one_minus_k = 1.0 - metric.curvature
+        eig = spectral.pair_data(s.metric, 0, lams[i], vecs[i])
+        psi, gb = eig.psi, eig.grad_bar_sq
+        one_minus_k = 1.0 - s.metric.curvature
         uma = s.u.values - s.funcs.a
         return weighted_mean(-one_minus_k * gb
                              + (lams[i] * psi ** 2 - gb) * uma,
-                             np.exp(-s.u.values), metric)
+                             s.u.emu, s.metric)
 
     def mismatch_at(i, spread):
         fd = (lams[i + spread] - lams[i - spread]) / (
@@ -369,7 +357,7 @@ def _gradsq_rhs(state: FlowState, mixed, pure):
     metric = state.metric
     grid = metric.grid
     f = grad_norm_sq(state.u.values, metric)
-    lap_c_f = 0.5 * np.exp(-2.0 * metric.w) * laplace_round(grid, f)
+    lap_c_f = 0.5 * metric.em2w * laplace_round(grid, f)
     return f, lap_c_f - pure - mixed + f
 
 
@@ -426,7 +414,7 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
 
 def _hessian_l2(state: FlowState, mixed) -> float:
     """(1/V) int |mixed Hessian of u|^2 e^-u dv."""
-    return weighted_mean(mixed, np.exp(-state.u.values), state.metric)
+    return weighted_mean(mixed, state.u.emu, state.metric)
 
 
 def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
@@ -603,20 +591,18 @@ def bootstrap_tracker(traj: Trajectory,
     s0 = states[0]
     eps = max(s0.funcs.grad_u_c0, 1e-300)
     calibration = phi0 * eps ** (-0.5)  # the L of |grad u| < L eps
-    w0 = s0.metric.w
     grad_budget = calibration * eps
     first_grad = first_equiv = first_eig = None
     max_grad = 0.0
     max_phi = 1.0
     min_lam = np.inf
     for s in states:
-        phi_meas = _equivalence_ratio(s.metric.w, w0)
-        max_phi = max(max_phi, phi_meas)
+        max_phi = max(max_phi, s.phi_meas)
         max_grad = max(max_grad, s.funcs.grad_u_c0)
         min_lam = min(min_lam, s.lambda_g)
         if first_grad is None and s.funcs.grad_u_c0 >= grad_budget:
             first_grad = s.t
-        if first_equiv is None and phi_meas >= phi0:
+        if first_equiv is None and s.phi_meas >= phi0:
             first_equiv = s.t
         if first_eig is None and s.lambda_g <= 1.0 + BOOTSTRAP_DELTA / 2.0:
             first_eig = s.t

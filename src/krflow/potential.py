@@ -42,12 +42,15 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class RicciPotential:
-    """Solved potential: nodal values, normalization constant, residuals."""
+    """Solved potential: nodal values, normalization constant, residuals,
+    and the weight emu = e^{-u} (read-only) of every integral against
+    e^{-u} dv."""
 
     values: np.ndarray
     norm_const: float
     pde_residual: float
     norm_residual: float
+    emu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,31 +87,18 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     u = u0 + c
     pde_res = float(np.max(np.abs(
         laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
-    norm_res = abs(weighted_mean(1.0, np.exp(-u), metric) - 1.0)
+    emu = np.exp(-u)
+    emu.flags.writeable = False
+    norm_res = abs(weighted_mean(1.0, emu, metric) - 1.0)
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")
     return RicciPotential(values=u, norm_const=c, pde_residual=pde_res,
-                          norm_residual=norm_res)
+                          norm_residual=norm_res, emu=emu)
 
 
 def weighted_mean(f, emu: np.ndarray, metric: ConformalMetric) -> float:
     """(1/V) integral f e^{-u} dv, for f and emu = e^{-u} at the nodes."""
     return weighted_integral(f * emu, metric) / metric.volume
-
-
-def average_a(u: np.ndarray, metric: ConformalMetric) -> float:
-    """Weighted average a = (1/V) integral u e^{-u} dv; Jensen gives a <= 0."""
-    return weighted_mean(u, np.exp(-u), metric)
-
-
-def functional_Y(u: np.ndarray, a: float, metric: ConformalMetric) -> float:
-    """Y = (1/V) integral (u - a)^2 e^{-u} dv, the Lyapunov functional."""
-    return weighted_mean((u - a) ** 2, np.exp(-u), metric)
-
-
-def functional_Z(u: np.ndarray, metric: ConformalMetric) -> float:
-    """Z = (1/V) integral |grad u|^2 e^{-u} dv (complex gradient norm)."""
-    return weighted_mean(grad_norm_sq(u, metric), np.exp(-u), metric)
 
 
 def delta_prime(a: float, s: float) -> float:
@@ -167,13 +157,16 @@ def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:
     return 0.5 * (upp - (2.0 * wp + cot) * up) / metric.e2w
 
 
-def functional_bundle(u: np.ndarray, metric: ConformalMetric,
+def functional_bundle(potential: RicciPotential, metric: ConformalMetric,
                       lambda_g: float) -> FunctionalBundle:
-    """Assemble every scalar functional of a solved state.
+    """Assemble every scalar functional of a solved state; the one
+    definition of a = (1/V) int u e^{-u} dv (Jensen gives a <= 0), of the
+    Lyapunov functional Y = (1/V) int (u - a)^2 e^{-u} dv and of
+    Z = (1/V) int |grad u|^2 e^{-u} dv (complex gradient norm).
 
     delta_prime_0 is delta_prime of the gap lambda_g - 1, clipped at 0.
     """
-    emu = np.exp(-u)
+    u, emu = potential.values, potential.emu
     a = weighted_mean(u, emu, metric)
     y = weighted_mean((u - a) ** 2, emu, metric)
     grad_sq = grad_norm_sq(u, metric)  # for Z and for its C0 norm

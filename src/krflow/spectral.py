@@ -55,6 +55,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
                        grad_norm_sq, legendre_profile, weighted_integral)
+from .potential import RicciPotential
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
@@ -136,9 +137,10 @@ def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
 
 
 def assemble_modes(metric: ConformalMetric,
-                   u: np.ndarray | None) -> list[ModeProblem]:
+                   u: RicciPotential | None) -> list[ModeProblem]:
     """Stiffness bands and mass diagonal for each Fourier mode m < N_MODES
-    on the nodal potential u, None for the unweighted operator.
+    weighted by the solved potential u's e^{-u}, None for the unweighted
+    operator.
 
     The derivative part of the form is sum over interior flux points of
     C_f (D R)_f^2 with the four-node flux quotient D.  Only the first and
@@ -149,7 +151,7 @@ def assemble_modes(metric: ConformalMetric,
     g = metric.grid
     n = g.n_nodes
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
-    e = np.ones(n) if u is None else np.exp(-u)  # for stiffness and mass
+    e = np.ones(n) if u is None else u.emu  # for stiffness and mass
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
@@ -380,9 +382,11 @@ def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
             for ok_s, ok_r in zip(sturm, residual)]
 
 
-def weighted_spectrum(metric: ConformalMetric, u: np.ndarray | None,
+def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
                       warm: Spectrum | None = None) -> Spectrum:
-    """The checked lowest K_PER_MODE pairs of every mode m < N_MODES.
+    """The checked lowest K_PER_MODE pairs of every mode m < N_MODES of the
+    operator weighted by the solved potential u, None for the unweighted
+    one.
 
     Without warm, each mode takes the cold solve_mode.  warm is the
     previous state's Spectrum: then every mode starts from its block
@@ -475,7 +479,7 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
     profile R = psi."""
     g = metric.grid
     rp = dtheta(g, psi, parity=1 if m % 2 == 0 else -1)
-    half = 0.5 * np.exp(-2.0 * metric.w)
+    half = 0.5 * metric.em2w
     gb = half * rp ** 2
     if m != 0:
         gb = gb + half * (m * psi / g.sin_nodes) ** 2

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from krflow.flow import FlowConfig, run, stability_dt
-from krflow.geometry import (conformal_metric, make_grid, round_metric,
-                             volume)
+from krflow.geometry import conformal_metric, make_grid, round_metric
 from krflow.harness import (legendre_bump, legendre_bump_for_calabi, loads,
                             measured_calabi, multi_mode, sweep_epsilon)
 from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, bootstrap_tracker,
@@ -140,7 +139,7 @@ def test_03_round_fixed_point():
     state = traj.states[-1]
     assert len(traj.states) == 2 and state.dt == dt
     wdev = float(np.max(np.abs(state.metric.w)))
-    vdev = abs(volume(state.metric) - 4 * np.pi) / (4 * np.pi)
+    vdev = abs(state.metric.volume - 4 * np.pi) / (4 * np.pi)
     verdict(3, "round-fixed-point", wdev <= 1e-12 and vdev <= 1e-10,
             f"sup|w|={wdev:.2e}, |V-4pi|/4pi={vdev:.2e} after 1e4 steps")
 
@@ -169,7 +168,7 @@ def test_05_identity_suite(ladder_runs):
         resids["log_det"].append(
             max(log_det_residual(s, traj.states[0]) for s in traj.states))
         mid = traj.states[len(traj.states) // 2]
-        spec = weighted_spectrum(mid.metric, mid.u.values)
+        spec = weighted_spectrum(mid.metric, mid.u)
         i = int(np.flatnonzero(np.abs(spec.vals[0] - 3.0) < 0.1)[0])
         resids["bochner"].append(
             check_bochner(mid, eigen_data(spec, 0, i)).aux["residual"])

@@ -8,9 +8,8 @@ from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
                          log_det_bookkeeping, log_det_residual, make_state,
                          run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
-                             flux_laplacian, gaussian_curvature,
-                             laplace_round, make_grid, normalize_volume,
-                             round_metric, volume)
+                             flux_laplacian, laplace_round, make_grid,
+                             normalize_volume, round_metric)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
@@ -22,7 +21,7 @@ def P2(x):
 
 def conformal_velocity(metric):
     """dw/dt = (1/2)(1 - K) of the normalized flow."""
-    return 0.5 * (1.0 - gaussian_curvature(metric))
+    return 0.5 * (1.0 - metric.curvature)
 
 
 def fixed_steps(metric, dt, nsteps):
@@ -46,10 +45,10 @@ class TestVelocity:
         # dV/dt = V - 4 pi, checked with one tiny explicit update
         c = 0.05
         m = conformal_metric(grid128, np.full(grid128.n_nodes, c))
-        v0 = volume(m)
+        v0 = m.volume
         dt = 1e-7
         m1 = ConformalMetric(grid=grid128, w=m.w + dt * conformal_velocity(m))
-        rate = (volume(m1) - v0) / dt
+        rate = (m1.volume - v0) / dt
         assert rate == pytest.approx(v0 - 4 * np.pi, rel=1e-6)
 
 
@@ -58,11 +57,11 @@ class TestFlowConfig:
         {"record_dt": 0.0}, {"record_dt": -0.05}, {"t_end": np.inf},
         {"dt_init": 0.0}, {"vol_tol": np.nan}, {"band_tol": -1.0},
         {"band_tol": 1.0}, {"early_stop": np.inf}, {"early_stop": np.nan},
-        {"early_stop": -1.0}],
+        {"early_stop": -1.0}, {"vol_tol": 1e-5}],
         ids=["record_dt_zero", "record_dt_negative", "t_end_inf",
              "dt_init_zero", "vol_tol_nan", "band_tol_negative",
              "band_tol_one", "early_stop_inf", "early_stop_nan",
-             "early_stop_negative"])
+             "early_stop_negative", "vol_tol_over_potential_bound"])
     def test_bad_value_rejected_on_construction(self, kwargs):
         # record_dt = 0 made run loop forever, and a negative one flowed
         # backwards; the check is on the config, so library callers get it
@@ -75,7 +74,7 @@ class TestFixedPoint:
         m = round_metric(grid128)
         _, state = fixed_steps(m, stability_dt(m), 200)
         assert np.max(np.abs(state.metric.w)) < 1e-14
-        assert volume(state.metric) == pytest.approx(4 * np.pi, abs=1e-12)
+        assert state.metric.volume == pytest.approx(4 * np.pi, abs=1e-12)
         assert np.max(np.abs(state.phi)) < 1e-14
 
     def test_run_round_converges_immediately(self, grid128):
@@ -160,7 +159,7 @@ class TestRun:
         assert ys[-1] < ys[0] * np.exp(-3.5)
 
     def test_volume_conserved_along_run(self, p2_run_small):
-        vols = np.array([volume(s.metric) for s in p2_run_small.states])
+        vols = np.array([s.metric.volume for s in p2_run_small.states])
         assert np.max(np.abs(vols - 4 * np.pi)) < 1e-11
 
     def test_every_state_solved_and_banded(self, p2_run_small):
@@ -222,13 +221,13 @@ class TestStabilityBound:
     def test_jacobian_bands_match_central_differences(self, grid64, family):
         # the bands the extrapolated step factors, with K = 1 - 2 f_w as
         # the kernel takes it, and the ones stability_dt bounds, with K
-        # from gaussian_curvature, against the dense difference quotient:
+        # from the metric's curvature, against the dense difference quotient:
         # off by at most 2.8e-9 on entries up to 418, and 0 off the bands
         m = family_metric(family, 64)
         fd = self.jacobian(m)
         lap = _kernels.laplacian_bands(m.grid)
         fw = _kernels._rhs_numpy(m.w, *kernel_args(m.grid))[0]
-        for k in (1.0 - 2.0 * fw, gaussian_curvature(m)):
+        for k in (1.0 - 2.0 * fw, m.curvature):
             lo, di, up = _kernels.jacobian_bands(m.w, k, lap)
             banded = np.diag(di) + np.diag(lo, -1) + np.diag(up, 1)
             assert np.max(np.abs(banded - fd)) <= 5e-8

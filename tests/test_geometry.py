@@ -5,11 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from krflow.geometry import (ConformalMetric, conformal_metric,
-                             curvature_bounds, diameter, dtheta,
-                             gaussian_curvature, grad_norm_sq,
+                             curvature_bounds, diameter, dtheta, grad_norm_sq,
                              laplace_round, make_grid, noncollapsing_kappa,
                              normalize_volume, pole_slopes, round_metric,
-                             volume, weighted_integral)
+                             weighted_integral)
 
 FOUR_PI = 4 * np.pi
 
@@ -71,19 +70,19 @@ class TestConformalMetric:
         m = ConformalMetric(grid=grid128, w=w)
         w[0] = 1.0  # the caller's array, not the metric's
         assert m.w[0] == 0.1 * P2(grid128.cos_nodes[0])
-        for field in ("w", "e2w", "curvature"):
+        for field in ("w", "e2w", "em2w", "curvature"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, field)[0] = 0.0
 
     def test_cached_fields_equal_a_fresh_computation(self, grid128):
         m = metric_from_profile(grid128, lambda th: 0.2 * P2(np.cos(th)))
         w, q = m.w, grid128.quad_weights
-        e2w = np.exp(2.0 * w)
-        k = np.exp(-2.0 * w) * (1.0 - laplace_round(grid128, w))
+        e2w, em2w = np.exp(2.0 * w), np.exp(-2.0 * w)
+        k = em2w * (1.0 - laplace_round(grid128, w))
         assert np.array_equal(m.e2w, e2w)
+        assert np.array_equal(m.em2w, em2w)
         assert m.volume == float(2.0 * np.pi * np.sum(e2w * q))
         assert np.array_equal(m.curvature, k)
-        assert volume(m) is m.volume and gaussian_curvature(m) is m.curvature
         f = np.cos(grid128.theta_nodes) ** 2
         assert weighted_integral(f, m) == float(
             2.0 * np.pi * np.sum(f * e2w * q))
@@ -96,13 +95,13 @@ class TestConformalMetric:
 
 class TestCurvature:
     def test_round_is_one(self, grid128):
-        k = gaussian_curvature(round_metric(grid128))
+        k = round_metric(grid128).curvature
         assert np.max(np.abs(k - 1.0)) < 1e-13
 
     def test_constant_shift_scales(self, grid128):
         c = 0.3
         m = conformal_metric(grid128, np.full(grid128.n_nodes, c))
-        k = gaussian_curvature(m)
+        k = m.curvature
         assert np.max(np.abs(k - np.exp(-2 * c))) < 1e-13
 
     def test_cos_profile_closed_form(self):
@@ -114,13 +113,13 @@ class TestCurvature:
             x = g.cos_nodes
             m = conformal_metric(g, eps * x)
             exact = np.exp(-2 * eps * x) * (1 + 2 * eps * x)
-            errs.append(np.max(np.abs(gaussian_curvature(m) - exact)))
+            errs.append(np.max(np.abs(m.curvature - exact)))
         assert errs[0] < 20 * (np.pi / 128) ** 2
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
     def test_gauss_bonnet_exact_discretely(self, grid128):
         m = metric_from_profile(grid128, lambda th: 0.2 * P2(np.cos(th)))
-        total = weighted_integral(gaussian_curvature(m), m)
+        total = weighted_integral(m.curvature, m)
         assert abs(total - FOUR_PI) < 1e-11
 
     def test_bounds_round_and_shifted(self, grid128):
@@ -143,12 +142,13 @@ class TestCurvature:
 
 class TestVolume:
     def test_round(self, grid128):
-        assert volume(round_metric(grid128)) == pytest.approx(FOUR_PI, abs=1e-12)
+        assert round_metric(grid128).volume == pytest.approx(FOUR_PI,
+                                                             abs=1e-12)
 
     def test_constant_scaling_exact(self, grid128):
         c = 0.05
         m = conformal_metric(grid128, np.full(grid128.n_nodes, c))
-        assert volume(m) == pytest.approx(FOUR_PI * np.exp(2 * c), rel=1e-14)
+        assert m.volume == pytest.approx(FOUR_PI * np.exp(2 * c), rel=1e-14)
 
     def test_p2_against_quad_oracle(self):
         # midpoint-in-cell quadrature is O(h^2); the error must shrink 4x
@@ -158,13 +158,13 @@ class TestVolume:
         for n in (128, 256):
             g = make_grid(n)
             m = conformal_metric(g, 0.1 * P2(g.cos_nodes))
-            errs.append(abs(volume(m) - 2 * np.pi * oracle))
+            errs.append(abs(m.volume - 2 * np.pi * oracle))
         assert errs[1] < 10 * (np.pi / 256) ** 2
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.6)
 
     def test_normalize_volume_exact(self, grid128):
         m = conformal_metric(grid128, 0.3 * P2(grid128.cos_nodes))
-        assert volume(normalize_volume(m)) == pytest.approx(FOUR_PI, abs=1e-12)
+        assert normalize_volume(m).volume == pytest.approx(FOUR_PI, abs=1e-12)
 
 
 class TestWeightedIntegral:
@@ -235,7 +235,7 @@ def kappa_by_loop(metric, rho, n_radii=48):
     """noncollapsing_kappa one radius and one pole at a time: the scalar
     reference for the vectorized ball volumes."""
     g = metric.grid
-    vol_total = volume(metric)
+    vol_total = metric.volume
     flux_angles = np.arange(g.n_nodes + 1) * g.h
     kappa = np.inf
     for south in (False, True):
@@ -308,12 +308,12 @@ class TestScalingCovariance:
         base = conformal_metric(grid128, 0.1 * P2(grid128.cos_nodes))
         c = 0.25
         shifted = conformal_metric(grid128, base.w + c)
-        assert volume(shifted) == pytest.approx(np.exp(2 * c) * volume(base),
+        assert shifted.volume == pytest.approx(np.exp(2 * c) * base.volume,
                                                 rel=1e-14)
         assert diameter(shifted) == pytest.approx(np.exp(c) * diameter(base),
                                                   rel=1e-12)
-        k0 = gaussian_curvature(base)
-        k1 = gaussian_curvature(shifted)
+        k0 = base.curvature
+        k1 = shifted.curvature
         assert np.max(np.abs(k1 - np.exp(-2 * c) * k0)) < 1e-13
 
 

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from krflow.cli import main
-from krflow.flow import FlowConfig
-from krflow.geometry import make_grid, volume
+from krflow.flow import FlowConfig, run
+from krflow.geometry import make_grid
 from krflow.harness import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL, EXIT_OK,
                             ConfigError,
                             ExperimentSpec, TIMESERIES_COLUMNS, dumps,
                             legendre_bump, legendre_bump_for_calabi,
                             load_spec, loads, measured_calabi, multi_mode,
-                            run_scenario, sweep_epsilon)
+                            run_scenario, sweep_epsilon, write_report)
 from krflow.monitors import ALL_CHECKS, MONITOR_PARAMS
 
 MINIMAL = "scenario = round\ngrid_n = 128\n"
@@ -60,9 +60,13 @@ TILTED_W = "scenario = custom_w\ngrid_n = 64\n[scenario]\nfile = {tilted_w}\n"
 # the volume-normalized 0.5 P_6 at grid_n = 16: even, with pole slopes of
 # 1.67 against a tolerance of 4.22 that its fourth differences widen
 P6_W = "scenario = custom_w\ngrid_n = 16\n[scenario]\nfile = {p6_w}\n"
+# the round metric with its volume 1e-6 (relative) off 4 pi
+OFF_VOLUME_W = ("scenario = custom_w\ngrid_n = 64\n[scenario]\n"
+                "file = {off_volume_w}\n")
 # the profile file each placeholder names
 PROFILES = {"tilted_w": lambda: 0.5 * make_grid(64).theta_nodes,
-            "p6_w": lambda: legendre_bump(make_grid(16), 6, 0.5).w}
+            "p6_w": lambda: legendre_bump(make_grid(16), 6, 0.5).w,
+            "off_volume_w": lambda: np.full(64, 0.5 * np.log1p(1e-6))}
 
 
 class TestConfig:
@@ -192,7 +196,9 @@ class TestConfig:
                 "band_tol", "early_stop")
         assert tuple(f.name for f in dataclasses.fields(FlowConfig)) == keys
         for key in keys:
-            loads(MINIMAL + f"[flow]\n{key} = 0.5\n")
+            # vol_tol may not exceed the potential solve's bound, 1e-8
+            value = 1e-9 if key == "vol_tol" else 0.5
+            loads(MINIMAL + f"[flow]\n{key} = {value}\n")
 
     def test_default_spec_roundtrip(self):
         spec = ExperimentSpec()
@@ -219,7 +225,7 @@ class TestConfig:
 class TestPresets:
     def test_legendre_bump_normalized(self, grid128):
         m = legendre_bump(grid128, 2, 1e-2)
-        assert volume(m) == pytest.approx(4 * np.pi, abs=1e-12)
+        assert m.volume == pytest.approx(4 * np.pi, abs=1e-12)
 
     def test_multi_mode_deterministic(self, grid128):
         m1 = multi_mode(grid128, 7, 2.0, 5e-3)
@@ -305,6 +311,18 @@ class TestRunScenario:
         assert "\ndt_history = 0.001\n" in art.report_path.read_text()
         ts = [s.t for s in art.trajectory.states]
         assert ts == [k * 0.001 for k in range(1000)] + [1.0]
+
+    def test_dt_history_sorted_by_value(self, tmp_path):
+        # sorted as text, 0.0025 came before 5e-05
+        traj = run(FlowConfig(t_end=0.01, record_dt=0.01),
+                   legendre_bump(make_grid(64), 2, 1e-3))
+        s0, s1 = traj.states
+        rigged = dataclasses.replace(traj, states=[
+            s0, dataclasses.replace(s1, dt=0.0025),
+            dataclasses.replace(s1, dt=5e-05)])
+        path = tmp_path / "report.txt"
+        write_report(path, ExperimentSpec(), rigged, None)
+        assert "\ndt_history = 5e-05, 0.0025\n" in path.read_text()
 
     def test_volume_violating_custom_w(self, tmp_path, grid64):
         path = tmp_path / "w.txt"
@@ -458,7 +476,7 @@ class TestCli:
         assert len(calls) == 3
         rows = capsys.readouterr().out.splitlines()[1:-2]
         state = state_at(load_spec(path), 0.0)
-        fresh = krflow.spectral.weighted_spectrum(state.metric, state.u.values)
+        fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
         # modes m > 0 twice, stably sorted from the mode-by-mode order
         pairs = sorted(((float(lam), m) for m, row in enumerate(fresh.vals)
                         for lam in row for _ in range(1 if m == 0 else 2)),
@@ -626,6 +644,9 @@ class TestCli:
         # with the t = 0.1 state's values
         (BUMP_SHORT + "[monitors]\nchecks = short_time\nt0 = 100\n",
          EXIT_CONFIG),
+        # a vol_tol over the potential solve's bound: the run's own volume
+        # check passed this profile, then the solve refused it; it exited 3
+        (OFF_VOLUME_W + "[flow]\nvol_tol = 1e-5\n", EXIT_CONFIG),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -648,7 +669,8 @@ class TestCli:
             "phi0_zero", "phi0_negative", "phi0_one", "phi0_nan",
             "t0_nan", "t0_negative", "curvature_bound_nan",
             "band_tol_one", "band_tol_ten", "custom_w_even_unresolved",
-            "custom_w_even_explicit_band", "t0_past_t_end"])
+            "custom_w_even_explicit_band", "t0_past_t_end",
+            "vol_tol_over_potential_bound"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)
@@ -743,9 +765,10 @@ class TestCli:
 
 class TestMeasureOnce:
     def test_exp_calls_per_state(self, tmp_path, monkeypatch):
-        """Each recorded state evaluates its measure once: numpy.exp runs
-        at most 25 times per state outside the time-stepping kernels, with
-        every check on (50 when each functional rebuilt e^{2w} and V)."""
+        """Each recorded state evaluates its measure and weights once:
+        numpy.exp runs at most 12 times per state outside the time-stepping
+        kernels, with every check on (50 when each functional rebuilt
+        e^{2w} and V, 19 when e^{-2w}, e^{-u} and Phi_meas were rebuilt)."""
         real, calls = np.exp, []
 
         def counted(*args, **kwargs):
@@ -765,7 +788,7 @@ class TestMeasureOnce:
         monkeypatch.undo()
         rows = (out / "timeseries.csv").read_text().splitlines()[1:]
         assert len(rows) == 51
-        assert len(calls) <= 25 * len(rows)
+        assert len(calls) <= 12 * len(rows)
 
 
 class TestBlasThreads:

@@ -153,8 +153,11 @@ class TestEigenvalueDerivative:
         assert rep.aux["lambda_at_start"] == pytest.approx(3.0, abs=0.05)
 
     def test_broken_normalization_fails(self, p2_run_small):
-        rep = check_eigenvalue_derivative(p2_run_small, index=2,
-                                          normalization_scale=1.5)
+        # eigenvectors scaled off their normalization break the identity
+        broken = replace(p2_run_small, states=[
+            replace(s, axial_vectors=1.5 * s.axial_vectors)
+            for s in p2_run_small.states])
+        rep = check_eigenvalue_derivative(broken, index=2)
         assert rep.verdict == FAIL
 
     def test_crossing_guard_on_coarse_grid(self):
@@ -196,7 +199,7 @@ class TestZDerivative:
 class TestBochner:
     def test_round_p2_eigenfunction(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u.values)
+        spec = weighted_spectrum(s.metric, s.u)
         rep = check_bochner(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == PASS
         # inequality margin dips only by the identity's own h^2 error
@@ -205,7 +208,7 @@ class TestBochner:
 
     def test_constant_eigenfunction_all_zero(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u.values)
+        spec = weighted_spectrum(s.metric, s.u)
         rep = check_bochner(s, eigen_data(spec, 0, 0))
         assert rep.verdict == PASS
         assert rep.aux["residual"] < 1e-10
@@ -216,14 +219,14 @@ class TestBochner:
             m = legendre_bump(make_grid(n), 2, 1e-2)
             traj = run(FlowConfig(t_end=0.0), m)
             s = traj.states[0]
-            spec = weighted_spectrum(s.metric, s.u.values)
+            spec = weighted_spectrum(s.metric, s.u)
             rep = check_bochner(s, axial_near(spec, 3.0, 0.1))
             resids.append(rep.aux["residual"])
         assert resids[0] / resids[1] == pytest.approx(4.0, abs=1.2)
 
     def test_nonaxial_mode_rejected(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u.values)
+        spec = weighted_spectrum(s.metric, s.u)
         with pytest.raises(ValueError, match="axial"):
             check_bochner(s, eigen_data(spec, 1, 0))
 
@@ -231,7 +234,7 @@ class TestBochner:
 class TestGradientEstimate:
     def test_round_lambda3(self, round_traj):
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u.values)
+        spec = weighted_spectrum(s.metric, s.u)
         rep = check_gradient_estimate(s, axial_near(spec, 3.0, 1e-2))
         assert rep.verdict == REPORT_ONLY
         assert rep.aux["sup_grad_bar"] == pytest.approx(2.3717, abs=2e-3)
@@ -241,7 +244,7 @@ class TestGradientEstimate:
     def test_band_consistency(self, round_traj):
         # three band eigenfunctions see the same effective constant
         s = round_traj.states[0]
-        spec = weighted_spectrum(s.metric, s.u.values)
+        spec = weighted_spectrum(s.metric, s.u)
         c_effs = [check_gradient_estimate(s, e).aux["C_eff"]
                   for e in band_eigen_data(spec)]
         assert max(c_effs) / min(c_effs) < 1.05
@@ -372,13 +375,13 @@ class TestEvaluateTrajectory:
         i = int(np.flatnonzero(np.abs(vals - 3.0) < 0.1)[0])
         own = check_bochner(mid, pair_data(mid.metric, 0, float(vals[i]),
                                            vecs[:, i]))
-        fresh = weighted_spectrum(mid.metric, mid.u.values)
+        fresh = weighted_spectrum(mid.metric, mid.u)
         assert np.max(np.abs(vals - fresh.vals[0]) / np.maximum(
             1.0, np.abs(fresh.vals[0]))) <= WARM_TOL
         sign = np.sign(np.sum(vecs * fresh.vecs[0], axis=0))
         assert np.max(np.abs(vecs - sign * fresh.vecs[0])) <= (
             WARM_VEC_TOL * np.max(np.abs(fresh.vecs[0])))
-        start = weighted_spectrum(states[0].metric, states[0].u.values)
+        start = weighted_spectrum(states[0].metric, states[0].u)
         lam0 = start.vals[0, 2]
         calls = []
         real = krflow.spectral.solve_mode
@@ -419,7 +422,7 @@ class TestEvaluateTrajectory:
         kept = largest(pair_data(mid.metric, m, float(lam), vec)
                        for m, lam, vec in held)
         full = largest(band_eigen_data(weighted_spectrum(mid.metric,
-                                                         mid.u.values)))
+                                                         mid.u)))
         calls = []
         real = krflow.spectral.solve_mode
 

@@ -7,13 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from krflow.geometry import (conformal_metric, grad_norm_sq, make_grid,
-                             normalize_volume, round_metric, volume,
-                             weighted_integral)
-from krflow.potential import (DomainError, VolumeMismatch, average_a,
+                             normalize_volume, round_metric, weighted_integral)
+from krflow.potential import (DomainError, RicciPotential, VolumeMismatch,
                               complex_hessian_norms, delta_prime,
-                              functional_Y, functional_Z, functional_bundle,
-                              futaki_integrals, hessian_t20,
-                              solve_ricci_potential)
+                              functional_bundle, futaki_integrals,
+                              hessian_t20, solve_ricci_potential)
 
 
 def P2(x):
@@ -29,11 +27,16 @@ def grad_c0_norm(f, metric):
     return float(np.sqrt(np.max(grad_norm_sq(f, metric))))
 
 
+def functionals(potential, metric):
+    """functional_bundle of a potential; lambda_g only sets delta_prime_0."""
+    return functional_bundle(potential, metric, lambda_g=3.0)
+
+
 def normalization_constant_bisect(u0, metric, xtol=1e-12):
     """Bisection on the monotone map c -> (1/V) integral e^{-(u0+c)} dv - 1,
     the independent cross-check of the solver's closed form
     log((1/V) integral e^{-u0} dv).  The root lies in [-max|u0|, max|u0|]."""
-    vol = volume(metric)
+    vol = metric.volume
 
     def excess(c):
         return weighted_integral(np.exp(-(u0 + c)), metric) / vol - 1.0
@@ -91,17 +94,23 @@ class TestSolve:
         c = normalization_constant_bisect(zero_based, m)
         assert c == pytest.approx(u.values[0], abs=1e-11)
 
+    def test_weight_is_a_read_only_fresh_exp(self, grid128):
+        # the e^{-u} the solve keeps is the one every weighted integral reads
+        u = solve_ricci_potential(bump(grid128, 0.1))
+        assert np.array_equal(u.emu, np.exp(-u.values))
+        with pytest.raises(ValueError, match="read-only"):
+            u.emu[0] = 0.0
+
 
 class TestAverage:
     def test_round_zero(self, grid128):
         m = round_metric(grid128)
-        u = solve_ricci_potential(m).values
-        assert average_a(u, m) == 0.0
+        assert functionals(solve_ricci_potential(m), m).a == 0.0
 
     def test_jensen_sign_family(self, grid128):
         for eps in (1e-3, 1e-2, 0.1, 0.3):
             m = bump(grid128, eps)
-            a = average_a(solve_ricci_potential(m).values, m)
+            a = functionals(solve_ricci_potential(m), m).a
             assert a <= 0.0
             assert a == pytest.approx(0.0, abs=5 * eps ** 2)
 
@@ -109,15 +118,13 @@ class TestAverage:
 class TestY:
     def test_round_zero(self, grid128):
         m = round_metric(grid128)
-        u = solve_ricci_potential(m).values
-        assert functional_Y(u, 0.0, m) == 0.0
+        assert functionals(solve_ricci_potential(m), m).Y == 0.0
 
     def test_linearized_value(self, grid256):
         # Y ~ (16/9) eps^2 <P2^2> = (16/45) eps^2
         eps = 1e-3
         m = bump(grid256, eps)
-        u = solve_ricci_potential(m).values
-        y = functional_Y(u, average_a(u, m), m)
+        y = functionals(solve_ricci_potential(m), m).Y
         assert y == pytest.approx((16.0 / 45.0) * eps ** 2, rel=5e-3)
 
     def test_richardson_ratio(self):
@@ -126,8 +133,7 @@ class TestY:
         ys = []
         for n in (128, 256, 512):
             m = bump(make_grid(n), eps)
-            u = solve_ricci_potential(m).values
-            ys.append(functional_Y(u, average_a(u, m), m))
+            ys.append(functionals(solve_ricci_potential(m), m).Y)
         ratio = (ys[0] - ys[1]) / (ys[1] - ys[2])
         assert ratio == pytest.approx(4.0, abs=0.8)
 
@@ -135,22 +141,24 @@ class TestY:
 class TestZ:
     def test_round_zero(self, grid128):
         m = round_metric(grid128)
-        assert functional_Z(solve_ricci_potential(m).values, m) == 0.0
+        assert functionals(solve_ricci_potential(m), m).Z == 0.0
 
     def test_cos_profile_quad_oracle(self, grid256):
         # Z for u = cos on the round metric, against adaptive quadrature
         m = round_metric(grid256)
         u = np.cos(grid256.theta_nodes)
-        val = functional_Z(u, m)
+        weight = RicciPotential(values=u, norm_const=0.0, pde_residual=0.0,
+                                norm_residual=0.0, emu=np.exp(-u))
+        val = functionals(weight, m).Z
         num, _ = quad(lambda t: 0.5 * np.sin(t) ** 2 * np.exp(-np.cos(t))
                       * np.sin(t), 0, np.pi, epsabs=1e-13)
         assert val == pytest.approx(2 * np.pi * num / (4 * np.pi), rel=1e-4)
 
     def test_sup_bound(self, grid128):
         m = bump(grid128, 0.05)
-        u = solve_ricci_potential(m).values
-        z = functional_Z(u, m)
-        assert z <= grad_c0_norm(u, m) ** 2 + 1e-15
+        u = solve_ricci_potential(m)
+        z = functionals(u, m).Z
+        assert z <= grad_c0_norm(u.values, m) ** 2 + 1e-15
 
 
 class TestDeltaPrime:
@@ -241,11 +249,10 @@ class TestHessians:
 
     def test_mixed_equals_curvature_defect_for_potential(self, grid256):
         # for the solved potential, lap_c u = 1 - K identically
-        from krflow.geometry import gaussian_curvature
         m = bump(grid256, 0.05)
         u = solve_ricci_potential(m).values
         mixed, _ = complex_hessian_norms(u, m)
-        k = gaussian_curvature(m)
+        k = m.curvature
         assert np.max(np.abs(mixed - (1 - k) ** 2)) < 1e-10
 
     def test_t20_sign_convention(self, grid256):
@@ -258,17 +265,14 @@ class TestPoincareProperties:
     @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1])
     def test_weighted_poincare_floor(self, grid128, eps):
         m = bump(grid128, eps)
-        u = solve_ricci_potential(m).values
-        a = average_a(u, m)
-        y = functional_Y(u, a, m)
-        z = functional_Z(u, m)
-        assert z >= y - 1e-12
+        b = functionals(solve_ricci_potential(m), m)
+        assert b.Z >= b.Y - 1e-12
 
     def test_sharpened_inequality(self, grid128):
         # with the measured gap the sharpened constant still leaves margin
         from krflow.spectral import lambda_second, weighted_spectrum
         m = bump(grid128, 1e-2)
-        u = solve_ricci_potential(m).values
+        u = solve_ricci_potential(m)
         lam = lambda_second(weighted_spectrum(m, u))[0]
         b = functional_bundle(u, m, lambda_g=lam)
         dp = delta_prime(lam - 1.0, b.osc_u)
@@ -278,8 +282,7 @@ class TestPoincareProperties:
 class TestBundle:
     def test_fields_consistent(self, grid128):
         m = bump(grid128, 1e-2)
-        u = solve_ricci_potential(m).values
-        b = functional_bundle(u, m, lambda_g=3.0)
+        b = functional_bundle(solve_ricci_potential(m), m, lambda_g=3.0)
         assert b.Y >= 0 and b.Z >= 0
         assert b.c0_u_minus_a <= b.osc_u + 1e-15
         assert 0 <= b.delta_prime_0 < 1.0

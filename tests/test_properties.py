@@ -30,12 +30,12 @@ from numpy.polynomial import legendre
 from krflow import _kernels
 from krflow.flow import FlowConfig, _class_residual, stability_dt
 from krflow.geometry import (ROUND_VOLUME, ConformalMetric, flux_laplacian,
-                             gaussian_curvature, laplace_round, make_grid,
-                             normalize_volume, volume, weighted_integral)
+                             laplace_round, make_grid, normalize_volume,
+                             weighted_integral)
 from krflow.harness import (SCENARIOS, SWEEP_TARGETS, ExperimentSpec, dumps,
                             loads)
 from krflow.monitors import ALL_CHECKS
-from krflow.potential import solve_ricci_potential
+from krflow.potential import VOLUME_TOL, solve_ricci_potential
 from krflow.spectral import K_PER_MODE, weighted_spectrum
 from test_flow import kernel_args, rk4_ref
 
@@ -71,7 +71,7 @@ def test_flux_laplacian_telescopes(profile):
 @given(profiles)
 def test_discrete_gauss_bonnet(profile):
     m = even_metric(profile)
-    total = weighted_integral(gaussian_curvature(m), m)
+    total = weighted_integral(m.curvature, m)
     assert abs(total - ROUND_VOLUME) < 2e-13
 
 
@@ -85,7 +85,7 @@ def test_potential_pde_residual(profile):
 @PROPERTY
 @given(profiles)
 def test_volume_normalization_exact(profile):
-    assert abs(volume(even_metric(profile)) - ROUND_VOLUME) < 2e-13
+    assert abs(even_metric(profile).volume - ROUND_VOLUME) < 2e-13
 
 
 @PROPERTY
@@ -118,7 +118,7 @@ def test_extrapolated_step_against_rk4(profile):
             break
         nsteps *= 2
         assert nsteps <= 2 ** 12
-    assert abs(volume(ConformalMetric(grid=g, w=w)) - ROUND_VOLUME) \
+    assert abs(ConformalMetric(grid=g, w=w).volume - ROUND_VOLUME) \
         <= vol_limit
     assert _class_residual(w, m, phi) < 2e-11
     nst = int(np.ceil(t_end / min(stability_dt(m) / 16, 1e-4)))
@@ -130,9 +130,10 @@ def test_extrapolated_step_against_rk4(profile):
 
 # valid spec values as loads can produce them: "auto" / "none" read as
 # None only for the keys whose default is None, the time steps and the
-# tolerances are positive, band_tol is under 1, t_end is finite and >= 0,
-# the monitor values are in the ranges monitor_params checks, t0 is not
-# past t_end, and text values carry no surrounding blanks
+# tolerances are positive, vol_tol is at most the potential solve's bound,
+# band_tol is under 1, t_end is finite and >= 0, the monitor values are in
+# the ranges monitor_params checks, t0 is not past t_end, and text values
+# carry no surrounding blanks
 real = st.floats(allow_nan=False)
 positive = st.floats(min_value=0.0, exclude_min=True)
 finite_positive = st.floats(min_value=0.0, exclude_min=True,
@@ -157,7 +158,9 @@ def specs(draw):
                           0.0, 1.0, exclude_min=True, exclude_max=True)),
                       t_end=draw(st.floats(0.0, allow_infinity=False)),
                       early_stop=draw(st.floats(0.0, allow_infinity=False)),
-                      vol_tol=draw(positive), class_tol=draw(positive))
+                      vol_tol=draw(st.floats(0.0, VOLUME_TOL,
+                                             exclude_min=True)),
+                      class_tol=draw(positive))
     monitors = draw(st.fixed_dictionaries({}, optional={
         **MONITOR_VALUES, "t0": st.floats(0.0, flow.t_end)}))
     # a scenario takes only the keys of its own table entry

@@ -10,7 +10,7 @@ from krflow import spectral
 from krflow.cli import main
 from krflow.flow import FlowConfig, run
 from krflow.geometry import (conformal_metric, make_grid, normalize_volume,
-                             round_metric, volume, weighted_integral)
+                             round_metric, weighted_integral)
 from krflow.harness import (EXIT_NUMERICAL, ExperimentSpec, legendre_bump,
                             multi_mode, write_report)
 from krflow.potential import solve_ricci_potential
@@ -50,14 +50,14 @@ def spherical_eigs(count):
 class TestRoundSpectrum:
     def test_merged_first_ten(self, grid256):
         m = round_metric(grid256)
-        spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+        spec = weighted_spectrum(m, solve_ricci_potential(m))
         exact = spherical_eigs(10)
         vals = merged_spectrum(spec.vals)[0]
         assert np.max(np.abs(vals[:10] - exact)) < 1e-3
 
     def test_mode_zero_alone(self, grid256):
         m = round_metric(grid256)
-        prob = assemble_modes(m, np.zeros(grid256.n_nodes))[0]
+        prob = assemble_modes(m, solve_ricci_potential(m))[0]
         vals, _ = solve_mode(prob, 4)
         assert np.allclose(vals, [0.0, 1.0, 3.0, 6.0], atol=1e-3)
 
@@ -135,7 +135,7 @@ class TestSolveModeOracle:
     @pytest.fixture(scope="class", params=sorted(ORACLE_METRICS))
     def metric_u(self, request):
         m = ORACLE_METRICS[request.param](make_grid(128))
-        return m, solve_ricci_potential(m).values
+        return m, solve_ricci_potential(m)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_against_eig_banded_and_eigh(self, metric_u, mode):
@@ -224,7 +224,7 @@ class TestSolveFail:
 class TestLambdaSecond:
     def test_round(self, grid256):
         m = round_metric(grid256)
-        spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+        spec = weighted_spectrum(m, solve_ricci_potential(m))
         lam, band, _ = lambda_second(spec)
         assert lam == pytest.approx(3.0, abs=1e-3)
         assert len(band) == 3
@@ -234,7 +234,7 @@ class TestLambdaSecond:
         for n in (128, 256):
             g = make_grid(n)
             m = bump(g, 1e-3)
-            spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+            spec = weighted_spectrum(m, solve_ricci_potential(m))
             lam, band, _ = lambda_second(spec)
             assert np.max(np.abs(np.array(band) - 1.0)) < 50 * g.h ** 2
             assert lam == pytest.approx(3.0, abs=0.05)
@@ -245,7 +245,7 @@ class TestLambdaSecond:
         for n in (128, 256, 512):
             g = make_grid(n)
             m = bump(g, 1e-3)
-            spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+            spec = weighted_spectrum(m, solve_ricci_potential(m))
             _, band, _ = lambda_second(spec)
             devs.append(abs(min(band) - 1.0))
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=1.0)
@@ -253,7 +253,7 @@ class TestLambdaSecond:
 
     def test_zero_band_tol_is_ambiguous(self, grid128):
         m = round_metric(grid128)
-        spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+        spec = weighted_spectrum(m, solve_ricci_potential(m))
         with pytest.raises(BandAmbiguity):
             lambda_second(spec, band_tol=0.0)
 
@@ -262,7 +262,7 @@ class TestEigenData:
     def test_p2_eigenfunction_closed_form(self, grid256):
         # lambda = 3 axial eigenfunction is sqrt(5) P2 up to sign
         m = round_metric(grid256)
-        spec = weighted_spectrum(m, solve_ricci_potential(m).values)
+        spec = weighted_spectrum(m, solve_ricci_potential(m))
         # find the axial lambda = 3 entry
         i = int(np.flatnonzero(np.abs(spec.vals[0] - 3.0) < 1e-2)[0])
         eig = eigen_data(spec, 0, i)
@@ -274,19 +274,19 @@ class TestEigenData:
 
     def test_normalization_and_rayleigh(self, grid128):
         m = bump(grid128, 1e-2)
-        u = solve_ricci_potential(m).values
+        u = solve_ricci_potential(m)
         spec = weighted_spectrum(m, u)
         problems = assemble_modes(m, u)
         for mode, i in ((0, 1), (0, 2), (1, 1)):
             eig = eigen_data(spec, mode, i)
             norm = weighted_integral(
-                eig.psi ** 2 * np.exp(-u), m) / volume(m)
+                eig.psi ** 2 * np.exp(-u.values), m) / m.volume
             assert norm == pytest.approx(1.0, rel=1e-12)
             stored = spec.vecs[mode][:, i:i + 1]
             assert pencil_residual(problems[mode], eig.lam, stored)[0] < 1e-8
             # integration-by-parts identity at quadrature accuracy
             mean_grad = weighted_integral(
-                eig.grad_bar_sq * np.exp(-u), m) / volume(m)
+                eig.grad_bar_sq * np.exp(-u.values), m) / m.volume
             assert mean_grad == pytest.approx(eig.lam, rel=5e-3)
 
     def test_constant_eigenfunction_zero_gradient(self, grid128):
@@ -298,7 +298,7 @@ class TestEigenData:
 
     def test_band_members(self, grid128):
         m = bump(grid128, 1e-3)
-        u = solve_ricci_potential(m).values
+        u = solve_ricci_potential(m)
         spec = weighted_spectrum(m, u)
         # one axial member and one m = 1 member, which stands for m = +-1
         members = lambda_second(spec)[2]
@@ -308,7 +308,7 @@ class TestEigenData:
 class TestStructure:
     def test_stiffness_psd_mass_positive(self, grid128):
         m = bump(grid128, 0.1)
-        u = solve_ricci_potential(m).values
+        u = solve_ricci_potential(m)
         for mode, prob in enumerate(assemble_modes(m, u)):
             assert np.all(prob.mass > 0)
             # the form is a sum of squares: smallest eigenvalue >= 0, and
@@ -319,6 +319,13 @@ class TestStructure:
                 av = spectral._band_apply(prob.bands,
                                           np.ones((grid128.n_nodes, 1)))
                 assert np.max(np.abs(av)) < 1e-12
+
+    def test_nodal_potential_is_not_a_weight(self, grid128):
+        # the weight is the solved potential's e^{-u}: bare nodal values
+        # raise
+        m = bump(grid128, 0.1)
+        with pytest.raises(AttributeError):
+            assemble_modes(m, solve_ricci_potential(m).values)
 
     def test_refinement_richardson(self):
         # each tracked eigenvalue converges at O(h^2)
@@ -373,7 +380,7 @@ class TestWarmStart:
         assert traj.eigensolves == {"cold": N_MODES,
                                     "warm": N_MODES * later, "fallback": 0}
         for s in traj.states[1:]:
-            cold = weighted_spectrum(s.metric, s.u.values)
+            cold = weighted_spectrum(s.metric, s.u)
             rel = np.abs(s.spectrum - cold.vals) / np.maximum(
                 1.0, np.abs(cold.vals))
             assert np.max(rel) <= WARM_TOL
@@ -387,8 +394,8 @@ class TestWarmStart:
         # them; the state gets the cold result and the run an event
         metric, _ = WARM_RUNS["n64"]()
         s0 = run(FlowConfig(t_end=0.0), metric).states[0]
-        start = weighted_spectrum(s0.metric, s0.u.values)
-        _, six = solve_mode(assemble_modes(s0.metric, s0.u.values)[0],
+        start = weighted_spectrum(s0.metric, s0.u)
+        _, six = solve_mode(assemble_modes(s0.metric, s0.u)[0],
                             K_PER_MODE + 1)
         bad = start.vecs[0].copy()
         bad[:, 0] = six[:, K_PER_MODE]
@@ -406,7 +413,7 @@ class TestWarmStart:
                                     "fallback": 1}
         assert ("spectrum_fallback", 1e-3, 0, "sturm") in traj.events
         s1 = traj.states[1]
-        cold = real(s1.metric, s1.u.values)
+        cold = real(s1.metric, s1.u)
         np.testing.assert_array_equal(s1.spectrum[0], cold.vals[0])
         np.testing.assert_array_equal(s1.axial_vectors, cold.vecs[0])
         write_report(tmp_path / "report.txt", ExperimentSpec(), traj, None)
