@@ -56,20 +56,19 @@ def laplacian_bands(grid):
     return s[1:-1] / hh[1:], -(s[:-1] + s[1:]) / hh, s[1:-1] / hh[:-1]
 
 
-def jacobian_bands(w, k, lap_bands):
+def jacobian_bands(em2w, k, lap_bands):
     """(lower, diagonal, upper) bands of J = diag(K) + (1/2) diag(e^{-2w}) L,
-    the Jacobian of dw/dt = (1/2)(1 - K) with K = e^{-2w} (1 - L w)."""
+    the Jacobian of dw/dt = (1/2)(1 - K) with K = e^{-2w} (1 - L w), for
+    em2w = e^{-2w}."""
     lo, di, up = lap_bands
-    half = 0.5 * np.exp(-2.0 * w)
+    half = 0.5 * em2w
     return half[1:] * lo, k + half * di, half[:-1] * up
 
 
-def flux_potential(w, h, sfi, hs, hs_sum):
-    """(e2w, g, u0) on raw arrays: g = e^{2w} - 1 + lap_round w, which is
-    (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux, zero at
-    the first node."""
-    e2w = np.multiply(2.0, w)
-    np.exp(e2w, out=e2w)
+def flux_potential(w, e2w, h, sfi, hs, hs_sum):
+    """(g, u0) on raw arrays, for e2w = e^{2w}: g = e^{2w} - 1 + lap_round w,
+    which is (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux,
+    zero at the first node."""
     g = np.subtract(e2w, 1.0)
     g += flux_laplacian(w, h, sfi, hs)
     s = np.multiply(2.0, g)
@@ -81,11 +80,13 @@ def flux_potential(w, h, sfi, hs, hs_sum):
     u0 = np.empty_like(w)
     u0[0] = 0.0
     np.cumsum(flux, out=u0[1:])
-    return e2w, g, u0
+    return g, u0
 
 
 def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
-    e2w, g, u0 = flux_potential(w, h, sfi, hs, hs_sum)
+    e2w = np.multiply(2.0, w)
+    np.exp(e2w, out=e2w)
+    g, u0 = flux_potential(w, e2w, h, sfi, hs, hs_sum)
     fw = 0.5 * g / e2w
     e2wq = e2w * q
     r = np.negative(u0)
@@ -132,7 +133,7 @@ def advance_extrapolated(w, phi, nsteps, H, grid, vol_limit):
         fw0, fp0, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
         if not abs(vol - FOUR_PI) <= vol_limit:  # a NaN volume fails
             return s, False
-        lo, di, up = jacobian_bands(w, 1.0 - 2.0 * fw0, lap)
+        lo, di, up = jacobian_bands(np.exp(-2.0 * w), 1.0 - 2.0 * fw0, lap)
         tab = []  # the last row of the tableau, T_j,1 .. T_j,j
         for j in range(1, K_MAX + 1):
             hj = H / j

@@ -145,8 +145,9 @@ class Trajectory:
     """Time-ordered flow states plus integrator events.
 
     eigensolves counts the mode solves of the recorded states by kind:
-    cold (no earlier state), warm (started from the previous state's
-    blocks) and fallback (a warm start refused, then solved cold)."""
+    cold (no earlier state: bisection, or started from the blocks of the
+    coarse anchor grid), warm (started from the previous state's blocks)
+    and fallback (a warm or anchored start refused, then bisected)."""
 
     states: list[FlowState]
     events: list[tuple] = field(default_factory=list)
@@ -160,7 +161,7 @@ class Trajectory:
     def record(self, state: FlowState, spec: spectral.Spectrum,
                early_stop: float) -> bool:
         """Append a state, count its eigensolves and add its events: a
-        spectrum_fallback per mode whose warm start was refused, a
+        spectrum_fallback per mode whose start block was refused, a
         decay_gate at the first state and wherever the gate flips, and
         converged, which sets converged_at, when |u - a| drops under
         early_stop.  Returns whether it converged."""
@@ -191,7 +192,7 @@ def stability_dt(metric: ConformalMetric) -> float:
     either velocity, so J bounds the whole system.  Near the round metric
     this is about 1.25 h^2 e^{2 min w}.
     """
-    lo, di, up = jacobian_bands(metric.w, metric.curvature,
+    lo, di, up = jacobian_bands(metric.em2w, metric.curvature,
                                 laplacian_bands(metric.grid))
     row = np.abs(di)
     row[1:] += lo  # the off-diagonal bands are >= 0
@@ -208,13 +209,15 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
     weighted spectrum; warm is the previous state's Spectrum, whose
     eigenvector blocks start the solve, or None for the cold solve.
     Returns the state and its Spectrum."""
-    grid = initial.grid
-    res = _class_residual(w, initial, phi)
+    # a w that is not finite has no metric, and a NaN residual
+    metric = (ConformalMetric(grid=initial.grid, w=w)
+              if np.isfinite(w).all() else None)
+    res = math.nan if metric is None else _class_residual(metric, initial,
+                                                          phi)
     if not res <= config.class_tol:
         raise StepReject(
             f"class identity residual {res:.3e} over {config.class_tol:.0e}"
             f" at t = {t:.6g}")
-    metric = ConformalMetric(grid=grid, w=w)
     u = solve_ricci_potential(metric)
     spec = spectral.weighted_spectrum(metric, u, warm)
     lam_g, band, members = spectral.lambda_second(spec, config.band_tol)
@@ -304,15 +307,15 @@ def _decay_gate(state: FlowState) -> bool:
     return state.funcs.c0_u_minus_a <= decay_cap(state.funcs.delta_prime_0)
 
 
-def _class_residual(w, initial: ConformalMetric, phi) -> float:
+def _class_residual(metric: ConformalMetric, initial: ConformalMetric,
+                    phi) -> float:
     """Sup-norm residual of e^{2w(t)} = e^{2w(0)} + (1/2) lap_round phi.
 
     The two sides are advanced by independent right-hand sides, so this is
     the integrator's principal cross-check.
     """
-    lhs = np.exp(2.0 * w)
     rhs = initial.e2w + 0.5 * laplace_round(initial.grid, phi)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(metric.e2w - rhs)))
 
 
 def _equivalence_ratio(w, w0) -> float:

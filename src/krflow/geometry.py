@@ -88,7 +88,7 @@ def make_grid(n_nodes: int) -> Grid:
 class ConformalMetric:
     """Axisymmetric metric g = e^{2w} g_round on the unit two-sphere
     (complex dimension one).  w is a read-only copy of the profile given,
-    so the cached e2w, em2w, volume and curvature cannot go stale."""
+    so the cached ew, e2w, em2w, volume and curvature cannot go stale."""
 
     grid: Grid
     w: np.ndarray
@@ -101,6 +101,13 @@ class ConformalMetric:
             raise ValueError("conformal factor must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
+
+    @cached_property
+    def ew(self) -> np.ndarray:
+        """e^{w}, the density of arclength against the round one."""
+        ew = np.exp(self.w)
+        ew.flags.writeable = False
+        return ew
 
     @cached_property
     def e2w(self) -> np.ndarray:
@@ -261,7 +268,7 @@ def diameter(metric: ConformalMetric) -> float:
     diameter to second order for metrics near the round one.
     """
     g = metric.grid
-    ew = np.exp(metric.w)
+    ew = metric.ew
     meridian = float(np.sum(ew) * g.h)
     belt = float(np.max(np.pi * ew * g.sin_nodes))
     return max(meridian, belt)
@@ -299,9 +306,8 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:
     r = np.geomspace(rho / 100.0, rho, N_RADII)
     flux_angles = np.arange(g.n_nodes + 1) * g.h  # measured from the pole
     kappa = np.inf
-    ew_nodes = np.exp(metric.w)
     for order in (slice(None), slice(None, None, -1)):  # north, south
-        ew = ew_nodes[order]
+        ew = metric.ew[order]
         e2w = metric.e2w[order]
         radii = np.concatenate(([0.0], np.cumsum(ew * g.h)))
         cum_vol = np.concatenate(

@@ -79,9 +79,10 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
         raise VolumeMismatch(
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
-    grid, w = metric.grid, metric.w
+    grid, e2w = metric.grid, metric.e2w
     hs = grid.h * grid.sin_nodes
-    e2w, g, u0 = flux_potential(w, grid.h, grid.sin_flux[1:-1], hs, hs.sum())
+    g, u0 = flux_potential(metric.w, e2w, grid.h, grid.sin_flux[1:-1], hs,
+                           hs.sum())
     rhs = 2.0 * g  # 2 (1 - K) e^{2w}
     c = math.log(weighted_integral(np.exp(-u0), metric) / vol)
     u = u0 + c

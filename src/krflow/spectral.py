@@ -20,24 +20,28 @@ three) against a positive diagonal mass, so modes m and -m coincide by
 construction.
 
 weighted_spectrum solves the lowest K_PER_MODE pairs of every mode m <
-N_MODES on one assembly.  Both of its paths end in the same refinement
+N_MODES on one assembly.  Every path ends in the same refinement
 (_refine), a step of subspace iteration (Parlett, The Symmetric
 Eigenvalue Problem; Knyazev, SIAM J. Sci. Comput. 2001, for the blocked
 Rayleigh-Ritz form): one shifted inverse-iteration sweep through a single
 banded LU over every mode and pair, then QR and Rayleigh-Ritz, with each
 pair's residual computed once in reduced coordinates; a second sweep, at
-the Ritz values, follows only when a residual still fails.  They differ
-in where shifts and start blocks come from.  Without an earlier state,
-the cold solve_mode takes each mode's shifts from Sturm bisection on the
-band-reduced pencil and starts from a fixed vector.  Every flow state
-after t = 0 passes the previous state's Spectrum instead: all modes start
-from its B-orthonormal blocks, shifted at their Ritz values on the new
-pencil.  Each sweep costs O(n) per pair, where the band-to-tridiagonal
-reduction of the cold solve costs O(n^2).  A guard checks each mode's
-warm pairs: the i-th eigenvector must change sign exactly i times (Sturm
-oscillation, so no lower eigenvalue was skipped), and every residual must
-pass.  A mode that fails either falls back to the cold solve, so a warm
-start that misses an eigenvalue costs time, never a wrong lambda(g).
+the Ritz values, follows only when a residual still fails.  The paths
+differ in where the start blocks come from.  Every flow state after
+t = 0 passes the previous state's Spectrum, whose B-orthonormal blocks
+start all modes.  Without one, a grid of 4 ANCHOR_NODES nodes or more is
+anchored by nested iteration: the same problem on an ANCHOR_NODES grid,
+w and e^{-u} interpolated onto it, is solved cold, and its blocks,
+interpolated back onto the fine nodes, start all modes (_anchor_start).
+Either start goes through one Rayleigh-Ritz step on the new pencil and
+then _refine (_subspace_pairs), at O(n) per pair.  A guard checks each
+mode's pairs: the i-th eigenvector must change sign exactly i times
+(Sturm oscillation, so no lower eigenvalue was skipped), and every
+residual must pass.  A mode that fails either is bisected at full n by
+the cold solve_mode, whose band-to-tridiagonal reduction costs O(n^2),
+so a start that misses an eigenvalue costs time, never a wrong
+lambda(g).  Coarser grids take solve_mode for every mode without an
+earlier state: there bisection is cheaper than the anchor.
 
 The structural self-test of the whole package lives here: on the
 normalized class (volume 4 pi, u solved) three eigenvalues are pinned at
@@ -54,7 +58,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
-                       grad_norm_sq, legendre_profile, weighted_integral)
+                       grad_norm_sq, legendre_profile, make_grid,
+                       weighted_integral)
 from .potential import RicciPotential
 
 STENCIL_OFFSETS = (-2, -1, 0, 1)
@@ -72,6 +77,9 @@ K_PER_MODE = 5
 # inverse-iteration sweeps a refinement may take; the second runs only when
 # a residual fails after the first, as after a large step between records
 MAX_SWEEPS = 2
+# nodes of the coarse grid whose cold solve starts the cold solve of a grid
+# of 4 ANCHOR_NODES or more; on coarser grids bisection is cheaper
+ANCHOR_NODES = 64
 
 
 class SolveFail(NumericalError):
@@ -104,7 +112,8 @@ class Spectrum:
     mass is the diagonal of the weighted L^2 form the blocks are
     B-orthonormal for.  warm tells whether the solve started from a
     previous state's blocks, and fallbacks lists (m, reason) for each mode
-    whose warm pairs were refused and solved cold."""
+    whose pairs from a start block, warm or anchored, were refused and
+    bisected at full n by solve_mode."""
 
     metric: ConformalMetric
     mass: np.ndarray
@@ -140,7 +149,13 @@ def assemble_modes(metric: ConformalMetric,
                    u: RicciPotential | None) -> list[ModeProblem]:
     """Stiffness bands and mass diagonal for each Fourier mode m < N_MODES
     weighted by the solved potential u's e^{-u}, None for the unweighted
-    operator.
+    operator."""
+    return _assemble(metric, (np.ones(metric.grid.n_nodes) if u is None
+                              else u.emu))
+
+
+def _assemble(metric: ConformalMetric, e: np.ndarray) -> list[ModeProblem]:
+    """assemble_modes for the weight e at the nodes, e^{-u} or ones.
 
     The derivative part of the form is sum over interior flux points of
     C_f (D R)_f^2 with the four-node flux quotient D.  Only the first and
@@ -151,7 +166,6 @@ def assemble_modes(metric: ConformalMetric,
     g = metric.grid
     n = g.n_nodes
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
-    e = np.ones(n) if u is None else u.emu  # for stiffness and mass
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
@@ -302,28 +316,28 @@ def _refine(c: np.ndarray, mass: np.ndarray, shifts: np.ndarray,
 
 
 def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal:
-    the cold solve, which needs no earlier state.
+    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal, by
+    bisection: the cold solve of one mode, which needs no start block.
 
     Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
     LAPACK expert driver ?sbevx without vectors supplies the shifts: a
     band-to-tridiagonal reduction that never forms its orthogonal factor
     (O(n^2 bw) flops, O(n bw) memory), then Sturm bisection, which cannot
-    skip an eigenvalue.  _refine, the warm solve's step, then takes the
-    pairs from a deterministic start vector, not symmetric about the
-    equator, so odd-parity eigenvectors of equator-symmetric metrics are
-    not left to rounding noise: an inverse sweep at the k shifts (one LU
-    for all of them, O(k n bw^2)), QR and Rayleigh-Ritz, whose eigenvalues
-    match the Rayleigh quotients of their own vectors more closely than
-    bisection's.  No step builds an n x n matrix.  Raises SolveFail when
-    bisection returns fewer than k values, on a zero pivot, or when a
-    residual fails RESIDUAL_TOL.  Returned vectors are B-orthonormal.
+    skip an eigenvalue.  _refine then takes the pairs from a deterministic
+    start vector, not symmetric about the equator, so odd-parity
+    eigenvectors of equator-symmetric metrics are not left to rounding
+    noise: an inverse sweep at the k shifts (one LU for all of them,
+    O(k n bw^2)), QR and Rayleigh-Ritz, whose eigenvalues match the
+    Rayleigh quotients of their own vectors more closely than bisection's.
+    No step builds an n x n matrix.  Raises SolveFail when bisection
+    returns fewer than k values, on a zero pivot, or when a residual fails
+    RESIDUAL_TOL.  Returned vectors are B-orthonormal.
 
-    weighted_spectrum takes this path without an earlier state (a flow's
-    t = 0 state).  Later states are solved warm from the previous state's
-    blocks (_warm_pairs), and a mode whose warm pairs fail the guard
-    (_refusals: a Sturm sign-change count off, or a residual over
-    RESIDUAL_TOL) falls back to this path.
+    weighted_spectrum calls it for every mode of a grid below
+    4 ANCHOR_NODES without an earlier state, for every mode of the
+    ANCHOR_NODES grid that anchors a finer one (_anchor_start), and for
+    each mode whose start block the guard refuses (_refusals): the
+    safety net of the O(n) solves.
     """
     n = problem.mass.size
     c = _reduced_bands(problem.bands, problem.mass)
@@ -353,26 +367,58 @@ def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _warm_pairs(problems: list[ModeProblem], warm: Spectrum):
-    """Lowest pairs of every mode by one step of subspace iteration from
-    the blocks of the previous state's Spectrum warm, all modes at once.
+def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
+                  mass: np.ndarray) -> np.ndarray:
+    """Start blocks for the cold solve of a fine grid, from the same
+    problem on the ANCHOR_NODES grid, in the fine reduced coordinates.
 
-    In that state's reduced coordinates y = B^{1/2} v its blocks are
-    orthonormal, so they go straight into Rayleigh-Ritz on the new reduced
-    pencil, and _refine starts from its Ritz pairs.  Returns _refine's
-    (vals, vecs, residuals) stacked by mode, or None on a zero pivot.
+    w and e^{-u} are interpolated onto the coarse nodes; the potential is
+    not solved again, since the interpolated metric is off the normalized
+    class.  solve_mode gives each coarse mode's B-orthonormal block, which
+    is interpolated linearly onto the fine nodes, through ghosts one
+    coarse cell past each pole that carry the mode's parity, and
+    orthonormalized (QR) in y = B^{1/2} v for the fine mass.  Returns the
+    (N_MODES, n, K_PER_MODE) stack.
+    """
+    fine, coarse = metric.grid, make_grid(ANCHOR_NODES)
+
+    def restrict(f):
+        return np.interp(coarse.theta_nodes, fine.theta_nodes, f)
+
+    w = restrict(metric.w)
+    e = np.ones(ANCHOR_NODES) if u is None else restrict(u.emu)
+    blocks = np.stack([solve_mode(p, K_PER_MODE)[1]
+                       for p in _assemble(ConformalMetric(coarse, w), e)])
+    parity = np.where(np.arange(N_MODES) % 2 == 0, 1.0, -1.0)[:, None, None]
+    blocks = np.concatenate((parity * blocks[:, :1], blocks,
+                             parity * blocks[:, -1:]), axis=1)
+    th = coarse.theta_nodes
+    th = np.concatenate(([-th[0]], th, [2.0 * np.pi - th[-1]]))
+    j = np.searchsorted(th, fine.theta_nodes) - 1
+    t = ((fine.theta_nodes - th[j]) / (th[j + 1] - th[j]))[:, None]
+    v = (1.0 - t) * blocks[:, j] + t * blocks[:, j + 1]
+    return np.linalg.qr(np.sqrt(mass)[:, None] * v)[0]
+
+
+def _subspace_pairs(problems: list[ModeProblem], start: np.ndarray):
+    """Lowest pairs of every mode by one step of subspace iteration from
+    the start blocks (N_MODES, n, k), all modes at once.
+
+    The blocks are orthonormal in reduced coordinates y = B^{1/2} v, so
+    they go straight into Rayleigh-Ritz on the reduced pencil, and _refine
+    starts from its Ritz pairs.  Returns _refine's (vals, vecs, residuals)
+    stacked by mode, or None on a zero pivot.
     """
     mass = problems[0].mass  # the same for every mode
     c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
-    before = np.sqrt(warm.mass)[:, None]
-    vals, y = _ritz(c, before * np.stack(warm.vecs))[:2]
+    vals, y = _ritz(c, start)[:2]
     return _refine(c, mass, vals, y)
 
 
 def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
               ) -> list[str | None]:
-    """Why the warm pairs of each mode are refused, or None: the i-th
-    eigenvector of a mode must change sign exactly i times (Sturm
+    """Why the pairs of each mode from a start block are refused, or None:
+    the i-th eigenvector of a mode must change sign exactly i times (Sturm
     oscillation, so no lower eigenvalue was missed), and every pair must
     pass the residual check of the cold solve."""
     changes = np.count_nonzero(np.diff(np.signbit(vecs), axis=1), axis=1)
@@ -388,22 +434,31 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
     operator weighted by the solved potential u, None for the unweighted
     one.
 
-    Without warm, each mode takes the cold solve_mode.  warm is the
-    previous state's Spectrum: then every mode starts from its block
-    (_warm_pairs), and a mode whose warm pairs the guard refuses
-    (_refusals) takes the cold solve instead, recorded with its reason in
-    Spectrum.fallbacks.  A missed eigenvalue therefore costs a cold solve,
+    warm is the previous state's Spectrum, whose B-orthonormal blocks
+    start every mode.  Without it, a grid of 4 ANCHOR_NODES or more starts
+    from the blocks of the ANCHOR_NODES grid (_anchor_start), and a
+    coarser one takes solve_mode for every mode.  A start block goes
+    through _subspace_pairs, and a mode whose pairs the guard refuses
+    (_refusals) takes solve_mode instead, recorded with its reason in
+    Spectrum.fallbacks.  A missed eigenvalue therefore costs a bisection,
     never a wrong spectrum.
     """
     problems = assemble_modes(metric, u)
-    reasons = [None] * len(problems)
+    mass = problems[0].mass
     if warm is not None:
-        solved = _warm_pairs(problems, warm)
+        start = np.sqrt(warm.mass)[:, None] * np.stack(warm.vecs)
+    elif metric.grid.n_nodes >= 4 * ANCHOR_NODES:
+        start = _anchor_start(metric, u, mass)
+    else:
+        start = None
+    reasons = [None] * len(problems)
+    if start is not None:
+        solved = _subspace_pairs(problems, start)
         reasons = (["pivot"] * len(problems) if solved is None
                    else _refusals(*solved))
     fallbacks, pairs = [], []
     for m, (problem, reason) in enumerate(zip(problems, reasons)):
-        if warm is None:
+        if start is None:
             pairs.append(solve_mode(problem, K_PER_MODE))
         elif reason is None:
             # a copy, so a state that keeps one mode's block does not keep
@@ -413,9 +468,8 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
             fallbacks.append((m, reason))
             pairs.append(solve_mode(problem, K_PER_MODE))
     vals, vecs = zip(*pairs)
-    return Spectrum(metric=metric, mass=problems[0].mass,
-                    vals=np.array(vals), vecs=vecs, warm=warm is not None,
-                    fallbacks=tuple(fallbacks))
+    return Spectrum(metric=metric, mass=mass, vals=np.array(vals), vecs=vecs,
+                    warm=warm is not None, fallbacks=tuple(fallbacks))
 
 
 def merged_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -228,7 +228,7 @@ class TestStabilityBound:
         lap = _kernels.laplacian_bands(m.grid)
         fw = _kernels._rhs_numpy(m.w, *kernel_args(m.grid))[0]
         for k in (1.0 - 2.0 * fw, m.curvature):
-            lo, di, up = _kernels.jacobian_bands(m.w, k, lap)
+            lo, di, up = _kernels.jacobian_bands(m.em2w, k, lap)
             banded = np.diag(di) + np.diag(lo, -1) + np.diag(up, 1)
             assert np.max(np.abs(banded - fd)) <= 5e-8
 
@@ -301,19 +301,19 @@ def flux_laplacian_ref(f, h, sfi, hs):
     return out
 
 
-def flux_potential_ref(w, h, sfi, hs, hs_sum):
-    e2w = np.exp(2.0 * w)
+def flux_potential_ref(w, e2w, h, sfi, hs, hs_sum):
     g = e2w - 1.0 + flux_laplacian_ref(w, h, sfi, hs)
     s = 2.0 * g * hs
     s -= (s.sum() / hs_sum) * hs
     flux = np.cumsum(s)[:-1]
     u0 = np.concatenate(([0.0], np.cumsum(h * flux / sfi)))
-    return e2w, g, u0
+    return g, u0
 
 
 def rhs_ref(w, h, q, sfi, hs, hs_sum):
     # phi's velocity u - a spelled out: u = u0 + log m, a its e^{-u} mean
-    e2w, g, u0 = flux_potential_ref(w, h, sfi, hs, hs_sum)
+    e2w = np.exp(2.0 * w)
+    g, u0 = flux_potential_ref(w, e2w, h, sfi, hs, hs_sum)
     fw = 0.5 * g / e2w
     emu = np.exp(-u0)
     vol = np.sum(e2w * q)
@@ -357,8 +357,9 @@ class TestKernelOracle:
         h, _, sfi, hs, hs_sum = kernel_args(m.grid)
         assert np.array_equal(flux_laplacian(m.w, h, sfi, hs),
                               flux_laplacian_ref(m.w, h, sfi, hs))
-        for got, ref in zip(_kernels.flux_potential(m.w, h, sfi, hs, hs_sum),
-                            flux_potential_ref(m.w, h, sfi, hs, hs_sum)):
+        args = (m.w, m.e2w, h, sfi, hs, hs_sum)
+        for got, ref in zip(_kernels.flux_potential(*args),
+                            flux_potential_ref(*args)):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", [64, 256])

@@ -70,7 +70,7 @@ class TestConformalMetric:
         m = ConformalMetric(grid=grid128, w=w)
         w[0] = 1.0  # the caller's array, not the metric's
         assert m.w[0] == 0.1 * P2(grid128.cos_nodes[0])
-        for field in ("w", "e2w", "em2w", "curvature"):
+        for field in ("w", "ew", "e2w", "em2w", "curvature"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, field)[0] = 0.0
 
@@ -81,6 +81,7 @@ class TestConformalMetric:
         k = em2w * (1.0 - laplace_round(grid128, w))
         assert np.array_equal(m.e2w, e2w)
         assert np.array_equal(m.em2w, em2w)
+        assert np.array_equal(m.ew, np.exp(w))
         assert m.volume == float(2.0 * np.pi * np.sum(e2w * q))
         assert np.array_equal(m.curvature, k)
         f = np.cos(grid128.theta_nodes) ** 2

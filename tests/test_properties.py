@@ -118,9 +118,9 @@ def test_extrapolated_step_against_rk4(profile):
             break
         nsteps *= 2
         assert nsteps <= 2 ** 12
-    assert abs(ConformalMetric(grid=g, w=w).volume - ROUND_VOLUME) \
-        <= vol_limit
-    assert _class_residual(w, m, phi) < 2e-11
+    metric = ConformalMetric(grid=g, w=w)
+    assert abs(metric.volume - ROUND_VOLUME) <= vol_limit
+    assert _class_residual(metric, m, phi) < 2e-11
     nst = int(np.ceil(t_end / min(stability_dt(m) / 16, 1e-4)))
     w_ref, phi_ref = m.w.copy(), np.zeros(g.n_nodes)
     rk4_ref(w_ref, phi_ref, nst, t_end / nst, kernel_args(g))

@@ -422,6 +422,97 @@ class TestWarmStart:
         assert "\nevent = spectrum_fallback, 0.001, 0, sturm\n" in text
 
 
+def spy(monkeypatch, name, record):
+    """Wrap krflow.spectral's `name`, passing each call's arguments to
+    record first."""
+    real = getattr(spectral, name)
+
+    def spied(*args, **kwargs):
+        record(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, name, spied)
+
+
+class TestAnchoredStart:
+    """Without an earlier state, a grid of 4 ANCHOR_NODES or more starts
+    from the blocks of the ANCHOR_NODES grid, and bisects at full n only
+    for a mode the guard refuses."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("family", sorted(ORACLE_METRICS))
+    def test_matches_fine_bisection(self, family, n, monkeypatch):
+        metric = ORACLE_METRICS[family](make_grid(n))
+        u = solve_ricci_potential(metric)
+        sizes = []
+        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        spec = weighted_spectrum(metric, u)
+        assert sizes == [spectral.ANCHOR_NODES] * N_MODES
+        assert spec.fallbacks == () and not spec.warm
+        for m, prob in enumerate(assemble_modes(metric, u)):
+            vals, vecs = solve_mode(prob, K_PER_MODE)
+            scale = np.maximum(1.0, np.abs(vals))
+            assert np.max(np.abs(spec.vals[m] - vals) / scale) <= 1e-11
+            # the cosines of the principal angles between the two blocks,
+            # in the B inner product, are all 1
+            cosines = np.linalg.svd(spec.vecs[m].T @ (prob.mass[:, None]
+                                                      * vecs),
+                                    compute_uv=False)
+            assert np.min(cosines) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("n", [128, 255])
+    def test_coarser_grids_bisect_at_full_n(self, n, monkeypatch):
+        metric = legendre_bump(make_grid(n), 2, 1e-2)
+        sizes = []
+        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        spec = weighted_spectrum(metric, solve_ricci_potential(metric))
+        assert sizes == [n] * N_MODES
+        assert spec.fallbacks == ()
+
+    def test_no_full_band_reaches_bisection(self, monkeypatch):
+        # ?sbevx, O(n^2) in the band reduction, sees only the coarse bands
+        metric = legendre_bump(make_grid(1024), 3, 1e-2)
+        widths = []
+        spy(monkeypatch, "dsbevx",
+            lambda band, *args, **kwargs: widths.append(band.shape[1]))
+        spec = weighted_spectrum(metric, solve_ricci_potential(metric))
+        assert spec.fallbacks == ()
+        assert widths == [spectral.ANCHOR_NODES] * N_MODES
+
+    def test_refused_start_bisects_at_full_n(self, monkeypatch, tmp_path):
+        # mode 0's start block loses its lowest column to the sixth
+        # eigenvector: its pairs are the second to sixth, the Sturm guard
+        # refuses them, and that mode alone is bisected on the fine grid
+        metric = legendre_bump(make_grid(256), 2, 1e-2)
+        real = spectral._anchor_start
+
+        def spoiled(metric, u, mass):
+            start = real(metric, u, mass)
+            six = solve_mode(assemble_modes(metric, u)[0], K_PER_MODE + 1)[1]
+            start[0, :, 0] = np.sqrt(mass) * six[:, K_PER_MODE]
+            start[0] = np.linalg.qr(start[0])[0]
+            return start
+
+        monkeypatch.setattr(spectral, "_anchor_start", spoiled)
+        sizes = []
+        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        traj = run(FlowConfig(t_end=0.0), metric)
+        # the coarse solves, then the fine bisection of mode 0 alone
+        assert sizes == [spectral.ANCHOR_NODES] * N_MODES + [256]
+        assert traj.eigensolves == {"cold": N_MODES - 1, "warm": 0,
+                                    "fallback": 1}
+        assert traj.events[0] == ("spectrum_fallback", 0.0, 0, "sturm")
+        s0 = traj.states[0]
+        vals, vecs = solve_mode(assemble_modes(s0.metric, s0.u)[0],
+                                K_PER_MODE)
+        np.testing.assert_array_equal(s0.spectrum[0], vals)
+        np.testing.assert_array_equal(s0.axial_vectors, vecs)
+        write_report(tmp_path / "report.txt", ExperimentSpec(), traj, None)
+        text = (tmp_path / "report.txt").read_text()
+        assert "\neigensolves = cold 2, warm 0, fallback 1\n" in text
+        assert "\nevent = spectrum_fallback, 0.0, 0, sturm\n" in text
+
+
 class TestPlainLambda1:
     def test_round_is_one(self, grid256):
         assert plain_lambda1(round_metric(grid256)) == pytest.approx(
