@@ -1,10 +1,11 @@
-"""The time-stepping kernels of the conformal flow, on raw arrays.
+"""The time-stepping kernels of the conformal flow.
 
 One call advances (w, phi) in place by a whole recording segment, so the
 per-step work is a handful of O(n) numpy passes: the flux Laplacian, the
-Ricci potential by cumulative fluxes, and a few weighted averages.  At the
-grid sizes in use each pass costs less than its call, so the stencils
-write into their outputs in place.
+Ricci potential by cumulative fluxes, and a few weighted averages, each
+reading the constants the Grid built once.  At the grid sizes in use each
+pass costs less than its call, so the stencils write into their outputs in
+place.
 
 Two kernels share that right-hand side.  advance_rk4 is classical RK4,
 the cheapest order-4 step inside its stability bound.  advance_extrapolated
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .geometry import flux_laplacian
+from .geometry import laplace_round
 
 # the RK4 kernel is numpy only; perfbench's provenance still reads this
 HAVE_NUMBA = False
@@ -47,48 +48,40 @@ K_MAX = 7
 EXTRAP_TOL = 1e-13
 
 
-def laplacian_bands(grid):
-    """(lower, diagonal, upper) bands of the flux-form laplace_round L, a
-    grid constant: row j reaches nodes j -/+ 1 through the fluxes at j h
-    and (j + 1) h, so each row's off-diagonal sum is -L_jj."""
-    s = grid.sin_flux
-    hh = grid.h * grid.h * grid.sin_nodes
-    return s[1:-1] / hh[1:], -(s[:-1] + s[1:]) / hh, s[1:-1] / hh[:-1]
-
-
 def jacobian_bands(em2w, k, lap_bands):
     """(lower, diagonal, upper) bands of J = diag(K) + (1/2) diag(e^{-2w}) L,
     the Jacobian of dw/dt = (1/2)(1 - K) with K = e^{-2w} (1 - L w), for
-    em2w = e^{-2w}."""
+    em2w = e^{-2w} and the bands Grid.lap_bands of L."""
     lo, di, up = lap_bands
     half = 0.5 * em2w
     return half[1:] * lo, k + half * di, half[:-1] * up
 
 
-def flux_potential(w, e2w, h, sfi, hs, hs_sum):
-    """(g, u0) on raw arrays, for e2w = e^{2w}: g = e^{2w} - 1 + lap_round w,
-    which is (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux,
-    zero at the first node."""
+def flux_potential(grid, w, e2w):
+    """(g, u0) for e2w = e^{2w}: g = e^{2w} - 1 + lap_round w, which is
+    (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux, zero at
+    the first node."""
+    hs = grid.hs
     g = np.subtract(e2w, 1.0)
-    g += flux_laplacian(w, h, sfi, hs)
+    g += laplace_round(grid, w)
     s = np.multiply(2.0, g)
     s *= hs
-    s -= (s.sum() / hs_sum) * hs
+    s -= (s.sum() / grid.hs_sum) * hs
     flux = np.cumsum(s[:-1])
-    flux *= h
-    flux /= sfi
+    flux *= grid.h
+    flux /= grid.sin_flux[1:-1]
     u0 = np.empty_like(w)
     u0[0] = 0.0
     np.cumsum(flux, out=u0[1:])
     return g, u0
 
 
-def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
+def _rhs_numpy(grid, w):
     e2w = np.multiply(2.0, w)
     np.exp(e2w, out=e2w)
-    g, u0 = flux_potential(w, e2w, h, sfi, hs, hs_sum)
+    g, u0 = flux_potential(grid, w, e2w)
     fw = 0.5 * g / e2w
-    e2wq = e2w * q
+    e2wq = e2w * grid.quad_weights
     r = np.negative(u0)
     np.exp(r, out=r)
     r *= e2wq
@@ -98,16 +91,13 @@ def _rhs_numpy(w, h, q, sfi, hs, hs_sum):
 
 def advance_rk4(w, phi, nsteps, dt, grid, vol_limit):
     """Advance (w, phi) by nsteps RK4 steps of size dt, in place."""
-    h, q = grid.h, grid.quad_weights
-    sfi, hs = grid.sin_flux[1:-1], grid.h * grid.sin_nodes
-    hs_sum = float(np.sum(hs))
     for s in range(nsteps):
-        k1w, k1p, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
+        k1w, k1p, vol = _rhs_numpy(grid, w)
         if not abs(vol - FOUR_PI) <= vol_limit:  # a NaN volume fails
             return s, False
-        k2w, k2p, _ = _rhs_numpy(w + 0.5 * dt * k1w, h, q, sfi, hs, hs_sum)
-        k3w, k3p, _ = _rhs_numpy(w + 0.5 * dt * k2w, h, q, sfi, hs, hs_sum)
-        k4w, k4p, _ = _rhs_numpy(w + dt * k3w, h, q, sfi, hs, hs_sum)
+        k2w, k2p, _ = _rhs_numpy(grid, w + 0.5 * dt * k1w)
+        k3w, k3p, _ = _rhs_numpy(grid, w + 0.5 * dt * k2w)
+        k4w, k4p, _ = _rhs_numpy(grid, w + dt * k3w)
         w += (dt / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
         phi += (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
     return nsteps, True
@@ -124,16 +114,13 @@ def advance_extrapolated(w, phi, nsteps, H, grid, vol_limit):
     the first j >= 2 within EXTRAP_TOL of T_j,j-1; a step that no row
     settles by K_MAX fails like a volume drift, with ok False.
     """
-    h, q = grid.h, grid.quad_weights
-    sfi, hs = grid.sin_flux[1:-1], grid.h * grid.sin_nodes
-    hs_sum = float(np.sum(hs))
     n = w.shape[0]
-    lap = laplacian_bands(grid)
     for s in range(nsteps):
-        fw0, fp0, vol = _rhs_numpy(w, h, q, sfi, hs, hs_sum)
+        fw0, fp0, vol = _rhs_numpy(grid, w)
         if not abs(vol - FOUR_PI) <= vol_limit:  # a NaN volume fails
             return s, False
-        lo, di, up = jacobian_bands(np.exp(-2.0 * w), 1.0 - 2.0 * fw0, lap)
+        lo, di, up = jacobian_bands(np.exp(-2.0 * w), 1.0 - 2.0 * fw0,
+                                    grid.lap_bands)
         tab = []  # the last row of the tableau, T_j,1 .. T_j,j
         for j in range(1, K_MAX + 1):
             hj = H / j
@@ -146,7 +133,7 @@ def advance_extrapolated(w, phi, nsteps, H, grid, vol_limit):
             fw, fp = fw0, fp0
             for i in range(j):
                 if i:
-                    fw, fp, _ = _rhs_numpy(yw, h, q, sfi, hs, hs_sum)
+                    fw, fp, _ = _rhs_numpy(grid, yw)
                 yw += dgttrs(dl, d, du, du2, ipiv, hj * fw)[0]
                 yp += hj * fp
             # Aitken-Neville on the h-expansion, row j over row j - 1 in

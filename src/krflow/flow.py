@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from ._kernels import (advance_extrapolated, advance_rk4, jacobian_bands,
-                       laplacian_bands)
+from ._kernels import advance_extrapolated, advance_rk4, jacobian_bands
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
                        ROUND_VOLUME, laplace_round, weighted_integral)
 from .potential import (VOLUME_TOL, FunctionalBundle, RicciPotential,
@@ -193,7 +192,7 @@ def stability_dt(metric: ConformalMetric) -> float:
     this is about 1.25 h^2 e^{2 min w}.
     """
     lo, di, up = jacobian_bands(metric.em2w, metric.curvature,
-                                laplacian_bands(metric.grid))
+                                metric.grid.lap_bands)
     row = np.abs(di)
     row[1:] += lo  # the off-diagonal bands are >= 0
     row[:-1] += up

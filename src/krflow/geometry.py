@@ -51,7 +51,8 @@ class IrregularPole(ConfigError, ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Staggered polar grid on (0, pi) with sin-weighted quadrature."""
+    """Staggered polar grid on (0, pi) with sin-weighted quadrature, and
+    the constants of its flux-form Laplacian, each built once."""
 
     n_nodes: int
     h: float
@@ -59,11 +60,15 @@ class Grid:
     quad_weights: np.ndarray
     # sin(theta) at the flux points j*h, j = 0..n; zero at both poles
     sin_flux: np.ndarray
-    sin_nodes: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def cos_nodes(self):
-        return np.cos(self.theta_nodes)
+    sin_nodes: np.ndarray = field(repr=False)
+    cos_nodes: np.ndarray = field(repr=False)
+    # h sin(theta_j), the divisor of laplace_round, and its sum
+    hs: np.ndarray = field(repr=False)
+    hs_sum: float = field(repr=False)
+    # (lower, diagonal, upper) bands of laplace_round L: row j reaches
+    # nodes j -/+ 1 through the fluxes at j h and (j + 1) h, so each row's
+    # off-diagonal sum is -L_jj
+    lap_bands: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
 
 def make_grid(n_nodes: int) -> Grid:
@@ -80,8 +85,17 @@ def make_grid(n_nodes: int) -> Grid:
     sin_flux = np.sin(np.arange(n_nodes + 1) * h)
     sin_flux[0] = 0.0
     sin_flux[-1] = 0.0
+    sin_nodes = np.sin(theta)
+    hs = h * sin_nodes
+    hh = h * h * sin_nodes
+    lap_bands = (sin_flux[1:-1] / hh[1:], -(sin_flux[:-1] + sin_flux[1:]) / hh,
+                 sin_flux[1:-1] / hh[:-1])
+    for a in (theta, quad, sin_flux, sin_nodes, hs, *lap_bands):
+        a.flags.writeable = False
     return Grid(n_nodes=n_nodes, h=h, theta_nodes=theta, quad_weights=quad,
-                sin_flux=sin_flux, sin_nodes=np.sin(theta))
+                sin_flux=sin_flux, sin_nodes=sin_nodes,
+                cos_nodes=np.cos(theta), hs=hs, hs_sum=float(np.sum(hs)),
+                lap_bands=lap_bands)
 
 
 @dataclass(frozen=True)
@@ -190,29 +204,23 @@ def legendre_profile(grid: Grid, l: int, amplitude: float) -> np.ndarray:
 # differential operators
 # ---------------------------------------------------------------------------
 
-def flux_laplacian(f, h, sin_flux_interior, hs):
-    """laplace_round on raw arrays: sin(theta) at the n - 1 interior flux
-    points (the pole fluxes are zero) and hs = h sin(theta_j)."""
-    flux = np.zeros(f.shape[0] + 1)  # the two pole fluxes stay zero
-    inner = flux[1:-1]
-    np.subtract(f[1:], f[:-1], out=inner)
-    np.multiply(sin_flux_interior, inner, out=inner)
-    inner /= h
-    out = np.subtract(flux[1:], flux[:-1])
-    out /= hs
-    return out
-
-
 def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Flux-form round-sphere Laplace-Beltrami (1/sin) d/dtheta (sin d/dtheta).
 
     The pole fluxes vanish identically (sin = 0 there), which encodes the
     regularity condition without special-casing.  Summation against
     h*sin(theta_j), hence against the quadrature weights, telescopes to
-    zero exactly.
+    zero exactly.  The stencil writes into its flux array in place.
     """
-    return flux_laplacian(np.asarray(values, dtype=float), grid.h,
-                          grid.sin_flux[1:-1], grid.h * grid.sin_nodes)
+    f = np.asarray(values, dtype=float)
+    flux = np.zeros(f.shape[0] + 1)  # the two pole fluxes stay zero
+    inner = flux[1:-1]
+    np.subtract(f[1:], f[:-1], out=inner)
+    np.multiply(grid.sin_flux[1:-1], inner, out=inner)
+    inner /= grid.h
+    out = np.subtract(flux[1:], flux[:-1])
+    out /= grid.hs
+    return out
 
 
 def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:

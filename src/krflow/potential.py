@@ -80,9 +80,7 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
             f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
     grid, e2w = metric.grid, metric.e2w
-    hs = grid.h * grid.sin_nodes
-    g, u0 = flux_potential(metric.w, e2w, grid.h, grid.sin_flux[1:-1], hs,
-                           hs.sum())
+    g, u0 = flux_potential(grid, metric.w, e2w)
     rhs = 2.0 * g  # 2 (1 - K) e^{2w}
     c = math.log(weighted_integral(np.exp(-u0), metric) / vol)
     u = u0 + c

@@ -8,8 +8,8 @@ from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
                          log_det_bookkeeping, log_det_residual, make_state,
                          run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
-                             flux_laplacian, laplace_round, make_grid,
-                             normalize_volume, round_metric)
+                             laplace_round, make_grid, normalize_volume,
+                             round_metric)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
@@ -183,8 +183,6 @@ class TestStabilityBound:
     def jacobian(m):
         # central differences of the w velocity of the RK4 right-hand side
         g = m.grid
-        args = (g.h, g.quad_weights, g.sin_flux[1:-1], g.h * g.sin_nodes,
-                float(np.sum(g.h * g.sin_nodes)))
         n = g.n_nodes
         jac = np.empty((n, n))
         eps = 1e-7
@@ -192,8 +190,8 @@ class TestStabilityBound:
             wp, wm = m.w.copy(), m.w.copy()
             wp[j] += eps
             wm[j] -= eps
-            jac[:, j] = (_kernels._rhs_numpy(wp, *args)[0]
-                         - _kernels._rhs_numpy(wm, *args)[0]) / (2 * eps)
+            jac[:, j] = (_kernels._rhs_numpy(g, wp)[0]
+                         - _kernels._rhs_numpy(g, wm)[0]) / (2 * eps)
         return jac
 
     @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
@@ -225,10 +223,9 @@ class TestStabilityBound:
         # off by at most 2.8e-9 on entries up to 418, and 0 off the bands
         m = family_metric(family, 64)
         fd = self.jacobian(m)
-        lap = _kernels.laplacian_bands(m.grid)
-        fw = _kernels._rhs_numpy(m.w, *kernel_args(m.grid))[0]
+        fw = _kernels._rhs_numpy(m.grid, m.w)[0]
         for k in (1.0 - 2.0 * fw, m.curvature):
-            lo, di, up = _kernels.jacobian_bands(m.em2w, k, lap)
+            lo, di, up = _kernels.jacobian_bands(m.em2w, k, m.grid.lap_bands)
             banded = np.diag(di) + np.diag(lo, -1) + np.diag(up, 1)
             assert np.max(np.abs(banded - fd)) <= 5e-8
 
@@ -355,11 +352,11 @@ class TestKernelOracle:
     def test_stencils_bit_identical(self, family, n):
         m = family_metric(family, n)
         h, _, sfi, hs, hs_sum = kernel_args(m.grid)
-        assert np.array_equal(flux_laplacian(m.w, h, sfi, hs),
+        assert np.array_equal(laplace_round(m.grid, m.w),
                               flux_laplacian_ref(m.w, h, sfi, hs))
-        args = (m.w, m.e2w, h, sfi, hs, hs_sum)
-        for got, ref in zip(_kernels.flux_potential(*args),
-                            flux_potential_ref(*args)):
+        for got, ref in zip(_kernels.flux_potential(m.grid, m.w, m.e2w),
+                            flux_potential_ref(m.w, m.e2w, h, sfi, hs,
+                                               hs_sum)):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", [64, 256])
