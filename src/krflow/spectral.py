@@ -53,6 +53,7 @@ members, under the caller's band_tol, and returns them per mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
@@ -133,16 +134,26 @@ class EigenData:
     grad_bar_sq: np.ndarray
 
 
-def _fold(idx: int, n: int, parity: float) -> tuple[int, float]:
-    """Reflect a ghost node across the nearer pole, carrying the parity."""
-    sign = 1.0
-    if idx < 0:
-        idx = -1 - idx
-        sign *= parity
-    if idx >= n:
-        idx = 2 * n - 1 - idx
-        sign *= parity
-    return idx, sign
+@cache
+def _stencil_map(n: int, h: float, parity: float):
+    """The derivative part of the stiffness as fixed index arrays, for the
+    grid of n nodes and spacing h and the parity of the ghosts: for each
+    interior flux j = 1..n-1 and each ordered pair of its four legs whose
+    nodes, folded across the nearer pole, satisfy ia <= ib, the band slot
+    (ib - ia) n + ia of upper storage, the flux index j - 1 and the product
+    of the two signed leg weights STENCIL_WEIGHTS / (24 h).  A ghost node
+    idx < 0 folds to -1 - idx and idx >= n to 2 n - 1 - idx, each time
+    carrying the parity."""
+    nodes = np.arange(1, n)[:, None] + np.array(STENCIL_OFFSETS)
+    sign = np.where((nodes < 0) | (nodes >= n), parity, 1.0)
+    nodes = np.where(nodes < 0, -1 - nodes,
+                     np.where(nodes >= n, 2 * n - 1 - nodes, nodes))
+    wgt = sign * (np.array(STENCIL_WEIGHTS) / (24.0 * h))
+    ia, ib = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
+    keep = ia <= ib
+    slot = ((ib - ia) * n + ia)[keep]
+    prod = (wgt[:, :, None] * wgt[:, None, :])[keep]
+    return slot, np.nonzero(keep)[0], prod
 
 
 def assemble_modes(metric: ConformalMetric,
@@ -158,45 +169,27 @@ def _assemble(metric: ConformalMetric, e: np.ndarray) -> list[ModeProblem]:
     """assemble_modes for the weight e at the nodes, e^{-u} or ones.
 
     The derivative part of the form is sum over interior flux points of
-    C_f (D R)_f^2 with the four-node flux quotient D.  Only the first and
-    last flux touch ghost nodes, so the interior bands do not depend on m:
-    they accumulate once, with plain slice arithmetic, and each mode adds
-    the two folding fluxes of its parity and its m^2 diagonal.
+    C_f (D R)_f^2 with the four-node flux quotient D, whose first and last
+    rows fold their ghost nodes with the mode's parity.  Its bands are one
+    weighted count over the fixed _stencil_map of that parity, shared by
+    every mode of the parity, and each mode m adds its m^2 diagonal.
     """
     g = metric.grid
     n = g.n_nodes
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
     ebar = 0.5 * (e[:-1] + e[1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
-    coefs = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
-    interior = np.zeros((BANDWIDTH + 1, n))
-    # interior fluxes j = 2..n-2 never fold
-    cint = cf[1:-1]
-    for a in range(4):
-        for b in range(a, 4):
-            k = STENCIL_OFFSETS[b] - STENCIL_OFFSETS[a]
-            lo = 2 + STENCIL_OFFSETS[a]
-            interior[k, lo:lo + n - 3] += coefs[a] * coefs[b] * cint
     # the mass diagonal 2 pi e^{-u} e^{2w} q of the weighted L^2 form
     mass = 2.0 * np.pi * e * metric.e2w * g.quad_weights
-    folded = {}  # parity -> interior plus the folding fluxes j = 1, n - 1
+    folded = {}  # parity -> the derivative part's bands
     out = []
     for m in range(N_MODES):
         parity = 1.0 if m % 2 == 0 else -1.0
         if parity not in folded:
-            at, terms = ([], []), []
-            for j, c in ((1, cf[0]), (n - 1, cf[-1])):
-                legs = [(*_fold(j + off, n, parity), wgt)
-                        for off, wgt in zip(STENCIL_OFFSETS, coefs)]
-                for ia, sa, wa in legs:
-                    for ib, sb, wb in legs:
-                        if ia <= ib:
-                            at[0].append(ib - ia)
-                            at[1].append(ia)
-                            terms.append(c * (sa * wa) * (sb * wb))
-            bands = interior.copy()
-            np.add.at(bands, at, terms)  # in order, as a loop of +=
-            folded[parity] = bands
+            slot, flux, prod = _stencil_map(n, g.h, parity)
+            folded[parity] = np.bincount(
+                slot, weights=cf[flux] * prod,
+                minlength=(BANDWIDTH + 1) * n).reshape(BANDWIDTH + 1, n)
         bands = folded[parity]
         if m != 0:
             bands = bands.copy()

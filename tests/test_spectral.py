@@ -327,6 +327,41 @@ class TestStructure:
         with pytest.raises(AttributeError):
             assemble_modes(m, solve_ricci_potential(m).values)
 
+    @pytest.mark.parametrize("n", [16, 17, 64, 255])
+    @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
+    def test_bands_match_dense_reference(self, family, n):
+        # A = D^T diag(cf) D + diag(pi m^2 e ht / sin), with D the dense
+        # (n - 1) x n four-node flux quotient whose ghosts fold with the
+        # parity of m, against the bands of every mode
+        g = make_grid(n)
+        m = (legendre_bump(g, 3, 0.2) if family == "legendre_bump" else
+             multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-2))
+        u = solve_ricci_potential(m)
+        e = u.emu
+        ht = 2.0 * np.sin(g.h / 2)
+        cf = np.pi * 0.5 * (e[:-1] + e[1:]) * g.sin_flux[1:-1] * ht
+        for prob in assemble_modes(m, u):
+            parity = 1.0 if prob.m % 2 == 0 else -1.0
+            d = np.zeros((n - 1, n))
+            for j in range(1, n):
+                for off, wgt in zip(spectral.STENCIL_OFFSETS,
+                                    spectral.STENCIL_WEIGHTS):
+                    i, sign = j + off, wgt / (24.0 * g.h)
+                    if i < 0:
+                        i, sign = -1 - i, parity * sign
+                    elif i >= n:
+                        i, sign = 2 * n - 1 - i, parity * sign
+                    d[j - 1, i] += sign
+            a = d.T @ (cf[:, None] * d)
+            a += np.diag(np.pi * prob.m ** 2 * e * ht / g.sin_nodes)
+            assert not np.triu(a, BANDWIDTH + 1).any()
+            scale = np.max(np.abs(a))
+            for k in range(BANDWIDTH + 1):
+                err = np.max(np.abs(prob.bands[k, :n - k] - np.diag(a, k)))
+                assert err <= 1e-14 * scale
+                # the unused tail of upper storage stays zero
+                assert not prob.bands[k, n - k:].any()
+
     def test_refinement_richardson(self):
         # each tracked eigenvalue converges at O(h^2)
         vals = {n: None for n in (128, 256, 512)}
