@@ -19,7 +19,7 @@ from .geometry import (ConformalMetric, Grid, NumericalError,
                        normalize_volume, round_metric, weighted_integral)
 from .potential import (FunctionalBundle, RicciPotential,
                         complex_hessian_norms, delta_prime, functional_bundle,
-                        futaki_integrals, solve_ricci_potential, DomainError,
+                        futaki_dilation, solve_ricci_potential, DomainError,
                         VolumeMismatch)
 from .spectral import (BandAmbiguity, EigenData, ModeProblem, SolveFail,
                        Spectrum, eigen_data, lambda_second,

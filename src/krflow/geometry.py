@@ -223,6 +223,11 @@ def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def complex_laplacian(metric: ConformalMetric, f: np.ndarray) -> np.ndarray:
+    """Complex Laplacian (1/2) e^{-2w} lap_round f of the metric."""
+    return 0.5 * metric.em2w * laplace_round(metric.grid, f)
+
+
 def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
     """Centered theta-derivative with parity ghost nodes at the poles.
 

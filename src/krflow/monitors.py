@@ -23,8 +23,8 @@ import numpy as np
 
 from . import spectral
 from .flow import FlowState, Trajectory, decay_cap, log_det_residual
-from .geometry import (ConfigError, NumericalError, dtheta, grad_norm_sq,
-                       laplace_round, measured_calabi, noncollapsing_kappa)
+from .geometry import (ConfigError, NumericalError, complex_laplacian, dtheta,
+                       grad_norm_sq, measured_calabi, noncollapsing_kappa)
 from .potential import complex_hessian_norms, hessian_t20, weighted_mean
 
 PASS = "PASS"
@@ -235,14 +235,12 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     """
     states = traj.states
     s0 = states[0]
-    grid = s0.metric.grid
-    half_inv_e2w0 = 0.5 * s0.metric.em2w  # the same for every state
     u0_c0 = float(np.max(np.abs(s0.u.values)))
     min_trace = np.inf
     run_sup = 0.0
     for s in states:
-        # the complex trace 1 + (1/2) e^{-2w0} lap_round phi
-        trace = 1.0 + half_inv_e2w0 * laplace_round(grid, s.phi)
+        # the complex trace 1 + lap_{c,0} phi, on the t = 0 metric
+        trace = 1.0 + complex_laplacian(s0.metric, s.phi)
         min_trace = min(min_trace, float(trace.min()))
         here = (float(np.max(np.abs(s.phi))) + u0_c0
                 + float(np.max(np.abs(s.u.values))))
@@ -354,11 +352,8 @@ def _hessian_terms(traj: Trajectory, with_fields: bool):
 
 def _gradsq_rhs(state: FlowState, mixed, pure):
     """lap_c f - |pure|^2 - |mixed|^2 + f with f = |grad u|^2."""
-    metric = state.metric
-    grid = metric.grid
-    f = grad_norm_sq(state.u.values, metric)
-    lap_c_f = 0.5 * metric.em2w * laplace_round(grid, f)
-    return f, lap_c_f - pure - mixed + f
+    f = grad_norm_sq(state.u.values, state.metric)
+    return f, complex_laplacian(state.metric, f) - pure - mixed + f
 
 
 def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
@@ -512,10 +507,10 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     lam = eig.lam
     e2w = metric.e2w
     f = eig.grad_bar_sq
-    lap_c_f = 0.5 * laplace_round(grid, f) / e2w
-    lap_c_psi = 0.5 * laplace_round(grid, psi) / e2w
+    lap_c_f = complex_laplacian(metric, f)
+    lap_c_psi = complex_laplacian(metric, psi)
     t20 = hessian_t20(psi, metric)
-    lap_c_u = 0.5 * laplace_round(grid, state.u.values) / e2w
+    lap_c_u = complex_laplacian(metric, state.u.values)
     up = dtheta(grid, state.u.values)
     pp = dtheta(grid, psi)
     coupling = up * pp * t20 / e2w

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import flux_potential
-from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME, dtheta,
-                       grad_norm_sq, laplace_round, weighted_integral)
+from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME,
+                       complex_laplacian, dtheta, grad_norm_sq, laplace_round,
+                       weighted_integral)
 
 
 VOLUME_TOL = 1e-8  # |V - 4 pi| / 4 pi past which the solve refuses
@@ -112,23 +113,17 @@ def delta_prime(a: float, s: float) -> float:
     return a / (1.0 + es + a * es)
 
 
-def futaki_integrals(u: np.ndarray,
-                     metric: ConformalMetric) -> tuple[float, float, float]:
-    """Futaki pairings integral X(u) dv over a holomorphic basis.
-
-    Components: the rotation field (X(u) vanishes pointwise for
-    axisymmetric data, so its pairing is exactly 0), the meridian dilation
-    field whose potential is the axial degree-1 harmonic
-    (X(u) = (1/2) sin(theta) u'; the quadrature is nontrivial and the
-    integral vanishes only by the character identity), and the off-axis
-    gradient pair (its profile integral is multiplied by the azimuthal
-    average (1/2pi) integral_0^{2pi} e^{i phi} d phi = 0, so its pairing
-    is exactly 0 too).
+def futaki_dilation(u: np.ndarray, metric: ConformalMetric) -> float:
+    """Futaki pairing integral X(u) dv of the meridian dilation field,
+    whose potential is the axial degree-1 harmonic: X(u) = (1/2)
+    sin(theta) u'.  The quadrature is nontrivial and the integral vanishes
+    only by the character identity.  The other holomorphic fields pair to
+    zero by construction on axisymmetric data, so this is the one pairing
+    to measure.
     """
     g = metric.grid
     up = dtheta(g, u)
-    dilation = weighted_integral(0.5 * g.sin_nodes * up, metric)
-    return 0.0, float(dilation), 0.0
+    return weighted_integral(0.5 * g.sin_nodes * up, metric)
 
 
 def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
@@ -141,8 +136,7 @@ def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
     (1/4) e^{-4w} (u'' - (2 w' + cot) u')^2.  The bound
     (complex Laplacian)^2 <= n |mixed|^2 is equality here.
     """
-    mixed = (0.5 * laplace_round(metric.grid, u) / metric.e2w) ** 2
-    return mixed, hessian_t20(u, metric) ** 2
+    return complex_laplacian(metric, u) ** 2, hessian_t20(u, metric) ** 2
 
 
 def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:

@@ -22,7 +22,7 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, bootstrap_tracker,
                              check_Y_decay, check_Z_derivative,
                              convergence_order)
 from krflow.flow import log_det_residual
-from krflow.potential import VolumeMismatch, futaki_integrals, delta_prime
+from krflow.potential import VolumeMismatch, futaki_dilation, delta_prime
 from krflow.spectral import eigen_data, merged_spectrum, weighted_spectrum
 
 
@@ -263,19 +263,19 @@ def test_10_futaki_vanishing(family_runs, multimode256):
     for (n, eps), traj in family_runs.items():
         s = traj.states[0]
         h2 = 10 * s.metric.grid.h ** 2
-        worst_rel = max(worst_rel, max(
-            abs(v) for v in futaki_integrals(s.u.values, s.metric)) / h2)
+        worst_rel = max(worst_rel,
+                        abs(futaki_dilation(s.u.values, s.metric)) / h2)
     for s in (multimode256.states[0], multimode256.states[-1]):
         h2 = 10 * s.metric.grid.h ** 2
-        worst_rel = max(worst_rel, max(
-            abs(v) for v in futaki_integrals(s.u.values, s.metric)) / h2)
+        worst_rel = max(worst_rel,
+                        abs(futaki_dilation(s.u.values, s.metric)) / h2)
     # parity-breaking profile: the dilation pairing shrinks at second order
     vals = []
     for n in (128, 256, 512):
         g = make_grid(n)
         m = multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-3)
         from krflow.potential import solve_ricci_potential
-        vals.append(futaki_integrals(solve_ricci_potential(m).values, m)[1])
+        vals.append(futaki_dilation(solve_ricci_potential(m).values, m))
     r1, r2 = vals[0] / vals[1], vals[1] / vals[2]
     richardson_ok = 3.0 < r1 < 5.0 and 3.0 < r2 < 5.0
     verdict(10, "futaki-vanishing", worst_rel <= 1.0 and richardson_ok,

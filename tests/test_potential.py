@@ -10,7 +10,7 @@ from krflow.geometry import (conformal_metric, grad_norm_sq, make_grid,
                              normalize_volume, round_metric, weighted_integral)
 from krflow.potential import (DomainError, RicciPotential, VolumeMismatch,
                               complex_hessian_norms, delta_prime,
-                              functional_bundle, futaki_integrals,
+                              functional_bundle, futaki_dilation,
                               hessian_t20, solve_ricci_potential)
 
 
@@ -189,19 +189,12 @@ class TestFutaki:
     def test_round_all_zero(self, grid128):
         m = round_metric(grid128)
         u = solve_ricci_potential(m).values
-        assert futaki_integrals(u, m) == (0.0, 0.0, 0.0)
-
-    def test_rotation_component_exact_zero(self, grid128):
-        m = bump(grid128, 0.1)
-        u = solve_ricci_potential(m).values
-        rot, _, off = futaki_integrals(u, m)
-        assert rot == 0.0
-        assert off == 0.0
+        assert futaki_dilation(u, m) == 0.0
 
     def test_even_profile_dilation_vanishes_by_parity(self, grid128):
         m = bump(grid128, 0.1)
         u = solve_ricci_potential(m).values
-        _, dil, _ = futaki_integrals(u, m)
+        dil = futaki_dilation(u, m)
         assert abs(dil) < 1e-13
 
     def test_odd_profile_character_vanishing(self):
@@ -213,7 +206,7 @@ class TestFutaki:
             w = 0.05 * P2(g.cos_nodes) + 0.08 * P3(g.cos_nodes)
             m = normalize_volume(conformal_metric(g, w))
             u = solve_ricci_potential(m).values
-            _, dil, _ = futaki_integrals(u, m)
+            dil = futaki_dilation(u, m)
             vals.append(dil)
             assert abs(dil) < 10 * g.h ** 2
         assert vals[0] / vals[1] == pytest.approx(4.0, abs=0.5)
