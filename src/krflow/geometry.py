@@ -85,17 +85,17 @@ def make_grid(n_nodes: int) -> Grid:
     sin_flux = np.sin(np.arange(n_nodes + 1) * h)
     sin_flux[0] = 0.0
     sin_flux[-1] = 0.0
-    sin_nodes = np.sin(theta)
+    sin_nodes, cos_nodes = np.sin(theta), np.cos(theta)
     hs = h * sin_nodes
     hh = h * h * sin_nodes
     lap_bands = (sin_flux[1:-1] / hh[1:], -(sin_flux[:-1] + sin_flux[1:]) / hh,
                  sin_flux[1:-1] / hh[:-1])
-    for a in (theta, quad, sin_flux, sin_nodes, hs, *lap_bands):
+    # every caller shares these arrays, so none may write into them
+    for a in (theta, quad, sin_flux, sin_nodes, cos_nodes, hs, *lap_bands):
         a.flags.writeable = False
     return Grid(n_nodes=n_nodes, h=h, theta_nodes=theta, quad_weights=quad,
-                sin_flux=sin_flux, sin_nodes=sin_nodes,
-                cos_nodes=np.cos(theta), hs=hs, hs_sum=float(np.sum(hs)),
-                lap_bands=lap_bands)
+                sin_flux=sin_flux, sin_nodes=sin_nodes, cos_nodes=cos_nodes,
+                hs=hs, hs_sum=float(np.sum(hs)), lap_bands=lap_bands)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     The pole fluxes vanish identically (sin = 0 there), which encodes the
     regularity condition without special-casing.  Summation against
     h*sin(theta_j), hence against the quadrature weights, telescopes to
-    zero exactly.  The stencil writes into its flux array in place.
+    zero exactly.
     """
     f = np.asarray(values, dtype=float)
     flux = np.zeros(f.shape[0] + 1)  # the two pole fluxes stay zero

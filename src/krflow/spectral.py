@@ -153,7 +153,9 @@ def _stencil_map(n: int, h: float, parity: float):
     keep = ia <= ib
     slot = ((ib - ia) * n + ia)[keep]
     prod = (wgt[:, :, None] * wgt[:, None, :])[keep]
-    return slot, np.nonzero(keep)[0], prod
+    # the cache keeps the map for the whole run: int32 indices halve it
+    return (slot.astype(np.int32), np.nonzero(keep)[0].astype(np.int32),
+            prod)
 
 
 def assemble_modes(metric: ConformalMetric,
