@@ -40,7 +40,8 @@ import numpy as np
 from . import spectral
 from ._kernels import advance_extrapolated, advance_rk4, jacobian_bands
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
-                       ROUND_VOLUME, laplace_round, weighted_integral)
+                       ROUND_VOLUME, float_or_rows, laplace_round, per_row,
+                       weighted_integral)
 from .potential import (VOLUME_TOL, FunctionalBundle, RicciPotential,
                         VolumeMismatch, functional_bundle,
                         solve_ricci_potential)
@@ -323,24 +324,29 @@ def _equivalence_ratio(w, w0) -> float:
     return float(max(ratio.max(), (1.0 / ratio).max()))
 
 
-def log_det_bookkeeping(state: FlowState,
-                        state0: FlowState) -> tuple[np.ndarray, float]:
+def log_det_bookkeeping(state: FlowState, state0: FlowState):
     """Volume-form ratio F = log det g(t) / det g(0) and its constant c(t).
 
-    state0 is the recorded t = 0 state, which carries g(0) and u(0).  In
-    the conformal gauge F = 2 (w(t) - w(0)); c(t) normalizes the
-    potential bookkeeping through
+    state0 is the recorded t = 0 state, which carries g(0) and u(0); state
+    may be the geometry.Rows of several states, which gives one F row and
+    one c per state.  In the conformal gauge F = 2 (w(t) - w(0)); c(t)
+    normalizes the potential bookkeeping through
     e^{c(t)} = (1/V) integral e^{-phi - u(0)} dv_0.
     """
     initial = state0.metric
     f = 2.0 * (state.metric.w - initial.w)
-    c = math.log(weighted_integral(
-        np.exp(-state.phi - state0.u.values), initial) / initial.volume)
-    return f, float(c)
+    ratio = weighted_integral(np.exp(-state.phi - state0.u.values),
+                              initial) / initial.volume
+    return f, float_or_rows(_libm_log(ratio))
 
 
-def log_det_residual(state: FlowState, state0: FlowState) -> float:
-    """Sup-norm residual of F = u(t) - u(0) - phi(t) - c(t)."""
+# math.log row by row, so a stack of states gets the bits of one state
+_libm_log = np.vectorize(math.log, otypes=[float])
+
+
+def log_det_residual(state: FlowState, state0: FlowState):
+    """Sup-norm residual of F = u(t) - u(0) - phi(t) - c(t), one per row
+    when state is a geometry.Rows of states."""
     f, c = log_det_bookkeeping(state, state0)
-    rhs = state.u.values - state0.u.values - state.phi - c
-    return float(np.max(np.abs(f - rhs)))
+    rhs = state.u.values - state0.u.values - state.phi - per_row(c)
+    return float_or_rows(np.max(np.abs(f - rhs), axis=-1))

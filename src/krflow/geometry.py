@@ -205,7 +205,8 @@ def legendre_profile(grid: Grid, l: int, amplitude: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Flux-form round-sphere Laplace-Beltrami (1/sin) d/dtheta (sin d/dtheta).
+    """Flux-form round-sphere Laplace-Beltrami (1/sin) d/dtheta (sin d/dtheta)
+    along the last axis, so a (rows, n) stack gives one row per profile.
 
     The pole fluxes vanish identically (sin = 0 there), which encodes the
     regularity condition without special-casing.  Summation against
@@ -213,32 +214,37 @@ def laplace_round(grid: Grid, values: np.ndarray) -> np.ndarray:
     zero exactly.
     """
     f = np.asarray(values, dtype=float)
-    flux = np.zeros(f.shape[0] + 1)  # the two pole fluxes stay zero
-    inner = flux[1:-1]
-    np.subtract(f[1:], f[:-1], out=inner)
+    flux = np.zeros(f.shape[:-1] + (f.shape[-1] + 1,))  # pole fluxes stay 0
+    inner = flux[..., 1:-1]
+    np.subtract(f[..., 1:], f[..., :-1], out=inner)
     np.multiply(grid.sin_flux[1:-1], inner, out=inner)
     inner /= grid.h
-    out = np.subtract(flux[1:], flux[:-1])
+    out = np.subtract(flux[..., 1:], flux[..., :-1])
     out /= grid.hs
     return out
 
 
-def complex_laplacian(metric: ConformalMetric, f: np.ndarray) -> np.ndarray:
-    """Complex Laplacian (1/2) e^{-2w} lap_round f of the metric."""
-    return 0.5 * metric.em2w * laplace_round(metric.grid, f)
+def complex_laplacian(metric: ConformalMetric, f: np.ndarray,
+                      lap: np.ndarray | None = None) -> np.ndarray:
+    """Complex Laplacian (1/2) e^{-2w} lap_round f of the metric; lap is
+    laplace_round(grid, f) when the caller already has it."""
+    if lap is None:
+        lap = laplace_round(metric.grid, f)
+    return 0.5 * metric.em2w * lap
 
 
 def dtheta(grid: Grid, values: np.ndarray, parity: int = 1) -> np.ndarray:
-    """Centered theta-derivative with parity ghost nodes at the poles.
+    """Centered theta-derivative with parity ghost nodes at the poles, along
+    the last axis.
 
     parity +1 reflects evenly (regular axisymmetric scalars), parity -1
     oddly (radial profiles of Fourier modes with odd m).
     """
     f = np.asarray(values, dtype=float)
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * grid.h)
-    g[0] = (f[1] - parity * f[0]) / (2.0 * grid.h)
-    g[-1] = (parity * f[-1] - f[-2]) / (2.0 * grid.h)
+    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * grid.h)
+    g[..., 0] = (f[..., 1] - parity * f[..., 0]) / (2.0 * grid.h)
+    g[..., -1] = (parity * f[..., -1] - f[..., -2]) / (2.0 * grid.h)
     return g
 
 
@@ -255,10 +261,11 @@ def normalize_volume(metric: ConformalMetric) -> ConformalMetric:
     return ConformalMetric(grid=metric.grid, w=metric.w + c)
 
 
-def weighted_integral(f: np.ndarray, metric: ConformalMetric) -> float:
-    """integral f dv_g of nodal values f by grid quadrature."""
-    return float(2.0 * np.pi * np.sum(f * metric.e2w
-                                      * metric.grid.quad_weights))
+def weighted_integral(f: np.ndarray, metric: ConformalMetric):
+    """integral f dv_g of nodal values f by grid quadrature, along the last
+    axis: a float for one profile, one value per row for a stack."""
+    return float_or_rows(2.0 * np.pi * np.sum(
+        f * metric.e2w * metric.grid.quad_weights, axis=-1))
 
 
 def grad_norm_sq(f: np.ndarray, metric: ConformalMetric) -> np.ndarray:
@@ -272,8 +279,8 @@ def measured_calabi(metric: ConformalMetric) -> float:
             / metric.volume)
 
 
-def diameter(metric: ConformalMetric) -> float:
-    """Lower-bound diameter proxy.
+def diameter(metric: ConformalMetric):
+    """Lower-bound diameter proxy, one value per row of a stack.
 
     Maximum of the pole-to-pole meridian length and half the largest
     latitude circumference.  The meridian length is the exact pole-to-pole
@@ -282,27 +289,30 @@ def diameter(metric: ConformalMetric) -> float:
     """
     g = metric.grid
     ew = metric.ew
-    meridian = float(np.sum(ew) * g.h)
-    belt = float(np.max(np.pi * ew * g.sin_nodes))
-    return max(meridian, belt)
+    meridian = np.sum(ew, axis=-1) * g.h
+    belt = np.max(np.pi * ew * g.sin_nodes, axis=-1)
+    return float_or_rows(np.maximum(meridian, belt))
 
 
-def curvature_bounds(metric: ConformalMetric) -> tuple[float, float]:
+def curvature_bounds(metric: ConformalMetric):
     k = metric.curvature
-    return float(k.min()), float(k.max())
+    return float_or_rows(k.min(axis=-1)), float_or_rows(k.max(axis=-1))
 
 
 def check_scale(metric: ConformalMetric, rho: float) -> None:
-    """Raise ScaleOutOfRange unless 0 < rho <= diam/2 (a NaN rho fails)."""
-    diam = diameter(metric)
-    if not 0.0 < rho <= 0.5 * diam:
+    """Raise ScaleOutOfRange unless 0 < rho <= diam/2 (a NaN rho fails);
+    of a stack, the first row that refuses rho raises."""
+    half = 0.5 * np.ravel(diameter(metric))
+    bad = np.flatnonzero(~((0.0 < rho) & (rho <= half)))
+    if bad.size:
         raise ScaleOutOfRange(
-            f"rho = {rho} must lie in (0, {0.5 * diam:.6g}], half the "
+            f"rho = {rho} must lie in (0, {half[bad[0]]:.6g}], half the "
             "diameter")
 
 
-def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:
-    """Worst pole-centered volume ratio Vol(B(r)) / (V r^2) over r <= rho.
+def noncollapsing_kappa(metric: ConformalMetric, rho: float):
+    """Worst pole-centered volume ratio Vol(B(r)) / (V r^2) over r <= rho,
+    one value per row of a stack.
 
     Radial distances from a pole are exact for axisymmetric metrics, so
     the two poles are the only centers sampled; the shipped perturbation
@@ -315,21 +325,127 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float) -> float:
     """
     check_scale(metric, rho)
     g = metric.grid
-    vol_total = metric.volume
+    vol_total = per_row(metric.volume)
     r = np.geomspace(rho / 100.0, rho, N_RADII)
     flux_angles = np.arange(g.n_nodes + 1) * g.h  # measured from the pole
     kappa = np.inf
     for order in (slice(None), slice(None, None, -1)):  # north, south
-        ew = metric.ew[order]
-        e2w = metric.e2w[order]
-        radii = np.concatenate(([0.0], np.cumsum(ew * g.h)))
-        cum_vol = np.concatenate(
-            ([0.0], np.cumsum(2.0 * np.pi * e2w * g.quad_weights)))
-        j = np.minimum(np.searchsorted(radii, r, side="right") - 1,
-                       g.n_nodes - 1)
-        theta_r = flux_angles[j] + (r - radii[j]) / ew[j]
-        partial = 2.0 * np.pi * e2w[j] * (np.cos(flux_angles[j])
-                                          - np.cos(theta_r))
-        ball = np.where(r >= radii[-1], cum_vol[-1], cum_vol[j] + partial)
-        kappa = min(kappa, float(np.min(ball / (vol_total * r * r))))
-    return float(kappa)
+        ew = metric.ew[..., order]
+        e2w = metric.e2w[..., order]
+        radii = _cumsum_from_zero(ew * g.h)
+        cum_vol = _cumsum_from_zero(2.0 * np.pi * e2w * g.quad_weights)
+        j = np.minimum(_count_at_most(radii, r) - 1, g.n_nodes - 1)
+        radii_j = np.take_along_axis(radii, j, axis=-1)
+        ew_j = np.take_along_axis(ew, j, axis=-1)
+        e2w_j = np.take_along_axis(e2w, j, axis=-1)
+        theta_r = flux_angles[j] + (r - radii_j) / ew_j
+        partial = 2.0 * np.pi * e2w_j * (np.cos(flux_angles[j])
+                                         - np.cos(theta_r))
+        ball = np.where(r >= radii[..., -1:], cum_vol[..., -1:],
+                        np.take_along_axis(cum_vol, j, axis=-1) + partial)
+        # fmin skips a NaN row minimum, as the builtin min did
+        kappa = np.fmin(kappa, np.min(ball / (vol_total * r * r), axis=-1))
+    return float_or_rows(kappa)
+
+
+def _count_at_most(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each row of ascending edges, how many are <= each of the
+    ascending x: searchsorted(row, x, side="right") of every row at once.
+    An edge is <= x[i] exactly when i is at least its rank, the count of
+    x below it, so the counts are running sums of the ranks' histogram."""
+    ranks = np.searchsorted(x, edges, side="left")
+    ranks = ranks.reshape(-1, ranks.shape[-1])
+    width = len(x) + 1
+    hist = np.bincount((ranks + width * np.arange(len(ranks))[:, None]).ravel(),
+                       minlength=width * len(ranks))
+    counts = np.cumsum(hist.reshape(-1, width), axis=-1)[:, :-1]
+    return counts.reshape(edges.shape[:-1] + (len(x),))
+
+
+def _cumsum_from_zero(x: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of x along the last axis."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# blocks of rows
+# ---------------------------------------------------------------------------
+
+# The nodes a pass over recorded states stacks at once: 128 states at
+# n = 64, 8 at n = 1024, so a pass holds O(BLOCK_NODES) whatever the length
+# of the run.
+BLOCK_NODES = 2 ** 13
+
+
+def stack_rows(rows) -> np.ndarray:
+    """The stack of equal-shaped arrays along a new leading row axis: the
+    one place per-state arrays are copied into a block (np.array: a
+    quarter of np.stack's time on 128 rows of 64)."""
+    return np.array(rows)
+
+
+def block_slices(count: int, n_nodes: int, overlap: int = 0):
+    """Consecutive slices over range(count) of at most BLOCK_NODES // n_nodes
+    rows (and at least overlap + 1), each starting overlap rows before the
+    end of the one before it."""
+    size = max(overlap + 1, BLOCK_NODES // n_nodes)
+    start = 0
+    while start < count:
+        stop = min(start + size, count)
+        yield slice(start, stop)
+        if stop == count:
+            return
+        start = stop - overlap
+
+
+def map_blocks(items, n_nodes: int, row_values) -> np.ndarray:
+    """row_values of the Rows of each block of items, at most BLOCK_NODES //
+    n_nodes items a block, joined along the last axis in item order."""
+    return np.concatenate([np.asarray(row_values(Rows(items[sl])))
+                           for sl in block_slices(len(items), n_nodes)],
+                          axis=-1)
+
+
+class Rows:
+    """Objects of one kind read as one, with a leading row axis.
+
+    An array attribute reads as the stack_rows stack of the items' arrays,
+    a number as the array of their values, the grid as itself, and any
+    other object as the Rows of the items' objects; each is made on first
+    read and kept.  So the Rows of some
+    ConformalMetric objects reads like one metric to every operator that
+    acts along the last axis, and the Rows of some flow states gives
+    .metric, .u, .funcs and .phi the same way.
+    """
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        values = [getattr(item, name) for item in self._items]
+        first = values[0]
+        if isinstance(first, np.ndarray):
+            value = stack_rows(values)
+        elif isinstance(first, (int, float, np.number)):
+            value = np.array(values)
+        elif isinstance(first, Grid):  # one grid serves every row
+            value = first
+        else:
+            value = Rows(values)
+        self.__dict__[name] = value
+        return value
+
+
+def per_row(x) -> np.ndarray:
+    """x, a float or one value per row, shaped to broadcast along the nodes
+    of the last axis."""
+    return np.asarray(x)[..., None]
+
+
+def float_or_rows(x):
+    """A float for one profile; the array of row values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x

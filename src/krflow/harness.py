@@ -23,8 +23,8 @@ from .flow import FlowConfig, Trajectory, run
 from .geometry import (MIN_NODES, ConfigError, ConformalMetric, Grid,
                        NumericalError, check_scale, conformal_metric,
                        curvature_bounds, diameter, legendre_profile,
-                       make_grid, measured_calabi, normalize_volume,
-                       round_metric)
+                       make_grid, map_blocks, measured_calabi,
+                       normalize_volume, round_metric)
 from .monitors import (ALL_CHECKS, FAIL, MONITOR_PARAMS, CheckReport,
                        TrajectoryReport, evaluate_trajectory, monitor_params)
 
@@ -360,17 +360,22 @@ def dumps(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _timeseries_rows(traj: Trajectory):
-    rows = []
-    for s in traj.states:
-        kmin, kmax = curvature_bounds(s.metric)
-        rows.append((
-            s.t, s.dt, s.metric.volume, diameter(s.metric), kmin, kmax,
-            s.funcs.a, s.funcs.Y, s.funcs.Z, s.funcs.osc_u,
-            s.funcs.c0_u_minus_a, s.funcs.grad_u_c0, s.lambda_g,
-            min(s.holo_band), max(s.holo_band),
-            s.class_residual,
-            float(np.max(np.abs(s.phi)))))
-    return rows
+    """The rows of timeseries.csv; the columns that read nodal arrays are
+    computed a block of states at a time."""
+    states = traj.states
+
+    def nodal_columns(rows):
+        return (diameter(rows.metric), *curvature_bounds(rows.metric),
+                np.max(np.abs(rows.phi), axis=-1))
+
+    nodal = map_blocks(states, states[0].metric.grid.n_nodes, nodal_columns)
+    return [(s.t, s.dt, s.metric.volume, diam, kmin, kmax,
+             s.funcs.a, s.funcs.Y, s.funcs.Z, s.funcs.osc_u,
+             s.funcs.c0_u_minus_a, s.funcs.grad_u_c0, s.lambda_g,
+             min(s.holo_band), max(s.holo_band),
+             s.class_residual, phi_c0)
+            for s, (diam, kmin, kmax, phi_c0) in zip(states,
+                                                      nodal.T.tolist())]
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:

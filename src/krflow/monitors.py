@@ -11,6 +11,11 @@ acceptance suite rather than equality to any number.
 Time derivatives of diagnostics are centered finite differences over
 three consecutive recorded states, so every d/dt check needs a recording
 cadence fine enough for the decay rates involved.
+
+A check that reads nodal arrays of every state walks the trajectory in
+blocks of states (geometry.block_slices, BLOCK_NODES nodes a block) and
+evaluates its formula once per block on the geometry.Rows stacks; a
+per-state check is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ import numpy as np
 
 from . import spectral
 from .flow import FlowState, Trajectory, decay_cap, log_det_residual
-from .geometry import (ConfigError, NumericalError, complex_laplacian, dtheta,
-                       grad_norm_sq, measured_calabi, noncollapsing_kappa)
+from .geometry import (ConfigError, NumericalError, Rows, block_slices,
+                       complex_laplacian, dtheta, grad_norm_sq, laplace_round,
+                       map_blocks, measured_calabi, noncollapsing_kappa,
+                       per_row)
 from .potential import complex_hessian_norms, hessian_t20, weighted_mean
 
 PASS = "PASS"
@@ -113,11 +120,16 @@ def _gate_not_met(check_id: str, statement: str, aux: dict,
 # weighted Poincare with sharpening
 # ---------------------------------------------------------------------------
 
+def _poincare_margin(f):
+    """Z - (1 + d') Y of a FunctionalBundle, or of the Rows of several."""
+    return f.Z - (1.0 + f.delta_prime_0) * f.Y
+
+
 def check_weighted_poincare(state: FlowState) -> CheckReport:
     """Z >= (1 + d') Y with d' = delta_prime(lambda - 1, osc u), the
     state's funcs.delta_prime_0."""
     dp = state.funcs.delta_prime_0
-    margin = state.funcs.Z - (1.0 + dp) * state.funcs.Y
+    margin = _poincare_margin(state.funcs)
     return CheckReport(
         check_id="weighted_poincare",
         statement="int |grad u|^2 e^-u dv >= (1 + d') int (u-a)^2 e^-u dv",
@@ -191,6 +203,32 @@ def check_Y_decay(traj: Trajectory) -> CheckReport:
 # C0 against Y through non-collapsing
 # ---------------------------------------------------------------------------
 
+def _c0_gate(f, rho: float):
+    """|grad u| <= 1 and |u-a| <= 2 rho, of a FunctionalBundle or of the
+    Rows of several."""
+    return (f.grad_u_c0 <= 1.0) & (f.c0_u_minus_a <= 2.0 * rho)
+
+
+def _c0_kappas(states, rho: float) -> list[float]:
+    """noncollapsing_kappa of each state that c0_vs_y measures (inside the
+    gate, Y not under Y_FLOOR), a block of those states at a time; NaN for
+    the others.  ScaleOutOfRange comes from the first measured state whose
+    diameter refuses rho."""
+    f = Rows(states).funcs
+    measured = np.flatnonzero(_c0_gate(f, rho) & ~(f.Y < Y_FLOOR))
+    kappa = np.full(len(states), np.nan)
+    n = states[0].metric.grid.n_nodes
+    for sl in block_slices(len(measured), n):
+        rows = measured[sl]
+        kappa[rows] = noncollapsing_kappa(
+            Rows([states[i].metric for i in rows]), rho)
+    return kappa.tolist()
+
+
+def _k_eff(f, kappa: float) -> float:
+    return float(f.c0_u_minus_a * kappa ** 0.25 / f.Y ** 0.25)
+
+
 def check_c0_vs_Y(state: FlowState, rho: float) -> CheckReport:
     """Effective constant in |u-a|_C0 <= K kappa^(-1/4) Y^(1/4).
 
@@ -199,10 +237,14 @@ def check_c0_vs_Y(state: FlowState, rho: float) -> CheckReport:
     stability of aux.K_eff across the shipped family.  States with
     Y below Y_FLOOR are skipped.
     """
+    return _c0_report(state, rho, _c0_kappas([state], rho)[0])
+
+
+def _c0_report(state: FlowState, rho: float, kappa: float) -> CheckReport:
+    """check_c0_vs_Y's report of a state whose kappa _c0_kappas gave."""
     statement = "|u-a|_C0 <= K kappa^(-1/4) Y^(1/4)"
     f = state.funcs
-    gate = f.grad_u_c0 <= 1.0 and f.c0_u_minus_a <= 2.0 * rho
-    if not gate:
+    if not _c0_gate(f, rho):
         return _gate_not_met("c0_vs_y", statement, {
             "grad_u_c0": f.grad_u_c0, "c0_u_minus_a": f.c0_u_minus_a,
             "rho": rho})
@@ -211,12 +253,10 @@ def check_c0_vs_Y(state: FlowState, rho: float) -> CheckReport:
             check_id="c0_vs_y", statement=statement, gate_satisfied=True,
             margin=None, tolerance=0.0, verdict=REPORT_ONLY,
             aux={"skipped": 1.0, "Y": f.Y, "rho": rho})
-    kappa = noncollapsing_kappa(state.metric, rho)
-    k_eff = f.c0_u_minus_a * kappa ** 0.25 / f.Y ** 0.25
     return CheckReport(
         check_id="c0_vs_y", statement=statement, gate_satisfied=True,
         margin=None, tolerance=0.0, verdict=REPORT_ONLY,
-        aux={"K_eff": float(k_eff), "kappa": kappa, "Y": f.Y,
+        aux={"K_eff": _k_eff(f, kappa), "kappa": kappa, "Y": f.Y,
              "c0_u_minus_a": f.c0_u_minus_a, "rho": rho})
 
 
@@ -236,15 +276,17 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     states = traj.states
     s0 = states[0]
     u0_c0 = float(np.max(np.abs(s0.u.values)))
-    min_trace = np.inf
-    run_sup = 0.0
-    for s in states:
+
+    def trace_and_sup(rows):
         # the complex trace 1 + lap_{c,0} phi, on the t = 0 metric
-        trace = 1.0 + complex_laplacian(s0.metric, s.phi)
-        min_trace = min(min_trace, float(trace.min()))
-        here = (float(np.max(np.abs(s.phi))) + u0_c0
-                + float(np.max(np.abs(s.u.values))))
-        run_sup = max(run_sup, here)
+        trace = 1.0 + complex_laplacian(s0.metric, rows.phi)
+        return (np.min(trace, axis=-1),
+                np.max(np.abs(rows.phi), axis=-1) + u0_c0
+                + np.max(np.abs(rows.u.values), axis=-1))
+
+    traces, sups = map_blocks(states, s0.metric.grid.n_nodes, trace_and_sup)
+    min_trace = min([np.inf, *traces.tolist()])
+    run_sup = max([0.0, *sups.tolist()])
     verdict = REPORT_ONLY if min_trace > 0.0 else FAIL
     return CheckReport(
         check_id="c2_estimate",
@@ -261,17 +303,33 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
 # eigenvalue derivative along a tracked branch
 # ---------------------------------------------------------------------------
 
-def _branch_eigs(state: FlowState, index: int):
-    """The index-th axial pair that make_state solved; BranchCrossing when
-    a neighbour is within the guard."""
-    vals, vecs = state.axial_pairs()
-    guard = 10.0 * spectral.default_band_tol(state.metric.grid)
-    gaps = np.diff(vals)
-    if np.any(gaps[max(0, index - 1):index + 1] < guard):
+def _branch_eigenvalues(states, index: int) -> np.ndarray:
+    """The index-th axial eigenvalue that make_state solved, of each state;
+    BranchCrossing from the first state with a neighbour within the
+    guard."""
+    vals = np.array([s.spectrum[0] for s in states])
+    guard = 10.0 * spectral.default_band_tol(states[0].metric.grid)
+    gaps = np.diff(vals, axis=-1)[:, max(0, index - 1):index + 1]
+    close = np.flatnonzero(np.any(gaps < guard, axis=-1))
+    if close.size:
         raise BranchCrossing(
             f"in-mode gap under {guard:.2e} near axial branch {index} "
-            f"at t = {state.t:.6g}")
-    return float(vals[index]), vecs[:, index]
+            f"at t = {states[close[0]].t:.6g}")
+    return vals[:, index]
+
+
+def _branch_formula(rows: Rows, index: int) -> np.ndarray:
+    """(1/V) int [-(1-K)|dbar psi|^2 + (lam |psi|^2 - |dbar psi|^2)(u-a)]
+    e^-u dv of each row's index-th axial pair."""
+    lams = rows.spectrum[:, 0, index]
+    eig = spectral.pair_data(rows.metric, 0, lams,
+                             rows.axial_vectors[..., index])
+    psi, gb = eig.psi, eig.grad_bar_sq
+    one_minus_k = 1.0 - rows.metric.curvature
+    uma = rows.u.values - per_row(rows.funcs.a)
+    return weighted_mean(-one_minus_k * gb
+                         + (per_row(lams) * psi ** 2 - gb) * uma,
+                         rows.u.emu, rows.metric)
 
 
 def check_eigenvalue_derivative(traj: Trajectory,
@@ -291,25 +349,18 @@ def check_eigenvalue_derivative(traj: Trajectory,
     if len(states) < 3:
         return _gate_not_met("eigenvalue_derivative", statement,
                              {"n_states": float(len(states))})
-    lams, vecs = zip(*(_branch_eigs(s, index) for s in states))
-    ts = np.array([s.t for s in states])
-
-    def formula_at(i):
-        s = states[i]
-        eig = spectral.pair_data(s.metric, 0, lams[i], vecs[i])
-        psi, gb = eig.psi, eig.grad_bar_sq
-        one_minus_k = 1.0 - s.metric.curvature
-        uma = s.u.values - s.funcs.a
-        return weighted_mean(-one_minus_k * gb
-                             + (lams[i] * psi ** 2 - gb) * uma,
-                             s.u.emu, s.metric)
+    lams = _branch_eigenvalues(states, index)
+    ts = traj.times()
+    # the formula at each state with two neighbours, states[1:-1]
+    formula = map_blocks(states[1:-1], states[0].metric.grid.n_nodes,
+                         lambda rows: _branch_formula(rows, index))
 
     def mismatch_at(i, spread):
         fd = (lams[i + spread] - lams[i - spread]) / (
             ts[i + spread] - ts[i - spread])
-        return abs(fd - formula_at(i)) / (abs(fd) + EIGEN_REL_FLOOR)
+        return np.abs(fd - formula[i - 1]) / (np.abs(fd) + EIGEN_REL_FLOOR)
 
-    mism = [mismatch_at(i, 1) for i in range(1, len(states) - 1)]
+    mism = mismatch_at(np.arange(1, len(states) - 1), 1)
     worst_i = 1 + int(np.argmax(mism))
     worst = mism[worst_i - 1]
     margin = EIGEN_REL_TOL - worst
@@ -336,27 +387,45 @@ def check_eigenvalue_derivative(traj: Trajectory,
 # evolution of |grad u|^2
 # ---------------------------------------------------------------------------
 
-def _hessian_terms(traj: Trajectory, with_fields: bool):
-    """One complex_hessian_norms call per state, reduced at once to what
-    the two Hessian checks keep: the mixed-Hessian means of
-    check_Z_derivative and, when with_fields, the (|grad u|^2, right-hand
-    side) field pairs of check_gradnorm_evolution."""
-    means, fields = [], []
-    for s in traj.states:
-        mixed, pure = complex_hessian_norms(s.u.values, s.metric)
-        means.append(_hessian_l2(s, mixed))
-        if with_fields:
-            fields.append(_gradsq_rhs(s, mixed, pure))
-    return np.array(means), fields
+def _hessian_pass(traj: Trajectory, with_residuals: bool):
+    """The Hessian pass of the two Hessian checks, with one
+    complex_hessian_norms call per block of states: each state's
+    mixed-Hessian mean (check_Z_derivative) and, when with_residuals, at
+    each state with two neighbours the sups over the interior nodes of
+    |d/dt f - rhs| and of |rhs| (check_gradnorm_evolution), f = |grad u|^2
+    and rhs = _gradsq_rhs.  Blocks then share two states, so each of those
+    states has its neighbours in one block."""
+    states = traj.states
+    ts = traj.times()
+    count = len(states)
+    means = np.empty(count)
+    resid, scale = np.empty((2, max(count - 2, 0)))
+    interior = (..., slice(GRADNORM_EDGE, -GRADNORM_EDGE))
+    for sl in block_slices(count, states[0].metric.grid.n_nodes,
+                           overlap=2 if with_residuals else 0):
+        rows = Rows(states[sl])
+        u, metric = rows.u.values, rows.metric
+        mixed, pure = complex_hessian_norms(u, metric)
+        means[sl] = weighted_mean(mixed, rows.u.emu, metric)
+        if with_residuals:
+            f, rhs = _gradsq_rhs(u, metric, mixed, pure)
+            t = ts[sl]
+            dfdt = (f[2:] - f[:-2]) / per_row(t[2:] - t[:-2])
+            centers = slice(sl.start, sl.stop - 2)
+            resid[centers] = np.max(np.abs((dfdt - rhs[1:-1])[interior]),
+                                    axis=-1)
+            scale[centers] = np.max(np.abs(rhs[1:-1][interior]), axis=-1)
+    return means, (resid, scale)
 
 
-def _gradsq_rhs(state: FlowState, mixed, pure):
-    """lap_c f - |pure|^2 - |mixed|^2 + f with f = |grad u|^2."""
-    f = grad_norm_sq(state.u.values, state.metric)
-    return f, complex_laplacian(state.metric, f) - pure - mixed + f
+def _gradsq_rhs(u, metric, mixed, pure):
+    """f = |grad u|^2 and lap_c f - |pure|^2 - |mixed|^2 + f."""
+    f = grad_norm_sq(u, metric)
+    return f, complex_laplacian(metric, f) - pure - mixed + f
 
 
-def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
+def check_gradnorm_evolution(traj: Trajectory,
+                             residuals=None) -> CheckReport:
     """Pointwise residual of d/dt |grad u|^2 = lap|grad u|^2 - |pure Hess|^2
     - |mixed Hess|^2 + |grad u|^2, plus the short-time amplification bound
     |grad u|(t) <= e |grad u|(0) for t <= 2.
@@ -364,8 +433,8 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
     The sup runs over interior nodes (GRADNORM_EDGE nodes dropped at each
     pole: the composed third-derivative stencils lose an order against the
     pole ghosts).
-    fields, as _hessian_terms returns them, are computed here unless the
-    caller already has them.
+    residuals, as _hessian_pass returns them, are computed here unless
+    the caller already has them.
     """
     statement = "d/dt |grad u|^2 = lap |grad u|^2 - |DDu|^2 - |DDbar u|^2 + |grad u|^2"
     states = traj.states
@@ -373,18 +442,12 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
         return _gate_not_met("gradnorm_evolution", statement,
                              {"n_states": float(len(states))})
     grid = states[0].metric.grid
-    ts = np.array([s.t for s in states])
-    if fields is None:
-        fields = _hessian_terms(traj, True)[1]
+    ts = traj.times()
+    if residuals is None:
+        residuals = _hessian_pass(traj, True)[1]
     rec = float(np.max(np.diff(ts)))
-    worst = 0.0
-    scale = 1e-10
-    sl = slice(GRADNORM_EDGE, -GRADNORM_EDGE)
-    for i in range(1, len(states) - 1):
-        dfdt = (fields[i + 1][0] - fields[i - 1][0]) / (ts[i + 1] - ts[i - 1])
-        resid = np.max(np.abs((dfdt - fields[i][1])[sl]))
-        worst = max(worst, float(resid))
-        scale = max(scale, float(np.max(np.abs(fields[i][1][sl]))))
+    worst = max([0.0, *residuals[0].tolist()])
+    scale = max([1e-10, *residuals[1].tolist()])
     tol = H2_TOL_FACTOR * (grid.h ** 2 + rec ** 2) * scale
     amp0 = states[0].funcs.grad_u_c0
     amp_max = max(s.funcs.grad_u_c0 for s in states if s.t <= 2.0)
@@ -407,11 +470,6 @@ def check_gradnorm_evolution(traj: Trajectory, fields=None) -> CheckReport:
 # Z derivative and space-time Hessian accumulation
 # ---------------------------------------------------------------------------
 
-def _hessian_l2(state: FlowState, mixed) -> float:
-    """(1/V) int |mixed Hessian of u|^2 e^-u dv."""
-    return weighted_mean(mixed, state.u.emu, state.metric)
-
-
 def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     """dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv in the small regime.
 
@@ -419,9 +477,9 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     (3/2)|grad u|^2 + |u-a| <= 1 (the explicit sufficiency for the
     absorption step in the derivation).  aux accumulates the space-time
     Hessian integral over unit windows and its effective constant against
-    exp(-d0' t / 2) times the initial gradient bound.  hessian_means, as
-    _hessian_terms returns them, are computed here unless the caller
-    already has them.
+    exp(-d0' t / 2) times the initial gradient bound.  hessian_means, the
+    (1/V) int |DDbar u|^2 e^-u dv of each state as _hessian_pass returns
+    them, are computed here unless the caller already has them.
     """
     statement = "dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv"
     states = traj.states
@@ -441,7 +499,7 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     ts = np.array([s.t for s in states])
     zs = np.array([s.funcs.Z for s in states])
     hess = (hessian_means if hessian_means is not None
-            else _hessian_terms(traj, False)[0])
+            else _hessian_pass(traj, False)[0])
     margin = np.inf
     any_gate = False
     for i in range(1, len(states) - 1):
@@ -508,11 +566,12 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     e2w = metric.e2w
     f = eig.grad_bar_sq
     lap_c_f = complex_laplacian(metric, f)
-    lap_c_psi = complex_laplacian(metric, psi)
-    t20 = hessian_t20(psi, metric)
+    pp = dtheta(grid, psi)
+    lap_psi = laplace_round(grid, psi)
+    lap_c_psi = complex_laplacian(metric, psi, lap_psi)
+    t20 = hessian_t20(psi, metric, pp, lap_psi)
     lap_c_u = complex_laplacian(metric, state.u.values)
     up = dtheta(grid, state.u.values)
-    pp = dtheta(grid, psi)
     coupling = up * pp * t20 / e2w
     rhs = (t20 ** 2 + lap_c_psi ** 2 + (1.0 - 2.0 * lam) * f
            + lap_c_u * f + coupling)
@@ -638,12 +697,12 @@ def check_short_time(traj: Trajectory,
     s0 = states[0]
     epsilon_calabi = measured_calabi(s0.metric)
     cap = 2.0 * curvature_bound
-    first_exceed = None
+    kmax = map_blocks(states, s0.metric.grid.n_nodes, lambda rows: np.max(
+        np.abs(rows.metric.curvature), axis=-1))
+    exceed = np.flatnonzero(kmax > cap)
+    first_exceed = states[exceed[0]].t if exceed.size else None
     lam_min = np.inf
     for s in states:
-        kmax = float(np.max(np.abs(s.metric.curvature)))
-        if first_exceed is None and kmax > cap:
-            first_exceed = s.t
         if s.t <= t0 + 1e-12:
             lam_min = min(lam_min, s.lambda_g)
     sampled = min(states, key=lambda s: abs(s.t - t0))
@@ -721,30 +780,33 @@ class _Shared:
     report: TrajectoryReport = field(default_factory=TrajectoryReport)
 
     @cached_property
-    def hessian(self) -> dict:
-        """_hessian_terms' means and fields; a check may pop the fields."""
-        means, fields = _hessian_terms(self.traj, True)
-        return {"means": means, "fields": fields}
+    def hessian(self) -> tuple:
+        """_hessian_pass's means and gradnorm residuals."""
+        return _hessian_pass(self.traj, True)
 
 
 def _worst_poincare(sh: _Shared) -> CheckReport:
     """The least-margin state's report, stamped with its time."""
     states = sh.traj.states
-    reports = [check_weighted_poincare(s) for s in states]
-    pos = int(np.argmin([r.margin for r in reports]))
-    reports[pos].aux["state_t"] = states[pos].t
-    return reports[pos]
+    pos = int(np.argmin(_poincare_margin(Rows(states).funcs)))
+    report = check_weighted_poincare(states[pos])
+    report.aux["state_t"] = states[pos].t
+    return report
 
 
 def _largest_k_eff(sh: _Shared) -> CheckReport:
-    states = sh.traj.states
-    reports = [check_c0_vs_Y(s, sh.p["rho"]) for s in states]
-    keffs = np.array([r.aux.get("K_eff", np.nan) for r in reports])
+    """The report of the state with the largest K_eff, or of the t = 0
+    state when no state has one."""
+    states, rho = sh.traj.states, sh.p["rho"]
+    kappas = _c0_kappas(states, rho)
+    keffs = np.array([math.nan if math.isnan(k) else _k_eff(s.funcs, k)
+                      for s, k in zip(states, kappas)])
     if np.isnan(keffs).all():
-        return reports[0]
+        return _c0_report(states[0], rho, kappas[0])
     pos = int(np.nanargmax(keffs))
-    reports[pos].aux["state_t"] = states[pos].t
-    return reports[pos]
+    report = _c0_report(states[pos], rho, kappas[pos])
+    report.aux["state_t"] = states[pos].t
+    return report
 
 
 def _y_decay(sh: _Shared) -> CheckReport:
@@ -752,6 +814,15 @@ def _y_decay(sh: _Shared) -> CheckReport:
     if "fitted_rate" in r.aux:
         sh.report.rates["Y"] = r.aux["fitted_rate"]
     return r
+
+
+def _log_det(sh: _Shared) -> CheckReport:
+    states = sh.traj.states
+    resid = map_blocks(states, states[0].metric.grid.n_nodes,
+                       lambda rows: log_det_residual(rows, states[0]))
+    return _identity_check(
+        "log_det", "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
+        max(resid.tolist()), LOG_DET_TOL)
 
 
 def _bochner_mid(sh: _Shared) -> CheckReport:
@@ -785,10 +856,9 @@ CHECKS = {
     "y_decay": _y_decay,
     "c2_estimate": lambda sh: check_c2_estimate(sh.traj),
     "z_derivative": lambda sh: check_Z_derivative(
-        sh.traj, hessian_means=sh.hessian["means"]),
-    # popped, so the fields are not held through the later checks
+        sh.traj, hessian_means=sh.hessian[0]),
     "gradnorm_evolution": lambda sh: check_gradnorm_evolution(
-        sh.traj, fields=sh.hessian.pop("fields", None)),
+        sh.traj, residuals=sh.hessian[1]),
     "eigenvalue_derivative": lambda sh: check_eigenvalue_derivative(
         sh.traj, sh.p["branch_index"]),
     "bootstrap": lambda sh: bootstrap_tracker(sh.traj, sh.p["phi0"]),
@@ -797,10 +867,7 @@ CHECKS = {
     "kahler_class": lambda sh: _identity_check(
         "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
         max(s.class_residual for s in sh.traj.states), KAHLER_CLASS_TOL),
-    "log_det": lambda sh: _identity_check(
-        "log_det", "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
-        max(log_det_residual(s, sh.traj.states[0])
-            for s in sh.traj.states), LOG_DET_TOL),
+    "log_det": _log_det,
     "bochner": _bochner_mid,
     "gradient_estimate": _largest_c_eff,
 }

@@ -96,8 +96,9 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
                           norm_residual=norm_res, emu=emu)
 
 
-def weighted_mean(f, emu: np.ndarray, metric: ConformalMetric) -> float:
-    """(1/V) integral f e^{-u} dv, for f and emu = e^{-u} at the nodes."""
+def weighted_mean(f, emu: np.ndarray, metric: ConformalMetric):
+    """(1/V) integral f e^{-u} dv, for f and emu = e^{-u} at the nodes: a
+    float, or one value per row of a stack (geometry.Rows)."""
     return weighted_integral(f * emu, metric) / metric.volume
 
 
@@ -128,25 +129,37 @@ def futaki_dilation(u: np.ndarray, metric: ConformalMetric) -> float:
 
 def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise |mixed Hessian|^2 and |(2,0) Hessian|^2 of a scalar.
+    """Pointwise |mixed Hessian|^2 and |(2,0) Hessian|^2 of a scalar, or of
+    each row of a stack on the metric rows.
 
     In complex dimension one the mixed part is the complex Laplacian
     squared, ((1/2) e^{-2w} lap_round u)^2, and the (2,0) part is the
     squared trace-free real Hessian in the orthonormal frame, halved:
     (1/4) e^{-4w} (u'' - (2 w' + cot) u')^2.  The bound
-    (complex Laplacian)^2 <= n |mixed|^2 is equality here.
+    (complex Laplacian)^2 <= n |mixed|^2 is equality here.  lap_round u
+    is evaluated once for both.
     """
-    return complex_laplacian(metric, u) ** 2, hessian_t20(u, metric) ** 2
-
-
-def hessian_t20(u: np.ndarray, metric: ConformalMetric) -> np.ndarray:
-    """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2."""
     g = metric.grid
-    up = dtheta(g, u)
+    lap = laplace_round(g, u)
+    return (complex_laplacian(metric, u, lap) ** 2,
+            hessian_t20(u, metric, dtheta(g, u), lap) ** 2)
+
+
+def hessian_t20(u: np.ndarray, metric: ConformalMetric,
+                up: np.ndarray | None = None,
+                lap: np.ndarray | None = None) -> np.ndarray:
+    """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2;
+    up = dtheta(grid, u) and lap = laplace_round(grid, u) when the caller
+    already has them."""
+    g = metric.grid
+    if up is None:
+        up = dtheta(g, u)
+    if lap is None:
+        lap = laplace_round(g, u)
     wp = dtheta(g, metric.w)
     cot = g.cos_nodes / g.sin_nodes
     # u'' from the flux Laplacian: u'' = lap_round u - cot u'
-    upp = laplace_round(g, u) - cot * up
+    upp = lap - cot * up
     return 0.5 * (upp - (2.0 * wp + cot) * up) / metric.e2w
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
 from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
-                       grad_norm_sq, legendre_profile, make_grid,
+                       grad_norm_sq, legendre_profile, make_grid, per_row,
                        weighted_integral)
 from .potential import RicciPotential
 
@@ -501,26 +501,28 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
     """
     if band_tol is None:
         band_tol = default_band_tol(spectrum.metric.grid)
-    members = np.abs(spectrum.vals - 1.0) <= band_tol
-    vals = merged_spectrum(spectrum.vals)[0]
-    band = [float(v) for v in vals if abs(v - 1.0) <= band_tol]
+    vals = spectrum.vals
+    members = np.abs(vals - 1.0) <= band_tol
+    # a mode m > 0 row stands for m and -m, so its members count twice
+    band = np.sort(np.concatenate((vals[0][members[0]],
+                                   np.repeat(vals[1:][members[1:]], 2))))
     if len(band) != 3:
         raise BandAmbiguity(
             f"holomorphic band holds {len(band)} eigenvalues "
             f"(band_tol = {band_tol:.3e}), expected 3")
-    strays = [v for v in vals if band_tol < v < 1.0 - band_tol]
-    if strays:
+    strays = vals[(band_tol < vals) & (vals < 1.0 - band_tol)]
+    if strays.size:
         raise BandAmbiguity(
-            f"unexpected eigenvalue {strays[0]:.6g} below the band")
+            f"unexpected eigenvalue {strays.min():.6g} below the band")
     above = vals[vals > 1.0 + band_tol]
-    if len(above) == 0:
+    if above.size == 0:
         raise BandAmbiguity("no eigenvalue above the holomorphic band")
-    lam_g = float(above[0])
+    lam_g = float(above.min())
     if lam_g - (1.0 + band_tol) < 2.0 * band_tol:
         raise BandAmbiguity(
             f"gap {lam_g - 1.0 - band_tol:.3e} above the band is under "
             f"2 band_tol = {2 * band_tol:.3e}")
-    return lam_g, band, members
+    return lam_g, band.tolist(), members
 
 
 def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
@@ -544,14 +546,15 @@ def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
 def pair_data(metric: ConformalMetric, m: int, lam: float,
               vector: np.ndarray) -> EigenData:
     """Normalized eigenpair with its |dbar psi|^2 field, from one stored
-    B-orthonormal pair (lam, vector) of mode m on metric.
+    B-orthonormal pair (lam, vector) of mode m on metric, or one pair per
+    row from stacked vectors on metric rows (geometry.Rows).
 
     Normalization: (1/V) integral |psi|^2 e^{-u} dv = 1.  The weighted
     mean of the dbar_sq field reproduces the eigenvalue through
     integration by parts.
     """
     # solver vectors are B-orthonormal; the stated normalization needs V
-    psi = vector * np.sqrt(metric.volume)
+    psi = vector * per_row(np.sqrt(metric.volume))
     return EigenData(m=m, lam=lam, psi=psi,
                      grad_bar_sq=dbar_sq(metric, psi, m))
 

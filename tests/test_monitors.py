@@ -471,7 +471,8 @@ class TestEvaluateTrajectory:
         # checks may be a one-pass iterable
         rep = evaluate_trajectory(traj, checks=iter(("gradnorm_evolution",
                                                      "z_derivative")))
-        assert len(calls) == 5
+        # the five states at n = 64 fit in one block: one call for all
+        assert len(calls) == 1
         for shared, own in zip(rep.checks, alone):
             assert (shared.verdict, shared.margin, shared.aux) == (
                 own.verdict, own.margin, own.aux)

@@ -593,3 +593,105 @@ class TestSobolev:
         predicted = max(np.exp(c) * q / (d + np.exp(2 * c) * f)
                         for q, d, f in base)
         assert est == pytest.approx(predicted, rel=1e-12)
+
+
+def lambda_second_by_loops(spectrum, band_tol):
+    """lambda_second as list comprehensions over the merged spectrum: the
+    reference for the masks over spectrum.vals."""
+    members = np.abs(spectrum.vals - 1.0) <= band_tol
+    vals = merged_spectrum(spectrum.vals)[0]
+    band = [float(v) for v in vals if abs(v - 1.0) <= band_tol]
+    if len(band) != 3:
+        raise BandAmbiguity(
+            f"holomorphic band holds {len(band)} eigenvalues "
+            f"(band_tol = {band_tol:.3e}), expected 3")
+    strays = [v for v in vals if band_tol < v < 1.0 - band_tol]
+    if strays:
+        raise BandAmbiguity(
+            f"unexpected eigenvalue {strays[0]:.6g} below the band")
+    above = vals[vals > 1.0 + band_tol]
+    if len(above) == 0:
+        raise BandAmbiguity("no eigenvalue above the holomorphic band")
+    lam_g = float(above[0])
+    if lam_g - (1.0 + band_tol) < 2.0 * band_tol:
+        raise BandAmbiguity(
+            f"gap {lam_g - 1.0 - band_tol:.3e} above the band is under "
+            f"2 band_tol = {2 * band_tol:.3e}")
+    return lam_g, band, members
+
+
+def outcome(fn, spectrum, band_tol):
+    try:
+        return fn(spectrum, band_tol)
+    except BandAmbiguity as exc:
+        return str(exc)
+
+
+class TestLambdaSecondMasks:
+    """The masks over spectrum.vals give the loop form's band list, members
+    mask, lambda(g) and every BandAmbiguity message."""
+
+    TOL = 0.05
+
+    def same(self, vals, tol=TOL):
+        spec = spectral.Spectrum(metric=None, mass=None,
+                                 vals=np.asarray(vals, dtype=float), vecs=())
+        new = outcome(lambda_second, spec, tol)
+        ref = outcome(lambda_second_by_loops, spec, tol)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert new[0] == ref[0] and new[1] == ref[1]
+            assert type(new[1]) is list and type(new[1][0]) is float
+            assert np.array_equal(new[2], ref[2])
+        return ref
+
+    def test_accepted_layouts(self):
+        for vals in ([[0.0, 1.01, 3.0, 6.0, 9.0], [0.99, 3.1, 6.1, 9.1, 12.],
+                      [3.2, 6.2, 9.2, 12.2, 15.]],
+                     [[0.0, 0.98, 1.0, 1.02, 4.0], [3.1, 6.1, 9.1, 12., 15.],
+                      [3.2, 6.2, 9.2, 12.2, 15.]]):
+            assert not isinstance(self.same(vals), str)
+
+    @pytest.mark.parametrize("vals, start", [
+        ([[0.0, 1.0, 3.0, 6.0, 9.0], [3.1, 6.1, 9.1, 12.0, 15.0],
+          [3.2, 6.2, 9.2, 12.2, 15.2]], "holomorphic band holds 1"),
+        ([[0.0, 0.5, 1.0, 6.0, 9.0], [0.99, 6.1, 9.1, 12.0, 15.0],
+          [3.2, 6.2, 9.2, 12.2, 15.2]], "unexpected eigenvalue 0.5 "),
+        ([[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0]], "no eigenvalue above"),
+        ([[0.0, 1.0, 1.12, 6.0, 9.0], [1.0, 6.1, 9.1, 12.0, 15.0],
+          [3.2, 6.2, 9.2, 12.2, 15.2]], "gap "),
+    ], ids=["band_count", "stray", "nothing_above", "gap"])
+    def test_each_refusal(self, vals, start):
+        assert self.same(vals).startswith(start)
+
+    def test_random_spectra(self):
+        # values drawn by kind: at or under band_tol, in the band (its
+        # edges included), strays below it, just above it, far above it;
+        # half the cases hold a band of one m = 0 and one m > 0 member, and
+        # some nothing above it, so every branch and ties turn up
+        rng = np.random.default_rng(20261019)
+        seen = set()
+        for _ in range(2000):
+            tol = float(rng.choice([0.01, 0.05, 0.2]))
+            kinds = {
+                "low": lambda: rng.choice([0.0, tol]),
+                "band": lambda: 1.0 + tol * rng.choice(
+                    [-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]),
+                "stray": lambda: rng.uniform(tol, 1.0 - tol),
+                "edge": lambda: 1.0 + tol * rng.uniform(1.0, 3.5),
+                "far": lambda: rng.uniform(1.0 + 4.0 * tol, 20.0)}
+            weights = [0.02, 0.05, 0.02, 0.13, 0.78]
+            if rng.random() < 0.1:  # nothing above the band
+                weights = [0.97, 0.02, 0.01, 0.0, 0.0]
+            names = rng.choice(list(kinds), p=weights,
+                               size=(N_MODES, K_PER_MODE))
+            vals = np.vectorize(lambda k: kinds[k]())(names)
+            vals[0, 0] = 0.0
+            if rng.random() < 0.5:
+                vals[0, 1] = kinds["band"]()
+                vals[1 + rng.integers(N_MODES - 1), 0] = kinds["band"]()
+            ref = self.same(np.sort(vals, axis=1), tol)
+            seen.add(ref.split(" ")[0] if isinstance(ref, str) else "ok")
+        assert seen == {"holomorphic", "unexpected", "no", "gap", "ok"}
