@@ -145,17 +145,12 @@ def complex_hessian_norms(u: np.ndarray, metric: ConformalMetric
             hessian_t20(u, metric, dtheta(g, u), lap) ** 2)
 
 
-def hessian_t20(u: np.ndarray, metric: ConformalMetric,
-                up: np.ndarray | None = None,
-                lap: np.ndarray | None = None) -> np.ndarray:
-    """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2;
-    up = dtheta(grid, u) and lap = laplace_round(grid, u) when the caller
-    already has them."""
+def hessian_t20(u: np.ndarray, metric: ConformalMetric, up: np.ndarray,
+                lap: np.ndarray) -> np.ndarray:
+    """Signed trace-free Hessian scalar t20 with |(2,0) Hessian|^2 = t20^2,
+    from up = dtheta(grid, u) and lap = laplace_round(grid, u), which the
+    caller has: each caller needs lap for the complex Laplacian as well."""
     g = metric.grid
-    if up is None:
-        up = dtheta(g, u)
-    if lap is None:
-        lap = laplace_round(g, u)
     wp = dtheta(g, metric.w)
     cot = g.cos_nodes / g.sin_nodes
     # u'' from the flux Laplacian: u'' = lap_round u - cot u'

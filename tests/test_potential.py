@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from krflow.geometry import (conformal_metric, grad_norm_sq, make_grid,
-                             normalize_volume, round_metric, weighted_integral)
+from krflow.geometry import (conformal_metric, dtheta, grad_norm_sq,
+                             laplace_round, make_grid, normalize_volume,
+                             round_metric, weighted_integral)
 from krflow.potential import (DomainError, RicciPotential, VolumeMismatch,
                               complex_hessian_norms, delta_prime,
                               functional_bundle, futaki_dilation,
@@ -249,7 +250,9 @@ class TestHessians:
         assert np.max(np.abs(mixed - (1 - k) ** 2)) < 1e-10
 
     def test_t20_sign_convention(self, grid256):
-        t20 = hessian_t20(P2(grid256.cos_nodes), round_metric(grid256))
+        u = P2(grid256.cos_nodes)
+        t20 = hessian_t20(u, round_metric(grid256), dtheta(grid256, u),
+                          laplace_round(grid256, u))
         expected = 1.5 * (1 - grid256.cos_nodes ** 2)
         assert np.max(np.abs(t20 - expected)) < 1e-3
 

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Byte-for-byte comparison of the run artifacts of two source trees.
 
-    python3 tools/artifact_diff.py --against <rev> [--seed 7 --seed 42]
-        [--workload NAME ...]
+    python3 tools/artifact_diff.py --against <rev>
 
 The committed files of <rev> are exported into a temporary directory
 (`git archive`, so nothing is registered in the repository and nothing is
 left behind), and the working tree is the other side.  For each workload
-of perfbench/workloads.py and each seed (7 and 42 by default), the
+of perfbench/workloads.py and each of the seeds 7 and 42, the
 workload's spec text is written once and `krflow run` runs on it under
 each tree's own src/, in a fresh interpreter per run.  Every line of
 timeseries.csv and report.txt that differs is printed with both versions,
@@ -29,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ("timeseries.csv", "report.txt")
-DEFAULT_SEEDS = (7, 42)
+SEEDS = (7, 42)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, variant_of  # noqa: E402
@@ -76,18 +75,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", required=True,
                    help="git revision whose committed files are compared")
-    p.add_argument("--seed", type=int, action="append",
-                   help="workload seed; repeat for several (default 7, 42)")
-    p.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                   help="workload name; repeat for several (default all)")
     args = p.parse_args(argv)
-    seeds = args.seed or DEFAULT_SEEDS
     differ = 0
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         tmp = Path(tmp)
         export(args.against, tmp / "against")
-        for name in args.workload or list(WORKLOADS):
-            for seed in seeds:
+        for name in WORKLOADS:
+            for seed in SEEDS:
                 spec = WORKLOADS[name].spec_text(variant_of(seed), "out")
                 case = tmp / "runs" / f"{name}_{seed}"
                 code_old, old = run_tree(tmp / "against" / "src",
