@@ -60,19 +60,20 @@ def jacobian_bands(em2w, k, lap_bands):
 def flux_potential(grid, w, e2w):
     """(g, u0) for e2w = e^{2w}: g = e^{2w} - 1 + lap_round w, which is
     (1 - K) e^{2w}, and u0 the Ricci potential by cumulative flux, zero at
-    the first node."""
+    the first node; along the last axis, so a stack of profiles gives one
+    row each."""
     hs = grid.hs
     g = np.subtract(e2w, 1.0)
     g += laplace_round(grid, w)
     s = np.multiply(2.0, g)
     s *= hs
-    s -= (s.sum() / grid.hs_sum) * hs
-    flux = np.cumsum(s[:-1])
+    s -= (s.sum(axis=-1, keepdims=True) / grid.hs_sum) * hs
+    flux = np.cumsum(s[..., :-1], axis=-1)
     flux *= grid.h
     flux /= grid.sin_flux[1:-1]
     u0 = np.empty_like(w)
-    u0[0] = 0.0
-    np.cumsum(flux, out=u0[1:])
+    u0[..., 0] = 0.0
+    np.cumsum(flux, axis=-1, out=u0[..., 1:])
     return g, u0
 
 

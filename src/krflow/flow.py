@@ -40,7 +40,8 @@ import numpy as np
 from . import spectral
 from ._kernels import advance_extrapolated, advance_rk4, jacobian_bands
 from .geometry import (ConfigError, ConformalMetric, NumericalError,
-                       ROUND_VOLUME, float_or_rows, laplace_round, per_row,
+                       ROUND_VOLUME, Rows, block_rows, float_or_rows,
+                       laplace_round, libm_log, per_row, split_rows,
                        weighted_integral)
 from .potential import (VOLUME_TOL, FunctionalBundle, RicciPotential,
                         VolumeMismatch, functional_bundle,
@@ -200,15 +201,25 @@ def stability_dt(metric: ConformalMetric) -> float:
     return SAFETY * RK4_REAL_INTERVAL / float(np.max(row))
 
 
-def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
-               config: FlowConfig, initial: ConformalMetric,
-               warm: spectral.Spectrum | None = None
-               ) -> tuple[FlowState, spectral.Spectrum]:
-    """Check the class identity of (w, phi) at t against the initial
-    metric (StepReject, a NaN residual too), then solve its potential and
-    weighted spectrum; warm is the previous state's Spectrum, whose
-    eigenvector blocks start the solve, or None for the cold solve.
-    Returns the state and its Spectrum."""
+@dataclass(frozen=True)
+class Segment:
+    """An accepted record segment whose end state is not yet solved: the
+    metric and phi at its end time t, its step dt, its class residual and
+    the step_reject events it took."""
+
+    metric: ConformalMetric
+    phi: np.ndarray
+    t: float
+    dt: float
+    class_residual: float
+    rejects: tuple = ()
+
+
+def check_class(w: np.ndarray, phi: np.ndarray, t: float, config: FlowConfig,
+                initial: ConformalMetric) -> tuple[ConformalMetric, float]:
+    """The metric of (w, phi) at t and its class identity residual against
+    the initial metric; StepReject when the residual exceeds class_tol or
+    is NaN, as for a w that is not finite."""
     # a w that is not finite has no metric, and a NaN residual
     metric = (ConformalMetric(grid=initial.grid, w=w)
               if np.isfinite(w).all() else None)
@@ -218,20 +229,46 @@ def make_state(w: np.ndarray, phi: np.ndarray, t: float, dt: float,
         raise StepReject(
             f"class identity residual {res:.3e} over {config.class_tol:.0e}"
             f" at t = {t:.6g}")
-    u = solve_ricci_potential(metric)
-    spec = spectral.weighted_spectrum(metric, u, warm)
-    lam_g, band, members = spectral.lambda_second(spec, config.band_tol)
-    funcs = functional_bundle(u, metric, lambda_g=lam_g)
-    # fancy indexing copies: the state keeps the band columns only
-    holo = spec.vecs[1][:, members[1]]
-    state = FlowState(t=t, dt=dt, metric=metric, u=u, funcs=funcs,
-                      phi=phi.copy(), lambda_g=lam_g, holo_band=band,
-                      class_residual=res,
-                      phi_meas=_equivalence_ratio(metric.w, initial.w),
-                      spectrum=spec.vals,
-                      band_members=members, axial_vectors=spec.vecs[0],
-                      holo_vectors=holo)
-    return state, spec
+    return metric, res
+
+
+def make_state(segments: list[Segment], config: FlowConfig,
+               initial: ConformalMetric, warm: spectral.Spectrum | None = None
+               ) -> list[tuple[FlowState, spectral.Spectrum]]:
+    """Solve the end states of the segments, in time order, as one block.
+
+    The potentials, the assembly and reduction of the weighted spectra,
+    lambda(g) with the band, the functionals and Phi_meas are each one
+    array pass over the stacked states (geometry.Rows); only the eigensolve
+    that starts from the blocks of the state before it runs state by
+    state.  warm is the Spectrum of the state before the first one, or None
+    for the cold solve.  Returns each state with its Spectrum.  One segment
+    is the one-row case.  An error of any state ends the whole block, and
+    it need not be the first in time order (every eigensolve runs before
+    lambda_second), so run solves a failing block again state by state.
+    """
+    metric = Rows(segments).metric
+    stacked = solve_ricci_potential(metric)
+    potentials = split_rows(stacked)
+    specs = spectral.weighted_spectrum(metric, Rows(potentials), warm)
+    lam_g, band, members = spectral.lambda_second(Rows(specs),
+                                                  config.band_tol)
+    funcs = split_rows(functional_bundle(stacked, metric, lambda_g=lam_g))
+    phi_meas = _equivalence_ratio(metric.w, initial.w).tolist()
+    lam_g = lam_g.tolist()
+    out = []
+    for i, (seg, spec) in enumerate(zip(segments, specs)):
+        # fancy indexing copies: the state keeps the band columns only
+        holo = spec.vecs[1][:, members[i][1]]
+        state = FlowState(t=seg.t, dt=seg.dt, metric=seg.metric,
+                          u=potentials[i], funcs=funcs[i], phi=seg.phi.copy(),
+                          lambda_g=lam_g[i], holo_band=band[i].tolist(),
+                          class_residual=seg.class_residual,
+                          phi_meas=phi_meas[i], spectrum=spec.vals,
+                          band_members=members[i],
+                          axial_vectors=spec.vecs[0], holo_vectors=holo)
+        out.append((state, spec))
+    return out
 
 
 def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
@@ -242,11 +279,22 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     stability_dt of the state that opens the segment takes ceil(seg / cap)
     RK4 steps, a larger one as many extrapolated steps.  A segment whose
     volume check, extrapolation or class check fails is redone with the
-    cap halved, and a halving never grows back (determinism).  Each state
-    after t = 0 starts its spectrum from the eigenvector blocks of the last
-    recorded state, which only run holds; a rejected segment leaves them
-    as they are.  Terminates early once the potential oscillation drops
-    under the early-stop threshold.
+    cap halved, and a halving never grows back (determinism).
+
+    The integration loop holds only what steers it.  Each accepted
+    segment waits on a pending list, and make_state solves the list as
+    one block of at most geometry.block_rows(n) states when it is full, at
+    t_end, and before an error of the integration propagates.  The t = 0
+    state is solved alone, cold or anchored (spectral.weighted_spectrum),
+    so a run that converges there integrates nothing.  Each later state
+    starts its spectrum from the eigenvector blocks of the state before
+    it, which only run holds; a rejected segment leaves them as they are.
+    The states are recorded in time order, each after the step_reject
+    events of its segment, and the run ends at the first whose |u - a|
+    drops under the early-stop threshold: the integration past it, at
+    most one block of segments, is discarded.  A block that fails is
+    solved again state by state, so the first error in time order is the
+    one raised, and only if no state before it converged.
     """
     vol = initial.volume
     if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
@@ -254,8 +302,6 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
             f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
             " rescale before flowing")
     grid = initial.grid
-    state, spec = make_state(initial.w, np.zeros(grid.n_nodes), 0.0, 0.0,
-                             config, initial)
     traj = Trajectory(states=[])
     vol_limit = config.vol_tol * ROUND_VOLUME
     t = 0.0
@@ -263,38 +309,77 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     phi = np.zeros(grid.n_nodes)
     halvings = 0
     cap0 = config.dt_init if config.dt_init is not None else config.record_dt
-    # every accepted state, the t = 0 one first, is recorded here once
-    while (not traj.record(state, spec, config.early_stop)
-           and t < config.t_end - 1e-12):
+    budget = block_rows(grid.n_nodes)
+    metric, res = check_class(initial.w, phi, 0.0, config, initial)
+    pending = [Segment(metric, phi, 0.0, 0.0, res)]
+    spec = None  # the Spectrum of the last recorded state
+
+    def flush() -> bool:
+        """Solve and record the pending states; whether one converged."""
+        nonlocal spec
+        try:
+            solved = make_state(pending, config, initial, spec)
+        except Exception:
+            # whatever a state raises must surface in time order, after the
+            # states before it are recorded: solve them again one by one
+            if len(pending) == 1:
+                raise
+            solved = None
+        for i, seg in enumerate(pending):
+            state, spec = (solved[i] if solved is not None else
+                           make_state([seg], config, initial, spec)[0])
+            traj.events += seg.rejects
+            if traj.record(state, spec, config.early_stop):
+                return True
+        pending.clear()
+        return False
+
+    if flush():
+        return traj
+    k = 0
+    while t < config.t_end - 1e-12:
         # segment k ends at k record_dt, so t accumulates no rounding, and
         # a full segment lasts record_dt whatever the rounding of its ends
-        k = len(traj.states)
+        k += 1
         t_next = min(k * config.record_dt, config.t_end)
         seg = (config.record_dt if k * config.record_dt
                <= config.t_end + 1e-12 else t_next - t)
-        while True:  # redo the segment, cap halved, until it passes
-            dt_cap = cap0 * 0.5 ** halvings
-            nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
-            dt_seg = seg / nst
-            advance = (advance_rk4 if dt_cap <= stability_dt(state.metric)
-                       * (1 + 1e-12) else advance_extrapolated)
-            w_try = w.copy()
-            phi_try = phi.copy()
-            done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
-            if ok:
-                try:
-                    new, new_spec = make_state(w_try, phi_try, t_next,
-                                               dt_seg, config, initial, spec)
-                    break
-                except StepReject:
-                    pass
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise StepReject(
-                    f"volume, extrapolation or class check kept failing "
-                    f"after {halvings} dt halvings near t = {t:.6g}")
-            traj.events.append(("step_reject", t + done * dt_seg, dt_seg))
-        w, phi, t, state, spec = w_try, phi_try, t_next, new, new_spec
+        rejects = []
+        try:
+            while True:  # redo the segment, cap halved, until it passes
+                dt_cap = cap0 * 0.5 ** halvings
+                nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
+                dt_seg = seg / nst
+                advance = (advance_rk4 if dt_cap <= stability_dt(metric)
+                           * (1 + 1e-12) else advance_extrapolated)
+                w_try = w.copy()
+                phi_try = phi.copy()
+                done, ok = advance(w_try, phi_try, nst, dt_seg, grid,
+                                   vol_limit)
+                if ok:
+                    try:
+                        new, res = check_class(w_try, phi_try, t_next, config,
+                                               initial)
+                        break
+                    except StepReject:
+                        pass
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise StepReject(
+                        f"volume, extrapolation or class check kept failing "
+                        f"after {halvings} dt halvings near t = {t:.6g}")
+                rejects.append(("step_reject", t + done * dt_seg, dt_seg))
+        except Exception:
+            # the pending states come first: one that converges ends the
+            # run, and one that fails raises first
+            if flush():
+                return traj
+            raise
+        w, phi, t, metric = w_try, phi_try, t_next, new
+        pending.append(Segment(metric, phi, t, dt_seg, res, tuple(rejects)))
+        if len(pending) == budget or not t < config.t_end - 1e-12:
+            if flush():
+                return traj
     return traj
 
 
@@ -318,10 +403,12 @@ def _class_residual(metric: ConformalMetric, initial: ConformalMetric,
     return float(np.max(np.abs(metric.e2w - rhs)))
 
 
-def _equivalence_ratio(w, w0) -> float:
-    """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}."""
+def _equivalence_ratio(w, w0):
+    """Least Phi with Phi^-1 g0 <= g <= Phi g0, g = e^{2w}, g0 = e^{2w0}:
+    a float, or one value per row of a stack of w."""
     ratio = np.exp(2.0 * (w - w0))
-    return float(max(ratio.max(), (1.0 / ratio).max()))
+    return float_or_rows(np.maximum(ratio.max(axis=-1),
+                                    (1.0 / ratio).max(axis=-1)))
 
 
 def log_det_bookkeeping(state: FlowState, state0: FlowState):
@@ -337,11 +424,7 @@ def log_det_bookkeeping(state: FlowState, state0: FlowState):
     f = 2.0 * (state.metric.w - initial.w)
     ratio = weighted_integral(np.exp(-state.phi - state0.u.values),
                               initial) / initial.volume
-    return f, float_or_rows(_libm_log(ratio))
-
-
-# math.log row by row, so a stack of states gets the bits of one state
-_libm_log = np.vectorize(math.log, otypes=[float])
+    return f, float_or_rows(libm_log(ratio))
 
 
 def log_det_residual(state: FlowState, state0: FlowState):

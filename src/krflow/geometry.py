@@ -22,7 +22,8 @@ volume conservation at the semi-discrete level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -382,6 +383,12 @@ def _cumsum_from_zero(x: np.ndarray) -> np.ndarray:
 BLOCK_NODES = 2 ** 13
 
 
+def block_rows(n_nodes: int) -> int:
+    """The rows of one block on a grid of n_nodes: BLOCK_NODES // n_nodes,
+    and at least one."""
+    return max(1, BLOCK_NODES // n_nodes)
+
+
 def stack_rows(rows) -> np.ndarray:
     """The stack of equal-shaped arrays along a new leading row axis: the
     one place per-state arrays are copied into a block.  np.array, since
@@ -393,7 +400,7 @@ def block_slices(count: int, n_nodes: int, overlap: int = 0):
     """Consecutive slices over range(count) of at most BLOCK_NODES // n_nodes
     rows (and at least overlap + 1), each starting overlap rows before the
     end of the one before it."""
-    size = max(overlap + 1, BLOCK_NODES // n_nodes)
+    size = max(overlap + 1, block_rows(n_nodes))
     start = 0
     while start < count:
         stop = min(start + size, count)
@@ -426,6 +433,13 @@ class Rows:
     def __init__(self, items):
         self._items = list(items)
 
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        """The i-th item itself."""
+        return self._items[i]
+
     def __getattr__(self, name):
         if name.startswith("_"):
             raise AttributeError(name)
@@ -443,6 +457,18 @@ class Rows:
         return value
 
 
+def split_rows(stacked) -> list:
+    """The per-row objects of a dataclass whose every field has a leading
+    row axis, as an operator returns it for Rows: an array field gives each
+    object its row (a view), a number column each a Python number."""
+    columns = {}
+    for f in fields(stacked):
+        value = getattr(stacked, f.name)
+        columns[f.name] = list(value) if value.ndim > 1 else value.tolist()
+    return [type(stacked)(**dict(zip(columns, row)))
+            for row in zip(*columns.values())]
+
+
 def per_row(x) -> np.ndarray:
     """x, a float or one value per row, shaped to broadcast along the nodes
     of the last axis."""
@@ -452,3 +478,8 @@ def per_row(x) -> np.ndarray:
 def float_or_rows(x):
     """A float for one profile; the array of row values for a stack."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+# math.log value by value, so a stack of states gets the bits of one state
+# (numpy's log may differ from libm's in the last bit)
+libm_log = np.vectorize(math.log, otypes=[float])

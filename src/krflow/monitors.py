@@ -491,25 +491,21 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
             aux={"hessian_spacetime_total": 0.0})
     dp0 = s0.funcs.delta_prime_0
     cap = decay_cap(dp0)
-
-    def gated(s):
-        return (s.funcs.c0_u_minus_a <= cap
-                and 1.5 * s.funcs.grad_u_c0 ** 2 + s.funcs.c0_u_minus_a <= 1.0)
-
+    # each state's gate once, in Python floats: their ** 2 is libm's pow,
+    # which numpy's square differs from in the last bit
+    gated = np.array([s.funcs.c0_u_minus_a <= cap
+                      and 1.5 * s.funcs.grad_u_c0 ** 2 + s.funcs.c0_u_minus_a
+                      <= 1.0 for s in states])
+    # the centres whose state and both neighbours are gated
+    i = np.flatnonzero(gated[:-2] & gated[1:-1] & gated[2:]) + 1
     ts = np.array([s.t for s in states])
     zs = np.array([s.funcs.Z for s in states])
     hess = (hessian_means if hessian_means is not None
             else _hessian_pass(traj, False)[0])
-    margin = np.inf
-    any_gate = False
-    for i in range(1, len(states) - 1):
-        if not (gated(states[i - 1]) and gated(states[i])
-                and gated(states[i + 1])):
-            continue
-        any_gate = True
-        dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
-        margin = min(margin, 2.0 * zs[i] - 0.5 * hess[i] - dz)
-    if not any_gate:
+    dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
+    # fmin skips a NaN margin, as the builtin min did
+    margin = np.fmin.reduce(2.0 * zs[i] - 0.5 * hess[i] - dz, initial=np.inf)
+    if not i.size:
         return _gate_not_met(
             "z_derivative", statement, {"delta_prime_0": dp0, "gate_cap": cap,
                                         "c0_at_start": s0.funcs.c0_u_minus_a})

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._kernels import flux_potential
 from .geometry import (ConformalMetric, NumericalError, ROUND_VOLUME,
-                       complex_laplacian, dtheta, grad_norm_sq, laplace_round,
-                       weighted_integral)
+                       complex_laplacian, dtheta, float_or_rows, grad_norm_sq,
+                       laplace_round, libm_log, per_row, weighted_integral)
 
 
 VOLUME_TOL = 1e-8  # |V - 4 pi| / 4 pi past which the solve refuses
@@ -68,28 +68,35 @@ class FunctionalBundle:
 
 
 def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
-    """Solve the potential problem for one metric by double quadrature.
+    """Solve the potential problem for one metric by double quadrature, or
+    for each row of the geometry.Rows of several metrics: then every field
+    holds one row per metric (geometry.split_rows).
 
     Raises VolumeMismatch when |V - 4 pi| > VOLUME_TOL * 4 pi, the discrete
-    solvability obstruction.  The right-hand side is projected onto the
-    solvability constraint before integrating, and the PDE residual is
-    measured against the unprojected equation, so a volume defect shows.
+    solvability obstruction, for the first row that fails it.  The
+    right-hand side is projected onto the solvability constraint before
+    integrating, and the PDE residual is measured against the unprojected
+    equation, so a volume defect shows.
     """
     vol = metric.volume
-    if abs(vol - ROUND_VOLUME) > VOLUME_TOL * ROUND_VOLUME:
+    bad = np.flatnonzero(np.abs(vol - ROUND_VOLUME)
+                         > VOLUME_TOL * ROUND_VOLUME)
+    if bad.size:
+        v = np.ravel(vol)[bad[0]]
         raise VolumeMismatch(
-            f"volume {vol:.12g} is off 4*pi by {vol - ROUND_VOLUME:.3e}; "
+            f"volume {v:.12g} is off 4*pi by {v - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
     grid, e2w = metric.grid, metric.e2w
     g, u0 = flux_potential(grid, metric.w, e2w)
     rhs = 2.0 * g  # 2 (1 - K) e^{2w}
-    c = math.log(weighted_integral(np.exp(-u0), metric) / vol)
-    u = u0 + c
-    pde_res = float(np.max(np.abs(
-        laplace_round(grid, u) - rhs)) / max(1.0, np.max(np.abs(e2w))))
+    c = float_or_rows(libm_log(weighted_integral(np.exp(-u0), metric) / vol))
+    u = u0 + per_row(c)
+    pde_res = float_or_rows(
+        np.max(np.abs(laplace_round(grid, u) - rhs), axis=-1)
+        / np.maximum(1.0, np.max(np.abs(e2w), axis=-1)))
     emu = np.exp(-u)
     emu.flags.writeable = False
-    norm_res = abs(weighted_mean(1.0, emu, metric) - 1.0)
+    norm_res = float_or_rows(np.abs(weighted_mean(1.0, emu, metric) - 1.0))
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")
     return RicciPotential(values=u, norm_const=c, pde_residual=pde_res,
@@ -159,22 +166,29 @@ def hessian_t20(u: np.ndarray, metric: ConformalMetric, up: np.ndarray,
 
 
 def functional_bundle(potential: RicciPotential, metric: ConformalMetric,
-                      lambda_g: float) -> FunctionalBundle:
+                      lambda_g) -> FunctionalBundle:
     """Assemble every scalar functional of a solved state; the one
     definition of a = (1/V) int u e^{-u} dv (Jensen gives a <= 0), of the
     Lyapunov functional Y = (1/V) int (u - a)^2 e^{-u} dv and of
-    Z = (1/V) int |grad u|^2 e^{-u} dv (complex gradient norm).
+    Z = (1/V) int |grad u|^2 e^{-u} dv (complex gradient norm).  For the
+    stacked potential of metric rows (geometry.Rows) and one lambda_g per
+    row, every field holds one value per row.
 
     delta_prime_0 is delta_prime of the gap lambda_g - 1, clipped at 0.
     """
     u, emu = potential.values, potential.emu
     a = weighted_mean(u, emu, metric)
-    y = weighted_mean((u - a) ** 2, emu, metric)
+    y = weighted_mean((u - per_row(a)) ** 2, emu, metric)
     grad_sq = grad_norm_sq(u, metric)  # for Z and for its C0 norm
     z = weighted_mean(grad_sq, emu, metric)
-    osc = float(u.max() - u.min())
-    c0 = float(np.max(np.abs(u - a)))
-    gc0 = float(np.sqrt(np.max(grad_sq)))
-    dp0 = delta_prime(max(lambda_g - 1.0, 0.0), osc)
+    osc = float_or_rows(u.max(axis=-1) - u.min(axis=-1))
+    c0 = float_or_rows(np.max(np.abs(u - per_row(a)), axis=-1))
+    gc0 = float_or_rows(np.sqrt(np.max(grad_sq, axis=-1)))
+    dp0 = float_or_rows(_delta_prime_rows(np.maximum(lambda_g - 1.0, 0.0),
+                                          osc))
     return FunctionalBundle(a=a, Y=y, Z=z, osc_u=osc, c0_u_minus_a=c0,
                             grad_u_c0=gc0, delta_prime_0=dp0)
+
+
+# delta_prime row by row: math.exp keeps the bits of one state
+_delta_prime_rows = np.vectorize(delta_prime, otypes=[float])

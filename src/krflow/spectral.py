@@ -52,13 +52,14 @@ members, under the caller's band_tol, and returns them per mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
-from .geometry import (ConformalMetric, Grid, NumericalError, dtheta,
+from .geometry import (ConformalMetric, Grid, NumericalError, Rows, dtheta,
                        grad_norm_sq, legendre_profile, make_grid, per_row,
                        weighted_integral)
 from .potential import RicciPotential
@@ -96,7 +97,8 @@ class ModeProblem:
     """Assembled symmetric banded pencil for one Fourier mode.
 
     bands[k, i] = A[i, i + k] for k = 0..BANDWIDTH (upper symmetric
-    storage); mass is the positive diagonal of the weighted L^2 form.
+    storage); mass is the positive diagonal of the weighted L^2 form.  Of
+    metric rows (geometry.Rows), both carry a leading row axis.
     """
 
     m: int
@@ -162,52 +164,70 @@ def assemble_modes(metric: ConformalMetric,
                    u: RicciPotential | None) -> list[ModeProblem]:
     """Stiffness bands and mass diagonal for each Fourier mode m < N_MODES
     weighted by the solved potential u's e^{-u}, None for the unweighted
-    operator."""
-    return _assemble(metric, (np.ones(metric.grid.n_nodes) if u is None
-                              else u.emu))
+    operator; of metric rows and the Rows of their potentials, one row of
+    bands and mass per metric."""
+    return _mode_problems(*_assemble(metric, None if u is None else u.emu))
 
 
-def _assemble(metric: ConformalMetric, e: np.ndarray) -> list[ModeProblem]:
-    """assemble_modes for the weight e at the nodes, e^{-u} or ones.
+def _mode_problems(bands: np.ndarray, mass: np.ndarray) -> list[ModeProblem]:
+    """The ModeProblem of each mode, from the bands stacked by mode,
+    (..., N_MODES, bw + 1, n), and the mass diagonal."""
+    return [ModeProblem(m=m, bands=bands[..., m, :, :], mass=mass)
+            for m in range(N_MODES)]
+
+
+def _assemble(metric: ConformalMetric, e: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The stiffness bands of every mode m < N_MODES stacked by mode,
+    (..., N_MODES, bw + 1, n), and the mass diagonal, for the weight e at
+    the nodes, e^{-u} or None for ones, or for metric rows and one row of
+    e each.
 
     The derivative part of the form is sum over interior flux points of
     C_f (D R)_f^2 with the four-node flux quotient D, whose first and last
     rows fold their ghost nodes with the mode's parity.  Its bands are one
     weighted count over the fixed _stencil_map of that parity, shared by
-    every mode of the parity, and each mode m adds its m^2 diagonal.
+    every mode of the parity, and each mode m adds its m^2 diagonal.  The
+    rows share one count, each row's slots offset past those of the row
+    before it, so each band entry sums its terms in the order of one row.
     """
     g = metric.grid
     n = g.n_nodes
+    if e is None:
+        e = np.ones_like(metric.e2w)
     ht = 2.0 * np.sin(g.h / 2)  # cell width in the exact quadrature
-    ebar = 0.5 * (e[:-1] + e[1:])
+    ebar = 0.5 * (e[..., :-1] + e[..., 1:])
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     # the mass diagonal 2 pi e^{-u} e^{2w} q of the weighted L^2 form
     mass = 2.0 * np.pi * e * metric.e2w * g.quad_weights
+    rows = cf.shape[:-1]
+    size = (BANDWIDTH + 1) * n
+    offset = size * np.arange(math.prod(rows))[:, None]
     folded = {}  # parity -> the derivative part's bands
-    out = []
+    for parity in (1.0, -1.0):
+        slot, flux, prod = _stencil_map(n, g.h, parity)
+        weights = cf[..., flux]
+        weights *= prod
+        folded[parity] = np.bincount(
+            (slot + offset).ravel(), weights=weights.ravel(),
+            minlength=offset.size * size).reshape(rows + (BANDWIDTH + 1, n))
+    bands = np.empty(rows + (N_MODES, BANDWIDTH + 1, n))
     for m in range(N_MODES):
-        parity = 1.0 if m % 2 == 0 else -1.0
-        if parity not in folded:
-            slot, flux, prod = _stencil_map(n, g.h, parity)
-            folded[parity] = np.bincount(
-                slot, weights=cf[flux] * prod,
-                minlength=(BANDWIDTH + 1) * n).reshape(BANDWIDTH + 1, n)
-        bands = folded[parity]
+        bands[..., m, :, :] = folded[1.0 if m % 2 == 0 else -1.0]
         if m != 0:
-            bands = bands.copy()
-            bands[0] += np.pi * m * m * e * ht / g.sin_nodes
-        out.append(ModeProblem(m=m, bands=bands, mass=mass))
-    return out
+            bands[..., m, 0, :] += np.pi * m * m * e * ht / g.sin_nodes
+    return bands, mass
 
 
 def _reduced_bands(bands: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Bands of C = B^{-1/2} A B^{-1/2}, in the storage of bands (a stack of
-    modes or one), for the diagonal mass B."""
-    n = mass.size
+    """Bands of C = B^{-1/2} A B^{-1/2}, in the storage of bands (any stack
+    of them), for the diagonal mass B, whose stack broadcasts against the
+    bands' without their band axis."""
+    n = mass.shape[-1]
     binv = 1.0 / np.sqrt(mass)
-    c = bands * binv
+    c = bands * binv[..., None, :]
     for kk in range(BANDWIDTH + 1):
-        c[..., kk, :n - kk] *= binv[kk:]
+        c[..., kk, :n - kk] *= binv[..., kk:]
     return c
 
 
@@ -245,14 +265,18 @@ def _lu_solve(lu, piv, rhs: np.ndarray) -> np.ndarray:
 def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for the symmetric banded A in upper storage, bands[..., k, i] =
     A[i, i + k], on an (n, k) block of columns, or a stack of blocks
-    (modes, n, k) against a stack of bands."""
-    b = bands[..., None]
-    n = x.shape[-2]
-    out = b[..., 0, :, :] * x
+    (modes, n, k) against a stack of bands.  The sums run on the columns
+    laid out pair by pair, each contiguous along n, and the result is
+    their transposed view."""
+    xt = np.swapaxes(x, -1, -2).copy()
+    b = bands[..., None, :]  # one band row for every pair
+    n = xt.shape[-1]
+    out = b[..., 0, :, :] * xt
     for kk in range(1, BANDWIDTH + 1):
-        out[..., :n - kk, :] += b[..., kk, :n - kk, :] * x[..., kk:, :]
-        out[..., kk:, :] += b[..., kk, :n - kk, :] * x[..., :n - kk, :]
-    return out
+        bk = b[..., kk, :, :n - kk]
+        out[..., :n - kk] += bk * xt[..., kk:]
+        out[..., kk:] += bk * xt[..., :n - kk]
+    return np.swapaxes(out, -1, -2)
 
 
 def _ritz(c: np.ndarray, q: np.ndarray):
@@ -382,8 +406,8 @@ def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
 
     w = restrict(metric.w)
     e = np.ones(ANCHOR_NODES) if u is None else restrict(u.emu)
-    blocks = np.stack([solve_mode(p, K_PER_MODE)[1]
-                       for p in _assemble(ConformalMetric(coarse, w), e)])
+    blocks = np.stack([solve_mode(p, K_PER_MODE)[1] for p in _mode_problems(
+        *_assemble(ConformalMetric(coarse, w), e))])
     parity = np.where(np.arange(N_MODES) % 2 == 0, 1.0, -1.0)[:, None, None]
     blocks = np.concatenate((parity * blocks[:, :1], blocks,
                              parity * blocks[:, -1:]), axis=1)
@@ -395,17 +419,16 @@ def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
     return np.linalg.qr(np.sqrt(mass)[:, None] * v)[0]
 
 
-def _subspace_pairs(problems: list[ModeProblem], start: np.ndarray):
+def _subspace_pairs(c: np.ndarray, mass: np.ndarray, start: np.ndarray):
     """Lowest pairs of every mode by one step of subspace iteration from
-    the start blocks (N_MODES, n, k), all modes at once.
+    the start blocks (N_MODES, n, k), all modes at once, for the reduced
+    bands c (N_MODES, bw + 1, n) of the diagonal mass.
 
     The blocks are orthonormal in reduced coordinates y = B^{1/2} v, so
     they go straight into Rayleigh-Ritz on the reduced pencil, and _refine
     starts from its Ritz pairs.  Returns _refine's (vals, vecs, residuals)
     stacked by mode, or None on a zero pivot.
     """
-    mass = problems[0].mass  # the same for every mode
-    c = _reduced_bands(np.stack([p.bands for p in problems]), mass)
     vals, y = _ritz(c, start)[:2]
     return _refine(c, mass, vals, y)
 
@@ -424,21 +447,52 @@ def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
 
 
 def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
-                      warm: Spectrum | None = None) -> Spectrum:
+                      warm: Spectrum | None = None):
     """The checked lowest K_PER_MODE pairs of every mode m < N_MODES of the
     operator weighted by the solved potential u, None for the unweighted
-    one.
+    one: a Spectrum, or for metric rows (geometry.Rows) and the Rows of
+    their potentials a list of one Spectrum per row, in row order.
 
     warm is the previous state's Spectrum, whose B-orthonormal blocks
     start every mode.  Without it, a grid of 4 ANCHOR_NODES or more starts
     from the blocks of the ANCHOR_NODES grid (_anchor_start), and a
-    coarser one takes solve_mode for every mode.  A start block goes
-    through _subspace_pairs, and a mode whose pairs the guard refuses
-    (_refusals) takes solve_mode instead, recorded with its reason in
-    Spectrum.fallbacks.  A missed eigenvalue therefore costs a bisection,
-    never a wrong spectrum.
+    coarser one takes solve_mode for every mode.  Each later row starts
+    from the Spectrum of the row before it, fallbacks included.  A start
+    block goes through _subspace_pairs, and a mode whose pairs the guard
+    refuses (_refusals) takes solve_mode instead, recorded with its reason
+    in Spectrum.fallbacks.  A missed eigenvalue therefore costs a
+    bisection, never a wrong spectrum.  The assembly and the reduction to
+    C = B^{-1/2} A B^{-1/2} are one array pass over the rows; only what
+    depends on the start runs row by row.
     """
-    problems = assemble_modes(metric, u)
+    if isinstance(metric, Rows):
+        return _spectra(metric, u, warm)
+    return _spectra(Rows([metric]), None if u is None else Rows([u]),
+                    warm)[0]
+
+
+def _spectra(metrics: Rows, us: Rows | None,
+             warm: Spectrum | None) -> list[Spectrum]:
+    """weighted_spectrum of metric rows, each row started from the one
+    before it."""
+    bands, mass = _assemble(metrics, None if us is None else us.emu)
+    c = _reduced_bands(bands, mass[:, None])
+    out = []
+    for i in range(len(metrics)):
+        # a copy, so the Spectrum that starts the next block does not keep
+        # this block's stack
+        problems = _mode_problems(bands[i], mass[i].copy())
+        warm = _row_spectrum(metrics[i], None if us is None else us[i],
+                             problems, c[i], warm)
+        out.append(warm)
+    return out
+
+
+def _row_spectrum(metric: ConformalMetric, u: RicciPotential | None,
+                  problems: list[ModeProblem], c: np.ndarray,
+                  warm: Spectrum | None) -> Spectrum:
+    """The start-dependent part of weighted_spectrum for one metric, its
+    mode problems and their reduced bands c (N_MODES, bw + 1, n)."""
     mass = problems[0].mass
     if warm is not None:
         start = np.sqrt(warm.mass)[:, None] * np.stack(warm.vecs)
@@ -448,7 +502,7 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
         start = None
     reasons = [None] * len(problems)
     if start is not None:
-        solved = _subspace_pairs(problems, start)
+        solved = _subspace_pairs(c, mass, start)
         reasons = (["pivot"] * len(problems) if solved is None
                    else _refusals(*solved))
     fallbacks, pairs = [], []
@@ -486,8 +540,7 @@ def default_band_tol(grid: Grid) -> float:
     return BAND_H2 * grid.h ** 2
 
 
-def lambda_second(spectrum: Spectrum, band_tol: float | None = None
-                  ) -> tuple[float, list[float], np.ndarray]:
+def lambda_second(spectrum: Spectrum, band_tol: float | None = None):
     """Extract lambda(g) above the holomorphic band pinned at 1.
 
     The band is every eigenvalue within band_tol of 1 (None: the grid's
@@ -498,31 +551,43 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None
     refusal path that tells the caller to refine.  Returns lambda(g), the
     band's merged eigenvalues, and the members as a mask shaped like
     spectrum.vals: the one classification every reader of the band uses.
+    Of the Rows of several spectra, lambda(g) is one value per row, the
+    band one sorted row of three per spectrum, the mask one per spectrum,
+    and the first spectrum that breaks the layout raises.
     """
     if band_tol is None:
         band_tol = default_band_tol(spectrum.metric.grid)
     vals = spectrum.vals
     members = np.abs(vals - 1.0) <= band_tol
-    # a mode m > 0 row stands for m and -m, so its members count twice
-    band = np.sort(np.concatenate((vals[0][members[0]],
-                                   np.repeat(vals[1:][members[1:]], 2))))
-    if len(band) != 3:
-        raise BandAmbiguity(
-            f"holomorphic band holds {len(band)} eigenvalues "
-            f"(band_tol = {band_tol:.3e}), expected 3")
-    strays = vals[(band_tol < vals) & (vals < 1.0 - band_tol)]
-    if strays.size:
-        raise BandAmbiguity(
-            f"unexpected eigenvalue {strays.min():.6g} below the band")
-    above = vals[vals > 1.0 + band_tol]
-    if above.size == 0:
-        raise BandAmbiguity("no eigenvalue above the holomorphic band")
-    lam_g = float(above.min())
-    if lam_g - (1.0 + band_tol) < 2.0 * band_tol:
-        raise BandAmbiguity(
-            f"gap {lam_g - 1.0 - band_tol:.3e} above the band is under "
-            f"2 band_tol = {2 * band_tol:.3e}")
-    return lam_g, band.tolist(), members
+    # a mode m > 0 row stands for m and -m, so it enters twice
+    twice = np.repeat([1, 2], [1, vals.shape[-2] - 1])
+    entered = np.where(np.repeat(members, twice, axis=-2),
+                       np.repeat(vals, twice, axis=-2), np.inf)
+    entered = entered.reshape(entered.shape[:-2] + (-1,))
+    count = np.sum(entered < np.inf, axis=-1)
+    stray = np.min(np.where((band_tol < vals) & (vals < 1.0 - band_tol),
+                            vals, np.inf), axis=(-2, -1))
+    above = vals > 1.0 + band_tol
+    lam_g = np.min(np.where(above, vals, np.inf), axis=(-2, -1))
+    # each spectrum's refusals, in the order they are checked
+    refused = np.stack((count != 3, stray < np.inf,
+                        ~above.any(axis=(-2, -1)),
+                        lam_g - (1.0 + band_tol) < 2.0 * band_tol), axis=-1)
+    bad = np.flatnonzero(refused.reshape(-1, 4).any(axis=-1))
+    if bad.size:
+        i = bad[0]
+        raise BandAmbiguity((
+            f"holomorphic band holds {np.ravel(count)[i]} eigenvalues "
+            f"(band_tol = {band_tol:.3e}), expected 3",
+            f"unexpected eigenvalue {np.ravel(stray)[i]:.6g} below the band",
+            "no eigenvalue above the holomorphic band",
+            f"gap {np.ravel(lam_g)[i] - 1.0 - band_tol:.3e} above the band "
+            f"is under 2 band_tol = {2 * band_tol:.3e}",
+        )[np.argmax(refused.reshape(-1, 4)[i])])
+    band = np.sort(entered, axis=-1)[..., :3]
+    if band.ndim == 1:
+        return float(lam_g), band.tolist(), members
+    return lam_g, band, members
 
 
 def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:

@@ -1,17 +1,22 @@
 """Block passes over recorded states: each equals its one-row form bit for
 bit, the first-state exceptions keep their state and message, and no pass
-stacks more rows than the block budget."""
+stacks more rows than the block budget.  The same holds for run, which
+solves its states in blocks."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import krflow.flow
 import krflow.geometry
-from krflow.flow import FlowConfig, Trajectory, log_det_residual, run
-from krflow.geometry import (BLOCK_NODES, Rows, ScaleOutOfRange,
-                             block_slices, curvature_bounds, diameter,
-                             make_grid, noncollapsing_kappa)
+from krflow import spectral
+from krflow.flow import (FlowConfig, StepReject, Trajectory, log_det_residual,
+                         run)
+from krflow.geometry import (BLOCK_NODES, NumericalError, Rows,
+                             ScaleOutOfRange, block_slices, curvature_bounds,
+                             diameter, make_grid, noncollapsing_kappa)
 from krflow.harness import _timeseries_rows, legendre_bump, multi_mode
 from krflow.monitors import (ALL_CHECKS, BranchCrossing, _c0_kappas,
                              _c0_report, check_c0_vs_Y,
@@ -34,15 +39,22 @@ def budget(n: int) -> int:
     return BLOCK_NODES // n
 
 
+def long_inputs(name: str, **config):
+    """The initial metric and config of a run of one block of states plus
+    one on the named shape."""
+    make_metric, record_dt = SHAPES[name]
+    metric = make_metric()
+    rows = budget(metric.grid.n_nodes) + 1
+    return metric, FlowConfig(t_end=(rows - 1) * record_dt,
+                              record_dt=record_dt, **config)
+
+
 @pytest.fixture(scope="module", params=list(SHAPES))
 def long_run(request):
     """A run of one block of states plus one."""
-    make_metric, record_dt = SHAPES[request.param]
-    metric = make_metric()
-    rows = budget(metric.grid.n_nodes) + 1
-    traj = run(FlowConfig(t_end=(rows - 1) * record_dt, record_dt=record_dt),
-               metric)
-    assert len(traj.states) == rows
+    metric, config = long_inputs(request.param)
+    traj = run(config, metric)
+    assert len(traj.states) == budget(metric.grid.n_nodes) + 1
     return traj
 
 
@@ -188,3 +200,219 @@ def test_no_k_eff_reports_state_zero(short_run):
                                     {"rho": rho}).checks
     assert "state_t" not in report.aux
     assert bits(report) == bits(check_c0_vs_Y(short_run.states[0], rho))
+
+
+# ---------------------------------------------------------------------------
+# run in blocks of states against one state a block
+# ---------------------------------------------------------------------------
+
+def state_bits(x):
+    """Every field of x, nested through dataclasses and sequences: arrays as
+    dtype, shape and bytes, anything else by repr, which also tells a
+    Python float from a numpy one."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, state_bits(getattr(x, f.name)))
+                     for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(state_bits(v) for v in x)
+    return repr(x)
+
+
+def outcome(config, metric):
+    """run's trajectory, or the numerical error it raised."""
+    try:
+        return run(config, metric)
+    except NumericalError as exc:
+        return exc
+
+
+def blocked_and_one_state(config, metric, monkeypatch):
+    """The outcomes of run in its own blocks and in blocks of one state,
+    after checking they agree: every field of every state bit for bit,
+    the events in order, the eigensolve counts and converged_at, or the
+    type and message of the error."""
+    blocked = outcome(config, metric)
+    with monkeypatch.context() as mp:
+        mp.setattr(krflow.geometry, "BLOCK_NODES", metric.grid.n_nodes)
+        one = outcome(config, metric)
+    assert type(blocked) is type(one)
+    if isinstance(one, Exception):
+        assert str(blocked) == str(one)
+        return blocked, one
+    assert len(blocked.states) == len(one.states)
+    for a, b in zip(blocked.states, one.states):
+        assert state_bits(a) == state_bits(b)
+    assert repr(blocked.events) == repr(one.events)
+    assert blocked.eigensolves == one.eigensolves
+    assert repr(blocked.converged_at) == repr(one.converged_at)
+    return blocked, one
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_run_equals_one_state_blocks(name, monkeypatch):
+    metric, config = long_inputs(name)
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    assert len(blocked.states) == budget(metric.grid.n_nodes) + 1
+
+
+def test_no_run_block_stacks_more_than_the_budget(monkeypatch):
+    metric, config = long_inputs("dense_n64")
+    real = krflow.geometry.stack_rows
+    sizes = []
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(krflow.geometry, "stack_rows", spy)
+    run(config, metric)
+    assert sizes and max(sizes) == budget(64)
+
+
+@pytest.fixture(scope="module")
+def dense_block():
+    """The dense_n64 shape's inputs without early stop, the states of its
+    run, and a state in the middle of its first block after t = 0."""
+    metric, config = long_inputs("dense_n64", early_stop=0.0)
+    return metric, config, run(config, metric).states, budget(64) // 2
+
+
+def converging_at(states, j):
+    """An early_stop under which state j is the first to converge."""
+    c0 = [s.funcs.c0_u_minus_a for s in states]
+    stop = np.nextafter(c0[j], np.inf)
+    assert min(c0[:j]) >= stop
+    return float(stop)
+
+
+def test_early_stop_mid_block(dense_block, monkeypatch):
+    metric, config, states, j = dense_block
+    config = replace(config, early_stop=converging_at(states, j))
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    assert len(blocked.states) == j + 1
+    assert blocked.converged_at == states[j].t
+    assert blocked.events[-1] == ("converged", states[j].t)
+
+
+def test_step_reject_precedes_its_state(dense_block, monkeypatch):
+    # the first try of segment j fails its class check; the redone segment
+    # gives the state that converges, and the reject is the event before
+    metric, config, states, j = dense_block
+    first_try = states[j].metric.w
+    real = krflow.flow.check_class
+
+    def reject_first_try(w, *args):
+        if np.array_equal(w, first_try):
+            raise StepReject("injected")
+        return real(w, *args)
+
+    monkeypatch.setattr(krflow.flow, "check_class", reject_first_try)
+    redone = run(config, metric).states
+    config = replace(config, early_stop=converging_at(redone, j))
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    t = states[j].t
+    assert [e[0] for e in blocked.events[-2:]] == ["step_reject", "converged"]
+    assert blocked.events[-2][1] == pytest.approx(t, abs=1e-15)
+    assert blocked.events[-1] == ("converged", t)
+
+
+def spoil_state(monkeypatch, w, change):
+    """Pass the Spectrum solved for the metric of profile w, and the start
+    Spectrum of that solve, through change(spec, warm) -> (spec, warm)."""
+    real = spectral._row_spectrum
+
+    def spoiled(metric, u, problems, c, warm):
+        if not np.array_equal(metric.w, w):
+            return real(metric, u, problems, c, warm)
+        warm = change(None, warm)[1]
+        return change(real(metric, u, problems, c, warm), warm)[0]
+
+    monkeypatch.setattr(spectral, "_row_spectrum", spoiled)
+
+
+def test_band_ambiguity_mid_block(dense_block, monkeypatch):
+    # a stray eigenvalue in the state's spectrum: the block fails, and
+    # state j raises the error of its own solve after the states before it
+    metric, config, states, j = dense_block
+
+    def stray(spec, warm):
+        if spec is not None:
+            vals = spec.vals.copy()
+            vals[2, 0] = 0.5
+            spec = replace(spec, vals=vals)
+        return spec, warm
+
+    spoil_state(monkeypatch, states[j].metric.w, stray)
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    assert isinstance(blocked, spectral.BandAmbiguity)
+    assert str(blocked) == "unexpected eigenvalue 0.5 below the band"
+    # a state before it converges: the run ends there, as state by state
+    config = replace(config, early_stop=converging_at(states, j - 10))
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    assert blocked.converged_at == states[j - 10].t
+
+
+def test_integrator_error_after_convergence_returns_the_run(dense_block,
+                                                           monkeypatch):
+    # every advance from the start of segment j + 4 fails, so the halvings
+    # run out there; state j converged first, so run returns the
+    # trajectory cut there, in blocks as state by state
+    metric, config, states, j = dense_block
+    config = replace(config, early_stop=converging_at(states, j))
+    start = states[j + 3].metric.w
+    hits = []
+
+    def poisoned(real):
+        def advance(w, *args):
+            if np.array_equal(w, start):
+                hits.append(1)
+                return 0, False
+            return real(w, *args)
+        return advance
+
+    for name in ("advance_rk4", "advance_extrapolated"):
+        monkeypatch.setattr(krflow.flow, name,
+                            poisoned(getattr(krflow.flow, name)))
+    with pytest.raises(StepReject, match="kept failing"):
+        run(replace(config, early_stop=0.0), metric)
+    hits.clear()
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    assert len(hits) == krflow.flow.MAX_HALVINGS + 1  # the blocked run only
+    assert len(blocked.states) == j + 1
+    assert blocked.converged_at == states[j].t
+
+
+def test_spoiled_start_mid_block_falls_back(dense_block, monkeypatch):
+    # mode 0's start block at state j loses its lowest eigenvector to the
+    # sixth one of state j - 1: the Sturm guard refuses the pairs, mode 0
+    # is bisected, and state j + 1 starts from the bisected block
+    metric, config, states, j = dense_block
+    prev = states[j - 1]
+    six = spectral.solve_mode(
+        spectral.assemble_modes(prev.metric, prev.u)[0],
+        spectral.K_PER_MODE + 1)[1]
+
+    def lose_lowest(spec, warm):
+        if spec is None:
+            bad = warm.vecs[0].copy()
+            bad[:, 0] = six[:, spectral.K_PER_MODE]
+            warm = replace(warm, vecs=(bad, *warm.vecs[1:]))
+        return spec, warm
+
+    spoil_state(monkeypatch, states[j].metric.w, lose_lowest)
+    blocked, _ = blocked_and_one_state(config, metric, monkeypatch)
+    t = states[j].t
+    assert [e for e in blocked.events if e[0] == "spectrum_fallback"] == [
+        ("spectrum_fallback", t, 0, "sturm")]
+    assert blocked.eigensolves["fallback"] == 1
+    s = blocked.states[j]
+    cold = spectral.solve_mode(spectral.assemble_modes(s.metric, s.u)[0],
+                               spectral.K_PER_MODE)
+    np.testing.assert_array_equal(s.spectrum[0], cold[0])
+    np.testing.assert_array_equal(s.axial_vectors, cold[1])
+    # the next state, started from the bisected block, still converges to
+    # the pairs of the run without the spoiled start
+    gap = np.abs(blocked.states[j + 1].spectrum - states[j + 1].spectrum)
+    assert np.max(gap) <= 1e-9

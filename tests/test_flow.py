@@ -5,7 +5,7 @@ import pytest
 
 from krflow import _kernels
 from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
-                         log_det_bookkeeping, log_det_residual, make_state,
+                         check_class, log_det_bookkeeping, log_det_residual,
                          run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
                              laplace_round, make_grid, normalize_volume,
@@ -105,8 +105,7 @@ class TestStep:
         w = m.w.copy()
         w[5] = np.nan
         with pytest.raises(StepReject, match="class identity"):
-            make_state(w, np.zeros(grid64.n_nodes), 0.01, 0.01, FlowConfig(),
-                       m)
+            check_class(w, np.zeros(grid64.n_nodes), 0.01, FlowConfig(), m)
 
     def test_p2_mode_decay_rate(self, grid128):
         # linearized flow damps the quadrupole at rate 2
