@@ -21,9 +21,9 @@ from .potential import (FunctionalBundle, RicciPotential,
                         complex_hessian_norms, delta_prime, functional_bundle,
                         futaki_dilation, solve_ricci_potential, DomainError,
                         VolumeMismatch)
-from .spectral import (BandAmbiguity, EigenData, ModeProblem, SolveFail,
-                       Spectrum, eigen_data, lambda_second,
-                       sobolev_constant_estimate, weighted_spectrum)
+from .spectral import (BandAmbiguity, EigenData, SolveFail, Spectrum,
+                       eigen_data, lambda_second, sobolev_constant_estimate,
+                       weighted_spectrum)
 from .flow import (FlowConfig, FlowState, StepReject, Trajectory,
                    log_det_bookkeeping, run)
 from .monitors import (CheckReport, TrajectoryReport, evaluate_trajectory,

@@ -258,7 +258,8 @@ def make_state(segments: list[Segment], config: FlowConfig,
     lam_g = lam_g.tolist()
     out = []
     for i, (seg, spec) in enumerate(zip(segments, specs)):
-        # fancy indexing copies: the state keeps the band columns only
+        # copies, so no state keeps a view of the three-mode stack: fancy
+        # indexing copies the band columns, and the axial block is copied
         holo = spec.vecs[1][:, members[i][1]]
         state = FlowState(t=seg.t, dt=seg.dt, metric=seg.metric,
                           u=potentials[i], funcs=funcs[i], phi=seg.phi.copy(),
@@ -266,7 +267,8 @@ def make_state(segments: list[Segment], config: FlowConfig,
                           class_residual=seg.class_residual,
                           phi_meas=phi_meas[i], spectrum=spec.vals,
                           band_members=members[i],
-                          axial_vectors=spec.vecs[0], holo_vectors=holo)
+                          axial_vectors=spec.vecs[0].copy(),
+                          holo_vectors=holo)
         out.append((state, spec))
     return out
 

@@ -293,7 +293,7 @@ def loads(text: str) -> ExperimentSpec:
     if spec.flow.band_tol is None:
         # lambda(g) sits about 2 above the band at 1 and must clear the
         # band edge by 2 band_tol
-        tol = spectral.BAND_H2 * (math.pi / spec.grid_n) ** 2
+        tol = spectral.default_band_tol(make_grid(spec.grid_n))
         if 3.0 * tol >= 2.0:
             raise ConfigError(
                 f"grid_n = {spec.grid_n}: the default band_tol "

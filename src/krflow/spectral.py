@@ -34,14 +34,16 @@ anchored by nested iteration: the same problem on an ANCHOR_NODES grid,
 w and e^{-u} interpolated onto it, is solved cold, and its blocks,
 interpolated back onto the fine nodes, start all modes (_anchor_start).
 Either start goes through one Rayleigh-Ritz step on the new pencil and
-then _refine (_subspace_pairs), at O(n) per pair.  A guard checks each
-mode's pairs: the i-th eigenvector must change sign exactly i times
-(Sturm oscillation, so no lower eigenvalue was skipped), and every
-residual must pass.  A mode that fails either is bisected at full n by
-the cold solve_mode, whose band-to-tridiagonal reduction costs O(n^2),
-so a start that misses an eigenvalue costs time, never a wrong
-lambda(g).  Coarser grids take solve_mode for every mode without an
-earlier state: there bisection is cheaper than the anchor.
+then _refine, at O(n) per pair.  A guard checks each mode's pairs: the
+i-th eigenvector must change sign exactly i times (Sturm oscillation, so
+no lower eigenvalue was skipped), and every residual must pass.  A mode
+that fails either is bisected at full n by the cold solve_mode, whose
+band-to-tridiagonal reduction costs O(n^2), so a start that misses an
+eigenvalue costs time, never a wrong lambda(g).  Coarser grids take
+solve_mode for every mode without an earlier state: there bisection is
+cheaper than the anchor.  Every path reads the pencil in one form, the
+bands of C = B^{-1/2} A B^{-1/2} of every mode and the mass diagonal B
+(assemble_modes), reduced once per assembly.
 
 The structural self-test of the whole package lives here: on the
 normalized class (volume 4 pi, u solved) three eigenvalues are pinned at
@@ -93,25 +95,12 @@ class BandAmbiguity(NumericalError):
 
 
 @dataclass(frozen=True)
-class ModeProblem:
-    """Assembled symmetric banded pencil for one Fourier mode.
-
-    bands[k, i] = A[i, i + k] for k = 0..BANDWIDTH (upper symmetric
-    storage); mass is the positive diagonal of the weighted L^2 form.  Of
-    metric rows (geometry.Rows), both carry a leading row axis.
-    """
-
-    m: int
-    bands: np.ndarray
-    mass: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Lowest pairs per mode m = 0..N_MODES - 1, as weighted_spectrum
     solved them: vals has shape (N_MODES, K_PER_MODE), each row ascending,
-    and vecs[m] is mode m's (n, K_PER_MODE) block of B-orthonormal
-    eigenvectors.  A mode m > 0 stands for m and -m, which coincide.
+    and vecs (N_MODES, n, K_PER_MODE) holds each mode's block of
+    B-orthonormal eigenvectors.  A mode m > 0 stands for m and -m, which
+    coincide (MULTIPLICITY).
     mass is the diagonal of the weighted L^2 form the blocks are
     B-orthonormal for.  warm tells whether the solve started from a
     previous state's blocks, and fallbacks lists (m, reason) for each mode
@@ -121,7 +110,7 @@ class Spectrum:
     metric: ConformalMetric
     mass: np.ndarray
     vals: np.ndarray
-    vecs: tuple[np.ndarray, ...]
+    vecs: np.ndarray
     warm: bool = False
     fallbacks: tuple[tuple[int, str], ...] = ()
 
@@ -160,20 +149,15 @@ def _stencil_map(n: int, h: float, parity: float):
             prod)
 
 
-def assemble_modes(metric: ConformalMetric,
-                   u: RicciPotential | None) -> list[ModeProblem]:
-    """Stiffness bands and mass diagonal for each Fourier mode m < N_MODES
-    weighted by the solved potential u's e^{-u}, None for the unweighted
-    operator; of metric rows and the Rows of their potentials, one row of
-    bands and mass per metric."""
-    return _mode_problems(*_assemble(metric, None if u is None else u.emu))
-
-
-def _mode_problems(bands: np.ndarray, mass: np.ndarray) -> list[ModeProblem]:
-    """The ModeProblem of each mode, from the bands stacked by mode,
-    (..., N_MODES, bw + 1, n), and the mass diagonal."""
-    return [ModeProblem(m=m, bands=bands[..., m, :, :], mass=mass)
-            for m in range(N_MODES)]
+def assemble_modes(metric: ConformalMetric, u: RicciPotential | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil of every Fourier mode m < N_MODES weighted by the solved
+    potential u's e^{-u}, None for the unweighted operator: (c, mass), the
+    bands of C = B^{-1/2} A B^{-1/2} stacked by mode, (N_MODES, bw + 1,
+    n), and the mass diagonal B, with c[m, k, i] = C_m[i, i + k] (upper
+    symmetric storage).  Of metric rows and the Rows of their potentials,
+    both carry a leading row axis."""
+    return _reduced_bands(*_assemble(metric, None if u is None else u.emu))
 
 
 def _assemble(metric: ConformalMetric, e: np.ndarray | None
@@ -219,16 +203,17 @@ def _assemble(metric: ConformalMetric, e: np.ndarray | None
     return bands, mass
 
 
-def _reduced_bands(bands: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Bands of C = B^{-1/2} A B^{-1/2}, in the storage of bands (any stack
-    of them), for the diagonal mass B, whose stack broadcasts against the
-    bands' without their band axis."""
+def _reduced_bands(bands: np.ndarray, mass: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(c, mass): the bands of C = B^{-1/2} A B^{-1/2}, written over the
+    bands of A stacked by mode, (..., N_MODES, bw + 1, n), for the diagonal
+    mass B (..., n), so that no assembly holds both."""
     n = mass.shape[-1]
-    binv = 1.0 / np.sqrt(mass)
-    c = bands * binv[..., None, :]
+    binv = 1.0 / np.sqrt(mass)[..., None, :]  # one row for all modes
+    bands *= binv[..., None, :]
     for kk in range(BANDWIDTH + 1):
-        c[..., kk, :n - kk] *= binv[..., kk:]
-    return c
+        bands[..., kk, :n - kk] *= binv[..., kk:]
+    return bands, mass
 
 
 def _shifted_lu(c: np.ndarray, shifts: np.ndarray):
@@ -251,15 +236,6 @@ def _shifted_lu(c: np.ndarray, shifts: np.ndarray):
     abt[..., 2 * kl] -= shifts[:, :, None]
     return dgbtrf(abt.reshape(modes * k * n, 3 * kl + 1).T, kl, kl,
                   overwrite_ab=1)
-
-
-def _lu_solve(lu, piv, rhs: np.ndarray) -> np.ndarray:
-    """dgbtrs on the stacked LU of _shifted_lu, for rhs of shape
-    (modes, k, n), or (k, n) for one mode: one right-hand side per
-    block."""
-    x, _ = dgbtrs(lu, BANDWIDTH, BANDWIDTH, rhs.reshape(-1), piv,
-                  overwrite_b=1)
-    return x.reshape(rhs.shape)
 
 
 def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -297,7 +273,9 @@ def _inverse_sweep(c: np.ndarray, shifts: np.ndarray, x: np.ndarray
     if info != 0:
         return None
     rhs = np.swapaxes(x, 1, 2).copy()  # one block of n per pair
-    return np.swapaxes(_lu_solve(lu, piv, rhs), 1, 2)
+    z, _ = dgbtrs(lu, BANDWIDTH, BANDWIDTH, rhs.reshape(-1), piv,
+                  overwrite_b=1)
+    return np.swapaxes(z.reshape(rhs.shape), 1, 2)
 
 
 def rayleigh_residual(y: np.ndarray, cy: np.ndarray,
@@ -334,9 +312,12 @@ def _refine(c: np.ndarray, mass: np.ndarray, shifts: np.ndarray,
     return shifts, x / np.sqrt(mass)[:, None], res
 
 
-def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the generalized pencil (A, B), B diagonal, by
-    bisection: the cold solve of one mode, which needs no start block.
+def solve_mode(c: np.ndarray, mass: np.ndarray, m: int, k: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of mode m of the generalized pencil (A, B), B
+    diagonal, by bisection: the cold solve of one mode, which needs no
+    start block.  c holds the reduced bands of every mode and mass the
+    diagonal B (assemble_modes), so the mode's bands are c[m].
 
     Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
     LAPACK expert driver ?sbevx without vectors supplies the shifts: a
@@ -358,8 +339,8 @@ def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     each mode whose start block the guard refuses (_refusals): the
     safety net of the O(n) solves.
     """
-    n = problem.mass.size
-    c = _reduced_bands(problem.bands, problem.mass)
+    n = mass.size
+    c = c[m]  # this mode's reduced bands
     band = np.zeros((BANDWIDTH + 1, n))  # LAPACK upper band storage
     for kk in range(BANDWIDTH + 1):
         band[BANDWIDTH - kk, kk:] = c[kk, :n - kk]
@@ -367,21 +348,20 @@ def solve_mode(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
                                   range=2, lower=0, abstol=_ABSTOL,
                                   overwrite_ab=0)
     if info != 0 or found < k:
-        raise SolveFail(f"mode {problem.m} bisection returned {found} of {k}"
+        raise SolveFail(f"mode {m} bisection returned {found} of {k}"
                         f" eigenvalues (info = {info})")
     if not np.isfinite(w[:k]).all():
-        raise SolveFail(f"mode {problem.m} produced non-finite eigenvalues")
+        raise SolveFail(f"mode {m} produced non-finite eigenvalues")
     x = np.empty((1, n, k))
     x[:] = (1.0 + np.arange(n) / n)[:, None]
-    solved = _refine(c[None], problem.mass, w[None, :k], x)
+    solved = _refine(c[None], mass, w[None, :k], x)
     if solved is None:
-        raise SolveFail(f"mode {problem.m} inverse iteration met a zero "
-                        "pivot")
+        raise SolveFail(f"mode {m} inverse iteration met a zero pivot")
     vals, vecs, res = (a[0] for a in solved)
     bad = ~_residual_ok(res, vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SolveFail(f"mode {problem.m} eigenpair {i} residual "
+        raise SolveFail(f"mode {m} eigenpair {i} residual "
                         f"{res[i]:.2e} too large")
     return vals, vecs
 
@@ -406,8 +386,9 @@ def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
 
     w = restrict(metric.w)
     e = np.ones(ANCHOR_NODES) if u is None else restrict(u.emu)
-    blocks = np.stack([solve_mode(p, K_PER_MODE)[1] for p in _mode_problems(
-        *_assemble(ConformalMetric(coarse, w), e))])
+    c, coarse_mass = _reduced_bands(*_assemble(ConformalMetric(coarse, w), e))
+    blocks = np.stack([solve_mode(c, coarse_mass, m, K_PER_MODE)[1]
+                       for m in range(N_MODES)])
     parity = np.where(np.arange(N_MODES) % 2 == 0, 1.0, -1.0)[:, None, None]
     blocks = np.concatenate((parity * blocks[:, :1], blocks,
                              parity * blocks[:, -1:]), axis=1)
@@ -417,20 +398,6 @@ def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
     t = ((fine.theta_nodes - th[j]) / (th[j + 1] - th[j]))[:, None]
     v = (1.0 - t) * blocks[:, j] + t * blocks[:, j + 1]
     return np.linalg.qr(np.sqrt(mass)[:, None] * v)[0]
-
-
-def _subspace_pairs(c: np.ndarray, mass: np.ndarray, start: np.ndarray):
-    """Lowest pairs of every mode by one step of subspace iteration from
-    the start blocks (N_MODES, n, k), all modes at once, for the reduced
-    bands c (N_MODES, bw + 1, n) of the diagonal mass.
-
-    The blocks are orthonormal in reduced coordinates y = B^{1/2} v, so
-    they go straight into Rayleigh-Ritz on the reduced pencil, and _refine
-    starts from its Ritz pairs.  Returns _refine's (vals, vecs, residuals)
-    stacked by mode, or None on a zero pivot.
-    """
-    vals, y = _ritz(c, start)[:2]
-    return _refine(c, mass, vals, y)
 
 
 def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
@@ -458,76 +425,74 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
     from the blocks of the ANCHOR_NODES grid (_anchor_start), and a
     coarser one takes solve_mode for every mode.  Each later row starts
     from the Spectrum of the row before it, fallbacks included.  A start
-    block goes through _subspace_pairs, and a mode whose pairs the guard
-    refuses (_refusals) takes solve_mode instead, recorded with its reason
-    in Spectrum.fallbacks.  A missed eigenvalue therefore costs a
-    bisection, never a wrong spectrum.  The assembly and the reduction to
-    C = B^{-1/2} A B^{-1/2} are one array pass over the rows; only what
-    depends on the start runs row by row.
+    block goes through one step of subspace iteration, and a mode whose
+    pairs the guard refuses (_refusals) takes solve_mode instead, recorded
+    with its reason in Spectrum.fallbacks.  A missed eigenvalue therefore
+    costs a bisection, never a wrong spectrum.  The assembly and the
+    reduction to C = B^{-1/2} A B^{-1/2} are one array pass over the rows;
+    only what depends on the start runs row by row (_row_spectrum).
     """
-    if isinstance(metric, Rows):
-        return _spectra(metric, u, warm)
-    return _spectra(Rows([metric]), None if u is None else Rows([u]),
-                    warm)[0]
-
-
-def _spectra(metrics: Rows, us: Rows | None,
-             warm: Spectrum | None) -> list[Spectrum]:
-    """weighted_spectrum of metric rows, each row started from the one
-    before it."""
-    bands, mass = _assemble(metrics, None if us is None else us.emu)
-    c = _reduced_bands(bands, mass[:, None])
+    rows = isinstance(metric, Rows)
+    if not rows:
+        metric, u = Rows([metric]), None if u is None else Rows([u])
+    c, mass = assemble_modes(metric, u)
     out = []
-    for i in range(len(metrics)):
+    for i in range(len(metric)):
         # a copy, so the Spectrum that starts the next block does not keep
         # this block's stack
-        problems = _mode_problems(bands[i], mass[i].copy())
-        warm = _row_spectrum(metrics[i], None if us is None else us[i],
-                             problems, c[i], warm)
+        warm = _row_spectrum(metric[i], None if u is None else u[i], c[i],
+                             mass[i].copy(), warm)
         out.append(warm)
-    return out
+    return out if rows else out[0]
 
 
 def _row_spectrum(metric: ConformalMetric, u: RicciPotential | None,
-                  problems: list[ModeProblem], c: np.ndarray,
+                  c: np.ndarray, mass: np.ndarray,
                   warm: Spectrum | None) -> Spectrum:
-    """The start-dependent part of weighted_spectrum for one metric, its
-    mode problems and their reduced bands c (N_MODES, bw + 1, n)."""
-    mass = problems[0].mass
+    """The start-dependent part of weighted_spectrum for one metric, the
+    reduced bands c (N_MODES, bw + 1, n) of its modes and its mass.
+
+    A start block takes one step of subspace iteration, all modes at once:
+    the blocks are orthonormal in reduced coordinates y = B^{1/2} v, so
+    they go straight into Rayleigh-Ritz on the reduced pencil, and _refine
+    starts from its Ritz pairs.  Each mode that bisects writes its pairs
+    over its row of the stacks."""
     if warm is not None:
-        start = np.sqrt(warm.mass)[:, None] * np.stack(warm.vecs)
+        start = np.sqrt(warm.mass)[:, None] * warm.vecs
     elif metric.grid.n_nodes >= 4 * ANCHOR_NODES:
         start = _anchor_start(metric, u, mass)
     else:
         start = None
-    reasons = [None] * len(problems)
-    if start is not None:
-        solved = _subspace_pairs(c, mass, start)
-        reasons = (["pivot"] * len(problems) if solved is None
-                   else _refusals(*solved))
-    fallbacks, pairs = [], []
-    for m, (problem, reason) in enumerate(zip(problems, reasons)):
-        if start is None:
-            pairs.append(solve_mode(problem, K_PER_MODE))
-        elif reason is None:
-            # a copy, so a state that keeps one mode's block does not keep
-            # the whole stack
-            pairs.append((solved[0][m], solved[1][m].copy()))
-        else:
-            fallbacks.append((m, reason))
-            pairs.append(solve_mode(problem, K_PER_MODE))
-    vals, vecs = zip(*pairs)
-    return Spectrum(metric=metric, mass=mass, vals=np.array(vals), vecs=vecs,
-                    warm=warm is not None, fallbacks=tuple(fallbacks))
+    solved = None if start is None else _refine(c, mass,
+                                                *_ritz(c, start)[:2])
+    if solved is None:
+        vals = np.empty((N_MODES, K_PER_MODE))
+        vecs = np.empty((N_MODES, mass.size, K_PER_MODE))
+        reasons = [None if start is None else "pivot"] * N_MODES
+    else:
+        vals, vecs, res = solved
+        reasons = _refusals(vals, vecs, res)
+    for m in range(N_MODES):
+        if solved is None or reasons[m] is not None:
+            vals[m], vecs[m] = solve_mode(c, mass, m, K_PER_MODE)
+    fallbacks = tuple((m, reason) for m, reason in enumerate(reasons)
+                      if reason is not None)
+    return Spectrum(metric=metric, mass=mass, vals=vals, vecs=vecs,
+                    warm=warm is not None, fallbacks=fallbacks)
+
+
+# the times each mode's pairs enter the merged spectrum: a mode m > 0
+# stands for m and -m, which coincide
+MULTIPLICITY = (1,) + (2,) * (N_MODES - 1)
 
 
 def merged_spectrum(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The merged spectrum of per-mode rows vals[m]: (eigenvalues, modes),
-    ascending, with each m > 0 row entered twice (m and -m coincide); ties
-    keep the order mode by mode."""
-    k = vals.shape[1]
-    modes = np.repeat(np.arange(len(vals)), [k] + [2 * k] * (len(vals) - 1))
-    lams = np.concatenate([vals[0], *(np.repeat(row, 2) for row in vals[1:])])
+    ascending, with each row entered MULTIPLICITY[m] times; ties keep the
+    order mode by mode."""
+    lams = np.repeat(vals, MULTIPLICITY, axis=0).ravel()
+    modes = np.repeat(np.arange(N_MODES),
+                      np.multiply(MULTIPLICITY, vals.shape[1]))
     order = np.argsort(lams, kind="stable")
     return lams[order], modes[order]
 
@@ -545,12 +510,13 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None):
 
     The band is every eigenvalue within band_tol of 1 (None: the grid's
     default_band_tol) and must contain exactly three members, a pair of
-    mode m > 0 counting for m and -m; lambda(g) is the smallest eigenvalue
-    strictly above it, and its gap to the band edge must clear 2 band_tol.
-    Any other violation of the expected layout raises BandAmbiguity, the
-    refusal path that tells the caller to refine.  Returns lambda(g), the
-    band's merged eigenvalues, and the members as a mask shaped like
-    spectrum.vals: the one classification every reader of the band uses.
+    mode m counting MULTIPLICITY[m] times; lambda(g) is the smallest
+    eigenvalue strictly above it, and its gap to the band edge must clear
+    2 band_tol.  Any other violation of the expected layout raises
+    BandAmbiguity, the refusal path that tells the caller to refine.
+    Returns lambda(g), the band's merged eigenvalues, and the members as a
+    mask shaped like spectrum.vals: the one classification every reader of
+    the band uses.
     Of the Rows of several spectra, lambda(g) is one value per row, the
     band one sorted row of three per spectrum, the mask one per spectrum,
     and the first spectrum that breaks the layout raises.
@@ -559,10 +525,8 @@ def lambda_second(spectrum: Spectrum, band_tol: float | None = None):
         band_tol = default_band_tol(spectrum.metric.grid)
     vals = spectrum.vals
     members = np.abs(vals - 1.0) <= band_tol
-    # a mode m > 0 row stands for m and -m, so it enters twice
-    twice = np.repeat([1, 2], [1, vals.shape[-2] - 1])
-    entered = np.where(np.repeat(members, twice, axis=-2),
-                       np.repeat(vals, twice, axis=-2), np.inf)
+    entered = np.where(np.repeat(members, MULTIPLICITY, axis=-2),
+                       np.repeat(vals, MULTIPLICITY, axis=-2), np.inf)
     entered = entered.reshape(entered.shape[:-2] + (-1,))
     count = np.sum(entered < np.inf, axis=-1)
     stray = np.min(np.where((band_tol < vals) & (vals < 1.0 - band_tol),
@@ -605,7 +569,7 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
 def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
     """EigenData of the i-th pair of mode m."""
     return pair_data(spectrum.metric, m, float(spectrum.vals[m, i]),
-                     spectrum.vecs[m][:, i])
+                     spectrum.vecs[m, :, i])
 
 
 def pair_data(metric: ConformalMetric, m: int, lam: float,

@@ -323,11 +323,11 @@ def spoil_state(monkeypatch, w, change):
     Spectrum of that solve, through change(spec, warm) -> (spec, warm)."""
     real = spectral._row_spectrum
 
-    def spoiled(metric, u, problems, c, warm):
+    def spoiled(metric, u, c, mass, warm):
         if not np.array_equal(metric.w, w):
-            return real(metric, u, problems, c, warm)
+            return real(metric, u, c, mass, warm)
         warm = change(None, warm)[1]
-        return change(real(metric, u, problems, c, warm), warm)[0]
+        return change(real(metric, u, c, mass, warm), warm)[0]
 
     monkeypatch.setattr(spectral, "_row_spectrum", spoiled)
 
@@ -391,14 +391,14 @@ def test_spoiled_start_mid_block_falls_back(dense_block, monkeypatch):
     metric, config, states, j = dense_block
     prev = states[j - 1]
     six = spectral.solve_mode(
-        spectral.assemble_modes(prev.metric, prev.u)[0],
+        *spectral.assemble_modes(prev.metric, prev.u), 0,
         spectral.K_PER_MODE + 1)[1]
 
     def lose_lowest(spec, warm):
         if spec is None:
-            bad = warm.vecs[0].copy()
-            bad[:, 0] = six[:, spectral.K_PER_MODE]
-            warm = replace(warm, vecs=(bad, *warm.vecs[1:]))
+            bad = warm.vecs.copy()
+            bad[0, :, 0] = six[:, spectral.K_PER_MODE]
+            warm = replace(warm, vecs=bad)
         return spec, warm
 
     spoil_state(monkeypatch, states[j].metric.w, lose_lowest)
@@ -408,7 +408,7 @@ def test_spoiled_start_mid_block_falls_back(dense_block, monkeypatch):
         ("spectrum_fallback", t, 0, "sturm")]
     assert blocked.eigensolves["fallback"] == 1
     s = blocked.states[j]
-    cold = spectral.solve_mode(spectral.assemble_modes(s.metric, s.u)[0],
+    cold = spectral.solve_mode(*spectral.assemble_modes(s.metric, s.u), 0,
                                spectral.K_PER_MODE)
     np.testing.assert_array_equal(s.spectrum[0], cold[0])
     np.testing.assert_array_equal(s.axial_vectors, cold[1])

@@ -1,11 +1,13 @@
 """Weighted-Laplacian spectra: round oracles, pinning, band extraction."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import krflow.flow
 from krflow import spectral
 from krflow.cli import main
 from krflow.flow import FlowConfig, run
@@ -57,8 +59,8 @@ class TestRoundSpectrum:
 
     def test_mode_zero_alone(self, grid256):
         m = round_metric(grid256)
-        prob = assemble_modes(m, solve_ricci_potential(m))[0]
-        vals, _ = solve_mode(prob, 4)
+        vals, _ = solve_mode(*assemble_modes(m, solve_ricci_potential(m)), 0,
+                             4)
         assert np.allclose(vals, [0.0, 1.0, 3.0, 6.0], atol=1e-3)
 
     def test_constant_shift_scaling_exact(self, grid128):
@@ -92,6 +94,24 @@ ORACLE_METRICS = {
     "legendre_bump": lambda g: legendre_bump(g, 2, 1e-2),
     "multi_mode": lambda g: multi_mode(g, 7, 2.0, 5e-3),
 }
+
+
+class Pencil(NamedTuple):
+    """Mode m's pencil for the dense oracles, which are written in A: the
+    bands of A, the mass, and the reduced bands c of every mode, which
+    solve_mode reads."""
+    m: int
+    bands: np.ndarray
+    mass: np.ndarray
+    c: np.ndarray
+
+
+def pencils(metric, u):
+    """The Pencil of each mode: A from spectral._assemble, and C reduced
+    from a copy of it."""
+    bands, mass = spectral._assemble(metric, None if u is None else u.emu)
+    c = spectral._reduced_bands(bands.copy(), mass)[0]
+    return [Pencil(m, bands[m], mass, c) for m in range(N_MODES)]
 
 
 def scaled_band(prob):
@@ -140,8 +160,8 @@ class TestSolveModeOracle:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_against_eig_banded_and_eigh(self, metric_u, mode):
         metric, u = metric_u
-        prob = assemble_modes(metric, u)[mode]
-        vals, vecs = solve_mode(prob, self.K)
+        prob = pencils(metric, u)[mode]
+        vals, vecs = solve_mode(prob.c, prob.mass, mode, self.K)
         ref_vals = scipy.linalg.eig_banded(
             scaled_band(prob), lower=False, select="i",
             select_range=(0, self.K - 1), eigvals_only=True)
@@ -166,10 +186,10 @@ class TestSolveModeOracle:
         # the residual of a block in reduced coordinates, C applied to the
         # whole block, against each column applied alone
         metric, u = metric_u
-        prob = assemble_modes(metric, u)[1]
-        vals, vecs = solve_mode(prob, self.K)
-        c = spectral._reduced_bands(prob.bands, prob.mass)
-        y = np.sqrt(prob.mass)[:, None] * vecs
+        c, mass = assemble_modes(metric, u)
+        vals, vecs = solve_mode(c, mass, 1, self.K)
+        c = c[1]
+        y = np.sqrt(mass)[:, None] * vecs
         block = rayleigh_residual(y, spectral._band_apply(c, y), vals)
         single = [rayleigh_residual(y[:, i:i + 1],
                                     spectral._band_apply(c, y[:, i:i + 1]),
@@ -198,9 +218,9 @@ class TestSolveFail:
                                                  grid64, tmp_path):
         name, patch = SOLVE_FAULTS[fault]
         monkeypatch.setattr(spectral, name, _wrap_output(name, patch))
-        prob = assemble_modes(round_metric(grid64), None)[0]
+        c, mass = assemble_modes(round_metric(grid64), None)
         with pytest.raises(SolveFail):
-            solve_mode(prob, 5)
+            solve_mode(c, mass, 0, 5)
         self._assert_run_exits_three(tmp_path)
 
     def test_nan_residual_fails_the_check(self, monkeypatch, grid64,
@@ -276,7 +296,7 @@ class TestEigenData:
         m = bump(grid128, 1e-2)
         u = solve_ricci_potential(m)
         spec = weighted_spectrum(m, u)
-        problems = assemble_modes(m, u)
+        problems = pencils(m, u)
         for mode, i in ((0, 1), (0, 2), (1, 1)):
             eig = eigen_data(spec, mode, i)
             norm = weighted_integral(
@@ -309,11 +329,11 @@ class TestStructure:
     def test_stiffness_psd_mass_positive(self, grid128):
         m = bump(grid128, 0.1)
         u = solve_ricci_potential(m)
-        for mode, prob in enumerate(assemble_modes(m, u)):
+        for mode, prob in enumerate(pencils(m, u)):
             assert np.all(prob.mass > 0)
             # the form is a sum of squares: smallest eigenvalue >= 0, and
             # the axial block annihilates constants exactly
-            vals, _ = solve_mode(prob, 1)
+            vals, _ = solve_mode(prob.c, prob.mass, mode, 1)
             assert vals[0] > -1e-10
             if mode == 0:
                 av = spectral._band_apply(prob.bands,
@@ -340,7 +360,7 @@ class TestStructure:
         e = u.emu
         ht = 2.0 * np.sin(g.h / 2)
         cf = np.pi * 0.5 * (e[:-1] + e[1:]) * g.sin_flux[1:-1] * ht
-        for prob in assemble_modes(m, u):
+        for prob in pencils(m, u):
             parity = 1.0 if prob.m % 2 == 0 else -1.0
             d = np.zeros((n - 1, n))
             for j in range(1, n):
@@ -430,7 +450,7 @@ class TestWarmStart:
         metric, _ = WARM_RUNS["n64"]()
         s0 = run(FlowConfig(t_end=0.0), metric).states[0]
         start = weighted_spectrum(s0.metric, s0.u)
-        _, six = solve_mode(assemble_modes(s0.metric, s0.u)[0],
+        _, six = solve_mode(*assemble_modes(s0.metric, s0.u), 0,
                             K_PER_MODE + 1)
         bad = start.vecs[0].copy()
         bad[:, 0] = six[:, K_PER_MODE]
@@ -439,7 +459,9 @@ class TestWarmStart:
         def spoiled(metric, u, warm=None):
             if warm is not None:
                 np.testing.assert_array_equal(warm.vecs[0], start.vecs[0])
-                warm = replace(warm, vecs=(bad, *warm.vecs[1:]))
+                vecs = warm.vecs.copy()
+                vecs[0] = bad
+                warm = replace(warm, vecs=vecs)
             return real(metric, u, warm)
 
         monkeypatch.setattr(spectral, "weighted_spectrum", spoiled)
@@ -480,18 +502,19 @@ class TestAnchoredStart:
         metric = ORACLE_METRICS[family](make_grid(n))
         u = solve_ricci_potential(metric)
         sizes = []
-        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        spy(monkeypatch, "solve_mode",
+            lambda c, mass, m, k: sizes.append(mass.size))
         spec = weighted_spectrum(metric, u)
         assert sizes == [spectral.ANCHOR_NODES] * N_MODES
         assert spec.fallbacks == () and not spec.warm
-        for m, prob in enumerate(assemble_modes(metric, u)):
-            vals, vecs = solve_mode(prob, K_PER_MODE)
+        c, mass = assemble_modes(metric, u)
+        for m in range(N_MODES):
+            vals, vecs = solve_mode(c, mass, m, K_PER_MODE)
             scale = np.maximum(1.0, np.abs(vals))
             assert np.max(np.abs(spec.vals[m] - vals) / scale) <= 1e-11
             # the cosines of the principal angles between the two blocks,
             # in the B inner product, are all 1
-            cosines = np.linalg.svd(spec.vecs[m].T @ (prob.mass[:, None]
-                                                      * vecs),
+            cosines = np.linalg.svd(spec.vecs[m].T @ (mass[:, None] * vecs),
                                     compute_uv=False)
             assert np.min(cosines) >= 1.0 - 1e-12
 
@@ -499,7 +522,8 @@ class TestAnchoredStart:
     def test_coarser_grids_bisect_at_full_n(self, n, monkeypatch):
         metric = legendre_bump(make_grid(n), 2, 1e-2)
         sizes = []
-        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        spy(monkeypatch, "solve_mode",
+            lambda c, mass, m, k: sizes.append(mass.size))
         spec = weighted_spectrum(metric, solve_ricci_potential(metric))
         assert sizes == [n] * N_MODES
         assert spec.fallbacks == ()
@@ -523,14 +547,16 @@ class TestAnchoredStart:
 
         def spoiled(metric, u, mass):
             start = real(metric, u, mass)
-            six = solve_mode(assemble_modes(metric, u)[0], K_PER_MODE + 1)[1]
+            six = solve_mode(*assemble_modes(metric, u), 0,
+                             K_PER_MODE + 1)[1]
             start[0, :, 0] = np.sqrt(mass) * six[:, K_PER_MODE]
             start[0] = np.linalg.qr(start[0])[0]
             return start
 
         monkeypatch.setattr(spectral, "_anchor_start", spoiled)
         sizes = []
-        spy(monkeypatch, "solve_mode", lambda p, k: sizes.append(p.mass.size))
+        spy(monkeypatch, "solve_mode",
+            lambda c, mass, m, k: sizes.append(mass.size))
         traj = run(FlowConfig(t_end=0.0), metric)
         # the coarse solves, then the fine bisection of mode 0 alone
         assert sizes == [spectral.ANCHOR_NODES] * N_MODES + [256]
@@ -538,7 +564,7 @@ class TestAnchoredStart:
                                     "fallback": 1}
         assert traj.events[0] == ("spectrum_fallback", 0.0, 0, "sturm")
         s0 = traj.states[0]
-        vals, vecs = solve_mode(assemble_modes(s0.metric, s0.u)[0],
+        vals, vecs = solve_mode(*assemble_modes(s0.metric, s0.u), 0,
                                 K_PER_MODE)
         np.testing.assert_array_equal(s0.spectrum[0], vals)
         np.testing.assert_array_equal(s0.axial_vectors, vecs)
@@ -546,6 +572,73 @@ class TestAnchoredStart:
         text = (tmp_path / "report.txt").read_text()
         assert "\neigensolves = cold 2, warm 0, fallback 1\n" in text
         assert "\nevent = spectrum_fallback, 0.0, 0, sturm\n" in text
+
+
+class TestOneForm:
+    """The spectral layer hands on the pencil in one form, the reduced
+    bands with the mass, and each state's eigenvectors in one stack."""
+
+    def test_block_step_reduces_once_in_place(self, monkeypatch):
+        metric, config = WARM_RUNS["n64"]()
+        steps, reductions = [], []
+        real_step = krflow.flow.make_state
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return real_step(*args, **kwargs)
+
+        real = spectral._reduced_bands
+
+        def spied(bands, mass):
+            out = real(bands, mass)
+            reductions.append(out[0] is bands)
+            return out
+
+        monkeypatch.setattr(krflow.flow, "make_state", counted)
+        monkeypatch.setattr(spectral, "_reduced_bands", spied)
+        run(config, metric)
+        assert len(steps) >= 2
+        assert reductions == [True] * len(steps)
+
+    def test_solve_mode_never_reduces(self, monkeypatch):
+        metric = legendre_bump(make_grid(128), 2, 1e-2)
+        c, mass = assemble_modes(metric, solve_ricci_potential(metric))
+        before = c.copy()
+        calls = []
+        spy(monkeypatch, "_reduced_bands", lambda *args: calls.append(1))
+        for m in range(N_MODES):
+            solve_mode(c, mass, m, K_PER_MODE)
+        assert calls == []
+        np.testing.assert_array_equal(c, before)
+
+    def test_anchor_reduces_its_coarse_pencil_once(self, monkeypatch):
+        metric = legendre_bump(make_grid(256), 2, 1e-2)
+        u = solve_ricci_potential(metric)
+        sizes = []
+        spy(monkeypatch, "_reduced_bands",
+            lambda bands, mass: sizes.append(mass.shape[-1]))
+        weighted_spectrum(metric, u)
+        assert sizes == [256, spectral.ANCHOR_NODES]
+
+    def test_states_keep_no_view_of_the_stack(self, monkeypatch):
+        metric, config = WARM_RUNS["n64"]()
+        solved = []
+        real = krflow.flow.make_state
+
+        def kept(*args, **kwargs):
+            out = real(*args, **kwargs)
+            solved.extend(out)
+            return out
+
+        monkeypatch.setattr(krflow.flow, "make_state", kept)
+        traj = run(config, metric)
+        assert len(solved) == len(traj.states)
+        assert all(s is t for (s, _), t in zip(solved, traj.states))
+        for state, spec in solved:
+            assert type(spec.vecs) is np.ndarray
+            assert spec.vecs.shape == (N_MODES, 64, K_PER_MODE)
+            assert not np.shares_memory(state.axial_vectors, spec.vecs)
+            assert not np.shares_memory(state.holo_vectors, spec.vecs)
 
 
 class TestPlainLambda1:
