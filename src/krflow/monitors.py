@@ -1,15 +1,15 @@
 """Quantitative estimate and identity monitors for flow states and trajectories.
 
-Every monitor emits a CheckReport with three-valued gate semantics: a
-conditional estimate whose hypotheses fail on a state reports
-GATE_NOT_MET, never FAIL; FAIL is reserved for a satisfied gate with a
-margin below tolerance.  Existential constants (the non-collapsing C0
-bound, the eigenfunction gradient bound) are tracked as measured
-effective constants under REPORT_ONLY, with stability asserted by the
-acceptance suite rather than equality to any number.
+Every monitor emits a CheckReport, whose verdict is derived from its gate
+and margin by one rule: a conditional estimate whose hypotheses fail on a
+state reports GATE_NOT_MET, never FAIL; FAIL is reserved for a satisfied
+gate with a margin below -tolerance.  Existential constants (the
+non-collapsing C0 bound, the eigenfunction gradient bound) are tracked as
+measured effective constants under REPORT_ONLY, with stability asserted
+by the acceptance suite rather than equality to any number.
 
 Time derivatives of diagnostics are centered finite differences over
-three consecutive recorded states, so every d/dt check needs a recording
+recorded states (_centred), so every d/dt check needs a recording
 cadence fine enough for the decay rates involved.
 
 A check that reads nodal arrays of every state walks the trajectory in
@@ -21,7 +21,7 @@ per-state check is the one-row case of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,26 +67,32 @@ class BranchCrossing(NumericalError):
 
 @dataclass
 class CheckReport:
-    """Verdict of one monitor.
+    """Outcome of one monitor.
 
     margin >= -tolerance means the inequality held (for identities the
-    margin is tolerance minus the measured residual); aux carries named
-    effective constants and rates.
+    margin is tolerance minus the measured residual); a report without a
+    margin measured nothing that can fail.  aux carries named effective
+    constants and rates.  report_only marks an existential estimate,
+    whose verdict is REPORT_ONLY where another check's would be PASS.
     """
 
     check_id: str
     statement: str
     gate_satisfied: bool
     margin: float | None
-    tolerance: float
-    verdict: str
+    tolerance: float = 0.0
     aux: dict = field(default_factory=dict)
+    report_only: bool = False
 
-    def __post_init__(self):
-        if self.verdict == FAIL:
-            assert self.gate_satisfied and self.margin is not None \
-                and self.margin < -self.tolerance, \
-                "FAIL requires a met gate and a margin below -tolerance"
+    @property
+    def verdict(self) -> str:
+        """GATE_NOT_MET when the gate failed; else FAIL when the margin is
+        not >= -tolerance (NaN included); else PASS, or REPORT_ONLY."""
+        if not self.gate_satisfied:
+            return GATE_NOT_MET
+        if self.margin is not None and not self.margin >= -self.tolerance:
+            return FAIL
+        return REPORT_ONLY if self.report_only else PASS
 
 
 @dataclass
@@ -105,15 +111,13 @@ class TrajectoryReport:
                    key=lambda v: order[v], default=PASS)
 
 
-def _inequality_verdict(margin: float, tol: float) -> str:
-    return PASS if margin >= -tol else FAIL
-
-
-def _gate_not_met(check_id: str, statement: str, aux: dict,
-                  tolerance: float = 0.0) -> CheckReport:
-    return CheckReport(check_id=check_id, statement=statement,
-                       gate_satisfied=False, margin=None, tolerance=tolerance,
-                       verdict=GATE_NOT_MET, aux=aux)
+def _centred(ts, xs, spread: int = 1) -> np.ndarray:
+    """(x[i + spread] - x[i - spread]) / (t[i + spread] - t[i - spread]) at
+    each state i with spread neighbours on each side, along the leading
+    (state) axis of xs."""
+    dt = ts[2 * spread:] - ts[:-2 * spread]
+    return (xs[2 * spread:] - xs[:-2 * spread]) / np.reshape(
+        dt, dt.shape + (1,) * (np.ndim(xs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +135,10 @@ def check_weighted_poincare(state: FlowState) -> CheckReport:
     dp = state.funcs.delta_prime_0
     margin = _poincare_margin(state.funcs)
     return CheckReport(
-        check_id="weighted_poincare",
-        statement="int |grad u|^2 e^-u dv >= (1 + d') int (u-a)^2 e^-u dv",
-        gate_satisfied=True, margin=float(margin), tolerance=POINCARE_TOL,
-        verdict=_inequality_verdict(margin, POINCARE_TOL),
-        aux={"delta_prime": dp, "Y": state.funcs.Y, "Z": state.funcs.Z})
+        "weighted_poincare",
+        "int |grad u|^2 e^-u dv >= (1 + d') int (u-a)^2 e^-u dv",
+        True, float(margin), POINCARE_TOL,
+        {"delta_prime": dp, "Y": state.funcs.Y, "Z": state.funcs.Z})
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,7 @@ def check_Y_decay(traj: Trajectory) -> CheckReport:
     statement = "Y(t) <= exp(-d0' t) Y(0) on the gated prefix"
     if y0 == 0.0 or len(states) == 1:
         return CheckReport(
-            check_id="y_decay", statement=statement, gate_satisfied=True,
-            margin=0.0, tolerance=0.0, verdict=PASS,
+            "y_decay", statement, True, 0.0,
             aux={"fitted_rate": 0.0, "delta_prime_0": 0.0,
                  "gate_prefix_end": states[-1].t})
     dp0 = s0.funcs.delta_prime_0
@@ -173,30 +175,26 @@ def check_Y_decay(traj: Trajectory) -> CheckReport:
         if s.funcs.c0_u_minus_a > gate_cap:
             break
         prefix.append(s)
+    tol = Y_DECAY_REL_TOL * y0
     if not prefix:
-        return _gate_not_met(
-            "y_decay", statement, {"delta_prime_0": dp0, "gate_cap": gate_cap,
-                                   "c0_at_start": s0.funcs.c0_u_minus_a},
-            Y_DECAY_REL_TOL * y0)
+        return CheckReport(
+            "y_decay", statement, False, None, tol,
+            {"delta_prime_0": dp0, "gate_cap": gate_cap,
+             "c0_at_start": s0.funcs.c0_u_minus_a})
     ts = np.array([s.t for s in prefix])
     ys = np.array([s.funcs.Y for s in prefix])
     margin = float(np.min(np.exp(-dp0 * ts) * y0 - ys))
     rate = _fit_rate(ts, ys, y0 * 1e-12)
-    # pointwise differential inequality, centered differences
-    worst_resid = -np.inf
-    for i in range(1, len(prefix) - 1):
-        dy = (ys[i + 1] - ys[i - 1]) / (ts[i + 1] - ts[i - 1])
-        c0 = prefix[i].funcs.c0_u_minus_a
-        bound = ((-2.0 + 2.0 * c0) * (1.0 + dp0) + (2.0 + c0)) * ys[i]
-        worst_resid = max(worst_resid, dy - bound)
-    tol = Y_DECAY_REL_TOL * y0
+    # pointwise differential inequality at each state with two neighbours;
+    # fmax skips a NaN residual, as the builtin max did
+    c0 = np.array([s.funcs.c0_u_minus_a for s in prefix[1:-1]])
+    bound = ((-2.0 + 2.0 * c0) * (1.0 + dp0) + (2.0 + c0)) * ys[1:-1]
+    worst_resid = np.fmax.reduce(_centred(ts, ys) - bound, initial=-np.inf)
     return CheckReport(
-        check_id="y_decay", statement=statement, gate_satisfied=True,
-        margin=margin, tolerance=tol,
-        verdict=_inequality_verdict(margin, tol),
-        aux={"fitted_rate": rate, "delta_prime_0": dp0,
-             "gate_prefix_end": float(ts[-1]),
-             "diff_ineq_residual_max": float(worst_resid)})
+        "y_decay", statement, True, margin, tol,
+        {"fitted_rate": rate, "delta_prime_0": dp0,
+         "gate_prefix_end": float(ts[-1]),
+         "diff_ineq_residual_max": float(worst_resid)})
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +215,11 @@ def _c0_kappas(states, rho: float) -> list[float]:
     f = Rows(states).funcs
     measured = np.flatnonzero(_c0_gate(f, rho) & ~(f.Y < Y_FLOOR))
     kappa = np.full(len(states), np.nan)
-    n = states[0].metric.grid.n_nodes
-    for sl in block_slices(len(measured), n):
-        rows = measured[sl]
-        kappa[rows] = noncollapsing_kappa(
-            Rows([states[i].metric for i in rows]), rho)
+    if measured.size:
+        kappa[measured] = map_blocks(
+            [states[i].metric for i in measured],
+            states[0].metric.grid.n_nodes,
+            lambda metrics: noncollapsing_kappa(metrics, rho))
     return kappa.tolist()
 
 
@@ -245,19 +243,16 @@ def _c0_report(state: FlowState, rho: float, kappa: float) -> CheckReport:
     statement = "|u-a|_C0 <= K kappa^(-1/4) Y^(1/4)"
     f = state.funcs
     if not _c0_gate(f, rho):
-        return _gate_not_met("c0_vs_y", statement, {
+        return CheckReport("c0_vs_y", statement, False, None, aux={
             "grad_u_c0": f.grad_u_c0, "c0_u_minus_a": f.c0_u_minus_a,
             "rho": rho})
     if f.Y < Y_FLOOR:
-        return CheckReport(
-            check_id="c0_vs_y", statement=statement, gate_satisfied=True,
-            margin=None, tolerance=0.0, verdict=REPORT_ONLY,
-            aux={"skipped": 1.0, "Y": f.Y, "rho": rho})
-    return CheckReport(
-        check_id="c0_vs_y", statement=statement, gate_satisfied=True,
-        margin=None, tolerance=0.0, verdict=REPORT_ONLY,
-        aux={"K_eff": _k_eff(f, kappa), "kappa": kappa, "Y": f.Y,
-             "c0_u_minus_a": f.c0_u_minus_a, "rho": rho})
+        aux = {"skipped": 1.0, "Y": f.Y, "rho": rho}
+    else:
+        aux = {"K_eff": _k_eff(f, kappa), "kappa": kappa, "Y": f.Y,
+               "c0_u_minus_a": f.c0_u_minus_a, "rho": rho}
+    return CheckReport("c0_vs_y", statement, True, None, aux=aux,
+                       report_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +265,8 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     On a curve the complex trace 1 + lap_{c,0} phi equals the pointwise
     metric ratio e^{2(w - w0)}, so the trace series and the equivalence
     constant Phi_meas (each state's phi_meas) are one check.  The bounding
-    function is existential, hence REPORT_ONLY; positivity of the trace is
-    a hard FAIL (the flow metric must stay a metric against g0).
+    function is existential, hence REPORT_ONLY; a negative trace is a hard
+    FAIL (the flow metric must stay a metric against g0).
     """
     states = traj.states
     s0 = states[0]
@@ -287,16 +282,15 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
     traces, sups = map_blocks(states, s0.metric.grid.n_nodes, trace_and_sup)
     min_trace = min([np.inf, *traces.tolist()])
     run_sup = max([0.0, *sups.tolist()])
-    verdict = REPORT_ONLY if min_trace > 0.0 else FAIL
     return CheckReport(
-        check_id="c2_estimate",
-        statement="n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
-        gate_satisfied=True, margin=float(min_trace), tolerance=0.0,
-        verdict=verdict,
+        "c2_estimate",
+        "n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
+        True, float(min_trace),
         aux={"phi_meas_max": float(max(s.phi_meas for s in states)),
              "min_trace": float(min_trace),
              "alpha_final": float(run_sup),
-             "phi_meas_final": float(states[-1].phi_meas)})
+             "phi_meas_final": float(states[-1].phi_meas)},
+        report_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -347,74 +341,65 @@ def check_eigenvalue_derivative(traj: Trajectory,
     statement = "d lambda/dt = (1/V) int [-(1-K)|dbar psi|^2 + (lam |psi|^2 - |dbar psi|^2)(u-a)] e^-u dv"
     states = traj.states
     if len(states) < 3:
-        return _gate_not_met("eigenvalue_derivative", statement,
-                             {"n_states": float(len(states))})
+        return CheckReport("eigenvalue_derivative", statement, False, None,
+                           aux={"n_states": float(len(states))})
     lams = _branch_eigenvalues(states, index)
     ts = traj.times()
     # the formula at each state with two neighbours, states[1:-1]
     formula = map_blocks(states[1:-1], states[0].metric.grid.n_nodes,
                          lambda rows: _branch_formula(rows, index))
 
-    def mismatch_at(i, spread):
-        fd = (lams[i + spread] - lams[i - spread]) / (
-            ts[i + spread] - ts[i - spread])
+    def mismatch(fd, i):
         return np.abs(fd - formula[i - 1]) / (np.abs(fd) + EIGEN_REL_FLOOR)
 
-    mism = mismatch_at(np.arange(1, len(states) - 1), 1)
+    mism = mismatch(_centred(ts, lams), np.arange(1, len(states) - 1))
     worst_i = 1 + int(np.argmax(mism))
     worst = mism[worst_i - 1]
-    margin = EIGEN_REL_TOL - worst
     aux = {"max_rel_mismatch": float(worst), "worst_t": float(ts[worst_i]),
            "branch_index": float(index),
            "lambda_at_start": float(lams[0])}
-    verdict = _inequality_verdict(margin, 0.0)
-    if verdict == FAIL and 2 <= worst_i <= len(states) - 3:
+    report = CheckReport("eigenvalue_derivative", statement, True,
+                         float(EIGEN_REL_TOL - worst), aux=aux)
+    if report.verdict == FAIL and 2 <= worst_i <= len(states) - 3:
         # spacing-refinement probe: a mismatch that grows ~4x when the
         # stencil widens is centered-difference error, not an identity
         # violation; the honest verdict is then an unresolved gate
-        wide = mismatch_at(worst_i, 2)
+        wide = mismatch(_centred(ts, lams, 2)[worst_i - 2], worst_i)
         aux["wide_spacing_mismatch"] = float(wide)
         if wide >= 3.0 * worst:
             aux["fd_limited"] = 1.0
-            return _gate_not_met("eigenvalue_derivative", statement, aux)
-    return CheckReport(
-        check_id="eigenvalue_derivative", statement=statement,
-        gate_satisfied=True, margin=float(margin), tolerance=0.0,
-        verdict=verdict, aux=aux)
+            return replace(report, gate_satisfied=False, margin=None)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # evolution of |grad u|^2
 # ---------------------------------------------------------------------------
 
-def _hessian_pass(traj: Trajectory, with_residuals: bool):
+def _hessian_pass(traj: Trajectory):
     """The Hessian pass of the two Hessian checks, with one
     complex_hessian_norms call per block of states: each state's
-    mixed-Hessian mean (check_Z_derivative) and, when with_residuals, at
-    each state with two neighbours the sups over the interior nodes of
-    |d/dt f - rhs| and of |rhs| (check_gradnorm_evolution), f = |grad u|^2
-    and rhs = _gradsq_rhs.  Blocks then share two states, so each of those
-    states has its neighbours in one block."""
+    mixed-Hessian mean (check_Z_derivative) and, at each state with two
+    neighbours, the sups over the interior nodes of |d/dt f - rhs| and of
+    |rhs| (check_gradnorm_evolution), f = |grad u|^2 and rhs =
+    _gradsq_rhs.  Blocks share two states, so each of those states has its
+    neighbours in one block."""
     states = traj.states
     ts = traj.times()
     count = len(states)
     means = np.empty(count)
     resid, scale = np.empty((2, max(count - 2, 0)))
     interior = (..., slice(GRADNORM_EDGE, -GRADNORM_EDGE))
-    for sl in block_slices(count, states[0].metric.grid.n_nodes,
-                           overlap=2 if with_residuals else 0):
+    for sl in block_slices(count, states[0].metric.grid.n_nodes, overlap=2):
         rows = Rows(states[sl])
         u, metric = rows.u.values, rows.metric
         mixed, pure = complex_hessian_norms(u, metric)
         means[sl] = weighted_mean(mixed, rows.u.emu, metric)
-        if with_residuals:
-            f, rhs = _gradsq_rhs(u, metric, mixed, pure)
-            t = ts[sl]
-            dfdt = (f[2:] - f[:-2]) / per_row(t[2:] - t[:-2])
-            centers = slice(sl.start, sl.stop - 2)
-            resid[centers] = np.max(np.abs((dfdt - rhs[1:-1])[interior]),
-                                    axis=-1)
-            scale[centers] = np.max(np.abs(rhs[1:-1][interior]), axis=-1)
+        f, rhs = _gradsq_rhs(u, metric, mixed, pure)
+        centers = slice(sl.start, sl.stop - 2)
+        resid[centers] = np.max(np.abs(
+            (_centred(ts[sl], f) - rhs[1:-1])[interior]), axis=-1)
+        scale[centers] = np.max(np.abs(rhs[1:-1][interior]), axis=-1)
     return means, (resid, scale)
 
 
@@ -439,12 +424,12 @@ def check_gradnorm_evolution(traj: Trajectory,
     statement = "d/dt |grad u|^2 = lap |grad u|^2 - |DDu|^2 - |DDbar u|^2 + |grad u|^2"
     states = traj.states
     if len(states) < 3:
-        return _gate_not_met("gradnorm_evolution", statement,
-                             {"n_states": float(len(states))})
+        return CheckReport("gradnorm_evolution", statement, False, None,
+                           aux={"n_states": float(len(states))})
     grid = states[0].metric.grid
     ts = traj.times()
     if residuals is None:
-        residuals = _hessian_pass(traj, True)[1]
+        residuals = _hessian_pass(traj)[1]
     rec = float(np.max(np.diff(ts)))
     worst = max([0.0, *residuals[0].tolist()])
     scale = max([1e-10, *residuals[1].tolist()])
@@ -453,14 +438,10 @@ def check_gradnorm_evolution(traj: Trajectory,
     amp_max = max(s.funcs.grad_u_c0 for s in states if s.t <= 2.0)
     amplification = amp_max / amp0 if amp0 > 0 else 1.0
     margin = tol - worst
-    verdict = _inequality_verdict(margin, 0.0)
     if amplification > math.e:
-        verdict = FAIL
         margin = -max(worst, amplification - math.e)
     return CheckReport(
-        check_id="gradnorm_evolution", statement=statement,
-        gate_satisfied=True, margin=float(margin), tolerance=0.0,
-        verdict=verdict,
+        "gradnorm_evolution", statement, True, float(margin),
         aux={"max_residual": float(worst), "residual_scale": float(scale),
              "amplification_to_t2": float(amplification),
              "amplification_bound": math.e})
@@ -484,11 +465,12 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     statement = "dZ/dt <= 2 Z - (1/2)(1/V) int |DDbar u|^2 e^-u dv"
     states = traj.states
     s0 = states[0]
-    if s0.funcs.Y == 0.0 or len(states) < 3:
-        return CheckReport(
-            check_id="z_derivative", statement=statement, gate_satisfied=True,
-            margin=0.0, tolerance=0.0, verdict=PASS,
-            aux={"hessian_spacetime_total": 0.0})
+    if s0.funcs.Y == 0.0:
+        return CheckReport("z_derivative", statement, True, 0.0,
+                           aux={"hessian_spacetime_total": 0.0})
+    if len(states) < 3:
+        return CheckReport("z_derivative", statement, False, None,
+                           aux={"n_states": float(len(states))})
     dp0 = s0.funcs.delta_prime_0
     cap = decay_cap(dp0)
     # each state's gate once, in Python floats: their ** 2 is libm's pow,
@@ -498,17 +480,18 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
                       <= 1.0 for s in states])
     # the centres whose state and both neighbours are gated
     i = np.flatnonzero(gated[:-2] & gated[1:-1] & gated[2:]) + 1
-    ts = np.array([s.t for s in states])
+    ts = traj.times()
     zs = np.array([s.funcs.Z for s in states])
     hess = (hessian_means if hessian_means is not None
-            else _hessian_pass(traj, False)[0])
-    dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
+            else _hessian_pass(traj)[0])
+    dz = _centred(ts, zs)[i - 1]
     # fmin skips a NaN margin, as the builtin min did
     margin = np.fmin.reduce(2.0 * zs[i] - 0.5 * hess[i] - dz, initial=np.inf)
     if not i.size:
-        return _gate_not_met(
-            "z_derivative", statement, {"delta_prime_0": dp0, "gate_cap": cap,
-                                        "c0_at_start": s0.funcs.c0_u_minus_a})
+        return CheckReport(
+            "z_derivative", statement, False, None,
+            aux={"delta_prime_0": dp0, "gate_cap": cap,
+                 "c0_at_start": s0.funcs.c0_u_minus_a})
     # space-time accumulation over unit windows, trapezoid in t
     eps0 = s0.funcs.grad_u_c0
     c8_eff = 0.0
@@ -525,9 +508,7 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
             c8_eff = max(c8_eff, window / denom)
         start = stop
     return CheckReport(
-        check_id="z_derivative", statement=statement, gate_satisfied=True,
-        margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(margin, 0.0),
+        "z_derivative", statement, True, float(margin),
         aux={"delta_prime_0": dp0,
              "hessian_spacetime_total": float(total),
              "C8_eff": float(c8_eff)})
@@ -583,9 +564,7 @@ def check_bochner(state: FlowState, eig: spectral.EigenData) -> CheckReport:
     schwarz_margin = float(np.min((lap_c_f - ineq_rhs)[sl]))
     margin = tol - resid
     return CheckReport(
-        check_id="bochner", statement=statement, gate_satisfied=True,
-        margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(margin, 0.0),
+        "bochner", statement, True, float(margin),
         aux={"residual": resid, "scale": scale, "lambda": lam,
              "schwarz_margin_min": schwarz_margin})
 
@@ -613,12 +592,13 @@ def check_gradient_estimate(state: FlowState, eig: spectral.EigenData,
     denom3 = (math.exp(max_u / 2.0) * sobolev_c ** 1.5 * base ** 1.5
               * math.sqrt(lam))
     return CheckReport(
-        check_id="gradient_estimate",
-        statement="sup|dbar psi| <= C e^{max u/2} C_s^{p/2} (|grad u|^2 + lam)^{p/2} lam^{1/2}",
-        gate_satisfied=True, margin=None, tolerance=0.0, verdict=REPORT_ONLY,
+        "gradient_estimate",
+        "sup|dbar psi| <= C e^{max u/2} C_s^{p/2} (|grad u|^2 + lam)^{p/2} lam^{1/2}",
+        True, None,
         aux={"C_eff": sup_grad / denom2, "C_eff_p3": sup_grad / denom3,
              "sup_grad_bar": sup_grad, "sobolev_c": sobolev_c,
-             "max_u": max_u, "lambda": lam})
+             "max_u": max_u, "lambda": lam},
+        report_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +630,14 @@ def bootstrap_tracker(traj: Trajectory,
         max_phi = max(max_phi, s.phi_meas)
         max_grad = max(max_grad, s.funcs.grad_u_c0)
         min_lam = min(min_lam, s.lambda_g)
-        if first_grad is None and s.funcs.grad_u_c0 >= grad_budget:
+        if first_grad is None and s.funcs.grad_u_c0 > grad_budget:
             first_grad = s.t
-        if first_equiv is None and s.phi_meas >= phi0:
+        if first_equiv is None and s.phi_meas > phi0:
             first_equiv = s.t
-        if first_eig is None and s.lambda_g <= 1.0 + BOOTSTRAP_DELTA / 2.0:
+        if first_eig is None and s.lambda_g < 1.0 + BOOTSTRAP_DELTA / 2.0:
             first_eig = s.t
-    ok = first_grad is None and first_equiv is None and first_eig is None
+    # a violation makes its term negative, so margin < 0 exactly when one
+    # of the first-violation times exists
     margin = min((grad_budget - max_grad) / grad_budget,
                  (phi0 - max_phi) / phi0,
                  min_lam - 1.0 - BOOTSTRAP_DELTA / 2.0)
@@ -671,10 +652,9 @@ def bootstrap_tracker(traj: Trajectory,
         if t is not None:
             aux[name] = float(t)
     return CheckReport(
-        check_id="bootstrap", gate_satisfied=True,
-        statement="|grad u| < L eps; Phi0^-1 g0 < g < Phi0 g0; lambda > 1 + delta/2",
-        margin=float(margin), tolerance=0.0,
-        verdict=PASS if ok else FAIL, aux=aux)
+        "bootstrap",
+        "|grad u| < L eps; Phi0^-1 g0 < g < Phi0 g0; lambda > 1 + delta/2",
+        True, float(margin), aux=aux)
 
 
 def check_short_time(traj: Trajectory,
@@ -716,10 +696,9 @@ def check_short_time(traj: Trajectory,
     if first_exceed is not None:
         aux["curvature_exceed_t"] = float(first_exceed)
     return CheckReport(
-        check_id="short_time",
-        statement="max|K| <= 2 Lambda up to a positive time; lambda >= 1 + delta/2 on [0, t0]",
-        gate_satisfied=True, margin=None, tolerance=0.0,
-        verdict=REPORT_ONLY, aux=aux)
+        "short_time",
+        "max|K| <= 2 Lambda up to a positive time; lambda >= 1 + delta/2 on [0, t0]",
+        True, None, aux=aux, report_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +735,8 @@ def convergence_order(hs, residuals, floor: float = 1e-11):
 def _identity_check(check_id: str, statement: str, resid: float,
                     tol: float) -> CheckReport:
     """Verdict on the worst residual of an identity along the run."""
-    margin = tol - resid
-    return CheckReport(
-        check_id=check_id, statement=statement, gate_satisfied=True,
-        margin=float(margin), tolerance=0.0,
-        verdict=_inequality_verdict(margin, 0.0),
-        aux={"max_residual": float(resid)})
+    return CheckReport(check_id, statement, True, float(tol - resid),
+                       aux={"max_residual": float(resid)})
 
 
 @dataclass
@@ -778,7 +753,7 @@ class _Shared:
     @cached_property
     def hessian(self) -> tuple:
         """_hessian_pass's means and gradnorm residuals."""
-        return _hessian_pass(self.traj, True)
+        return _hessian_pass(self.traj)
 
 
 def _worst_poincare(sh: _Shared) -> CheckReport:

@@ -343,6 +343,25 @@ class TestRunScenario:
         assert art.exit_code == 1
         assert "verdict = FAIL" in art.report_path.read_text()
 
+    def test_bootstrap_equality_edge_passes(self, tmp_path):
+        # phi0 equal to the run's own largest Phi_meas: the corridor
+        # margin is exactly 0, which is no violation, so the run exits 0
+        # with bootstrap PASS and no first-violation time
+        text = ("scenario = legendre_bump\ngrid_n = 64\n"
+                "[scenario]\nl = 2\neps = 0.05\n[flow]\nt_end = 0.05\n")
+        probe = run_scenario(loads(text), base_dir=tmp_path / "probe")
+        phi_max = max(s.phi_meas for s in probe.trajectory.states)
+        out = tmp_path / "o"
+        path = tmp_path / "spec.cfg"
+        path.write_text(f"output_dir = {out}\n{text}"
+                        f"[monitors]\nphi0 = {phi_max!r}\n")
+        assert main(["run", str(path)]) == EXIT_OK
+        report = (out / "report.txt").read_text()
+        block = report[report.index("[check bootstrap]"):].split("\n\n")[0]
+        assert "\nverdict = PASS\n" in block
+        assert "\nmargin = 0.0\n" in block
+        assert "aux.violation_" not in block
+
 
 class TestSweep:
     def test_sweep_without_values_rejected(self):

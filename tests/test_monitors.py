@@ -11,8 +11,8 @@ from krflow.geometry import (ConfigError, laplace_round, make_grid,
                              round_metric)
 from krflow.harness import legendre_bump
 from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
-                             BranchCrossing, bootstrap_tracker, check_bochner,
-                             check_c0_vs_Y, check_c2_estimate,
+                             BranchCrossing, CheckReport, bootstrap_tracker,
+                             check_bochner, check_c0_vs_Y, check_c2_estimate,
                              check_eigenvalue_derivative,
                              check_gradient_estimate,
                              check_gradnorm_evolution, check_short_time,
@@ -51,6 +51,36 @@ def axial_near(spec, lam, tol):
     """EigenData of the lowest axial pair within tol of lam."""
     i = int(np.flatnonzero(np.abs(spec.vals[0] - lam) < tol)[0])
     return eigen_data(spec, 0, i)
+
+
+class TestVerdictRule:
+    """The verdict derived from a report's gate, margin and tolerance."""
+
+    @staticmethod
+    def verdict(gate=True, margin=0.0, tolerance=1e-3, report_only=False):
+        return CheckReport("rule", "s", gate, margin, tolerance,
+                           report_only=report_only).verdict
+
+    def test_nan_margin_fails(self):
+        assert self.verdict(margin=math.nan) == FAIL
+        assert self.verdict(margin=math.nan, report_only=True) == FAIL
+
+    def test_margin_at_minus_tolerance_passes(self):
+        assert self.verdict(margin=-1e-3) == PASS
+        assert self.verdict(margin=np.nextafter(-1e-3, -1.0)) == FAIL
+
+    def test_unmet_gate_outranks_margin(self):
+        assert self.verdict(gate=False, margin=-1.0) == GATE_NOT_MET
+        assert self.verdict(gate=False, margin=None) == GATE_NOT_MET
+
+    def test_report_only(self):
+        # REPORT_ONLY unless the margin is below -tolerance, as for a
+        # c2_estimate trace that turned negative
+        assert self.verdict(margin=None, report_only=True) == REPORT_ONLY
+        assert self.verdict(margin=-1e-3, report_only=True) == REPORT_ONLY
+        assert self.verdict(margin=0.0, tolerance=0.0,
+                            report_only=True) == REPORT_ONLY
+        assert self.verdict(margin=-0.5, report_only=True) == FAIL
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +224,15 @@ class TestZDerivative:
     def test_gate_not_met_large_amplitude(self, p2_run_large):
         rep = check_Z_derivative(p2_run_large)
         assert rep.verdict == GATE_NOT_MET
+
+    def test_two_states_gate_not_met(self):
+        # no state has two neighbours, so dZ/dt is not measured
+        traj = run(FlowConfig(t_end=0.01, record_dt=0.01),
+                   legendre_bump(make_grid(64), 2, 1e-2))
+        assert len(traj.states) == 2
+        rep = check_Z_derivative(traj)
+        assert rep.verdict == GATE_NOT_MET
+        assert rep.aux == {"n_states": 2.0}
 
 
 class TestBochner:
