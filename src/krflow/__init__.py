@@ -22,11 +22,10 @@ from .potential import (FunctionalBundle, RicciPotential,
                         futaki_dilation, solve_ricci_potential, DomainError,
                         VolumeMismatch)
 from .spectral import (BandAmbiguity, EigenData, SolveFail, Spectrum,
-                       eigen_data, lambda_second, sobolev_constant_estimate,
+                       lambda_second, sobolev_constant_estimate,
                        weighted_spectrum)
 from .flow import (FlowConfig, FlowState, StepReject, Trajectory,
                    log_det_bookkeeping, run)
-from .monitors import (CheckReport, TrajectoryReport, evaluate_trajectory,
-                       convergence_order)
+from .monitors import CheckReport, TrajectoryReport, evaluate_trajectory
 from .harness import (ConfigError, ExperimentSpec, RunArtifacts, dumps,
                       load_spec, loads, run_scenario, sweep_epsilon)

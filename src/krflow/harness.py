@@ -121,7 +121,7 @@ def custom_w(grid: Grid, file: str) -> ConformalMetric:
     """
     try:
         vals = np.loadtxt(file, dtype=float, ndmin=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # missing, or not a number
         raise ConfigError(f"cannot read custom_w file {file!r}: {exc}")
     if vals.shape != (grid.n_nodes,):
         raise ConfigError(
@@ -179,10 +179,9 @@ def _preset_args(spec: ExperimentSpec) -> dict:
     return args
 
 
-def initial_metric(spec: ExperimentSpec, grid: Grid | None = None
-                   ) -> ConformalMetric:
+def initial_metric(spec: ExperimentSpec) -> ConformalMetric:
     args = _preset_args(spec)
-    return SCENARIOS[spec.scenario][0](grid or make_grid(spec.grid_n), **args)
+    return SCENARIOS[spec.scenario][0](make_grid(spec.grid_n), **args)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,7 @@ members, under the caller's band_tol, and returns them per mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
@@ -66,7 +64,6 @@ from .geometry import (ConformalMetric, Grid, NumericalError, Rows, dtheta,
                        weighted_integral)
 from .potential import RicciPotential
 
-STENCIL_OFFSETS = (-2, -1, 0, 1)
 STENCIL_WEIGHTS = (1.0, -27.0, 27.0, -1.0)
 BANDWIDTH = 3
 # the bisection tolerance scipy's eig_banded passes to ?sbevx
@@ -125,30 +122,6 @@ class EigenData:
     grad_bar_sq: np.ndarray
 
 
-@cache
-def _stencil_map(n: int, h: float, parity: float):
-    """The derivative part of the stiffness as fixed index arrays, for the
-    grid of n nodes and spacing h and the parity of the ghosts: for each
-    interior flux j = 1..n-1 and each ordered pair of its four legs whose
-    nodes, folded across the nearer pole, satisfy ia <= ib, the band slot
-    (ib - ia) n + ia of upper storage, the flux index j - 1 and the product
-    of the two signed leg weights STENCIL_WEIGHTS / (24 h).  A ghost node
-    idx < 0 folds to -1 - idx and idx >= n to 2 n - 1 - idx, each time
-    carrying the parity."""
-    nodes = np.arange(1, n)[:, None] + np.array(STENCIL_OFFSETS)
-    sign = np.where((nodes < 0) | (nodes >= n), parity, 1.0)
-    nodes = np.where(nodes < 0, -1 - nodes,
-                     np.where(nodes >= n, 2 * n - 1 - nodes, nodes))
-    wgt = sign * (np.array(STENCIL_WEIGHTS) / (24.0 * h))
-    ia, ib = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
-    keep = ia <= ib
-    slot = ((ib - ia) * n + ia)[keep]
-    prod = (wgt[:, :, None] * wgt[:, None, :])[keep]
-    # the cache keeps the map for the whole run: int32 indices halve it
-    return (slot.astype(np.int32), np.nonzero(keep)[0].astype(np.int32),
-            prod)
-
-
 def assemble_modes(metric: ConformalMetric, u: RicciPotential | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The pencil of every Fourier mode m < N_MODES weighted by the solved
@@ -168,12 +141,15 @@ def _assemble(metric: ConformalMetric, e: np.ndarray | None
     e each.
 
     The derivative part of the form is sum over interior flux points of
-    C_f (D R)_f^2 with the four-node flux quotient D, whose first and last
-    rows fold their ghost nodes with the mode's parity.  Its bands are one
-    weighted count over the fixed _stencil_map of that parity, shared by
-    every mode of the parity, and each mode m adds its m^2 diagonal.  The
-    rows share one count, each row's slots offset past those of the row
-    before it, so each band entry sums its terms in the order of one row.
+    C_f (D R)_f^2 with the four-node flux quotient D, whose legs at the
+    first and last flux reach one ghost node past each pole.  Its bands
+    are sums of shifted slices over the padded nodes -1..n, flux j's legs
+    at padded j - 1..j + 2: band k takes C_f w_a w_{a+k} on the slice
+    a : a + n - 1 for each leg a, in flux order.  The ghost couplings then
+    fold onto the pole nodes with the mode's parity, the north ones
+    written before the slices and the south ones added after them, so
+    that each band entry sums its terms in the order of the flux sum.
+    Both parities run in one pass, and each mode m adds its m^2 diagonal.
     """
     g = metric.grid
     n = g.n_nodes
@@ -184,20 +160,29 @@ def _assemble(metric: ConformalMetric, e: np.ndarray | None
     cf = np.pi * ebar * g.sin_flux[1:-1] * ht  # weight per interior flux
     # the mass diagonal 2 pi e^{-u} e^{2w} q of the weighted L^2 form
     mass = 2.0 * np.pi * e * metric.e2w * g.quad_weights
-    rows = cf.shape[:-1]
-    size = (BANDWIDTH + 1) * n
-    offset = size * np.arange(math.prod(rows))[:, None]
-    folded = {}  # parity -> the derivative part's bands
-    for parity in (1.0, -1.0):
-        slot, flux, prod = _stencil_map(n, g.h, parity)
-        weights = cf[..., flux]
-        weights *= prod
-        folded[parity] = np.bincount(
-            (slot + offset).ravel(), weights=weights.ravel(),
-            minlength=offset.size * size).reshape(rows + (BANDWIDTH + 1, n))
-    bands = np.empty(rows + (N_MODES, BANDWIDTH + 1, n))
+    w = np.array(STENCIL_WEIGHTS) / (24.0 * g.h)
+    s = np.array([1.0, -1.0])  # the parity of the even and the odd modes
+    # bands over the padded nodes, node i at i + 1, one set per parity
+    d = np.zeros(cf.shape[:-1] + (2, BANDWIDTH + 1, n + 2))
+    ghost = cf[..., :1] * (w[0] * w)  # the north ghost's couplings
+    d[..., 0, 1] = ghost[..., :1] + s * ghost[..., 1:2] + s * ghost[..., 1:2]
+    d[..., 1:3, 1] = s[:, None] * ghost[..., None, 2:]
+    cf = cf[..., None, :]  # one row for both parities
+    for k in range(BANDWIDTH + 1):
+        for a in range(BANDWIDTH - k, -1, -1):
+            d[..., k, a:a + n - 1] += cf * (w[a] * w[a + k])
+    # the south ghost's couplings, each alone in its slot past node n - 1,
+    # added one term at a time as in the flux sum
+    d[..., 2, n - 2] += s * d[..., 3, n - 2]
+    d[..., 1, n - 1] += s * d[..., 2, n - 1]
+    d[..., 0, n] += s * d[..., 1, n]
+    d[..., 0, n] += s * d[..., 1, n]
+    d[..., 0, n] += d[..., 0, n + 1]
+    for k in range(1, BANDWIDTH + 1):
+        d[..., k, n + 1 - k:] = 0.0
+    bands = np.empty(cf.shape[:-2] + (N_MODES, BANDWIDTH + 1, n))
     for m in range(N_MODES):
-        bands[..., m, :, :] = folded[1.0 if m % 2 == 0 else -1.0]
+        bands[..., m, :, :] = d[..., m % 2, :, 1:n + 1]
         if m != 0:
             bands[..., m, 0, :] += np.pi * m * m * e * ht / g.sin_nodes
     return bands, mass
@@ -564,12 +549,6 @@ def dbar_sq(metric: ConformalMetric, psi: np.ndarray, m: int) -> np.ndarray:
     if m != 0:
         gb = gb + half * (m * psi / g.sin_nodes) ** 2
     return gb
-
-
-def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
-    """EigenData of the i-th pair of mode m."""
-    return pair_data(spectrum.metric, m, float(spectrum.vals[m, i]),
-                     spectrum.vecs[m, :, i])
 
 
 def pair_data(metric: ConformalMetric, m: int, lam: float,

@@ -13,17 +13,17 @@ import pytest
 
 from krflow.flow import FlowConfig, run, stability_dt
 from krflow.geometry import conformal_metric, make_grid, round_metric
-from krflow.harness import (legendre_bump, legendre_bump_for_calabi, loads,
-                            measured_calabi, multi_mode, sweep_epsilon)
+from krflow.harness import legendre_bump, loads, multi_mode, sweep_epsilon
 from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, bootstrap_tracker,
                              check_bochner, check_c0_vs_Y,
                              check_eigenvalue_derivative,
                              check_gradnorm_evolution, check_weighted_poincare,
-                             check_Y_decay, check_Z_derivative,
-                             convergence_order)
+                             check_Y_decay, check_Z_derivative)
 from krflow.flow import log_det_residual
-from krflow.potential import VolumeMismatch, futaki_dilation, delta_prime
-from krflow.spectral import eigen_data, merged_spectrum, weighted_spectrum
+from krflow.potential import VolumeMismatch, futaki_dilation
+from krflow.spectral import merged_spectrum, weighted_spectrum
+
+from helpers import convergence_order, eigen_data
 
 
 def verdict(num, name, ok, detail):

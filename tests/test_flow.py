@@ -8,8 +8,7 @@ from krflow.flow import (SAFETY, RK4_REAL_INTERVAL, FlowConfig, StepReject,
                          check_class, log_det_bookkeeping, log_det_residual,
                          run, stability_dt)
 from krflow.geometry import (ConfigError, ConformalMetric, conformal_metric,
-                             laplace_round, make_grid, normalize_volume,
-                             round_metric)
+                             laplace_round, make_grid, round_metric)
 from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential

@@ -744,6 +744,21 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert "non-finite" in (out / "report.txt").read_text()
 
+    def test_non_numeric_custom_w_exit_two(self, tmp_path, capsys):
+        # a line that is not a number is a config mistake, not a failed
+        # check: exit 2 with a report, no traceback
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("0.0\n" * 31 + "abc\n")
+        out = tmp_path / "o"
+        path = self.write_spec(
+            tmp_path, f"scenario = custom_w\ngrid_n = 32\noutput_dir = {out}\n"
+            f"[scenario]\nfile = {wfile}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert f"exit_code = {EXIT_CONFIG}" in report
+        assert "cannot read custom_w file" in report
+
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
 

@@ -17,11 +17,11 @@ from krflow.monitors import (FAIL, GATE_NOT_MET, PASS, REPORT_ONLY,
                              check_gradient_estimate,
                              check_gradnorm_evolution, check_short_time,
                              check_weighted_poincare, check_Y_decay,
-                             check_Z_derivative, convergence_order,
-                             evaluate_trajectory)
-from krflow.potential import solve_ricci_potential
-from krflow.spectral import (default_band_tol, eigen_data, pair_data,
+                             check_Z_derivative, evaluate_trajectory)
+from krflow.spectral import (default_band_tol, pair_data,
                              sobolev_constant_estimate, weighted_spectrum)
+
+from helpers import convergence_order, eigen_data
 
 # the warm start's bounds against a cold solve, as in test_spectral:
 # eigenvalues relative to max(1, |lam|), eigenvectors to their largest entry

@@ -11,16 +11,19 @@ import krflow.flow
 from krflow import spectral
 from krflow.cli import main
 from krflow.flow import FlowConfig, run
-from krflow.geometry import (conformal_metric, make_grid, normalize_volume,
-                             round_metric, weighted_integral)
+from krflow.geometry import (Rows, conformal_metric, make_grid,
+                             normalize_volume, round_metric,
+                             weighted_integral)
 from krflow.harness import (EXIT_NUMERICAL, ExperimentSpec, legendre_bump,
                             multi_mode, write_report)
 from krflow.potential import solve_ricci_potential
 from krflow.spectral import (BANDWIDTH, K_PER_MODE, N_MODES, BandAmbiguity,
-                             SolveFail, assemble_modes, eigen_data,
-                             lambda_second, merged_spectrum,
-                             rayleigh_residual, sobolev_constant_estimate,
-                             solve_mode, weighted_spectrum)
+                             SolveFail, assemble_modes, lambda_second,
+                             merged_spectrum, rayleigh_residual,
+                             sobolev_constant_estimate, solve_mode,
+                             weighted_spectrum)
+
+from helpers import eigen_data
 
 
 def P2(x):
@@ -354,8 +357,11 @@ class TestStructure:
         # (n - 1) x n four-node flux quotient whose ghosts fold with the
         # parity of m, against the bands of every mode
         g = make_grid(n)
-        m = (legendre_bump(g, 3, 0.2) if family == "legendre_bump" else
-             multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-2))
+        metrics = [legendre_bump(g, l, 0.2) for l in (3, 2, 4)]
+        if family == "multi_mode":
+            metrics = [multi_mode(g, seed=seed, decay_rate=2.0,
+                                  amplitude=5e-2) for seed in (7, 8, 9)]
+        m = metrics[0]
         u = solve_ricci_potential(m)
         e = u.emu
         ht = 2.0 * np.sin(g.h / 2)
@@ -364,8 +370,7 @@ class TestStructure:
             parity = 1.0 if prob.m % 2 == 0 else -1.0
             d = np.zeros((n - 1, n))
             for j in range(1, n):
-                for off, wgt in zip(spectral.STENCIL_OFFSETS,
-                                    spectral.STENCIL_WEIGHTS):
+                for off, wgt in zip(range(-2, 2), spectral.STENCIL_WEIGHTS):
                     i, sign = j + off, wgt / (24.0 * g.h)
                     if i < 0:
                         i, sign = -1 - i, parity * sign
@@ -381,6 +386,17 @@ class TestStructure:
                 assert err <= 1e-14 * scale
                 # the unused tail of upper storage stays zero
                 assert not prob.bands[k, n - k:].any()
+        # a stack of rows: each row's bands, the ghosts folded with both
+        # parities, are its own one-row assembly bit for bit (at n = 16
+        # and 17 the two poles' ghost terms sit closest together)
+        emus = [solve_ricci_potential(mi).emu for mi in metrics]
+        bands, mass = spectral._assemble(Rows(metrics), np.stack(emus))
+        for i, (mi, ei) in enumerate(zip(metrics, emus)):
+            one, one_mass = spectral._assemble(mi, ei)
+            assert np.array_equal(bands[i], one)
+            assert np.array_equal(mass[i], one_mass)
+            for k in range(1, BANDWIDTH + 1):
+                assert not bands[i, :, k, n - k:].any()
 
     def test_refinement_richardson(self):
         # each tracked eigenvalue converges at O(h^2)
