@@ -125,8 +125,8 @@ def custom_w(grid: Grid, file: str) -> ConformalMetric:
         raise ConfigError(f"cannot read custom_w file {file!r}: {exc}")
     if vals.shape != (grid.n_nodes,):
         raise ConfigError(
-            f"custom_w file {file!r} holds {vals.shape[0]} values, "
-            f"grid needs {grid.n_nodes}")
+            f"custom_w file {file!r} holds values of shape {vals.shape}, "
+            f"grid needs {grid.n_nodes}, one value per line")
     if not np.isfinite(vals).all():
         raise ConfigError(f"custom_w file {file!r} holds a non-finite value")
     return conformal_metric(grid, vals)

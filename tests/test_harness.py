@@ -249,13 +249,19 @@ class TestPresets:
                 legendre_bump_for_calabi(grid128, 2, target)
 
     def test_custom_w_length_mismatch(self, tmp_path, grid128):
-        path = tmp_path / "w.txt"
-        np.savetxt(path, np.zeros(37))
-        spec = loads(f"scenario = custom_w\ngrid_n = 128\n"
-                     f"[scenario]\nfile = {path}\n")
+        # too few lines, and the right count of values on two columns: the
+        # message gives the file's shape, so it never reads "holds 128
+        # values, grid needs 128"
         from krflow.harness import initial_metric
-        with pytest.raises(ConfigError, match="128"):
-            initial_metric(spec)
+        path = tmp_path / "w.txt"
+        for vals, shape in ((np.zeros(37), "(37,)"),
+                            (np.zeros((64, 2)), "(64, 2)")):
+            np.savetxt(path, vals)
+            spec = loads(f"scenario = custom_w\ngrid_n = 128\n"
+                         f"[scenario]\nfile = {path}\n")
+            with pytest.raises(ConfigError, match="128") as exc:
+                initial_metric(spec)
+            assert f"shape {shape}" in str(exc.value)
 
 
 class TestRunScenario:

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Report imported names that a module never reads.
 
-    python3 tools/unused_imports.py [path ...]
+    python3 tools/unused_imports.py
 
-Each .py file under the given paths (default: src/, tests/ and tools/ of
-the repository) is parsed with the standard library's ast, and every name
-an import statement binds is looked up among the names the module reads
-anywhere, at any depth.  `from __future__` imports are exempt, and so is
-a package's __init__.py, whose imports are its re-exports.  Each unused
-name is printed as path:line: name.  The exit status is 1 when there is
-one and 0 otherwise.
+Each .py file under src/, tests/ and tools/ of the repository is parsed
+with the standard library's ast, and every name an import statement binds
+is looked up among the names the module loads anywhere, at any depth; a
+name only assigned or deleted is not read.  `from __future__` imports are
+exempt, and so is a package's __init__.py, whose imports are its
+re-exports.  Each unused name is printed as path:line: name.  The exit
+status is 1 when there is one and 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
 from pathlib import Path
@@ -36,21 +35,15 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [(node.lineno, a.asname or a.name) for a in node.names
                       if a.name != "*"]
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
     return sorted((line, name) for line, name in bound if name not in read)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("paths", nargs="*", type=Path,
-                   default=[ROOT / d for d in DEFAULT_PATHS],
-                   help="files or directories to check")
-    paths = p.parse_args(argv).paths
+def main() -> int:
     found = 0
-    for path in paths:
-        files = [path] if path.is_file() else sorted(path.rglob("*.py"))
-        for file in files:
+    for d in DEFAULT_PATHS:
+        for file in sorted((ROOT / d).rglob("*.py")):
             if file.name == "__init__.py":
                 continue
             for line, name in unused_imports(file.read_text()):
