@@ -33,8 +33,8 @@ returning (steps_done, ok).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._lapack import dgttrf, dgttrs
 from .geometry import laplace_round
 
 # the RK4 kernel is numpy only; perfbench's provenance still reads this

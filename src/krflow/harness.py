@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -308,8 +307,8 @@ def loads(text: str) -> ExperimentSpec:
 
 def load_spec(path) -> ExperimentSpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read spec file {path!r}: {exc}")
     return loads(text)
 
@@ -534,6 +533,9 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
         sub.mkdir(parents=True, exist_ok=True)
         jobs.append((spec, float(value), str(sub)))
     if workers > 1:
+        # imported here, so that no other run pays the 10-30 ms import
+        # of the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:

@@ -57,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 
+from ._lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 from .geometry import (ConformalMetric, Grid, NumericalError, Rows, dtheta,
                        grad_norm_sq, legendre_profile, make_grid, per_row,
                        weighted_integral)

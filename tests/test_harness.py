@@ -538,14 +538,22 @@ class TestCli:
         path = self.write_spec(tmp_path, "grid_n = banana\n")
         assert main(["run", path]) == EXIT_CONFIG
 
+    def test_spec_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "cannot read spec file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["two", "0"])
     def test_bad_worker_count_exit_two(self, tmp_path, monkeypatch, workers):
-        import krflow.harness
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(krflow.harness, "ProcessPoolExecutor", no_pool)
+        # sweep_epsilon imports the pool from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         monkeypatch.setenv("KRFLOW_WORKERS", workers)
         path = self.write_spec(
             tmp_path,
