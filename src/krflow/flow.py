@@ -68,9 +68,11 @@ class FlowConfig:
     record_dt.  run takes RK4 steps under a cap within RK4's stability
     bound stability_dt and extrapolated linearly implicit Euler steps
     under a larger one, so any positive dt_init runs.  band_tol None is
-    the grid's default_band_tol, and a band_tol of 1 or more would hold
-    the zero eigenvalue.  vol_tol may not exceed potential.VOLUME_TOL,
-    past which the potential solve of every state refuses the volume.
+    the grid's default_band_tol; a band_tol must leave room for
+    lambda(g), which sits about 2 above the band at 1 and must clear the
+    band edge by 2 band_tol, so it needs 3 band_tol < 2.  vol_tol may not
+    exceed potential.VOLUME_TOL, past which the potential solve of every
+    state refuses the volume.
     early_stop = 0 never stops the run early.
     """
 
@@ -96,9 +98,11 @@ class FlowConfig:
             raise ConfigError(f"vol_tol = {self.vol_tol} exceeds "
                               f"{VOLUME_TOL:g}, past which the potential "
                               "solve refuses the volume")
-        if self.band_tol is not None and not self.band_tol < 1.0:
-            raise ConfigError(f"band_tol = {self.band_tol} must be < 1, "
-                              "or the band holds the zero eigenvalue")
+        if self.band_tol is not None and not 3.0 * self.band_tol < 2.0:
+            raise ConfigError(
+                f"band_tol = {self.band_tol} leaves no room for the gap to "
+                "lambda(g), which needs 3 band_tol < 2: lambda(g) sits about "
+                "2 above the band at 1 and must clear its edge by 2 band_tol")
 
 
 @dataclass(frozen=True)
@@ -146,9 +150,9 @@ class Trajectory:
     """Time-ordered flow states plus integrator events.
 
     eigensolves counts the mode solves of the recorded states by kind:
-    cold (no earlier state: bisection, or started from the blocks of the
-    coarse anchor grid), warm (started from the previous state's blocks)
-    and fallback (a warm or anchored start refused, then bisected)."""
+    cold (no earlier state: started from the round sphere's harmonics),
+    warm (started from the previous state's blocks) and fallback (a
+    harmonic or warm start refused, then bisected)."""
 
     states: list[FlowState]
     events: list[tuple] = field(default_factory=list)
@@ -242,10 +246,11 @@ def make_state(segments: list[Segment], config: FlowConfig,
     array pass over the stacked states (geometry.Rows); only the eigensolve
     that starts from the blocks of the state before it runs state by
     state.  warm is the Spectrum of the state before the first one, or None
-    for the cold solve.  Returns each state with its Spectrum.  One segment
-    is the one-row case.  An error of any state ends the whole block, and
-    it need not be the first in time order (every eigensolve runs before
-    lambda_second), so run solves a failing block again state by state.
+    for a start from the round sphere's harmonics.  Returns each state
+    with its Spectrum.  One segment is the one-row case.  An error of any
+    state ends the whole block, and it need not be the first in time order
+    (every eigensolve runs before lambda_second), so run solves a failing
+    block again state by state.
     """
     metric = Rows(segments).metric
     stacked = solve_ricci_potential(metric)
@@ -287,10 +292,11 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
     segment waits on a pending list, and make_state solves the list as
     one block of at most geometry.block_rows(n) states when it is full, at
     t_end, and before an error of the integration propagates.  The t = 0
-    state is solved alone, cold or anchored (spectral.weighted_spectrum),
-    so a run that converges there integrates nothing.  Each later state
-    starts its spectrum from the eigenvector blocks of the state before
-    it, which only run holds; a rejected segment leaves them as they are.
+    state is solved alone, from the round sphere's harmonics
+    (spectral.weighted_spectrum), so a run that converges there
+    integrates nothing.  Each later state starts its spectrum from the
+    eigenvector blocks of the state before it, which only run holds; a
+    rejected segment leaves them as they are.
     The states are recorded in time order, each after the step_reject
     events of its segment, and the run ends at the first whose |u - a|
     drops under the early-stop threshold: the integration past it, at

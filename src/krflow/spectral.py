@@ -29,21 +29,20 @@ pair's residual computed once in reduced coordinates; a second sweep, at
 the Ritz values, follows only when a residual still fails.  The paths
 differ in where the start blocks come from.  Every flow state after
 t = 0 passes the previous state's Spectrum, whose B-orthonormal blocks
-start all modes.  Without one, a grid of 4 ANCHOR_NODES nodes or more is
-anchored by nested iteration: the same problem on an ANCHOR_NODES grid,
-w and e^{-u} interpolated onto it, is solved cold, and its blocks,
-interpolated back onto the fine nodes, start all modes (_anchor_start).
-Either start goes through one Rayleigh-Ritz step on the new pencil and
-then _refine, at O(n) per pair.  A guard checks each mode's pairs: the
-i-th eigenvector must change sign exactly i times (Sturm oscillation, so
-no lower eigenvalue was skipped), and every residual must pass.  A mode
-that fails either is bisected at full n by the cold solve_mode, whose
-band-to-tridiagonal reduction costs O(n^2), so a start that misses an
-eigenvalue costs time, never a wrong lambda(g).  Coarser grids take
-solve_mode for every mode without an earlier state: there bisection is
-cheaper than the anchor.  Every path reads the pencil in one form, the
-bands of C = B^{-1/2} A B^{-1/2} of every mode and the mass diagonal B
-(assemble_modes), reduced once per assembly.
+start all modes.  Without one, each mode starts from the round sphere's
+harmonics of that mode (_harmonic_start): every metric krflow flows is a
+perturbation of the round one, whose mode-m eigenfunctions span
+sin^m(theta) P_j(cos theta).  Either start goes through one
+Rayleigh-Ritz step on the new pencil, which keeps the lowest K_PER_MODE
+pairs, and then _refine, at O(n) per pair.  A guard checks each mode's
+pairs: the i-th eigenvector must change sign exactly i times (Sturm
+oscillation, so no lower eigenvalue was skipped), and every residual
+must pass.  A mode that fails either is bisected at full n by
+solve_mode, whose band-to-tridiagonal reduction costs O(n^2), so a start
+that misses an eigenvalue costs time, never a wrong lambda(g).  Every
+path reads the pencil in one form, the bands of C = B^{-1/2} A B^{-1/2}
+of every mode and the mass diagonal B (assemble_modes), reduced once per
+assembly.
 
 The structural self-test of the whole package lives here: on the
 normalized class (volume 4 pi, u solved) three eigenvalues are pinned at
@@ -57,10 +56,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from ._lapack import dgbtrf, dgbtrs, dlamch, dsbevx
 from .geometry import (ConformalMetric, Grid, NumericalError, Rows, dtheta,
-                       grad_norm_sq, legendre_profile, make_grid, per_row,
+                       grad_norm_sq, legendre_profile, per_row,
                        weighted_integral)
 from .potential import RicciPotential
 
@@ -78,9 +78,11 @@ K_PER_MODE = 5
 # inverse-iteration sweeps a refinement may take; the second runs only when
 # a residual fails after the first, as after a large step between records
 MAX_SWEEPS = 2
-# nodes of the coarse grid whose cold solve starts the cold solve of a grid
-# of 4 ANCHOR_NODES or more; on coarser grids bisection is cheaper
-ANCHOR_NODES = 64
+# harmonics per mode that start a solve without an earlier state, whose
+# lowest K_PER_MODE Ritz pairs go on to the refinement; with half as many,
+# the degree-2 bumps from amplitude 0.8 up and the round metric dilated by
+# k = 3 miss eigenvalues and bisect
+HARMONICS = 4 * K_PER_MODE
 
 
 class SolveFail(NumericalError):
@@ -101,7 +103,7 @@ class Spectrum:
     mass is the diagonal of the weighted L^2 form the blocks are
     B-orthonormal for.  warm tells whether the solve started from a
     previous state's blocks, and fallbacks lists (m, reason) for each mode
-    whose pairs from a start block, warm or anchored, were refused and
+    whose pairs from a start block, warm or harmonic, were refused and
     bisected at full n by solve_mode."""
 
     metric: ConformalMetric
@@ -240,12 +242,28 @@ def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, -1, -2)
 
 
-def _ritz(c: np.ndarray, q: np.ndarray):
+def _ritz(c: np.ndarray, q: np.ndarray, keep: int | None = None):
     """Rayleigh-Ritz of the reduced bands c on the orthonormal blocks q,
-    mode by mode: the Ritz values (ascending), the Ritz vectors y and C y."""
+    mode by mode: the lowest keep Ritz values (ascending; None keeps all),
+    their Ritz vectors y and C y."""
     cq = _band_apply(c, q)
     theta, s = np.linalg.eigh(np.swapaxes(q, -1, -2) @ cq)
-    return theta, q @ s, cq @ s
+    s = s[..., :keep]
+    return theta[..., :keep], q @ s, cq @ s
+
+
+def _harmonic_start(grid: Grid, mass: np.ndarray):
+    """The round sphere's harmonics as start blocks, one mode m < N_MODES
+    at a time: the HARMONICS columns sin^m(theta) P_j(cos theta), j <
+    HARMONICS, in reduced coordinates y = B^{1/2} v for the mass diagonal
+    B, orthonormalized (QR).  They span the round sphere's mode-m
+    eigenfunctions of degree l < m + HARMONICS, and every metric krflow
+    flows is a perturbation of the round one.  Yields one (n, HARMONICS)
+    block per mode, so that only one is held."""
+    columns = np.sqrt(mass)[:, None] * legendre.legvander(grid.cos_nodes,
+                                                          HARMONICS - 1)
+    for m in range(N_MODES):
+        yield np.linalg.qr(grid.sin_nodes[:, None] ** m * columns)[0]
 
 
 def _inverse_sweep(c: np.ndarray, shifts: np.ndarray, x: np.ndarray
@@ -300,9 +318,9 @@ def _refine(c: np.ndarray, mass: np.ndarray, shifts: np.ndarray,
 def solve_mode(c: np.ndarray, mass: np.ndarray, m: int, k: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of mode m of the generalized pencil (A, B), B
-    diagonal, by bisection: the cold solve of one mode, which needs no
-    start block.  c holds the reduced bands of every mode and mass the
-    diagonal B (assemble_modes), so the mode's bands are c[m].
+    diagonal, by bisection, which needs no start block.  c holds the
+    reduced bands of every mode and mass the diagonal B (assemble_modes),
+    so the mode's bands are c[m].
 
     Reduction C = B^{-1/2} A B^{-1/2} preserves the bandwidth bw.  The
     LAPACK expert driver ?sbevx without vectors supplies the shifts: a
@@ -318,11 +336,9 @@ def solve_mode(c: np.ndarray, mass: np.ndarray, m: int, k: int
     returns fewer than k values, on a zero pivot, or when a residual fails
     RESIDUAL_TOL.  Returned vectors are B-orthonormal.
 
-    weighted_spectrum calls it for every mode of a grid below
-    4 ANCHOR_NODES without an earlier state, for every mode of the
-    ANCHOR_NODES grid that anchors a finer one (_anchor_start), and for
-    each mode whose start block the guard refuses (_refusals): the
-    safety net of the O(n) solves.
+    weighted_spectrum calls it only for a mode whose start block, warm or
+    harmonic, the guard refuses (_refusals): the safety net of the O(n)
+    solves.
     """
     n = mass.size
     c = c[m]  # this mode's reduced bands
@@ -351,46 +367,12 @@ def solve_mode(c: np.ndarray, mass: np.ndarray, m: int, k: int
     return vals, vecs
 
 
-def _anchor_start(metric: ConformalMetric, u: RicciPotential | None,
-                  mass: np.ndarray) -> np.ndarray:
-    """Start blocks for the cold solve of a fine grid, from the same
-    problem on the ANCHOR_NODES grid, in the fine reduced coordinates.
-
-    w and e^{-u} are interpolated onto the coarse nodes; the potential is
-    not solved again, since the interpolated metric is off the normalized
-    class.  solve_mode gives each coarse mode's B-orthonormal block, which
-    is interpolated linearly onto the fine nodes, through ghosts one
-    coarse cell past each pole that carry the mode's parity, and
-    orthonormalized (QR) in y = B^{1/2} v for the fine mass.  Returns the
-    (N_MODES, n, K_PER_MODE) stack.
-    """
-    fine, coarse = metric.grid, make_grid(ANCHOR_NODES)
-
-    def restrict(f):
-        return np.interp(coarse.theta_nodes, fine.theta_nodes, f)
-
-    w = restrict(metric.w)
-    e = np.ones(ANCHOR_NODES) if u is None else restrict(u.emu)
-    c, coarse_mass = _reduced_bands(*_assemble(ConformalMetric(coarse, w), e))
-    blocks = np.stack([solve_mode(c, coarse_mass, m, K_PER_MODE)[1]
-                       for m in range(N_MODES)])
-    parity = np.where(np.arange(N_MODES) % 2 == 0, 1.0, -1.0)[:, None, None]
-    blocks = np.concatenate((parity * blocks[:, :1], blocks,
-                             parity * blocks[:, -1:]), axis=1)
-    th = coarse.theta_nodes
-    th = np.concatenate(([-th[0]], th, [2.0 * np.pi - th[-1]]))
-    j = np.searchsorted(th, fine.theta_nodes) - 1
-    t = ((fine.theta_nodes - th[j]) / (th[j + 1] - th[j]))[:, None]
-    v = (1.0 - t) * blocks[:, j] + t * blocks[:, j + 1]
-    return np.linalg.qr(np.sqrt(mass)[:, None] * v)[0]
-
-
 def _refusals(vals: np.ndarray, vecs: np.ndarray, res: np.ndarray
               ) -> list[str | None]:
     """Why the pairs of each mode from a start block are refused, or None:
     the i-th eigenvector of a mode must change sign exactly i times (Sturm
     oscillation, so no lower eigenvalue was missed), and every pair must
-    pass the residual check of the cold solve."""
+    pass the residual check of solve_mode."""
     changes = np.count_nonzero(np.diff(np.signbit(vecs), axis=1), axis=1)
     sturm = (changes == np.arange(vecs.shape[2])).all(axis=1)
     residual = _residual_ok(res, vals).all(axis=1)
@@ -406,9 +388,8 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
     their potentials a list of one Spectrum per row, in row order.
 
     warm is the previous state's Spectrum, whose B-orthonormal blocks
-    start every mode.  Without it, a grid of 4 ANCHOR_NODES or more starts
-    from the blocks of the ANCHOR_NODES grid (_anchor_start), and a
-    coarser one takes solve_mode for every mode.  Each later row starts
+    start every mode.  Without it, every mode starts from the round
+    sphere's harmonics (_harmonic_start).  Each later row starts
     from the Spectrum of the row before it, fallbacks included.  A start
     block goes through one step of subspace iteration, and a mode whose
     pairs the guard refuses (_refusals) takes solve_mode instead, recorded
@@ -425,40 +406,39 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
     for i in range(len(metric)):
         # a copy, so the Spectrum that starts the next block does not keep
         # this block's stack
-        warm = _row_spectrum(metric[i], None if u is None else u[i], c[i],
-                             mass[i].copy(), warm)
+        warm = _row_spectrum(metric[i], c[i], mass[i].copy(), warm)
         out.append(warm)
     return out if rows else out[0]
 
 
-def _row_spectrum(metric: ConformalMetric, u: RicciPotential | None,
-                  c: np.ndarray, mass: np.ndarray,
+def _row_spectrum(metric: ConformalMetric, c: np.ndarray, mass: np.ndarray,
                   warm: Spectrum | None) -> Spectrum:
     """The start-dependent part of weighted_spectrum for one metric, the
     reduced bands c (N_MODES, bw + 1, n) of its modes and its mass.
 
-    A start block takes one step of subspace iteration, all modes at once:
-    the blocks are orthonormal in reduced coordinates y = B^{1/2} v, so
-    they go straight into Rayleigh-Ritz on the reduced pencil, and _refine
-    starts from its Ritz pairs.  Each mode that bisects writes its pairs
-    over its row of the stacks."""
+    A start block takes one step of subspace iteration: the blocks are
+    orthonormal in reduced coordinates y = B^{1/2} v, so they go straight
+    into Rayleigh-Ritz on the reduced pencil, the warm blocks all modes at
+    once and the harmonics one mode at a time, each keeping its lowest
+    K_PER_MODE pairs.  _refine starts from the Ritz pairs, all modes at
+    once.  Each mode that bisects writes its pairs over its row of the
+    stacks."""
     if warm is not None:
-        start = np.sqrt(warm.mass)[:, None] * warm.vecs
-    elif metric.grid.n_nodes >= 4 * ANCHOR_NODES:
-        start = _anchor_start(metric, u, mass)
+        shifts, start = _ritz(c, np.sqrt(warm.mass)[:, None] * warm.vecs)[:2]
     else:
-        start = None
-    solved = None if start is None else _refine(c, mass,
-                                                *_ritz(c, start)[:2])
+        ritz = [_ritz(c[m], q, K_PER_MODE)[:2]
+                for m, q in enumerate(_harmonic_start(metric.grid, mass))]
+        shifts, start = (np.stack(a) for a in zip(*ritz))
+    solved = _refine(c, mass, shifts, start)
     if solved is None:
         vals = np.empty((N_MODES, K_PER_MODE))
         vecs = np.empty((N_MODES, mass.size, K_PER_MODE))
-        reasons = [None if start is None else "pivot"] * N_MODES
+        reasons = ["pivot"] * N_MODES
     else:
         vals, vecs, res = solved
         reasons = _refusals(vals, vecs, res)
-    for m in range(N_MODES):
-        if solved is None or reasons[m] is not None:
+    for m, reason in enumerate(reasons):
+        if reason is not None:
             vals[m], vecs[m] = solve_mode(c, mass, m, K_PER_MODE)
     fallbacks = tuple((m, reason) for m, reason in enumerate(reasons)
                       if reason is not None)

@@ -323,11 +323,11 @@ def spoil_state(monkeypatch, w, change):
     Spectrum of that solve, through change(spec, warm) -> (spec, warm)."""
     real = spectral._row_spectrum
 
-    def spoiled(metric, u, c, mass, warm):
+    def spoiled(metric, c, mass, warm):
         if not np.array_equal(metric.w, w):
-            return real(metric, u, c, mass, warm)
+            return real(metric, c, mass, warm)
         warm = change(None, warm)[1]
-        return change(real(metric, u, c, mass, warm), warm)[0]
+        return change(real(metric, c, mass, warm), warm)[0]
 
     monkeypatch.setattr(spectral, "_row_spectrum", spoiled)
 

@@ -55,11 +55,12 @@ class TestFlowConfig:
     @pytest.mark.parametrize("kwargs", [
         {"record_dt": 0.0}, {"record_dt": -0.05}, {"t_end": np.inf},
         {"dt_init": 0.0}, {"vol_tol": np.nan}, {"band_tol": -1.0},
-        {"band_tol": 1.0}, {"early_stop": np.inf}, {"early_stop": np.nan},
-        {"early_stop": -1.0}, {"vol_tol": 1e-5}],
+        {"band_tol": 1.0}, {"band_tol": 0.7}, {"early_stop": np.inf},
+        {"early_stop": np.nan}, {"early_stop": -1.0}, {"vol_tol": 1e-5}],
         ids=["record_dt_zero", "record_dt_negative", "t_end_inf",
              "dt_init_zero", "vol_tol_nan", "band_tol_negative",
-             "band_tol_one", "early_stop_inf", "early_stop_nan",
+             "band_tol_one", "band_tol_no_room", "early_stop_inf",
+             "early_stop_nan",
              "early_stop_negative", "vol_tol_over_potential_bound"])
     def test_bad_value_rejected_on_construction(self, kwargs):
         # record_dt = 0 made run loop forever, and a negative one flowed

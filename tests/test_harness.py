@@ -485,20 +485,21 @@ class TestCli:
 
     def test_spectrum_dump_solves_once(self, tmp_path, capsys, monkeypatch):
         # the dump reads the spectrum the flow solved for the state: one
-        # solve per mode m = 0..2
+        # solve of the state's modes, and no bisection
         import krflow.spectral
         from krflow.harness import state_at
         calls = []
-        real = krflow.spectral.solve_mode
+        for name in ("_row_spectrum", "solve_mode"):
+            real = getattr(krflow.spectral, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            def counted(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(krflow.spectral, "solve_mode", counted)
+            monkeypatch.setattr(krflow.spectral, name, counted)
         path = self.write_spec(tmp_path, MINIMAL)
         assert main(["spectrum", path, "--at", "0"]) == EXIT_OK
-        assert len(calls) == 3
+        assert calls == ["_row_spectrum"]
         rows = capsys.readouterr().out.splitlines()[1:-2]
         state = state_at(load_spec(path), 0.0)
         fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
@@ -543,6 +544,20 @@ class TestCli:
         path.write_bytes(b"\xff\xfe")
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "cannot read spec file" in capsys.readouterr().err
+
+    def test_band_tol_without_room_exit_two(self, tmp_path, capsys):
+        # lambda(g) must clear the band edge by 2 band_tol, as under the
+        # default band: a band_tol of 2/3 or more exited 3 at t = 0 with
+        # BandAmbiguity, the round sphere included
+        out = tmp_path / "o"
+        path = self.write_spec(
+            tmp_path, f"output_dir = {out}\nscenario = round\ngrid_n = 64\n"
+            "[flow]\nt_end = 0.1\nband_tol = 0.7\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "band_tol = 0.7 leaves no room for the gap to lambda(g)" in err
+        assert "3 band_tol < 2" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["two", "0"])
     def test_bad_worker_count_exit_two(self, tmp_path, monkeypatch, workers):
@@ -667,6 +682,11 @@ class TestCli:
         # a band that holds the zero eigenvalue: no state can pass
         (BUMP_SHORT + "band_tol = 1\n", EXIT_CONFIG),
         (BUMP_SHORT + "band_tol = 10\n", EXIT_CONFIG),
+        # a band that leaves lambda(g) no room to clear its edge by
+        # 2 band_tol: each exited 3 with BandAmbiguity at t = 0
+        (BUMP_SHORT + "band_tol = 0.7\n", EXIT_CONFIG),
+        ("scenario = round\ngrid_n = 64\n[flow]\nt_end = 0.1\n"
+         "band_tol = 0.9\n", EXIT_CONFIG),
         # N = 16 under the default band_tol: refused by loads, before the
         # pole check; it exited 3
         (P6_W, EXIT_CONFIG),
@@ -701,7 +721,8 @@ class TestCli:
             "delta_measured_removed", "log_det_tol_removed",
             "phi0_zero", "phi0_negative", "phi0_one", "phi0_nan",
             "t0_nan", "t0_negative", "curvature_bound_nan",
-            "band_tol_one", "band_tol_ten", "custom_w_even_unresolved",
+            "band_tol_one", "band_tol_ten", "band_tol_no_room",
+            "round_band_tol_no_room", "custom_w_even_unresolved",
             "custom_w_even_explicit_band", "t0_past_t_end",
             "vol_tol_over_potential_bound"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):

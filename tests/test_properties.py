@@ -127,7 +127,7 @@ def test_extrapolated_step_against_rk4(profile):
 # valid spec values as loads can produce them: "auto" / "none" read as
 # None only for the keys whose default is None, the time steps and the
 # tolerances are positive, vol_tol is at most the potential solve's bound,
-# band_tol is under 1, t_end is finite and >= 0, the monitor values are in
+# 3 band_tol is under 2, t_end is finite and >= 0, the monitor values are in
 # the ranges monitor_params checks, t0 is not past t_end, and text values
 # carry no surrounding blanks
 real = st.floats(allow_nan=False)
@@ -151,7 +151,8 @@ def specs(draw):
     flow = FlowConfig(record_dt=draw(positive),
                       dt_init=draw(st.none() | positive),
                       band_tol=draw(st.none() | st.floats(
-                          0.0, 1.0, exclude_min=True, exclude_max=True)),
+                          0.0, 2.0 / 3.0, exclude_min=True,
+                          exclude_max=True)),
                       t_end=draw(st.floats(0.0, allow_infinity=False)),
                       early_stop=draw(st.floats(0.0, allow_infinity=False)),
                       vol_tol=draw(st.floats(0.0, VOLUME_TOL,

@@ -201,6 +201,19 @@ class TestSolveModeOracle:
         np.testing.assert_allclose(block, single, rtol=1e-12, atol=1e-300)
 
 
+def drop_constant_harmonic(monkeypatch):
+    """Mode 0's harmonic start loses its constant column: its Ritz pairs
+    then miss the lowest eigenvalue, and the Sturm guard refuses them."""
+    real = spectral._harmonic_start
+
+    def spoiled(grid, mass):
+        blocks = real(grid, mass)
+        yield next(blocks)[:, 1:]
+        yield from blocks
+
+    monkeypatch.setattr(spectral, "_harmonic_start", spoiled)
+
+
 def _wrap_output(name, patch):
     """Wrap the LAPACK call `name` in krflow.spectral, editing its output."""
     real = getattr(spectral, name)
@@ -224,6 +237,8 @@ class TestSolveFail:
         c, mass = assemble_modes(round_metric(grid64), None)
         with pytest.raises(SolveFail):
             solve_mode(c, mass, 0, 5)
+        # the run reaches the bisection through mode 0's refused start
+        drop_constant_harmonic(monkeypatch)
         self._assert_run_exits_three(tmp_path)
 
     def test_nan_residual_fails_the_check(self, monkeypatch, grid64,
@@ -462,7 +477,7 @@ class TestWarmStart:
     def test_bad_block_falls_back_to_cold(self, monkeypatch, tmp_path):
         # mode 0's block loses its lowest eigenvector to the sixth one: the
         # warm pairs are the second to sixth, and the Sturm guard refuses
-        # them; the state gets the cold result and the run an event
+        # them; the state gets the bisection's result and the run an event
         metric, _ = WARM_RUNS["n64"]()
         s0 = run(FlowConfig(t_end=0.0), metric).states[0]
         start = weighted_spectrum(s0.metric, s0.u)
@@ -486,9 +501,10 @@ class TestWarmStart:
                                     "fallback": 1}
         assert ("spectrum_fallback", 1e-3, 0, "sturm") in traj.events
         s1 = traj.states[1]
-        cold = real(s1.metric, s1.u)
-        np.testing.assert_array_equal(s1.spectrum[0], cold.vals[0])
-        np.testing.assert_array_equal(s1.axial_vectors, cold.vecs[0])
+        vals, vecs = solve_mode(*assemble_modes(s1.metric, s1.u), 0,
+                                K_PER_MODE)
+        np.testing.assert_array_equal(s1.spectrum[0], vals)
+        np.testing.assert_array_equal(s1.axial_vectors, vecs)
         write_report(tmp_path / "report.txt", ExperimentSpec(), traj, None)
         text = (tmp_path / "report.txt").read_text()
         assert "\neigensolves = cold 3, warm 2, fallback 1\n" in text
@@ -507,75 +523,91 @@ def spy(monkeypatch, name, record):
     monkeypatch.setattr(spectral, name, spied)
 
 
-class TestAnchoredStart:
-    """Without an earlier state, a grid of 4 ANCHOR_NODES or more starts
-    from the blocks of the ANCHOR_NODES grid, and bisects at full n only
-    for a mode the guard refuses."""
+def moebius(grid, k):
+    """The round metric pulled back by the dilation z -> k z, on the
+    normalized class: e^{w} = 2 k / ((1 + cos) + k^2 (1 - cos))."""
+    c = grid.cos_nodes
+    w = np.log(2.0 * k / ((1.0 + c) + k * k * (1.0 - c)))
+    return normalize_volume(conformal_metric(grid, w))
 
-    @pytest.mark.parametrize("n", [256, 1024])
+
+# metrics far from round that no other test solves: large and high
+# degree bumps, a rough multi_mode, and the Kaehler-Einstein orbit at two
+# dilations (osc w 0.81 and 2.20)
+FAR_METRICS = {
+    "bump_l2_eps0.8": lambda g: legendre_bump(g, 2, 0.8),
+    "bump_l2_eps1.3": lambda g: legendre_bump(g, 2, 1.3),
+    "bump_l6_eps0.3": lambda g: legendre_bump(g, 6, 0.3),
+    "bump_l40_eps0.01": lambda g: legendre_bump(g, 40, 1e-2),
+    "multi_mode_amp0.2": lambda g: multi_mode(g, 7, 2.0, 0.2),
+    "moebius_k1.5": lambda g: moebius(g, 1.5),
+    "moebius_k3": lambda g: moebius(g, 3.0),
+}
+
+
+def assert_matches_bisection(metric, u, monkeypatch):
+    """The solve without an earlier state bisects no mode, and each mode's
+    pairs are solve_mode's: eigenvalues within 1e-11 of max(1, |lam|),
+    and the eigenvector blocks span the same space."""
+    sizes = []
+    spy(monkeypatch, "solve_mode",
+        lambda c, mass, m, k: sizes.append(mass.size))
+    spec = weighted_spectrum(metric, u)
+    assert sizes == []
+    assert spec.fallbacks == () and not spec.warm
+    c, mass = assemble_modes(metric, u)
+    for m in range(N_MODES):
+        vals, vecs = solve_mode(c, mass, m, K_PER_MODE)
+        scale = np.maximum(1.0, np.abs(vals))
+        assert np.max(np.abs(spec.vals[m] - vals) / scale) <= 1e-11
+        # the cosines of the principal angles between the two blocks, in
+        # the B inner product, are all 1
+        cosines = np.linalg.svd(spec.vecs[m].T @ (mass[:, None] * vecs),
+                                compute_uv=False)
+        assert np.min(cosines) >= 1.0 - 1e-12
+
+
+class TestHarmonicStart:
+    """Without an earlier state, every mode starts from the round sphere's
+    harmonics, and bisects only when the guard refuses its pairs."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     @pytest.mark.parametrize("family", sorted(ORACLE_METRICS))
-    def test_matches_fine_bisection(self, family, n, monkeypatch):
+    def test_matches_bisection(self, family, n, monkeypatch):
         metric = ORACLE_METRICS[family](make_grid(n))
-        u = solve_ricci_potential(metric)
-        sizes = []
-        spy(monkeypatch, "solve_mode",
-            lambda c, mass, m, k: sizes.append(mass.size))
-        spec = weighted_spectrum(metric, u)
-        assert sizes == [spectral.ANCHOR_NODES] * N_MODES
-        assert spec.fallbacks == () and not spec.warm
-        c, mass = assemble_modes(metric, u)
-        for m in range(N_MODES):
-            vals, vecs = solve_mode(c, mass, m, K_PER_MODE)
-            scale = np.maximum(1.0, np.abs(vals))
-            assert np.max(np.abs(spec.vals[m] - vals) / scale) <= 1e-11
-            # the cosines of the principal angles between the two blocks,
-            # in the B inner product, are all 1
-            cosines = np.linalg.svd(spec.vecs[m].T @ (mass[:, None] * vecs),
-                                    compute_uv=False)
-            assert np.min(cosines) >= 1.0 - 1e-12
+        assert_matches_bisection(metric, solve_ricci_potential(metric),
+                                 monkeypatch)
 
-    @pytest.mark.parametrize("n", [128, 255])
-    def test_coarser_grids_bisect_at_full_n(self, n, monkeypatch):
-        metric = legendre_bump(make_grid(n), 2, 1e-2)
-        sizes = []
-        spy(monkeypatch, "solve_mode",
-            lambda c, mass, m, k: sizes.append(mass.size))
-        spec = weighted_spectrum(metric, solve_ricci_potential(metric))
-        assert sizes == [n] * N_MODES
-        assert spec.fallbacks == ()
+    # the block's width is pinned here: with 10 harmonics per mode in
+    # place of 20, the l = 2 bumps and moebius_k3 are refused
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("family", sorted(FAR_METRICS))
+    def test_far_from_round(self, family, n, monkeypatch):
+        metric = FAR_METRICS[family](make_grid(n))
+        assert_matches_bisection(metric, solve_ricci_potential(metric),
+                                 monkeypatch)
 
-    def test_no_full_band_reaches_bisection(self, monkeypatch):
-        # ?sbevx, O(n^2) in the band reduction, sees only the coarse bands
+    def test_no_band_reaches_bisection(self, monkeypatch):
+        # ?sbevx, O(n^2) in the band reduction, sees no band at all
         metric = legendre_bump(make_grid(1024), 3, 1e-2)
         widths = []
         spy(monkeypatch, "dsbevx",
             lambda band, *args, **kwargs: widths.append(band.shape[1]))
         spec = weighted_spectrum(metric, solve_ricci_potential(metric))
         assert spec.fallbacks == ()
-        assert widths == [spectral.ANCHOR_NODES] * N_MODES
+        assert widths == []
 
     def test_refused_start_bisects_at_full_n(self, monkeypatch, tmp_path):
-        # mode 0's start block loses its lowest column to the sixth
-        # eigenvector: its pairs are the second to sixth, the Sturm guard
-        # refuses them, and that mode alone is bisected on the fine grid
+        # mode 0's harmonics lose their constant column: its pairs are the
+        # second to sixth, the Sturm guard refuses them, and that mode
+        # alone is bisected
         metric = legendre_bump(make_grid(256), 2, 1e-2)
-        real = spectral._anchor_start
-
-        def spoiled(metric, u, mass):
-            start = real(metric, u, mass)
-            six = solve_mode(*assemble_modes(metric, u), 0,
-                             K_PER_MODE + 1)[1]
-            start[0, :, 0] = np.sqrt(mass) * six[:, K_PER_MODE]
-            start[0] = np.linalg.qr(start[0])[0]
-            return start
-
-        monkeypatch.setattr(spectral, "_anchor_start", spoiled)
+        drop_constant_harmonic(monkeypatch)
         sizes = []
         spy(monkeypatch, "solve_mode",
-            lambda c, mass, m, k: sizes.append(mass.size))
+            lambda c, mass, m, k: sizes.append((m, mass.size)))
         traj = run(FlowConfig(t_end=0.0), metric)
-        # the coarse solves, then the fine bisection of mode 0 alone
-        assert sizes == [spectral.ANCHOR_NODES] * N_MODES + [256]
+        assert sizes == [(0, 256)]
         assert traj.eigensolves == {"cold": N_MODES - 1, "warm": 0,
                                     "fallback": 1}
         assert traj.events[0] == ("spectrum_fallback", 0.0, 0, "sturm")
@@ -627,14 +659,16 @@ class TestOneForm:
         assert calls == []
         np.testing.assert_array_equal(c, before)
 
-    def test_anchor_reduces_its_coarse_pencil_once(self, monkeypatch):
+    def test_start_reduces_only_its_own_pencil(self, monkeypatch):
+        # the solve without an earlier state reduces no second, coarser
+        # pencil
         metric = legendre_bump(make_grid(256), 2, 1e-2)
         u = solve_ricci_potential(metric)
         sizes = []
         spy(monkeypatch, "_reduced_bands",
             lambda bands, mass: sizes.append(mass.shape[-1]))
         weighted_spectrum(metric, u)
-        assert sizes == [256, spectral.ANCHOR_NODES]
+        assert sizes == [256]
 
     def test_states_keep_no_view_of_the_stack(self, monkeypatch):
         metric, config = WARM_RUNS["n64"]()

@@ -10,8 +10,12 @@ of perfbench/workloads.py and each of the seeds 7 and 42, the
 workload's spec text is written once and `krflow run` runs on it under
 each tree's own src/, in a fresh interpreter per run.  Every line of
 timeseries.csv and report.txt that differs is printed with both versions,
-as is a differing exit code.  The exit status is 0 when every artifact is
-byte-identical and 1 otherwise.
+as is a differing exit code.  A drift summary follows the lines of each
+case that differs: per artifact, the largest relative change
+|new - old| / max(|old|, |new|) of each timeseries.csv column and of each
+report.txt key (named with its [section]) whose values differ, or `text`
+where a value that is not a number changed.  The exit status is 0 when
+every artifact is byte-identical and 1 otherwise.
 
 This tool reads the workload definitions from perfbench/ and changes
 nothing there.
@@ -20,6 +24,7 @@ nothing there.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +76,61 @@ def differing_lines(old: bytes | None, new: bytes | None) -> list[str]:
     return lines
 
 
+def values(artifact: str, data: bytes) -> dict[str, list[str]]:
+    """Each timeseries.csv column, or each report.txt key as
+    "[section] key", with its values in file order."""
+    lines = data.decode().splitlines()
+    out: dict[str, list[str]] = {}
+    if artifact == "timeseries.csv":
+        header = lines[0].split(",") if lines else []
+        for row in lines[1:]:
+            for key, value in zip(header, row.split(",")):
+                out.setdefault(key, []).append(value)
+        return out
+    section = ""
+    for line in lines:
+        if line.startswith("["):
+            section = line
+        elif " = " in line:
+            key, value = line.split(" = ", 1)
+            out.setdefault(f"{section} {key}", []).append(value)
+    return out
+
+
+def relative_change(x: str, y: str) -> float | None:
+    """|y - x| / max(|x|, |y|) of two finite numbers, 0 for equal text, and
+    None for other text that differs."""
+    if x == y:
+        return 0.0
+    try:
+        a, b = float(x), float(y)
+    except ValueError:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    return abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def drift(artifact: str, old: bytes | None, new: bytes | None) -> list[str]:
+    """One line per column or key of the artifact whose values differ:
+    its largest relative change, `text`, or its changed count of values."""
+    if old is None or new is None or old == new:
+        return []
+    a, b = values(artifact, old), values(artifact, new)
+    lines = []
+    for key in dict.fromkeys([*a, *b]):
+        x, y = a.get(key, []), b.get(key, [])
+        if len(x) != len(y):
+            lines.append(f"  {artifact} {key}: {len(x)} -> {len(y)} values")
+            continue
+        changes = [relative_change(p, q) for p, q in zip(x, y)]
+        if None in changes:
+            lines.append(f"  {artifact} {key}: text")
+        elif changes and max(changes) > 0.0:
+            lines.append(f"  {artifact} {key}: {max(changes):.2e}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", required=True,
@@ -93,6 +153,11 @@ def main(argv=None) -> int:
                     lines = differing_lines(old[artifact], new[artifact])
                     if lines:
                         found += [f" {artifact}:", *lines]
+                moved = [line for artifact in ARTIFACTS
+                         for line in drift(artifact, old[artifact],
+                                           new[artifact])]
+                if moved:
+                    found += [" drift, largest relative change:", *moved]
                 label = f"{name} seed {seed}"
                 if found:
                     differ += 1
