@@ -28,12 +28,18 @@ steps from legendre_bump(l, 0.01), l = 2..6: |V - 4 pi| up to 1.0e-5 at
 n = 16 and 5.3e-11 at n = 64), which the per-step volume check catches;
 that check, an extrapolation that does not settle, and the class identity
 of each recorded state are the step-rejection criteria.
+
+run is three pieces: _segments integrates and solves nothing, _solved
+solves its segments' end states in blocks (make_state), and run records
+them until one converges.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -249,13 +255,13 @@ def make_state(segments: list[Segment], config: FlowConfig,
     for a start from the round sphere's harmonics.  Returns each state
     with its Spectrum.  One segment is the one-row case.  An error of any
     state ends the whole block, and it need not be the first in time order
-    (every eigensolve runs before lambda_second), so run solves a failing
-    block again state by state.
+    (every eigensolve runs before lambda_second), so _solved solves a
+    failing block again state by state.
     """
     metric = Rows(segments).metric
     stacked = solve_ricci_potential(metric)
     potentials = split_rows(stacked)
-    specs = spectral.weighted_spectrum(metric, Rows(potentials), warm)
+    specs = spectral.weighted_spectrum(metric, stacked, warm)
     lam_g, band, members = spectral.lambda_second(Rows(specs),
                                                   config.band_tol)
     funcs = split_rows(functional_bundle(stacked, metric, lambda_g=lam_g))
@@ -267,7 +273,7 @@ def make_state(segments: list[Segment], config: FlowConfig,
         # indexing copies the band columns, and the axial block is copied
         holo = spec.vecs[1][:, members[i][1]]
         state = FlowState(t=seg.t, dt=seg.dt, metric=seg.metric,
-                          u=potentials[i], funcs=funcs[i], phi=seg.phi.copy(),
+                          u=potentials[i], funcs=funcs[i], phi=seg.phi,
                           lambda_g=lam_g[i], holo_band=band[i].tolist(),
                           class_residual=seg.class_residual,
                           phi_meas=phi_meas[i], spectrum=spec.vals,
@@ -278,73 +284,22 @@ def make_state(segments: list[Segment], config: FlowConfig,
     return out
 
 
-def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
-    """Integrate to t_end, recording a fully solved state every record_dt.
-
-    Segment k ends at min(k record_dt, t_end).  Its step cap is dt_init,
-    or record_dt without one, halved once per rejection; a cap within
-    stability_dt of the state that opens the segment takes ceil(seg / cap)
-    RK4 steps, a larger one as many extrapolated steps.  A segment whose
-    volume check, extrapolation or class check fails is redone with the
-    cap halved, and a halving never grows back (determinism).
-
-    The integration loop holds only what steers it.  Each accepted
-    segment waits on a pending list, and make_state solves the list as
-    one block of at most geometry.block_rows(n) states when it is full, at
-    t_end, and before an error of the integration propagates.  The t = 0
-    state is solved alone, from the round sphere's harmonics
-    (spectral.weighted_spectrum), so a run that converges there
-    integrates nothing.  Each later state starts its spectrum from the
-    eigenvector blocks of the state before it, which only run holds; a
-    rejected segment leaves them as they are.
-    The states are recorded in time order, each after the step_reject
-    events of its segment, and the run ends at the first whose |u - a|
-    drops under the early-stop threshold: the integration past it, at
-    most one block of segments, is discarded.  A block that fails is
-    solved again state by state, so the first error in time order is the
-    one raised, and only if no state before it converged.
+def _segments(config: FlowConfig, initial: ConformalMetric):
+    """The record segments from initial, in time order: the integration
+    alone, which solves nothing.  The first is t = 0, where phi = 0 and
+    the class residual |e^{2w} - e^{2w} - (1/2) L 0| is 0; segment k ends
+    at min(k record_dt, t_end).  A failed try halves the step cap (module
+    docstring) for good (determinism); StepReject after MAX_HALVINGS.
+    Each segment's phi is read-only.
     """
-    vol = initial.volume
-    if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
-        raise VolumeMismatch(
-            f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
-            " rescale before flowing")
     grid = initial.grid
-    traj = Trajectory(states=[])
     vol_limit = config.vol_tol * ROUND_VOLUME
-    t = 0.0
-    w = initial.w.copy()
-    phi = np.zeros(grid.n_nodes)
-    halvings = 0
     cap0 = config.dt_init if config.dt_init is not None else config.record_dt
-    budget = block_rows(grid.n_nodes)
-    metric, res = check_class(initial.w, phi, 0.0, config, initial)
-    pending = [Segment(metric, phi, 0.0, 0.0, res)]
-    spec = None  # the Spectrum of the last recorded state
-
-    def flush() -> bool:
-        """Solve and record the pending states; whether one converged."""
-        nonlocal spec
-        try:
-            solved = make_state(pending, config, initial, spec)
-        except Exception:
-            # whatever a state raises must surface in time order, after the
-            # states before it are recorded: solve them again one by one
-            if len(pending) == 1:
-                raise
-            solved = None
-        for i, seg in enumerate(pending):
-            state, spec = (solved[i] if solved is not None else
-                           make_state([seg], config, initial, spec)[0])
-            traj.events += seg.rejects
-            if traj.record(state, spec, config.early_stop):
-                return True
-        pending.clear()
-        return False
-
-    if flush():
-        return traj
-    k = 0
+    t, w, metric = 0.0, initial.w, initial
+    phi = np.zeros(grid.n_nodes)
+    phi.flags.writeable = False
+    yield Segment(metric, phi, 0.0, 0.0, 0.0)
+    halvings = k = 0
     while t < config.t_end - 1e-12:
         # segment k ends at k record_dt, so t accumulates no rounding, and
         # a full segment lasts record_dt whatever the rounding of its ends
@@ -352,42 +307,83 @@ def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
         t_next = min(k * config.record_dt, config.t_end)
         seg = (config.record_dt if k * config.record_dt
                <= config.t_end + 1e-12 else t_next - t)
+        stable = stability_dt(metric) * (1 + 1e-12)
         rejects = []
-        try:
-            while True:  # redo the segment, cap halved, until it passes
-                dt_cap = cap0 * 0.5 ** halvings
-                nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
-                dt_seg = seg / nst
-                advance = (advance_rk4 if dt_cap <= stability_dt(metric)
-                           * (1 + 1e-12) else advance_extrapolated)
-                w_try = w.copy()
-                phi_try = phi.copy()
-                done, ok = advance(w_try, phi_try, nst, dt_seg, grid,
-                                   vol_limit)
-                if ok:
-                    try:
-                        new, res = check_class(w_try, phi_try, t_next, config,
-                                               initial)
-                        break
-                    except StepReject:
-                        pass
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    raise StepReject(
-                        f"volume, extrapolation or class check kept failing "
-                        f"after {halvings} dt halvings near t = {t:.6g}")
-                rejects.append(("step_reject", t + done * dt_seg, dt_seg))
-        except Exception:
-            # the pending states come first: one that converges ends the
-            # run, and one that fails raises first
-            if flush():
-                return traj
-            raise
+        while True:  # redo the segment, cap halved, until it passes
+            dt_cap = cap0 * 0.5 ** halvings
+            nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
+            dt_seg = seg / nst
+            advance = advance_rk4 if dt_cap <= stable else advance_extrapolated
+            w_try, phi_try = w.copy(), phi.copy()
+            done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
+            if ok:
+                try:
+                    new, res = check_class(w_try, phi_try, t_next, config,
+                                           initial)
+                    break
+                except StepReject:
+                    pass
+            halvings += 1
+            if halvings > MAX_HALVINGS:
+                raise StepReject(
+                    f"volume, extrapolation or class check kept failing "
+                    f"after {halvings} dt halvings near t = {t:.6g}")
+            rejects.append(("step_reject", t + done * dt_seg, dt_seg))
+        phi_try.flags.writeable = False
         w, phi, t, metric = w_try, phi_try, t_next, new
-        pending.append(Segment(metric, phi, t, dt_seg, res, tuple(rejects)))
-        if len(pending) == budget or not t < config.t_end - 1e-12:
-            if flush():
-                return traj
+        yield Segment(metric, phi, t, dt_seg, res, tuple(rejects))
+
+
+def _solved(config: FlowConfig, initial: ConformalMetric):
+    """(segment, state, Spectrum) for each of _segments, in time order:
+    t = 0 alone, so a run that converges there integrates nothing, then
+    blocks of at most geometry.block_rows(n), each spectrum started from
+    the state before.  A block that fails is solved again state by state,
+    so the first error in time order is raised, and an integration error
+    only after the states before it.
+    """
+    segments = _segments(config, initial)
+    spec, size = None, 1
+    while True:
+        # the last block's Spectrums go before the next block is solved
+        block, error, solved = [], None, None
+        try:
+            for seg in islice(segments, size):
+                block.append(seg)
+        except Exception as exc:  # raised after the states before it
+            error = exc
+        if len(block) > 1:
+            with suppress(Exception):
+                solved = make_state(block, config, initial, spec)
+        for i, seg in enumerate(block):
+            state, spec = (solved[i] if solved is not None else
+                           make_state([seg], config, initial, spec)[0])
+            yield seg, state, spec
+        if error is not None:
+            raise error
+        if len(block) < size:
+            return
+        size = block_rows(initial.grid.n_nodes)
+
+
+def run(config: FlowConfig, initial: ConformalMetric) -> Trajectory:
+    """Integrate to t_end, recording a fully solved state every record_dt.
+
+    Each state is recorded after the step_reject events of its segment,
+    and the run ends at the first whose |u - a| drops under early_stop:
+    that closes _solved and _segments, so nothing past its block is
+    integrated and no later error is raised.
+    """
+    vol = initial.volume
+    if abs(vol - ROUND_VOLUME) > config.vol_tol * ROUND_VOLUME:
+        raise VolumeMismatch(
+            f"initial volume {vol:.12g} off 4*pi by {vol - ROUND_VOLUME:.3e};"
+            " rescale before flowing")
+    traj = Trajectory(states=[])
+    for seg, state, spec in _solved(config, initial):
+        traj.events += seg.rejects
+        if traj.record(state, spec, config.early_stop):
+            break
     return traj
 
 

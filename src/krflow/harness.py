@@ -224,6 +224,7 @@ def loads(text: str) -> ExperimentSpec:
     section = ""
     # given: the ExperimentSpec fields the text sets; the rest are defaults
     given, scenario, flow, monitors = {}, {}, {}, {}
+    seen = {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -238,6 +239,10 @@ def loads(text: str) -> ExperimentSpec:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
+        first = seen.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {first}")
         if section == "":
             if key not in ("scenario", "grid_n", "output_dir"):
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -266,6 +271,9 @@ def loads(text: str) -> ExperimentSpec:
                     if name not in ALL_CHECKS:
                         raise ConfigError(
                             f"line {lineno}: unknown check id {name!r}")
+                    if names.count(name) > 1:
+                        raise ConfigError(
+                            f"line {lineno}: check id {name!r} listed twice")
                 given["checks"] = names
             elif key in MONITOR_PARAMS:
                 monitors[key] = _parse_declared(raw, MONITOR_PARAMS[key], key,

@@ -384,8 +384,8 @@ def weighted_spectrum(metric: ConformalMetric, u: RicciPotential | None,
                       warm: Spectrum | None = None):
     """The checked lowest K_PER_MODE pairs of every mode m < N_MODES of the
     operator weighted by the solved potential u, None for the unweighted
-    one: a Spectrum, or for metric rows (geometry.Rows) and the Rows of
-    their potentials a list of one Spectrum per row, in row order.
+    one: a Spectrum, or for metric rows (geometry.Rows) and their stacked
+    potentials a list of one Spectrum per row, in row order.
 
     warm is the previous state's Spectrum, whose B-orthonormal blocks
     start every mode.  Without it, every mode starts from the round

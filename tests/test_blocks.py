@@ -296,6 +296,35 @@ def test_early_stop_mid_block(dense_block, monkeypatch):
     assert blocked.events[-1] == ("converged", states[j].t)
 
 
+def test_early_stop_integrates_no_segment_past_its_block(dense_block,
+                                                        monkeypatch):
+    # on a run twice as long, state j converges in the first block after
+    # t = 0: the segments to the end of that block are integrated, once
+    # each, and none after it; in blocks of one state, none after j
+    metric, config, states, j = dense_block
+    config = replace(config, t_end=2 * config.t_end,
+                     early_stop=converging_at(states, j))
+    calls = []
+
+    def counted(real):
+        def advance(*args):
+            calls.append(1)
+            return real(*args)
+        return advance
+
+    for name in ("advance_rk4", "advance_extrapolated"):
+        monkeypatch.setattr(krflow.flow, name,
+                            counted(getattr(krflow.flow, name)))
+    traj = run(config, metric)
+    assert traj.converged_at == states[j].t
+    assert not [e for e in traj.events if e[0] == "step_reject"]
+    assert len(calls) == budget(64)
+    calls.clear()
+    monkeypatch.setattr(krflow.geometry, "BLOCK_NODES", 64)
+    assert run(config, metric).converged_at == states[j].t
+    assert len(calls) == j
+
+
 def test_step_reject_precedes_its_state(dense_block, monkeypatch):
     # the first try of segment j fails its class check; the redone segment
     # gives the state that converges, and the reject is the event before

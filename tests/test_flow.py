@@ -128,9 +128,10 @@ class TestStep:
         calls = []
 
         def fail_once(*args):
-            # call 1 is the t = 0 state, call 2 the first segment's end
+            # call 1 is the first segment's end: the t = 0 state, whose
+            # residual is 0 by construction, takes no class check
             calls.append(1)
-            return 1.0 if len(calls) == 2 else real(*args)
+            return 1.0 if len(calls) == 1 else real(*args)
 
         monkeypatch.setattr(krflow.flow, "_class_residual", fail_once)
         m = legendre_bump(grid64, 2, 1e-3)
@@ -144,6 +145,52 @@ class TestStep:
         assert s1.dt == s2.dt == rejects[0][2] / 2
         assert s2.t == 0.1
         assert max(s.class_residual for s in traj.states) < 1e-12
+
+
+class TestSegments:
+    """The integration alone: _segments solves nothing."""
+
+    def test_segments_integrate_without_solving(self, grid64, monkeypatch):
+        import krflow.flow
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_segments solved a state")
+
+        for module, name in ((krflow.flow, "make_state"),
+                             (krflow.flow, "solve_ricci_potential"),
+                             (krflow.flow.spectral, "weighted_spectrum")):
+            monkeypatch.setattr(module, name, refuse)
+        m = legendre_bump(grid64, 2, 1e-2)
+        config = FlowConfig(t_end=0.05, record_dt=0.02)
+        segs = list(krflow.flow._segments(config, m))
+        # the cap record_dt is above stability_dt: one extrapolated step a
+        # segment, the last one cut to t_end
+        assert [(s.t, s.dt) for s in segs] == [
+            (0.0, 0.0), (0.02, 0.02), (0.04, 0.02), (0.05, 0.05 - 0.04)]
+        assert segs[0].metric is m and segs[0].class_residual == 0.0
+        assert not np.any(segs[0].phi)
+        for s in segs:
+            assert not s.phi.flags.writeable
+            assert s.rejects == ()
+            assert s.class_residual < config.class_tol
+
+    def test_states_keep_the_segments_read_only_phi(self, grid64,
+                                                    monkeypatch):
+        import krflow.flow
+        real = krflow.flow.make_state
+        segs = []
+
+        def spy(block, *args):
+            segs.extend(block)
+            return real(block, *args)
+
+        monkeypatch.setattr(krflow.flow, "make_state", spy)
+        traj = run(FlowConfig(t_end=0.05, record_dt=0.02),
+                   legendre_bump(grid64, 2, 1e-2))
+        assert len(traj.states) == len(segs) == 4
+        for state, seg in zip(traj.states, segs):
+            assert state.phi is seg.phi and not state.phi.flags.writeable
+        assert traj.states[0].class_residual == 0.0
 
 
 class TestRun:

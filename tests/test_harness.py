@@ -89,6 +89,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no_such"):
             loads(MINIMAL + "[monitors]\nchecks = y_decay, no_such\n")
 
+    def test_repeated_key_names_both_lines(self):
+        # a second t_end overrode the first, and the run exited 0
+        text = BUMP64 + "[flow]\nt_end = 0.05\nt_end = 0.02\n"
+        with pytest.raises(ConfigError, match="^line 7: key 't_end' already "
+                           "set on line 6$"):
+            loads(text)
+        with pytest.raises(ConfigError, match="line 3: key 'grid_n' already "
+                           "set on line 2"):
+            loads(MINIMAL + "grid_n = 64\n")
+        # per section, and across a section opened twice
+        with pytest.raises(ConfigError, match="line 8: key 'eps' already "
+                           "set on line 4"):
+            loads(BUMP64 + "[flow]\nt_end = 0.1\n[scenario]\neps = 1e-2\n")
+        spec = loads(BUMP64 + "[flow]\nt_end = 0.1\n[scenario]\nl = 3\n"
+                     "[flow]\nrecord_dt = 0.05\n")
+        assert dict(spec.scenario_params) == {"eps": 1e-3, "l": 3}
+        assert (spec.flow.t_end, spec.flow.record_dt) == (0.1, 0.05)
+
+    def test_check_id_listed_twice(self):
+        # it wrote two [check y_decay] blocks, and the run exited 0
+        with pytest.raises(ConfigError, match="^line 4: check id 'y_decay' "
+                           "listed twice$"):
+            loads(MINIMAL + "[monitors]\nchecks = y_decay, c2_estimate, "
+                  "y_decay\n")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             loads("scenario = round\ngrid_n = lots\n")
@@ -700,6 +725,11 @@ class TestCli:
         # a vol_tol over the potential solve's bound: the run's own volume
         # check passed this profile, then the solve refused it; it exited 3
         (OFF_VOLUME_W + "[flow]\nvol_tol = 1e-5\n", EXIT_CONFIG),
+        # a key or a check id given twice: the last value won, or the check
+        # ran twice, and each exited 0
+        (BUMP_SHORT + "t_end = 0.05\n", EXIT_CONFIG),
+        (BUMP_SHORT + "[monitors]\nchecks = y_decay, y_decay\n",
+         EXIT_CONFIG),
     ], ids=["ok", "failed_check", "bad_value", "grid_below_minimum",
             "dt_init_over_bound", "round_dt_init_over_bound",
             "rho_over_half_diameter", "branch_crossing", "irregular_pole",
@@ -724,7 +754,8 @@ class TestCli:
             "band_tol_one", "band_tol_ten", "band_tol_no_room",
             "round_band_tol_no_room", "custom_w_even_unresolved",
             "custom_w_even_explicit_band", "t0_past_t_end",
-            "vol_tol_over_potential_bound"])
+            "vol_tol_over_potential_bound", "flow_key_twice",
+            "check_id_twice"])
     def test_exit_code_table(self, tmp_path, capsys, text, code):
         path = self.write_spec(tmp_path,
                                f"output_dir = {tmp_path / 'o'}\n" + text)

@@ -128,8 +128,8 @@ def test_extrapolated_step_against_rk4(profile):
 # None only for the keys whose default is None, the time steps and the
 # tolerances are positive, vol_tol is at most the potential solve's bound,
 # 3 band_tol is under 2, t_end is finite and >= 0, the monitor values are in
-# the ranges monitor_params checks, t0 is not past t_end, and text values
-# carry no surrounding blanks
+# the ranges monitor_params checks, t0 is not past t_end, no check id is
+# listed twice, and text values carry no surrounding blanks
 real = st.floats(allow_nan=False)
 positive = st.floats(min_value=0.0, exclude_min=True)
 finite_positive = st.floats(min_value=0.0, exclude_min=True,
@@ -147,7 +147,8 @@ MONITOR_VALUES = {
 
 @st.composite
 def specs(draw):
-    checks = tuple(draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=4)))
+    checks = tuple(draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=4,
+                                 unique=True)))
     flow = FlowConfig(record_dt=draw(positive),
                       dt_init=draw(st.none() | positive),
                       band_tol=draw(st.none() | st.floats(
