@@ -56,6 +56,7 @@ def _cmd_check(args) -> int:
     state = state_at(spec, args.at)
     reports = [check_weighted_poincare(state),
                check_c0_vs_Y(state, params["rho"])]
+    print(f"t = {state.t!r}")  # the recorded state nearest --at
     worst = 0
     for rep in reports:
         print(f"{rep.check_id}: {rep.verdict} margin="

@@ -207,10 +207,13 @@ def _parse_sweep_values(raw: str, lineno: int) -> tuple:
     if ".." in raw:
         try:
             lo_hi, _, npts = raw.partition(":")
-            lo, hi = lo_hi.split("..")
+            lo, hi = (float(v) for v in lo_hi.split(".."))
             n = int(npts) if npts else 9
-            return tuple(float(v) for v in
-                         np.geomspace(float(lo), float(hi), n))
+            # a geometric range needs finite, nonzero ends of one sign
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo and hi
+                    and (lo > 0) == (hi > 0)):
+                raise ValueError
+            return tuple(float(v) for v in np.geomspace(lo, hi, n))
         except ValueError:
             raise ConfigError(f"line {lineno}: bad sweep range {raw!r}")
     try:
@@ -590,12 +593,14 @@ def state_at(spec: ExperimentSpec, t: float):
 
 
 def spectrum_dump(spec: ExperimentSpec, t: float) -> str:
-    """The merged spectrum that the flow solved for the state nearest t."""
+    """The merged spectrum that the flow solved for the state nearest t,
+    with that state's time: a run that converged early ends before t."""
     state = state_at(spec, t)
     lines = ["index,eigenvalue,mode"]
     lams, modes = spectral.merged_spectrum(state.spectrum)
     for i, (lam, m) in enumerate(zip(lams, modes)):
         lines.append(f"{i},{repr(float(lam))},{m}")
+    lines.append(f"# t = {repr(state.t)}")
     lines.append(f"# lambda_g = {repr(state.lambda_g)}")
     lines.append("# holo_band = " + ", ".join(repr(b) for b in state.holo_band))
     return "\n".join(lines) + "\n"

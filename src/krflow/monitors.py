@@ -15,7 +15,9 @@ cadence fine enough for the decay rates involved.
 A check that reads nodal arrays of every state walks the trajectory in
 blocks of states (geometry.block_slices, BLOCK_NODES nodes a block) and
 evaluates its formula once per block on the geometry.Rows stacks; a
-per-state check is the one-row case of the same code.
+per-state check is the one-row case of the same code.  A per-state
+number is a column of Rows(traj.states), and a rule over it one array
+expression.
 """
 
 from __future__ import annotations
@@ -170,24 +172,22 @@ def check_Y_decay(traj: Trajectory) -> CheckReport:
                  "gate_prefix_end": states[-1].t})
     dp0 = s0.funcs.delta_prime_0
     gate_cap = decay_cap(dp0)
-    prefix = []
-    for s in states:
-        if s.funcs.c0_u_minus_a > gate_cap:
-            break
-        prefix.append(s)
+    f = Rows(states).funcs
+    # the prefix ends at the first state over the cap
+    over = f.c0_u_minus_a > gate_cap
+    end = int(np.argmax(over)) if over.any() else len(states)
     tol = Y_DECAY_REL_TOL * y0
-    if not prefix:
+    if not end:
         return CheckReport(
             "y_decay", statement, False, None, tol,
             {"delta_prime_0": dp0, "gate_cap": gate_cap,
              "c0_at_start": s0.funcs.c0_u_minus_a})
-    ts = np.array([s.t for s in prefix])
-    ys = np.array([s.funcs.Y for s in prefix])
+    ts, ys = traj.times()[:end], f.Y[:end]
     margin = float(np.min(np.exp(-dp0 * ts) * y0 - ys))
     rate = _fit_rate(ts, ys, y0 * 1e-12)
     # pointwise differential inequality at each state with two neighbours;
     # fmax skips a NaN residual, as the builtin max did
-    c0 = np.array([s.funcs.c0_u_minus_a for s in prefix[1:-1]])
+    c0 = f.c0_u_minus_a[1:end - 1]
     bound = ((-2.0 + 2.0 * c0) * (1.0 + dp0) + (2.0 + c0)) * ys[1:-1]
     worst_resid = np.fmax.reduce(_centred(ts, ys) - bound, initial=-np.inf)
     return CheckReport(
@@ -280,13 +280,13 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
                 + np.max(np.abs(rows.u.values), axis=-1))
 
     traces, sups = map_blocks(states, s0.metric.grid.n_nodes, trace_and_sup)
-    min_trace = min([np.inf, *traces.tolist()])
-    run_sup = max([0.0, *sups.tolist()])
+    min_trace = np.fmin.reduce(traces, initial=np.inf)
+    run_sup = np.fmax.reduce(sups, initial=0.0)
     return CheckReport(
         "c2_estimate",
         "n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
         True, float(min_trace),
-        aux={"phi_meas_max": float(max(s.phi_meas for s in states)),
+        aux={"phi_meas_max": float(np.max(Rows(states).phi_meas)),
              "min_trace": float(min_trace),
              "alpha_final": float(run_sup),
              "phi_meas_final": float(states[-1].phi_meas)},
@@ -301,6 +301,7 @@ def _branch_eigenvalues(states, index: int) -> np.ndarray:
     """The index-th axial eigenvalue that make_state solved, of each state;
     BranchCrossing from the first state with a neighbour within the
     guard."""
+    # per state: Rows(states).spectrum would stack past BLOCK_NODES
     vals = np.array([s.spectrum[0] for s in states])
     guard = 10.0 * spectral.default_band_tol(states[0].metric.grid)
     gaps = np.diff(vals, axis=-1)[:, max(0, index - 1):index + 1]
@@ -431,11 +432,11 @@ def check_gradnorm_evolution(traj: Trajectory,
     if residuals is None:
         residuals = _hessian_pass(traj)[1]
     rec = float(np.max(np.diff(ts)))
-    worst = max([0.0, *residuals[0].tolist()])
-    scale = max([1e-10, *residuals[1].tolist()])
+    worst = np.fmax.reduce(residuals[0], initial=0.0)
+    scale = np.fmax.reduce(residuals[1], initial=1e-10)
     tol = H2_TOL_FACTOR * (grid.h ** 2 + rec ** 2) * scale
     amp0 = states[0].funcs.grad_u_c0
-    amp_max = max(s.funcs.grad_u_c0 for s in states if s.t <= 2.0)
+    amp_max = np.max(Rows(states).funcs.grad_u_c0[ts <= 2.0])
     amplification = amp_max / amp0 if amp0 > 0 else 1.0
     margin = tol - worst
     if amplification > math.e:
@@ -481,7 +482,7 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
     # the centres whose state and both neighbours are gated
     i = np.flatnonzero(gated[:-2] & gated[1:-1] & gated[2:]) + 1
     ts = traj.times()
-    zs = np.array([s.funcs.Z for s in states])
+    zs = Rows(states).funcs.Z
     hess = (hessian_means if hessian_means is not None
             else _hessian_pass(traj)[0])
     dz = _centred(ts, zs)[i - 1]
@@ -622,20 +623,12 @@ def bootstrap_tracker(traj: Trajectory,
     eps = max(s0.funcs.grad_u_c0, 1e-300)
     calibration = phi0 * eps ** (-0.5)  # the L of |grad u| < L eps
     grad_budget = calibration * eps
-    first_grad = first_equiv = first_eig = None
-    max_grad = 0.0
-    max_phi = 1.0
-    min_lam = np.inf
-    for s in states:
-        max_phi = max(max_phi, s.phi_meas)
-        max_grad = max(max_grad, s.funcs.grad_u_c0)
-        min_lam = min(min_lam, s.lambda_g)
-        if first_grad is None and s.funcs.grad_u_c0 > grad_budget:
-            first_grad = s.t
-        if first_equiv is None and s.phi_meas > phi0:
-            first_equiv = s.t
-        if first_eig is None and s.lambda_g < 1.0 + BOOTSTRAP_DELTA / 2.0:
-            first_eig = s.t
+    rows = Rows(states)
+    grad, phi, lam = rows.funcs.grad_u_c0, rows.phi_meas, rows.lambda_g
+    # fmax and fmin skip a NaN, as the builtin max and min did
+    max_grad = float(np.fmax.reduce(grad, initial=0.0))
+    max_phi = float(np.fmax.reduce(phi, initial=1.0))
+    min_lam = float(np.fmin.reduce(lam, initial=np.inf))
     # a violation makes its term negative, so margin < 0 exactly when one
     # of the first-violation times exists
     margin = min((grad_budget - max_grad) / grad_budget,
@@ -646,11 +639,13 @@ def bootstrap_tracker(traj: Trajectory,
            "min_lambda": float(min_lam),
            "strengthened_grad": float(max_grad <= 0.5 * grad_budget),
            "strengthened_equiv": float(max_phi <= 0.5 * phi0)}
-    for name, t in (("violation_grad", first_grad),
-                    ("violation_equiv", first_equiv),
-                    ("violation_eig", first_eig)):
-        if t is not None:
-            aux[name] = float(t)
+    ts = traj.times()
+    for name, broken in (
+            ("violation_grad", grad > grad_budget),
+            ("violation_equiv", phi > phi0),
+            ("violation_eig", lam < 1.0 + BOOTSTRAP_DELTA / 2.0)):
+        if broken.any():
+            aux[name] = float(ts[np.argmax(broken)])
     return CheckReport(
         "bootstrap",
         "|grad u| < L eps; Phi0^-1 g0 < g < Phi0 g0; lambda > 1 + delta/2",
@@ -677,11 +672,12 @@ def check_short_time(traj: Trajectory,
         np.abs(rows.metric.curvature), axis=-1))
     exceed = np.flatnonzero(kmax > cap)
     first_exceed = states[exceed[0]].t if exceed.size else None
-    lam_min = np.inf
-    for s in states:
-        if s.t <= t0 + 1e-12:
-            lam_min = min(lam_min, s.lambda_g)
-    sampled = min(states, key=lambda s: abs(s.t - t0))
+    ts = traj.times()
+    # fmin skips a NaN, as the builtin min did
+    lam_min = np.fmin.reduce(Rows(states).lambda_g, where=ts <= t0 + 1e-12,
+                             initial=np.inf)
+    # argmin takes the first of two states equally near t0
+    sampled = states[int(np.argmin(np.abs(ts - t0)))]
     grad_t0 = sampled.funcs.grad_u_c0
     floor = 1.0 + (s0.lambda_g - 1.0) / 2.0  # delta = lambda(0) - 1
     aux = {"epsilon_calabi": float(epsilon_calabi),
@@ -743,6 +739,7 @@ def _largest_k_eff(sh: _Shared) -> CheckReport:
     state when no state has one."""
     states, rho = sh.traj.states, sh.p["rho"]
     kappas = _c0_kappas(states, rho)
+    # per state: _k_eff's ** 0.25 on Python floats keeps libm's pow bits
     keffs = np.array([math.nan if math.isnan(k) else _k_eff(s.funcs, k)
                       for s, k in zip(states, kappas)])
     if np.isnan(keffs).all():
@@ -810,7 +807,7 @@ CHECKS = {
         sh.traj, sh.p["curvature_bound"], sh.p["t0"]),
     "kahler_class": lambda sh: _identity_check(
         "kahler_class", "e^{2w(t)} = e^{2w(0)} + (1/2) lap_0 phi(t)",
-        max(s.class_residual for s in sh.traj.states), KAHLER_CLASS_TOL),
+        np.max(Rows(sh.traj.states).class_residual), KAHLER_CLASS_TOL),
     "log_det": _log_det,
     "bochner": _bochner_mid,
     "gradient_estimate": _largest_c_eff,
@@ -851,7 +848,7 @@ def evaluate_trajectory(traj: Trajectory, checks=ALL_CHECKS,
             raise ValueError(f"unknown check id {check!r}")
         sh.report.checks.append(CHECKS[check](sh))
     # convergence-rate bookkeeping for the exponential tail
-    c0s = np.array([s.funcs.c0_u_minus_a for s in traj.states])
+    c0s = Rows(traj.states).funcs.c0_u_minus_a
     ts = traj.times()
     if len(ts) > 3 and c0s[0] > 0:
         sh.report.rates["c0_u_minus_a"] = _fit_rate(ts, c0s, c0s[0] * 1e-9)

@@ -124,6 +124,20 @@ class TestConfig:
         ratios = np.diff(np.log10(spec.sweep))
         assert np.allclose(ratios, 0.5)  # half-decade spacing
 
+    @pytest.mark.parametrize("raw", ["-1e-3..1e-2:3", "1e-3..inf:3",
+                                     "nan..1e-2:3"])
+    def test_sweep_range_ends_finite_of_one_sign(self, raw):
+        # geomspace made a NaN or infinite point of each, which the sweep
+        # then ran
+        with pytest.raises(ConfigError, match="bad sweep range"):
+            loads(MINIMAL + f"[sweep]\neps = {raw}\n")
+
+    def test_sweep_range_negative_ends(self):
+        # the oblate amplitudes: two negative ends are one sign
+        spec = loads(MINIMAL + "[sweep]\neps = -1e-2..-1e-4:3\n")
+        assert spec.sweep == pytest.approx((-1e-2, -1e-3, -1e-4))
+        assert loads(dumps(spec)) == spec
+
     def test_sweep_list(self):
         spec = loads(MINIMAL + "[sweep]\neps = 1e-3, 3e-3, 1e-2\n")
         assert spec.sweep == (1e-3, 3e-3, 1e-2)
@@ -525,7 +539,8 @@ class TestCli:
         path = self.write_spec(tmp_path, MINIMAL)
         assert main(["spectrum", path, "--at", "0"]) == EXIT_OK
         assert calls == ["_row_spectrum"]
-        rows = capsys.readouterr().out.splitlines()[1:-2]
+        rows = [line for line in capsys.readouterr().out.splitlines()[1:]
+                if not line.startswith("#")]
         state = state_at(load_spec(path), 0.0)
         fresh = krflow.spectral.weighted_spectrum(state.metric, state.u)
         # modes m > 0 twice, stably sorted from the mode-by-mode order
@@ -534,6 +549,16 @@ class TestCli:
                        key=lambda pair: pair[0])
         assert rows == [f"{i},{lam!r},{m}"
                         for i, (lam, m) in enumerate(pairs)]
+
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    def test_names_the_time_of_the_state_read(self, tmp_path, capsys,
+                                              command):
+        # the round sphere converges at t = 0, so the state nearest
+        # --at 3 is the t = 0 state, and the output says so
+        path = self.write_spec(tmp_path, "scenario = round\ngrid_n = 64\n")
+        assert main([command, path, "--at", "3"]) == EXIT_OK
+        expected = {"check": "t = 0.0", "spectrum": "# t = 0.0"}[command]
+        assert expected in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("command", ["check", "spectrum"])
     def test_non_finite_at_exit_two(self, tmp_path, capsys, monkeypatch,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from krflow.flow import FlowConfig, run
+from krflow.flow import FlowConfig, Trajectory, decay_cap, run
 from krflow.geometry import (ConfigError, laplace_round, make_grid,
                              round_metric)
 from krflow.harness import legendre_bump
@@ -357,6 +357,58 @@ class TestShortTime:
         end = p2_run_small.states[-1]
         assert rep.aux["t_sampled"] == end.t
         assert rep.aux["grad_c0_at_t0"] == end.funcs.grad_u_c0
+
+
+class TestForcedColumnReads:
+    """The first-violation times and the window reads on a trajectory with
+    values forced past each threshold, against one loop over the states."""
+
+    @staticmethod
+    def forced(states, budget, cap):
+        def funcs(s, **values):
+            return replace(s, funcs=replace(s.funcs, **values))
+
+        states = list(states)
+        for i in (5, 9):  # over the gradient budget twice
+            states[i] = funcs(states[i], grad_u_c0=2.0 * budget)
+        states[7] = replace(states[7], phi_meas=8.0)  # over phi0 = 4
+        states[3] = replace(states[3], lambda_g=1.2)  # under 1 + delta/2
+        states[12] = funcs(states[12], c0_u_minus_a=2.0 * cap)
+        return states
+
+    def test_reads_equal_a_loop_over_the_states(self, p2_run_small):
+        s0 = p2_run_small.states[0]
+        budget = bootstrap_tracker(p2_run_small, 4.0).aux["grad_budget"]
+        cap = decay_cap(s0.funcs.delta_prime_0)
+        states = self.forced(p2_run_small.states, budget, cap)
+        traj = Trajectory(states)
+
+        def first(holds):
+            return next(s.t for s in states if holds(s))
+
+        aux = bootstrap_tracker(traj, 4.0).aux
+        assert aux["violation_grad"] == first(
+            lambda s: s.funcs.grad_u_c0 > budget) == states[5].t
+        assert aux["violation_equiv"] == first(
+            lambda s: s.phi_meas > 4.0) == states[7].t
+        assert aux["violation_eig"] == first(
+            lambda s: s.lambda_g < 1.5) == states[3].t
+        prefix = []
+        for s in states:
+            if s.funcs.c0_u_minus_a > cap:
+                break
+            prefix.append(s)
+        assert check_Y_decay(traj).aux["gate_prefix_end"] == prefix[-1].t \
+            == states[11].t
+        # t0 between two recorded states; the window excludes states[3]
+        t0 = 0.125
+        lam_min = math.inf
+        for s in states:
+            if s.t <= t0 + 1e-12:
+                lam_min = min(lam_min, s.lambda_g)
+        aux = check_short_time(traj, t0=t0).aux
+        assert aux["lambda_min_window"] == lam_min > 1.2
+        assert aux["t_sampled"] == min(states, key=lambda s: abs(s.t - t0)).t
 
 
 class TestConvergenceOrder:

@@ -1,9 +1,12 @@
-"""The drift summary of tools/artifact_diff.py on hand-made artifacts."""
+"""The drift summary of tools/artifact_diff.py on hand-made artifacts, and
+the perfbench command line of tools/bench_pairs.py."""
 
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
 from artifact_diff import drift  # noqa: E402
 
 
@@ -27,3 +30,18 @@ def test_drift_per_column_and_key():
         "  report.txt [check b] verdict: text"]
     assert drift("report.txt", old, old) == []
     assert drift("report.txt", None, new) == []
+
+
+def test_bench_pairs_passes_the_seed(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"x": 1}\n',
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(Path("tree"), "dense_n64", 42) == {"x": 1}
+    (cmd,) = calls
+    assert cmd[-2:] == ["--seed", "42"]
+    assert cmd[cmd.index("--workload") + 1] == "dense_n64"

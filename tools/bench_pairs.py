@@ -2,15 +2,16 @@
 """Alternating benchmark pairs of a git revision and the working tree.
 
     python3 tools/bench_pairs.py --against <rev> --pairs 10 \
-        --out BENCH_<label>.json
+        --out BENCH_<label>.json [--seed N]
 
 The committed files of <rev> are exported into a temporary directory
 (tools/artifact_diff.export), and the working tree is the other side, the
 change.  For each workload of BENCHMARK.json, the two trees run
-`perfbench/run.py --workload <name> --trace 0` in turn, each tree its own
-copy of perfbench and its own src/, at perfbench's default seed and
-length.  The parent runs first in the first half of the pairs and the
-change in the second half.
+`perfbench/run.py --workload <name> --trace 0 --seed <seed>` in turn,
+each tree its own copy of perfbench and its own src/, at perfbench's
+default length; --seed (default 7, perfbench's default) picks the
+workload variant.  The parent runs first in the first half of the pairs
+and the change in the second half.
 
 The output file holds the keys of the committed BENCH_*.json files: what,
 command, procedure, machine, summary (per workload and end-to-end metric:
@@ -44,11 +45,11 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The JSON last line of one perfbench run in tree."""
     out = subprocess.run(
-        [sys.executable, *COMMAND, "--workload", workload], cwd=tree,
-        capture_output=True, text=True)
+        [sys.executable, *COMMAND, "--workload", workload,
+         "--seed", str(seed)], cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"perfbench in {tree} exited {out.returncode}:\n"
                          f"{out.stdout}{out.stderr}")
@@ -92,6 +93,8 @@ def main(argv=None) -> int:
                    help="alternating pairs per workload, at least 2")
     p.add_argument("--out", required=True, type=Path,
                    help="the BENCH_<label>.json file to write")
+    p.add_argument("--seed", type=int, default=7,
+                   help="perfbench's --seed for every run (default 7)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for the quartiles")
@@ -112,7 +115,7 @@ def main(argv=None) -> int:
                 order = (("parent", "change") if pair <= half
                          else ("change", "parent"))
                 for tree in order:
-                    line = run_once(trees[tree], workload)
+                    line = run_once(trees[tree], workload, args.seed)
                     pair_runs.append({"tree": tree, "workload": workload,
                                       "trace": 0, "pair": pair,
                                       "last_line": line})
@@ -126,13 +129,15 @@ def main(argv=None) -> int:
     record = {
         "what": f"{args.against} ({parent_rev}) against the working tree "
                 f"at {head}{dirty}",
-        "command": "python3 " + " ".join(COMMAND) + " --workload <workload>",
+        "command": "python3 " + " ".join(COMMAND)
+                   + f" --workload <workload> --seed {args.seed}",
         "procedure": (
             f"parent and change alternate run by run, each tree running its "
             f"own perfbench and src/ (the parent a git archive of "
-            f"{parent_rev}), at perfbench's default seed and length: "
-            f"{args.pairs} pairs per workload, parent first in pairs 1-"
-            f"{half} and change first in pairs {half + 1}-{args.pairs}"),
+            f"{parent_rev}), at seed {args.seed} and perfbench's default "
+            f"length: {args.pairs} pairs per workload, parent first in "
+            f"pairs 1-{half} and change first in pairs {half + 1}-"
+            f"{args.pairs}"),
         "machine": (
             f"{os.cpu_count()}-core {platform.machine()} machine, Python "
             f"{platform.python_version()}, numpy {version('numpy')}, scipy "
