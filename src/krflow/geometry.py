@@ -174,7 +174,8 @@ def conformal_metric(grid: Grid, w: np.ndarray) -> ConformalMetric:
     across a pole raises IrregularPole.  The D4 term grows with the
     curvature of a smooth even profile, whose slope error is O(h^3) times
     its fourth derivative, and vanishes on the linear and cubic part, so
-    it cannot hide a tilt.
+    it cannot hide a tilt.  A smooth even profile whose feature near a pole
+    spans a few nodes is refused too: the message says so, with grid_n.
     """
     w = np.asarray(w, dtype=float)
     metric = ConformalMetric(grid=grid, w=w)
@@ -185,8 +186,11 @@ def conformal_metric(grid: Grid, w: np.ndarray) -> ConformalMetric:
         tol = base + 2.0 * abs(float(stencil @ end)) / grid.h
         if abs(slope) > tol:
             raise IrregularPole(
-                f"conformal factor irregular at the {side} pole: slope "
-                f"{slope:.3e} exceeds {tol:.3e}")
+                f"conformal factor irregular at the {side} pole at grid_n "
+                f"= {grid.n_nodes}: slope {slope:.3e} exceeds {tol:.3e}; "
+                "a profile that is not even across the pole, or a smooth "
+                "even profile too steep for this grid, which needs a finer "
+                "grid_n")
     return metric
 
 
@@ -344,8 +348,7 @@ def noncollapsing_kappa(metric: ConformalMetric, rho: float):
                                          - np.cos(theta_r))
         ball = np.where(r >= radii[..., -1:], cum_vol[..., -1:],
                         np.take_along_axis(cum_vol, j, axis=-1) + partial)
-        # fmin skips a NaN row minimum, as the builtin min did
-        kappa = np.fmin(kappa, np.min(ball / (vol_total * r * r), axis=-1))
+        kappa = np.minimum(kappa, np.min(ball / (vol_total * r * r), axis=-1))
     return float_or_rows(kappa)
 
 

@@ -53,6 +53,44 @@ class ExperimentSpec:
     sweep_target: str = "amplitude"
     output_dir: str = "out"
 
+    def __post_init__(self):
+        """Refuse, with ConfigError, a spec that no run can use: an unknown
+        scenario, scenario key or sweep target, a grid under MIN_NODES, a
+        default band with no room for lambda(g), an unknown or repeated
+        check id, a bad monitor value, or a t0 past t_end."""
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        unknown = (dict(self.scenario_params).keys()
+                   - SCENARIOS[self.scenario][1].keys())
+        if unknown:
+            raise ConfigError(f"scenario {self.scenario!r} takes no key "
+                              f"{min(unknown)!r}")
+        if self.sweep_target not in SWEEP_TARGETS:
+            raise ConfigError(f"unknown sweep target {self.sweep_target!r}")
+        if self.grid_n < MIN_NODES:
+            raise ConfigError(f"grid_n = {self.grid_n} below the minimum "
+                              f"{MIN_NODES}")
+        if self.flow.band_tol is None:
+            # lambda(g) sits about 2 above the band at 1 and must clear the
+            # band edge by 2 band_tol
+            tol = spectral.default_band_tol(make_grid(self.grid_n))
+            if 3.0 * tol >= 2.0:
+                raise ConfigError(
+                    f"grid_n = {self.grid_n}: the default band_tol "
+                    f"{spectral.BAND_H2:g} h^2 = {tol:.3g} leaves no room "
+                    "for the gap to lambda(g), which needs 3 band_tol < 2 "
+                    "(grid_n >= 28); set [flow] band_tol explicitly")
+        for name in self.checks:
+            if name not in ALL_CHECKS:
+                raise ConfigError(f"unknown check id {name!r}")
+            if self.checks.count(name) > 1:
+                raise ConfigError(f"check id {name!r} listed twice")
+        params = self.monitor_dict()  # checks the monitor values
+        if ("t0" in dict(self.monitor_params)
+                and params["t0"] > self.flow.t_end):
+            raise ConfigError(f"t0 = {params['t0']!r} lies past t_end = "
+                              f"{self.flow.t_end!r}: no state to sample")
+
     def monitor_dict(self):
         """Every monitor parameter: the spec's values over the defaults,
         checked by monitors.monitor_params (ConfigError)."""
@@ -292,28 +330,11 @@ def loads(text: str) -> ExperimentSpec:
                 given["sweep_target"] = raw
             else:
                 raise ConfigError(f"line {lineno}: unknown sweep key {key!r}")
-    spec = ExperimentSpec(
+    # ExperimentSpec checks what no single line decides
+    return ExperimentSpec(
         **given, scenario_params=tuple(sorted(scenario.items())),
         flow=FlowConfig(**flow),
         monitor_params=tuple(sorted(monitors.items())))
-    if spec.grid_n < MIN_NODES:
-        raise ConfigError(f"grid_n = {spec.grid_n} below the minimum "
-                          f"{MIN_NODES}")
-    if spec.flow.band_tol is None:
-        # lambda(g) sits about 2 above the band at 1 and must clear the
-        # band edge by 2 band_tol
-        tol = spectral.default_band_tol(make_grid(spec.grid_n))
-        if 3.0 * tol >= 2.0:
-            raise ConfigError(
-                f"grid_n = {spec.grid_n}: the default band_tol "
-                f"{spectral.BAND_H2:g} h^2 = {tol:.3g} leaves no room for the "
-                "gap to lambda(g), which needs 3 band_tol < 2 (grid_n >= 28)"
-                "; set [flow] band_tol explicitly")
-    params = spec.monitor_dict()  # checks the monitor values
-    if "t0" in monitors and params["t0"] > spec.flow.t_end:
-        raise ConfigError(f"t0 = {params['t0']!r} lies past t_end = "
-                          f"{spec.flow.t_end!r}: no state to sample")
-    return spec
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -185,11 +185,10 @@ def check_Y_decay(traj: Trajectory) -> CheckReport:
     ts, ys = traj.times()[:end], f.Y[:end]
     margin = float(np.min(np.exp(-dp0 * ts) * y0 - ys))
     rate = _fit_rate(ts, ys, y0 * 1e-12)
-    # pointwise differential inequality at each state with two neighbours;
-    # fmax skips a NaN residual, as the builtin max did
+    # pointwise differential inequality at each state with two neighbours
     c0 = f.c0_u_minus_a[1:end - 1]
     bound = ((-2.0 + 2.0 * c0) * (1.0 + dp0) + (2.0 + c0)) * ys[1:-1]
-    worst_resid = np.fmax.reduce(_centred(ts, ys) - bound, initial=-np.inf)
+    worst_resid = np.max(_centred(ts, ys) - bound, initial=-np.inf)
     return CheckReport(
         "y_decay", statement, True, margin, tol,
         {"fitted_rate": rate, "delta_prime_0": dp0,
@@ -223,8 +222,9 @@ def _c0_kappas(states, rho: float) -> list[float]:
     return kappa.tolist()
 
 
-def _k_eff(f, kappa: float) -> float:
-    return float(f.c0_u_minus_a * kappa ** 0.25 / f.Y ** 0.25)
+def _k_eff(f, kappa):
+    """K_eff of a FunctionalBundle and its kappa, or of their columns."""
+    return f.c0_u_minus_a * kappa ** 0.25 / f.Y ** 0.25
 
 
 def check_c0_vs_Y(state: FlowState, rho: float) -> CheckReport:
@@ -280,8 +280,8 @@ def check_c2_estimate(traj: Trajectory) -> CheckReport:
                 + np.max(np.abs(rows.u.values), axis=-1))
 
     traces, sups = map_blocks(states, s0.metric.grid.n_nodes, trace_and_sup)
-    min_trace = np.fmin.reduce(traces, initial=np.inf)
-    run_sup = np.fmax.reduce(sups, initial=0.0)
+    min_trace = np.min(traces, initial=np.inf)
+    run_sup = np.max(sups, initial=0.0)
     return CheckReport(
         "c2_estimate",
         "n + lap_0 phi <= Phi(alpha); Phi^-1 g0 <= g(t) <= Phi g0",
@@ -432,15 +432,15 @@ def check_gradnorm_evolution(traj: Trajectory,
     if residuals is None:
         residuals = _hessian_pass(traj)[1]
     rec = float(np.max(np.diff(ts)))
-    worst = np.fmax.reduce(residuals[0], initial=0.0)
-    scale = np.fmax.reduce(residuals[1], initial=1e-10)
+    worst = np.max(residuals[0], initial=0.0)
+    scale = np.max(residuals[1], initial=1e-10)
     tol = H2_TOL_FACTOR * (grid.h ** 2 + rec ** 2) * scale
     amp0 = states[0].funcs.grad_u_c0
     amp_max = np.max(Rows(states).funcs.grad_u_c0[ts <= 2.0])
     amplification = amp_max / amp0 if amp0 > 0 else 1.0
     margin = tol - worst
-    if amplification > math.e:
-        margin = -max(worst, amplification - math.e)
+    if not amplification <= math.e:
+        margin = -np.maximum(worst, amplification - math.e)
     return CheckReport(
         "gradnorm_evolution", statement, True, float(margin),
         aux={"max_residual": float(worst), "residual_scale": float(scale),
@@ -474,20 +474,16 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
                            aux={"n_states": float(len(states))})
     dp0 = s0.funcs.delta_prime_0
     cap = decay_cap(dp0)
-    # each state's gate once, in Python floats: their ** 2 is libm's pow,
-    # which numpy's square differs from in the last bit
-    gated = np.array([s.funcs.c0_u_minus_a <= cap
-                      and 1.5 * s.funcs.grad_u_c0 ** 2 + s.funcs.c0_u_minus_a
-                      <= 1.0 for s in states])
+    f = Rows(states).funcs
+    gated = ((f.c0_u_minus_a <= cap)
+             & (1.5 * f.grad_u_c0 ** 2 + f.c0_u_minus_a <= 1.0))
     # the centres whose state and both neighbours are gated
     i = np.flatnonzero(gated[:-2] & gated[1:-1] & gated[2:]) + 1
     ts = traj.times()
-    zs = Rows(states).funcs.Z
     hess = (hessian_means if hessian_means is not None
             else _hessian_pass(traj)[0])
-    dz = _centred(ts, zs)[i - 1]
-    # fmin skips a NaN margin, as the builtin min did
-    margin = np.fmin.reduce(2.0 * zs[i] - 0.5 * hess[i] - dz, initial=np.inf)
+    dz = _centred(ts, f.Z)[i - 1]
+    margin = np.min(2.0 * f.Z[i] - 0.5 * hess[i] - dz, initial=np.inf)
     if not i.size:
         return CheckReport(
             "z_derivative", statement, False, None,
@@ -506,7 +502,7 @@ def check_Z_derivative(traj: Trajectory, hessian_means=None) -> CheckReport:
             window = float(np.trapezoid(hess[mask], ts[mask]))
             total += window
             denom = math.exp(-dp0 * start / 2.0) * max(eps0, 1e-300) ** 2
-            c8_eff = max(c8_eff, window / denom)
+            c8_eff = np.maximum(c8_eff, window / denom)
         start = stop
     return CheckReport(
         "z_derivative", statement, True, float(margin),
@@ -625,15 +621,14 @@ def bootstrap_tracker(traj: Trajectory,
     grad_budget = calibration * eps
     rows = Rows(states)
     grad, phi, lam = rows.funcs.grad_u_c0, rows.phi_meas, rows.lambda_g
-    # fmax and fmin skip a NaN, as the builtin max and min did
-    max_grad = float(np.fmax.reduce(grad, initial=0.0))
-    max_phi = float(np.fmax.reduce(phi, initial=1.0))
-    min_lam = float(np.fmin.reduce(lam, initial=np.inf))
+    max_grad = float(np.max(grad, initial=0.0))
+    max_phi = float(np.max(phi, initial=1.0))
+    min_lam = float(np.min(lam, initial=np.inf))
     # a violation makes its term negative, so margin < 0 exactly when one
     # of the first-violation times exists
-    margin = min((grad_budget - max_grad) / grad_budget,
-                 (phi0 - max_phi) / phi0,
-                 min_lam - 1.0 - BOOTSTRAP_DELTA / 2.0)
+    margin = np.min(((grad_budget - max_grad) / grad_budget,
+                     (phi0 - max_phi) / phi0,
+                     min_lam - 1.0 - BOOTSTRAP_DELTA / 2.0))
     aux = {"L": calibration, "epsilon": eps, "grad_budget": grad_budget,
            "max_grad": max_grad, "max_phi_meas": max_phi,
            "min_lambda": float(min_lam),
@@ -673,9 +668,8 @@ def check_short_time(traj: Trajectory,
     exceed = np.flatnonzero(kmax > cap)
     first_exceed = states[exceed[0]].t if exceed.size else None
     ts = traj.times()
-    # fmin skips a NaN, as the builtin min did
-    lam_min = np.fmin.reduce(Rows(states).lambda_g, where=ts <= t0 + 1e-12,
-                             initial=np.inf)
+    lam_min = np.min(Rows(states).lambda_g, where=ts <= t0 + 1e-12,
+                     initial=np.inf)
     # argmin takes the first of two states equally near t0
     sampled = states[int(np.argmin(np.abs(ts - t0)))]
     grad_t0 = sampled.funcs.grad_u_c0
@@ -739,9 +733,7 @@ def _largest_k_eff(sh: _Shared) -> CheckReport:
     state when no state has one."""
     states, rho = sh.traj.states, sh.p["rho"]
     kappas = _c0_kappas(states, rho)
-    # per state: _k_eff's ** 0.25 on Python floats keeps libm's pow bits
-    keffs = np.array([math.nan if math.isnan(k) else _k_eff(s.funcs, k)
-                      for s, k in zip(states, kappas)])
+    keffs = _k_eff(Rows(states).funcs, np.array(kappas))
     if np.isnan(keffs).all():
         return _c0_report(states[0], rho, kappas[0])
     pos = int(np.nanargmax(keffs))
@@ -763,7 +755,7 @@ def _log_det(sh: _Shared) -> CheckReport:
                        lambda rows: log_det_residual(rows, states[0]))
     return _identity_check(
         "log_det", "log det g(t)/det g(0) = u(t) - u(0) - phi(t) - c(t)",
-        max(resid.tolist()), LOG_DET_TOL)
+        np.max(resid), LOG_DET_TOL)
 
 
 def _bochner_mid(sh: _Shared) -> CheckReport:

@@ -43,14 +43,11 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class RicciPotential:
-    """Solved potential: nodal values, normalization constant, residuals,
-    and the weight emu = e^{-u} (read-only) of every integral against
-    e^{-u} dv."""
+    """Solved potential: nodal values, normalization constant and the
+    weight emu = e^{-u} (read-only) of every integral against e^{-u} dv."""
 
     values: np.ndarray
     norm_const: float
-    pde_residual: float
-    norm_residual: float
     emu: np.ndarray
 
 
@@ -75,8 +72,7 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
     Raises VolumeMismatch when |V - 4 pi| > VOLUME_TOL * 4 pi, the discrete
     solvability obstruction, for the first row that fails it.  The
     right-hand side is projected onto the solvability constraint before
-    integrating, and the PDE residual is measured against the unprojected
-    equation, so a volume defect shows.
+    integrating.
     """
     vol = metric.volume
     bad = np.flatnonzero(np.abs(vol - ROUND_VOLUME)
@@ -86,21 +82,14 @@ def solve_ricci_potential(metric: ConformalMetric) -> RicciPotential:
         raise VolumeMismatch(
             f"volume {v:.12g} is off 4*pi by {v - ROUND_VOLUME:.3e}; "
             "the metric left the normalized class")
-    grid, e2w = metric.grid, metric.e2w
-    g, u0 = flux_potential(grid, metric.w, e2w)
-    rhs = 2.0 * g  # 2 (1 - K) e^{2w}
+    _, u0 = flux_potential(metric.grid, metric.w, metric.e2w)
     c = float_or_rows(libm_log(weighted_integral(np.exp(-u0), metric) / vol))
     u = u0 + per_row(c)
-    pde_res = float_or_rows(
-        np.max(np.abs(laplace_round(grid, u) - rhs), axis=-1)
-        / np.maximum(1.0, np.max(np.abs(e2w), axis=-1)))
     emu = np.exp(-u)
     emu.flags.writeable = False
-    norm_res = float_or_rows(np.abs(weighted_mean(1.0, emu, metric) - 1.0))
     if not np.all(np.isfinite(u)):
         raise NormalizationFail("potential solve produced non-finite values")
-    return RicciPotential(values=u, norm_const=c, pde_residual=pde_res,
-                          norm_residual=norm_res, emu=emu)
+    return RicciPotential(values=u, norm_const=c, emu=emu)
 
 
 def weighted_mean(f, emu: np.ndarray, metric: ConformalMetric):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from krflow.geometry import laplace_round
+from krflow.potential import weighted_mean
 from krflow.spectral import EigenData, Spectrum, pair_data
 
 
@@ -11,6 +13,17 @@ def eigen_data(spectrum: Spectrum, m: int, i: int) -> EigenData:
     """EigenData of the i-th pair of mode m."""
     return pair_data(spectrum.metric, m, float(spectrum.vals[m, i]),
                      spectrum.vecs[m, :, i])
+
+
+def potential_residuals(u, metric) -> tuple[float, float]:
+    """The residuals of a solved potential u of one metric: of the trace
+    equation lap_round u = 2 (1 - K) e^{2w}, relative to max(1, sup
+    e^{2w}), and of the normalization (1/V) int e^{-u} dv = 1."""
+    e2w = metric.e2w
+    rhs = 2.0 * (e2w - 1.0 + laplace_round(metric.grid, metric.w))
+    pde = (np.max(np.abs(laplace_round(metric.grid, u.values) - rhs))
+           / max(1.0, np.max(np.abs(e2w))))
+    return float(pde), float(abs(weighted_mean(1.0, u.emu, metric) - 1.0))
 
 
 def convergence_order(hs, residuals, floor: float = 1e-11):

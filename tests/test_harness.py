@@ -251,6 +251,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_spec(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("kwargs, error", [
+        # a bare ValueError from make_grid
+        ({"grid_n": 8}, "below the minimum 16"),
+        # BandAmbiguity at t = 0, exit 3
+        ({"scenario": "legendre_bump", "grid_n": 20}, "no room"),
+        # the whole flow ran and wrote timeseries.csv first
+        ({"checks": ("nope",)}, "unknown check id 'nope'"),
+        ({"checks": ("y_decay", "y_decay")}, "listed twice"),
+        ({"monitor_params": (("phi0", 1.0),)}, "phi0"),
+        ({"monitor_params": (("t0", 100.0),)}, "past t_end"),
+        # a bare KeyError, a bare TypeError, and a run that exited 0
+        ({"scenario": "nope"}, "unknown scenario 'nope'"),
+        ({"scenario": "round", "scenario_params": (("eps", 0.1),)},
+         "takes no key 'eps'"),
+        ({"sweep_target": "nope"}, "unknown sweep target 'nope'"),
+    ], ids=["grid_below_minimum", "band_no_room", "unknown_check",
+            "check_twice", "monitor_value", "t0_past_t_end",
+            "unknown_scenario", "unknown_scenario_key",
+            "unknown_sweep_target"])
+    def test_spec_built_in_python_is_checked(self, kwargs, error):
+        # the checks of loads hold for a spec made without text
+        with pytest.raises(ConfigError, match=error):
+            ExperimentSpec(**kwargs)
+
     def test_readme_spec_example_loads(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         block = readme.read_text().split("## Spec format")[1].split("```\n")[1]
@@ -301,6 +325,37 @@ class TestPresets:
             with pytest.raises(ConfigError, match="128") as exc:
                 initial_metric(spec)
             assert f"shape {shape}" in str(exc.value)
+
+
+def rosenau_w(grid_n: int, T: float = 3.0) -> np.ndarray:
+    """The King-Rosenau sausage metric e^{2w} = sinh T cosh T / (T (1 +
+    sinh^2 T sin^2 theta)) at the nodes, smooth and even at both poles."""
+    sin = make_grid(grid_n).sin_nodes
+    return 0.5 * np.log(np.sinh(T) * np.cosh(T)
+                        / (T * (1.0 + np.sinh(T) ** 2 * sin ** 2)))
+
+
+class TestUnderResolvedPole:
+    def test_steep_even_profile_needs_a_finer_grid(self, tmp_path):
+        # T = 3 narrows the profile near each pole to a width of about
+        # 1 / sinh 3 = 0.1: the pole check refuses it at grid_n = 64, and
+        # the message names the grid; grid_n = 256 resolves it
+        from krflow.harness import initial_metric
+        out = tmp_path / "o"
+        for n in (64, 256):
+            np.savetxt(tmp_path / f"w{n}.txt", rosenau_w(n))
+        path = tmp_path / "spec.cfg"
+        path.write_text(f"output_dir = {out}\nscenario = custom_w\n"
+                        f"grid_n = 64\n[scenario]\n"
+                        f"file = {tmp_path / 'w64.txt'}\n")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        report = (out / "report.txt").read_text()
+        assert "error = IrregularPole: " in report
+        assert "grid_n = 64" in report.split("error = ")[1].splitlines()[0]
+        assert "finer grid" in report
+        spec = loads(f"scenario = custom_w\ngrid_n = 256\n[scenario]\n"
+                     f"file = {tmp_path / 'w256.txt'}\n")
+        assert initial_metric(spec).grid.n_nodes == 256
 
 
 class TestRunScenario:

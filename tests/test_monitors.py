@@ -146,6 +146,15 @@ class TestC0VsY:
         rep = check_c0_vs_Y(p2_run_large.states[0], rho=0.1)
         assert rep.verdict == GATE_NOT_MET
 
+    def test_largest_k_eff_equals_a_loop_over_the_states(self, p2_run_small):
+        # the run's report is the per-state report with the largest K_eff
+        states = p2_run_small.states
+        reports = [check_c0_vs_Y(s, rho=0.5) for s in states]
+        pos = max(range(len(states)), key=lambda i: reports[i].aux["K_eff"])
+        rep = evaluate_trajectory(p2_run_small, checks=("c0_vs_y",)).checks[0]
+        assert rep.aux.pop("state_t") == states[pos].t
+        assert rep.aux == reports[pos].aux
+
 
 class TestC2Estimate:
     def test_round_trivial(self, round_traj):
@@ -409,6 +418,41 @@ class TestForcedColumnReads:
         aux = check_short_time(traj, t0=t0).aux
         assert aux["lambda_min_window"] == lam_min > 1.2
         assert aux["t_sampled"] == min(states, key=lambda s: abs(s.t - t0)).t
+
+
+@pytest.fixture(scope="module")
+def bump_short():
+    """legendre_bump(2, 1e-2) at N = 64 to t = 0.1: 11 states on which
+    each check below reads PASS or REPORT_ONLY."""
+    return run(FlowConfig(t_end=0.1, record_dt=0.01),
+               legendre_bump(make_grid(64), 2, 1e-2))
+
+
+class TestNanFails:
+    """A NaN in one per-state number that a check reduces over the states,
+    at a state after the first, turns the check's verdict to FAIL."""
+
+    @pytest.mark.parametrize("check, name", [
+        ("bootstrap", "grad_u_c0"), ("bootstrap", "phi_meas"),
+        ("bootstrap", "lambda_g"), ("z_derivative", "Z"),
+        ("gradnorm_evolution", "grad_u_c0"), ("c2_estimate", "phi"),
+        ("log_det", "phi"), ("kahler_class", "class_residual"),
+        ("y_decay", "Y")])
+    def test_nan_at_a_later_state_fails(self, bump_short, check, name):
+        def verdict(states):
+            report = evaluate_trajectory(Trajectory(states), checks=(check,))
+            return report.checks[0].verdict
+
+        states = list(bump_short.states)
+        assert verdict(states) in (PASS, REPORT_ONLY)
+        s = states[3]
+        if name == "phi":
+            states[3] = replace(s, phi=np.full_like(s.phi, np.nan))
+        elif hasattr(s.funcs, name):
+            states[3] = replace(s, funcs=replace(s.funcs, **{name: np.nan}))
+        else:
+            states[3] = replace(s, **{name: np.nan})
+        assert verdict(states) == FAIL
 
 
 class TestConvergenceOrder:

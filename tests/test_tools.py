@@ -1,5 +1,6 @@
-"""The drift summary of tools/artifact_diff.py on hand-made artifacts, and
-the perfbench command line of tools/bench_pairs.py."""
+"""The drift summary of tools/artifact_diff.py on hand-made artifacts, the
+perfbench command line of tools/bench_pairs.py, and the private
+definitions tools/unused_imports.py reports."""
 
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
+import unused_imports  # noqa: E402
 from artifact_diff import drift  # noqa: E402
 
 
@@ -45,3 +47,24 @@ def test_bench_pairs_passes_the_seed(monkeypatch):
     (cmd,) = calls
     assert cmd[-2:] == ["--seed", "42"]
     assert cmd[cmd.index("--workload") + 1] == "dense_n64"
+
+
+def test_unread_private_definition_reported(monkeypatch, tmp_path, capsys):
+    # _dead is read nowhere; the others are read from another file: by a
+    # relative import and a call, as an attribute, and by an import
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "m.py").write_text(
+        "def _dead():\n    pass\n\n\ndef _called():\n    pass\n\n\n"
+        "class _patched:\n    pass\n\n\ndef _imported():\n    pass\n")
+    (tmp_path / "src" / "pkg" / "n.py").write_text(
+        "from .m import _called\n\n_called()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text(
+        "from pkg import m\nfrom pkg.m import _imported\n\n"
+        "m._patched\n_imported\n")
+    (tmp_path / "tools").mkdir()
+    monkeypatch.setattr(unused_imports, "ROOT", tmp_path)
+    assert unused_imports.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{tmp_path / 'src' / 'pkg' / 'm.py'}:1: _dead "
+                   "(unread private definition)"]
