@@ -19,7 +19,10 @@ halved once per rejected segment.  A cap within RK4's stability bound
 stability_dt of the state that opens the segment takes ceil(seg / cap)
 RK4 steps, the cheapest order-4 step there; a cap above it takes as many
 extrapolated linearly implicit Euler steps, whose count does not grow
-with the grid (_kernels).
+with the grid (_kernels).  The rows of one extrapolated step's tableau
+advance as one stack, from the row depth that settled the step before:
+_segments carries that depth from segment to segment, and as a hint only
+it changes no bit of a step.
 
 Volume is a structural invariant of the semi-discrete flow: dV/dt =
 V - 4 pi holds exactly, so a state that starts at V = 4 pi stays there.
@@ -300,6 +303,7 @@ def _segments(config: FlowConfig, initial: ConformalMetric):
     phi.flags.writeable = False
     yield Segment(metric, phi, 0.0, 0.0, 0.0)
     halvings = k = 0
+    depth = 2  # the tableau row that settled the last extrapolated step
     while t < config.t_end - 1e-12:
         # segment k ends at k record_dt, so t accumulates no rounding, and
         # a full segment lasts record_dt whatever the rounding of its ends
@@ -313,9 +317,13 @@ def _segments(config: FlowConfig, initial: ConformalMetric):
             dt_cap = cap0 * 0.5 ** halvings
             nst = max(1, int(math.ceil(seg / dt_cap - 1e-12)))
             dt_seg = seg / nst
-            advance = advance_rk4 if dt_cap <= stable else advance_extrapolated
             w_try, phi_try = w.copy(), phi.copy()
-            done, ok = advance(w_try, phi_try, nst, dt_seg, grid, vol_limit)
+            if dt_cap <= stable:
+                done, ok = advance_rk4(w_try, phi_try, nst, dt_seg, grid,
+                                       vol_limit)
+            else:
+                done, ok, depth = advance_extrapolated(
+                    w_try, phi_try, nst, dt_seg, grid, vol_limit, depth)
             if ok:
                 try:
                     new, res = check_class(w_try, phi_try, t_next, config,

@@ -55,16 +55,22 @@ class ExperimentSpec:
 
     def __post_init__(self):
         """Refuse, with ConfigError, a spec that no run can use: an unknown
-        scenario, scenario key or sweep target, a grid under MIN_NODES, a
-        default band with no room for lambda(g), an unknown or repeated
-        check id, a bad monitor value, or a t0 past t_end."""
+        scenario, scenario key or sweep target, a scenario value not of its
+        key's declared type, a legendre_bump l under 2, a grid under
+        MIN_NODES, a default band with no room for lambda(g), an unknown or
+        repeated check id, a bad monitor value, or a t0 past t_end."""
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        unknown = (dict(self.scenario_params).keys()
-                   - SCENARIOS[self.scenario][1].keys())
+        defaults = SCENARIOS[self.scenario][1]
+        unknown = dict(self.scenario_params).keys() - defaults.keys()
         if unknown:
             raise ConfigError(f"scenario {self.scenario!r} takes no key "
                               f"{min(unknown)!r}")
+        for key, value in self.scenario_params:
+            if not _of_declared_type(value, defaults[key]):
+                raise ConfigError(f"bad value {value!r} for key {key!r}")
+            if key == "l" and value < 2:
+                raise ConfigError("legendre_bump needs l >= 2")
         if self.sweep_target not in SWEEP_TARGETS:
             raise ConfigError(f"unknown sweep target {self.sweep_target!r}")
         if self.grid_n < MIN_NODES:
@@ -127,7 +133,7 @@ def _even_preset(grid: Grid, w: np.ndarray, what: str) -> ConformalMetric:
 def legendre_bump(grid: Grid, l: int, eps: float) -> ConformalMetric:
     """w = eps P_l(cos theta), shifted to exact volume 4 pi.  A spec needs
     l >= 2 (degree-one bumps are first-order trivial reparametrizations),
-    which loads checks."""
+    which ExperimentSpec checks."""
     return _even_preset(grid, legendre_profile(grid, l, eps),
                         f"legendre_bump l = {l}, eps = {eps}")
 
@@ -228,13 +234,27 @@ def initial_metric(spec: ExperimentSpec) -> ConformalMetric:
 _FLOW_DEFAULTS = {f.name: f.default for f in fields(FlowConfig)}
 
 
+def _declared_type(default) -> type:
+    """The type a key's value takes: its default's, or the default itself
+    when that is a type (a key with no default); float for a None."""
+    return (float if default is None else
+            default if isinstance(default, type) else type(default))
+
+
+def _of_declared_type(value, default) -> bool:
+    """Whether value has its key's declared type; an int passes for a
+    float, and a bool for neither."""
+    typ = _declared_type(default)
+    return (isinstance(value, (int, float) if typ is float else typ)
+            and not isinstance(value, bool))
+
+
 def _parse_declared(raw: str, default, key: str, lineno: int):
     """raw as the type of the key's default, or as the default itself when
     that is a type (a key with no default); auto / none only for None."""
     if default is None and raw.lower() in ("auto", "none"):
         return None
-    typ = (float if default is None else
-           default if isinstance(default, type) else type(default))
+    typ = _declared_type(default)
     try:
         return typ(raw)
     except ValueError:
@@ -299,8 +319,6 @@ def loads(text: str) -> ExperimentSpec:
                 raise ConfigError(f"line {lineno}: scenario {name!r} takes "
                                   f"no key {key!r}")
             scenario[key] = _parse_declared(raw, defaults[key], key, lineno)
-            if key == "l" and scenario[key] < 2:
-                raise ConfigError(f"line {lineno}: legendre_bump needs l >= 2")
         elif section == "flow":
             if key not in _FLOW_DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown flow key {key!r}")

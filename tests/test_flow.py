@@ -13,7 +13,9 @@ from krflow.harness import legendre_bump, multi_mode
 from krflow.monitors import evaluate_trajectory
 from krflow.potential import VolumeMismatch, solve_ricci_potential
 
-from helpers import potential_residuals
+from helpers import (extrapolated_ref, flux_laplacian_ref,
+                     flux_potential_ref, kernel_args, potential_residuals,
+                     rk4_ref)
 
 
 def P2(x):
@@ -98,9 +100,10 @@ class TestStep:
     @pytest.mark.parametrize("kernel", ["advance_rk4",
                                         "advance_extrapolated"])
     def test_nan_state_fails_the_step(self, grid64, kernel):
+        # advance_extrapolated returns its tableau depth as well
         w, phi = np.full(grid64.n_nodes, np.nan), np.zeros(grid64.n_nodes)
         assert getattr(_kernels, kernel)(w, phi, 2, 1e-4, grid64,
-                                         1.0) == (0, False)
+                                         1.0)[:2] == (0, False)
 
     def test_nan_state_fails_the_class_check(self, grid64):
         m = legendre_bump(grid64, 2, 1e-3)
@@ -321,6 +324,24 @@ class TestRegime:
         assert calls[0] == 0.05
         assert [s.t for s in traj.states] == [0.0, 0.05, 0.1]
 
+    def test_segments_carry_the_tableau_depth(self, grid64, monkeypatch):
+        # each segment's extrapolated step starts at the row that settled
+        # the segment before, and the first at row 2
+        import krflow.flow
+        calls = []
+
+        def spy(*args):
+            out = _kernels.advance_extrapolated(*args)
+            calls.append((args[-1], out[2]))
+            return out
+
+        monkeypatch.setattr(krflow.flow, "advance_extrapolated", spy)
+        run(FlowConfig(t_end=0.1, record_dt=0.02, early_stop=0.0),
+            legendre_bump(grid64, 2, 1e-2))
+        given, returned = zip(*calls)
+        assert len(calls) == 5 and given[0] == 2
+        assert given[1:] == returned[:-1] and set(returned) == {6, 7}
+
     def test_unsettled_tableau_halves_cap(self, grid64, monkeypatch):
         # no row can meet a negative tolerance, so every extrapolated step
         # fails, and the cap halves until it fits under the bound
@@ -336,49 +357,6 @@ class TestRegime:
         assert s1.t == 0.05 and s1.dt == rejects[-1][2] / 2 <= bound
 
 
-def flux_laplacian_ref(f, h, sfi, hs):
-    flux = sfi * np.diff(f) / h
-    out = np.empty_like(f)
-    out[0] = flux[0]
-    out[1:-1] = np.diff(flux)
-    out[-1] = -flux[-1]
-    out /= hs
-    return out
-
-
-def flux_potential_ref(w, e2w, h, sfi, hs, hs_sum):
-    g = e2w - 1.0 + flux_laplacian_ref(w, h, sfi, hs)
-    s = 2.0 * g * hs
-    s -= (s.sum() / hs_sum) * hs
-    flux = np.cumsum(s)[:-1]
-    u0 = np.concatenate(([0.0], np.cumsum(h * flux / sfi)))
-    return g, u0
-
-
-def rhs_ref(w, h, q, sfi, hs, hs_sum):
-    # phi's velocity u - a spelled out: u = u0 + log m, a its e^{-u} mean
-    e2w = np.exp(2.0 * w)
-    g, u0 = flux_potential_ref(w, e2w, h, sfi, hs, hs_sum)
-    fw = 0.5 * g / e2w
-    emu = np.exp(-u0)
-    vol = np.sum(e2w * q)
-    m = np.sum(emu * e2w * q) / vol
-    logm = np.log(m)
-    a = np.sum((u0 + logm) * emu * e2w * q) / (vol * m)
-    fp = u0 + logm - a
-    return fw, fp, 2 * np.pi * vol
-
-
-def rk4_ref(w, phi, nsteps, dt, args):
-    for _ in range(nsteps):
-        k1w, k1p, _ = rhs_ref(w, *args)
-        k2w, k2p, _ = rhs_ref(w + 0.5 * dt * k1w, *args)
-        k3w, k3p, _ = rhs_ref(w + 0.5 * dt * k2w, *args)
-        k4w, k4p, _ = rhs_ref(w + dt * k3w, *args)
-        w += (dt / 6.0) * (k1w + 2.0 * (k2w + k3w) + k4w)
-        phi += (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
-
-
 def family_metric(family, n):
     g = make_grid(n)
     if family == "legendre_bump":
@@ -386,14 +364,9 @@ def family_metric(family, n):
     return multi_mode(g, seed=7, decay_rate=2.0, amplitude=5e-3)
 
 
-def kernel_args(grid):
-    hs = grid.h * grid.sin_nodes
-    return (grid.h, grid.quad_weights, grid.sin_flux[1:-1], hs,
-            float(np.sum(hs)))
-
-
 class TestKernelOracle:
-    """The in-place kernels against their plain numpy spelling above."""
+    """The in-place kernels against their plain numpy spelling in
+    helpers."""
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     @pytest.mark.parametrize("family", ["legendre_bump", "multi_mode"])
@@ -451,6 +424,93 @@ class TestExtrapolatedOracle:
         # the largest |dw| over the four cases was 3.5e-14, |dphi| 1.2e-14
         assert np.max(np.abs(end.metric.w - w)) <= 1e-12
         assert np.max(np.abs(end.phi - phi)) <= 1e-12
+
+
+def zero_pivot_at(monkeypatch, row, H):
+    """Patch _kernels.dgttrf so that the factors of row `row` of the tableau,
+    for steps of size H, report a zero pivot at the row's first node, as
+    LAPACK does (info is its 1-based index), wherever the row sits in a
+    stack.  A row is known by its diagonal 1 - (H / row) J_ii, for the
+    Jacobian bands the step built last."""
+    real_bands, real_dgttrf = _kernels.jacobian_bands, _kernels.dgttrf
+    bands = []
+
+    def recorded(*args):
+        bands[:] = [real_bands(*args)]
+        return bands[0]
+
+    def dgttrf(dl, d, du, **kwargs):
+        di = bands[0][1]
+        hit = np.flatnonzero((d.reshape(-1, di.shape[0])
+                              == 1.0 - (H / row) * di).all(axis=1))
+        dl, d, du, du2, ipiv, info = real_dgttrf(dl, d, du, **kwargs)
+        if hit.size:
+            d[hit[0] * di.shape[0]] = 0.0
+            info = hit[0] * di.shape[0] + 1
+        return dl, d, du, du2, ipiv, info
+
+    monkeypatch.setattr(_kernels, "jacobian_bands", recorded)
+    monkeypatch.setattr(_kernels, "dgttrf", dgttrf)
+
+
+class TestStackedTableau:
+    """advance_extrapolated, which advances the rows of a step as one stack
+    from the depth it is given, against the row-by-row extrapolated_ref:
+    the same bits, whatever the depth."""
+
+    VOL_LIMIT = 1e-8 * 4 * np.pi
+
+    @staticmethod
+    def both(m, nsteps, H, depth):
+        n = m.grid.n_nodes
+        w, phi = m.w.copy(), np.zeros(n)
+        w_ref, phi_ref = m.w.copy(), np.zeros(n)
+        got = _kernels.advance_extrapolated(w, phi, nsteps, H, m.grid,
+                                            TestStackedTableau.VOL_LIMIT,
+                                            depth)
+        ref = extrapolated_ref(w_ref, phi_ref, nsteps, H, m.grid,
+                               TestStackedTableau.VOL_LIMIT)
+        assert got[:2] == ref
+        assert np.array_equal(w, w_ref) and np.array_equal(phi, phi_ref)
+        return got
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-2, 0.3])
+    def test_bit_identical_from_every_depth(self, n, eps):
+        # the steps settle at rows 2 (eps 1e-6, n = 256, 1.5 bound) to 7;
+        # eps = 0.3 settles no step of 0.02 at any n, nor of 4 bound at
+        # n = 32 and 64, and the failures must match as well
+        m = legendre_bump(make_grid(n), 2, eps)
+        bound = stability_dt(m)
+        for H in (0.02, 4 * bound, 1.5 * bound):
+            assert H > bound
+            for nsteps in (1, 2, 3):
+                got = {self.both(m, nsteps, H, depth)
+                       for depth in range(2, _kernels.K_MAX + 1)}
+                # a call that succeeds returns the row that settled its
+                # last step, whatever the depth it started from
+                if (nsteps, True) in {out[:2] for out in got}:
+                    assert len(got) == 1
+
+    def test_unsettled_tableau_fails_from_every_depth(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "EXTRAP_TOL", -1.0)
+        m = legendre_bump(make_grid(64), 2, 1e-2)
+        for depth in range(2, _kernels.K_MAX + 1):
+            assert self.both(m, 2, 0.02, depth) == (0, False, depth)
+
+    def test_zero_pivot_fails_where_the_rows_reach_it(self, monkeypatch):
+        # row 4 settles these steps: a zero pivot in rows 1-4 fails them,
+        # one in rows 5-7 is never reached row by row
+        m = legendre_bump(make_grid(256), 2, 1e-2)
+        H = 4 * stability_dt(m)
+        assert self.both(m, 2, H, 2) == (2, True, 4)
+        for row in range(1, _kernels.K_MAX + 1):
+            with monkeypatch.context() as patch:
+                zero_pivot_at(patch, row, H)
+                for depth in range(2, _kernels.K_MAX + 1):
+                    for nsteps in (1, 2):
+                        ok = self.both(m, nsteps, H, depth)[1]
+                        assert ok == (row > 4)
 
 
 class TestConsistencyTriangle:

@@ -247,6 +247,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="l >= 2"):
             loads("scenario = legendre_bump\n[scenario]\nl = 1\n")
 
+    def test_values_of_declared_type_pass(self):
+        # a sweep point is the spec with eps replaced by a sweep value; an
+        # int passes for a float, but no float for the int l
+        spec = loads("scenario = legendre_bump\n[scenario]\nl = 3\n")
+        for eps in (0.5, 1, np.float64(0.25)):
+            dataclasses.replace(spec, scenario_params=(("eps", eps),
+                                                       ("l", 3)))
+        with pytest.raises(ConfigError, match="bad value 3.0 for key 'l'"):
+            dataclasses.replace(spec, scenario_params=(("l", 3.0),))
+
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_spec(tmp_path / "nope.cfg")
@@ -266,10 +276,15 @@ class TestConfig:
         ({"scenario": "round", "scenario_params": (("eps", 0.1),)},
          "takes no key 'eps'"),
         ({"sweep_target": "nope"}, "unknown sweep target 'nope'"),
+        # a run that exited 1, and a bare UFuncTypeError from the preset
+        ({"scenario": "legendre_bump", "grid_n": 64,
+          "scenario_params": (("l", 1),)}, "^legendre_bump needs l >= 2$"),
+        ({"scenario": "legendre_bump", "scenario_params": (("eps", "abc"),)},
+         "^bad value 'abc' for key 'eps'$"),
     ], ids=["grid_below_minimum", "band_no_room", "unknown_check",
             "check_twice", "monitor_value", "t0_past_t_end",
             "unknown_scenario", "unknown_scenario_key",
-            "unknown_sweep_target"])
+            "unknown_sweep_target", "legendre_l1", "value_not_a_number"])
     def test_spec_built_in_python_is_checked(self, kwargs, error):
         # the checks of loads hold for a spec made without text
         with pytest.raises(ConfigError, match=error):

@@ -36,8 +36,7 @@ from krflow.harness import (SCENARIOS, SWEEP_TARGETS, ExperimentSpec, dumps,
 from krflow.monitors import ALL_CHECKS
 from krflow.potential import VOLUME_TOL, solve_ricci_potential
 from krflow.spectral import K_PER_MODE, weighted_spectrum
-from helpers import potential_residuals
-from test_flow import kernel_args, rk4_ref
+from helpers import kernel_args, potential_residuals, rk4_ref
 
 PROPERTY = settings(derandomize=True, deadline=None)
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 import unused_imports  # noqa: E402
@@ -47,6 +49,41 @@ def test_bench_pairs_passes_the_seed(monkeypatch):
     (cmd,) = calls
     assert cmd[-2:] == ["--seed", "42"]
     assert cmd[cmd.index("--workload") + 1] == "dense_n64"
+
+
+def fake_bench_pairs(monkeypatch, tmp_path, *workload_args):
+    """bench_pairs.main at 2 pairs, with no export, no git and no perfbench:
+    returns the workloads it ran, in order, and exits as main does."""
+    ran = []
+
+    def run_once(tree, workload, seed):
+        ran.append(workload)
+        return {"correct": True, "metrics": {
+            m: {"value": 1.0} for m in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    bench_pairs.main(["--against", "HEAD", "--pairs", "2", "--out",
+                      str(out), *workload_args])
+    return ran
+
+
+def test_bench_pairs_runs_the_named_workloads(monkeypatch, tmp_path):
+    ran = fake_bench_pairs(monkeypatch, tmp_path, "--workload", "dense_n64",
+                           "--workload", "flow_n256")
+    # BENCHMARK.json's order, each workload's pairs together
+    assert ran == ["flow_n256"] * 4 + ["dense_n64"] * 4
+    assert len(set(fake_bench_pairs(monkeypatch, tmp_path))) == 3
+
+
+def test_bench_pairs_refuses_an_unknown_workload(monkeypatch, tmp_path,
+                                                 capsys):
+    with pytest.raises(SystemExit) as exc:
+        fake_bench_pairs(monkeypatch, tmp_path, "--workload", "nope")
+    assert exc.value.code == 2
+    assert "unknown workload 'nope'" in capsys.readouterr().err
 
 
 def test_unread_private_definition_reported(monkeypatch, tmp_path, capsys):

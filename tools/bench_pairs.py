@@ -2,11 +2,12 @@
 """Alternating benchmark pairs of a git revision and the working tree.
 
     python3 tools/bench_pairs.py --against <rev> --pairs 10 \
-        --out BENCH_<label>.json [--seed N]
+        --out BENCH_<label>.json [--seed N] [--workload NAME ...]
 
 The committed files of <rev> are exported into a temporary directory
 (tools/artifact_diff.export), and the working tree is the other side, the
-change.  For each workload of BENCHMARK.json, the two trees run
+change.  For each workload of BENCHMARK.json, or each one named by a
+--workload (which may be repeated), the two trees run
 `perfbench/run.py --workload <name> --trace 0 --seed <seed>` in turn,
 each tree its own copy of perfbench and its own src/, at perfbench's
 default length; --seed (default 7, perfbench's default) picks the
@@ -95,11 +96,20 @@ def main(argv=None) -> int:
                    help="the BENCH_<label>.json file to write")
     p.add_argument("--seed", type=int, default=7,
                    help="perfbench's --seed for every run (default 7)")
+    p.add_argument("--workload", action="append", metavar="NAME",
+                   help="run this BENCHMARK.json workload only; may be "
+                        "repeated (default: every workload)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for the quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(workloads))
+    if unknown:
+        p.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json has "
+                + ", ".join(workloads))
+    if args.workload:
+        workloads = [w for w in workloads if w in args.workload]
     parent_rev = git("rev-parse", "--short", args.against)
     head = git("rev-parse", "--short", "HEAD")
     dirty = " with uncommitted changes" if git("status", "--porcelain") \
