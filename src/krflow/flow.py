@@ -14,15 +14,15 @@ The stage velocity of phi is u - a = u0 - <u0>_r, with u0 the potential
 zero at the first node and <.>_r the mean weighted by r = e^{-u0} e^{2w}:
 the normalization constant of u cancels (see _kernels).
 
-Each record segment has a step cap: dt_init, or record_dt without one,
-halved once per rejected segment.  A cap within RK4's stability bound
-stability_dt of the state that opens the segment takes ceil(seg / cap)
-RK4 steps, the cheapest order-4 step there; a cap above it takes as many
-extrapolated linearly implicit Euler steps, whose count does not grow
-with the grid (_kernels).  The rows of one extrapolated step's tableau
-advance as one stack, from the row depth that settled the step before:
-_segments carries that depth from segment to segment, and as a hint only
-it changes no bit of a step.
+Each record segment has a step cap, min(dt_init, record_dt) (record_dt
+without a dt_init), halved once per rejected try.  A cap within RK4's
+stability bound stability_dt of the state that opens the segment takes
+ceil(seg / cap) RK4 steps, the cheapest order-4 step there; a cap above
+it takes as many extrapolated linearly implicit Euler steps, whose count
+does not grow with the grid (_kernels).  The rows of one extrapolated
+step's tableau advance as one stack, from the row depth that settled the
+step before: _segments carries that depth from segment to segment, and
+as a hint only it changes no bit of a step.
 
 Volume is a structural invariant of the semi-discrete flow: dV/dt =
 V - 4 pi holds exactly, so a state that starts at V = 4 pi stays there.
@@ -73,16 +73,16 @@ MAX_HALVINGS = 12
 class FlowConfig:
     """Integrator controls, each checked on construction (ConfigError).
 
-    dt_init is the step cap of each record segment, and None means
-    record_dt.  run takes RK4 steps under a cap within RK4's stability
-    bound stability_dt and extrapolated linearly implicit Euler steps
-    under a larger one, so any positive dt_init runs.  band_tol None is
-    the grid's default_band_tol; a band_tol must leave room for
-    lambda(g), which sits about 2 above the band at 1 and must clear the
-    band edge by 2 band_tol, so it needs 3 band_tol < 2.  vol_tol may not
-    exceed potential.VOLUME_TOL, past which the potential solve of every
-    state refuses the volume.
-    early_stop = 0 never stops the run early.
+    The step cap of each record segment is min(dt_init, record_dt), and
+    dt_init None means record_dt.  run takes RK4 steps under a cap within
+    RK4's stability bound stability_dt and extrapolated linearly implicit
+    Euler steps under a larger one, so any positive dt_init runs.
+    band_tol None is the grid's default_band_tol; a band_tol must leave
+    room for lambda(g), which sits about 2 above the band at 1 and must
+    clear the band edge by 2 band_tol, so it needs 3 band_tol < 2.
+    vol_tol may not exceed potential.VOLUME_TOL, past which the potential
+    solve of every state refuses the volume.  early_stop = 0 never stops
+    the run early.
     """
 
     t_end: float = 5.0
@@ -256,10 +256,10 @@ def make_state(segments: list[Segment], config: FlowConfig,
     that starts from the blocks of the state before it runs state by
     state.  warm is the Spectrum of the state before the first one, or None
     for a start from the round sphere's harmonics.  Returns each state
-    with its Spectrum.  One segment is the one-row case.  An error of any
-    state ends the whole block, and it need not be the first in time order
-    (every eigensolve runs before lambda_second), so _solved solves a
-    failing block again state by state.
+    with its Spectrum.  One segment is the one-row case.  A NumericalError
+    of any state ends the whole block, and it need not be the first in
+    time order (every eigensolve runs before lambda_second), so _solved
+    solves such a block again state by state.
     """
     metric = Rows(segments).metric
     stacked = solve_ricci_potential(metric)
@@ -291,13 +291,14 @@ def _segments(config: FlowConfig, initial: ConformalMetric):
     """The record segments from initial, in time order: the integration
     alone, which solves nothing.  The first is t = 0, where phi = 0 and
     the class residual |e^{2w} - e^{2w} - (1/2) L 0| is 0; segment k ends
-    at min(k record_dt, t_end).  A failed try halves the step cap (module
-    docstring) for good (determinism); StepReject after MAX_HALVINGS.
-    Each segment's phi is read-only.
+    at min(k record_dt, t_end).  The step cap starts at min(dt_init,
+    record_dt), so that halving it shortens the steps, and a failed try
+    halves it (module docstring) for good (determinism); StepReject after
+    MAX_HALVINGS halvings.  Each segment's phi is read-only.
     """
     grid = initial.grid
     vol_limit = config.vol_tol * ROUND_VOLUME
-    cap0 = config.dt_init if config.dt_init is not None else config.record_dt
+    cap0 = min(config.dt_init or math.inf, config.record_dt)
     t, w, metric = 0.0, initial.w, initial
     phi = np.zeros(grid.n_nodes)
     phi.flags.writeable = False
@@ -331,11 +332,11 @@ def _segments(config: FlowConfig, initial: ConformalMetric):
                     break
                 except StepReject:
                     pass
-            halvings += 1
-            if halvings > MAX_HALVINGS:
+            if halvings == MAX_HALVINGS:
                 raise StepReject(
                     f"volume, extrapolation or class check kept failing "
                     f"after {halvings} dt halvings near t = {t:.6g}")
+            halvings += 1
             rejects.append(("step_reject", t + done * dt_seg, dt_seg))
         phi_try.flags.writeable = False
         w, phi, t, metric = w_try, phi_try, t_next, new
@@ -346,9 +347,10 @@ def _solved(config: FlowConfig, initial: ConformalMetric):
     """(segment, state, Spectrum) for each of _segments, in time order:
     t = 0 alone, so a run that converges there integrates nothing, then
     blocks of at most geometry.block_rows(n), each spectrum started from
-    the state before.  A block that fails is solved again state by state,
-    so the first error in time order is raised, and an integration error
-    only after the states before it.
+    the state before.  A block that fails with a NumericalError is solved
+    again state by state, so the first error in time order is raised, and
+    an integration error only after the states before it; any other
+    exception is a fault and propagates at once.
     """
     segments = _segments(config, initial)
     spec, size = None, 1
@@ -358,10 +360,10 @@ def _solved(config: FlowConfig, initial: ConformalMetric):
         try:
             for seg in islice(segments, size):
                 block.append(seg)
-        except Exception as exc:  # raised after the states before it
+        except NumericalError as exc:  # raised after the states before it
             error = exc
         if len(block) > 1:
-            with suppress(Exception):
+            with suppress(NumericalError):
                 solved = make_state(block, config, initial, spec)
         for i, seg in enumerate(block):
             state, spec = (solved[i] if solved is not None else

@@ -4,7 +4,8 @@ Config files are plain key = value text with [section] headers and
 comma-separated lists; every run writes a timeseries CSV with a fixed
 column schema, a structured report with one block per monitor, and a
 provenance block (grid, dt history, code version, hash of the canonical
-spec text) so each run is reproducible from its artifact alone.
+spec text) so each run is reproducible from its artifact alone: the spec
+a report echoes gives the same metric (initial_metric) and artifacts.
 """
 
 from __future__ import annotations
@@ -213,18 +214,18 @@ SCENARIOS = {
 }
 
 
-def _preset_args(spec: ExperimentSpec) -> dict:
-    """The preset's arguments: the spec's values over the table's defaults."""
+def initial_metric(spec: ExperimentSpec) -> ConformalMetric:
+    """The t = 0 metric of a spec, built nowhere else: its preset, with the
+    spec's values over the defaults.  Under [sweep] target = calabi a
+    legendre_bump's eps is its curvature energy (legendre_bump_for_calabi)
+    for every command; other scenarios ignore the target."""
     args = {**SCENARIOS[spec.scenario][1], **dict(spec.scenario_params)}
     for key, value in args.items():
         if isinstance(value, type):
             raise ConfigError(f"{spec.scenario} scenario needs {key} = <path>")
-    return args
-
-
-def initial_metric(spec: ExperimentSpec) -> ConformalMetric:
-    args = _preset_args(spec)
-    return SCENARIOS[spec.scenario][0](make_grid(spec.grid_n), **args)
+    calabi = (spec.scenario, spec.sweep_target) == ("legendre_bump", "calabi")
+    preset = legendre_bump_for_calabi if calabi else SCENARIOS[spec.scenario][0]
+    return preset(make_grid(spec.grid_n), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -490,28 +491,39 @@ def write_report(path: Path, spec: ExperimentSpec,
     return code
 
 
-def run_scenario(spec: ExperimentSpec, base_dir=None,
-                 metric_of=initial_metric) -> RunArtifacts:
+def _output_dir(spec: ExperimentSpec, base_dir) -> Path:
+    """base_dir, or else the spec's output_dir, made with its parents;
+    ConfigError naming it when it cannot be (a file on it or a parent)."""
+    out = Path(spec.output_dir if base_dir is None else base_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {str(out)!r} is not a usable "
+                          f"directory: {exc.strerror}")
+    return out
+
+
+def run_scenario(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
     """Execute one scenario end to end and write its artifacts.
 
-    metric_of(spec) builds the t=0 metric, and flow.run integrates it: RK4
-    under a step cap within the stability bound, extrapolated linearly
-    implicit Euler over it, so any positive dt_init runs.  Config errors
-    (an irregular pole in a custom_w profile, a bad rho) and numerical
-    failures (volume mismatch, eigensolver trouble, band ambiguity, step
-    rejection cascades) land in the report with exit code 2 or 3 instead
-    of propagating.  timeseries.csv is written as soon as the flow
-    returns, so an error from the checks (a rho that a later state
-    breaks) keeps it, and the report keeps the trajectory's provenance.
+    initial_metric(spec) builds the t=0 metric, and flow.run integrates
+    it.  Config errors (an irregular pole in a custom_w profile, a bad
+    rho) and numerical failures (volume mismatch, eigensolver trouble,
+    band ambiguity, step rejection cascades) land in the report, with
+    exit code 2 or 3, by the one exit of every outcome; only an output
+    directory that cannot be made raises (ConfigError).  timeseries.csv
+    is written as soon as the flow returns, so an error from the checks
+    (a rho that a later state breaks) keeps it, and the report keeps the
+    trajectory's provenance.
     """
-    out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(spec, base_dir)
     report_path = out / "report.txt"
     ts_path = out / "timeseries.csv"
-    traj = None
+    traj = report = error = None
+    code = EXIT_NUMERICAL  # write_report reads it only with an error
     try:
         params = spec.monitor_dict()
-        metric = metric_of(spec)
+        metric = initial_metric(spec)
         if "c0_vs_y" in spec.checks:  # its rho, on the t=0 metric
             check_scale(metric, params["rho"])
         traj = run(spec.flow, metric)
@@ -519,36 +531,25 @@ def run_scenario(spec: ExperimentSpec, base_dir=None,
         report = evaluate_trajectory(traj, spec.checks, params)
     except (ConfigError, NumericalError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        code = write_report(report_path, spec, traj, None, error=error,
-                            error_code=EXIT_CONFIG if isinstance(
-                                exc, ConfigError) else EXIT_NUMERICAL)
-        return RunArtifacts(
-            output_dir=out, report_path=report_path, exit_code=code,
-            timeseries_path=ts_path if traj is not None else None,
-            trajectory=traj, error=error)
-    code = write_report(report_path, spec, traj, report)
-    return RunArtifacts(output_dir=out, timeseries_path=ts_path,
-                        report_path=report_path, exit_code=code,
-                        trajectory=traj, report=report)
+        if isinstance(exc, ConfigError):
+            code = EXIT_CONFIG
+    code = write_report(report_path, spec, traj, report, error, code)
+    return RunArtifacts(
+        output_dir=out, report_path=report_path, exit_code=code,
+        timeseries_path=ts_path if traj is not None else None,
+        trajectory=traj, report=report, error=error)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _calabi_metric(spec: ExperimentSpec) -> ConformalMetric:
-    """t=0 metric of a calabi sweep point: eps is the curvature energy."""
-    return legendre_bump_for_calabi(make_grid(spec.grid_n),
-                                    **_preset_args(spec))
-
-
 def _run_sweep_point(args):
     """run_scenario for one sweep value, reduced to its summary row."""
     spec, value, out_dir = args
     point = replace(spec, sweep=(), scenario_params=tuple(sorted(
         dict(spec.scenario_params, eps=value).items())))
-    art = run_scenario(point, out_dir, _calabi_metric
-                       if spec.sweep_target == "calabi" else initial_metric)
+    art = run_scenario(point, out_dir)
     if art.error is not None:
         return {"eps": value, "eps_calabi": math.nan,
                 "grad_c0_at_t0": math.nan, "ratio": math.nan,
@@ -575,13 +576,9 @@ def sweep_epsilon(spec: ExperimentSpec, base_dir=None) -> RunArtifacts:
         raise ConfigError("sweep requested but [sweep] eps is empty")
     if spec.scenario != "legendre_bump":
         raise ConfigError("sweeps are defined for the legendre_bump scenario")
-    out = Path(base_dir) if base_dir is not None else Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for i, value in enumerate(spec.sweep):
-        sub = out / f"point_{i:02d}"
-        sub.mkdir(parents=True, exist_ok=True)
-        jobs.append((spec, float(value), str(sub)))
+    out = _output_dir(spec, base_dir)  # run_scenario makes the point dirs
+    jobs = [(spec, float(value), str(out / f"point_{i:02d}"))
+            for i, value in enumerate(spec.sweep)]
     if workers > 1:
         # imported here, so that no other run pays the 10-30 ms import
         # of the pool's modules

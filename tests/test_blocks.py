@@ -446,3 +446,48 @@ def test_spoiled_start_mid_block_falls_back(dense_block, monkeypatch):
     # the pairs of the run without the spoiled start
     gap = np.abs(blocked.states[j + 1].spectrum - states[j + 1].spectrum)
     assert np.max(gap) <= 1e-9
+
+
+def test_fault_in_a_block_solve_propagates(monkeypatch):
+    # a TypeError of the block path alone is a fault, not a property of
+    # a state: it leaves run, where a one-state solve of each state of
+    # the block used to hide it
+    metric = multi_mode(make_grid(64), seed=7, decay_rate=2.0,
+                        amplitude=5e-3)
+    config = FlowConfig(t_end=0.01, record_dt=0.001, early_stop=0.0)
+    real = krflow.flow.functional_bundle
+
+    def stacks_fail(u, metric, **kwargs):
+        if len(np.atleast_2d(metric.w)) > 1:
+            raise TypeError("injected into a stack of rows")
+        return real(u, metric, **kwargs)
+
+    monkeypatch.setattr(krflow.flow, "functional_bundle", stacks_fail)
+    with pytest.raises(TypeError, match="injected"):
+        run(config, metric)
+    # in blocks of one state the path is never taken, and the run ends
+    monkeypatch.setattr(krflow.geometry, "BLOCK_NODES", 64)
+    assert len(run(config, metric).states) == 11
+
+
+def test_fault_in_the_integration_propagates_at_once(dense_block,
+                                                     monkeypatch):
+    # a TypeError from the advance of segment j + 4 is raised at once:
+    # unlike a NumericalError, it does not wait for state j, which
+    # converges, to end the run first
+    metric, config, states, j = dense_block
+    config = replace(config, early_stop=converging_at(states, j))
+    start = states[j + 3].metric.w
+
+    def faulty(real):
+        def advance(w, *args):
+            if np.array_equal(w, start):
+                raise TypeError("injected into the advance")
+            return real(w, *args)
+        return advance
+
+    for name in ("advance_rk4", "advance_extrapolated"):
+        monkeypatch.setattr(krflow.flow, name,
+                            faulty(getattr(krflow.flow, name)))
+    with pytest.raises(TypeError, match="injected"):
+        run(config, metric)

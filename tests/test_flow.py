@@ -1,5 +1,8 @@
 """Flow integrator: fixed point, conservation, class identity, bookkeeping."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -305,6 +308,27 @@ class TestRegime:
                                         1.0) == (1, True)
             assert np.array_equal(s.metric.w, w)
             assert np.array_equal(s.phi, phi)
+
+    def test_dt_init_over_record_dt_caps_at_record_dt(self, grid64,
+                                                      monkeypatch):
+        # the cap is min(dt_init, record_dt): a record_dt within the bound
+        # takes RK4 under any longer dt_init, bit for bit as under none
+        import krflow.flow
+
+        def refuse(*args):
+            raise AssertionError("extrapolated step under a record_dt "
+                                 "within the stability bound")
+
+        monkeypatch.setattr(krflow.flow, "advance_extrapolated", refuse)
+        m = legendre_bump(grid64, 2, 1e-2)
+        config = FlowConfig(t_end=0.005, record_dt=1e-3, early_stop=0.0)
+        plain = run(config, m)
+        for dt_init in (0.5, math.inf):
+            capped = run(replace(config, dt_init=dt_init), m)
+            assert [s.dt for s in capped.states] == [s.dt for s in
+                                                      plain.states]
+            for a, b in zip(capped.states, plain.states):
+                assert np.array_equal(a.metric.w, b.metric.w)
 
     def test_cap_over_bound_takes_extrapolated(self, grid64, monkeypatch):
         import krflow.flow

@@ -458,6 +458,21 @@ class TestRunScenario:
         assert art.exit_code == 1
         assert "verdict = FAIL" in art.report_path.read_text()
 
+    def test_dt_init_over_record_dt_halves_from_record_dt(self, tmp_path):
+        # a cap over the segment shortened no step, so its halvings did
+        # nothing and dt_init = inf or 1e300 exited 3 where auto ran
+        base = ("scenario = legendre_bump\ngrid_n = 128\n[scenario]\n"
+                "l = 2\neps = 0.3\n[flow]\nband_tol = 0.5\nt_end = 0.2\n"
+                "record_dt = 0.1\n")
+        arts = [run_scenario(loads(base + f"dt_init = {dt_init}\n[monitors]"
+                                   "\nchecks = kahler_class\n"),
+                             base_dir=tmp_path / dt_init)
+                for dt_init in ("auto", "inf", "1e300")]
+        assert [a.exit_code for a in arts] == [EXIT_OK] * 3
+        assert "\ndt_history = 0.003125\n" in arts[0].report_path.read_text()
+        series = {a.timeseries_path.read_bytes() for a in arts}
+        assert len(series) == 1
+
     def test_bootstrap_equality_edge_passes(self, tmp_path):
         # phi0 equal to the run's own largest Phi_meas: the corridor
         # margin is exactly 0, which is no violation, so the run exits 0
@@ -476,6 +491,84 @@ class TestRunScenario:
         assert "\nverdict = PASS\n" in block
         assert "\nmargin = 0.0\n" in block
         assert "aux.violation_" not in block
+
+
+# the specs of the round-trip tests: grid 64, t_end 0.1, record_dt 0.05,
+# with each scenario's own section
+ECHO_BASE = "grid_n = 64\n{scenario}[flow]\nt_end = 0.1\nrecord_dt = 0.05\n"
+ECHO_SCENARIOS = {
+    "round": "",
+    "legendre_bump": "[scenario]\nl = 2\neps = 1e-2\n",
+    "multi_mode": "[scenario]\nseed = 7\namplitude = 5e-3\n",
+    "custom_w": "[scenario]\nfile = {w_file}\n",
+}
+
+
+def echo_of(report_path: Path) -> str:
+    """The spec text a report.txt echoes under [spec]."""
+    report = report_path.read_text()
+    return "".join(line[2:] + "\n" for line in
+                   report.split("\n[spec]\n")[1].splitlines())
+
+
+def assert_echo_reruns(art_dir: Path, rerun_dir: Path) -> None:
+    """The spec that art_dir's report echoes, run again into rerun_dir,
+    writes the same report.txt and timeseries.csv, byte for byte."""
+    run_scenario(loads(echo_of(art_dir / "report.txt")), base_dir=rerun_dir)
+    for name in ("report.txt", "timeseries.csv"):
+        assert (rerun_dir / name).read_bytes() == (art_dir / name).read_bytes()
+
+
+class TestEchoRoundTrip:
+    """A run's report echoes a spec that reruns to the same artifacts."""
+
+    @pytest.mark.parametrize("scenario", list(ECHO_SCENARIOS))
+    def test_preset_echo_reruns(self, tmp_path, scenario):
+        w_file = tmp_path / "w.txt"  # absolute, as tmp_path is
+        np.savetxt(w_file, legendre_bump(make_grid(64), 2, 1e-2).w)
+        section = ECHO_SCENARIOS[scenario].format(w_file=w_file)
+        spec = loads(f"scenario = {scenario}\n"
+                     + ECHO_BASE.format(scenario=section))
+        art = run_scenario(spec, base_dir=tmp_path / "run")
+        assert art.error is None
+        assert_echo_reruns(art.output_dir, tmp_path / "rerun")
+
+    @pytest.mark.parametrize("target", ["amplitude", "calabi"])
+    def test_sweep_point_echo_reruns(self, tmp_path, target):
+        # a calabi point's eps is its curvature energy, under krflow run
+        # of its echo as in the sweep
+        spec = loads("scenario = legendre_bump\n"
+                     + ECHO_BASE.format(scenario="")
+                     + f"[sweep]\neps = 1e-4\ntarget = {target}\n")
+        art = sweep_epsilon(spec, base_dir=tmp_path / "sw")
+        assert art.rows[0]["error"] == ""
+        assert_echo_reruns(tmp_path / "sw" / "point_00", tmp_path / "rerun")
+        measured = art.rows[0]["eps_calabi"]
+        if target == "calabi":
+            assert measured == pytest.approx(1e-4, rel=1e-12)
+        else:
+            assert measured != pytest.approx(1e-4, rel=1e-2)
+
+    def test_spectrum_reads_the_calabi_metric(self, tmp_path, capsys):
+        # krflow run of a calabi spec writes the timeseries.csv of the
+        # sweep point with its eps, and krflow spectrum --at 0 prints the
+        # lambda(g) of its first row
+        out = tmp_path / "o"
+        path = tmp_path / "spec.cfg"
+        section = "[scenario]\neps = 1e-4\n"
+        path.write_text(f"scenario = legendre_bump\noutput_dir = {out}\n"
+                        + ECHO_BASE.format(scenario=section)
+                        + "[sweep]\ntarget = calabi\n")
+        assert main(["run", str(path)]) == EXIT_OK
+        sweep_epsilon(dataclasses.replace(load_spec(path), sweep=(1e-4,)),
+                      base_dir=tmp_path / "sw")
+        point = tmp_path / "sw" / "point_00" / "timeseries.csv"
+        assert point.read_bytes() == (out / "timeseries.csv").read_bytes()
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        lam_g = rows[1].split(",")[TIMESERIES_COLUMNS.index("lambda_g")]
+        capsys.readouterr()
+        assert main(["spectrum", str(path), "--at", "0"]) == EXIT_OK
+        assert f"\n# lambda_g = {lam_g}\n" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -569,6 +662,22 @@ class TestCli:
         path = tmp_path / "spec.cfg"
         path.write_text(text)
         return str(path)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("where", ["afile", "afile/sub"])
+    def test_unusable_output_dir_exits_two(self, tmp_path, capsys, command,
+                                           where):
+        # a regular file on the output_dir, or on a parent of it, was a
+        # FileExistsError or NotADirectoryError traceback and exit 1
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / where
+        path = self.write_spec(
+            tmp_path, f"output_dir = {out}\n{BUMP64}[flow]\nt_end = 0.01\n"
+            "[sweep]\neps = 1e-3\n")
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error: output_dir {str(out)!r} is not a usable " in err
 
     def test_run_round(self, tmp_path, capsys):
         path = self.write_spec(
@@ -954,7 +1063,7 @@ class TestCli:
         assert main(["run", path]) == EXIT_NUMERICAL
         assert "Traceback" not in capsys.readouterr().err
         assert ("error = StepReject: volume, extrapolation or class check "
-                "kept failing after 13 dt halvings"
+                "kept failing after 12 dt halvings"
                 in (out / "report.txt").read_text())
 
 
